@@ -3,7 +3,9 @@
 Extractive: rank sentences by score, walk down the ranking, and skip any
 candidate that repeats a word trigram of an already-selected sentence, so the
 output stays non-redundant. Abstractive: length-normalized beam search with
-the same repeated-trigram rule applied to the generated token stream.
+the same repeated-trigram rule applied to the generated token stream, decoding
+one new position per hypothesis per step from the model's key/value cache.
+Both run without recording an autodiff graph.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 from .errors import EmptyDocument, InvalidConfig, ModelKindMismatch
 from .model import AbstractiveModel, ExtractiveModel
 from .rouge import rouge_tokenize
-from .tensor import Tensor
+from .tensor import no_grad
 from .tokenization import TokenizedExample, Vocab, decode_ids
 
 
@@ -74,6 +76,7 @@ def select_sentences(
     return sorted(chosen)
 
 
+@no_grad()
 def summarize_ext(
     model: ExtractiveModel, example: TokenizedExample, config: ExtConfig
 ) -> list[str]:
@@ -114,6 +117,18 @@ def _token_trigrams(ids: tuple[int, ...]) -> set[tuple[int, int, int]]:
     return {tuple(gen[i : i + 3]) for i in range(len(gen) - 2)}
 
 
+def _top_k(flat: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k largest entries of a NaN-free array, largest first,
+    ties to the lower index: exactly argsort(-flat, kind="stable")[:k], but
+    only the entries at or above the k-th largest value get sorted."""
+    if k >= flat.size:
+        return np.argsort(-flat, kind="stable")
+    kth = np.partition(flat, flat.size - k)[flat.size - k]
+    cand = np.flatnonzero(flat >= kth)
+    return cand[np.argsort(-flat[cand], kind="stable")[:k]]
+
+
+@no_grad()
 def beam_search(
     model: AbstractiveModel,
     example: TokenizedExample,
@@ -137,21 +152,18 @@ def beam_search(
     src = np.array([example.src_ids], dtype=np.int64)
     segs = np.array([example.segment_ids], dtype=np.int64)
     src_pad = np.zeros(src.shape, dtype=bool)
-    enc = model.encoder.encode(src, segs, src_pad)
+    cache = model.start_decoding(model.encoder.encode(src, segs, src_pad), src_pad)
 
     alpha = config.length_penalty_alpha
     beams = [_Hypothesis((bos_id,), 0.0)]
+    parents = [0]  # index of each live hypothesis's parent in the cache
     last_live = beams
     done: list[tuple[float, int, _Hypothesis]] = []  # (norm score, arrival, hyp)
 
     for _ in range(config.max_len):
         if not beams:
             break
-        n = len(beams)
-        tgt = np.array([h.ids for h in beams], dtype=np.int64)
-        enc_n = Tensor(np.repeat(enc.data, n, axis=0))
-        pad_n = np.repeat(src_pad, n, axis=0)
-        logits = model.decode_teacher_forced(enc_n, tgt, pad_n).data[:, -1, :]
+        logits = model.decode_step(cache, parents, [h.ids[-1] for h in beams]).data
         shifted = logits - logits.max(axis=-1, keepdims=True)
         logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
@@ -168,10 +180,10 @@ def beam_search(
                         cand[i, z] = -np.inf
 
         flat = cand.reshape(-1)
-        # Stable sort on the negated scores: ties resolve to the earlier
-        # hypothesis, then the lower token id.
-        top = np.argsort(-flat, kind="stable")[: config.beam_size]
+        # Ties resolve to the earlier hypothesis, then the lower token id.
+        top = _top_k(flat, config.beam_size)
         next_beams: list[_Hypothesis] = []
+        parents = []
         for pos in top:
             if not np.isfinite(flat[pos]):
                 continue
@@ -182,6 +194,7 @@ def beam_search(
                 done.append((score, len(done), hyp))
             else:
                 next_beams.append(hyp)
+                parents.append(i)
         beams = next_beams
         if beams:
             last_live = beams

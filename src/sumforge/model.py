@@ -147,41 +147,43 @@ def _trunc_normal(shape, gen: np.random.Generator, std: float, dtype) -> np.ndar
 
 # --- forward pieces ---
 
-def _attention(
+def _heads(params: dict[str, Tensor], prefix: str, x: Tensor, w: str, bias: str, n_heads: int) -> Tensor:
+    """Project [B, L, d] onto n_heads heads: [B, h, L, d / h]."""
+    b, length, d = x.shape
+    y = T.matmul(x, params[f"{prefix}.{w}"]) + params[f"{prefix}.{bias}"]
+    return T.permute(T.reshape(y, (b, length, n_heads, d // n_heads)), (0, 2, 1, 3))
+
+
+def _keys_values(params: dict[str, Tensor], prefix: str, x_kv: Tensor, n_heads: int) -> tuple[Tensor, Tensor]:
+    return (
+        _heads(params, prefix, x_kv, "wk", "bk", n_heads),
+        _heads(params, prefix, x_kv, "wv", "bv", n_heads),
+    )
+
+
+def _attend(
     params: dict[str, Tensor],
     prefix: str,
     x_q: Tensor,
-    x_kv: Tensor,
-    n_heads: int,
-    key_pad_mask: np.ndarray | None,
-    causal: bool,
+    k: Tensor,
+    v: Tensor,
+    mask: np.ndarray | None,
     dropout_p: float,
     train: bool,
     rng,
 ) -> Tensor:
-    """Multi-head scaled dot-product attention.
+    """Multi-head scaled dot-product attention of x_q over projected keys and
+    values [B or 1, h, Lk, dk].
 
-    key_pad_mask is a [B, Lk] bool array, True where the key is padding.
+    mask broadcasts against the [B, h, Lq, Lk] scores and is True where a
+    query may not look at a key.
     """
     b, lq, d = x_q.shape
-    lk = x_kv.shape[1]
-    dk = d // n_heads
-
-    def heads(x: Tensor, w: str, bias: str, length: int) -> Tensor:
-        y = T.matmul(x, params[f"{prefix}.{w}"]) + params[f"{prefix}.{bias}"]
-        return T.permute(T.reshape(y, (b, length, n_heads, dk)), (0, 2, 1, 3))
-
-    q = heads(x_q, "wq", "bq", lq)
-    k = heads(x_kv, "wk", "bk", lk)
-    v = heads(x_kv, "wv", "bv", lk)
-
+    n_heads, dk = k.shape[1], k.shape[3]
+    q = _heads(params, prefix, x_q, "wq", "bq", n_heads)
     scores = T.mul(T.matmul(q, T.transpose(k)), 1.0 / np.sqrt(dk))  # [B,h,Lq,Lk]
-    if key_pad_mask is not None:
-        scores = T.masked_fill(scores, key_pad_mask[:, None, None, :], NEG_INF)
-    if causal:
-        future = np.triu(np.ones((lq, lk), dtype=bool), k=1)
-        scores = T.masked_fill(scores, future[None, None, :, :], NEG_INF)
-
+    if mask is not None:
+        scores = T.masked_fill(scores, mask, NEG_INF)
     probs = T.softmax(scores, axis=-1)
     probs = T.dropout(probs, dropout_p, train, rng)
     ctx = T.reshape(T.permute(T.matmul(probs, v), (0, 2, 1, 3)), (b, lq, d))
@@ -195,6 +197,44 @@ def _feed_forward(params: dict[str, Tensor], prefix: str, x: Tensor) -> Tensor:
 
 def _ln(params: dict[str, Tensor], prefix: str, x: Tensor) -> Tensor:
     return T.layer_norm(x, params[f"{prefix}.gamma"], params[f"{prefix}.beta"])
+
+
+def _decoder_layer(
+    params: dict[str, Tensor],
+    prefix: str,
+    x: Tensor,
+    past: tuple[Tensor, Tensor] | None,
+    cross_kv: tuple[Tensor, Tensor],
+    self_mask: np.ndarray | None,
+    cross_mask: np.ndarray,
+    config: ModelConfig,
+    train: bool,
+    rng,
+) -> tuple[Tensor, tuple[Tensor, Tensor]]:
+    """One decoder block: self-attention, cross-attention over the projected
+    encoder keys/values, feed-forward, each pre-layer-norm and residual.
+
+    The new positions' self-attention keys/values are appended to `past`
+    (those of earlier positions, or None) and returned alongside x.
+    """
+    normed = _ln(params, f"{prefix}.ln1", x)
+    k, v = _keys_values(params, f"{prefix}.self_attn", normed, config.n_heads)
+    if past is not None:
+        k = T.concat([past[0], k], axis=2)
+        v = T.concat([past[1], v], axis=2)
+    attn = _attend(
+        params, f"{prefix}.self_attn", normed, k, v,
+        self_mask, config.dropout, train, rng,
+    )
+    x = x + T.dropout(attn, config.dropout, train, rng)
+    cross = _attend(
+        params, f"{prefix}.cross_attn", _ln(params, f"{prefix}.ln2", x), *cross_kv,
+        cross_mask, config.dropout, train, rng,
+    )
+    x = x + T.dropout(cross, config.dropout, train, rng)
+    ff = _feed_forward(params, f"{prefix}.ff", _ln(params, f"{prefix}.ln3", x))
+    x = x + T.dropout(ff, config.dropout, train, rng)
+    return x, (k, v)
 
 
 class Encoder:
@@ -236,9 +276,10 @@ class Encoder:
 
         for i in range(cfg.n_enc_layers):
             normed = _ln(p, f"layer{i}.ln1", x)
-            attn = _attention(
-                p, f"layer{i}.attn", normed, normed,
-                cfg.n_heads, pad_mask, False, cfg.dropout, train, rng,
+            k, v = _keys_values(p, f"layer{i}.attn", normed, cfg.n_heads)
+            attn = _attend(
+                p, f"layer{i}.attn", normed, k, v,
+                pad_mask[:, None, None, :], cfg.dropout, train, rng,
             )
             x = x + T.dropout(attn, cfg.dropout, train, rng)
             ff = _feed_forward(p, f"layer{i}.ff", _ln(p, f"layer{i}.ln2", x))
@@ -295,6 +336,21 @@ class ExtractiveModel:
         return self.ext_scores(hidden, cls_positions)
 
 
+@dataclass
+class DecoderCache:
+    """Incremental decoding state of one document's beam: per decoder layer,
+    cross-attention keys/values [1, h, L, dk] and the self-attention keys/values
+    [n, h, t, dk] of the t positions decoded so far."""
+
+    cross_kv: list[tuple[Tensor, Tensor]]
+    cross_mask: np.ndarray
+    self_kv: list[tuple[Tensor, Tensor]]
+
+    @property
+    def length(self) -> int:
+        return self.self_kv[0][0].shape[2]
+
+
 class AbstractiveModel:
     """Encoder plus a causally masked decoder with cross-attention; the output
     projection is the transposed token embedding table."""
@@ -313,6 +369,25 @@ class AbstractiveModel:
         out.update({f"decoder.{k}": v for k, v in self.decoder.items()})
         return out
 
+    def _embed_targets(
+        self, tgt_ids: np.ndarray, start: int, train: bool, rng
+    ) -> Tensor:
+        """Token + position embeddings of tgt_ids [B, T] placed at positions
+        start, start + 1, ..."""
+        cfg = self.config
+        end = start + tgt_ids.shape[1]
+        if end > cfg.max_positions:
+            raise PositionOverflow(f"target length {end} > {cfg.max_positions}")
+        if tgt_ids.size and (tgt_ids.min() < 0 or tgt_ids.max() >= cfg.vocab_size):
+            raise IdOutOfRange(f"target id outside vocabulary of {cfg.vocab_size}")
+        x = T.embedding_lookup(self.encoder.params["tok_emb"], tgt_ids)
+        x = x + T.embedding_lookup(self.decoder["pos_emb"], np.arange(start, end))
+        return T.dropout(x, cfg.dropout, train, rng)
+
+    def _project(self, x: Tensor) -> Tensor:
+        x = _ln(self.decoder, "final_ln", x)
+        return T.matmul(x, T.transpose(self.encoder.params["tok_emb"]))
+
     def decode_teacher_forced(
         self,
         enc_hidden: Tensor,
@@ -324,36 +399,61 @@ class AbstractiveModel:
         """Next-token logits [B, T, vocab] from gold prefixes."""
         tgt_ids = np.asarray(tgt_ids)
         cfg = self.config
-        b, t = tgt_ids.shape
-        if t > cfg.max_positions:
-            raise PositionOverflow(f"target length {t} > {cfg.max_positions}")
-        if tgt_ids.size and (tgt_ids.min() < 0 or tgt_ids.max() >= cfg.vocab_size):
-            raise IdOutOfRange(f"target id outside vocabulary of {cfg.vocab_size}")
-
-        p = self.decoder
-        tok_emb = self.encoder.params["tok_emb"]
-        x = T.embedding_lookup(tok_emb, tgt_ids)
-        x = x + T.embedding_lookup(p["pos_emb"], np.arange(t))
-        x = T.dropout(x, cfg.dropout, train, rng)
-
+        _, t = tgt_ids.shape
+        x = self._embed_targets(tgt_ids, 0, train, rng)
+        causal = np.triu(np.ones((t, t), dtype=bool), k=1)[None, None, :, :]
+        cross_mask = np.asarray(src_pad_mask, dtype=bool)[:, None, None, :]
         for i in range(cfg.n_dec_layers):
-            normed = _ln(p, f"layer{i}.ln1", x)
-            attn = _attention(
-                p, f"layer{i}.self_attn", normed, normed,
-                cfg.n_heads, None, True, cfg.dropout, train, rng,
+            cross_kv = _keys_values(self.decoder, f"layer{i}.cross_attn", enc_hidden, cfg.n_heads)
+            x, _ = _decoder_layer(
+                self.decoder, f"layer{i}", x, None, cross_kv,
+                causal, cross_mask, cfg, train, rng,
             )
-            x = x + T.dropout(attn, cfg.dropout, train, rng)
-            cross = _attention(
-                p, f"layer{i}.cross_attn", _ln(p, f"layer{i}.ln2", x), enc_hidden,
-                cfg.n_heads, np.asarray(src_pad_mask, dtype=bool), False,
-                cfg.dropout, train, rng,
-            )
-            x = x + T.dropout(cross, cfg.dropout, train, rng)
-            ff = _feed_forward(p, f"layer{i}.ff", _ln(p, f"layer{i}.ln3", x))
-            x = x + T.dropout(ff, cfg.dropout, train, rng)
+        return self._project(x)
 
-        x = _ln(p, "final_ln", x)
-        return T.matmul(x, T.transpose(tok_emb))
+    def start_decoding(self, enc_hidden: Tensor, src_pad_mask: np.ndarray) -> DecoderCache:
+        """Empty incremental-decoding state for one encoded document [1, L, d].
+
+        Cross-attention keys/values are projected here, once, from the
+        un-repeated encoder output and broadcast over every hypothesis.
+        """
+        cfg = self.config
+        if enc_hidden.shape[0] != 1:
+            raise ShapeMismatch(f"start_decoding takes one document, got {enc_hidden.shape}")
+        empty = Tensor(np.zeros((1, cfg.n_heads, 0, cfg.d_model // cfg.n_heads), enc_hidden.dtype))
+        return DecoderCache(
+            cross_kv=[
+                _keys_values(self.decoder, f"layer{i}.cross_attn", enc_hidden, cfg.n_heads)
+                for i in range(cfg.n_dec_layers)
+            ],
+            cross_mask=np.asarray(src_pad_mask, dtype=bool)[:, None, None, :],
+            self_kv=[(empty, empty)] * cfg.n_dec_layers,
+        )
+
+    def decode_step(
+        self, cache: DecoderCache, parents: np.ndarray, tokens: np.ndarray
+    ) -> Tensor:
+        """Next-token logits [n, vocab] for n hypotheses, hypothesis j being
+        hypothesis parents[j] of the previous step extended by tokens[j].
+
+        Decodes only the new position and updates `cache` in place. The cache
+        reorder is not recorded on the tape, so this is for inference only.
+        """
+        parents = np.asarray(parents, dtype=np.int64)
+        tokens = np.asarray(tokens)
+        if parents.shape != tokens.shape or parents.ndim != 1:
+            raise ShapeMismatch(f"parents {parents.shape} vs tokens {tokens.shape}")
+        x = self._embed_targets(tokens[:, None], cache.length, False, None)
+        self_kv = []
+        for i, (k, v) in enumerate(cache.self_kv):
+            past = (Tensor(k.data[parents]), Tensor(v.data[parents]))
+            x, kv = _decoder_layer(
+                self.decoder, f"layer{i}", x, past, cache.cross_kv[i],
+                None, cache.cross_mask, self.config, False, None,
+            )
+            self_kv.append(kv)
+        cache.self_kv = self_kv
+        return T.reshape(self._project(x), (len(tokens), self.config.vocab_size))
 
     def forward_logits(
         self,
@@ -524,8 +624,15 @@ def load_checkpoint(path: Path | str, dtype=np.float32):
         )
     (header_len,) = struct.unpack("<I", _read_exact(buf, 4, "header length"))
     header = json.loads(_read_exact(buf, header_len, "header"))
-    config = ModelConfig(**header["config"])
-    kind = header["kind"]
+    if not isinstance(header, dict):
+        raise FormatVersionMismatch("checkpoint header is not a JSON object")
+    try:
+        kind = header["kind"]
+        config = ModelConfig(**header["config"])
+    except KeyError as exc:
+        raise FormatVersionMismatch(f"checkpoint header lacks {exc}") from exc
+    except TypeError as exc:
+        raise FormatVersionMismatch(f"checkpoint header has a bad config: {exc}") from exc
     specs = _expected_specs(kind, config)
 
     arrays: dict[str, np.ndarray] = {}
@@ -554,7 +661,7 @@ def load_checkpoint(path: Path | str, dtype=np.float32):
 
     def strip(prefix: str) -> dict[str, Tensor]:
         return {
-            k[len(prefix):]: Tensor(arrays[k].copy(), requires_grad=True)
+            k[len(prefix):]: Tensor(arrays[k], requires_grad=True)
             for k in arrays
             if k.startswith(prefix)
         }

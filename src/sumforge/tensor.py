@@ -8,9 +8,11 @@ arrays; float32 is the training dtype, float64 the verification dtype.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import hashlib
 import math
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -105,9 +107,24 @@ def _as_tensor(value, dtype) -> Tensor:
     return Tensor(np.asarray(value, dtype=dtype))
 
 
+_grad_enabled = contextvars.ContextVar("grad_enabled", default=True)
+
+
+@contextlib.contextmanager
+def no_grad() -> Iterator[None]:
+    """Record no graph: op outputs inside get requires_grad=False and keep
+    no parents or backward closures. Nests, and restores the previous mode
+    on exit, exceptions included. Also usable as a function decorator."""
+    token = _grad_enabled.set(False)
+    try:
+        yield
+    finally:
+        _grad_enabled.reset(token)
+
+
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     out = Tensor(data)
-    out.requires_grad = any(p.requires_grad for p in parents)
+    out.requires_grad = _grad_enabled.get() and any(p.requires_grad for p in parents)
     if out.requires_grad:
         out._parents = parents
         out._backward = backward_fn

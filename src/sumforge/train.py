@@ -406,6 +406,7 @@ def prefit_encoder(
     return trace
 
 
+@T.no_grad()
 def teacher_forced_accuracy(
     model: AbstractiveModel,
     examples: Sequence[TokenizedExample],

@@ -10,17 +10,21 @@ from __future__ import annotations
 import io
 import json
 import re
+import struct
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import SPECIALS
+from sumforge import tensor as T
 from sumforge.cli import main, parse_config_file
 from sumforge.errors import ConfigError
 from sumforge.ingest import StoryDoc, write_story
 from sumforge.model import (
     ModelConfig,
+    abs_loss,
     build_abs_model,
     build_ext_model,
     save_checkpoint,
@@ -418,6 +422,15 @@ class TestTrain:
         assert blobs[0] == blobs[1]
 
 
+# Checkpoint header corruptions that must be reported as format errors.
+_HEADER_EDITS = {
+    "no_kind": lambda h: {k: v for k, v in h.items() if k != "kind"},
+    "no_config": lambda h: {k: v for k, v in h.items() if k != "config"},
+    "unknown_config_key": lambda h: {**h, "config": {**h["config"], "no_such_key": 1}},
+    "not_an_object": lambda h: [h],
+}
+
+
 class TestSummarize:
     def test_ext_prints_at_most_k_article_sentences(self, tmp_path, capsys):
         vocab = _write_vocab(tmp_path / "vocab.txt")
@@ -489,6 +502,41 @@ class TestSummarize:
                      "--vocab", str(vocab), "--input", str(story)])
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("edit", sorted(_HEADER_EDITS))
+    def test_corrupt_checkpoint_header_exits_2(self, tmp_path, capsys, edit):
+        vocab = _write_vocab(tmp_path / "vocab.txt")
+        ckpt = _save_model(tmp_path / "ext.ckpt", "ext")
+        blob = ckpt.read_bytes()
+        (header_len,) = struct.unpack("<I", blob[8:12])
+        header = json.loads(blob[12 : 12 + header_len])
+        header = json.dumps(_HEADER_EDITS[edit](header)).encode()
+        ckpt.write_bytes(
+            blob[:8] + struct.pack("<I", len(header)) + header + blob[12 + header_len :]
+        )
+        story = _write_story_file(tmp_path / "doc.story")
+        code = main(["summarize", "--task", "ext", "--checkpoint", str(ckpt),
+                     "--vocab", str(vocab), "--input", str(story)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "internal error" not in err and err.startswith("error:")
+
+    def test_training_after_summarize_still_records_gradients(self, tmp_path, capsys):
+        vocab = _write_vocab(tmp_path / "vocab.txt")
+        story = _write_story_file(tmp_path / "doc.story")
+        for task in ("ext", "abs"):
+            ckpt = _save_model(tmp_path / f"{task}.ckpt", task)
+            assert main(["summarize", "--task", task, "--checkpoint", str(ckpt),
+                         "--vocab", str(vocab), "--input", str(story),
+                         "--max-len", "4"]) == 0
+        model = build_abs_model(_tiny_model_config(), seed=0)
+        src = np.array([[2, 10, 11, 3]])
+        tgt = np.array([[5, 12, 13, 6]])
+        pad = np.zeros(src.shape, dtype=bool)
+        logits = model.forward_logits(src, np.zeros_like(src), pad, tgt, train=True,
+                                      rng=np.random.default_rng(0))
+        T.backward(abs_loss(logits, tgt, np.zeros(tgt.shape, dtype=bool)))
+        assert all(p.grad is not None for p in model.parameters().values())
 
     def test_task_checkpoint_kind_mismatch_exits_2(self, tmp_path, capsys):
         vocab = _write_vocab(tmp_path / "vocab.txt")

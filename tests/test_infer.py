@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,10 @@ from sumforge.errors import EmptyDocument, InvalidConfig, ModelKindMismatch
 from sumforge.infer import (
     BeamConfig,
     ExtConfig,
+    _Hypothesis,
     _length_penalty,
+    _token_trigrams,
+    _top_k,
     _word_trigrams,
     beam_search,
     select_sentences,
@@ -20,6 +25,7 @@ from sumforge.infer import (
     summarize_ext,
 )
 from sumforge.model import ModelConfig, build_abs_model, build_ext_model
+from sumforge.tensor import Tensor
 from sumforge.tokenization import TokenizedExample
 from sumforge.train import TrainConfig, train_abs
 
@@ -58,6 +64,69 @@ def _greedy_reference(model, example, config, *, bos_id, eos_id):
         if tok == eos_id:
             break
     return ids
+
+
+def _reference_beam_search(model, example, config, *, bos_id, eos_id):
+    """Full-recompute beam search: every step re-decodes each whole prefix
+    with decode_teacher_forced and ranks all candidates with a stable sort."""
+    src = np.array([example.src_ids], dtype=np.int64)
+    segs = np.array([example.segment_ids], dtype=np.int64)
+    src_pad = np.zeros(src.shape, dtype=bool)
+    enc = model.encoder.encode(src, segs, src_pad)
+
+    alpha = config.length_penalty_alpha
+    beams = [_Hypothesis((bos_id,), 0.0)]
+    last_live = beams
+    done = []  # (norm score, arrival, hyp)
+
+    for _ in range(config.max_len):
+        if not beams:
+            break
+        n = len(beams)
+        tgt = np.array([h.ids for h in beams], dtype=np.int64)
+        enc_n = Tensor(np.repeat(enc.data, n, axis=0))
+        pad_n = np.repeat(src_pad, n, axis=0)
+        logits = model.decode_teacher_forced(enc_n, tgt, pad_n).data[:, -1, :]
+        shifted = logits - logits.max(axis=-1, keepdims=True)
+        logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+        cand = logp.astype(np.float64)
+        for i, hyp in enumerate(beams):
+            cand[i] += hyp.logprob
+            if hyp.generated() + 1 < config.min_len:
+                cand[i, eos_id] = -np.inf
+            if config.block_repeat_trigrams and hyp.generated() >= 2:
+                a, b = hyp.ids[-2], hyp.ids[-1]
+                for (x, y, z) in _token_trigrams(hyp.ids):
+                    if (x, y) == (a, b):
+                        cand[i, z] = -np.inf
+
+        flat = cand.reshape(-1)
+        top = np.argsort(-flat, kind="stable")[: config.beam_size]
+        next_beams = []
+        for pos in top:
+            if not np.isfinite(flat[pos]):
+                continue
+            i, tok = divmod(int(pos), cand.shape[1])
+            hyp = _Hypothesis(beams[i].ids + (int(tok),), float(flat[pos]))
+            if tok == eos_id:
+                score = hyp.logprob / _length_penalty(hyp.generated(), alpha)
+                done.append((score, len(done), hyp))
+            else:
+                next_beams.append(hyp)
+        beams = next_beams
+        if beams:
+            last_live = beams
+        if len(done) >= config.beam_size:
+            break
+
+    if not done:
+        done = [
+            (h.logprob / _length_penalty(h.generated(), alpha), i, h)
+            for i, h in enumerate(last_live)
+        ]
+    best = max(done, key=lambda entry: (entry[0], -entry[1]))
+    return list(best[2].ids)
 
 
 def _rescore(model, example, ids, alpha):
@@ -295,6 +364,83 @@ class TestBeamSearch:
                 scores.append(_rescore(model, corpus[0], ids, cfg.length_penalty_alpha))
             assert scores[0] <= scores[1] + 1e-9
             assert scores[1] <= scores[2] + 1e-9
+
+
+class TestTopK:
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from([-np.inf, -1.0, 0.0, 0.5, 2.0]),
+                st.floats(-5.0, 5.0),
+            ),
+            min_size=1,
+            max_size=60,
+        ),
+        st.integers(min_value=1, max_value=70),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_equals_stable_argsort_prefix(self, values, k):
+        flat = np.array(values, dtype=np.float64)
+        assert np.array_equal(_top_k(flat, k), np.argsort(-flat, kind="stable")[:k])
+
+
+class TestIncrementalBeamSearch:
+    """beam_search decodes incrementally; the full-recompute reference must
+    pick the same tokens on every path: min-len, EOS, no-EOS fallback."""
+
+    def test_tokens_match_full_recompute(self):
+        paths = Counter()
+        for seed in range(4):
+            model = build_abs_model(_tiny(vocab=16), seed=seed)
+            # Peaky next-token distributions make repeats, so blocking bites.
+            model.encoder.params["tok_emb"].data *= 40.0
+            ex = synthetic_example(np.random.default_rng(seed), vocab_size=16)
+            enc = model.encoder.encode(
+                np.array([ex.src_ids]), np.array([ex.segment_ids]),
+                np.zeros((1, len(ex.src_ids)), dtype=bool),
+            )
+            first = model.decode_teacher_forced(
+                enc, np.array([[BOS]]), np.zeros((1, len(ex.src_ids)), dtype=bool)
+            ).data[0, -1]
+            # The likeliest first token as EOS ends beams early; the least
+            # likely one is rarely reached, which leaves the fallback.
+            ranked = [int(t) for t in np.argsort(-first, kind="stable") if t != BOS]
+            for eos in (ranked[0], ranked[-1]):
+                for beam_size in range(1, 6):
+                    for min_len in (1, 4):
+                        got = {}
+                        for blocking in (True, False):
+                            cfg = BeamConfig(
+                                max_len=9, min_len=min_len, beam_size=beam_size,
+                                block_repeat_trigrams=blocking,
+                            )
+                            got[blocking] = beam_search(model, ex, cfg, bos_id=BOS, eos_id=eos)
+                            want = _reference_beam_search(model, ex, cfg, bos_id=BOS, eos_id=eos)
+                            assert got[blocking] == want, (seed, eos, cfg)
+                            paths["eos" if got[blocking][-1] == eos else "fallback"] += 1
+                            if min_len > 1 and eos in got[blocking]:
+                                paths["late eos"] += 1
+                        paths["blocking changed"] += got[True] != got[False]
+        assert all(paths[p] for p in ("eos", "fallback", "late eos", "blocking changed"))
+
+
+def test_inference_records_no_graph(monkeypatch):
+    outputs = []
+
+    def recording(fn):
+        def wrapped(*args, **kwargs):
+            outputs.append(fn(*args, **kwargs))
+            return outputs[-1]
+        return wrapped
+
+    abs_model = build_abs_model(_tiny(), seed=1)
+    ext_model = build_ext_model(_tiny(), seed=1)
+    monkeypatch.setattr(abs_model, "decode_step", recording(abs_model.decode_step))
+    monkeypatch.setattr(ext_model, "forward_scores", recording(ext_model.forward_scores))
+    ex = synthetic_example(np.random.default_rng(0))
+    beam_search(abs_model, ex, BeamConfig(max_len=4, beam_size=2), bos_id=BOS, eos_id=EOS)
+    summarize_ext(ext_model, ex, ExtConfig())
+    assert len(outputs) >= 2 and not any(o.requires_grad for o in outputs)
 
 
 class TestSummarizeAbs:

@@ -227,6 +227,58 @@ class TestDecodeTeacherForced:
         assert np.max(np.abs(moved - base)) < 1e-6
 
 
+class TestDecodeStep:
+    """The incremental decoder against a full teacher-forced recompute."""
+
+    def _config(self, n_dec_layers=2, max_positions=32):
+        return ModelConfig(
+            vocab_size=50, d_model=8, n_heads=2, d_ff=16, n_enc_layers=1,
+            n_dec_layers=n_dec_layers, max_positions=max_positions, dropout=0.1,
+        )
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_step_logits_match_last_teacher_forced_position(self, seed):
+        rng = np.random.default_rng(seed)
+        cfg = self._config(n_dec_layers=1 + seed % 2)
+        model = build_abs_model(cfg, seed=seed)
+        src, segs, pad = _inputs(cfg, batch=1, length=9, seed=seed)
+        pad[0, 5 + seed % 3 :] = True
+        with T.no_grad():
+            enc = model.encoder.encode(src, segs, pad)
+            cache = model.start_decoding(enc, pad)
+            prefixes, parents = [[5]], [0]
+            for _ in range(10):
+                got = model.decode_step(cache, parents, [p[-1] for p in prefixes]).data
+                n = len(prefixes)
+                want = model.decode_teacher_forced(
+                    Tensor(np.repeat(enc.data, n, axis=0)),
+                    np.array(prefixes),
+                    np.repeat(pad, n, axis=0),
+                ).data[:, -1]
+                assert got.shape == (n, cfg.vocab_size)
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-5)
+                # Permute, drop and duplicate hypotheses, as beam search does.
+                parents = np.resize(rng.permutation(n), int(rng.integers(1, 6))).tolist()
+                prefixes = [prefixes[i] + [int(rng.integers(7, 50))] for i in parents]
+
+    def test_position_overflow_and_bad_inputs(self):
+        cfg = self._config(max_positions=3)
+        model = build_abs_model(cfg, seed=1)
+        src, segs, pad = _inputs(cfg, batch=1, length=3)
+        cache = model.start_decoding(model.encoder.encode(src, segs, pad), pad)
+        with pytest.raises(ShapeMismatch):
+            model.decode_step(cache, [0, 0], [5])
+        with pytest.raises(IdOutOfRange):
+            model.decode_step(cache, [0], [cfg.vocab_size])
+        for _ in range(3):
+            model.decode_step(cache, [0], [5])
+        with pytest.raises(PositionOverflow):
+            model.decode_step(cache, [0], [5])
+        src2, segs2, pad2 = _inputs(cfg, batch=2, length=3)
+        with pytest.raises(ShapeMismatch):
+            model.start_decoding(model.encoder.encode(src2, segs2, pad2), pad2)
+
+
 class TestExtLoss:
     def test_perfect_prediction_near_zero(self):
         scores = Tensor(np.array([[0.9999999, 1e-7]]), requires_grad=True, dtype=np.float64)
@@ -380,6 +432,15 @@ class TestCheckpoint:
             self._fixed_forward(model, tiny_config),
             self._fixed_forward(loaded, tiny_config),
         )
+
+    @pytest.mark.parametrize("task", ["ext", "abs"])
+    def test_loaded_parameters_writeable_and_unshared(self, tiny_config, task, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(build_model(tiny_config, task, seed=11), path)
+        arrays = [p.data for p in load_checkpoint(path).parameters().values()]
+        assert all(a.flags.writeable and a.flags.owndata for a in arrays)
+        for i, a in enumerate(arrays):
+            assert not any(np.shares_memory(a, b) for b in arrays[i + 1 :])
 
     def test_save_is_deterministic(self, tiny_config, tmp_path):
         model = build_ext_model(tiny_config, seed=11)

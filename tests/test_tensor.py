@@ -225,6 +225,49 @@ class TestBackward:
         assert np.allclose(x.grad, first)
 
 
+class TestNoGrad:
+    def test_outputs_record_no_graph(self):
+        x = t64([[1.0, -2.0], [0.5, 3.0]])
+        with T.no_grad():
+            y = T.softmax(T.matmul(x, x) + 1.0)
+            z = T.layer_norm(y, t64([1.0, 1.0]), t64([0.0, 0.0]))
+        for out in (y, z):
+            assert not out.requires_grad
+            assert out._parents == () and out._backward is None
+        assert x.requires_grad
+
+    def test_same_values_as_recorded_forward(self):
+        x = t64([[1.0, -2.0], [0.5, 3.0]])
+        with T.no_grad():
+            off = T.gelu(T.matmul(x, x)).data
+        assert np.array_equal(off, T.gelu(T.matmul(x, x)).data)
+
+    def test_restored_after_exception(self):
+        x = t64([1.0, 2.0])
+        with pytest.raises(ShapeMismatch):
+            with T.no_grad():
+                T.add(x, t64([1.0, 2.0, 3.0]))
+        assert (x * 2.0).requires_grad
+
+    def test_nested_contexts_restore_outer_mode(self):
+        x = t64([1.0, 2.0])
+        with T.no_grad():
+            with T.no_grad():
+                assert not (x * 2.0).requires_grad
+            assert not (x * 2.0).requires_grad
+        assert (x * 2.0).requires_grad
+
+    def test_decorator_form(self):
+        x = t64([1.0, 2.0])
+
+        @T.no_grad()
+        def double(t):
+            return t * 2.0
+
+        assert not double(x).requires_grad
+        assert (x * 2.0).requires_grad
+
+
 class TestFiniteDiffCheck:
     def test_quadratic_form_near_exact(self):
         rng = np.random.default_rng(11)

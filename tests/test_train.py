@@ -405,6 +405,16 @@ class TestTeacherForcedAccuracy:
         acc = teacher_forced_accuracy(model, _corpus(4), PAD)
         assert 0.0 <= acc <= 1.0
 
+    def test_records_no_graph(self, monkeypatch):
+        model = build_abs_model(_tiny(), seed=5)
+        outputs = []
+        forward = model.forward_logits
+        monkeypatch.setattr(
+            model, "forward_logits", lambda *a, **k: outputs.append(forward(*a, **k)) or outputs[-1]
+        )
+        teacher_forced_accuracy(model, _corpus(4), PAD, batch_size=2)
+        assert len(outputs) == 2 and not any(o.requires_grad for o in outputs)
+
 
 class TestWriteTrace:
     def test_csv_format(self, tmp_path):
