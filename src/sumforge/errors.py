@@ -126,6 +126,10 @@ class NoMaskedPositions(SumforgeError):
     pass
 
 
+class NonFiniteLoss(SumforgeError):
+    """A training step's loss or gradient norm is NaN or infinite."""
+
+
 # --- infer / rouge ---
 
 class EmptyDocument(SumforgeError):

@@ -34,9 +34,6 @@ from .errors import (
 )
 from .tensor import SplitRng, Tensor
 
-NEG_INF = -1e9  # attention mask value; exp() underflows to exactly 0
-
-
 @dataclass(frozen=True)
 class ModelConfig:
     vocab_size: int
@@ -179,14 +176,9 @@ def _attend(
     query may not look at a key.
     """
     b, lq, d = x_q.shape
-    n_heads, dk = k.shape[1], k.shape[3]
-    q = _heads(params, prefix, x_q, "wq", "bq", n_heads)
-    scores = T.mul(T.matmul(q, T.transpose(k)), 1.0 / np.sqrt(dk))  # [B,h,Lq,Lk]
-    if mask is not None:
-        scores = T.masked_fill(scores, mask, NEG_INF)
-    probs = T.softmax(scores, axis=-1)
-    probs = T.dropout(probs, dropout_p, train, rng)
-    ctx = T.reshape(T.permute(T.matmul(probs, v), (0, 2, 1, 3)), (b, lq, d))
+    q = _heads(params, prefix, x_q, "wq", "bq", k.shape[1])
+    ctx = T.attention(q, k, v, mask, dropout_p, train, rng)  # [B,h,Lq,dk]
+    ctx = T.reshape(T.permute(ctx, (0, 2, 1, 3)), (b, lq, d))
     return T.matmul(ctx, params[f"{prefix}.wo"]) + params[f"{prefix}.bo"]
 
 

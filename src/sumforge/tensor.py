@@ -307,18 +307,24 @@ def _check_axis(a: Tensor, axis: int) -> int:
     return axis % a.data.ndim
 
 
+def _softmax_forward(x: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
+    """exp(x - max) / sum along axis; `out` may be x itself."""
+    out = np.subtract(x, x.max(axis=axis, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
+    return out
+
+
+def _softmax_backward(g: np.ndarray, out: np.ndarray, axis: int) -> np.ndarray:
+    dot = (g * out).sum(axis=axis, keepdims=True)
+    return out * (g - dot)
+
+
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """exp(x - max) normalized along axis; max subtraction guards overflow."""
     axis = _check_axis(a, axis)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
-
-    def backward(g):
-        dot = (g * out).sum(axis=axis, keepdims=True)
-        return (out * (g - dot),)
-
-    return _make(out, (a,), backward)
+    out = _softmax_forward(a.data, axis)
+    return _make(out, (a,), lambda g: (_softmax_backward(g, out, axis),))
 
 
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -326,10 +332,9 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     out = shifted - lse
-    soft = np.exp(out)
 
     def backward(g):
-        return (g - soft * g.sum(axis=axis, keepdims=True),)
+        return (g - np.exp(out) * g.sum(axis=axis, keepdims=True),)
 
     return _make(out, (a,), backward)
 
@@ -362,17 +367,30 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
     return _make(data, (a, gamma, beta), backward)
 
 
-def dropout(a: Tensor, p: float, train: bool, rng: np.random.Generator | None = None) -> Tensor:
-    """Inverted dropout: zero with probability p and scale by 1/(1-p)."""
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout p must be in [0, 1), got {p}")
-    if not train or p == 0.0:
-        return _make(a.data, (a,), lambda g: (g,))
+def _keep_mask(rng: np.random.Generator | None, shape, p: float, dtype) -> tuple[np.ndarray, np.floating]:
+    """Inverted-dropout draw: where to keep (uniform >= p, drawn in float64)
+    and the factor 1/(1-p) in `dtype` that kept entries are scaled by."""
     if rng is None:
         raise ValueError("dropout in train mode needs an rng")
-    keep = (rng.random(a.shape) >= p) / (1.0 - p)
-    keep = keep.astype(a.dtype)
+    return rng.random(shape) >= p, np.dtype(dtype).type(1.0 / (1.0 - p))
+
+
+def _check_dropout_p(p: float) -> None:
+    if not 0.0 <= p < 1.0:
+        raise ValueError(f"dropout p must be in [0, 1), got {p}")
+
+
+def dropout(a: Tensor, p: float, train: bool, rng: np.random.Generator | None = None) -> Tensor:
+    """Inverted dropout: zero with probability p and scale by 1/(1-p)."""
+    _check_dropout_p(p)
+    if not train or p == 0.0:
+        return _make(a.data, (a,), lambda g: (g,))
+    keep, factor = _keep_mask(rng, a.shape, p, a.dtype)
+    keep = keep * factor
     return _make(a.data * keep, (a,), lambda g: (g * keep,))
+
+
+NEG_INF = -1e9  # attention mask value; exp() underflows to exactly 0
 
 
 def masked_fill(a: Tensor, mask: np.ndarray, value: float) -> Tensor:
@@ -383,6 +401,74 @@ def masked_fill(a: Tensor, mask: np.ndarray, value: float) -> Tensor:
     except ValueError as exc:
         raise ShapeMismatch(f"masked_fill: {a.shape} vs mask {mask.shape}") from exc
     return _make(data, (a,), lambda g: (_unbroadcast(g * ~np.broadcast_to(mask, g.shape), a.shape),))
+
+
+def attention(
+    q: Tensor,
+    k: Tensor,
+    v: Tensor,
+    mask: np.ndarray | None,
+    p: float,
+    train: bool,
+    rng: np.random.Generator | None = None,
+) -> Tensor:
+    """Scaled dot-product attention softmax(q kᵀ / sqrt(dk), masked) @ v as
+    one op, over [..., Lq, dk] queries and [..., Lk, dk] keys and values.
+
+    mask broadcasts against the [..., Lq, Lk] scores and is True where a
+    query may not look at a key (filled with NEG_INF). Scale, mask, softmax
+    and dropout run in place on one score buffer; only the probabilities
+    and the boolean keep mask are kept for backward, which recomputes the
+    dropped probabilities. Forward and backward make the same numpy calls,
+    in the same order, as matmul/mul/masked_fill/softmax/dropout/matmul, so
+    values and gradients are bitwise those of that composed chain.
+    """
+    _check_dropout_p(p)
+    kt = np.swapaxes(k.data, -1, -2)
+    try:
+        probs = q.data @ kt
+    except ValueError as exc:
+        raise ShapeMismatch(f"attention: q {q.shape} vs k {k.shape}") from exc
+    scale = np.asarray(1.0 / np.sqrt(k.shape[-1]), dtype=probs.dtype)
+    probs *= scale
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        try:
+            np.copyto(probs, np.asarray(NEG_INF, dtype=probs.dtype), where=mask)
+        except ValueError as exc:
+            raise ShapeMismatch(f"attention: scores {probs.shape} vs mask {mask.shape}") from exc
+    _softmax_forward(probs, -1, out=probs)
+    keep = None
+    if train and p > 0.0:
+        keep, factor = _keep_mask(rng, probs.shape, p, probs.dtype)
+
+    def dropped() -> np.ndarray:
+        if keep is None:
+            return probs
+        out = probs * keep
+        out *= factor
+        return out
+
+    try:
+        data = dropped() @ v.data
+    except ValueError as exc:
+        raise ShapeMismatch(f"attention: scores {probs.shape} vs v {v.shape}") from exc
+
+    def backward(g):
+        gv = _unbroadcast(np.swapaxes(dropped(), -1, -2) @ g, v.shape)
+        gs = _unbroadcast(g @ np.swapaxes(v.data, -1, -2), probs.shape)
+        if keep is not None:
+            gs *= keep
+            gs *= factor
+        gs = _softmax_backward(gs, probs, -1)
+        if mask is not None:
+            gs *= ~mask
+        gs *= scale
+        gq = _unbroadcast(gs @ k.data, q.shape)
+        gk = np.swapaxes(_unbroadcast(np.swapaxes(q.data, -1, -2) @ gs, kt.shape), -1, -2)
+        return gq, gk, gv
+
+    return _make(data, (q, k, v), backward)
 
 
 # --- indexing ---
@@ -432,11 +518,19 @@ def take_along_last(a: Tensor, indices: np.ndarray) -> Tensor:
 # --- reverse sweep ---
 
 def backward(loss: Tensor) -> None:
-    """Populate .grad for every requires_grad tensor reachable from loss."""
+    """Populate .grad for every requires_grad leaf reachable from loss.
+
+    The graph is consumed: afterwards its inner nodes hold no gradient,
+    closure or parents and no longer require grad, so a graph can be
+    differentiated once, and a second backward on the same loss raises.
+    """
     if loss.data.size != 1:
         raise NotScalar(f"backward needs a scalar loss, got shape {loss.shape}")
     if not loss.requires_grad:
-        raise ValueError("loss does not require grad; nothing to differentiate")
+        raise ValueError(
+            "loss does not require grad (or an earlier backward consumed its graph); "
+            "nothing to differentiate"
+        )
 
     # Iterative DFS; GRAY marks the current path so a cycle is detectable.
     WHITE, GRAY, BLACK = 0, 1, 2
@@ -462,18 +556,29 @@ def backward(loss: Tensor) -> None:
             elif state.get(id(parent)) == GRAY:
                 raise GraphCycle("differentiation graph contains a cycle")
 
+    # Consume the graph as it is differentiated: once a node's closure has
+    # run, drop its gradient, closure and parents, so whatever only the
+    # tape held is freed before the sweep reaches older nodes. Leaves keep
+    # their .grad. Gradients may alias each other, so closures never write
+    # into their incoming g or into an array they have returned.
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(topo):
-        if node._backward is None or node.grad is None:
+    while topo:
+        node = topo.pop()
+        if node._backward is None:
             continue
-        grads = node._backward(node.grad)
-        for parent, g in zip(node._parents, grads):
-            if g is None or not parent.requires_grad:
-                continue
-            if parent.grad is None:
-                parent.grad = g.astype(parent.dtype, copy=True)
-            else:
-                parent.grad = parent.grad + g
+        if node.grad is not None:
+            grads = node._backward(node.grad)
+            for parent, g in zip(node._parents, grads):
+                if g is None or not parent.requires_grad:
+                    continue
+                if parent.grad is None:
+                    parent.grad = g.astype(parent.dtype, copy=False)
+                else:
+                    parent.grad = parent.grad + g
+        node.grad = None
+        node._backward = None
+        node._parents = ()
+        node.requires_grad = False
 
 
 def finite_diff_check(

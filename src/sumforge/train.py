@@ -14,6 +14,7 @@ and masking draw from per-step children of one splittable RNG.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -21,7 +22,13 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, EmptyCorpus, NoMaskedPositions, ShapeMismatch
+from .errors import (
+    ConfigError,
+    EmptyCorpus,
+    NoMaskedPositions,
+    NonFiniteLoss,
+    ShapeMismatch,
+)
 from .model import (
     AbstractiveModel,
     Encoder,
@@ -146,13 +153,17 @@ def lr_schedule(step: int, base_lr: float, warmup: int) -> float:
 def clip_gradients(
     grads: dict[str, np.ndarray], max_norm: float
 ) -> dict[str, np.ndarray]:
-    """Scale all gradients so their joint L2 norm is at most max_norm."""
+    """Scale all gradients so their joint L2 norm is at most max_norm.
+
+    Raises NonFiniteLoss if that norm is NaN or infinite."""
     if max_norm <= 0:
         raise ValueError(f"max_norm must be > 0, got {max_norm}")
     total = 0.0
     for g in grads.values():
         total += float((g.astype(np.float64) ** 2).sum())
     norm = total**0.5
+    if not math.isfinite(norm):
+        raise NonFiniteLoss(f"gradient norm is {norm}")
     if norm <= max_norm:
         return grads
     scale = max_norm / norm
@@ -241,6 +252,20 @@ def _collect_grads(params: dict[str, Tensor]) -> dict[str, np.ndarray]:
     }
 
 
+def _clipped_gradients(
+    loss: Tensor, params: dict[str, Tensor], max_norm: float, step: int
+) -> dict[str, np.ndarray]:
+    """Backward pass of one step and its clipped gradients. A non-finite
+    loss or gradient norm raises NonFiniteLoss here, before any optimizer
+    touches the parameters."""
+    value = loss.item()
+    if not math.isfinite(value):
+        raise NonFiniteLoss(f"step {step}: loss is {value}")
+    _zero_grads(params)
+    T.backward(loss)
+    return clip_gradients(_collect_grads(params), max_norm)
+
+
 def _save(model, config: TrainConfig, tag: str) -> None:
     if config.checkpoint_dir is None:
         return
@@ -275,9 +300,7 @@ def train_ext(
             batch.src, batch.segs, batch.pad_mask, batch.clss, train=True, rng=drop_rng
         )
         loss = ext_loss(scores, batch.labels, batch.sent_mask)
-        _zero_grads(params)
-        T.backward(loss)
-        grads = clip_gradients(_collect_grads(params), config.grad_clip_norm)
+        grads = _clipped_gradients(loss, params, config.grad_clip_norm, step)
         lr = lr_schedule(step, config.base_lr_encoder, warmup)
         adam_step(params, grads, state, lr)
         model.step = step
@@ -303,6 +326,9 @@ def train_abs(
     params = model.parameters()
     enc_params = {k: v for k, v in params.items() if k.startswith("encoder.")}
     dec_params = {k: v for k, v in params.items() if not k.startswith("encoder.")}
+    # The two optimizers must cover every parameter exactly once.
+    assert not (enc_params.keys() & dec_params.keys())
+    assert enc_params.keys() | dec_params.keys() == params.keys()
     enc_state = AdamState(enc_params)
     dec_state = AdamState(dec_params)
     warmup_enc, warmup_dec = config.resolved_warmups()
@@ -311,19 +337,13 @@ def train_abs(
     trace: list[TraceRow] = []
 
     for step in range(1, config.max_steps + 1):
-        # The two optimizers must cover every parameter exactly once.
-        assert not (enc_params.keys() & dec_params.keys())
-        assert enc_params.keys() | dec_params.keys() == params.keys()
-
         batch = make_abs_batch([examples[i] for i in next(order)], pad_id)
         drop_rng = rng.child("dropout", step).generator()
         logits = model.forward_logits(
             batch.src, batch.segs, batch.pad_mask, batch.tgt, train=True, rng=drop_rng
         )
         loss = abs_loss(logits, batch.tgt, batch.tgt_pad_mask, config.label_smoothing)
-        _zero_grads(params)
-        T.backward(loss)
-        grads = clip_gradients(_collect_grads(params), config.grad_clip_norm)
+        grads = _clipped_gradients(loss, params, config.grad_clip_norm, step)
         lr_enc = lr_schedule(step, config.base_lr_encoder, warmup_enc)
         lr_dec = lr_schedule(step, config.base_lr_decoder, warmup_dec)
         adam_step(enc_params, {k: grads[k] for k in enc_params}, enc_state, lr_enc)
@@ -395,9 +415,7 @@ def prefit_encoder(
         weights = chosen.astype(nll.dtype)
         loss = T.tensor_sum(T.mul(nll, weights)) / float(weights.sum())
 
-        _zero_grads(params)
-        T.backward(loss)
-        grads = clip_gradients(_collect_grads(params), config.grad_clip_norm)
+        grads = _clipped_gradients(loss, params, config.grad_clip_norm, step)
         lr = lr_schedule(step, config.base_lr_encoder, warmup)
         adam_step(params, grads, state, lr)
         encoder.step = step

@@ -321,6 +321,27 @@ class TestTrain:
         assert code == 0
         assert (tmp_path / "ft" / "ext_final.ckpt").exists()
 
+    def test_non_finite_loss_exits_2_without_final_checkpoint(self, tmp_path, capsys):
+        shards, vocab = _make_shards(tmp_path)
+        config = _write_config(tmp_path / "run.cfg")
+        encoder = build_ext_model(_tiny_model_config(), seed=0).encoder
+        encoder.params["layer0.ff.w1"].data[0, 0] = np.nan
+        encoder_ckpt = tmp_path / "encoder_final.ckpt"
+        save_checkpoint(encoder, encoder_ckpt)
+        out = tmp_path / "run"
+        capsys.readouterr()
+
+        code = main(["train", "--task", "ext", "--shards", str(shards),
+                     "--out", str(out), "--config", str(config),
+                     "--vocab", str(vocab), "--seed", "0",
+                     "--init-encoder", str(encoder_ckpt)])
+
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "loss is nan" in captured.err
+        assert captured.out == ""
+        assert not list(out.glob("*_final.ckpt"))
+
     def test_init_encoder_wrong_kind_exits_2(self, tmp_path, capsys):
         shards, vocab = _make_shards(tmp_path)
         config = _write_config(tmp_path / "run.cfg")

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from sumforge import tensor as T
 from sumforge.errors import GraphCycle, InvalidAxis, NotScalar, ShapeMismatch
+from sumforge.model import ModelConfig, abs_loss, build_abs_model
 from sumforge.tensor import SplitRng, Tensor, backward, finite_diff_check
 
 
@@ -574,3 +575,205 @@ class TestForwardSemantics:
         c = T.concat([a, b], axis=0)
         assert c.data.tolist() == [[1.0, 2.0], [3.0, 4.0]]
         assert T.narrow(c, 0, 1, 1).data.tolist() == [[3.0, 4.0]]
+
+
+# --- fused attention and graph consumption ---
+
+def _composed_attention(q, k, v, mask, p, train, rng):
+    """The unfused chain that `attention` must reproduce bit for bit."""
+    scores = T.mul(T.matmul(q, T.transpose(k)), 1.0 / np.sqrt(k.shape[-1]))
+    if mask is not None:
+        scores = T.masked_fill(scores, mask, T.NEG_INF)
+    probs = T.dropout(T.softmax(scores, axis=-1), p, train, rng)
+    return T.matmul(probs, v)
+
+
+def _attention_case(kind, dtype=np.float32, seed=0):
+    """q [B,h,Lq,dk], k/v [B or 1,h,Lk,dk], an upstream gradient and a mask.
+    The padding mask hides every key of the first example, so its rows are
+    uniform and only the mask keeps their score gradients at zero."""
+    r = np.random.default_rng(seed)
+    b, kv_b, h, lq, lk, dk = 3, 3, 2, 6, 6, 4
+    if kind == "cross1":  # decode_step: n hypotheses over one document's k/v
+        b, kv_b, lq, lk = 4, 1, 1, 7
+    q = r.standard_normal((b, h, lq, dk)).astype(dtype)
+    k = r.standard_normal((kv_b, h, lk, dk)).astype(dtype)
+    v = r.standard_normal((kv_b, h, lk, dk)).astype(dtype)
+    g = r.standard_normal((b, h, lq, dk)).astype(dtype)
+    mask = {
+        "none": None,
+        "padding": (r.random((b, 1, 1, lk)) < 0.3) | (np.arange(b) == 0)[:, None, None, None],
+        "causal": np.triu(np.ones((lq, lk), dtype=bool), k=1)[None, None],
+        "cross1": r.random((1, 1, 1, lk)) < 0.3,
+    }[kind]
+    return q, k, v, g, mask
+
+
+def _run_attention(fn, q, k, v, g, mask, train):
+    ts = [Tensor(x.copy(), requires_grad=True) for x in (q, k, v)]
+    out = fn(*ts, mask, 0.25, train, np.random.default_rng(5))
+    backward(T.tensor_sum(T.mul(out, Tensor(g))))
+    return [out.data] + [t.grad for t in ts]
+
+
+def _reference_backward(loss):
+    """The sweep before graph consumption, in the same visiting order: keeps
+    every node and copies each first gradient."""
+    seen: set[int] = set()
+    topo: list[Tensor] = []
+    stack = [(loss, False)]
+    while stack:
+        node, processed = stack.pop()
+        if processed:
+            topo.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        stack.extend((p, False) for p in node._parents if p.requires_grad and id(p) not in seen)
+    loss.grad = np.ones_like(loss.data)
+    for node in reversed(topo):
+        if node._backward is None or node.grad is None:
+            continue
+        for parent, g in zip(node._parents, node._backward(node.grad)):
+            if g is None or not parent.requires_grad:
+                continue
+            if parent.grad is None:
+                parent.grad = g.astype(parent.dtype, copy=True)
+            else:
+                parent.grad = parent.grad + g
+
+
+def _graph_nodes(loss):
+    nodes, stack, seen = [], [loss], set()
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        nodes.append(node)
+        stack.extend(p for p in node._parents if p.requires_grad)
+    return nodes
+
+
+class TestAttention:
+    @pytest.mark.parametrize("kind", ["none", "padding", "causal", "cross1"])
+    @pytest.mark.parametrize("train", [False, True])
+    def test_bitwise_equal_to_composed_chain(self, kind, train):
+        case = _attention_case(kind)
+        fused = _run_attention(T.attention, *case, train)
+        composed = _run_attention(_composed_attention, *case, train)
+        for name, a, b in zip(("out", "dq", "dk", "dv"), fused, composed):
+            assert a.dtype == b.dtype == np.float32, name
+            assert a.shape == b.shape, name
+            assert np.array_equal(a, b), name
+            assert np.array_equal(np.signbit(a), np.signbit(b)), name
+
+    def test_dropout_draws_the_same_stream_as_dropout(self):
+        q, k, v, g, mask = _attention_case("padding")
+        rng = np.random.default_rng(9)
+        T.attention(Tensor(q), Tensor(k), Tensor(v), mask, 0.5, True, rng)
+        ref = np.random.default_rng(9)
+        ref.random((q.shape[0], q.shape[1], q.shape[2], k.shape[2]))
+        assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize("kind", ["padding", "causal", "cross1"])
+    @pytest.mark.parametrize("train", [False, True])
+    def test_finite_differences_float64(self, kind, train):
+        q, k, v, g, mask = _attention_case(kind, np.float64, seed=1)
+        w = Tensor(g)
+
+        def f(params):
+            # A fresh generator per call: every evaluation drops the same entries.
+            out = T.attention(*params, mask, 0.25, train, np.random.default_rng(3))
+            return T.tensor_sum(T.mul(out, w))
+
+        params = [Tensor(x, requires_grad=True) for x in (q, k, v)]
+        _fd(f, params, tol=1e-6)
+
+    def test_keeps_only_probabilities_and_keep_mask(self):
+        q, k, v, _, mask = _attention_case("padding")
+        ts = [Tensor(x, requires_grad=True) for x in (q, k, v)]
+        out = T.attention(*ts, mask, 0.25, True, np.random.default_rng(0))
+        assert out._parents == tuple(ts)
+        held = [c.cell_contents for c in out._backward.__closure__]
+        score_shape = (q.shape[0], q.shape[1], q.shape[2], k.shape[2])
+        big = [x for x in held if isinstance(x, np.ndarray) and x.shape == score_shape]
+        assert sorted(x.dtype.name for x in big) == ["bool", "float32"]
+
+    def test_shape_errors(self):
+        q, k, v, _, mask = _attention_case("padding")
+        with pytest.raises(ShapeMismatch):
+            T.attention(Tensor(q), Tensor(k[..., :3]), Tensor(v), mask, 0.0, False)
+        with pytest.raises(ShapeMismatch):
+            T.attention(Tensor(q), Tensor(k), Tensor(v[:, :, :2]), mask, 0.0, False)
+        with pytest.raises(ShapeMismatch):
+            T.attention(Tensor(q), Tensor(k), Tensor(v), np.zeros((2, 1, 1, 6), bool), 0.0, False)
+
+    def test_bad_dropout_arguments(self):
+        q, k, v, _, _ = _attention_case("none")
+        with pytest.raises(ValueError):
+            T.attention(Tensor(q), Tensor(k), Tensor(v), None, 1.0, False)
+        with pytest.raises(ValueError):
+            T.attention(Tensor(q), Tensor(k), Tensor(v), None, 0.1, True, None)
+
+
+def _small_model_loss(seed=0):
+    cfg = ModelConfig(vocab_size=30, d_model=8, n_heads=2, d_ff=16,
+                      n_enc_layers=1, n_dec_layers=1, max_positions=16, dropout=0.2)
+    model = build_abs_model(cfg, seed=seed)
+    r = np.random.default_rng(seed)
+    src = r.integers(7, 30, (2, 9))
+    pad = np.zeros((2, 9), dtype=bool)
+    pad[1, 6:] = True
+    tgt = r.integers(7, 30, (2, 5))
+    logits = model.forward_logits(src, np.zeros_like(src), pad, tgt,
+                                  train=True, rng=np.random.default_rng(seed))
+    return model.parameters(), abs_loss(logits, tgt, np.zeros(tgt.shape, dtype=bool))
+
+
+class TestGraphConsumption:
+    def test_inner_nodes_freed_and_leaf_grads_unchanged(self):
+        params, loss = _small_model_loss()
+        _reference_backward(loss)
+        expected = {name: p.grad for name, p in params.items()}
+
+        params, loss = _small_model_loss()
+        inner = [n for n in _graph_nodes(loss) if n._backward is not None]
+        assert len(inner) > 50
+        backward(loss)
+        for node in inner:
+            assert node.grad is None
+            assert node._parents == () and node._backward is None
+            assert not node.requires_grad
+        for name, p in params.items():
+            assert p.requires_grad
+            assert np.array_equal(p.grad, expected[name]), name
+
+    def test_second_backward_raises(self):
+        x = t64([1.0, 2.0])
+        loss = T.tensor_sum(x * x)
+        backward(loss)
+        with pytest.raises(ValueError, match="consumed"):
+            backward(loss)
+        assert x.grad.tolist() == [2.0, 4.0]
+
+    def test_log_softmax_grad_bitwise_old_formula(self):
+        r = np.random.default_rng(4)
+        a = Tensor(r.standard_normal((3, 7, 11)).astype(np.float32), requires_grad=True)
+        g = r.standard_normal((3, 7, 11)).astype(np.float32)
+        out = T.log_softmax(a, axis=-1)
+        expected = g - np.exp(out.data) * g.sum(axis=-1, keepdims=True)
+        backward(T.tensor_sum(T.mul(out, Tensor(g))))
+        assert np.array_equal(a.grad, expected)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("p", [0.1, 0.3, 0.5])
+    def test_dropout_keep_factor_bitwise_old_formula(self, dtype, p):
+        shape = (4, 5, 6)
+        out = T.dropout(Tensor(np.ones(shape, dtype)), p, True, np.random.default_rng(8))
+        r = np.random.default_rng(8).random(shape)
+        expected = ((r >= p) / (1 - p)).astype(dtype)
+        assert out.dtype == dtype
+        assert np.array_equal(out.data, expected)

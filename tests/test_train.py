@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 from conftest import synthetic_example
-from sumforge.errors import ConfigError, EmptyCorpus, NoMaskedPositions, ShapeMismatch
+from sumforge.errors import (
+    ConfigError,
+    EmptyCorpus,
+    NoMaskedPositions,
+    NonFiniteLoss,
+    ShapeMismatch,
+)
 from sumforge.model import (
     ModelConfig,
     build_abs_model,
@@ -190,6 +196,11 @@ class TestClipGradients:
     def test_invalid_max_norm(self):
         with pytest.raises(ValueError):
             clip_gradients({"a": np.ones(1)}, 0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_norm_raises(self, bad):
+        with pytest.raises(NonFiniteLoss):
+            clip_gradients({"a": np.ones(3), "b": np.array([1.0, bad])}, 1.0)
 
 
 class TestBatching:
@@ -427,3 +438,65 @@ class TestWriteTrace:
         assert lines[0] == "step,loss,lr_encoder,lr_decoder"
         assert lines[1].startswith("1,0.50000000,")
         assert len(lines) == 3
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestNonFiniteLoss:
+    """A NaN or infinity stops training before any optimizer step."""
+
+    def _poisoned(self, model, name="encoder.layer0.ff.w1", value=np.nan):
+        model.parameters()[name].data[0, 0] = value
+        return {k: v.data.copy() for k, v in model.parameters().items()}
+
+    def _assert_unchanged(self, model, before):
+        for k, v in model.parameters().items():
+            assert np.array_equal(v.data, before[k], equal_nan=True), k
+
+    def test_train_ext_stops_with_params_untouched(self, tmp_path):
+        model = build_ext_model(_tiny(), seed=3)
+        before = self._poisoned(model)
+        cfg = TrainConfig(max_steps=3, batch_size=4, seed=1, checkpoint_dir=tmp_path)
+        with pytest.raises(NonFiniteLoss, match="step 1"):
+            train_ext(_corpus(4), model, cfg, PAD)
+        self._assert_unchanged(model, before)
+        assert model.step == 0
+        assert not (tmp_path / "ext_final.ckpt").exists()
+
+    def test_train_abs_stops_with_params_untouched(self, tmp_path):
+        model = build_abs_model(_tiny(), seed=5)
+        before = self._poisoned(model, "decoder.layer0.ff.w2", np.inf)
+        cfg = TrainConfig(max_steps=3, batch_size=4, seed=2, checkpoint_dir=tmp_path)
+        with pytest.raises(NonFiniteLoss):
+            train_abs(_corpus(4), model, cfg, PAD)
+        self._assert_unchanged(model, before)
+        assert not (tmp_path / "abs_final.ckpt").exists()
+
+    def test_prefit_stops_with_params_untouched(self, tmp_path):
+        encoder = build_encoder(_tiny(), seed=7)
+        encoder.params["layer0.ff.w1"].data[0, 0] = np.nan
+        before = {k: v.data.copy() for k, v in encoder.params.items()}
+        with pytest.raises(NonFiniteLoss):
+            prefit_encoder(
+                _corpus(8, seed=11), encoder,
+                TrainConfig(max_steps=2, batch_size=8, seed=7, checkpoint_dir=tmp_path),
+                mask_prob=0.15, mask_id=4, pad_id=PAD, special_ids=SPECIAL_IDS,
+            )
+        for k, v in encoder.params.items():
+            assert np.array_equal(v.data, before[k], equal_nan=True), k
+        assert not (tmp_path / "encoder_final.ckpt").exists()
+
+    def test_non_finite_gradient_with_finite_loss_stops(self, monkeypatch):
+        import sumforge.train as train_mod
+
+        model = build_ext_model(_tiny(), seed=3)
+        before = {k: v.data.copy() for k, v in model.parameters().items()}
+        real_backward = train_mod.T.backward
+
+        def backward_then_poison(loss):
+            real_backward(loss)
+            model.head["w"].grad = np.full_like(model.head["w"].data, np.inf)
+
+        monkeypatch.setattr(train_mod.T, "backward", backward_then_poison)
+        with pytest.raises(NonFiniteLoss, match="gradient norm"):
+            train_ext(_corpus(4), model, TrainConfig(max_steps=2, batch_size=4, seed=1), PAD)
+        self._assert_unchanged(model, before)
