@@ -517,20 +517,24 @@ def take_along_last(a: Tensor, indices: np.ndarray) -> Tensor:
 
 # --- reverse sweep ---
 
+def _consumed(g):
+    """Closure of a node whose graph a backward has consumed; the sweep
+    refuses such a node before it could run this."""
+    raise ValueError("graph already consumed by an earlier backward")
+
+
 def backward(loss: Tensor) -> None:
     """Populate .grad for every requires_grad leaf reachable from loss.
 
-    The graph is consumed: afterwards its inner nodes hold no gradient,
-    closure or parents and no longer require grad, so a graph can be
-    differentiated once, and a second backward on the same loss raises.
+    The graph is consumed: afterwards its inner nodes hold no gradient or
+    parents, so a graph can be differentiated once. A later backward that
+    reaches a consumed node, from the same loss or from another loss built
+    on part of the graph, raises ValueError before any gradient is written.
     """
     if loss.data.size != 1:
         raise NotScalar(f"backward needs a scalar loss, got shape {loss.shape}")
     if not loss.requires_grad:
-        raise ValueError(
-            "loss does not require grad (or an earlier backward consumed its graph); "
-            "nothing to differentiate"
-        )
+        raise ValueError("loss does not require grad; nothing to differentiate")
 
     # Iterative DFS; GRAY marks the current path so a cycle is detectable.
     WHITE, GRAY, BLACK = 0, 1, 2
@@ -548,6 +552,8 @@ def backward(loss: Tensor) -> None:
             continue
         if mark == GRAY:
             raise GraphCycle("differentiation graph contains a cycle")
+        if node._backward is _consumed:
+            raise ValueError("graph already consumed by an earlier backward")
         state[id(node)] = GRAY
         stack.append((node, True))
         for parent in node._parents:
@@ -557,10 +563,11 @@ def backward(loss: Tensor) -> None:
                 raise GraphCycle("differentiation graph contains a cycle")
 
     # Consume the graph as it is differentiated: once a node's closure has
-    # run, drop its gradient, closure and parents, so whatever only the
-    # tape held is freed before the sweep reaches older nodes. Leaves keep
-    # their .grad. Gradients may alias each other, so closures never write
-    # into their incoming g or into an array they have returned.
+    # run, drop its gradient and parents and swap its closure for
+    # _consumed, so whatever only the tape held is freed before the sweep
+    # reaches older nodes. Leaves keep their .grad. Gradients may alias
+    # each other, so closures never write into their incoming g or into an
+    # array they have returned.
     loss.grad = np.ones_like(loss.data)
     while topo:
         node = topo.pop()
@@ -576,9 +583,8 @@ def backward(loss: Tensor) -> None:
                 else:
                     parent.grad = parent.grad + g
         node.grad = None
-        node._backward = None
+        node._backward = _consumed
         node._parents = ()
-        node.requires_grad = False
 
 
 def finite_diff_check(

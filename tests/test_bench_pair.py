@@ -22,38 +22,43 @@ _BENCHMARK = {
 }
 
 
-def _report(directory: Path, seed: int, rss: float, tps: float, *, trace: int = 0,
+def _report(directory: Path, seed: int, rss: float, tps: float | None, *, trace: int = 0,
             faults=(), matmul: float = 0.03) -> None:
     directory.mkdir(exist_ok=True)
+    metrics = {"peak_rss_mb": rss, "train_tokens_per_s": tps, "rouge1_f1": 0.3}
     report = {
         "workload": "ext_en", "seed": seed, "seconds": 30.0, "trace": trace,
         "host_before": {"matmul512_x20_s": matmul, "pyloop_1e6_s": 0.04},
         "host_after": {"matmul512_x20_s": matmul + 0.01, "pyloop_1e6_s": 0.06},
         "attempted": 10, "faults": list(faults),
-        "metrics": {"peak_rss_mb": rss, "train_tokens_per_s": tps, "rouge1_f1": 0.3},
+        "metrics": {k: v for k, v in metrics.items() if v is not None},
     }
     (directory / f"ext_en-seed{seed}-trace{trace}.json").write_text(json.dumps(report))
 
 
 @pytest.fixture
-def dirs(tmp_path):
+def dirs(tmp_path, monkeypatch):
+    bench = tmp_path / "BENCHMARK.json"
+    bench.write_text(json.dumps(_BENCHMARK))
+    monkeypatch.setattr(bench_pair, "BENCHMARK", bench)
     parent, change = tmp_path / "parent", tmp_path / "change"
     for seed, rss, tps in ((1, 1000.0, 100.0), (2, 1100.0, 110.0), (3, 1200.0, 120.0), (4, 1300.0, 130.0)):
         _report(parent, seed, rss, tps)
     for seed, rss, tps in ((1, 500.0, 100.0), (2, 510.0, 105.0), (3, 520.0, 121.0), (4, 530.0, 140.0)):
-        _report(change, seed, rss, tps, faults=["x: stage failed"] if seed == 4 else ())
+        _report(change, seed, rss, tps)
     _report(parent, 9, 1.0, 1.0)  # no change run with this seed: left out
     _report(change, 1, 0.0, 0.0, trace=1)  # traced: left out
-    bench = tmp_path / "BENCHMARK.json"
-    bench.write_text(json.dumps(_BENCHMARK))
-    return parent, change, bench
+    return parent, change
+
+
+def _run(parent, change, tmp_path) -> dict:
+    out = tmp_path / "BENCH_test.json"
+    assert bench_pair.main([str(parent), str(change), "--out", str(out)]) == 0
+    return json.loads(out.read_text())["workloads"]["ext_en"]
 
 
 def test_pairs_by_seed_and_summarizes(dirs, tmp_path, capsys):
-    parent, change, bench = dirs
-    out = tmp_path / "BENCH_test.json"
-    assert bench_pair.main([str(parent), str(change), "--out", str(out), "--benchmark", str(bench)]) == 0
-    result = json.loads(out.read_text())["workloads"]["ext_en"]
+    result = _run(*dirs, tmp_path)
     assert result["seeds"] == [1, 2, 3, 4]
     assert result["seconds"] == [30.0]
 
@@ -74,8 +79,33 @@ def test_pairs_by_seed_and_summarizes(dirs, tmp_path, capsys):
     assert result["host_kernels_s"]["parent"] == {"matmul512_x20_s": pytest.approx(0.035),
                                                   "pyloop_1e6_s": pytest.approx(0.05)}
     assert result["operations"]["parent"] == {"runs": 4, "attempted": 40, "failed": 0, "runs_with_faults": 0}
-    assert result["operations"]["change"] == {"runs": 4, "attempted": 40, "failed": 1, "runs_with_faults": 1}
+    assert result["operations"]["change"] == result["operations"]["parent"]
+    assert "missing_seeds" not in rss
     assert "ext_en: 4 pairs" in capsys.readouterr().out
+
+
+def test_more_failed_operations_void_every_gain(dirs, tmp_path):
+    parent, change = dirs
+    _report(change, 4, 530.0, 140.0, faults=["x: stage failed"])
+    result = _run(parent, change, tmp_path)
+    assert result["operations"]["change"] == {"runs": 4, "attempted": 40, "failed": 1, "runs_with_faults": 1}
+    rss = result["metrics"]["peak_rss_mb"]
+    assert rss["wins"] == 4
+    assert not rss["gain_rule_met"]
+
+
+def test_metric_missing_from_a_run_is_reported(dirs, tmp_path, capsys):
+    parent, change = dirs
+    _report(change, 3, 520.0, None, faults=["train: stage failed"])
+    _report(parent, 3, 1200.0, None, faults=["train: stage failed"])
+    result = _run(parent, change, tmp_path)
+    tps = result["metrics"]["train_tokens_per_s"]
+    assert tps["missing_seeds"] == {"parent": [3], "change": [3]}
+    assert tps["parent"]["median"] == 110.0  # over the three complete pairs
+    assert not tps["gain_rule_met"]
+    # Equal fault counts leave the other metrics' gains standing.
+    assert result["metrics"]["peak_rss_mb"]["gain_rule_met"]
+    assert "train_tokens_per_s" in capsys.readouterr().out
 
 
 def test_gain_needs_more_than_the_parent_spread(tmp_path):
@@ -86,10 +116,10 @@ def test_gain_needs_more_than_the_parent_spread(tmp_path):
 
 
 def test_no_common_runs_exits_2(dirs, tmp_path, capsys):
-    parent, _, bench = dirs
+    parent, _ = dirs
     empty = tmp_path / "empty"
     empty.mkdir()
-    code = bench_pair.main([str(parent), str(empty), "--out", str(tmp_path / "o.json"), "--benchmark", str(bench)])
+    code = bench_pair.main([str(parent), str(empty), "--out", str(tmp_path / "o.json")])
     assert code == 2
     assert not (tmp_path / "o.json").exists()
     assert "no workload" in capsys.readouterr().err

@@ -745,8 +745,7 @@ class TestGraphConsumption:
         backward(loss)
         for node in inner:
             assert node.grad is None
-            assert node._parents == () and node._backward is None
-            assert not node.requires_grad
+            assert node._parents == ()
         for name, p in params.items():
             assert p.requires_grad
             assert np.array_equal(p.grad, expected[name]), name
@@ -758,6 +757,17 @@ class TestGraphConsumption:
         with pytest.raises(ValueError, match="consumed"):
             backward(loss)
         assert x.grad.tolist() == [2.0, 4.0]
+
+    def test_loss_sharing_a_consumed_node_raises(self):
+        # The shared node must not be skipped as if it were a constant:
+        # that would leave x without the gradient that flows through h.
+        x = t64([1.0, 2.0])
+        h = x * x
+        backward(T.tensor_sum(h))
+        x.grad = None
+        with pytest.raises(ValueError, match="consumed"):
+            backward(T.tensor_sum(h * 2.0) + T.tensor_sum(x))
+        assert x.grad is None
 
     def test_log_softmax_grad_bitwise_old_formula(self):
         r = np.random.default_rng(4)

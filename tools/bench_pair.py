@@ -10,9 +10,12 @@ workload and seed. For every workload and end-to-end metric of
 `BENCHMARK.json` the output gives each side's median and quartiles over the
 paired seeds, the change's wins, losses and ties by seed (by the metric's
 `better` direction), and whether the gain rule holds: wins in at least nine
-tenths of the pairs and a median difference larger than the parent's
-interquartile range. It also gives each side's host-drift kernel medians
-(timed before and after every run) and its attempted operations and faults.
+tenths of the pairs, a median difference larger than the parent's
+interquartile range, and no more failed operations on the change's side
+than on the parent's. A metric that some run lacks (a failed stage reports
+none) is listed with the seeds that lack it on each side and never counts
+as a gain. It also gives each side's host-drift kernel medians (timed
+before and after every run) and its attempted operations and faults.
 Standard library only.
 """
 
@@ -33,8 +36,6 @@ def load_reports(directory: Path) -> dict[tuple[str, int], dict]:
     reports = {}
     for path in sorted(directory.glob("*-trace0.json")):
         report = json.loads(path.read_text(encoding="utf-8"))
-        if report.get("trace", 0):
-            continue
         reports[(report["workload"], int(report["seed"]))] = report
     return reports
 
@@ -83,6 +84,7 @@ def fault_counts(runs: list[dict]) -> dict[str, int]:
 
 
 def compare(parent: dict, change: dict, end_to_end: list[dict]) -> dict:
+    """Per workload: every end-to-end metric over the seeds both sides ran."""
     workloads = {}
     for workload in sorted({w for w, _ in parent} | {w for w, _ in change}):
         seeds = sorted(s for w, s in parent if w == workload and (w, s) in change)
@@ -90,25 +92,31 @@ def compare(parent: dict, change: dict, end_to_end: list[dict]) -> dict:
             continue
         p_runs = [parent[(workload, s)] for s in seeds]
         c_runs = [change[(workload, s)] for s in seeds]
+        operations = {"parent": fault_counts(p_runs), "change": fault_counts(c_runs)}
+        more_faults = operations["change"]["failed"] > operations["parent"]["failed"]
         metrics = {}
         for spec in end_to_end:
             name = spec["name"]
-            if all(name in r["metrics"] for r in p_runs + c_runs):
-                metrics[name] = {
-                    "unit": spec["unit"],
-                    "better": spec["better"],
-                    **compare_metric(
-                        [float(r["metrics"][name]) for r in p_runs],
-                        [float(r["metrics"][name]) for r in c_runs],
-                        spec["better"],
-                    ),
+            pairs = [(float(p["metrics"][name]), float(c["metrics"][name]))
+                     for p, c in zip(p_runs, c_runs) if name in p["metrics"] and name in c["metrics"]]
+            metric = {"unit": spec["unit"], "better": spec["better"]}
+            if pairs:
+                metric.update(compare_metric([p for p, _ in pairs], [c for _, c in pairs], spec["better"]))
+            if len(pairs) < len(seeds):
+                metric["missing_seeds"] = {
+                    side: [s for s, r in zip(seeds, runs) if name not in r["metrics"]]
+                    for side, runs in (("parent", p_runs), ("change", c_runs))
                 }
+            metric["gain_rule_met"] = (
+                metric.get("gain_rule_met", False) and len(pairs) == len(seeds) and not more_faults
+            )
+            metrics[name] = metric
         workloads[workload] = {
             "seeds": seeds,
             "seconds": sorted({r["seconds"] for r in p_runs + c_runs}),
             "metrics": metrics,
             "host_kernels_s": {"parent": host_medians(p_runs), "change": host_medians(c_runs)},
-            "operations": {"parent": fault_counts(p_runs), "change": fault_counts(c_runs)},
+            "operations": operations,
         }
     return workloads
 
@@ -118,10 +126,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("parent_reports", type=Path)
     parser.add_argument("change_reports", type=Path)
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--benchmark", type=Path, default=BENCHMARK)
     args = parser.parse_args(argv)
 
-    end_to_end = json.loads(args.benchmark.read_text(encoding="utf-8"))["end_to_end"]
+    end_to_end = json.loads(BENCHMARK.read_text(encoding="utf-8"))["end_to_end"]
     workloads = compare(load_reports(args.parent_reports), load_reports(args.change_reports), end_to_end)
     if not workloads:
         print("error: no workload and seed has a report on both sides", file=sys.stderr)
@@ -130,6 +137,10 @@ def main(argv: list[str] | None = None) -> int:
     for workload, result in workloads.items():
         print(f"{workload}: {len(result['seeds'])} pairs, seeds {result['seeds']}")
         for name, m in result["metrics"].items():
+            if "missing_seeds" in m:
+                print(f"  {name:<22} missing on seeds {m['missing_seeds']}")
+            if "parent" not in m:
+                continue
             print(f"  {name:<22} {m['parent']['median']:>12.6g} -> {m['change']['median']:>12.6g} "
                   f"(parent IQR {m['parent']['iqr']:.3g}; wins {m['wins']}/{len(result['seeds'])}"
                   f"{'; gain' if m['gain_rule_met'] else ''})")
