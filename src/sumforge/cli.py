@@ -124,6 +124,7 @@ def _write_manifest(
     seed: int,
     started: str,
     outputs: list[str],
+    **stats: object,
 ) -> None:
     manifest = {
         "command": command,
@@ -132,6 +133,7 @@ def _write_manifest(
         "started": started,
         "finished": _now(),
         "outputs": sorted(outputs),
+        **stats,
     }
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -174,17 +176,20 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
     vocab = load_vocab(args.vocab)
 
     examples = []
-    skipped = 0
+    skipped = dropped = 0
     for doc in docs:
         try:
-            examples.append(
-                encode_example(doc, vocab, args.max_positions, args.max_tgt_len)
-            )
+            example = encode_example(doc, vocab, args.max_positions, args.max_tgt_len)
         except TooLong as exc:
             skipped += 1
             print(f"skipping {doc.id}: {exc}", file=sys.stderr)
+            continue
+        examples.append(example)
+        dropped += len(doc.article_sentences) - len(example.src_txt)
     if not examples:
         raise EmptyCorpus("every story was skipped during encoding")
+    src_unk = sum(ex.src_ids.count(vocab.unk_id) for ex in examples)
+    src_total = sum(len(ex.src_ids) for ex in examples)
 
     out_dir = Path(args.out)
     count = write_shards(examples, out_dir, args.shard_size)
@@ -202,6 +207,8 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
         0,
         started,
         [str(out_dir)],
+        sentences_dropped=dropped,
+        src_unk_frac=src_unk / src_total,
     )
     print(f"{count} shards")
     return 0

@@ -30,18 +30,11 @@ _ENCODINGS = {
 HIGHLIGHT_MARKER = "@highlight"
 
 # Sentence terminators: ASCII . ! ? plus Arabic question mark, Arabic
-# semicolon, and the Urdu full stop.
-_TERMINATORS = frozenset(".!?؟؛۔")
+# semicolon, and the Urdu full stop; one ends a sentence when whitespace or
+# the end of the text follows it.
+_SENTENCE_END_RE = re.compile(r"[.!?؟؛۔](?=\s|\Z)")
 
 _WS_RE = re.compile(r"\s+")
-
-
-@dataclass(frozen=True)
-class RawDocument:
-    source_path: str
-    category: str
-    body: str
-    summary_text: str
 
 
 @dataclass(frozen=True)
@@ -87,13 +80,11 @@ def split_sentences(text: str) -> list[str]:
     """
     sentences: list[str] = []
     start = 0
-    n = len(text)
-    for i, ch in enumerate(text):
-        if ch in _TERMINATORS and (i + 1 == n or text[i + 1].isspace()):
-            seg = text[start : i + 1].strip()
-            if seg:
-                sentences.append(seg)
-            start = i + 1
+    for m in _SENTENCE_END_RE.finditer(text):
+        seg = text[start : m.end()].strip()
+        if seg:
+            sentences.append(seg)
+        start = m.end()
     tail = text[start:].strip()
     if tail:
         sentences.append(tail)

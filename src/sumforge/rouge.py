@@ -7,7 +7,7 @@ separator. No stemming, no stopword removal.
 
 from __future__ import annotations
 
-import unicodedata
+import re
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
@@ -17,6 +17,9 @@ from .errors import EmptyCorpus, LengthMismatch
 _ASCII_UPPER = str.maketrans(
     "ABCDEFGHIJKLMNOPQRSTUVWXYZ", "abcdefghijklmnopqrstuvwxyz"
 )
+# A word character that is not "_": exactly the code points whose Unicode
+# category is L* or N* (tests/test_rouge.py checks every code point).
+_TOKEN_RE = re.compile(r"[^\W_]+")
 
 
 @dataclass(frozen=True)
@@ -35,17 +38,7 @@ class RougeScore:
 
 def rouge_tokenize(text: str) -> list[str]:
     """Split text into metric tokens: runs of letters/digits, ASCII lowercased."""
-    tokens: list[str] = []
-    run: list[str] = []
-    for ch in text:
-        if unicodedata.category(ch)[0] in ("L", "N"):
-            run.append(ch)
-        elif run:
-            tokens.append("".join(run))
-            run = []
-    if run:
-        tokens.append("".join(run))
-    return [t.translate(_ASCII_UPPER) for t in tokens]
+    return [t.translate(_ASCII_UPPER) for t in _TOKEN_RE.findall(text)]
 
 
 def _ngrams(tokens: Sequence[str], n: int) -> Counter:

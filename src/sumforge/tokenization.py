@@ -9,9 +9,11 @@ and EOS-terminated, with the decoder sequence tokens reusing the [unused0] /
 
 from __future__ import annotations
 
+import bisect
 import json
 import re
 import unicodedata
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -24,7 +26,9 @@ from .errors import (
     TooLong,
 )
 from .ingest import StoryDoc
-from .rouge import rouge_n, rouge_tokenize
+# rouge_n stays bound here because perfbench/tracer.py wraps
+# tokenization.rouge_n; the oracle itself no longer calls it.
+from .rouge import RougeScore, rouge_n, rouge_tokenize  # noqa: F401
 
 PAD_TOKEN = "[PAD]"
 UNK_TOKEN = "[UNK]"
@@ -38,10 +42,15 @@ _REQUIRED_SPECIALS = (PAD_TOKEN, UNK_TOKEN, CLS_TOKEN, SEP_TOKEN, MASK_TOKEN)
 
 
 class Vocab:
-    """Token table where the id of a token is its line index."""
+    """Token table where the id of a token is its line index.
+
+    It also memoises the piece ids of every whitespace-separated chunk it
+    has tokenized (see _sentence_ids); the memo lives as long as the vocab.
+    """
 
     def __init__(self, tokens: Sequence[str]):
         self.tokens = list(tokens)
+        self.chunk_ids: dict[str, list[int]] = {}
         self.ids: dict[str, int] = {}
         for i, tok in enumerate(self.tokens):
             if tok in self.ids:
@@ -175,11 +184,24 @@ class TokenizedExample:
     tgt_txt: list[str]
 
 
-def _sentence_pieces(sentence: str, vocab: Vocab) -> list[str]:
-    pieces: list[str] = []
-    for word in basic_tokenize(sentence):
-        pieces.extend(wordpiece(word, vocab))
-    return pieces
+def _sentence_ids(sentence: str, vocab: Vocab) -> list[int]:
+    """Piece ids of basic_tokenize + wordpiece, one whitespace chunk at a time.
+
+    str.split() splits on exactly the isspace() characters, and none of them
+    is a letter, digit or punctuation, so tokenizing chunk by chunk gives the
+    same pieces as tokenizing the whole sentence. The returned lists are
+    shared with the memo and must not be mutated.
+    """
+    memo = vocab.chunk_ids
+    ids: list[int] = []
+    for chunk in sentence.split():
+        chunk_ids = memo.get(chunk)
+        if chunk_ids is None:
+            chunk_ids = memo[chunk] = [
+                vocab.ids[p] for word in basic_tokenize(chunk) for p in wordpiece(word, vocab)
+            ]
+        ids.extend(chunk_ids)
+    return ids
 
 
 def encode_source(
@@ -197,8 +219,7 @@ def encode_source(
     kept: list[str] = []
     for i, sentence in enumerate(sentences):
         sentence = unicodedata.normalize("NFC", sentence)
-        piece_ids = [vocab.ids.get(p, vocab.unk_id) for p in _sentence_pieces(sentence, vocab)]
-        block = [vocab.cls_id] + piece_ids + [vocab.sep_id]
+        block = [vocab.cls_id, *_sentence_ids(sentence, vocab), vocab.sep_id]
         if len(src_ids) + len(block) > max_positions:
             if i == 0:
                 raise TooLong(
@@ -230,7 +251,7 @@ def encode_example(
 
     tgt_ids = [vocab.bos_id]
     for sentence in summary:
-        tgt_ids.extend(vocab.ids.get(p, vocab.unk_id) for p in _sentence_pieces(sentence, vocab))
+        tgt_ids.extend(_sentence_ids(sentence, vocab))
     tgt_ids = tgt_ids[: max_tgt_len - 1]
     tgt_ids.append(vocab.eos_id)
 
@@ -255,27 +276,81 @@ def oracle_labels(
     Repeatedly add the sentence that most improves ROUGE-1 F1 + ROUGE-2 F1 of
     the selected set against the joined summary; stop when nothing strictly
     improves the score or max_select is reached. Ties go to the lower index.
+
+    Each sentence is tokenized and counted once, keeping only the n-grams
+    found in the reference; a candidate is scored from running counts of the
+    selected set. The selected sentences are scored as one text in index
+    order, so the bigram across two neighbouring selected sentences (that
+    have tokens) counts too. The scores are the same floats rouge_n gives on
+    that text.
     """
     ref_tokens = rouge_tokenize(" ".join(summary_sentences))
+    ref1 = Counter(ref_tokens)
+    ref2 = Counter(zip(ref_tokens, ref_tokens[1:]))
+    ref_total1, ref_total2 = len(ref_tokens), max(0, len(ref_tokens) - 1)
+
     sent_tokens = [rouge_tokenize(s) for s in article_sentences]
+    uni = [Counter(t for t in toks if t in ref1) for toks in sent_tokens]
+    bi = [Counter(g for g in zip(toks, toks[1:]) if g in ref2) for toks in sent_tokens]
+
+    def gain(counts: Counter, ref: Counter, delta: dict) -> int:
+        # Change in clipped overlap when delta's counts are added.
+        out = 0
+        for g, d in delta.items():
+            r = ref.get(g)
+            if r is not None:
+                c = counts.get(g, 0)
+                new = c + d
+                out += (new if new < r else r) - (c if c < r else r)
+        return out
+
+    def bigram_delta(i: int) -> dict:
+        # i's own bigrams plus the boundary bigrams it adds and removes
+        # between its nearest selected neighbours that have tokens.
+        toks = sent_tokens[i]
+        if not toks or not bounded:
+            return bi[i]
+        delta = dict(bi[i])
+        k = bisect.bisect(bounded, i)
+        prev_tok = sent_tokens[bounded[k - 1]][-1] if k > 0 else None
+        next_tok = sent_tokens[bounded[k]][0] if k < len(bounded) else None
+        for g, d in (((prev_tok, toks[0]), 1), ((toks[-1], next_tok), 1), ((prev_tok, next_tok), -1)):
+            if None not in g:
+                delta[g] = delta.get(g, 0) + d
+        return delta
 
     selected: list[int] = []
+    bounded: list[int] = []  # selected indices with tokens, sorted
+    sel1: Counter = Counter()
+    sel2: Counter = Counter()
+    overlap1 = overlap2 = total = 0
     best_score = 0.0
     while len(selected) < max_select:
         best_idx = -1
         for i in range(len(article_sentences)):
             if i in selected:
                 continue
-            cand: list[str] = []
-            for j in sorted(selected + [i]):
-                cand.extend(sent_tokens[j])
-            score = rouge_n(cand, ref_tokens, 1).f1 + rouge_n(cand, ref_tokens, 2).f1
+            n = total + len(sent_tokens[i])
+            o1 = overlap1 + gain(sel1, ref1, uni[i])
+            o2 = overlap2 + gain(sel2, ref2, bigram_delta(i))
+            score = (
+                RougeScore.from_counts(o1, n, ref_total1).f1
+                + RougeScore.from_counts(o2, max(0, n - 1), ref_total2).f1
+            )
             if score > best_score:
                 best_score = score
                 best_idx = i
         if best_idx < 0:
             break
+        delta2 = bigram_delta(best_idx)
+        overlap1 += gain(sel1, ref1, uni[best_idx])
+        overlap2 += gain(sel2, ref2, delta2)
+        total += len(sent_tokens[best_idx])
+        sel1.update(uni[best_idx])
+        sel2.update(delta2)
         selected.append(best_idx)
+        if sent_tokens[best_idx]:
+            bisect.insort(bounded, best_idx)
 
     return [1 if i in selected else 0 for i in range(len(article_sentences))]
 

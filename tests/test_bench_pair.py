@@ -81,7 +81,9 @@ def test_pairs_by_seed_and_summarizes(dirs, tmp_path, capsys):
     assert result["operations"]["parent"] == {"runs": 4, "attempted": 40, "failed": 0, "runs_with_faults": 0}
     assert result["operations"]["change"] == result["operations"]["parent"]
     assert "missing_seeds" not in rss
-    assert "ext_en: 4 pairs" in capsys.readouterr().out
+    assert {m["regression"] for m in result["metrics"].values()} == {"none"}
+    out = capsys.readouterr().out
+    assert "ext_en: 4 pairs" in out and "regression none" in out
 
 
 def test_more_failed_operations_void_every_gain(dirs, tmp_path):
@@ -103,6 +105,7 @@ def test_metric_missing_from_a_run_is_reported(dirs, tmp_path, capsys):
     assert tps["missing_seeds"] == {"parent": [3], "change": [3]}
     assert tps["parent"]["median"] == 110.0  # over the three complete pairs
     assert not tps["gain_rule_met"]
+    assert tps["regression"] == "unresolved"
     # Equal fault counts leave the other metrics' gains standing.
     assert result["metrics"]["peak_rss_mb"]["gain_rule_met"]
     assert "train_tokens_per_s" in capsys.readouterr().out
@@ -113,6 +116,26 @@ def test_gain_needs_more_than_the_parent_spread(tmp_path):
     out = bench_pair.compare_metric([100.0, 200.0, 300.0, 400.0], [99.0, 199.0, 299.0, 399.0], "lower")
     assert out["wins"] == 4
     assert not out["gain_rule_met"]
+
+
+def test_worse_by_more_than_the_bound_regresses(dirs, tmp_path, capsys):
+    parent, change = dirs
+    # Change median 1.22x the parent's 1150 MB, over the 0.2 bound.
+    for seed, rss in ((1, 1380.0), (2, 1390.0), (3, 1410.0), (4, 1420.0)):
+        _report(change, seed, rss, 120.0)
+    result = _run(parent, change, tmp_path)
+    assert result["metrics"]["peak_rss_mb"]["regression"] == "regressed"
+    assert "regression regressed" in capsys.readouterr().out
+    # 1.18x stays within the bound.
+    assert bench_pair.regression([1000.0, 1100.0, 1200.0, 1300.0], [1357.0] * 4, "lower", 0.2) == "none"
+
+
+def test_parent_spread_wider_than_the_bound_is_unresolved():
+    parent = [50.0, 100.0, 150.0, 200.0]  # median 125, IQR 75 > 0.25 * 125
+    assert bench_pair.regression(parent, [120.0, 130.0, 125.0, 128.0], "higher", 0.25) == "unresolved"
+    # Unless every change run beats every parent run.
+    assert bench_pair.regression(parent, [210.0, 220.0, 230.0, 240.0], "higher", 0.25) == "none"
+    assert bench_pair.regression(parent, [40.0, 45.0, 30.0, 20.0], "lower", 0.25) == "none"
 
 
 def test_no_common_runs_exits_2(dirs, tmp_path, capsys):

@@ -212,6 +212,26 @@ class TestPreprocess:
         assert manifest["config"]["shard_size"] == 2
         assert manifest["config"]["skipped"] == 0
 
+    def test_manifest_reports_dropped_sentences_and_unk_share(self, tmp_path):
+        vocab = _write_vocab(tmp_path / "vocab.txt")
+        stories = tmp_path / "stories"
+        stories.mkdir()
+        # 9 + 7 positions fit in 20; the third block (7 more) does not, so
+        # three of the five sentences are dropped.
+        _write_story_file(stories / "a.story")
+        # "zebra" has no pieces in the vocabulary: one [UNK] in 6 + 7 ids.
+        _write_story_file(stories / "b.story",
+                          article=["the zebra sat .", "a dog ran fast ."])
+
+        code = main(["preprocess", "--stories", str(stories),
+                     "--vocab", str(vocab), "--out", str(tmp_path / "o"),
+                     "--max-positions", "20"])
+
+        assert code == 0
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text("utf-8"))
+        assert manifest["sentences_dropped"] == 3
+        assert manifest["src_unk_frac"] == 1 / 29
+
     def test_too_long_story_skipped_with_warning(self, tmp_path, capsys):
         vocab = _write_vocab(tmp_path / "vocab.txt")
         stories = tmp_path / "stories"

@@ -65,7 +65,37 @@ class TestTranscode:
         out.encode("utf-8")
 
 
+def _reference_split_sentences(text: str) -> list[str]:
+    """The per-character splitter that split_sentences replaced."""
+    terminators = frozenset(".!?؟؛۔")
+    sentences: list[str] = []
+    start = 0
+    n = len(text)
+    for i, ch in enumerate(text):
+        if ch in terminators and (i + 1 == n or text[i + 1].isspace()):
+            seg = text[start : i + 1].strip()
+            if seg:
+                sentences.append(seg)
+            start = i + 1
+    tail = text[start:].strip()
+    if tail:
+        sentences.append(tail)
+    return sentences
+
+
 class TestSplitSentences:
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.text(
+            # Terminators, other punctuation, and whitespace beyond ASCII
+            # (U+001C, NEL, NBSP, U+2028, ideographic space).
+            alphabet=st.sampled_from(list("ab ذ.!?؟؛۔،:\t\n\x1c\x85\xa0\u2028\u3000")),
+            max_size=80,
+        )
+    )
+    def test_matches_character_loop(self, text):
+        assert split_sentences(text) == _reference_split_sentences(text)
+
     def test_arabic_two_sentences(self):
         assert split_sentences("ذهب الولد. رجع الولد.") == [
             "ذهب الولد.",

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import unicodedata
 
 import pytest
 from hypothesis import given, settings
@@ -37,7 +38,32 @@ def brute_force_lcs(a: list[str], b: list[str]) -> int:
     return best
 
 
+def _reference_tokenize(text: str) -> list[str]:
+    """Per-character tokenizer on unicodedata.category: runs of L*/N* code
+    points, ASCII lowercased."""
+    tokens: list[str] = []
+    run: list[str] = []
+    for ch in text:
+        if unicodedata.category(ch)[0] in ("L", "N"):
+            run.append(ch.lower() if "A" <= ch <= "Z" else ch)
+        elif run:
+            tokens.append("".join(run))
+            run = []
+    if run:
+        tokens.append("".join(run))
+    return tokens
+
+
 class TestTokenize:
+    @pytest.mark.parametrize("template", ["{}", "a{}B"], ids=["alone", "between_letters"])
+    def test_every_code_point_matches_category_reference(self, template):
+        # Space-joined, each item tokenizes on its own, so one call per
+        # block covers every code point of the block.
+        block = 0x1000
+        for start in range(0, 0x110000, block):
+            text = " ".join(template.format(chr(c)) for c in range(start, start + block))
+            assert rouge_tokenize(text) == _reference_tokenize(text), hex(start)
+
     def test_arabic_punctuation_dropped(self):
         assert rouge_tokenize("ذهب الولد.") == ["ذهب", "الولد"]
 

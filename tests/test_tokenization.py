@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import collections
 import random
+import unicodedata
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from sumforge.errors import (
     TooLong,
 )
 from sumforge.ingest import StoryDoc
+from sumforge.rouge import rouge_n, rouge_tokenize
 from sumforge.tokenization import (
     TokenizedExample,
     Vocab,
@@ -166,7 +168,57 @@ class TestWordpiece:
         assert rebuilt == word
 
 
+def _reference_encode_source(sentences, vocab, max_positions):
+    """encode_source before the per-vocabulary memo: basic_tokenize over the
+    whole sentence, then wordpiece per word, then ids."""
+    src_ids, segment_ids, cls_positions, kept = [], [], [], []
+    for i, sentence in enumerate(sentences):
+        sentence = unicodedata.normalize("NFC", sentence)
+        pieces = [p for word in basic_tokenize(sentence) for p in wordpiece(word, vocab)]
+        piece_ids = [vocab.ids.get(p, vocab.unk_id) for p in pieces]
+        block = [vocab.cls_id] + piece_ids + [vocab.sep_id]
+        if len(src_ids) + len(block) > max_positions:
+            if i == 0:
+                raise TooLong(f"first sentence needs {len(block)} positions, limit {max_positions}")
+            break
+        cls_positions.append(len(src_ids))
+        src_ids.extend(block)
+        segment_ids.extend([i % 2] * len(block))
+        kept.append(sentence)
+    return src_ids, segment_ids, cls_positions, kept
+
+
+# Fragments glued with no separator, so chunks mix words, ## pieces, Arabic
+# punctuation and every kind of whitespace str.split() must agree with
+# isspace() on (U+001C, NEL, NBSP, THIN SPACE, IDEOGRAPHIC SPACE).
+_FRAGMENTS = ["the", "cat", "un", "aff", "able", "s", "zz", "ذهب", "الولد", "؟", "،", ".",
+              " ", "\x1c", "\x85", "\xa0", "\u2009", "\u3000"]
+
+
 class TestEncodeSource:
+    @given(
+        st.lists(st.lists(st.sampled_from(_FRAGMENTS), max_size=12).map("".join),
+                 min_size=1, max_size=4),
+        st.integers(min_value=2, max_value=40),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_character_path_and_memo_is_stable(self, sentences, max_positions):
+        vocab = small_vocab_factory()
+        try:
+            expected = _reference_encode_source(sentences, vocab, max_positions)
+        except TooLong:
+            with pytest.raises(TooLong):
+                encode_source(sentences, vocab, max_positions)
+            return
+        assert encode_source(sentences, vocab, max_positions) == expected
+        # The second call reads every chunk from the memo.
+        assert encode_source(sentences, vocab, max_positions) == expected
+
+    def test_memo_is_per_vocabulary(self):
+        first, second = make_vocab(["cat", "."]), make_vocab(["dog", "cat"])
+        for vocab in (first, second, first):
+            assert encode_source(["cat."], vocab, 16) == _reference_encode_source(["cat."], vocab, 16)
+
     def test_two_single_token_sentences(self, small_vocab):
         src, segs, clss, kept = encode_source(["cat", "dog"], small_vocab, 32)
         cls, sep = small_vocab.cls_id, small_vocab.sep_id
@@ -315,7 +367,58 @@ def _reference_oracle(article: list[str], summary: list[str], max_select: int) -
     return [1 if i in chosen else 0 for i in range(len(article))]
 
 
+def _rescoring_oracle_labels(
+    article_sentences,
+    summary_sentences,
+    max_select: int = 3,
+) -> list[int]:
+    """oracle_labels as it was before the incremental counts, verbatim: it
+    rescores the concatenated candidate set with rouge_n for every candidate."""
+    ref_tokens = rouge_tokenize(" ".join(summary_sentences))
+    sent_tokens = [rouge_tokenize(s) for s in article_sentences]
+
+    selected: list[int] = []
+    best_score = 0.0
+    while len(selected) < max_select:
+        best_idx = -1
+        for i in range(len(article_sentences)):
+            if i in selected:
+                continue
+            cand: list[str] = []
+            for j in sorted(selected + [i]):
+                cand.extend(sent_tokens[j])
+            score = rouge_n(cand, ref_tokens, 1).f1 + rouge_n(cand, ref_tokens, 2).f1
+            if score > best_score:
+                best_score = score
+                best_idx = i
+        if best_idx < 0:
+            break
+        selected.append(best_idx)
+
+    return [1 if i in selected else 0 for i in range(len(article_sentences))]
+
+
+# Few distinct words, so words repeat within and across sentences: clipping
+# and the bigrams across sentence boundaries decide many selections.
+_ORACLE_WORDS = ["aa", "bb", "cc", "AA", "Bb", "ذهب", "الولد", "12", "7"]
+_sentence = st.one_of(
+    st.lists(st.sampled_from(_ORACLE_WORDS + [",", "؟"]), min_size=1, max_size=7).map(" ".join),
+    st.sampled_from([".", "!", "؟ ،", "..."]),  # no ROUGE tokens at all
+)
+
+
 class TestOracleLabels:
+    @given(
+        st.lists(_sentence, min_size=1, max_size=8),
+        st.lists(_sentence, min_size=1, max_size=3),
+        st.integers(min_value=1, max_value=5),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_matches_rescoring_oracle(self, article, summary, max_select):
+        assert oracle_labels(article, summary, max_select) == _rescoring_oracle_labels(
+            article, summary, max_select
+        )
+
     def test_verbatim_sentence_selected(self):
         article = ["aa bb", "cc dd ee", "ff gg"]
         assert oracle_labels(article, ["cc dd ee"]) == [0, 1, 0]
@@ -355,8 +458,6 @@ class TestOracleLabels:
             ), (article, summary, max_select)
 
     def test_greedy_score_sequence_strictly_increasing(self):
-        from sumforge.rouge import rouge_n, rouge_tokenize
-
         article = ["aa bb cc", "dd ee", "aa ff", "gg bb"]
         summary = ["aa bb cc dd ee ff"]
         labels = oracle_labels(article, summary, max_select=3)

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Compare paired parent/change benchmark reports and write BENCH_<n>.json.
 
-    python3 tools/bench_pair.py PARENT_REPORTS CHANGE_REPORTS --out BENCH_6.json
+    python3 tools/bench_pair.py PARENT_REPORTS CHANGE_REPORTS --out BENCH_7.json
 
 Each directory holds the untraced reports that `perfbench/run.py` leaves in
 `.perfbench/reports/` (`<workload>-seed<seed>-trace0.json`), one per seed,
@@ -12,11 +12,16 @@ paired seeds, the change's wins, losses and ties by seed (by the metric's
 `better` direction), and whether the gain rule holds: wins in at least nine
 tenths of the pairs, a median difference larger than the parent's
 interquartile range, and no more failed operations on the change's side
-than on the parent's. A metric that some run lacks (a failed stage reports
-none) is listed with the seeds that lack it on each side and never counts
-as a gain. It also gives each side's host-drift kernel medians (timed
-before and after every run) and its attempted operations and faults.
-Standard library only.
+than on the parent's. Each metric also gets a no-regression verdict,
+`regression`: "regressed" when the change's median is worse than the
+parent's by more than the metric's `bound` (relative to the parent's
+median); otherwise "unresolved" when the parent's interquartile range
+exceeds `bound` times its median, unless every change run beats every
+parent run; otherwise "none". A metric that some run lacks (a failed stage
+reports none) is listed with the seeds that lack it on each side, never
+counts as a gain and is "unresolved" at best. It also gives each side's
+host-drift kernel medians (timed before and after every run) and its
+attempted operations and faults. Standard library only.
 """
 
 from __future__ import annotations
@@ -66,6 +71,18 @@ def compare_metric(parent: list[float], change: list[float], better: str) -> dic
     }
 
 
+def regression(parent: list[float], change: list[float], better: str, bound: float) -> str:
+    """No-regression verdict: "regressed", "unresolved" or "none"."""
+    sign = 1.0 if better == "higher" else -1.0
+    p_median = statistics.median(parent)
+    if sign * (statistics.median(change) - p_median) < -bound * abs(p_median):
+        return "regressed"
+    separated = min(sign * c for c in change) > max(sign * p for p in parent)
+    if summary(parent)["iqr"] > bound * abs(p_median) and not separated:
+        return "unresolved"
+    return "none"
+
+
 def host_medians(runs: list[dict]) -> dict[str, float]:
     kernels = sorted({k for r in runs for when in ("host_before", "host_after") for k in r[when]})
     return {
@@ -101,7 +118,9 @@ def compare(parent: dict, change: dict, end_to_end: list[dict]) -> dict:
                      for p, c in zip(p_runs, c_runs) if name in p["metrics"] and name in c["metrics"]]
             metric = {"unit": spec["unit"], "better": spec["better"]}
             if pairs:
-                metric.update(compare_metric([p for p, _ in pairs], [c for _, c in pairs], spec["better"]))
+                p_vals, c_vals = [p for p, _ in pairs], [c for _, c in pairs]
+                metric.update(compare_metric(p_vals, c_vals, spec["better"]))
+                metric["regression"] = regression(p_vals, c_vals, spec["better"], spec["bound"])
             if len(pairs) < len(seeds):
                 metric["missing_seeds"] = {
                     side: [s for s, r in zip(seeds, runs) if name not in r["metrics"]]
@@ -110,6 +129,8 @@ def compare(parent: dict, change: dict, end_to_end: list[dict]) -> dict:
             metric["gain_rule_met"] = (
                 metric.get("gain_rule_met", False) and len(pairs) == len(seeds) and not more_faults
             )
+            if len(pairs) < len(seeds) and metric.get("regression") != "regressed":
+                metric["regression"] = "unresolved"
             metrics[name] = metric
         workloads[workload] = {
             "seeds": seeds,
@@ -143,7 +164,7 @@ def main(argv: list[str] | None = None) -> int:
                 continue
             print(f"  {name:<22} {m['parent']['median']:>12.6g} -> {m['change']['median']:>12.6g} "
                   f"(parent IQR {m['parent']['iqr']:.3g}; wins {m['wins']}/{len(result['seeds'])}"
-                  f"{'; gain' if m['gain_rule_met'] else ''})")
+                  f"{'; gain' if m['gain_rule_met'] else ''}; regression {m['regression']})")
     return 0
 
 
