@@ -42,6 +42,7 @@ from .tokenization import (
     encode_source,
     load_vocab,
     read_shards,
+    target_truncated,
     write_shards,
 )
 from .train import TrainConfig, prefit_encoder, train_abs, train_ext, write_trace
@@ -176,7 +177,7 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
     vocab = load_vocab(args.vocab)
 
     examples = []
-    skipped = dropped = 0
+    skipped = dropped = cut = 0
     for doc in docs:
         try:
             example = encode_example(doc, vocab, args.max_positions, args.max_tgt_len)
@@ -186,6 +187,7 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
             continue
         examples.append(example)
         dropped += len(doc.article_sentences) - len(example.src_txt)
+        cut += target_truncated(example, vocab, args.max_tgt_len)
     if not examples:
         raise EmptyCorpus("every story was skipped during encoding")
     src_unk = sum(ex.src_ids.count(vocab.unk_id) for ex in examples)
@@ -209,6 +211,7 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
         [str(out_dir)],
         sentences_dropped=dropped,
         src_unk_frac=src_unk / src_total,
+        targets_truncated=cut,
     )
     print(f"{count} shards")
     return 0

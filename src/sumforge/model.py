@@ -1,7 +1,7 @@
 """Transformer summarization models.
 
-One encoder design serves four variants: an extractive model reads a sigmoid
-score off every per-sentence [CLS] position; an abstractive model adds a
+One encoder design serves four variants: an extractive model reads a logit
+off every per-sentence [CLS] position; an abstractive model adds a
 causally masked decoder with cross-attention whose output projection is tied
 to the token embedding table. The "pretrained" variants differ only in where
 their encoder weights come from, never in architecture, so the parameter
@@ -287,7 +287,7 @@ def build_encoder(config: ModelConfig, seed: int, dtype=np.float32) -> Encoder:
 
 
 class ExtractiveModel:
-    """Encoder plus a per-[CLS] sigmoid scoring head."""
+    """Encoder plus a per-[CLS] logistic scoring head."""
 
     kind = "ext"
 
@@ -304,7 +304,8 @@ class ExtractiveModel:
         return out
 
     def ext_scores(self, hidden: Tensor, cls_positions: np.ndarray) -> Tensor:
-        """Sentence probabilities [B, S]: sigmoid(w . h[cls] + b), in (0, 1)."""
+        """Sentence logits [B, S]: w . h[cls] + b; the sentence's probability
+        is their sigmoid, which ranks sentences the same way."""
         cls_positions = np.asarray(cls_positions)
         length = hidden.shape[1]
         if cls_positions.size and (cls_positions.min() < 0 or cls_positions.max() >= length):
@@ -313,7 +314,7 @@ class ExtractiveModel:
             )
         picked = T.gather_positions(hidden, cls_positions)  # [B,S,d]
         logits = T.matmul(picked, self.head["w"]) + self.head["b"]
-        return T.sigmoid(T.reshape(logits, cls_positions.shape))
+        return T.reshape(logits, cls_positions.shape)
 
     def forward_scores(
         self,
@@ -486,22 +487,18 @@ def build_model(config: ModelConfig, task: str, seed: int, dtype=np.float32):
 
 # --- losses ---
 
-def ext_loss(scores: Tensor, labels: np.ndarray, sentence_mask: np.ndarray) -> Tensor:
-    """Mean binary cross-entropy over unmasked sentence slots."""
-    labels = np.asarray(labels, dtype=scores.dtype)
-    mask = np.asarray(sentence_mask, dtype=scores.dtype)
-    if scores.shape != labels.shape or scores.shape != mask.shape:
+def ext_loss(logits: Tensor, labels: np.ndarray, sentence_mask: np.ndarray) -> Tensor:
+    """Mean binary cross-entropy of sentence logits over unmasked slots."""
+    labels = np.asarray(labels, dtype=logits.dtype)
+    mask = np.asarray(sentence_mask, dtype=logits.dtype)
+    if logits.shape != labels.shape or logits.shape != mask.shape:
         raise ShapeMismatch(
-            f"ext_loss: scores {scores.shape}, labels {labels.shape}, mask {mask.shape}"
+            f"ext_loss: logits {logits.shape}, labels {labels.shape}, mask {mask.shape}"
         )
     total = float(mask.sum())
     if total == 0:
         raise AllMasked("every sentence slot is masked; mean BCE undefined")
-    # Clamp only to keep log finite when float32 sigmoid saturates.
-    s = T.clip(scores, 1e-7, 1.0 - 1e-7)
-    bce = T.neg(
-        T.mul(T.log(s), labels) + T.mul(T.log(T.neg(s) + 1.0), 1.0 - labels)
-    )
+    bce = T.bce_with_logits(logits, labels)
     return T.tensor_sum(T.mul(bce, mask)) / total
 
 

@@ -2,7 +2,8 @@
 
 Just enough ops for a transformer encoder/decoder: broadcasting arithmetic,
 batched matmul, softmax/layer-norm/gelu, embedding and gather ops, dropout,
-and a finite-difference oracle to check all of it. Data lives in numpy
+a logit binary cross-entropy, and a finite-difference oracle to check all
+of it. Data lives in numpy
 arrays; float32 is the training dtype, float64 the verification dtype.
 """
 
@@ -256,11 +257,6 @@ def tensor_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 # --- nonlinearities ---
 
-def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
-    return _make(np.where(mask, a.data, 0), (a,), lambda g: (g * mask,))
-
-
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 
@@ -268,37 +264,35 @@ _GELU_A = 0.044715
 def gelu(a: Tensor) -> Tensor:
     """Tanh-approximation gelu, the variant most transformer stacks use."""
     x = a.data
-    inner = _GELU_C * (x + _GELU_A * x**3)
+    # x * x * x, not x**3: numpy's float32 power has no fast path for 3.
+    inner = _GELU_C * (x + _GELU_A * (x * x * x))
     t = np.tanh(inner)
     data = 0.5 * x * (1.0 + t)
 
     def backward(g):
-        d_inner = _GELU_C * (1.0 + 3.0 * _GELU_A * x**2)
+        d_inner = _GELU_C * (1.0 + 3.0 * _GELU_A * (x * x))
         return (g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * d_inner),)
 
     return _make(data, (a,), backward)
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    # Branch on sign so exp never overflows.
-    x = a.data
-    s = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-    return _make(s, (a,), lambda g: (g * s * (1.0 - s),))
+def bce_with_logits(z: Tensor, labels: np.ndarray) -> Tensor:
+    """Elementwise binary cross-entropy of logits z against labels y,
+    max(z, 0) - z*y + log1p(exp(-|z|)): finite for every finite z, and the
+    gradient sigmoid(z) - y never vanishes on a saturated wrong logit."""
+    x = z.data
+    y = np.asarray(labels, dtype=x.dtype)
+    if y.shape != x.shape:
+        raise ShapeMismatch(f"bce_with_logits: logits {z.shape} vs labels {y.shape}")
+    e = np.exp(-np.abs(x))
+    data = np.maximum(x, 0) - x * y + np.log1p(e)
 
+    def backward(g):
+        # sigmoid(x) from e = exp(-|x|), which never overflows.
+        s = np.where(x >= 0, 1.0, e) / (1.0 + e)
+        return (g * (s - y),)
 
-def exp(a: Tensor) -> Tensor:
-    data = np.exp(a.data)
-    return _make(data, (a,), lambda g: (g * data,))
-
-
-def log(a: Tensor) -> Tensor:
-    return _make(np.log(a.data), (a,), lambda g: (g / a.data,))
-
-
-def clip(a: Tensor, lo: float, hi: float) -> Tensor:
-    """Clamp values; gradient passes only where no clamping happened."""
-    mask = (a.data >= lo) & (a.data <= hi)
-    return _make(np.clip(a.data, lo, hi), (a,), lambda g: (g * mask,))
+    return _make(data, (z,), backward)
 
 
 def _check_axis(a: Tensor, axis: int) -> int:
@@ -368,11 +362,13 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
 
 
 def _keep_mask(rng: np.random.Generator | None, shape, p: float, dtype) -> tuple[np.ndarray, np.floating]:
-    """Inverted-dropout draw: where to keep (uniform >= p, drawn in float64)
-    and the factor 1/(1-p) in `dtype` that kept entries are scaled by."""
+    """Inverted-dropout draw: where to keep (uniform >= p, both in float32,
+    whatever `dtype` is) and the factor 1/(1-p) in `dtype` that kept entries
+    are scaled by."""
     if rng is None:
         raise ValueError("dropout in train mode needs an rng")
-    return rng.random(shape) >= p, np.dtype(dtype).type(1.0 / (1.0 - p))
+    keep = rng.random(shape, dtype=np.float32) >= np.float32(p)
+    return keep, np.dtype(dtype).type(1.0 / (1.0 - p))
 
 
 def _check_dropout_p(p: float) -> None:

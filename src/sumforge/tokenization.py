@@ -233,6 +233,14 @@ def encode_source(
     return src_ids, segment_ids, cls_positions, kept
 
 
+def _target_ids(summary: Sequence[str], vocab: Vocab) -> list[int]:
+    """[BOS] and the summary's piece ids, before the cut at max_tgt_len."""
+    ids = [vocab.bos_id]
+    for sentence in summary:
+        ids.extend(_sentence_ids(sentence, vocab))
+    return ids
+
+
 def encode_example(
     doc: StoryDoc,
     vocab: Vocab,
@@ -249,10 +257,7 @@ def encode_example(
     summary = [unicodedata.normalize("NFC", s) for s in doc.summary_sentences]
     labels = oracle_labels(article, summary, max_select)[: len(kept)]
 
-    tgt_ids = [vocab.bos_id]
-    for sentence in summary:
-        tgt_ids.extend(_sentence_ids(sentence, vocab))
-    tgt_ids = tgt_ids[: max_tgt_len - 1]
+    tgt_ids = _target_ids(summary, vocab)[: max_tgt_len - 1]
     tgt_ids.append(vocab.eos_id)
 
     return TokenizedExample(
@@ -264,6 +269,14 @@ def encode_example(
         src_txt=kept,
         tgt_txt=summary,
     )
+
+
+def target_truncated(example: TokenizedExample, vocab: Vocab, max_tgt_len: int) -> bool:
+    """Whether encode_example cut this example's target at max_tgt_len. Only
+    a target that reached the limit is tokenized again."""
+    if len(example.tgt_ids) < max_tgt_len:
+        return False
+    return len(_target_ids(example.tgt_txt, vocab)) + 1 > max_tgt_len
 
 
 def oracle_labels(

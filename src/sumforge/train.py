@@ -296,10 +296,10 @@ def train_ext(
     for step in range(1, config.max_steps + 1):
         batch = make_ext_batch([examples[i] for i in next(order)], pad_id)
         drop_rng = rng.child("dropout", step).generator()
-        scores = model.forward_scores(
+        logits = model.forward_scores(
             batch.src, batch.segs, batch.pad_mask, batch.clss, train=True, rng=drop_rng
         )
-        loss = ext_loss(scores, batch.labels, batch.sent_mask)
+        loss = ext_loss(logits, batch.labels, batch.sent_mask)
         grads = _clipped_gradients(loss, params, config.grad_clip_norm, step)
         lr = lr_schedule(step, config.base_lr_encoder, warmup)
         adam_step(params, grads, state, lr)
@@ -356,6 +356,28 @@ def train_abs(
     return trace
 
 
+def masked_token_loss(
+    hidden: Tensor,
+    tok_emb: Tensor,
+    bias: Tensor,
+    targets: np.ndarray,
+    chosen: np.ndarray,
+) -> Tensor:
+    """Mean NLL of the original tokens at the chosen positions under the tied
+    reconstruction head softmax(h @ tok_embᵀ + bias).
+
+    Only the M chosen rows of hidden [B, L, d] are gathered and projected
+    ([M, d] @ [d, V]); the other positions never reach the vocabulary.
+    """
+    rows = np.flatnonzero(chosen)
+    b, length, d = hidden.shape
+    picked = T.embedding_lookup(T.reshape(hidden, (b * length, d)), rows)
+    logits = T.matmul(picked, T.transpose(tok_emb)) + bias
+    lp = T.log_softmax(logits, axis=-1)
+    nll = T.neg(T.take_along_last(lp, np.asarray(targets).reshape(-1)[rows]))
+    return T.tensor_sum(nll) / float(rows.size)
+
+
 def prefit_encoder(
     examples: Sequence[TokenizedExample],
     encoder: Encoder,
@@ -409,11 +431,9 @@ def prefit_encoder(
         hidden = encoder.encode(
             masked_src, batch.segs, batch.pad_mask, train=True, rng=drop_rng
         )
-        logits = T.matmul(hidden, T.transpose(encoder.params["tok_emb"])) + recon_bias
-        lp = T.log_softmax(logits, axis=-1)
-        nll = T.neg(T.take_along_last(lp, batch.src))
-        weights = chosen.astype(nll.dtype)
-        loss = T.tensor_sum(T.mul(nll, weights)) / float(weights.sum())
+        loss = masked_token_loss(
+            hidden, encoder.params["tok_emb"], recon_bias, batch.src, chosen
+        )
 
         grads = _clipped_gradients(loss, params, config.grad_clip_norm, step)
         lr = lr_schedule(step, config.base_lr_encoder, warmup)

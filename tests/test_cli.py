@@ -231,6 +231,28 @@ class TestPreprocess:
         manifest = json.loads((tmp_path / "o" / "manifest.json").read_text("utf-8"))
         assert manifest["sentences_dropped"] == 3
         assert manifest["src_unk_frac"] == 1 / 29
+        assert manifest["targets_truncated"] == 0
+
+    def test_manifest_counts_truncated_targets(self, tmp_path):
+        vocab = _write_vocab(tmp_path / "vocab.txt")
+        stories = tmp_path / "stories"
+        stories.mkdir()
+        # [BOS] + 7 + 5 pieces + [EOS] = 14 ids: exactly at the limit, kept whole.
+        _write_story_file(stories / "a.story")
+        # One more piece (15 ids) is cut.
+        _write_story_file(stories / "b.story",
+                          summary=["the cat sat on the mat .", "rain fell all night now ."])
+        _write_story_file(stories / "c.story", summary=["a dog ran fast ."])
+
+        code = main(["preprocess", "--stories", str(stories),
+                     "--vocab", str(vocab), "--out", str(tmp_path / "o"),
+                     "--max-tgt-len", "14"])
+
+        assert code == 0
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text("utf-8"))
+        assert manifest["targets_truncated"] == 1
+        shard = (tmp_path / "o" / "shard_0.jsonl").read_text("utf-8").splitlines()
+        assert sorted(len(json.loads(line)["tgt"]) for line in shard) == [7, 14, 14]
 
     def test_too_long_story_skipped_with_warning(self, tmp_path, capsys):
         vocab = _write_vocab(tmp_path / "vocab.txt")

@@ -154,7 +154,7 @@ class TestExtScores:
         model.head["b"].data[:] = 0.0
         src, segs, pad = _inputs(tiny_config)
         scores = model.forward_scores(src, segs, pad, np.array([[0, 3]] * 2))
-        assert np.allclose(scores.data, 0.5)
+        assert np.array_equal(scores.data, np.zeros((2, 2)))  # logit 0: probability 1/2
 
     def test_position_out_of_range(self, tiny_config):
         model = build_ext_model(tiny_config, seed=2)
@@ -162,9 +162,9 @@ class TestExtScores:
         with pytest.raises(IndexOutOfRange):
             model.forward_scores(src, segs, pad, np.array([[0, 6]] * 2))
 
-    def test_scores_strictly_inside_unit_interval(self, tiny_config):
+    def test_scores_are_the_head_logits(self, tiny_config):
         rng = np.random.default_rng(9)
-        model = build_ext_model(tiny_config, seed=2)
+        model = build_ext_model(tiny_config, seed=2, dtype=np.float64)
         for _ in range(25):
             length = int(rng.integers(2, 12))
             src = rng.integers(0, tiny_config.vocab_size, (1, length))
@@ -172,7 +172,10 @@ class TestExtScores:
             pad = np.zeros((1, length), dtype=bool)
             clss = rng.integers(0, length, (1, 3))
             s = model.forward_scores(src, segs, pad, clss).data
-            assert np.all(s > 0.0) and np.all(s < 1.0)
+            hidden = model.encoder.encode(src, segs, pad).data
+            expected = hidden[0, clss[0]] @ model.head["w"].data + model.head["b"].data
+            assert s.shape == (1, 3)
+            assert np.allclose(s[0], expected.reshape(-1), rtol=1e-12, atol=1e-12)
 
 
 class TestDecodeTeacherForced:
@@ -281,13 +284,13 @@ class TestDecodeStep:
 
 class TestExtLoss:
     def test_perfect_prediction_near_zero(self):
-        scores = Tensor(np.array([[0.9999999, 1e-7]]), requires_grad=True, dtype=np.float64)
+        scores = Tensor(np.array([[20.0, -20.0]]), requires_grad=True, dtype=np.float64)
         labels = np.array([[1.0, 0.0]])
         mask = np.ones((1, 2))
         assert ext_loss(scores, labels, mask).item() < 1e-5
 
     def test_uninformative_scores_ln2(self):
-        scores = Tensor(np.full((2, 3), 0.5), requires_grad=True, dtype=np.float64)
+        scores = Tensor(np.zeros((2, 3)), requires_grad=True, dtype=np.float64)
         labels = np.array([[1, 0, 1], [0, 1, 0]], dtype=float)
         loss = ext_loss(scores, labels, np.ones((2, 3)))
         assert loss.item() == pytest.approx(math.log(2.0), abs=1e-9)
@@ -325,6 +328,48 @@ class TestExtLoss:
         scores = Tensor(rng.uniform(0.01, 0.99, (3, 5)), requires_grad=True, dtype=np.float64)
         labels = rng.integers(0, 2, (3, 5)).astype(float)
         assert ext_loss(scores, labels, np.ones((3, 5))).item() >= 0.0
+
+
+def _clipped_sigmoid_bce(z: np.ndarray, y: np.ndarray, mask: np.ndarray) -> float:
+    """The loss before it read logits: BCE of sigmoid probabilities clamped
+    to [1e-7, 1 - 1e-7], which stops the gradient where the clamp acts."""
+    s = np.clip(1.0 / (1.0 + np.exp(-z)), 1e-7, 1.0 - 1e-7)
+    bce = -(y * np.log(s) + (1.0 - y) * np.log(1.0 - s))
+    return float((bce * mask).sum() / mask.sum())
+
+
+class TestExtLossFromLogits:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("z, y", [(-30.0, 1.0), (30.0, 0.0), (-1e4, 1.0), (1e4, 0.0)])
+    def test_saturated_wrong_logit_gets_gradient(self, dtype, z, y):
+        logits = Tensor(np.array([[z, 0.5]], dtype=dtype), requires_grad=True)
+        loss = ext_loss(logits, np.array([[y, 1.0]]), np.ones((1, 2)))
+        T.backward(loss)
+        g = logits.grad[0, 0]
+        assert np.isfinite(loss.item()) and np.isfinite(g)
+        # d/dz of the mean over two slots is (sigmoid(z) - y) / 2, i.e. -1/2 or 1/2.
+        assert g == pytest.approx(0.5 if y == 0.0 else -0.5, rel=1e-6)
+        assert loss.item() == pytest.approx((abs(z) + math.log1p(math.exp(-0.5))) / 2, rel=1e-6)
+
+    def test_finite_differences_float64(self):
+        rng = np.random.default_rng(21)
+        z = Tensor(rng.standard_normal((3, 5)) * 4.0, requires_grad=True)
+        labels = (rng.random((3, 5)) < 0.4).astype(float)
+        mask = np.ones((3, 5))
+        mask[2, 3:] = 0.0
+        err = T.finite_diff_check(lambda p: ext_loss(p[0], labels, mask), [z])
+        assert err < 1e-6
+
+    def test_matches_clipped_sigmoid_bce_away_from_saturation(self):
+        rng = np.random.default_rng(22)
+        for dtype, rtol in ((np.float64, 1e-12), (np.float32, 1e-5)):
+            z = rng.uniform(-8.0, 8.0, (4, 6))
+            labels = (rng.random((4, 6)) < 0.5).astype(float)
+            mask = (rng.random((4, 6)) < 0.8).astype(float)
+            mask[0, 0] = 1.0
+            got = ext_loss(Tensor(z.astype(dtype), requires_grad=True), labels, mask).item()
+            ref = _clipped_sigmoid_bce(z.astype(dtype).astype(np.float64), labels, mask)
+            assert got == pytest.approx(ref, rel=rtol)
 
 
 class TestAbsLoss:

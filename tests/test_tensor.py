@@ -378,29 +378,15 @@ class TestPerOpGradients:
         a = rand64(self.rng, 3, 4)
         _fd(lambda p: T.tensor_mean(p[0] * p[0]), [a])
 
-    def test_relu(self):
-        a = rand64(self.rng, 4, 4)
-        a.data += np.sign(a.data) * 0.1  # keep clear of the kink
-        _fd(lambda p: T.tensor_sum(T.relu(p[0])), [a])
-
     def test_gelu(self):
         _fd(lambda p: T.tensor_sum(T.gelu(p[0])), [rand64(self.rng, 4, 4)])
 
-    def test_sigmoid(self):
-        _fd(lambda p: T.tensor_sum(T.sigmoid(p[0])), [rand64(self.rng, 3, 3)])
-
-    def test_exp(self):
-        _fd(lambda p: T.tensor_sum(T.exp(p[0])), [rand64(self.rng, 3, 3)])
-
-    def test_log(self):
-        a = rand64(self.rng, 3, 3)
-        a.data = np.abs(a.data) + 0.5
-        _fd(lambda p: T.tensor_sum(T.log(p[0])), [a])
-
-    def test_clip_interior(self):
-        a = rand64(self.rng, 4)
-        a.data = np.clip(a.data, -0.8, 0.8)  # keep away from the clamp edges
-        _fd(lambda p: T.tensor_sum(T.clip(p[0], -1.0, 1.0) * p[0]), [a])
+    @pytest.mark.parametrize("soft", [False, True])
+    def test_bce_with_logits(self, soft):
+        z = rand64(self.rng, 3, 4)
+        z.data *= 3.0
+        y = self.rng.random((3, 4)) if soft else (self.rng.random((3, 4)) < 0.5).astype(float)
+        _fd(lambda p: T.tensor_sum(T.bce_with_logits(p[0], y)), [z])
 
     def test_softmax_grad(self):
         a = rand64(self.rng, 3, 5)
@@ -533,17 +519,25 @@ class TestForwardSemantics:
         out = T.masked_fill(x, np.array([[True, False], [False, True]]), -9.0)
         assert out.data.tolist() == [[-9.0, 2.0], [3.0, -9.0]]
 
-    def test_clip_forward(self):
-        out = T.clip(t64([-2.0, 0.5, 2.0]), -1.0, 1.0)
-        assert out.data.tolist() == [-1.0, 0.5, 1.0]
+    def test_gelu_float32_is_the_multiplied_cube_bitwise(self):
+        # x**3 rounds differently in about 30% of cubes but moves only about
+        # 0.3% of outputs, so the sample must be large enough to tell them apart.
+        x = np.random.default_rng(6).standard_normal((16, 64, 64)).astype(np.float32) * 3
+        c, a = math.sqrt(2.0 / math.pi), 0.044715  # Python floats keep float32
+        expected = 0.5 * x * (1.0 + np.tanh(c * (x + a * (x * x * x))))
+        assert expected.dtype == np.float32
+        out = T.gelu(Tensor(x)).data
+        assert out.dtype == np.float32
+        assert np.array_equal(out, expected)
 
-    def test_clip_grad_zero_outside_range(self):
-        x = t64([-2.0, 0.5, 2.0])
-        backward(T.tensor_sum(T.clip(x, -1.0, 1.0)))
-        assert x.grad.tolist() == [0.0, 1.0, 0.0]
-
-    def test_relu_forward(self):
-        assert T.relu(t64([-1.0, 0.0, 2.0])).data.tolist() == [0.0, 0.0, 2.0]
+    def test_gelu_float32_within_a_few_ulps_of_float64(self):
+        x = np.random.default_rng(7).standard_normal(20000).astype(np.float32) * 3
+        x64 = x.astype(np.float64)
+        c, a = math.sqrt(2.0 / math.pi), 0.044715
+        ref = 0.5 * x64 * (1.0 + np.tanh(c * (x64 + a * x64**3)))
+        err = np.abs(T.gelu(Tensor(x)).data - ref)
+        # 1 + tanh cancels for negative x, so the scale is max(1, |x|), not |gelu(x)|.
+        assert np.all(err <= 4 * np.finfo(np.float32).eps * np.maximum(1.0, np.abs(x64)))
 
     def test_gelu_known_values(self):
         # tanh approximation: gelu(0)=0 and gelu is odd-ish around small x
@@ -675,7 +669,7 @@ class TestAttention:
         rng = np.random.default_rng(9)
         T.attention(Tensor(q), Tensor(k), Tensor(v), mask, 0.5, True, rng)
         ref = np.random.default_rng(9)
-        ref.random((q.shape[0], q.shape[1], q.shape[2], k.shape[2]))
+        ref.random((q.shape[0], q.shape[1], q.shape[2], k.shape[2]), dtype=np.float32)
         assert rng.random() == ref.random()
 
     @pytest.mark.parametrize("kind", ["padding", "causal", "cross1"])
@@ -783,7 +777,8 @@ class TestGraphConsumption:
     def test_dropout_keep_factor_bitwise_old_formula(self, dtype, p):
         shape = (4, 5, 6)
         out = T.dropout(Tensor(np.ones(shape, dtype)), p, True, np.random.default_rng(8))
-        r = np.random.default_rng(8).random(shape)
-        expected = ((r >= p) / (1 - p)).astype(dtype)
+        # The mask is drawn and compared in float32 whatever the tensor's dtype.
+        r = np.random.default_rng(8).random(shape, dtype=np.float32)
+        expected = ((r >= np.float32(p)) / (1 - p)).astype(dtype)
         assert out.dtype == dtype
         assert np.array_equal(out.data, expected)

@@ -6,8 +6,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import synthetic_example
+from sumforge import tensor as T
 from sumforge.errors import (
     ConfigError,
     EmptyCorpus,
@@ -33,6 +36,7 @@ from sumforge.train import (
     lr_schedule,
     make_abs_batch,
     make_ext_batch,
+    masked_token_loss,
     prefit_encoder,
     teacher_forced_accuracy,
     train_abs,
@@ -392,6 +396,55 @@ class TestPrefit:
         assert (tmp_path / "a" / "encoder_final.ckpt").read_bytes() == (
             tmp_path / "b" / "encoder_final.ckpt"
         ).read_bytes()
+
+
+def _dense_masked_token_loss(hidden, tok_emb, bias, targets, chosen):
+    """The head before it gathered: every [B, L] position is projected onto
+    the vocabulary and the unchosen ones are weighted zero."""
+    logits = T.matmul(hidden, T.transpose(tok_emb)) + bias
+    lp = T.log_softmax(logits, axis=-1)
+    nll = T.neg(T.take_along_last(lp, targets))
+    weights = chosen.astype(nll.dtype)
+    return T.tensor_sum(T.mul(nll, weights)) / float(weights.sum())
+
+
+class TestMaskedTokenLoss:
+    @pytest.mark.parametrize("dtype, rtol, atol", [
+        (np.float32, 1e-4, 1e-6),
+        (np.float64, 1e-10, 1e-13),
+    ])
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        lengths=st.lists(st.integers(1, 9), min_size=1, max_size=3),
+        mask_share=st.one_of(st.just(1.0), st.floats(0.0, 1.0)),
+    )
+    def test_gathered_head_matches_dense_reference(self, dtype, rtol, atol, seed, lengths, mask_share):
+        rng = np.random.default_rng(seed)
+        width = max(lengths)
+        pad = np.arange(width)[None, :] >= np.array(lengths)[:, None]
+        src = np.where(pad, PAD, rng.integers(7, 40, pad.shape))
+        chosen = (rng.random(pad.shape) < mask_share) & ~pad
+        if not chosen.any():  # prefit forces one masked position too
+            chosen[0, rng.integers(lengths[0])] = True
+        masked_src = np.where(chosen, 4, src)
+        encoder = build_encoder(_tiny(), seed=seed % 97, dtype=dtype)
+        bias = Tensor(rng.standard_normal(40).astype(dtype) * 0.1, requires_grad=True)
+        params = {**encoder.params, "recon.b": bias}
+
+        results = []
+        for head in (masked_token_loss, _dense_masked_token_loss):
+            for p in params.values():
+                p.grad = None
+            hidden = encoder.encode(masked_src, np.zeros_like(src), pad)
+            loss = head(hidden, encoder.params["tok_emb"], bias, src, chosen)
+            T.backward(loss)
+            results.append((loss.item(), {k: p.grad for k, p in params.items()}))
+        (got, got_grads), (ref, ref_grads) = results
+        assert got == pytest.approx(ref, rel=rtol)
+        for name, g in ref_grads.items():
+            assert got_grads[name].dtype == dtype, name
+            np.testing.assert_allclose(got_grads[name], g, rtol=rtol, atol=atol, err_msg=name)
 
 
 class TestTeacherForcedAccuracy:
