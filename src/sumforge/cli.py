@@ -57,7 +57,9 @@ _MODEL_INT = (
     "max_positions",
 )
 _MODEL_FLOAT = ("dropout",)
-_TRAIN_INT = ("max_steps", "batch_size", "warmup_encoder", "warmup_decoder", "eval_every", "seed")
+_TRAIN_INT = (
+    "max_steps", "batch_size", "warmup_encoder", "warmup_decoder", "checkpoint_every", "seed"
+)
 _TRAIN_FLOAT = ("base_lr_encoder", "base_lr_decoder", "grad_clip_norm", "label_smoothing")
 _EXTRA_INT = ("pad_id", "max_tgt_len")
 _EXTRA_FLOAT = ("mask_prob",)

@@ -152,7 +152,7 @@ def beam_search(
     src = np.array([example.src_ids], dtype=np.int64)
     segs = np.array([example.segment_ids], dtype=np.int64)
     src_pad = np.zeros(src.shape, dtype=bool)
-    cache = model.start_decoding(model.encoder.encode(src, segs, src_pad), src_pad)
+    cache = model.start_decoding(model.encode(src, segs, src_pad), src_pad)
 
     alpha = config.length_penalty_alpha
     beams = [_Hypothesis((bos_id,), 0.0)]

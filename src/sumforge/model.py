@@ -114,22 +114,14 @@ def ext_head_param_specs(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     return {"w": (config.d_model, 1), "b": (1,)}
 
 
-def _init_params(
-    specs: dict[str, tuple[int, ...]], rng: SplitRng, dtype
-) -> dict[str, Tensor]:
+def _init_array(name: str, shape: tuple[int, ...], rng: SplitRng, dtype) -> np.ndarray:
     """Truncated-normal (sigma 0.02, cut at 2 sigma) weights; zero biases/beta,
-    unit gamma."""
-    params: dict[str, Tensor] = {}
-    for name in sorted(specs):
-        shape = specs[name]
-        if name.endswith(".gamma"):
-            data = np.ones(shape, dtype=dtype)
-        elif name.endswith((".beta", ".b", ".b1", ".b2", ".bq", ".bk", ".bv", ".bo")) or name == "b":
-            data = np.zeros(shape, dtype=dtype)
-        else:
-            data = _trunc_normal(shape, rng.child("init", name).generator(), 0.02, dtype)
-        params[name] = Tensor(data, requires_grad=True)
-    return params
+    unit gamma. `name` is the parameter's name within its part."""
+    if name.endswith(".gamma"):
+        return np.ones(shape, dtype=dtype)
+    if name.endswith((".beta", ".b", ".b1", ".b2", ".bq", ".bk", ".bv", ".bo")) or name == "b":
+        return np.zeros(shape, dtype=dtype)
+    return _trunc_normal(shape, rng.child("init", name).generator(), 0.02, dtype)
 
 
 def _trunc_normal(shape, gen: np.random.Generator, std: float, dtype) -> np.ndarray:
@@ -231,15 +223,34 @@ def _decoder_layer(
 
 class Encoder:
     """Token + learned position + interval segment embeddings, then
-    pre-layer-norm transformer blocks and a final layer norm."""
+    pre-layer-norm transformer blocks and a final layer norm.
+
+    The one model container. `params` holds every parameter under its part's
+    name prefix (`encoder.*`, then `ext_head.*` or `decoder.*`); subclasses
+    add parts and their forward methods, nothing else.
+    """
 
     kind = "encoder"
+    parts = {"encoder": encoder_param_specs}
 
-    def __init__(self, config: ModelConfig, params: dict[str, Tensor]):
+    def __init__(
+        self, config: ModelConfig, params: dict[str, Tensor], step: int = 0, seed: int = 0
+    ):
         self.config = config
         self.params = params
-        self.step = 0
-        self.seed = 0
+        self.step = step
+        self.seed = seed
+
+    @classmethod
+    def param_specs(cls, config: ModelConfig) -> dict[str, tuple[int, ...]]:
+        """Full parameter names and shapes, part by part and sorted within a
+        part: the order models are built and loaded in, which fixes the order
+        gradient norms are summed in."""
+        return {
+            f"{part}.{name}": shape
+            for part, part_specs in cls.parts.items()
+            for name, shape in sorted(part_specs(config).items())
+        }
 
     def encode(
         self,
@@ -261,47 +272,30 @@ class Encoder:
             raise IdOutOfRange(f"token id outside vocabulary of {cfg.vocab_size}")
 
         p = self.params
-        x = T.embedding_lookup(p["tok_emb"], src_ids)
-        x = x + T.embedding_lookup(p["pos_emb"], np.arange(length))
-        x = x + T.embedding_lookup(p["seg_emb"], segment_ids)
+        x = T.embedding_lookup(p["encoder.tok_emb"], src_ids)
+        x = x + T.embedding_lookup(p["encoder.pos_emb"], np.arange(length))
+        x = x + T.embedding_lookup(p["encoder.seg_emb"], segment_ids)
         x = T.dropout(x, cfg.dropout, train, rng)
 
         for i in range(cfg.n_enc_layers):
-            normed = _ln(p, f"layer{i}.ln1", x)
-            k, v = _keys_values(p, f"layer{i}.attn", normed, cfg.n_heads)
+            layer = f"encoder.layer{i}"
+            normed = _ln(p, f"{layer}.ln1", x)
+            k, v = _keys_values(p, f"{layer}.attn", normed, cfg.n_heads)
             attn = _attend(
-                p, f"layer{i}.attn", normed, k, v,
+                p, f"{layer}.attn", normed, k, v,
                 pad_mask[:, None, None, :], cfg.dropout, train, rng,
             )
             x = x + T.dropout(attn, cfg.dropout, train, rng)
-            ff = _feed_forward(p, f"layer{i}.ff", _ln(p, f"layer{i}.ln2", x))
+            ff = _feed_forward(p, f"{layer}.ff", _ln(p, f"{layer}.ln2", x))
             x = x + T.dropout(ff, cfg.dropout, train, rng)
-        return _ln(p, "final_ln", x)
+        return _ln(p, "encoder.final_ln", x)
 
 
-def build_encoder(config: ModelConfig, seed: int, dtype=np.float32) -> Encoder:
-    rng = SplitRng(seed).child("encoder")
-    enc = Encoder(config, _init_params(encoder_param_specs(config), rng, dtype))
-    enc.seed = seed
-    return enc
-
-
-class ExtractiveModel:
+class ExtractiveModel(Encoder):
     """Encoder plus a per-[CLS] logistic scoring head."""
 
     kind = "ext"
-
-    def __init__(self, config: ModelConfig, encoder: Encoder, head: dict[str, Tensor]):
-        self.config = config
-        self.encoder = encoder
-        self.head = head
-        self.step = 0
-        self.seed = 0
-
-    def parameters(self) -> dict[str, Tensor]:
-        out = {f"encoder.{k}": v for k, v in self.encoder.params.items()}
-        out.update({f"ext_head.{k}": v for k, v in self.head.items()})
-        return out
+    parts = {"encoder": encoder_param_specs, "ext_head": ext_head_param_specs}
 
     def ext_scores(self, hidden: Tensor, cls_positions: np.ndarray) -> Tensor:
         """Sentence logits [B, S]: w . h[cls] + b; the sentence's probability
@@ -313,7 +307,7 @@ class ExtractiveModel:
                 f"cls position outside sequence of length {length}"
             )
         picked = T.gather_positions(hidden, cls_positions)  # [B,S,d]
-        logits = T.matmul(picked, self.head["w"]) + self.head["b"]
+        logits = T.matmul(picked, self.params["ext_head.w"]) + self.params["ext_head.b"]
         return T.reshape(logits, cls_positions.shape)
 
     def forward_scores(
@@ -325,7 +319,7 @@ class ExtractiveModel:
         train: bool = False,
         rng: np.random.Generator | None = None,
     ) -> Tensor:
-        hidden = self.encoder.encode(src_ids, segment_ids, pad_mask, train, rng)
+        hidden = self.encode(src_ids, segment_ids, pad_mask, train, rng)
         return self.ext_scores(hidden, cls_positions)
 
 
@@ -344,23 +338,12 @@ class DecoderCache:
         return self.self_kv[0][0].shape[2]
 
 
-class AbstractiveModel:
+class AbstractiveModel(Encoder):
     """Encoder plus a causally masked decoder with cross-attention; the output
     projection is the transposed token embedding table."""
 
     kind = "abs"
-
-    def __init__(self, config: ModelConfig, encoder: Encoder, decoder: dict[str, Tensor]):
-        self.config = config
-        self.encoder = encoder
-        self.decoder = decoder
-        self.step = 0
-        self.seed = 0
-
-    def parameters(self) -> dict[str, Tensor]:
-        out = {f"encoder.{k}": v for k, v in self.encoder.params.items()}
-        out.update({f"decoder.{k}": v for k, v in self.decoder.items()})
-        return out
+    parts = {"encoder": encoder_param_specs, "decoder": decoder_param_specs}
 
     def _embed_targets(
         self, tgt_ids: np.ndarray, start: int, train: bool, rng
@@ -373,13 +356,13 @@ class AbstractiveModel:
             raise PositionOverflow(f"target length {end} > {cfg.max_positions}")
         if tgt_ids.size and (tgt_ids.min() < 0 or tgt_ids.max() >= cfg.vocab_size):
             raise IdOutOfRange(f"target id outside vocabulary of {cfg.vocab_size}")
-        x = T.embedding_lookup(self.encoder.params["tok_emb"], tgt_ids)
-        x = x + T.embedding_lookup(self.decoder["pos_emb"], np.arange(start, end))
+        x = T.embedding_lookup(self.params["encoder.tok_emb"], tgt_ids)
+        x = x + T.embedding_lookup(self.params["decoder.pos_emb"], np.arange(start, end))
         return T.dropout(x, cfg.dropout, train, rng)
 
     def _project(self, x: Tensor) -> Tensor:
-        x = _ln(self.decoder, "final_ln", x)
-        return T.matmul(x, T.transpose(self.encoder.params["tok_emb"]))
+        x = _ln(self.params, "decoder.final_ln", x)
+        return T.matmul(x, T.transpose(self.params["encoder.tok_emb"]))
 
     def decode_teacher_forced(
         self,
@@ -397,9 +380,10 @@ class AbstractiveModel:
         causal = np.triu(np.ones((t, t), dtype=bool), k=1)[None, None, :, :]
         cross_mask = np.asarray(src_pad_mask, dtype=bool)[:, None, None, :]
         for i in range(cfg.n_dec_layers):
-            cross_kv = _keys_values(self.decoder, f"layer{i}.cross_attn", enc_hidden, cfg.n_heads)
+            layer = f"decoder.layer{i}"
+            cross_kv = _keys_values(self.params, f"{layer}.cross_attn", enc_hidden, cfg.n_heads)
             x, _ = _decoder_layer(
-                self.decoder, f"layer{i}", x, None, cross_kv,
+                self.params, layer, x, None, cross_kv,
                 causal, cross_mask, cfg, train, rng,
             )
         return self._project(x)
@@ -416,7 +400,7 @@ class AbstractiveModel:
         empty = Tensor(np.zeros((1, cfg.n_heads, 0, cfg.d_model // cfg.n_heads), enc_hidden.dtype))
         return DecoderCache(
             cross_kv=[
-                _keys_values(self.decoder, f"layer{i}.cross_attn", enc_hidden, cfg.n_heads)
+                _keys_values(self.params, f"decoder.layer{i}.cross_attn", enc_hidden, cfg.n_heads)
                 for i in range(cfg.n_dec_layers)
             ],
             cross_mask=np.asarray(src_pad_mask, dtype=bool)[:, None, None, :],
@@ -441,7 +425,7 @@ class AbstractiveModel:
         for i, (k, v) in enumerate(cache.self_kv):
             past = (Tensor(k.data[parents]), Tensor(v.data[parents]))
             x, kv = _decoder_layer(
-                self.decoder, f"layer{i}", x, past, cache.cross_kv[i],
+                self.params, f"decoder.layer{i}", x, past, cache.cross_kv[i],
                 None, cache.cross_mask, self.config, False, None,
             )
             self_kv.append(kv)
@@ -457,32 +441,41 @@ class AbstractiveModel:
         train: bool = False,
         rng: np.random.Generator | None = None,
     ) -> Tensor:
-        hidden = self.encoder.encode(src_ids, segment_ids, src_pad_mask, train, rng)
+        hidden = self.encode(src_ids, segment_ids, src_pad_mask, train, rng)
         return self.decode_teacher_forced(hidden, tgt_ids, src_pad_mask, train, rng)
 
 
+def _build(cls, config: ModelConfig, seed: int, dtype):
+    """A fresh model of class `cls`; each parameter draws from
+    SplitRng(seed).child(part).child("init", name within the part)."""
+    root = SplitRng(seed)
+    params = {}
+    for full_name, shape in cls.param_specs(config).items():
+        part, name = full_name.split(".", 1)
+        data = _init_array(name, shape, root.child(part), dtype)
+        params[full_name] = Tensor(data, requires_grad=True)
+    return cls(config, params, seed=seed)
+
+
+def build_encoder(config: ModelConfig, seed: int, dtype=np.float32) -> Encoder:
+    return _build(Encoder, config, seed, dtype)
+
+
 def build_ext_model(config: ModelConfig, seed: int, dtype=np.float32) -> ExtractiveModel:
-    encoder = build_encoder(config, seed, dtype)
-    head = _init_params(ext_head_param_specs(config), SplitRng(seed).child("ext_head"), dtype)
-    model = ExtractiveModel(config, encoder, head)
-    model.seed = seed
-    return model
+    return _build(ExtractiveModel, config, seed, dtype)
 
 
 def build_abs_model(config: ModelConfig, seed: int, dtype=np.float32) -> AbstractiveModel:
-    encoder = build_encoder(config, seed, dtype)
-    decoder = _init_params(decoder_param_specs(config), SplitRng(seed).child("decoder"), dtype)
-    model = AbstractiveModel(config, encoder, decoder)
-    model.seed = seed
-    return model
+    return _build(AbstractiveModel, config, seed, dtype)
+
+
+_MODELS = {cls.kind: cls for cls in (Encoder, ExtractiveModel, AbstractiveModel)}
 
 
 def build_model(config: ModelConfig, task: str, seed: int, dtype=np.float32):
-    if task == "ext":
-        return build_ext_model(config, seed, dtype)
-    if task == "abs":
-        return build_abs_model(config, seed, dtype)
-    raise InvalidConfig(f"unknown task {task!r}")
+    if task not in ("ext", "abs"):
+        raise InvalidConfig(f"unknown task {task!r}")
+    return _build(_MODELS[task], config, seed, dtype)
 
 
 # --- losses ---
@@ -547,27 +540,8 @@ CHECKPOINT_MAGIC = b"SUMF"
 CHECKPOINT_VERSION = 1
 
 
-def _expected_specs(kind: str, config: ModelConfig) -> dict[str, tuple[int, ...]]:
-    if kind == "encoder":
-        return {f"encoder.{k}": v for k, v in encoder_param_specs(config).items()}
-    if kind == "ext":
-        specs = {f"encoder.{k}": v for k, v in encoder_param_specs(config).items()}
-        specs.update({f"ext_head.{k}": v for k, v in ext_head_param_specs(config).items()})
-        return specs
-    if kind == "abs":
-        specs = {f"encoder.{k}": v for k, v in encoder_param_specs(config).items()}
-        specs.update({f"decoder.{k}": v for k, v in decoder_param_specs(config).items()})
-        return specs
-    raise FormatVersionMismatch(f"unknown checkpoint kind {kind!r}")
-
-
-def save_checkpoint(model, path: Path | str) -> None:
+def save_checkpoint(model: Encoder, path: Path | str) -> None:
     """Binary dump: magic, version, JSON header, then named float32 arrays."""
-    if model.kind == "encoder":
-        params = {f"encoder.{k}": v for k, v in model.params.items()}
-    else:
-        params = model.parameters()
-
     header = json.dumps(
         {
             "kind": model.kind,
@@ -583,8 +557,8 @@ def save_checkpoint(model, path: Path | str) -> None:
     buf.write(struct.pack("<I", CHECKPOINT_VERSION))
     buf.write(struct.pack("<I", len(header)))
     buf.write(header)
-    for name in sorted(params):
-        data = np.ascontiguousarray(params[name].data, dtype="<f4")
+    for name in sorted(model.params):
+        data = np.ascontiguousarray(model.params[name].data, dtype="<f4")
         name_bytes = name.encode("utf-8")
         buf.write(struct.pack("<I", len(name_bytes)))
         buf.write(name_bytes)
@@ -601,7 +575,7 @@ def _read_exact(buf: io.BytesIO, n: int, what: str) -> bytes:
     return chunk
 
 
-def load_checkpoint(path: Path | str, dtype=np.float32):
+def load_checkpoint(path: Path | str, dtype=np.float32) -> Encoder:
     """Rebuild the serialized model; bit-exact inverse of save_checkpoint."""
     buf = io.BytesIO(Path(path).read_bytes())
     if _read_exact(buf, 4, "magic") != CHECKPOINT_MAGIC:
@@ -612,17 +586,25 @@ def load_checkpoint(path: Path | str, dtype=np.float32):
             f"checkpoint version {version}, expected {CHECKPOINT_VERSION}"
         )
     (header_len,) = struct.unpack("<I", _read_exact(buf, 4, "header length"))
-    header = json.loads(_read_exact(buf, header_len, "header"))
+    try:
+        header = json.loads(_read_exact(buf, header_len, "header"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise FormatVersionMismatch(f"checkpoint header is not JSON: {exc}") from exc
     if not isinstance(header, dict):
         raise FormatVersionMismatch("checkpoint header is not a JSON object")
+    kind, step, seed = header.get("kind"), header.get("step"), header.get("seed")
+    if not isinstance(kind, str) or kind not in _MODELS:
+        raise FormatVersionMismatch(f"unknown checkpoint kind {kind!r}")
+    if type(step) is not int or type(seed) is not int:
+        raise FormatVersionMismatch(f"checkpoint step {step!r} or seed {seed!r} is not an integer")
     try:
-        kind = header["kind"]
         config = ModelConfig(**header["config"])
     except KeyError as exc:
         raise FormatVersionMismatch(f"checkpoint header lacks {exc}") from exc
     except TypeError as exc:
         raise FormatVersionMismatch(f"checkpoint header has a bad config: {exc}") from exc
-    specs = _expected_specs(kind, config)
+    cls = _MODELS[kind]
+    specs = cls.param_specs(config)
 
     arrays: dict[str, np.ndarray] = {}
     while True:
@@ -632,12 +614,16 @@ def load_checkpoint(path: Path | str, dtype=np.float32):
         if len(raw) != 4:
             raise FormatVersionMismatch("checkpoint truncated while reading record")
         (name_len,) = struct.unpack("<I", raw)
-        name = _read_exact(buf, name_len, "record name").decode("utf-8")
+        name_bytes = _read_exact(buf, name_len, "record name")
+        try:
+            name = name_bytes.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatVersionMismatch(f"checkpoint record name is not UTF-8: {exc}") from exc
         (rank,) = struct.unpack("<I", _read_exact(buf, 4, "record rank"))
         shape = struct.unpack(f"<{rank}I", _read_exact(buf, 4 * rank, "record dims"))
         payload = _read_exact(buf, 4 * int(np.prod(shape, dtype=np.int64)), f"payload of {name}")
         if name not in specs:
-            raise ShapeMismatch(f"unexpected parameter {name!r} for kind {kind!r}")
+            raise ShapeMismatch(f"unexpected parameter {name!r} for kind {cls.kind!r}")
         if shape != specs[name]:
             raise ShapeMismatch(
                 f"parameter {name!r} has shape {shape}, config implies {specs[name]}"
@@ -647,39 +633,24 @@ def load_checkpoint(path: Path | str, dtype=np.float32):
     missing = sorted(set(specs) - set(arrays))
     if missing:
         raise ShapeMismatch(f"checkpoint missing parameters: {missing}")
-
-    def strip(prefix: str) -> dict[str, Tensor]:
-        return {
-            k[len(prefix):]: Tensor(arrays[k], requires_grad=True)
-            for k in arrays
-            if k.startswith(prefix)
-        }
-
-    if kind == "encoder":
-        model = Encoder(config, strip("encoder."))
-    elif kind == "ext":
-        model = ExtractiveModel(config, Encoder(config, strip("encoder.")), strip("ext_head."))
-    else:
-        model = AbstractiveModel(config, Encoder(config, strip("encoder.")), strip("decoder."))
-    model.step = int(header.get("step", 0))
-    model.seed = int(header.get("seed", 0))
-    if kind != "encoder":
-        model.encoder.step = model.step
-        model.encoder.seed = model.seed
-    return model
+    params = {name: Tensor(arrays[name], requires_grad=True) for name in specs}
+    return cls(config, params, step=step, seed=seed)
 
 
-def load_encoder_into(model, encoder_checkpoint_path: Path | str) -> None:
+def load_encoder_into(model: Encoder, encoder_checkpoint_path: Path | str) -> None:
     """Overwrite a model's encoder weights from an encoder checkpoint."""
     loaded = load_checkpoint(encoder_checkpoint_path)
     if loaded.kind != "encoder":
         raise ModelKindMismatch(
             f"model kind mismatch: need an encoder checkpoint, found {loaded.kind!r}"
         )
-    for name, tensor in model.encoder.params.items():
-        src = loaded.params[name]
-        if src.shape != tensor.shape:
+    for name, tensor in model.params.items():
+        if not name.startswith("encoder."):
+            continue
+        src = loaded.params.get(name)
+        if src is None or src.shape != tensor.shape:
             raise ShapeMismatch(
-                f"encoder parameter {name!r}: checkpoint {src.shape} vs model {tensor.shape}"
+                f"encoder parameter {name!r}: checkpoint {getattr(src, 'shape', None)}"
+                f" vs model {tensor.shape}"
             )
         tensor.data = src.data.astype(tensor.dtype)

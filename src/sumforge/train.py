@@ -1,11 +1,12 @@
-"""Training loops for the extractive and abstractive tasks.
+"""Training for the extractive and abstractive tasks and the encoder pre-fit.
 
-The abstractive loop runs two Adam optimizers on a disjoint parameter
-partition: encoder parameters get a low learning rate with a long warmup,
-decoder parameters a high rate with a short one, so the randomly initialized
-decoder can move fast without destabilizing an already-fitted encoder. A
-masked-token reconstruction pre-fit stands in for large-scale pretraining at
-desk scale.
+One loop, `fit`, serves all three; each task supplies only its batch ->
+forward -> loss step and its optimizer groups. The abstractive task runs two
+Adam optimizers on a disjoint parameter partition: encoder parameters get a
+low learning rate with a long warmup, decoder parameters a high rate with a
+short one, so the randomly initialized decoder can move fast without
+destabilizing an already-fitted encoder. A masked-token reconstruction
+pre-fit stands in for large-scale pretraining at desk scale.
 
 Everything is deterministic given (seed, config, data): shuffles, dropout,
 and masking draw from per-step children of one splittable RNG.
@@ -17,7 +18,7 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -52,7 +53,7 @@ class TrainConfig:
     grad_clip_norm: float = 1.0
     label_smoothing: float = 0.1
     seed: int = 0
-    eval_every: int = 0
+    checkpoint_every: int = 0
     checkpoint_dir: Path | None = None
 
     def __post_init__(self) -> None:
@@ -62,6 +63,8 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.base_lr_encoder <= 0 or self.base_lr_decoder <= 0:
             raise ConfigError("learning rates must be > 0")
+        if self.checkpoint_every < 0:
+            raise ConfigError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
         if self.grad_clip_norm <= 0:
             raise ConfigError("grad_clip_norm must be > 0")
         if not 0.0 <= self.label_smoothing < 1.0:
@@ -191,39 +194,30 @@ class AbsBatch:
     tgt_pad_mask: np.ndarray  # [B, T] bool, True at pad
 
 
-def _pad_2d(rows: Sequence[Sequence[int]], pad_value: int) -> np.ndarray:
-    width = max(len(r) for r in rows)
-    out = np.full((len(rows), width), pad_value, dtype=np.int64)
+def _pad(rows: Sequence[Sequence[int]], pad_value: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows padded with pad_value to the longest, and the mask that is True
+    at the padding."""
+    lengths = np.array([len(r) for r in rows])
+    out = np.full((len(rows), lengths.max()), pad_value, dtype=np.int64)
     for i, r in enumerate(rows):
         out[i, : len(r)] = r
-    return out
+    return out, np.arange(out.shape[1]) >= lengths[:, None]
 
 
 def make_ext_batch(examples: Sequence[TokenizedExample], pad_id: int) -> ExtBatch:
-    src = _pad_2d([e.src_ids for e in examples], pad_id)
-    segs = _pad_2d([e.segment_ids for e in examples], 0)
-    pad_mask = np.zeros(src.shape, dtype=bool)
-    for i, e in enumerate(examples):
-        pad_mask[i, len(e.src_ids):] = True
-    clss = _pad_2d([e.cls_positions for e in examples], 0)
+    src, pad_mask = _pad([e.src_ids for e in examples], pad_id)
+    segs, _ = _pad([e.segment_ids for e in examples], 0)
+    clss, no_sentence = _pad([e.cls_positions for e in examples], 0)
     labels = np.zeros(clss.shape, dtype=np.float32)
-    sent_mask = np.zeros(clss.shape, dtype=np.float32)
     for i, e in enumerate(examples):
         labels[i, : len(e.ext_labels)] = e.ext_labels
-        sent_mask[i, : len(e.cls_positions)] = 1.0
-    return ExtBatch(src, segs, pad_mask, clss, labels, sent_mask)
+    return ExtBatch(src, segs, pad_mask, clss, labels, (~no_sentence).astype(np.float32))
 
 
 def make_abs_batch(examples: Sequence[TokenizedExample], pad_id: int) -> AbsBatch:
-    src = _pad_2d([e.src_ids for e in examples], pad_id)
-    segs = _pad_2d([e.segment_ids for e in examples], 0)
-    pad_mask = np.zeros(src.shape, dtype=bool)
-    for i, e in enumerate(examples):
-        pad_mask[i, len(e.src_ids):] = True
-    tgt = _pad_2d([e.tgt_ids for e in examples], pad_id)
-    tgt_pad_mask = np.zeros(tgt.shape, dtype=bool)
-    for i, e in enumerate(examples):
-        tgt_pad_mask[i, len(e.tgt_ids):] = True
+    src, pad_mask = _pad([e.src_ids for e in examples], pad_id)
+    segs, _ = _pad([e.segment_ids for e in examples], 0)
+    tgt, tgt_pad_mask = _pad([e.tgt_ids for e in examples], pad_id)
     return AbsBatch(src, segs, pad_mask, tgt, tgt_pad_mask)
 
 
@@ -238,40 +232,69 @@ def batch_order(n: int, batch_size: int, seed: int) -> Iterator[np.ndarray]:
         epoch += 1
 
 
-# --- training loops ---
+# --- the training loop ---
 
-def _zero_grads(params: dict[str, Tensor]) -> None:
-    for p in params.values():
-        p.grad = None
-
-
-def _collect_grads(params: dict[str, Tensor]) -> dict[str, np.ndarray]:
-    return {
-        name: (p.grad if p.grad is not None else np.zeros_like(p.data))
-        for name, p in params.items()
-    }
-
-
-def _clipped_gradients(
-    loss: Tensor, params: dict[str, Tensor], max_norm: float, step: int
-) -> dict[str, np.ndarray]:
-    """Backward pass of one step and its clipped gradients. A non-finite
-    loss or gradient norm raises NonFiniteLoss here, before any optimizer
-    touches the parameters."""
-    value = loss.item()
-    if not math.isfinite(value):
-        raise NonFiniteLoss(f"step {step}: loss is {value}")
-    _zero_grads(params)
-    T.backward(loss)
-    return clip_gradients(_collect_grads(params), max_norm)
-
-
-def _save(model, config: TrainConfig, tag: str) -> None:
+def _save(model: Encoder, config: TrainConfig, tag: str) -> None:
     if config.checkpoint_dir is None:
         return
     out = Path(config.checkpoint_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(model, out / f"{model.kind}_{tag}.ckpt")
+
+
+def fit(
+    model: Encoder,
+    params: dict[str, Tensor],
+    examples: Sequence[TokenizedExample],
+    loss_fn: Callable[[list[TokenizedExample], int, np.random.Generator], Tensor],
+    groups: Sequence[tuple[str, float, int]],
+    config: TrainConfig,
+) -> list[TraceRow]:
+    """The training loop every task shares.
+
+    Each step hands loss_fn the step's examples, the step number and the
+    step's dropout generator, then backpropagates its loss into `params`
+    and clips the joint gradient. A non-finite loss or gradient norm raises
+    NonFiniteLoss there, before any optimizer touches the parameters. Each
+    (name prefix, base lr, warmup) group then gets its own Adam update; the
+    groups must cover every parameter exactly once. The trace reports the
+    first group's rate as lr_encoder and the last one's as lr_decoder.
+    `model` is checkpointed every `checkpoint_every` steps and at the end.
+    """
+    if not examples:
+        raise EmptyCorpus("no training examples")
+    members = [
+        {k: p for k, p in params.items() if k.startswith(prefix)} for prefix, _, _ in groups
+    ]
+    if sorted(k for m in members for k in m) != sorted(params):
+        raise ConfigError("optimizer groups must cover every parameter exactly once")
+    states = [AdamState(m) for m in members]
+    rng = SplitRng(config.seed)
+    order = batch_order(len(examples), config.batch_size, config.seed)
+    trace: list[TraceRow] = []
+
+    for step in range(1, config.max_steps + 1):
+        batch = [examples[i] for i in next(order)]
+        loss = loss_fn(batch, step, rng.child("dropout", step).generator())
+        value = loss.item()
+        if not math.isfinite(value):
+            raise NonFiniteLoss(f"step {step}: loss is {value}")
+        for p in params.values():
+            p.grad = None
+        T.backward(loss)
+        grads = {
+            k: p.grad if p.grad is not None else np.zeros_like(p.data) for k, p in params.items()
+        }
+        grads = clip_gradients(grads, config.grad_clip_norm)
+        lrs = [lr_schedule(step, base_lr, warmup) for _, base_lr, warmup in groups]
+        for group, state, lr in zip(members, states, lrs):
+            adam_step(group, {k: grads[k] for k in group}, state, lr)
+        model.step = step
+        trace.append(TraceRow(step, value, lrs[0], lrs[-1]))
+        if config.checkpoint_every and step % config.checkpoint_every == 0:
+            _save(model, config, f"step{step:06d}")
+    _save(model, config, "final")
+    return trace
 
 
 def train_ext(
@@ -280,35 +303,21 @@ def train_ext(
     config: TrainConfig,
     pad_id: int,
 ) -> list[TraceRow]:
-    """Single-optimizer loop over the full parameter set, encoder schedule."""
-    if not examples:
-        raise EmptyCorpus("no training examples")
+    """Fine-tune an extractive model: one Adam state over every parameter, on
+    the encoder schedule."""
     if model.kind != "ext":
         raise ConfigError(f"train_ext needs an extractive model, got {model.kind!r}")
 
-    params = model.parameters()
-    state = AdamState(params)
-    warmup, _ = config.resolved_warmups()
-    rng = SplitRng(config.seed)
-    order = batch_order(len(examples), config.batch_size, config.seed)
-    trace: list[TraceRow] = []
-
-    for step in range(1, config.max_steps + 1):
-        batch = make_ext_batch([examples[i] for i in next(order)], pad_id)
-        drop_rng = rng.child("dropout", step).generator()
+    def loss_fn(batch_examples, step, drop_rng):
+        batch = make_ext_batch(batch_examples, pad_id)
         logits = model.forward_scores(
             batch.src, batch.segs, batch.pad_mask, batch.clss, train=True, rng=drop_rng
         )
-        loss = ext_loss(logits, batch.labels, batch.sent_mask)
-        grads = _clipped_gradients(loss, params, config.grad_clip_norm, step)
-        lr = lr_schedule(step, config.base_lr_encoder, warmup)
-        adam_step(params, grads, state, lr)
-        model.step = step
-        trace.append(TraceRow(step, loss.item(), lr, lr))
-        if config.eval_every and step % config.eval_every == 0:
-            _save(model, config, f"step{step:06d}")
-    _save(model, config, "final")
-    return trace
+        return ext_loss(logits, batch.labels, batch.sent_mask)
+
+    warmup, _ = config.resolved_warmups()
+    groups = [("", config.base_lr_encoder, warmup)]
+    return fit(model, model.params, examples, loss_fn, groups, config)
 
 
 def train_abs(
@@ -317,43 +326,24 @@ def train_abs(
     config: TrainConfig,
     pad_id: int,
 ) -> list[TraceRow]:
-    """Dual-optimizer loop: encoder and decoder schedules run side by side."""
-    if not examples:
-        raise EmptyCorpus("no training examples")
+    """Fine-tune an abstractive model: encoder and decoder parameters get
+    their own Adam state and schedule, side by side."""
     if model.kind != "abs":
         raise ConfigError(f"train_abs needs an abstractive model, got {model.kind!r}")
 
-    params = model.parameters()
-    enc_params = {k: v for k, v in params.items() if k.startswith("encoder.")}
-    dec_params = {k: v for k, v in params.items() if not k.startswith("encoder.")}
-    # The two optimizers must cover every parameter exactly once.
-    assert not (enc_params.keys() & dec_params.keys())
-    assert enc_params.keys() | dec_params.keys() == params.keys()
-    enc_state = AdamState(enc_params)
-    dec_state = AdamState(dec_params)
-    warmup_enc, warmup_dec = config.resolved_warmups()
-    rng = SplitRng(config.seed)
-    order = batch_order(len(examples), config.batch_size, config.seed)
-    trace: list[TraceRow] = []
-
-    for step in range(1, config.max_steps + 1):
-        batch = make_abs_batch([examples[i] for i in next(order)], pad_id)
-        drop_rng = rng.child("dropout", step).generator()
+    def loss_fn(batch_examples, step, drop_rng):
+        batch = make_abs_batch(batch_examples, pad_id)
         logits = model.forward_logits(
             batch.src, batch.segs, batch.pad_mask, batch.tgt, train=True, rng=drop_rng
         )
-        loss = abs_loss(logits, batch.tgt, batch.tgt_pad_mask, config.label_smoothing)
-        grads = _clipped_gradients(loss, params, config.grad_clip_norm, step)
-        lr_enc = lr_schedule(step, config.base_lr_encoder, warmup_enc)
-        lr_dec = lr_schedule(step, config.base_lr_decoder, warmup_dec)
-        adam_step(enc_params, {k: grads[k] for k in enc_params}, enc_state, lr_enc)
-        adam_step(dec_params, {k: grads[k] for k in dec_params}, dec_state, lr_dec)
-        model.step = step
-        trace.append(TraceRow(step, loss.item(), lr_enc, lr_dec))
-        if config.eval_every and step % config.eval_every == 0:
-            _save(model, config, f"step{step:06d}")
-    _save(model, config, "final")
-    return trace
+        return abs_loss(logits, batch.tgt, batch.tgt_pad_mask, config.label_smoothing)
+
+    warmup_enc, warmup_dec = config.resolved_warmups()
+    groups = [
+        ("encoder.", config.base_lr_encoder, warmup_enc),
+        ("decoder.", config.base_lr_decoder, warmup_dec),
+    ]
+    return fit(model, model.params, examples, loss_fn, groups, config)
 
 
 def masked_token_loss(
@@ -395,29 +385,21 @@ def prefit_encoder(
     learn to restore them. The head is dropped from the saved checkpoint, so
     the result loads anywhere a built encoder does.
     """
-    if not examples:
-        raise EmptyCorpus("no pre-fit examples")
     if mask_prob <= 0.0:
         raise NoMaskedPositions(f"mask_prob {mask_prob} would mask nothing")
     if mask_prob >= 1.0:
         raise ConfigError(f"mask_prob must be in (0, 1), got {mask_prob}")
 
-    params = {f"encoder.{k}": v for k, v in encoder.params.items()}
+    tok_emb = encoder.params["encoder.tok_emb"]
     recon_bias = Tensor(
-        np.zeros(encoder.config.vocab_size, dtype=encoder.params["tok_emb"].dtype),
-        requires_grad=True,
+        np.zeros(encoder.config.vocab_size, dtype=tok_emb.dtype), requires_grad=True
     )
-    params["recon.b"] = recon_bias
-    state = AdamState(params)
-    warmup, _ = config.resolved_warmups()
-    rng = SplitRng(config.seed)
-    order = batch_order(len(examples), config.batch_size, config.seed)
+    mask_rng = SplitRng(config.seed)
     special = np.array(sorted(special_ids), dtype=np.int64)
-    trace: list[TraceRow] = []
 
-    for step in range(1, config.max_steps + 1):
-        batch = make_ext_batch([examples[i] for i in next(order)], pad_id)
-        gen = rng.child("mask", step).generator()
+    def loss_fn(batch_examples, step, drop_rng):
+        batch = make_ext_batch(batch_examples, pad_id)
+        gen = mask_rng.child("mask", step).generator()
         eligible = ~batch.pad_mask & ~np.isin(batch.src, special)
         chosen = (gen.random(batch.src.shape) < mask_prob) & eligible
         if not chosen.any():
@@ -427,21 +409,14 @@ def prefit_encoder(
             chosen[first[0], first[1]] = True
 
         masked_src = np.where(chosen, mask_id, batch.src)
-        drop_rng = rng.child("dropout", step).generator()
         hidden = encoder.encode(
             masked_src, batch.segs, batch.pad_mask, train=True, rng=drop_rng
         )
-        loss = masked_token_loss(
-            hidden, encoder.params["tok_emb"], recon_bias, batch.src, chosen
-        )
+        return masked_token_loss(hidden, tok_emb, recon_bias, batch.src, chosen)
 
-        grads = _clipped_gradients(loss, params, config.grad_clip_norm, step)
-        lr = lr_schedule(step, config.base_lr_encoder, warmup)
-        adam_step(params, grads, state, lr)
-        encoder.step = step
-        trace.append(TraceRow(step, loss.item(), lr, lr))
-    _save(encoder, config, "final")
-    return trace
+    warmup, _ = config.resolved_warmups()
+    params = {**encoder.params, "recon.b": recon_bias}
+    return fit(encoder, params, examples, loss_fn, [("", config.base_lr_encoder, warmup)], config)
 
 
 @T.no_grad()

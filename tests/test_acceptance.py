@@ -150,13 +150,13 @@ def test_criterion_2_full_model_gradients(capsys):
     ext = build_ext_model(cfg, seed=11, dtype=np.float64)
     err_ext = finite_diff_check(
         lambda _p: ext_loss(ext.forward_scores(src, segs, pad, clss), labels, sent_mask),
-        list(ext.parameters().values()),
+        list(ext.params.values()),
     )
 
     abs_model = build_abs_model(cfg, seed=12, dtype=np.float64)
     err_abs = finite_diff_check(
         lambda _p: abs_loss(abs_model.forward_logits(src, segs, pad, tgt), tgt, tgt_pad, 0.1),
-        list(abs_model.parameters().values()),
+        list(abs_model.params.values()),
     )
 
     elapsed = time.perf_counter() - started
@@ -424,7 +424,7 @@ def test_criterion_7_round_trips_bit_exact(capsys, tmp_path):
         loaded = load_checkpoint(path)
         again = tmp_path / f"{name}2.ckpt"
         save_checkpoint(loaded, again)
-        params, reparams = model.parameters(), loaded.parameters()
+        params, reparams = model.params, loaded.params
         ckpt_ok = ckpt_ok and params.keys() == reparams.keys()
         ckpt_ok = ckpt_ok and all(
             np.array_equal(params[k].data, reparams[k].data) for k in params
@@ -528,7 +528,7 @@ def _argmax_decode(model, example, config, *, bos_id, eos_id):
     src = np.array([example.src_ids])
     segs = np.array([example.segment_ids])
     pad = np.zeros(src.shape, dtype=bool)
-    enc = model.encoder.encode(src, segs, pad)
+    enc = model.encode(src, segs, pad)
     ids = [bos_id]
     for _ in range(config.max_len):
         logits = model.decode_teacher_forced(enc, np.array([ids]), pad).data[0, -1]
@@ -595,7 +595,7 @@ def test_criterion_9_structural_invariants_fuzz(capsys):
         segs = np.array([ex.segment_ids])
         pad = np.zeros(src.shape, dtype=bool)
         tgt = np.array([ex.tgt_ids])
-        enc = model.encoder.encode(src, segs, pad)
+        enc = model.encode(src, segs, pad)
 
         t_pos = int(r.integers(1, tgt.shape[1]))
         perturbed = tgt.copy()
@@ -608,7 +608,7 @@ def test_criterion_9_structural_invariants_fuzz(capsys):
         src_p = np.concatenate([src, r.integers(7, 30, (1, n_pad))], axis=1)
         segs_p = np.concatenate([segs, np.zeros((1, n_pad), dtype=int)], axis=1)
         pad_p = np.concatenate([pad, np.ones((1, n_pad), dtype=bool)], axis=1)
-        with_pad = model.encoder.encode(src_p, segs_p, pad_p).data
+        with_pad = model.encode(src_p, segs_p, pad_p).data
         assert np.allclose(enc.data, with_pad[:, : src.shape[1]], atol=1e-6)
 
     # 4. softmax rows are a probability distribution

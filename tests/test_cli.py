@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import re
 import struct
+import subprocess
 import sys
 from pathlib import Path
 
@@ -26,6 +28,7 @@ from sumforge.model import (
     ModelConfig,
     abs_loss,
     build_abs_model,
+    build_encoder,
     build_ext_model,
     save_checkpoint,
 )
@@ -366,8 +369,8 @@ class TestTrain:
     def test_non_finite_loss_exits_2_without_final_checkpoint(self, tmp_path, capsys):
         shards, vocab = _make_shards(tmp_path)
         config = _write_config(tmp_path / "run.cfg")
-        encoder = build_ext_model(_tiny_model_config(), seed=0).encoder
-        encoder.params["layer0.ff.w1"].data[0, 0] = np.nan
+        encoder = build_encoder(_tiny_model_config(), seed=0)
+        encoder.params["encoder.layer0.ff.w1"].data[0, 0] = np.nan
         encoder_ckpt = tmp_path / "encoder_final.ckpt"
         save_checkpoint(encoder, encoder_ckpt)
         out = tmp_path / "run"
@@ -383,6 +386,19 @@ class TestTrain:
         assert "loss is nan" in captured.err
         assert captured.out == ""
         assert not list(out.glob("*_final.ckpt"))
+
+    def test_checkpoint_every_saves_periodic_checkpoints(self, tmp_path, capsys):
+        shards, vocab = _make_shards(tmp_path)
+        config = _write_config(tmp_path / "run.cfg", max_steps=4, checkpoint_every=2)
+        for task in ("prefit", "ext", "abs"):
+            out = tmp_path / task
+            assert main(["train", "--task", task, "--shards", str(shards),
+                         "--out", str(out), "--config", str(config),
+                         "--vocab", str(vocab)]) == 0
+            kind = "encoder" if task == "prefit" else task
+            assert sorted(p.name for p in out.glob("*.ckpt")) == [
+                f"{kind}_final.ckpt", f"{kind}_step000002.ckpt", f"{kind}_step000004.ckpt",
+            ]
 
     def test_init_encoder_wrong_kind_exits_2(self, tmp_path, capsys):
         shards, vocab = _make_shards(tmp_path)
@@ -491,6 +507,8 @@ _HEADER_EDITS = {
     "no_config": lambda h: {k: v for k, v in h.items() if k != "config"},
     "unknown_config_key": lambda h: {**h, "config": {**h["config"], "no_such_key": 1}},
     "not_an_object": lambda h: [h],
+    "step_null": lambda h: {**h, "step": None},
+    "seed_list": lambda h: {**h, "seed": [h["seed"]]},
 }
 
 
@@ -599,7 +617,7 @@ class TestSummarize:
         logits = model.forward_logits(src, np.zeros_like(src), pad, tgt, train=True,
                                       rng=np.random.default_rng(0))
         T.backward(abs_loss(logits, tgt, np.zeros(tgt.shape, dtype=bool)))
-        assert all(p.grad is not None for p in model.parameters().values())
+        assert all(p.grad is not None for p in model.params.values())
 
     def test_task_checkpoint_kind_mismatch_exits_2(self, tmp_path, capsys):
         vocab = _write_vocab(tmp_path / "vocab.txt")
@@ -708,6 +726,53 @@ class TestEvaluate:
                      "--references", str(ref)])
         assert code == 2
         assert "no documents" in capsys.readouterr().err
+
+
+_TRACER_SCRIPT = """
+import json, sys
+from tracer import Tracer, install
+tracer = Tracer()
+install(tracer, False)
+from sumforge import cli
+for argv in json.loads(sys.argv[1]):
+    assert cli.main(argv) == 0, argv
+dump = tracer.dump()
+print(json.dumps(sorted({dump["names"][span[0]] for span in dump["spans"]})))
+"""
+
+
+class TestPerfbenchTracer:
+    """The benchmark's outside-in tracer wraps names of `model` and `train`;
+    training must still call every one of them through those names. Runs in
+    a child interpreter because installing the tracer patches the modules."""
+
+    def test_tracer_sees_every_training_layer(self, tmp_path):
+        shards, vocab = _make_shards(tmp_path)
+        config = _write_config(tmp_path / "run.cfg", max_steps=2, checkpoint_every=1)
+        common = ["--shards", str(shards), "--config", str(config), "--vocab", str(vocab)]
+        encoder = tmp_path / "prefit" / "encoder_final.ckpt"
+        runs = [
+            ["train", "--task", "prefit", "--out", str(tmp_path / "prefit"), *common],
+            ["train", "--task", "ext", "--out", str(tmp_path / "ext"), *common,
+             "--init-encoder", str(encoder)],
+            ["train", "--task", "abs", "--out", str(tmp_path / "abs"), *common,
+             "--init-encoder", str(encoder)],
+        ]
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(root / "src"), str(root / "perfbench"), os.environ.get("PYTHONPATH", "")]
+        )}
+        done = subprocess.run(
+            [sys.executable, "-c", _TRACER_SCRIPT, json.dumps(runs)],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        spans = set(json.loads(done.stdout.splitlines()[-1]))
+        expected = {
+            "train.batch", "train.adam", "train.clip", "model.encode",
+            "model.save_checkpoint", "model.ext_loss", "model.abs_loss", "model.decode",
+        }
+        assert expected <= spans, sorted(expected - spans)
 
 
 class TestExitCodeContract:

@@ -44,7 +44,7 @@ def _greedy_reference(model, example, config, *, bos_id, eos_id):
     src = np.array([example.src_ids])
     segs = np.array([example.segment_ids])
     pad = np.zeros(src.shape, dtype=bool)
-    enc = model.encoder.encode(src, segs, pad)
+    enc = model.encode(src, segs, pad)
     ids = [bos_id]
     for _ in range(config.max_len):
         logits = model.decode_teacher_forced(enc, np.array([ids]), pad).data[0, -1]
@@ -72,7 +72,7 @@ def _reference_beam_search(model, example, config, *, bos_id, eos_id):
     src = np.array([example.src_ids], dtype=np.int64)
     segs = np.array([example.segment_ids], dtype=np.int64)
     src_pad = np.zeros(src.shape, dtype=bool)
-    enc = model.encoder.encode(src, segs, src_pad)
+    enc = model.encode(src, segs, src_pad)
 
     alpha = config.length_penalty_alpha
     beams = [_Hypothesis((bos_id,), 0.0)]
@@ -134,7 +134,7 @@ def _rescore(model, example, ids, alpha):
     src = np.array([example.src_ids])
     segs = np.array([example.segment_ids])
     pad = np.zeros(src.shape, dtype=bool)
-    enc = model.encoder.encode(src, segs, pad)
+    enc = model.encode(src, segs, pad)
     logits = model.decode_teacher_forced(enc, np.array([ids]), pad).data[0]
     shifted = logits.astype(np.float64) - logits.max(-1, keepdims=True)
     logp = shifted - np.log(np.exp(shifted).sum(-1, keepdims=True))
@@ -393,9 +393,9 @@ class TestIncrementalBeamSearch:
         for seed in range(4):
             model = build_abs_model(_tiny(vocab=16), seed=seed)
             # Peaky next-token distributions make repeats, so blocking bites.
-            model.encoder.params["tok_emb"].data *= 40.0
+            model.params["encoder.tok_emb"].data *= 40.0
             ex = synthetic_example(np.random.default_rng(seed), vocab_size=16)
-            enc = model.encoder.encode(
+            enc = model.encode(
                 np.array([ex.src_ids]), np.array([ex.segment_ids]),
                 np.zeros((1, len(ex.src_ids)), dtype=bool),
             )

@@ -19,6 +19,7 @@ from sumforge.errors import (
     ModelKindMismatch,
     PositionOverflow,
     ShapeMismatch,
+    SumforgeError,
 )
 from sumforge.model import (
     ModelConfig,
@@ -67,9 +68,9 @@ class TestModelConfig:
 class TestBuildEncoder:
     def test_embedding_shapes(self, tiny_config):
         enc = build_encoder(tiny_config, seed=1)
-        assert enc.params["tok_emb"].shape == (50, 8)
-        assert enc.params["seg_emb"].shape == (2, 8)
-        assert enc.params["pos_emb"].shape == (32, 8)
+        assert enc.params["encoder.tok_emb"].shape == (50, 8)
+        assert enc.params["encoder.seg_emb"].shape == (2, 8)
+        assert enc.params["encoder.pos_emb"].shape == (32, 8)
 
     def test_same_seed_identical_bytes(self, tiny_config):
         a = build_encoder(tiny_config, seed=7)
@@ -80,18 +81,19 @@ class TestBuildEncoder:
     def test_different_seed_differs(self, tiny_config):
         a = build_encoder(tiny_config, seed=7)
         b = build_encoder(tiny_config, seed=8)
-        assert a.params["tok_emb"].data.tobytes() != b.params["tok_emb"].data.tobytes()
+        tok_emb = "encoder.tok_emb"
+        assert a.params[tok_emb].data.tobytes() != b.params[tok_emb].data.tobytes()
 
     def test_biases_zero_gains_one(self, tiny_config):
         enc = build_encoder(tiny_config, seed=3)
-        assert np.all(enc.params["layer0.attn.bq"].data == 0.0)
-        assert np.all(enc.params["layer0.ff.b1"].data == 0.0)
-        assert np.all(enc.params["final_ln.gamma"].data == 1.0)
-        assert np.all(enc.params["final_ln.beta"].data == 0.0)
+        assert np.all(enc.params["encoder.layer0.attn.bq"].data == 0.0)
+        assert np.all(enc.params["encoder.layer0.ff.b1"].data == 0.0)
+        assert np.all(enc.params["encoder.final_ln.gamma"].data == 1.0)
+        assert np.all(enc.params["encoder.final_ln.beta"].data == 0.0)
 
     def test_truncated_normal_bounded(self, tiny_config):
         enc = build_encoder(tiny_config, seed=3)
-        w = enc.params["layer0.attn.wq"].data
+        w = enc.params["encoder.layer0.attn.wq"].data
         assert np.all(np.abs(w) <= 2.0 * 0.02 + 1e-8)
         assert w.std() > 0.005  # not collapsed to zero
 
@@ -150,8 +152,8 @@ class TestExtScores:
 
     def test_zero_head_gives_half(self, tiny_config):
         model = build_ext_model(tiny_config, seed=2)
-        model.head["w"].data[:] = 0.0
-        model.head["b"].data[:] = 0.0
+        model.params["ext_head.w"].data[:] = 0.0
+        model.params["ext_head.b"].data[:] = 0.0
         src, segs, pad = _inputs(tiny_config)
         scores = model.forward_scores(src, segs, pad, np.array([[0, 3]] * 2))
         assert np.array_equal(scores.data, np.zeros((2, 2)))  # logit 0: probability 1/2
@@ -172,8 +174,9 @@ class TestExtScores:
             pad = np.zeros((1, length), dtype=bool)
             clss = rng.integers(0, length, (1, 3))
             s = model.forward_scores(src, segs, pad, clss).data
-            hidden = model.encoder.encode(src, segs, pad).data
-            expected = hidden[0, clss[0]] @ model.head["w"].data + model.head["b"].data
+            hidden = model.encode(src, segs, pad).data
+            head_w, head_b = model.params["ext_head.w"].data, model.params["ext_head.b"].data
+            expected = hidden[0, clss[0]] @ head_w + head_b
             assert s.shape == (1, 3)
             assert np.allclose(s[0], expected.reshape(-1), rtol=1e-12, atol=1e-12)
 
@@ -206,13 +209,13 @@ class TestDecodeTeacherForced:
 
     def test_output_projection_tied_to_embeddings(self, tiny_config):
         model = build_abs_model(tiny_config, seed=3, dtype=np.float64)
-        assert not any("proj" in k or "output" in k for k in model.decoder)
+        assert not any("proj" in k or "output" in k for k in model.params)
         src, segs, pad = _inputs(tiny_config, batch=1)
         tgt = np.array([[5, 7, 6]])
         base = model.forward_logits(src, segs, pad, tgt).data.copy()
         # A whole-row constant shift would be annihilated by the zero-mean
         # layer-norm output, so poke a single embedding component.
-        model.encoder.params["tok_emb"].data[30, 2] += 0.5
+        model.params["encoder.tok_emb"].data[30, 2] += 0.5
         moved = model.forward_logits(src, segs, pad, tgt).data
         # Token 30 never appears in the inputs, so only the tied projection
         # column can carry the perturbation into the logits.
@@ -247,7 +250,7 @@ class TestDecodeStep:
         src, segs, pad = _inputs(cfg, batch=1, length=9, seed=seed)
         pad[0, 5 + seed % 3 :] = True
         with T.no_grad():
-            enc = model.encoder.encode(src, segs, pad)
+            enc = model.encode(src, segs, pad)
             cache = model.start_decoding(enc, pad)
             prefixes, parents = [[5]], [0]
             for _ in range(10):
@@ -268,7 +271,7 @@ class TestDecodeStep:
         cfg = self._config(max_positions=3)
         model = build_abs_model(cfg, seed=1)
         src, segs, pad = _inputs(cfg, batch=1, length=3)
-        cache = model.start_decoding(model.encoder.encode(src, segs, pad), pad)
+        cache = model.start_decoding(model.encode(src, segs, pad), pad)
         with pytest.raises(ShapeMismatch):
             model.decode_step(cache, [0, 0], [5])
         with pytest.raises(IdOutOfRange):
@@ -279,7 +282,7 @@ class TestDecodeStep:
             model.decode_step(cache, [0], [5])
         src2, segs2, pad2 = _inputs(cfg, batch=2, length=3)
         with pytest.raises(ShapeMismatch):
-            model.start_decoding(model.encoder.encode(src2, segs2, pad2), pad2)
+            model.start_decoding(model.encode(src2, segs2, pad2), pad2)
 
 
 class TestExtLoss:
@@ -442,7 +445,19 @@ class TestVariantParity:
         for build in (build_ext_model, build_abs_model):
             a = build(tiny_config, seed=1)
             b = build(pre, seed=1)
-            assert set(a.parameters()) == set(b.parameters())
+            assert set(a.params) == set(b.params)
+
+    @pytest.mark.parametrize("task, part", [("ext", "ext_head"), ("abs", "decoder")])
+    def test_params_ordered_by_part_on_build_and_load(self, tiny_config, task, part, tmp_path):
+        # Encoder first, each part sorted: the order gradient norms are summed in.
+        model = build_model(tiny_config, task, seed=1)
+        names = list(model.params)
+        split = sum(name.startswith("encoder.") for name in names)
+        assert all(name.startswith("encoder.") for name in names[:split])
+        assert all(name.startswith(f"{part}.") for name in names[split:])
+        assert names[:split] == sorted(names[:split]) and names[split:] == sorted(names[split:])
+        save_checkpoint(model, tmp_path / "m.ckpt")
+        assert list(load_checkpoint(tmp_path / "m.ckpt").params) == names
 
     def test_build_model_dispatch(self, tiny_config):
         assert build_model(tiny_config, "ext", 0).kind == "ext"
@@ -469,7 +484,7 @@ class TestCheckpoint:
         assert loaded.kind == task
         assert loaded.step == 42
         assert loaded.config == tiny_config
-        orig, back = model.parameters(), loaded.parameters()
+        orig, back = model.params, loaded.params
         assert set(orig) == set(back)
         for name in orig:
             assert orig[name].data.tobytes() == back[name].data.tobytes()
@@ -482,7 +497,7 @@ class TestCheckpoint:
     def test_loaded_parameters_writeable_and_unshared(self, tiny_config, task, tmp_path):
         path = tmp_path / "m.ckpt"
         save_checkpoint(build_model(tiny_config, task, seed=11), path)
-        arrays = [p.data for p in load_checkpoint(path).parameters().values()]
+        arrays = [p.data for p in load_checkpoint(path).params.values()]
         assert all(a.flags.writeable and a.flags.owndata for a in arrays)
         for i, a in enumerate(arrays):
             assert not any(np.shares_memory(a, b) for b in arrays[i + 1 :])
@@ -541,15 +556,42 @@ class TestCheckpoint:
         with pytest.raises(ShapeMismatch):
             load_checkpoint(path)
 
+    def test_fuzzed_checkpoints_raise_only_named_errors(self, tmp_path):
+        """Every truncation, and seeded random byte changes in the header and
+        the first records, either load or raise a SumforgeError."""
+        config = ModelConfig(
+            vocab_size=8, d_model=2, n_heads=1, d_ff=2,
+            n_enc_layers=1, n_dec_layers=1, max_positions=4,
+        )
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(build_ext_model(config, seed=1), path)
+        blob = path.read_bytes()
+        (header_len,) = struct.unpack("<I", blob[8:12])
+        span = 12 + header_len + 300  # magic, version, header, first records
+        rng = np.random.default_rng(0)
+        variants = [blob[:cut] for cut in range(len(blob))]
+        for _ in range(3000):
+            mutated = bytearray(blob)
+            for pos in rng.integers(0, span, rng.integers(1, 4)):
+                mutated[pos] ^= int(rng.integers(1, 256))
+            variants.append(bytes(mutated))
+        for data in variants:
+            path.write_bytes(data)
+            try:
+                load_checkpoint(path)
+            except SumforgeError:
+                pass
+
     def test_load_encoder_into(self, tiny_config, tmp_path):
         donor = build_encoder(tiny_config, seed=21)
         path = tmp_path / "enc.ckpt"
         save_checkpoint(donor, path)
         model = build_abs_model(tiny_config, seed=99)
-        assert model.encoder.params["tok_emb"].data.tobytes() != donor.params["tok_emb"].data.tobytes()
+        tok_emb = "encoder.tok_emb"
+        assert model.params[tok_emb].data.tobytes() != donor.params[tok_emb].data.tobytes()
         load_encoder_into(model, path)
         for name in donor.params:
-            assert np.array_equal(model.encoder.params[name].data, donor.params[name].data)
+            assert np.array_equal(model.params[name].data, donor.params[name].data)
 
     def test_load_encoder_into_rejects_wrong_kind(self, tiny_config, tmp_path):
         ext = build_ext_model(tiny_config, seed=21)

@@ -724,7 +724,7 @@ def _small_model_loss(seed=0):
     tgt = r.integers(7, 30, (2, 5))
     logits = model.forward_logits(src, np.zeros_like(src), pad, tgt,
                                   train=True, rng=np.random.default_rng(seed))
-    return model.parameters(), abs_loss(logits, tgt, np.zeros(tgt.shape, dtype=bool))
+    return model.params, abs_loss(logits, tgt, np.zeros(tgt.shape, dtype=bool))
 
 
 class TestGraphConsumption:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,19 +22,27 @@ from sumforge.errors import (
 )
 from sumforge.model import (
     ModelConfig,
+    abs_loss,
     build_abs_model,
     build_encoder,
     build_ext_model,
+    build_model,
+    ext_loss,
     load_checkpoint,
     load_encoder_into,
+    save_checkpoint,
 )
-from sumforge.tensor import Tensor
+from sumforge.tensor import SplitRng, Tensor
 from sumforge.train import (
+    AbsBatch,
     AdamState,
+    ExtBatch,
+    TraceRow,
     TrainConfig,
     adam_step,
     batch_order,
     clip_gradients,
+    fit,
     lr_schedule,
     make_abs_batch,
     make_ext_batch,
@@ -88,6 +98,7 @@ class TestTrainConfig:
             {"max_steps": 10, "grad_clip_norm": 0.0},
             {"max_steps": 10, "label_smoothing": 1.0},
             {"max_steps": 10, "warmup_encoder": 0},
+            {"max_steps": 10, "checkpoint_every": -1},
         ],
     )
     def test_invalid_configs(self, kw):
@@ -248,10 +259,10 @@ class TestBatching:
 class TestTrainExt:
     def test_zero_steps_leaves_params_at_init(self, tmp_path):
         model = build_ext_model(_tiny(), seed=3)
-        before = {k: v.data.copy() for k, v in model.parameters().items()}
+        before = {k: v.data.copy() for k, v in model.params.items()}
         trace = train_ext(_corpus(4), model, TrainConfig(max_steps=0, checkpoint_dir=tmp_path), PAD)
         assert trace == []
-        for k, v in model.parameters().items():
+        for k, v in model.params.items():
             assert np.array_equal(v.data, before[k])
         assert (tmp_path / "ext_final.ckpt").exists()
 
@@ -275,10 +286,22 @@ class TestTrainExt:
 
     def test_periodic_checkpoints(self, tmp_path):
         model = build_ext_model(_tiny(), seed=3)
-        cfg = TrainConfig(max_steps=10, eval_every=4, checkpoint_dir=tmp_path, seed=1)
+        cfg = TrainConfig(max_steps=10, checkpoint_every=4, seed=1, checkpoint_dir=tmp_path / "ext")
         train_ext(_corpus(4), model, cfg, PAD)
-        names = sorted(p.name for p in tmp_path.iterdir())
+        names = sorted(p.name for p in (tmp_path / "ext").iterdir())
         assert names == ["ext_final.ckpt", "ext_step000004.ckpt", "ext_step000008.ckpt"]
+
+        encoder = build_encoder(_tiny(), seed=3)
+        cfg = replace(cfg, checkpoint_dir=tmp_path / "prefit")
+        prefit_encoder(
+            _corpus(4), encoder, cfg,
+            mask_prob=0.15, mask_id=4, pad_id=PAD, special_ids=SPECIAL_IDS,
+        )
+        names = sorted(p.name for p in (tmp_path / "prefit").iterdir())
+        assert names == [
+            "encoder_final.ckpt", "encoder_step000004.ckpt", "encoder_step000008.ckpt"
+        ]
+        assert load_checkpoint(tmp_path / "prefit" / "encoder_step000004.ckpt").step == 4
 
     def test_empty_corpus(self):
         with pytest.raises(EmptyCorpus):
@@ -333,11 +356,11 @@ class TestTrainAbs:
 
     def test_encoder_and_decoder_both_move(self):
         model = build_abs_model(_tiny(), seed=5)
-        before_enc = model.encoder.params["tok_emb"].data.copy()
-        before_dec = model.decoder["layer0.self_attn.wq"].data.copy()
+        before_enc = model.params["encoder.tok_emb"].data.copy()
+        before_dec = model.params["decoder.layer0.self_attn.wq"].data.copy()
         train_abs(_corpus(4), model, TrainConfig(max_steps=5, seed=2), PAD)
-        assert not np.array_equal(model.encoder.params["tok_emb"].data, before_enc)
-        assert not np.array_equal(model.decoder["layer0.self_attn.wq"].data, before_dec)
+        assert not np.array_equal(model.params["encoder.tok_emb"].data, before_enc)
+        assert not np.array_equal(model.params["decoder.layer0.self_attn.wq"].data, before_dec)
 
 
 class TestPrefit:
@@ -388,7 +411,7 @@ class TestPrefit:
         model = build_abs_model(_tiny(), seed=99)
         load_encoder_into(model, tmp_path / "encoder_final.ckpt")
         for name in encoder.params:
-            assert np.array_equal(model.encoder.params[name].data, encoder.params[name].data)
+            assert np.array_equal(model.params[name].data, encoder.params[name].data)
 
     def test_same_seed_identical(self, tmp_path):
         self._run(steps=6, tmp_path=tmp_path / "a")
@@ -437,7 +460,7 @@ class TestMaskedTokenLoss:
             for p in params.values():
                 p.grad = None
             hidden = encoder.encode(masked_src, np.zeros_like(src), pad)
-            loss = head(hidden, encoder.params["tok_emb"], bias, src, chosen)
+            loss = head(hidden, encoder.params["encoder.tok_emb"], bias, src, chosen)
             T.backward(loss)
             results.append((loss.item(), {k: p.grad for k, p in params.items()}))
         (got, got_grads), (ref, ref_grads) = results
@@ -482,8 +505,6 @@ class TestTeacherForcedAccuracy:
 
 class TestWriteTrace:
     def test_csv_format(self, tmp_path):
-        from sumforge.train import TraceRow
-
         rows = [TraceRow(1, 0.5, 1e-3, 0.01), TraceRow(2, 0.25, 2e-3, 0.02)]
         path = tmp_path / "trace.csv"
         write_trace(rows, path)
@@ -498,11 +519,11 @@ class TestNonFiniteLoss:
     """A NaN or infinity stops training before any optimizer step."""
 
     def _poisoned(self, model, name="encoder.layer0.ff.w1", value=np.nan):
-        model.parameters()[name].data[0, 0] = value
-        return {k: v.data.copy() for k, v in model.parameters().items()}
+        model.params[name].data[0, 0] = value
+        return {k: v.data.copy() for k, v in model.params.items()}
 
     def _assert_unchanged(self, model, before):
-        for k, v in model.parameters().items():
+        for k, v in model.params.items():
             assert np.array_equal(v.data, before[k], equal_nan=True), k
 
     def test_train_ext_stops_with_params_untouched(self, tmp_path):
@@ -526,7 +547,7 @@ class TestNonFiniteLoss:
 
     def test_prefit_stops_with_params_untouched(self, tmp_path):
         encoder = build_encoder(_tiny(), seed=7)
-        encoder.params["layer0.ff.w1"].data[0, 0] = np.nan
+        encoder.params["encoder.layer0.ff.w1"].data[0, 0] = np.nan
         before = {k: v.data.copy() for k, v in encoder.params.items()}
         with pytest.raises(NonFiniteLoss):
             prefit_encoder(
@@ -542,14 +563,306 @@ class TestNonFiniteLoss:
         import sumforge.train as train_mod
 
         model = build_ext_model(_tiny(), seed=3)
-        before = {k: v.data.copy() for k, v in model.parameters().items()}
+        before = {k: v.data.copy() for k, v in model.params.items()}
         real_backward = train_mod.T.backward
 
         def backward_then_poison(loss):
             real_backward(loss)
-            model.head["w"].grad = np.full_like(model.head["w"].data, np.inf)
+            head_w = model.params["ext_head.w"]
+            head_w.grad = np.full_like(head_w.data, np.inf)
 
         monkeypatch.setattr(train_mod.T, "backward", backward_then_poison)
         with pytest.raises(NonFiniteLoss, match="gradient norm"):
             train_ext(_corpus(4), model, TrainConfig(max_steps=2, batch_size=4, seed=1), PAD)
         self._assert_unchanged(model, before)
+
+
+# --- the three loops as they were before `fit` ---
+#
+# Copied from the step bodies `fit` replaced, with only the container API
+# renamed (`model.parameters()` -> `model.params`, encoder names carry their
+# `encoder.` prefix, `eval_every` -> `checkpoint_every`). `fit` must match
+# them bit for bit.
+
+def _reference_pad_2d(rows, pad_value):
+    width = max(len(r) for r in rows)
+    out = np.full((len(rows), width), pad_value, dtype=np.int64)
+    for i, r in enumerate(rows):
+        out[i, : len(r)] = r
+    return out
+
+
+def _reference_make_ext_batch(examples, pad_id):
+    src = _reference_pad_2d([e.src_ids for e in examples], pad_id)
+    segs = _reference_pad_2d([e.segment_ids for e in examples], 0)
+    pad_mask = np.zeros(src.shape, dtype=bool)
+    for i, e in enumerate(examples):
+        pad_mask[i, len(e.src_ids):] = True
+    clss = _reference_pad_2d([e.cls_positions for e in examples], 0)
+    labels = np.zeros(clss.shape, dtype=np.float32)
+    sent_mask = np.zeros(clss.shape, dtype=np.float32)
+    for i, e in enumerate(examples):
+        labels[i, : len(e.ext_labels)] = e.ext_labels
+        sent_mask[i, : len(e.cls_positions)] = 1.0
+    return ExtBatch(src, segs, pad_mask, clss, labels, sent_mask)
+
+
+def _reference_make_abs_batch(examples, pad_id):
+    src = _reference_pad_2d([e.src_ids for e in examples], pad_id)
+    segs = _reference_pad_2d([e.segment_ids for e in examples], 0)
+    pad_mask = np.zeros(src.shape, dtype=bool)
+    for i, e in enumerate(examples):
+        pad_mask[i, len(e.src_ids):] = True
+    tgt = _reference_pad_2d([e.tgt_ids for e in examples], pad_id)
+    tgt_pad_mask = np.zeros(tgt.shape, dtype=bool)
+    for i, e in enumerate(examples):
+        tgt_pad_mask[i, len(e.tgt_ids):] = True
+    return AbsBatch(src, segs, pad_mask, tgt, tgt_pad_mask)
+
+
+def _reference_clipped_gradients(loss, params, max_norm, step):
+    value = loss.item()
+    if not math.isfinite(value):
+        raise NonFiniteLoss(f"step {step}: loss is {value}")
+    for p in params.values():
+        p.grad = None
+    T.backward(loss)
+    grads = {
+        name: (p.grad if p.grad is not None else np.zeros_like(p.data))
+        for name, p in params.items()
+    }
+    return clip_gradients(grads, max_norm)
+
+
+def _reference_save(model, config, tag):
+    if config.checkpoint_dir is None:
+        return
+    out = Path(config.checkpoint_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    save_checkpoint(model, out / f"{model.kind}_{tag}.ckpt")
+
+
+def _reference_train_ext(examples, model, config, pad_id):
+    if not examples:
+        raise EmptyCorpus("no training examples")
+    if model.kind != "ext":
+        raise ConfigError(f"train_ext needs an extractive model, got {model.kind!r}")
+
+    params = model.params
+    state = AdamState(params)
+    warmup, _ = config.resolved_warmups()
+    rng = SplitRng(config.seed)
+    order = batch_order(len(examples), config.batch_size, config.seed)
+    trace: list[TraceRow] = []
+
+    for step in range(1, config.max_steps + 1):
+        batch = _reference_make_ext_batch([examples[i] for i in next(order)], pad_id)
+        drop_rng = rng.child("dropout", step).generator()
+        logits = model.forward_scores(
+            batch.src, batch.segs, batch.pad_mask, batch.clss, train=True, rng=drop_rng
+        )
+        loss = ext_loss(logits, batch.labels, batch.sent_mask)
+        grads = _reference_clipped_gradients(loss, params, config.grad_clip_norm, step)
+        lr = lr_schedule(step, config.base_lr_encoder, warmup)
+        adam_step(params, grads, state, lr)
+        model.step = step
+        trace.append(TraceRow(step, loss.item(), lr, lr))
+        if config.checkpoint_every and step % config.checkpoint_every == 0:
+            _reference_save(model, config, f"step{step:06d}")
+    _reference_save(model, config, "final")
+    return trace
+
+
+def _reference_train_abs(examples, model, config, pad_id):
+    if not examples:
+        raise EmptyCorpus("no training examples")
+    if model.kind != "abs":
+        raise ConfigError(f"train_abs needs an abstractive model, got {model.kind!r}")
+
+    params = model.params
+    enc_params = {k: v for k, v in params.items() if k.startswith("encoder.")}
+    dec_params = {k: v for k, v in params.items() if not k.startswith("encoder.")}
+    # The two optimizers must cover every parameter exactly once.
+    assert not (enc_params.keys() & dec_params.keys())
+    assert enc_params.keys() | dec_params.keys() == params.keys()
+    enc_state = AdamState(enc_params)
+    dec_state = AdamState(dec_params)
+    warmup_enc, warmup_dec = config.resolved_warmups()
+    rng = SplitRng(config.seed)
+    order = batch_order(len(examples), config.batch_size, config.seed)
+    trace: list[TraceRow] = []
+
+    for step in range(1, config.max_steps + 1):
+        batch = _reference_make_abs_batch([examples[i] for i in next(order)], pad_id)
+        drop_rng = rng.child("dropout", step).generator()
+        logits = model.forward_logits(
+            batch.src, batch.segs, batch.pad_mask, batch.tgt, train=True, rng=drop_rng
+        )
+        loss = abs_loss(logits, batch.tgt, batch.tgt_pad_mask, config.label_smoothing)
+        grads = _reference_clipped_gradients(loss, params, config.grad_clip_norm, step)
+        lr_enc = lr_schedule(step, config.base_lr_encoder, warmup_enc)
+        lr_dec = lr_schedule(step, config.base_lr_decoder, warmup_dec)
+        adam_step(enc_params, {k: grads[k] for k in enc_params}, enc_state, lr_enc)
+        adam_step(dec_params, {k: grads[k] for k in dec_params}, dec_state, lr_dec)
+        model.step = step
+        trace.append(TraceRow(step, loss.item(), lr_enc, lr_dec))
+        if config.checkpoint_every and step % config.checkpoint_every == 0:
+            _reference_save(model, config, f"step{step:06d}")
+    _reference_save(model, config, "final")
+    return trace
+
+
+def _reference_prefit_encoder(
+    examples, encoder, config, mask_prob=0.15, *, mask_id, pad_id, special_ids
+):
+    if not examples:
+        raise EmptyCorpus("no pre-fit examples")
+    if mask_prob <= 0.0:
+        raise NoMaskedPositions(f"mask_prob {mask_prob} would mask nothing")
+    if mask_prob >= 1.0:
+        raise ConfigError(f"mask_prob must be in (0, 1), got {mask_prob}")
+
+    params = dict(encoder.params)
+    recon_bias = Tensor(
+        np.zeros(encoder.config.vocab_size, dtype=encoder.params["encoder.tok_emb"].dtype),
+        requires_grad=True,
+    )
+    params["recon.b"] = recon_bias
+    state = AdamState(params)
+    warmup, _ = config.resolved_warmups()
+    rng = SplitRng(config.seed)
+    order = batch_order(len(examples), config.batch_size, config.seed)
+    special = np.array(sorted(special_ids), dtype=np.int64)
+    trace: list[TraceRow] = []
+
+    for step in range(1, config.max_steps + 1):
+        batch = _reference_make_ext_batch([examples[i] for i in next(order)], pad_id)
+        gen = rng.child("mask", step).generator()
+        eligible = ~batch.pad_mask & ~np.isin(batch.src, special)
+        chosen = (gen.random(batch.src.shape) < mask_prob) & eligible
+        if not chosen.any():
+            if not eligible.any():
+                raise NoMaskedPositions("batch contains no maskable tokens")
+            first = np.argwhere(eligible)[0]
+            chosen[first[0], first[1]] = True
+
+        masked_src = np.where(chosen, mask_id, batch.src)
+        drop_rng = rng.child("dropout", step).generator()
+        hidden = encoder.encode(
+            masked_src, batch.segs, batch.pad_mask, train=True, rng=drop_rng
+        )
+        loss = masked_token_loss(
+            hidden, encoder.params["encoder.tok_emb"], recon_bias, batch.src, chosen
+        )
+
+        grads = _reference_clipped_gradients(loss, params, config.grad_clip_norm, step)
+        lr = lr_schedule(step, config.base_lr_encoder, warmup)
+        adam_step(params, grads, state, lr)
+        encoder.step = step
+        trace.append(TraceRow(step, loss.item(), lr, lr))
+    _reference_save(encoder, config, "final")
+    return trace
+
+
+def _varied_corpus(n, seed):
+    """Examples of different sentence counts, sentence and target lengths,
+    so every batch pads."""
+    rng = np.random.default_rng(seed)
+    return [
+        synthetic_example(
+            rng,
+            n_sentences=int(rng.integers(2, 5)),
+            sent_len=int(rng.integers(4, 8)),
+            tgt_len=int(rng.integers(3, 9)),
+        )
+        for _ in range(n)
+    ]
+
+
+def _dropout_config():
+    return ModelConfig(
+        vocab_size=40, d_model=16, n_heads=2, d_ff=32,
+        n_enc_layers=2, n_dec_layers=2, max_positions=64, dropout=0.1,
+    )
+
+
+def _files(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+class TestFitMatchesReference:
+    """Thirteen examples in batches of four, so the last batch of each epoch
+    is short; dropout on; checkpoints every four steps."""
+
+    def _config(self, out, steps=9):
+        return TrainConfig(
+            max_steps=steps, batch_size=4, seed=5, checkpoint_every=4, checkpoint_dir=out,
+            warmup_encoder=3, warmup_decoder=2,
+        )
+
+    def _assert_same_params(self, a, b):
+        assert list(a.params) == list(b.params)
+        for name in a.params:
+            assert a.params[name].data.tobytes() == b.params[name].data.tobytes(), name
+
+    @pytest.mark.parametrize("task", ["ext", "abs"])
+    def test_fine_tuning_matches_reference(self, tmp_path, task):
+        examples = _varied_corpus(13, seed=1)
+        new, ref = (build_model(_dropout_config(), task, seed=2) for _ in range(2))
+        train, reference = {
+            "ext": (train_ext, _reference_train_ext),
+            "abs": (train_abs, _reference_train_abs),
+        }[task]
+        got = train(examples, new, self._config(tmp_path / "new"), PAD)
+        want = reference(examples, ref, self._config(tmp_path / "ref"), PAD)
+        assert got == want and len(got) == 9
+        assert new.step == ref.step == 9
+        self._assert_same_params(new, ref)
+        files = _files(tmp_path / "new")
+        assert sorted(files) == [
+            f"{task}_final.ckpt", f"{task}_step000004.ckpt", f"{task}_step000008.ckpt"
+        ]
+        assert files == _files(tmp_path / "ref")
+
+    def test_prefit_matches_reference(self, tmp_path):
+        examples = _varied_corpus(13, seed=3)
+        kw = dict(mask_prob=0.3, mask_id=4, pad_id=PAD, special_ids=SPECIAL_IDS)
+        new, ref = (build_encoder(_dropout_config(), seed=4) for _ in range(2))
+        got = prefit_encoder(examples, new, self._config(tmp_path / "new"), **kw)
+        want = _reference_prefit_encoder(examples, ref, self._config(tmp_path / "ref"), **kw)
+        assert got == want and len(got) == 9
+        self._assert_same_params(new, ref)
+        files = _files(tmp_path / "new")
+        assert files["encoder_final.ckpt"] == _files(tmp_path / "ref")["encoder_final.ckpt"]
+        # The reference loop saved no periodic checkpoints; a shorter run of
+        # it ends where `fit`'s periodic ones were written.
+        for step in (4, 8):
+            short = build_encoder(_dropout_config(), seed=4)
+            out = tmp_path / f"ref{step}"
+            _reference_prefit_encoder(examples, short, self._config(out, step), **kw)
+            assert files[f"encoder_step{step:06d}.ckpt"] == (out / "encoder_final.ckpt").read_bytes()
+
+    def test_batches_match_reference(self):
+        examples = _varied_corpus(7, seed=6)
+        for build, reference in (
+            (make_ext_batch, _reference_make_ext_batch),
+            (make_abs_batch, _reference_make_abs_batch),
+        ):
+            got, want = vars(build(examples, PAD)), vars(reference(examples, PAD))
+            assert got.keys() == want.keys()
+            for key in got:
+                assert got[key].dtype == want[key].dtype, key
+                assert np.array_equal(got[key], want[key]), key
+
+
+class TestFit:
+    @pytest.mark.parametrize("groups", [
+        [("encoder.", 1e-3, 2)],  # decoder parameters left out
+        [("", 1e-3, 2), ("decoder.", 0.1, 2)],  # decoder parameters twice
+        [("encoder.", 1e-3, 2), ("decoder.layer", 0.1, 2)],  # decoder.pos_emb left out
+        [],
+    ])
+    def test_groups_must_cover_every_parameter_once(self, groups):
+        model = build_abs_model(_tiny(), seed=5)
+        with pytest.raises(ConfigError, match="exactly once"):
+            fit(model, model.params, _corpus(4), None, groups, TrainConfig(max_steps=2))
