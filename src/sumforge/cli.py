@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Sequence
@@ -26,14 +27,7 @@ from .ingest import (
     read_story_dir,
     split_sentences,
 )
-from .model import (
-    ModelConfig,
-    build_abs_model,
-    build_encoder,
-    build_ext_model,
-    load_checkpoint,
-    load_encoder_into,
-)
+from .model import ModelConfig, build_model, load_checkpoint, load_encoder_into
 from .rouge import evaluate_corpus, format_score_table
 from .tokenization import (
     TokenizedExample,
@@ -47,32 +41,16 @@ from .tokenization import (
 )
 from .train import TrainConfig, prefit_encoder, train_abs, train_ext, write_trace
 
-_MODEL_INT = (
-    "vocab_size",
-    "d_model",
-    "n_heads",
-    "d_ff",
-    "n_enc_layers",
-    "n_dec_layers",
-    "max_positions",
-)
-_MODEL_FLOAT = ("dropout",)
-_TRAIN_INT = (
-    "max_steps", "batch_size", "warmup_encoder", "warmup_decoder", "checkpoint_every", "seed"
-)
-_TRAIN_FLOAT = ("base_lr_encoder", "base_lr_decoder", "grad_clip_norm", "label_smoothing")
-_EXTRA_INT = ("pad_id", "max_tgt_len")
-_EXTRA_FLOAT = ("mask_prob",)
-
-_MODEL_DEFAULTS = {
-    "d_model": 128,
-    "n_heads": 4,
-    "d_ff": 256,
-    "n_enc_layers": 2,
-    "n_dec_layers": 2,
-    "max_positions": 512,
-    "dropout": 0.1,
-}
+# Config-file keys and how each parses: every ModelConfig and TrainConfig
+# field but the two set from flags, plus the two only training reads.
+_FLAG_FIELDS = ("pretrained_encoder", "checkpoint_dir")
+_PARSERS = {"int": int, "int | None": int, "float": float}
+CONFIG_KEYS = {
+    f.name: _PARSERS[f.type]
+    for cls in (ModelConfig, TrainConfig)
+    for f in fields(cls)
+    if f.name not in _FLAG_FIELDS
+} | {"pad_id": int, "mask_prob": float}
 
 
 def parse_config_file(path: Path | str) -> dict[str, str]:
@@ -94,13 +72,10 @@ def parse_config_file(path: Path | str) -> dict[str, str]:
 def _typed_config(values: dict[str, str]) -> dict[str, object]:
     typed: dict[str, object] = {}
     for key, value in values.items():
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"unknown config key {key!r}")
         try:
-            if key in _MODEL_INT or key in _TRAIN_INT or key in _EXTRA_INT:
-                typed[key] = int(value)
-            elif key in _MODEL_FLOAT or key in _TRAIN_FLOAT or key in _EXTRA_FLOAT:
-                typed[key] = float(value)
-            else:
-                raise ConfigError(f"unknown config key {key!r}")
+            typed[key] = CONFIG_KEYS[key](value)
         except ValueError as exc:
             raise ConfigError(f"config key {key!r}: bad value {value!r}") from exc
     return typed
@@ -219,24 +194,10 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
     return 0
 
 
-def _split_train_config(
-    typed: dict[str, object], seed: int, out_dir: Path
-) -> tuple[dict[str, object], TrainConfig]:
-    model_kwargs = {k: typed[k] for k in typed if k in _MODEL_INT + _MODEL_FLOAT}
-    for key, default in _MODEL_DEFAULTS.items():
-        model_kwargs.setdefault(key, default)
-    train_kwargs = {
-        k: typed[k]
-        for k in typed
-        if k in _TRAIN_INT + _TRAIN_FLOAT and k != "seed"
-    }
-    train_kwargs.setdefault("max_steps", 500)
-    train_config = TrainConfig(seed=seed, checkpoint_dir=out_dir, **train_kwargs)
-    return model_kwargs, train_config
-
-
 def cmd_train(args: argparse.Namespace) -> int:
     started = _now()
+    if args.task == "prefit" and args.init_encoder:
+        raise ConfigError("prefit trains a fresh encoder; --init-encoder does not apply")
     typed = _typed_config(parse_config_file(args.config)) if args.config else {}
     seed = _resolve_seed(args.seed, typed)
     out_dir = Path(args.out)
@@ -247,45 +208,46 @@ def cmd_train(args: argparse.Namespace) -> int:
     if not examples:
         raise EmptyCorpus(f"no shards under {args.shards}")
 
-    model_kwargs, train_config = _split_train_config(typed, seed, out_dir)
+    model_keys = {f.name for f in fields(ModelConfig)}
+    train_keys = {f.name for f in fields(TrainConfig)} - {"seed"}
+    train_config = TrainConfig(
+        seed=seed,
+        checkpoint_dir=out_dir,
+        **{k: v for k, v in typed.items() if k in train_keys},
+    )
+    model_kwargs = {k: v for k, v in typed.items() if k in model_keys}
     if vocab is not None:
         model_kwargs.setdefault("vocab_size", len(vocab))
     if "vocab_size" not in model_kwargs:
         raise ConfigError("vocab_size must come from the config file or --vocab")
-    pad_id = int(typed.get("pad_id", vocab.pad_id if vocab else 0))
+    if args.task == "prefit" and vocab is None:
+        raise ConfigError("prefit needs --vocab for [MASK] and special ids")
+    config = ModelConfig(**model_kwargs, pretrained_encoder=bool(args.init_encoder))
+    pad_id = typed.get("pad_id", vocab.pad_id if vocab else 0)
 
+    model = build_model(config, "encoder" if args.task == "prefit" else args.task, seed)
+    if args.init_encoder:
+        load_encoder_into(model, args.init_encoder)
     if args.task == "prefit":
-        if vocab is None:
-            raise ConfigError("prefit needs --vocab for [MASK] and special ids")
-        config = ModelConfig(**model_kwargs)
-        encoder = build_encoder(config, seed)
         trace = prefit_encoder(
             examples,
-            encoder,
+            model,
             train_config,
-            float(typed.get("mask_prob", 0.15)),
+            typed.get("mask_prob", 0.15),
             mask_id=vocab.mask_id,
             pad_id=pad_id,
             special_ids=vocab.special_ids(),
         )
     else:
-        config = ModelConfig(**model_kwargs, pretrained_encoder=bool(args.init_encoder))
-        if args.task == "ext":
-            model = build_ext_model(config, seed)
-        else:
-            model = build_abs_model(config, seed)
-        if args.init_encoder:
-            load_encoder_into(model, args.init_encoder)
-        if args.task == "ext":
-            trace = train_ext(examples, model, train_config, pad_id)
-        else:
-            trace = train_abs(examples, model, train_config, pad_id)
+        trainer = train_ext if args.task == "ext" else train_abs
+        trace = trainer(examples, model, train_config, pad_id)
 
     write_trace(trace, out_dir / "trace.csv")
+    model_values = {k: v for k, v in asdict(config).items() if k != "pretrained_encoder"}
     _write_manifest(
         out_dir,
         f"train --task {args.task}",
-        {**typed, **model_kwargs, "shards": str(args.shards), "out": str(out_dir)},
+        {**typed, **model_values, "shards": str(args.shards), "out": str(out_dir)},
         seed,
         started,
         [str(out_dir / "trace.csv"), str(out_dir)],

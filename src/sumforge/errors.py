@@ -12,6 +12,10 @@ class SumforgeError(Exception):
     """Base class for all domain errors raised by this package."""
 
 
+class ConfigError(SumforgeError):
+    """A configuration key, value or option combination is refused."""
+
+
 # --- ingest ---
 
 class UnsupportedEncoding(SumforgeError):
@@ -88,10 +92,6 @@ class GraphCycle(SumforgeError):
 
 # --- model ---
 
-class InvalidConfig(SumforgeError):
-    pass
-
-
 class PositionOverflow(SumforgeError):
     pass
 
@@ -115,10 +115,6 @@ class ModelKindMismatch(SumforgeError):
 # --- train ---
 
 class EmptyCorpus(SumforgeError):
-    pass
-
-
-class ConfigError(SumforgeError):
     pass
 
 

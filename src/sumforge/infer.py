@@ -5,7 +5,8 @@ candidate that repeats a word trigram of an already-selected sentence, so the
 output stays non-redundant. Abstractive: length-normalized beam search with
 the same repeated-trigram rule applied to the generated token stream, decoding
 one new position per hypothesis per step from the model's key/value cache.
-Both run without recording an autodiff graph.
+Trigram blocking and the length penalty's alpha of 0.6 follow BertSum (Liu &
+Lapata 2019). Both run without recording an autodiff graph.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyDocument, InvalidConfig, ModelKindMismatch
+from .errors import ConfigError, EmptyDocument, ModelKindMismatch
 from .model import AbstractiveModel, ExtractiveModel
 from .rouge import rouge_tokenize
 from .tensor import no_grad
@@ -24,11 +25,10 @@ from .tokenization import TokenizedExample, Vocab, decode_ids
 @dataclass(frozen=True)
 class ExtConfig:
     k: int = 3
-    use_trigram_blocking: bool = True
 
     def __post_init__(self) -> None:
         if self.k < 1:
-            raise InvalidConfig(f"k must be >= 1, got {self.k}")
+            raise ConfigError(f"k must be >= 1, got {self.k}")
 
 
 @dataclass(frozen=True)
@@ -36,14 +36,12 @@ class BeamConfig:
     max_len: int
     min_len: int = 1
     beam_size: int = 5
-    length_penalty_alpha: float = 0.6
-    block_repeat_trigrams: bool = True
 
     def __post_init__(self) -> None:
         if self.beam_size < 1:
-            raise InvalidConfig(f"beam_size must be >= 1, got {self.beam_size}")
+            raise ConfigError(f"beam_size must be >= 1, got {self.beam_size}")
         if self.min_len < 1 or self.min_len > self.max_len:
-            raise InvalidConfig(
+            raise ConfigError(
                 f"need 1 <= min_len <= max_len, got {self.min_len}..{self.max_len}"
             )
 
@@ -55,9 +53,7 @@ def _word_trigrams(text: str) -> set[tuple[str, str, str]]:
     return {tuple(words[i : i + 3]) for i in range(len(words) - 2)}
 
 
-def select_sentences(
-    scores, sentences, k: int, use_trigram_blocking: bool
-) -> list[int]:
+def select_sentences(scores, sentences, k: int) -> list[int]:
     """Indices of up to k sentences, greedy by score with redundancy blocking.
 
     Ties in score go to the lower index; the result is in document order.
@@ -69,7 +65,7 @@ def select_sentences(
         if len(chosen) == k:
             break
         trigrams = _word_trigrams(sentences[i])
-        if use_trigram_blocking and trigrams & seen:
+        if trigrams & seen:
             continue
         chosen.append(i)
         seen |= trigrams
@@ -91,16 +87,17 @@ def summarize_ext(
     pad = np.zeros(src.shape, dtype=bool)
     clss = np.array([example.cls_positions], dtype=np.int64)
     scores = model.forward_scores(src, segs, pad, clss).data[0]
-    picked = select_sentences(
-        scores, example.src_txt, config.k, config.use_trigram_blocking
-    )
+    picked = select_sentences(scores, example.src_txt, config.k)
     return [example.src_txt[i] for i in picked]
 
 
 # --- abstractive ---
 
-def _length_penalty(length: int, alpha: float) -> float:
-    return ((5.0 + length) / 6.0) ** alpha
+LENGTH_PENALTY_ALPHA = 0.6
+
+
+def _length_penalty(length: int) -> float:
+    return ((5.0 + length) / 6.0) ** LENGTH_PENALTY_ALPHA
 
 
 @dataclass
@@ -139,10 +136,10 @@ def beam_search(
 ) -> list[int]:
     """Best token id sequence (BOS...EOS) under length-normalized log-prob.
 
-    Hypotheses are scored by logprob / ((5 + generated) / 6)^alpha. EOS is
+    Hypotheses are scored by logprob / ((5 + generated) / 6)^0.6. EOS is
     forbidden while the extension would stay under min_len, and an extension
-    that repeats a trigram of its own generated prefix is pruned when
-    blocking is on. beam_size 1 reduces to greedy argmax decoding.
+    that repeats a trigram of its own generated prefix is pruned. beam_size 1
+    reduces to greedy argmax decoding.
     """
     if model.kind != "abs":
         raise ModelKindMismatch(f"expected an abstractive model, got {model.kind!r}")
@@ -154,7 +151,6 @@ def beam_search(
     src_pad = np.zeros(src.shape, dtype=bool)
     cache = model.start_decoding(model.encode(src, segs, src_pad), src_pad)
 
-    alpha = config.length_penalty_alpha
     beams = [_Hypothesis((bos_id,), 0.0)]
     parents = [0]  # index of each live hypothesis's parent in the cache
     last_live = beams
@@ -172,7 +168,7 @@ def beam_search(
             cand[i] += hyp.logprob
             if hyp.generated() + 1 < config.min_len:
                 cand[i, eos_id] = -np.inf
-            if config.block_repeat_trigrams and hyp.generated() >= 2:
+            if hyp.generated() >= 2:
                 seen = _token_trigrams(hyp.ids)
                 a, b = hyp.ids[-2], hyp.ids[-1]
                 for (x, y, z) in seen:
@@ -190,7 +186,7 @@ def beam_search(
             i, tok = divmod(int(pos), cand.shape[1])
             hyp = _Hypothesis(beams[i].ids + (int(tok),), float(flat[pos]))
             if tok == eos_id:
-                score = hyp.logprob / _length_penalty(hyp.generated(), alpha)
+                score = hyp.logprob / _length_penalty(hyp.generated())
                 done.append((score, len(done), hyp))
             else:
                 next_beams.append(hyp)
@@ -204,7 +200,7 @@ def beam_search(
     if not done:
         # Nothing emitted EOS within max_len; fall back to the best prefix.
         done = [
-            (h.logprob / _length_penalty(h.generated(), alpha), i, h)
+            (h.logprob / _length_penalty(h.generated()), i, h)
             for i, h in enumerate(last_live)
         ]
     best = max(done, key=lambda entry: (entry[0], -entry[1]))

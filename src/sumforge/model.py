@@ -24,10 +24,10 @@ import numpy as np
 from . import tensor as T
 from .errors import (
     AllMasked,
+    ConfigError,
     FormatVersionMismatch,
     IdOutOfRange,
     IndexOutOfRange,
-    InvalidConfig,
     ModelKindMismatch,
     PositionOverflow,
     ShapeMismatch,
@@ -37,11 +37,11 @@ from .tensor import SplitRng, Tensor
 @dataclass(frozen=True)
 class ModelConfig:
     vocab_size: int
-    d_model: int
-    n_heads: int
-    d_ff: int
-    n_enc_layers: int
-    n_dec_layers: int = 6
+    d_model: int = 128
+    n_heads: int = 4
+    d_ff: int = 256
+    n_enc_layers: int = 2
+    n_dec_layers: int = 2
     max_positions: int = 512
     dropout: float = 0.1
     pretrained_encoder: bool = False
@@ -57,13 +57,13 @@ class ModelConfig:
             self.max_positions,
         )
         if any(d < 1 for d in dims):
-            raise InvalidConfig(f"all dimensions must be >= 1: {self}")
+            raise ConfigError(f"all dimensions must be >= 1: {self}")
         if self.d_model % self.n_heads != 0:
-            raise InvalidConfig(
+            raise ConfigError(
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}"
             )
         if not 0.0 <= self.dropout < 1.0:
-            raise InvalidConfig(f"dropout must be in [0, 1), got {self.dropout}")
+            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
 
 
 # --- parameter layout ---
@@ -445,9 +445,15 @@ class AbstractiveModel(Encoder):
         return self.decode_teacher_forced(hidden, tgt_ids, src_pad_mask, train, rng)
 
 
-def _build(cls, config: ModelConfig, seed: int, dtype):
-    """A fresh model of class `cls`; each parameter draws from
-    SplitRng(seed).child(part).child("init", name within the part)."""
+_MODELS = {cls.kind: cls for cls in (Encoder, ExtractiveModel, AbstractiveModel)}
+
+
+def build_model(config: ModelConfig, kind: str, seed: int, dtype=np.float32) -> Encoder:
+    """A fresh model of kind "encoder", "ext" or "abs"; each parameter draws
+    from SplitRng(seed).child(part).child("init", name within the part)."""
+    if kind not in _MODELS:
+        raise ConfigError(f"unknown model kind {kind!r}")
+    cls = _MODELS[kind]
     root = SplitRng(seed)
     params = {}
     for full_name, shape in cls.param_specs(config).items():
@@ -455,27 +461,6 @@ def _build(cls, config: ModelConfig, seed: int, dtype):
         data = _init_array(name, shape, root.child(part), dtype)
         params[full_name] = Tensor(data, requires_grad=True)
     return cls(config, params, seed=seed)
-
-
-def build_encoder(config: ModelConfig, seed: int, dtype=np.float32) -> Encoder:
-    return _build(Encoder, config, seed, dtype)
-
-
-def build_ext_model(config: ModelConfig, seed: int, dtype=np.float32) -> ExtractiveModel:
-    return _build(ExtractiveModel, config, seed, dtype)
-
-
-def build_abs_model(config: ModelConfig, seed: int, dtype=np.float32) -> AbstractiveModel:
-    return _build(AbstractiveModel, config, seed, dtype)
-
-
-_MODELS = {cls.kind: cls for cls in (Encoder, ExtractiveModel, AbstractiveModel)}
-
-
-def build_model(config: ModelConfig, task: str, seed: int, dtype=np.float32):
-    if task not in ("ext", "abs"):
-        raise InvalidConfig(f"unknown task {task!r}")
-    return _build(_MODELS[task], config, seed, dtype)
 
 
 # --- losses ---
@@ -637,20 +622,25 @@ def load_checkpoint(path: Path | str, dtype=np.float32) -> Encoder:
     return cls(config, params, step=step, seed=seed)
 
 
+# The fields that fix the encoder's parameter names and shapes.
+_ENCODER_FIELDS = ("vocab_size", "d_model", "n_heads", "d_ff", "n_enc_layers", "max_positions")
+
+
 def load_encoder_into(model: Encoder, encoder_checkpoint_path: Path | str) -> None:
-    """Overwrite a model's encoder weights from an encoder checkpoint."""
+    """Overwrite a model's encoder weights from an encoder checkpoint whose
+    encoder has the same shape: the same vocabulary, widths, heads, layers
+    and positions."""
     loaded = load_checkpoint(encoder_checkpoint_path)
     if loaded.kind != "encoder":
         raise ModelKindMismatch(
             f"model kind mismatch: need an encoder checkpoint, found {loaded.kind!r}"
         )
-    for name, tensor in model.params.items():
-        if not name.startswith("encoder."):
-            continue
-        src = loaded.params.get(name)
-        if src is None or src.shape != tensor.shape:
-            raise ShapeMismatch(
-                f"encoder parameter {name!r}: checkpoint {getattr(src, 'shape', None)}"
-                f" vs model {tensor.shape}"
-            )
-        tensor.data = src.data.astype(tensor.dtype)
+    differ = [
+        f"{f} {getattr(loaded.config, f)} vs {getattr(model.config, f)}"
+        for f in _ENCODER_FIELDS
+        if getattr(loaded.config, f) != getattr(model.config, f)
+    ]
+    if differ:
+        raise ShapeMismatch(f"encoder checkpoint does not fit the model: {', '.join(differ)}")
+    for name, tensor in loaded.params.items():
+        model.params[name].data = tensor.data.astype(model.params[name].dtype)

@@ -86,14 +86,6 @@ class CorpusScores:
     rougeL: RougeScore
 
 
-def _score_pair(cand_tokens: list[str], ref_tokens: list[str]) -> CorpusScores:
-    return CorpusScores(
-        rouge1=rouge_n(cand_tokens, ref_tokens, 1),
-        rouge2=rouge_n(cand_tokens, ref_tokens, 2),
-        rougeL=rouge_l(cand_tokens, ref_tokens),
-    )
-
-
 def _mean(scores: list[RougeScore]) -> RougeScore:
     n = len(scores)
     return RougeScore(
@@ -103,17 +95,8 @@ def _mean(scores: list[RougeScore]) -> RougeScore:
     )
 
 
-def evaluate_corpus(
-    predictions: Sequence[str],
-    references: Sequence[str | Sequence[str]],
-    max_over_references: bool = False,
-) -> CorpusScores:
-    """Average ROUGE-1/2/L over aligned prediction/reference pairs.
-
-    With max_over_references, a reference entry may be a list of alternatives;
-    the one with the best ROUGE-1 F1 against the prediction is scored. Off by
-    default: our corpora carry a single summary per document.
-    """
+def evaluate_corpus(predictions: Sequence[str], references: Sequence[str]) -> CorpusScores:
+    """Average ROUGE-1/2/L over aligned prediction/reference pairs."""
     if len(predictions) != len(references):
         raise LengthMismatch(
             f"{len(predictions)} predictions vs {len(references)} references"
@@ -121,23 +104,11 @@ def evaluate_corpus(
     if not predictions:
         raise EmptyCorpus("no documents to evaluate")
 
-    per_doc: list[CorpusScores] = []
-    for pred, ref in zip(predictions, references):
-        cand_tokens = rouge_tokenize(pred)
-        if max_over_references and not isinstance(ref, str):
-            alternatives = [_score_pair(cand_tokens, rouge_tokenize(r)) for r in ref]
-            per_doc.append(max(alternatives, key=lambda s: s.rouge1.f1))
-        else:
-            if not isinstance(ref, str):
-                raise LengthMismatch(
-                    "reference lists require max_over_references=True"
-                )
-            per_doc.append(_score_pair(cand_tokens, rouge_tokenize(ref)))
-
+    pairs = [(rouge_tokenize(p), rouge_tokenize(r)) for p, r in zip(predictions, references)]
     return CorpusScores(
-        rouge1=_mean([d.rouge1 for d in per_doc]),
-        rouge2=_mean([d.rouge2 for d in per_doc]),
-        rougeL=_mean([d.rougeL for d in per_doc]),
+        rouge1=_mean([rouge_n(c, r, 1) for c, r in pairs]),
+        rouge2=_mean([rouge_n(c, r, 2) for c, r in pairs]),
+        rougeL=_mean([rouge_l(c, r) for c, r in pairs]),
     )
 
 

@@ -44,7 +44,7 @@ from .tokenization import TokenizedExample
 
 @dataclass(frozen=True)
 class TrainConfig:
-    max_steps: int
+    max_steps: int = 500
     batch_size: int = 8
     base_lr_encoder: float = 2e-3
     base_lr_decoder: float = 0.1
@@ -61,12 +61,13 @@ class TrainConfig:
             raise ConfigError(f"max_steps must be >= 0, got {self.max_steps}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.base_lr_encoder <= 0 or self.base_lr_decoder <= 0:
-            raise ConfigError("learning rates must be > 0")
+        # Written so that NaN fails every range check and inf every bounded one.
+        for name in ("base_lr_encoder", "base_lr_decoder", "grad_clip_norm"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ConfigError(f"{name} must be finite and > 0, got {value}")
         if self.checkpoint_every < 0:
             raise ConfigError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
-        if self.grad_clip_norm <= 0:
-            raise ConfigError("grad_clip_norm must be > 0")
         if not 0.0 <= self.label_smoothing < 1.0:
             raise ConfigError(
                 f"label_smoothing must be in [0, 1), got {self.label_smoothing}"
@@ -100,19 +101,15 @@ def write_trace(rows: Sequence[TraceRow], path: Path | str) -> None:
 
 # --- optimizer ---
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class AdamState:
     """First/second moment accumulators for one parameter set."""
 
-    def __init__(
-        self,
-        params: dict[str, Tensor],
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+    def __init__(self, params: dict[str, Tensor]):
         self.step = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
@@ -127,7 +124,7 @@ def adam_step(
     """One bias-corrected adaptive-moment update, in place."""
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     for name, p in params.items():
         g = grads.get(name)
         if g is None:
@@ -142,7 +139,7 @@ def adam_step(
         v += (1.0 - b2) * g * g
         m_hat = m / (1.0 - b1**t)
         v_hat = v / (1.0 - b2**t)
-        p.data -= (lr * m_hat / (np.sqrt(v_hat) + state.eps)).astype(p.dtype)
+        p.data -= (lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)).astype(p.dtype)
     return params, state
 
 
@@ -387,7 +384,7 @@ def prefit_encoder(
     """
     if mask_prob <= 0.0:
         raise NoMaskedPositions(f"mask_prob {mask_prob} would mask nothing")
-    if mask_prob >= 1.0:
+    if not mask_prob < 1.0:  # NaN fails this too
         raise ConfigError(f"mask_prob must be in (0, 1), got {mask_prob}")
 
     tok_emb = encoder.params["encoder.tok_emb"]

@@ -29,9 +29,7 @@ from sumforge.ingest import StoryDoc, parse_story, transcode, write_story
 from sumforge.model import (
     ModelConfig,
     abs_loss,
-    build_abs_model,
-    build_encoder,
-    build_ext_model,
+    build_model,
     ext_loss,
     load_checkpoint,
     load_encoder_into,
@@ -147,13 +145,13 @@ def test_criterion_2_full_model_gradients(capsys):
     tgt = np.concatenate([[[5]], rng.integers(7, 50, (1, 3)), [[6]]], axis=1)
     tgt_pad = np.zeros((1, 5), dtype=bool)
 
-    ext = build_ext_model(cfg, seed=11, dtype=np.float64)
+    ext = build_model(cfg, "ext", seed=11, dtype=np.float64)
     err_ext = finite_diff_check(
         lambda _p: ext_loss(ext.forward_scores(src, segs, pad, clss), labels, sent_mask),
         list(ext.params.values()),
     )
 
-    abs_model = build_abs_model(cfg, seed=12, dtype=np.float64)
+    abs_model = build_model(cfg, "abs", seed=12, dtype=np.float64)
     err_abs = finite_diff_check(
         lambda _p: abs_loss(abs_model.forward_logits(src, segs, pad, tgt), tgt, tgt_pad, 0.1),
         list(abs_model.params.values()),
@@ -184,7 +182,7 @@ def test_criterion_3_memorization(capsys, tmp_path):
     docs = [synthetic_example(rng, n_sentences=4, sent_len=5, tgt_len=6) for _ in range(16)]
     ext_steps = 1500
     assert ext_steps <= 2000
-    model = build_ext_model(cfg, seed=0)
+    model = build_model(cfg, "ext", seed=0)
     train_ext(
         docs, model,
         TrainConfig(max_steps=ext_steps, batch_size=8, seed=0,
@@ -210,7 +208,7 @@ def test_criterion_3_memorization(capsys, tmp_path):
         ))
     abs_steps = 1500
     assert abs_steps <= 3000
-    abs_model = build_abs_model(cfg, seed=0)
+    abs_model = build_model(cfg, "abs", seed=0)
     train_abs(
         pairs, abs_model,
         TrainConfig(max_steps=abs_steps, batch_size=8, seed=0,
@@ -237,7 +235,7 @@ def test_criterion_4_extractive_beats_random_and_abstractive(capsys, tmp_path, c
     vocab, examples, cfg = cue_corpus
     refs = [" ".join(e.tgt_txt) for e in examples]
 
-    ext_model = build_ext_model(cfg, seed=0)
+    ext_model = build_model(cfg, "ext", seed=0)
     train_ext(
         examples, ext_model,
         TrainConfig(max_steps=500, batch_size=16, seed=0,
@@ -255,7 +253,7 @@ def test_criterion_4_extractive_beats_random_and_abstractive(capsys, tmp_path, c
         rand_preds.append(" ".join(e.src_txt[i] for i in pick))
     rand_f1 = evaluate_corpus(rand_preds, refs).rouge1.f1
 
-    abs_model = build_abs_model(cfg, seed=0)
+    abs_model = build_model(cfg, "abs", seed=0)
     train_abs(
         examples, abs_model,
         TrainConfig(max_steps=500, batch_size=16, seed=0,
@@ -288,7 +286,7 @@ def test_criterion_5_prefit_advantage(capsys, tmp_path, cue_corpus):
     wins = 0
     gaps = []
     for seed in range(5):
-        encoder = build_encoder(cfg, seed=seed)
+        encoder = build_model(cfg, "encoder", seed=seed)
         prefit_encoder(
             examples, encoder,
             TrainConfig(max_steps=600, batch_size=16, seed=seed,
@@ -301,7 +299,7 @@ def test_criterion_5_prefit_advantage(capsys, tmp_path, cue_corpus):
 
         final = {}
         for arm in ("random", "prefit"):
-            model = build_ext_model(cfg, seed=seed)
+            model = build_model(cfg, "ext", seed=seed)
             if arm == "prefit":
                 load_encoder_into(model, encoder_path)
             trace = train_ext(
@@ -416,8 +414,8 @@ def test_criterion_7_round_trips_bit_exact(capsys, tmp_path):
                       n_enc_layers=1, n_dec_layers=1, max_positions=32, dropout=0.0)
     ckpt_ok = True
     for name, model in (
-        ("ext", build_ext_model(cfg, seed=1)),
-        ("abs", build_abs_model(cfg, seed=2)),
+        ("ext", build_model(cfg, "ext", seed=1)),
+        ("abs", build_model(cfg, "abs", seed=2)),
     ):
         path = tmp_path / f"{name}.ckpt"
         save_checkpoint(model, path)
@@ -536,7 +534,7 @@ def _argmax_decode(model, example, config, *, bos_id, eos_id):
         logp = shifted - np.log(np.exp(shifted).sum())
         if len(ids) < config.min_len:
             logp[eos_id] = -np.inf
-        if config.block_repeat_trigrams and len(ids) - 1 >= 2:
+        if len(ids) - 1 >= 2:
             gen = ids[1:]
             seen = {tuple(gen[i:i + 3]) for i in range(len(gen) - 2)}
             for (x, y, z) in seen:
@@ -555,7 +553,7 @@ def test_criterion_9_structural_invariants_fuzz(capsys):
     vocab = make_vocab(_CONTENT + [_CUE, "."])
     cfg = ModelConfig(vocab_size=30, d_model=8, n_heads=2, d_ff=16,
                       n_enc_layers=1, n_dec_layers=1, max_positions=32, dropout=0.0)
-    models = [build_abs_model(cfg, seed=s) for s in range(6)]
+    models = [build_model(cfg, "abs", seed=s) for s in range(6)]
 
     # 1. segment ids alternate per sentence; every block is [CLS] ... [SEP]
     rng = random.Random(91)
@@ -629,7 +627,7 @@ def test_criterion_9_structural_invariants_fuzz(capsys):
         sentences = [" ".join(rng.choice(pool) for _ in range(rng.randint(3, 6)))
                      for _ in range(n)]
         scores = [rng.random() for _ in range(n)]
-        picked = select_sentences(scores, sentences, 3, True)
+        picked = select_sentences(scores, sentences, 3)
         grams = [
             {tuple(sentences[i].split()[j:j + 3])
              for j in range(len(sentences[i].split()) - 2)}

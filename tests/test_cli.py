@@ -14,6 +14,7 @@ import re
 import struct
 import subprocess
 import sys
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,17 +22,16 @@ import pytest
 
 from conftest import SPECIALS
 from sumforge import tensor as T
-from sumforge.cli import main, parse_config_file
+from sumforge.cli import CONFIG_KEYS, _typed_config, main, parse_config_file
 from sumforge.errors import ConfigError
 from sumforge.ingest import StoryDoc, write_story
 from sumforge.model import (
     ModelConfig,
     abs_loss,
-    build_abs_model,
-    build_encoder,
-    build_ext_model,
+    build_model,
     save_checkpoint,
 )
+from sumforge.train import TrainConfig
 
 _WORDS = [
     "the", "cat", "sat", "on", "mat", "a", "dog", "ran", "fast",
@@ -96,8 +96,7 @@ def _tiny_model_config() -> ModelConfig:
 
 
 def _save_model(path: Path, task: str, seed: int = 0) -> Path:
-    build = build_ext_model if task == "ext" else build_abs_model
-    save_checkpoint(build(_tiny_model_config(), seed), path)
+    save_checkpoint(build_model(_tiny_model_config(), task, seed), path)
     return path
 
 
@@ -135,6 +134,62 @@ class TestParseConfigFile:
         path.write_text("d_model\n", encoding="utf-8")
         with pytest.raises(ConfigError, match="1"):
             parse_config_file(path)
+
+
+_FIELDS = {f.name: f for cls in (ModelConfig, TrainConfig) for f in fields(cls)}
+_FLAG_SET = {"pretrained_encoder", "checkpoint_dir"}  # from --init-encoder and --out
+_FLOAT_KEYS = sorted(k for k, parse in CONFIG_KEYS.items() if parse is float)
+
+
+class TestConfigSchema:
+    """The config keys are the dataclass fields, typed as the fields are."""
+
+    def test_keys_are_the_fields_not_set_by_flags(self):
+        assert set(CONFIG_KEYS) == (set(_FIELDS) - _FLAG_SET) | {"pad_id", "mask_prob"}
+
+    def test_each_key_parses_to_its_field_type(self):
+        expected = {name: f.type.split(" | ")[0] for name, f in _FIELDS.items()}
+        expected.update(pad_id="int", mask_prob="float")
+        for key in CONFIG_KEYS:
+            assert type(_typed_config({key: "3"})[key]).__name__ == expected[key], key
+            if expected[key] == "int":
+                with pytest.raises(ConfigError, match=key):
+                    _typed_config({key: "0.5"})
+
+    def test_readme_table_lists_every_key_type_and_default(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+        rows = re.findall(r"^\| `(\w+)` +\| (int|float) +\| ([^|]+?) +\|", readme, re.M)
+        assert {key: kind for key, kind, _ in rows} == {
+            key: parse.__name__ for key, parse in CONFIG_KEYS.items()
+        }
+        for key, _, default in rows:
+            field = _FIELDS.get(key)
+            if field is not None and field.default not in (MISSING, None):
+                assert float(default) == field.default, key
+
+    @pytest.mark.parametrize("key", ["max_tgt_len", "pretrained_encoder", "checkpoint_dir"])
+    def test_keys_outside_the_schema_exit_2(self, tmp_path, capsys, key):
+        shards, vocab = _make_shards(tmp_path)
+        config = _write_config(tmp_path / "run.cfg", **{key: 1})
+        code = main(["train", "--task", "ext", "--shards", str(shards),
+                     "--out", str(tmp_path / "run"), "--config", str(config),
+                     "--vocab", str(vocab)])
+        assert code == 2
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("key", _FLOAT_KEYS)
+    def test_non_finite_value_exits_2_before_any_checkpoint(self, tmp_path, capsys, key, value):
+        # Pre-fit reads every float key, mask_prob included.
+        shards, vocab = _make_shards(tmp_path)
+        config = _write_config(tmp_path / "run.cfg", max_steps=1, **{key: value})
+        out = tmp_path / "run"
+        code = main(["train", "--task", "prefit", "--shards", str(shards),
+                     "--out", str(out), "--config", str(config),
+                     "--vocab", str(vocab)])
+        assert code == 2
+        assert key in capsys.readouterr().err
+        assert not list(out.glob("*.ckpt"))
 
 
 class TestConvert:
@@ -369,7 +424,7 @@ class TestTrain:
     def test_non_finite_loss_exits_2_without_final_checkpoint(self, tmp_path, capsys):
         shards, vocab = _make_shards(tmp_path)
         config = _write_config(tmp_path / "run.cfg")
-        encoder = build_encoder(_tiny_model_config(), seed=0)
+        encoder = build_model(_tiny_model_config(), "encoder", seed=0)
         encoder.params["encoder.layer0.ff.w1"].data[0, 0] = np.nan
         encoder_ckpt = tmp_path / "encoder_final.ckpt"
         save_checkpoint(encoder, encoder_ckpt)
@@ -399,6 +454,34 @@ class TestTrain:
             assert sorted(p.name for p in out.glob("*.ckpt")) == [
                 f"{kind}_final.ckpt", f"{kind}_step000002.ckpt", f"{kind}_step000004.ckpt",
             ]
+
+    @pytest.mark.parametrize(
+        "change", [{"n_enc_layers": 2}, {"n_heads": 4}], ids=lambda change: next(iter(change))
+    )
+    def test_init_encoder_of_another_shape_exits_2(self, tmp_path, capsys, change):
+        shards, vocab = _make_shards(tmp_path)
+        config = _write_config(tmp_path / "run.cfg")
+        encoder_ckpt = tmp_path / "encoder.ckpt"
+        other = replace(_tiny_model_config(), **change)
+        save_checkpoint(build_model(other, "encoder", seed=0), encoder_ckpt)
+        out = tmp_path / "run"
+        code = main(["train", "--task", "ext", "--shards", str(shards),
+                     "--out", str(out), "--config", str(config),
+                     "--vocab", str(vocab), "--init-encoder", str(encoder_ckpt)])
+        assert code == 2
+        assert next(iter(change)) in capsys.readouterr().err
+        assert not list(out.glob("*.ckpt"))
+
+    def test_prefit_refuses_init_encoder(self, tmp_path, capsys):
+        shards, vocab = _make_shards(tmp_path)
+        encoder_ckpt = _save_model(tmp_path / "encoder.ckpt", "encoder")
+        out = tmp_path / "run"
+        code = main(["train", "--task", "prefit", "--shards", str(shards),
+                     "--out", str(out), "--vocab", str(vocab),
+                     "--init-encoder", str(encoder_ckpt)])
+        assert code == 2
+        assert "--init-encoder" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_init_encoder_wrong_kind_exits_2(self, tmp_path, capsys):
         shards, vocab = _make_shards(tmp_path)
@@ -610,7 +693,7 @@ class TestSummarize:
             assert main(["summarize", "--task", task, "--checkpoint", str(ckpt),
                          "--vocab", str(vocab), "--input", str(story),
                          "--max-len", "4"]) == 0
-        model = build_abs_model(_tiny_model_config(), seed=0)
+        model = build_model(_tiny_model_config(), "abs", seed=0)
         src = np.array([[2, 10, 11, 3]])
         tgt = np.array([[5, 12, 13, 6]])
         pad = np.zeros(src.shape, dtype=bool)

@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_vocab, synthetic_example
-from sumforge.errors import EmptyDocument, InvalidConfig, ModelKindMismatch
+from sumforge.errors import ConfigError, EmptyDocument, ModelKindMismatch
 from sumforge.infer import (
+    LENGTH_PENALTY_ALPHA,
     BeamConfig,
     ExtConfig,
     _Hypothesis,
@@ -24,7 +25,7 @@ from sumforge.infer import (
     summarize_abs,
     summarize_ext,
 )
-from sumforge.model import ModelConfig, build_abs_model, build_ext_model
+from sumforge.model import ModelConfig, build_model
 from sumforge.tensor import Tensor
 from sumforge.tokenization import TokenizedExample
 from sumforge.train import TrainConfig, train_abs
@@ -52,7 +53,7 @@ def _greedy_reference(model, example, config, *, bos_id, eos_id):
         logp = shifted - np.log(np.exp(shifted).sum())
         if len(ids) < config.min_len:  # next token would be generated token len(ids)
             logp[eos_id] = -np.inf
-        if config.block_repeat_trigrams and len(ids) - 1 >= 2:
+        if len(ids) - 1 >= 2:
             gen = ids[1:]
             seen = {tuple(gen[i : i + 3]) for i in range(len(gen) - 2)}
             a, b = ids[-2], ids[-1]
@@ -66,15 +67,15 @@ def _greedy_reference(model, example, config, *, bos_id, eos_id):
     return ids
 
 
-def _reference_beam_search(model, example, config, *, bos_id, eos_id):
+def _reference_beam_search(model, example, config, *, bos_id, eos_id, blocking=True):
     """Full-recompute beam search: every step re-decodes each whole prefix
-    with decode_teacher_forced and ranks all candidates with a stable sort."""
+    with decode_teacher_forced and ranks all candidates with a stable sort.
+    `blocking=False` drops the repeated-trigram rule, to show that it bites."""
     src = np.array([example.src_ids], dtype=np.int64)
     segs = np.array([example.segment_ids], dtype=np.int64)
     src_pad = np.zeros(src.shape, dtype=bool)
     enc = model.encode(src, segs, src_pad)
 
-    alpha = config.length_penalty_alpha
     beams = [_Hypothesis((bos_id,), 0.0)]
     last_live = beams
     done = []  # (norm score, arrival, hyp)
@@ -95,7 +96,7 @@ def _reference_beam_search(model, example, config, *, bos_id, eos_id):
             cand[i] += hyp.logprob
             if hyp.generated() + 1 < config.min_len:
                 cand[i, eos_id] = -np.inf
-            if config.block_repeat_trigrams and hyp.generated() >= 2:
+            if blocking and hyp.generated() >= 2:
                 a, b = hyp.ids[-2], hyp.ids[-1]
                 for (x, y, z) in _token_trigrams(hyp.ids):
                     if (x, y) == (a, b):
@@ -110,7 +111,7 @@ def _reference_beam_search(model, example, config, *, bos_id, eos_id):
             i, tok = divmod(int(pos), cand.shape[1])
             hyp = _Hypothesis(beams[i].ids + (int(tok),), float(flat[pos]))
             if tok == eos_id:
-                score = hyp.logprob / _length_penalty(hyp.generated(), alpha)
+                score = hyp.logprob / _length_penalty(hyp.generated())
                 done.append((score, len(done), hyp))
             else:
                 next_beams.append(hyp)
@@ -122,14 +123,14 @@ def _reference_beam_search(model, example, config, *, bos_id, eos_id):
 
     if not done:
         done = [
-            (h.logprob / _length_penalty(h.generated(), alpha), i, h)
+            (h.logprob / _length_penalty(h.generated()), i, h)
             for i, h in enumerate(last_live)
         ]
     best = max(done, key=lambda entry: (entry[0], -entry[1]))
     return list(best[2].ids)
 
 
-def _rescore(model, example, ids, alpha):
+def _rescore(model, example, ids):
     """Length-normalized teacher-forced log-probability of a decoded sequence."""
     src = np.array([example.src_ids])
     segs = np.array([example.segment_ids])
@@ -139,99 +140,89 @@ def _rescore(model, example, ids, alpha):
     shifted = logits.astype(np.float64) - logits.max(-1, keepdims=True)
     logp = shifted - np.log(np.exp(shifted).sum(-1, keepdims=True))
     total = sum(logp[t, ids[t + 1]] for t in range(len(ids) - 1))
-    return total / _length_penalty(len(ids) - 1, alpha)
+    return total / _length_penalty(len(ids) - 1)
 
 
 class TestConfigs:
     def test_ext_k_validated(self):
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(ConfigError):
             ExtConfig(k=0)
 
     def test_beam_size_validated(self):
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(ConfigError):
             BeamConfig(max_len=10, beam_size=0)
 
     def test_min_len_bounds(self):
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(ConfigError):
             BeamConfig(max_len=5, min_len=6)
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(ConfigError):
             BeamConfig(max_len=5, min_len=0)
 
     def test_defaults(self):
         cfg = BeamConfig(max_len=20)
         assert cfg.beam_size == 5
-        assert cfg.length_penalty_alpha == pytest.approx(0.6)
-        assert cfg.block_repeat_trigrams
+        # BertSum's length penalty; trigram blocking has no switch at all.
+        assert LENGTH_PENALTY_ALPHA == 0.6
 
 
 class TestLengthPenalty:
-    def test_alpha_zero_is_unity(self):
-        for n in (1, 3, 10, 50):
-            assert _length_penalty(n, 0.0) == 1.0
-
     def test_length_one_is_unity(self):
         # (5+1)/6 == 1, so alpha does not matter at length 1.
-        assert _length_penalty(1, 0.6) == 1.0
+        assert _length_penalty(1) == 1.0
 
     def test_grows_with_length(self):
-        assert _length_penalty(10, 0.6) > _length_penalty(5, 0.6) > 1.0
+        assert _length_penalty(10) > _length_penalty(5) > 1.0
+        assert _length_penalty(10) == (15 / 6) ** 0.6
 
 
 class TestSelectSentences:
     def test_top_k_by_score(self):
-        picked = select_sentences([0.9, 0.1, 0.8], ["s1", "s2", "s3"], 2, False)
+        picked = select_sentences([0.9, 0.1, 0.8], ["s1", "s2", "s3"], 2)
         assert picked == [0, 2]
 
     def test_output_in_document_order(self):
-        picked = select_sentences([0.1, 0.9, 0.8], ["s1", "s2", "s3"], 2, False)
+        picked = select_sentences([0.1, 0.9, 0.8], ["s1", "s2", "s3"], 2)
         assert picked == [1, 2]
 
     def test_shared_trigram_skipped(self):
         sentences = ["the red fox ran", "the red fox slept", "dogs bark loudly today"]
-        picked = select_sentences([0.9, 0.8, 0.5], sentences, 2, True)
+        picked = select_sentences([0.9, 0.8, 0.5], sentences, 2)
         assert picked == [0, 2]
 
-    def test_blocking_off_keeps_duplicates(self):
-        sentences = ["the red fox ran", "the red fox slept", "dogs bark loudly today"]
-        picked = select_sentences([0.9, 0.8, 0.5], sentences, 2, False)
-        assert picked == [0, 1]
-
     def test_k_beyond_count(self):
-        picked = select_sentences([0.3, 0.7], ["a b", "c d"], 5, True)
+        picked = select_sentences([0.3, 0.7], ["a b", "c d"], 5)
         assert picked == [0, 1]
 
     def test_tie_goes_to_lower_index(self):
-        picked = select_sentences([0.5, 0.5, 0.5], ["a", "b", "c"], 1, False)
+        picked = select_sentences([0.5, 0.5, 0.5], ["a", "b", "c"], 1)
         assert picked == [0]
 
     def test_short_sentences_never_block(self):
         # Two-word sentences carry no trigram, so blocking cannot trigger.
-        picked = select_sentences([0.9, 0.8], ["aa bb", "aa bb"], 2, True)
+        picked = select_sentences([0.9, 0.8], ["aa bb", "aa bb"], 2)
         assert picked == [0, 1]
 
     @given(
         st.lists(st.floats(0, 1), min_size=1, max_size=8),
         st.integers(min_value=1, max_value=5),
-        st.booleans(),
         st.randoms(use_true_random=False),
     )
     @settings(max_examples=200, deadline=None)
-    def test_fuzz_structure_and_blocking(self, scores, k, blocking, rnd):
+    def test_fuzz_structure_and_blocking(self, scores, k, rnd):
         pool = ["aa", "bb", "cc", "dd", "ee"]
         sentences = [
             " ".join(rnd.choices(pool, k=rnd.randint(3, 6))) for _ in scores
         ]
-        picked = select_sentences(scores, sentences, k, blocking)
+        picked = select_sentences(scores, sentences, k)
         assert len(picked) <= k
         assert picked == sorted(set(picked))
         assert all(0 <= i < len(sentences) for i in picked)
-        if blocking:
-            for a in range(len(picked)):
-                for b in range(a + 1, len(picked)):
-                    assert not (
-                        _word_trigrams(sentences[picked[a]])
-                        & _word_trigrams(sentences[picked[b]])
-                    )
+        for a in range(len(picked)):
+            for b in range(a + 1, len(picked)):
+                assert not (
+                    _word_trigrams(sentences[picked[a]])
+                    & _word_trigrams(sentences[picked[b]])
+                )
 
 
 class TestSummarizeExt:
@@ -240,7 +231,7 @@ class TestSummarizeExt:
         return synthetic_example(rng, n_sentences=n)
 
     def test_returns_subsequence_in_order(self):
-        model = build_ext_model(_tiny(), seed=1)
+        model = build_model(_tiny(), "ext", seed=1)
         ex = self._example()
         out = summarize_ext(model, ex, ExtConfig(k=3))
         assert len(out) <= 3
@@ -248,23 +239,23 @@ class TestSummarizeExt:
         assert positions == sorted(positions)
 
     def test_k_one(self):
-        model = build_ext_model(_tiny(), seed=1)
+        model = build_model(_tiny(), "ext", seed=1)
         out = summarize_ext(model, self._example(), ExtConfig(k=1))
         assert len(out) == 1
 
     def test_wrong_model_kind(self):
-        model = build_abs_model(_tiny(), seed=1)
+        model = build_model(_tiny(), "abs", seed=1)
         with pytest.raises(ModelKindMismatch):
             summarize_ext(model, self._example(), ExtConfig())
 
     def test_empty_document(self):
-        model = build_ext_model(_tiny(), seed=1)
+        model = build_model(_tiny(), "ext", seed=1)
         empty = TokenizedExample([], [], [], [], [BOS, EOS], [], [])
         with pytest.raises(EmptyDocument):
             summarize_ext(model, empty, ExtConfig())
 
     def test_deterministic(self):
-        model = build_ext_model(_tiny(), seed=1)
+        model = build_model(_tiny(), "ext", seed=1)
         ex = self._example(seed=3)
         assert summarize_ext(model, ex, ExtConfig()) == summarize_ext(model, ex, ExtConfig())
 
@@ -272,7 +263,7 @@ class TestSummarizeExt:
 class TestBeamSearch:
     def test_beam_one_equals_greedy(self):
         for seed in range(10):
-            model = build_abs_model(_tiny(), seed=seed)
+            model = build_model(_tiny(), "abs", seed=seed)
             ex = synthetic_example(np.random.default_rng(seed + 100))
             cfg = BeamConfig(max_len=10, min_len=2, beam_size=1)
             got = beam_search(model, ex, cfg, bos_id=BOS, eos_id=EOS)
@@ -280,20 +271,20 @@ class TestBeamSearch:
             assert got == want, f"seed {seed}: {got} != {want}"
 
     def test_starts_with_bos(self):
-        model = build_abs_model(_tiny(), seed=2)
+        model = build_model(_tiny(), "abs", seed=2)
         ex = synthetic_example(np.random.default_rng(7))
         ids = beam_search(model, ex, BeamConfig(max_len=8), bos_id=BOS, eos_id=EOS)
         assert ids[0] == BOS
 
     def test_max_len_respected(self):
-        model = build_abs_model(_tiny(), seed=2)
+        model = build_model(_tiny(), "abs", seed=2)
         ex = synthetic_example(np.random.default_rng(7))
         ids = beam_search(model, ex, BeamConfig(max_len=6), bos_id=BOS, eos_id=EOS)
         assert len(ids) - 1 <= 6
 
     def test_min_len_blocks_early_eos(self):
         for seed in range(8):
-            model = build_abs_model(_tiny(), seed=seed)
+            model = build_model(_tiny(), "abs", seed=seed)
             ex = synthetic_example(np.random.default_rng(seed))
             ids = beam_search(
                 model, ex, BeamConfig(max_len=10, min_len=4), bos_id=BOS, eos_id=EOS
@@ -303,11 +294,11 @@ class TestBeamSearch:
 
     def test_no_repeated_token_trigrams_when_blocking(self):
         for seed in range(8):
-            model = build_abs_model(_tiny(), seed=seed)
+            model = build_model(_tiny(), "abs", seed=seed)
             ex = synthetic_example(np.random.default_rng(seed + 50))
             ids = beam_search(
                 model, ex,
-                BeamConfig(max_len=14, beam_size=3, block_repeat_trigrams=True),
+                BeamConfig(max_len=14, beam_size=3),
                 bos_id=BOS, eos_id=EOS,
             )
             gen = ids[1:]
@@ -315,7 +306,7 @@ class TestBeamSearch:
             assert len(trigrams) == len(set(trigrams))
 
     def test_deterministic(self):
-        model = build_abs_model(_tiny(), seed=4)
+        model = build_model(_tiny(), "abs", seed=4)
         ex = synthetic_example(np.random.default_rng(9))
         cfg = BeamConfig(max_len=10, beam_size=4)
         a = beam_search(model, ex, cfg, bos_id=BOS, eos_id=EOS)
@@ -323,13 +314,13 @@ class TestBeamSearch:
         assert a == b
 
     def test_wrong_model_kind(self):
-        model = build_ext_model(_tiny(), seed=1)
+        model = build_model(_tiny(), "ext", seed=1)
         ex = synthetic_example(np.random.default_rng(0))
         with pytest.raises(ModelKindMismatch):
             beam_search(model, ex, BeamConfig(max_len=5), bos_id=BOS, eos_id=EOS)
 
     def test_empty_source(self):
-        model = build_abs_model(_tiny(), seed=1)
+        model = build_model(_tiny(), "abs", seed=1)
         empty = TokenizedExample([], [], [], [], [BOS, EOS], [], [])
         with pytest.raises(EmptyDocument):
             beam_search(model, empty, BeamConfig(max_len=5), bos_id=BOS, eos_id=EOS)
@@ -337,7 +328,7 @@ class TestBeamSearch:
     def test_memorized_pair_reproduced(self):
         rng = np.random.default_rng(3)
         corpus = [synthetic_example(rng, tgt_len=7) for _ in range(2)]
-        model = build_abs_model(_tiny(), seed=3)
+        model = build_model(_tiny(), "abs", seed=3)
         # Enough steps that the full memorized sequence cleanly outscores an
         # early-EOS shortcut under length normalization.
         cfg = TrainConfig(max_steps=600, batch_size=2, seed=3, label_smoothing=0.0)
@@ -355,13 +346,13 @@ class TestBeamSearch:
         for seed in range(6):
             rng = np.random.default_rng(2000 + seed)
             corpus = [synthetic_example(rng) for _ in range(4)]
-            model = build_abs_model(_tiny(), seed=seed)
+            model = build_model(_tiny(), "abs", seed=seed)
             train_abs(corpus, model, TrainConfig(max_steps=60, batch_size=4, seed=seed), 0)
             scores = []
             for bs in (1, 2, 4):
                 cfg = BeamConfig(max_len=12, beam_size=bs)
                 ids = beam_search(model, corpus[0], cfg, bos_id=BOS, eos_id=EOS)
-                scores.append(_rescore(model, corpus[0], ids, cfg.length_penalty_alpha))
+                scores.append(_rescore(model, corpus[0], ids))
             assert scores[0] <= scores[1] + 1e-9
             assert scores[1] <= scores[2] + 1e-9
 
@@ -391,7 +382,7 @@ class TestIncrementalBeamSearch:
     def test_tokens_match_full_recompute(self):
         paths = Counter()
         for seed in range(4):
-            model = build_abs_model(_tiny(vocab=16), seed=seed)
+            model = build_model(_tiny(vocab=16), "abs", seed=seed)
             # Peaky next-token distributions make repeats, so blocking bites.
             model.params["encoder.tok_emb"].data *= 40.0
             ex = synthetic_example(np.random.default_rng(seed), vocab_size=16)
@@ -408,19 +399,17 @@ class TestIncrementalBeamSearch:
             for eos in (ranked[0], ranked[-1]):
                 for beam_size in range(1, 6):
                     for min_len in (1, 4):
-                        got = {}
-                        for blocking in (True, False):
-                            cfg = BeamConfig(
-                                max_len=9, min_len=min_len, beam_size=beam_size,
-                                block_repeat_trigrams=blocking,
-                            )
-                            got[blocking] = beam_search(model, ex, cfg, bos_id=BOS, eos_id=eos)
-                            want = _reference_beam_search(model, ex, cfg, bos_id=BOS, eos_id=eos)
-                            assert got[blocking] == want, (seed, eos, cfg)
-                            paths["eos" if got[blocking][-1] == eos else "fallback"] += 1
-                            if min_len > 1 and eos in got[blocking]:
-                                paths["late eos"] += 1
-                        paths["blocking changed"] += got[True] != got[False]
+                        cfg = BeamConfig(max_len=9, min_len=min_len, beam_size=beam_size)
+                        got = beam_search(model, ex, cfg, bos_id=BOS, eos_id=eos)
+                        want = _reference_beam_search(model, ex, cfg, bos_id=BOS, eos_id=eos)
+                        assert got == want, (seed, eos, cfg)
+                        paths["eos" if got[-1] == eos else "fallback"] += 1
+                        if min_len > 1 and eos in got:
+                            paths["late eos"] += 1
+                        unblocked = _reference_beam_search(
+                            model, ex, cfg, bos_id=BOS, eos_id=eos, blocking=False
+                        )
+                        paths["blocking changed"] += got != unblocked
         assert all(paths[p] for p in ("eos", "fallback", "late eos", "blocking changed"))
 
 
@@ -433,8 +422,8 @@ def test_inference_records_no_graph(monkeypatch):
             return outputs[-1]
         return wrapped
 
-    abs_model = build_abs_model(_tiny(), seed=1)
-    ext_model = build_ext_model(_tiny(), seed=1)
+    abs_model = build_model(_tiny(), "abs", seed=1)
+    ext_model = build_model(_tiny(), "ext", seed=1)
     monkeypatch.setattr(abs_model, "decode_step", recording(abs_model.decode_step))
     monkeypatch.setattr(ext_model, "forward_scores", recording(ext_model.forward_scores))
     ex = synthetic_example(np.random.default_rng(0))
@@ -446,7 +435,7 @@ def test_inference_records_no_graph(monkeypatch):
 class TestSummarizeAbs:
     def _setup(self):
         vocab = make_vocab([f"w{i}" for i in range(25)])  # 32 tokens total
-        model = build_abs_model(_tiny(vocab=len(vocab)), seed=5)
+        model = build_model(_tiny(vocab=len(vocab)), "abs", seed=5)
         rng = np.random.default_rng(11)
         ex = synthetic_example(rng, vocab_size=len(vocab))
         return model, ex, vocab

@@ -12,10 +12,10 @@ from conftest import tiny_config as _tiny_config_fixture  # noqa: F401 (fixture 
 from sumforge import tensor as T
 from sumforge.errors import (
     AllMasked,
+    ConfigError,
     FormatVersionMismatch,
     IdOutOfRange,
     IndexOutOfRange,
-    InvalidConfig,
     ModelKindMismatch,
     PositionOverflow,
     ShapeMismatch,
@@ -24,9 +24,6 @@ from sumforge.errors import (
 from sumforge.model import (
     ModelConfig,
     abs_loss,
-    build_abs_model,
-    build_encoder,
-    build_ext_model,
     build_model,
     ext_loss,
     load_checkpoint,
@@ -49,50 +46,50 @@ class TestModelConfig:
         assert tiny_config.d_model == 8
 
     def test_indivisible_heads(self):
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(ConfigError):
             ModelConfig(50, 7, 2, 16, 1, 1)
 
     def test_zero_dim(self):
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(ConfigError):
             ModelConfig(50, 8, 2, 0, 1, 1)
 
     def test_dropout_one_rejected(self):
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(ConfigError):
             ModelConfig(50, 8, 2, 16, 1, 1, dropout=1.0)
 
     def test_negative_dropout_rejected(self):
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(ConfigError):
             ModelConfig(50, 8, 2, 16, 1, 1, dropout=-0.1)
 
 
 class TestBuildEncoder:
     def test_embedding_shapes(self, tiny_config):
-        enc = build_encoder(tiny_config, seed=1)
+        enc = build_model(tiny_config, "encoder", seed=1)
         assert enc.params["encoder.tok_emb"].shape == (50, 8)
         assert enc.params["encoder.seg_emb"].shape == (2, 8)
         assert enc.params["encoder.pos_emb"].shape == (32, 8)
 
     def test_same_seed_identical_bytes(self, tiny_config):
-        a = build_encoder(tiny_config, seed=7)
-        b = build_encoder(tiny_config, seed=7)
+        a = build_model(tiny_config, "encoder", seed=7)
+        b = build_model(tiny_config, "encoder", seed=7)
         for name in a.params:
             assert a.params[name].data.tobytes() == b.params[name].data.tobytes()
 
     def test_different_seed_differs(self, tiny_config):
-        a = build_encoder(tiny_config, seed=7)
-        b = build_encoder(tiny_config, seed=8)
+        a = build_model(tiny_config, "encoder", seed=7)
+        b = build_model(tiny_config, "encoder", seed=8)
         tok_emb = "encoder.tok_emb"
         assert a.params[tok_emb].data.tobytes() != b.params[tok_emb].data.tobytes()
 
     def test_biases_zero_gains_one(self, tiny_config):
-        enc = build_encoder(tiny_config, seed=3)
+        enc = build_model(tiny_config, "encoder", seed=3)
         assert np.all(enc.params["encoder.layer0.attn.bq"].data == 0.0)
         assert np.all(enc.params["encoder.layer0.ff.b1"].data == 0.0)
         assert np.all(enc.params["encoder.final_ln.gamma"].data == 1.0)
         assert np.all(enc.params["encoder.final_ln.beta"].data == 0.0)
 
     def test_truncated_normal_bounded(self, tiny_config):
-        enc = build_encoder(tiny_config, seed=3)
+        enc = build_model(tiny_config, "encoder", seed=3)
         w = enc.params["encoder.layer0.attn.wq"].data
         assert np.all(np.abs(w) <= 2.0 * 0.02 + 1e-8)
         assert w.std() > 0.005  # not collapsed to zero
@@ -100,25 +97,25 @@ class TestBuildEncoder:
 
 class TestEncode:
     def test_output_shape(self, tiny_config):
-        enc = build_encoder(tiny_config, seed=1)
+        enc = build_model(tiny_config, "encoder", seed=1)
         src, segs, pad = _inputs(tiny_config)
         assert enc.encode(src, segs, pad).shape == (2, 6, 8)
 
     def test_position_overflow(self, tiny_config):
-        enc = build_encoder(tiny_config, seed=1)
+        enc = build_model(tiny_config, "encoder", seed=1)
         n = tiny_config.max_positions + 1
         src = np.zeros((1, n), dtype=int)
         with pytest.raises(PositionOverflow):
             enc.encode(src, np.zeros_like(src), np.zeros_like(src, dtype=bool))
 
     def test_id_out_of_range(self, tiny_config):
-        enc = build_encoder(tiny_config, seed=1)
+        enc = build_model(tiny_config, "encoder", seed=1)
         src = np.full((1, 4), tiny_config.vocab_size)
         with pytest.raises(IdOutOfRange):
             enc.encode(src, np.zeros_like(src), np.zeros_like(src, dtype=bool))
 
     def test_pad_invariance(self, tiny_config):
-        enc = build_encoder(tiny_config, seed=5, dtype=np.float64)
+        enc = build_model(tiny_config, "encoder", seed=5, dtype=np.float64)
         src, segs, pad = _inputs(tiny_config, batch=1, length=8)
         pad[0, 5:] = True
         base = enc.encode(src, segs, pad).data.copy()
@@ -128,14 +125,14 @@ class TestEncode:
         assert np.max(np.abs(perturbed[0, :5] - base[0, :5])) < 1e-6
 
     def test_deterministic_forward(self, tiny_config):
-        enc = build_encoder(tiny_config, seed=5)
+        enc = build_model(tiny_config, "encoder", seed=5)
         src, segs, pad = _inputs(tiny_config)
         a = enc.encode(src, segs, pad).data
         b = enc.encode(src, segs, pad).data
         assert np.array_equal(a, b)
 
     def test_segment_embedding_matters(self, tiny_config):
-        enc = build_encoder(tiny_config, seed=5, dtype=np.float64)
+        enc = build_model(tiny_config, "encoder", seed=5, dtype=np.float64)
         src, segs, pad = _inputs(tiny_config)
         a = enc.encode(src, segs, pad).data
         b = enc.encode(src, 1 - segs, pad).data
@@ -144,14 +141,14 @@ class TestEncode:
 
 class TestExtScores:
     def test_score_count_matches_positions(self, tiny_config):
-        model = build_ext_model(tiny_config, seed=2)
+        model = build_model(tiny_config, "ext", seed=2)
         src, segs, pad = _inputs(tiny_config)
         clss = np.array([[0, 2, 4], [1, 3, 5]])
         scores = model.forward_scores(src, segs, pad, clss)
         assert scores.shape == (2, 3)
 
     def test_zero_head_gives_half(self, tiny_config):
-        model = build_ext_model(tiny_config, seed=2)
+        model = build_model(tiny_config, "ext", seed=2)
         model.params["ext_head.w"].data[:] = 0.0
         model.params["ext_head.b"].data[:] = 0.0
         src, segs, pad = _inputs(tiny_config)
@@ -159,14 +156,14 @@ class TestExtScores:
         assert np.array_equal(scores.data, np.zeros((2, 2)))  # logit 0: probability 1/2
 
     def test_position_out_of_range(self, tiny_config):
-        model = build_ext_model(tiny_config, seed=2)
+        model = build_model(tiny_config, "ext", seed=2)
         src, segs, pad = _inputs(tiny_config)
         with pytest.raises(IndexOutOfRange):
             model.forward_scores(src, segs, pad, np.array([[0, 6]] * 2))
 
     def test_scores_are_the_head_logits(self, tiny_config):
         rng = np.random.default_rng(9)
-        model = build_ext_model(tiny_config, seed=2, dtype=np.float64)
+        model = build_model(tiny_config, "ext", seed=2, dtype=np.float64)
         for _ in range(25):
             length = int(rng.integers(2, 12))
             src = rng.integers(0, tiny_config.vocab_size, (1, length))
@@ -183,14 +180,14 @@ class TestExtScores:
 
 class TestDecodeTeacherForced:
     def test_logits_shape(self, tiny_config):
-        model = build_abs_model(tiny_config, seed=3)
+        model = build_model(tiny_config, "abs", seed=3)
         src, segs, pad = _inputs(tiny_config)
         tgt = np.array([[5, 7, 9, 6], [5, 8, 10, 6]])
         logits = model.forward_logits(src, segs, pad, tgt)
         assert logits.shape == (2, 4, 50)
 
     def test_causal_mask(self, tiny_config):
-        model = build_abs_model(tiny_config, seed=3, dtype=np.float64)
+        model = build_model(tiny_config, "abs", seed=3, dtype=np.float64)
         src, segs, pad = _inputs(tiny_config, batch=1)
         tgt = np.array([[5, 7, 9, 11, 6]])
         base = model.forward_logits(src, segs, pad, tgt).data.copy()
@@ -201,14 +198,14 @@ class TestDecodeTeacherForced:
         assert not np.allclose(perturbed[0, 3], base[0, 3])
 
     def test_target_position_overflow(self, tiny_config):
-        model = build_abs_model(tiny_config, seed=3)
+        model = build_model(tiny_config, "abs", seed=3)
         src, segs, pad = _inputs(tiny_config)
         tgt = np.zeros((2, tiny_config.max_positions + 1), dtype=int)
         with pytest.raises(PositionOverflow):
             model.forward_logits(src, segs, pad, tgt)
 
     def test_output_projection_tied_to_embeddings(self, tiny_config):
-        model = build_abs_model(tiny_config, seed=3, dtype=np.float64)
+        model = build_model(tiny_config, "abs", seed=3, dtype=np.float64)
         assert not any("proj" in k or "output" in k for k in model.params)
         src, segs, pad = _inputs(tiny_config, batch=1)
         tgt = np.array([[5, 7, 6]])
@@ -222,7 +219,7 @@ class TestDecodeTeacherForced:
         assert not np.allclose(moved[..., 30], base[..., 30])
 
     def test_encoder_pad_ignored_by_cross_attention(self, tiny_config):
-        model = build_abs_model(tiny_config, seed=3, dtype=np.float64)
+        model = build_model(tiny_config, "abs", seed=3, dtype=np.float64)
         src, segs, pad = _inputs(tiny_config, batch=1, length=8)
         pad[0, 6:] = True
         tgt = np.array([[5, 7, 9, 6]])
@@ -246,7 +243,7 @@ class TestDecodeStep:
     def test_step_logits_match_last_teacher_forced_position(self, seed):
         rng = np.random.default_rng(seed)
         cfg = self._config(n_dec_layers=1 + seed % 2)
-        model = build_abs_model(cfg, seed=seed)
+        model = build_model(cfg, "abs", seed=seed)
         src, segs, pad = _inputs(cfg, batch=1, length=9, seed=seed)
         pad[0, 5 + seed % 3 :] = True
         with T.no_grad():
@@ -269,7 +266,7 @@ class TestDecodeStep:
 
     def test_position_overflow_and_bad_inputs(self):
         cfg = self._config(max_positions=3)
-        model = build_abs_model(cfg, seed=1)
+        model = build_model(cfg, "abs", seed=1)
         src, segs, pad = _inputs(cfg, batch=1, length=3)
         cache = model.start_decoding(model.encode(src, segs, pad), pad)
         with pytest.raises(ShapeMismatch):
@@ -442,9 +439,9 @@ class TestVariantParity:
         from dataclasses import replace
 
         pre = replace(tiny_config, pretrained_encoder=True)
-        for build in (build_ext_model, build_abs_model):
-            a = build(tiny_config, seed=1)
-            b = build(pre, seed=1)
+        for kind in ("ext", "abs"):
+            a = build_model(tiny_config, kind, seed=1)
+            b = build_model(pre, kind, seed=1)
             assert set(a.params) == set(b.params)
 
     @pytest.mark.parametrize("task, part", [("ext", "ext_head"), ("abs", "decoder")])
@@ -460,9 +457,9 @@ class TestVariantParity:
         assert list(load_checkpoint(tmp_path / "m.ckpt").params) == names
 
     def test_build_model_dispatch(self, tiny_config):
-        assert build_model(tiny_config, "ext", 0).kind == "ext"
-        assert build_model(tiny_config, "abs", 0).kind == "abs"
-        with pytest.raises(InvalidConfig):
+        for kind in ("encoder", "ext", "abs"):
+            assert build_model(tiny_config, kind, 0).kind == kind
+        with pytest.raises(ConfigError):
             build_model(tiny_config, "seq2seq", 0)
 
 
@@ -503,13 +500,13 @@ class TestCheckpoint:
             assert not any(np.shares_memory(a, b) for b in arrays[i + 1 :])
 
     def test_save_is_deterministic(self, tiny_config, tmp_path):
-        model = build_ext_model(tiny_config, seed=11)
+        model = build_model(tiny_config, "ext", seed=11)
         save_checkpoint(model, tmp_path / "a.ckpt")
         save_checkpoint(model, tmp_path / "b.ckpt")
         assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
 
     def test_truncated_file(self, tiny_config, tmp_path):
-        model = build_ext_model(tiny_config, seed=11)
+        model = build_model(tiny_config, "ext", seed=11)
         path = tmp_path / "m.ckpt"
         save_checkpoint(model, path)
         blob = path.read_bytes()
@@ -519,7 +516,7 @@ class TestCheckpoint:
                 load_checkpoint(path)
 
     def test_bad_magic(self, tiny_config, tmp_path):
-        model = build_ext_model(tiny_config, seed=11)
+        model = build_model(tiny_config, "ext", seed=11)
         path = tmp_path / "m.ckpt"
         save_checkpoint(model, path)
         blob = bytearray(path.read_bytes())
@@ -529,7 +526,7 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_wrong_version(self, tiny_config, tmp_path):
-        model = build_ext_model(tiny_config, seed=11)
+        model = build_model(tiny_config, "ext", seed=11)
         path = tmp_path / "m.ckpt"
         save_checkpoint(model, path)
         blob = bytearray(path.read_bytes())
@@ -541,7 +538,7 @@ class TestCheckpoint:
     def test_edited_config_dims(self, tiny_config, tmp_path):
         import json
 
-        model = build_ext_model(tiny_config, seed=11)
+        model = build_model(tiny_config, "ext", seed=11)
         path = tmp_path / "m.ckpt"
         save_checkpoint(model, path)
         blob = path.read_bytes()
@@ -564,7 +561,7 @@ class TestCheckpoint:
             n_enc_layers=1, n_dec_layers=1, max_positions=4,
         )
         path = tmp_path / "m.ckpt"
-        save_checkpoint(build_ext_model(config, seed=1), path)
+        save_checkpoint(build_model(config, "ext", seed=1), path)
         blob = path.read_bytes()
         (header_len,) = struct.unpack("<I", blob[8:12])
         span = 12 + header_len + 300  # magic, version, header, first records
@@ -583,26 +580,44 @@ class TestCheckpoint:
                 pass
 
     def test_load_encoder_into(self, tiny_config, tmp_path):
-        donor = build_encoder(tiny_config, seed=21)
+        donor = build_model(tiny_config, "encoder", seed=21)
         path = tmp_path / "enc.ckpt"
         save_checkpoint(donor, path)
-        model = build_abs_model(tiny_config, seed=99)
+        model = build_model(tiny_config, "abs", seed=99)
         tok_emb = "encoder.tok_emb"
         assert model.params[tok_emb].data.tobytes() != donor.params[tok_emb].data.tobytes()
         load_encoder_into(model, path)
         for name in donor.params:
             assert np.array_equal(model.params[name].data, donor.params[name].data)
 
+    @pytest.mark.parametrize(
+        "change",
+        [{"n_enc_layers": 2}, {"n_heads": 4}, {"vocab_size": 51}, {"max_positions": 48}],
+        ids=lambda change: next(iter(change)),
+    )
+    def test_load_encoder_into_rejects_a_different_encoder(self, tiny_config, tmp_path, change):
+        # A deeper encoder would lose its extra layers and one with other
+        # heads would split the same weights differently; neither may load.
+        from dataclasses import replace
+
+        path = tmp_path / "enc.ckpt"
+        save_checkpoint(build_model(replace(tiny_config, **change), "encoder", seed=21), path)
+        model = build_model(tiny_config, "abs", seed=99)
+        before = {k: p.data.copy() for k, p in model.params.items()}
+        with pytest.raises(ShapeMismatch, match=next(iter(change))):
+            load_encoder_into(model, path)
+        assert all(np.array_equal(before[k], p.data) for k, p in model.params.items())
+
     def test_load_encoder_into_rejects_wrong_kind(self, tiny_config, tmp_path):
-        ext = build_ext_model(tiny_config, seed=21)
+        ext = build_model(tiny_config, "ext", seed=21)
         path = tmp_path / "ext.ckpt"
         save_checkpoint(ext, path)
-        model = build_abs_model(tiny_config, seed=99)
+        model = build_model(tiny_config, "abs", seed=99)
         with pytest.raises(ModelKindMismatch, match="model kind mismatch"):
             load_encoder_into(model, path)
 
     def test_encoder_round_trip(self, tiny_config, tmp_path):
-        enc = build_encoder(tiny_config, seed=4)
+        enc = build_model(tiny_config, "encoder", seed=4)
         path = tmp_path / "enc.ckpt"
         save_checkpoint(enc, path)
         loaded = load_checkpoint(path)

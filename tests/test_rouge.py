@@ -161,16 +161,6 @@ class TestEvaluateCorpus:
         with pytest.raises(EmptyCorpus):
             evaluate_corpus([], [])
 
-    def test_max_over_references_picks_best(self):
-        corpus = evaluate_corpus(
-            ["the cat"], [["a dog", "the cat"]], max_over_references=True
-        )
-        assert corpus.rouge1.f1 == 1.0
-
-    def test_reference_list_requires_flag(self):
-        with pytest.raises(LengthMismatch):
-            evaluate_corpus(["a"], [["a", "b"]])
-
 
 class TestFormatTable:
     def test_identical_prints_hundreds(self):

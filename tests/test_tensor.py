@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from sumforge import tensor as T
 from sumforge.errors import GraphCycle, InvalidAxis, NotScalar, ShapeMismatch
-from sumforge.model import ModelConfig, abs_loss, build_abs_model
+from sumforge.model import ModelConfig, abs_loss, build_model
 from sumforge.tensor import SplitRng, Tensor, backward, finite_diff_check
 
 
@@ -716,7 +716,7 @@ class TestAttention:
 def _small_model_loss(seed=0):
     cfg = ModelConfig(vocab_size=30, d_model=8, n_heads=2, d_ff=16,
                       n_enc_layers=1, n_dec_layers=1, max_positions=16, dropout=0.2)
-    model = build_abs_model(cfg, seed=seed)
+    model = build_model(cfg, "abs", seed=seed)
     r = np.random.default_rng(seed)
     src = r.integers(7, 30, (2, 9))
     pad = np.zeros((2, 9), dtype=bool)

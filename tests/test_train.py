@@ -23,9 +23,6 @@ from sumforge.errors import (
 from sumforge.model import (
     ModelConfig,
     abs_loss,
-    build_abs_model,
-    build_encoder,
-    build_ext_model,
     build_model,
     ext_loss,
     load_checkpoint,
@@ -76,6 +73,7 @@ class TestTrainConfig:
         assert cfg.base_lr_encoder == pytest.approx(2e-3)
         assert cfg.base_lr_decoder == pytest.approx(0.1)
         assert cfg.grad_clip_norm == pytest.approx(1.0)
+        assert TrainConfig().max_steps == 500
 
     def test_default_warmups_are_percentages(self):
         enc, dec = TrainConfig(max_steps=1000).resolved_warmups()
@@ -99,6 +97,13 @@ class TestTrainConfig:
             {"max_steps": 10, "label_smoothing": 1.0},
             {"max_steps": 10, "warmup_encoder": 0},
             {"max_steps": 10, "checkpoint_every": -1},
+            {"max_steps": 10, "base_lr_encoder": math.nan},
+            {"max_steps": 10, "base_lr_encoder": math.inf},
+            {"max_steps": 10, "base_lr_decoder": math.nan},
+            {"max_steps": 10, "base_lr_decoder": math.inf},
+            {"max_steps": 10, "grad_clip_norm": math.nan},
+            {"max_steps": 10, "grad_clip_norm": math.inf},
+            {"max_steps": 10, "label_smoothing": math.nan},
         ],
     )
     def test_invalid_configs(self, kw):
@@ -258,7 +263,7 @@ class TestBatching:
 
 class TestTrainExt:
     def test_zero_steps_leaves_params_at_init(self, tmp_path):
-        model = build_ext_model(_tiny(), seed=3)
+        model = build_model(_tiny(), "ext", seed=3)
         before = {k: v.data.copy() for k, v in model.params.items()}
         trace = train_ext(_corpus(4), model, TrainConfig(max_steps=0, checkpoint_dir=tmp_path), PAD)
         assert trace == []
@@ -269,7 +274,7 @@ class TestTrainExt:
     def test_same_seed_bit_identical(self, tmp_path):
         runs = []
         for tag in ("a", "b"):
-            model = build_ext_model(_tiny(), seed=3)
+            model = build_model(_tiny(), "ext", seed=3)
             cfg = TrainConfig(max_steps=12, batch_size=4, seed=9, checkpoint_dir=tmp_path / tag)
             runs.append((train_ext(_corpus(6), model, cfg, PAD), tag))
         (trace_a, _), (trace_b, _) = runs
@@ -279,19 +284,19 @@ class TestTrainExt:
         ).read_bytes()
 
     def test_loss_decreases_on_fixed_corpus(self):
-        model = build_ext_model(_tiny(), seed=3)
+        model = build_model(_tiny(), "ext", seed=3)
         trace = train_ext(_corpus(8), model, TrainConfig(max_steps=150, batch_size=8, seed=1), PAD)
         assert trace[-1].loss < trace[0].loss
         assert all(math.isfinite(r.loss) for r in trace)
 
     def test_periodic_checkpoints(self, tmp_path):
-        model = build_ext_model(_tiny(), seed=3)
+        model = build_model(_tiny(), "ext", seed=3)
         cfg = TrainConfig(max_steps=10, checkpoint_every=4, seed=1, checkpoint_dir=tmp_path / "ext")
         train_ext(_corpus(4), model, cfg, PAD)
         names = sorted(p.name for p in (tmp_path / "ext").iterdir())
         assert names == ["ext_final.ckpt", "ext_step000004.ckpt", "ext_step000008.ckpt"]
 
-        encoder = build_encoder(_tiny(), seed=3)
+        encoder = build_model(_tiny(), "encoder", seed=3)
         cfg = replace(cfg, checkpoint_dir=tmp_path / "prefit")
         prefit_encoder(
             _corpus(4), encoder, cfg,
@@ -305,14 +310,14 @@ class TestTrainExt:
 
     def test_empty_corpus(self):
         with pytest.raises(EmptyCorpus):
-            train_ext([], build_ext_model(_tiny(), seed=1), TrainConfig(max_steps=1), PAD)
+            train_ext([], build_model(_tiny(), "ext", seed=1), TrainConfig(max_steps=1), PAD)
 
     def test_rejects_wrong_model_kind(self):
         with pytest.raises(ConfigError):
-            train_ext(_corpus(2), build_abs_model(_tiny(), seed=1), TrainConfig(max_steps=1), PAD)
+            train_ext(_corpus(2), build_model(_tiny(), "abs", seed=1), TrainConfig(max_steps=1), PAD)
 
     def test_trace_uses_encoder_schedule(self):
-        model = build_ext_model(_tiny(), seed=3)
+        model = build_model(_tiny(), "ext", seed=3)
         cfg = TrainConfig(max_steps=5, warmup_encoder=10, base_lr_encoder=1e-2, seed=1)
         trace = train_ext(_corpus(4), model, cfg, PAD)
         for row in trace:
@@ -323,14 +328,14 @@ class TestTrainAbs:
     def test_same_seed_identical_traces(self):
         traces = []
         for _ in range(2):
-            model = build_abs_model(_tiny(), seed=5)
+            model = build_model(_tiny(), "abs", seed=5)
             traces.append(
                 train_abs(_corpus(6), model, TrainConfig(max_steps=8, batch_size=4, seed=2), PAD)
             )
         assert traces[0] == traces[1]
 
     def test_dual_schedules_reported(self):
-        model = build_abs_model(_tiny(), seed=5)
+        model = build_model(_tiny(), "abs", seed=5)
         cfg = TrainConfig(
             max_steps=6, warmup_encoder=20, warmup_decoder=4,
             base_lr_encoder=1e-3, base_lr_decoder=0.05, seed=2,
@@ -341,21 +346,21 @@ class TestTrainAbs:
             assert row.lr_decoder == pytest.approx(lr_schedule(row.step, 0.05, 4))
 
     def test_losses_finite_on_random_data(self):
-        model = build_abs_model(_tiny(), seed=5)
+        model = build_model(_tiny(), "abs", seed=5)
         trace = train_abs(_corpus(10, seed=4), model, TrainConfig(max_steps=40, seed=2), PAD)
         assert all(math.isfinite(r.loss) for r in trace)
 
     def test_loss_decreases(self):
-        model = build_abs_model(_tiny(), seed=5)
+        model = build_model(_tiny(), "abs", seed=5)
         trace = train_abs(_corpus(4, seed=4), model, TrainConfig(max_steps=120, seed=2), PAD)
         assert trace[-1].loss < trace[0].loss
 
     def test_rejects_wrong_model_kind(self):
         with pytest.raises(ConfigError):
-            train_abs(_corpus(2), build_ext_model(_tiny(), seed=1), TrainConfig(max_steps=1), PAD)
+            train_abs(_corpus(2), build_model(_tiny(), "ext", seed=1), TrainConfig(max_steps=1), PAD)
 
     def test_encoder_and_decoder_both_move(self):
-        model = build_abs_model(_tiny(), seed=5)
+        model = build_model(_tiny(), "abs", seed=5)
         before_enc = model.params["encoder.tok_emb"].data.copy()
         before_dec = model.params["decoder.layer0.self_attn.wq"].data.copy()
         train_abs(_corpus(4), model, TrainConfig(max_steps=5, seed=2), PAD)
@@ -365,7 +370,7 @@ class TestTrainAbs:
 
 class TestPrefit:
     def _run(self, steps, tmp_path=None, seed=7, n_docs=30):
-        encoder = build_encoder(_tiny(), seed=seed)
+        encoder = build_model(_tiny(), "encoder", seed=seed)
         cfg = TrainConfig(max_steps=steps, batch_size=8, seed=seed, checkpoint_dir=tmp_path)
         trace = prefit_encoder(
             _corpus(n_docs, seed=11), encoder, cfg,
@@ -374,7 +379,7 @@ class TestPrefit:
         return encoder, trace
 
     def test_zero_mask_prob_rejected(self):
-        encoder = build_encoder(_tiny(), seed=1)
+        encoder = build_model(_tiny(), "encoder", seed=1)
         with pytest.raises(NoMaskedPositions):
             prefit_encoder(
                 _corpus(2), encoder, TrainConfig(max_steps=1),
@@ -382,15 +387,25 @@ class TestPrefit:
             )
 
     def test_mask_prob_one_rejected(self):
-        encoder = build_encoder(_tiny(), seed=1)
+        encoder = build_model(_tiny(), "encoder", seed=1)
         with pytest.raises(ConfigError):
             prefit_encoder(
                 _corpus(2), encoder, TrainConfig(max_steps=1),
                 mask_prob=1.0, mask_id=4, pad_id=PAD, special_ids=SPECIAL_IDS,
             )
 
+    def test_nan_mask_prob_rejected(self):
+        # NaN compares false both ways; it must not fall through to masking
+        # one token per batch.
+        encoder = build_model(_tiny(), "encoder", seed=1)
+        with pytest.raises(ConfigError):
+            prefit_encoder(
+                _corpus(2), encoder, TrainConfig(max_steps=1),
+                mask_prob=math.nan, mask_id=4, pad_id=PAD, special_ids=SPECIAL_IDS,
+            )
+
     def test_empty_corpus(self):
-        encoder = build_encoder(_tiny(), seed=1)
+        encoder = build_model(_tiny(), "encoder", seed=1)
         with pytest.raises(EmptyCorpus):
             prefit_encoder(
                 [], encoder, TrainConfig(max_steps=1),
@@ -408,7 +423,7 @@ class TestPrefit:
         assert loaded.kind == "encoder"
         assert set(loaded.params) == set(encoder.params)
         # The reconstruction bias must not leak into the checkpoint.
-        model = build_abs_model(_tiny(), seed=99)
+        model = build_model(_tiny(), "abs", seed=99)
         load_encoder_into(model, tmp_path / "encoder_final.ckpt")
         for name in encoder.params:
             assert np.array_equal(model.params[name].data, encoder.params[name].data)
@@ -451,7 +466,7 @@ class TestMaskedTokenLoss:
         if not chosen.any():  # prefit forces one masked position too
             chosen[0, rng.integers(lengths[0])] = True
         masked_src = np.where(chosen, 4, src)
-        encoder = build_encoder(_tiny(), seed=seed % 97, dtype=dtype)
+        encoder = build_model(_tiny(), "encoder", seed=seed % 97, dtype=dtype)
         bias = Tensor(rng.standard_normal(40).astype(dtype) * 0.1, requires_grad=True)
         params = {**encoder.params, "recon.b": bias}
 
@@ -472,7 +487,7 @@ class TestMaskedTokenLoss:
 
 class TestTeacherForcedAccuracy:
     def test_matches_manual_computation(self):
-        model = build_abs_model(_tiny(), seed=5)
+        model = build_model(_tiny(), "abs", seed=5)
         examples = _corpus(3, seed=6, tgt_len=5) + _corpus(2, seed=7, tgt_len=7)
         got = teacher_forced_accuracy(model, examples, PAD, batch_size=2)
         hits = total = 0
@@ -488,12 +503,12 @@ class TestTeacherForcedAccuracy:
         assert got == pytest.approx(hits / total)
 
     def test_bounded(self):
-        model = build_abs_model(_tiny(), seed=5)
+        model = build_model(_tiny(), "abs", seed=5)
         acc = teacher_forced_accuracy(model, _corpus(4), PAD)
         assert 0.0 <= acc <= 1.0
 
     def test_records_no_graph(self, monkeypatch):
-        model = build_abs_model(_tiny(), seed=5)
+        model = build_model(_tiny(), "abs", seed=5)
         outputs = []
         forward = model.forward_logits
         monkeypatch.setattr(
@@ -527,7 +542,7 @@ class TestNonFiniteLoss:
             assert np.array_equal(v.data, before[k], equal_nan=True), k
 
     def test_train_ext_stops_with_params_untouched(self, tmp_path):
-        model = build_ext_model(_tiny(), seed=3)
+        model = build_model(_tiny(), "ext", seed=3)
         before = self._poisoned(model)
         cfg = TrainConfig(max_steps=3, batch_size=4, seed=1, checkpoint_dir=tmp_path)
         with pytest.raises(NonFiniteLoss, match="step 1"):
@@ -537,7 +552,7 @@ class TestNonFiniteLoss:
         assert not (tmp_path / "ext_final.ckpt").exists()
 
     def test_train_abs_stops_with_params_untouched(self, tmp_path):
-        model = build_abs_model(_tiny(), seed=5)
+        model = build_model(_tiny(), "abs", seed=5)
         before = self._poisoned(model, "decoder.layer0.ff.w2", np.inf)
         cfg = TrainConfig(max_steps=3, batch_size=4, seed=2, checkpoint_dir=tmp_path)
         with pytest.raises(NonFiniteLoss):
@@ -546,7 +561,7 @@ class TestNonFiniteLoss:
         assert not (tmp_path / "abs_final.ckpt").exists()
 
     def test_prefit_stops_with_params_untouched(self, tmp_path):
-        encoder = build_encoder(_tiny(), seed=7)
+        encoder = build_model(_tiny(), "encoder", seed=7)
         encoder.params["encoder.layer0.ff.w1"].data[0, 0] = np.nan
         before = {k: v.data.copy() for k, v in encoder.params.items()}
         with pytest.raises(NonFiniteLoss):
@@ -562,7 +577,7 @@ class TestNonFiniteLoss:
     def test_non_finite_gradient_with_finite_loss_stops(self, monkeypatch):
         import sumforge.train as train_mod
 
-        model = build_ext_model(_tiny(), seed=3)
+        model = build_model(_tiny(), "ext", seed=3)
         before = {k: v.data.copy() for k, v in model.params.items()}
         real_backward = train_mod.T.backward
 
@@ -827,7 +842,7 @@ class TestFitMatchesReference:
     def test_prefit_matches_reference(self, tmp_path):
         examples = _varied_corpus(13, seed=3)
         kw = dict(mask_prob=0.3, mask_id=4, pad_id=PAD, special_ids=SPECIAL_IDS)
-        new, ref = (build_encoder(_dropout_config(), seed=4) for _ in range(2))
+        new, ref = (build_model(_dropout_config(), "encoder", seed=4) for _ in range(2))
         got = prefit_encoder(examples, new, self._config(tmp_path / "new"), **kw)
         want = _reference_prefit_encoder(examples, ref, self._config(tmp_path / "ref"), **kw)
         assert got == want and len(got) == 9
@@ -837,7 +852,7 @@ class TestFitMatchesReference:
         # The reference loop saved no periodic checkpoints; a shorter run of
         # it ends where `fit`'s periodic ones were written.
         for step in (4, 8):
-            short = build_encoder(_dropout_config(), seed=4)
+            short = build_model(_dropout_config(), "encoder", seed=4)
             out = tmp_path / f"ref{step}"
             _reference_prefit_encoder(examples, short, self._config(out, step), **kw)
             assert files[f"encoder_step{step:06d}.ckpt"] == (out / "encoder_final.ckpt").read_bytes()
@@ -863,6 +878,6 @@ class TestFit:
         [],
     ])
     def test_groups_must_cover_every_parameter_once(self, groups):
-        model = build_abs_model(_tiny(), seed=5)
+        model = build_model(_tiny(), "abs", seed=5)
         with pytest.raises(ConfigError, match="exactly once"):
             fit(model, model.params, _corpus(4), None, groups, TrainConfig(max_steps=2))
