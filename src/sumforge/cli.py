@@ -10,14 +10,18 @@ to stdout, diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 from dataclasses import asdict, fields
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
+import numpy as np
+
+from .atomic import atomic_write
 from .errors import ConfigError, EmptyCorpus, LengthMismatch, SumforgeError, TooLong
 from .infer import BeamConfig, ExtConfig, summarize_abs, summarize_ext
 from .ingest import (
@@ -27,7 +31,7 @@ from .ingest import (
     read_story_dir,
     split_sentences,
 )
-from .model import ModelConfig, build_model, load_checkpoint, load_encoder_into
+from .model import Encoder, ModelConfig, build_model, load_checkpoint, load_encoder_into
 from .rouge import evaluate_corpus, format_score_table
 from .tokenization import (
     TokenizedExample,
@@ -113,13 +117,29 @@ def _write_manifest(
         "outputs": sorted(outputs),
         **stats,
     }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    with atomic_write(out_dir / "manifest.json", encoding="utf-8") as fh:
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
+
+
+def _environment() -> dict[str, object]:
+    """What same-seed checkpoint and trace bytes depend on beyond the inputs:
+    they repeat only at a fixed BLAS thread count."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.25 has no dict mode
+        blas = {}
+    return {
+        "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
+        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
+        "numpy": np.__version__,
+        "blas": blas.get("name"),
+        "blas_version": blas.get("version"),
+    }
 
 
 # --- subcommands ---
@@ -251,6 +271,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         seed,
         started,
         [str(out_dir / "trace.csv"), str(out_dir)],
+        environment=_environment(),
     )
     final = trace[-1].loss if trace else float("nan")
     print(f"{args.task}: {len(trace)} steps, final loss {final:.6f}")
@@ -277,13 +298,45 @@ def _example_from_text(text: str, vocab: Vocab, max_positions: int) -> Tokenized
     )
 
 
+class _LastLoad:
+    """The bytes a loader was last given and what it built from them, so
+    that repeated calls in one process load a file again only when its
+    bytes change. File times are not trusted: they are coarse, and an
+    in-place rewrite keeps the inode."""
+
+    def __init__(self) -> None:
+        self.data: bytes | None = None
+        self.value: object = None
+
+    def load(self, path: str, loader: Callable[[bytes], object]) -> object:
+        data = Path(path).read_bytes()
+        if data != self.data:
+            self.data = self.value = None  # a failed load caches nothing
+            self.value = loader(data)
+            self.data = data
+        return self.value
+
+
+_checkpoints = _LastLoad()
+_vocabs = _LastLoad()
+
+
+def _shared_checkpoint(data: bytes) -> Encoder:
+    """A checkpoint whose weights later calls share: read-only, so a write
+    into them fails instead of changing every later summary."""
+    model = load_checkpoint(data)
+    for param in model.params.values():
+        param.data.flags.writeable = False
+    return model
+
+
 def cmd_summarize(args: argparse.Namespace) -> int:
-    model = load_checkpoint(args.checkpoint)
+    model = _checkpoints.load(args.checkpoint, _shared_checkpoint)
     if model.kind != args.task:
         raise ConfigError(
             f"model kind mismatch: checkpoint is {model.kind!r}, task is {args.task!r}"
         )
-    vocab = load_vocab(args.vocab)
+    vocab = _vocabs.load(args.vocab, load_vocab)
     if len(vocab) != model.config.vocab_size:
         raise ConfigError(
             f"vocab has {len(vocab)} tokens, model expects {model.config.vocab_size}"
@@ -317,10 +370,12 @@ def _read_jsonl_texts(path: Path | str) -> dict[str, str]:
             raise ConfigError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
         if not isinstance(record, dict) or "id" not in record or "text" not in record:
             raise ConfigError(f'{path}:{line_no}: expected {{"id", "text"}} object')
-        doc_id = str(record["id"])
+        doc_id, text = record["id"], record["text"]
+        if not isinstance(doc_id, str) or not isinstance(text, str):
+            raise ConfigError(f'{path}:{line_no}: "id" and "text" must be strings')
         if doc_id in texts:
             raise ConfigError(f"{path}:{line_no}: duplicate id {doc_id!r}")
-        texts[doc_id] = str(record["text"])
+        texts[doc_id] = text
     return texts
 
 
@@ -344,7 +399,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 # --- argument parsing ---
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="sumforge",
         description="Extractive and abstractive summarization, end to end.",

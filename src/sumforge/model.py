@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
+from .atomic import atomic_write
 from .errors import (
     AllMasked,
     ConfigError,
@@ -537,20 +538,19 @@ def save_checkpoint(model: Encoder, path: Path | str) -> None:
         sort_keys=True,
     ).encode("utf-8")
 
-    buf = io.BytesIO()
-    buf.write(CHECKPOINT_MAGIC)
-    buf.write(struct.pack("<I", CHECKPOINT_VERSION))
-    buf.write(struct.pack("<I", len(header)))
-    buf.write(header)
-    for name in sorted(model.params):
-        data = np.ascontiguousarray(model.params[name].data, dtype="<f4")
-        name_bytes = name.encode("utf-8")
-        buf.write(struct.pack("<I", len(name_bytes)))
-        buf.write(name_bytes)
-        buf.write(struct.pack("<I", data.ndim))
-        buf.write(struct.pack(f"<{data.ndim}I", *data.shape))
-        buf.write(data.tobytes())
-    Path(path).write_bytes(buf.getvalue())
+    with atomic_write(path, "wb") as fh:
+        fh.write(CHECKPOINT_MAGIC)
+        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
+        fh.write(struct.pack("<I", len(header)))
+        fh.write(header)
+        for name in sorted(model.params):
+            data = np.ascontiguousarray(model.params[name].data, dtype="<f4")
+            name_bytes = name.encode("utf-8")
+            fh.write(struct.pack("<I", len(name_bytes)))
+            fh.write(name_bytes)
+            fh.write(struct.pack("<I", data.ndim))
+            fh.write(struct.pack(f"<{data.ndim}I", *data.shape))
+            fh.write(data.tobytes())
 
 
 def _read_exact(buf: io.BytesIO, n: int, what: str) -> bytes:
@@ -560,9 +560,10 @@ def _read_exact(buf: io.BytesIO, n: int, what: str) -> bytes:
     return chunk
 
 
-def load_checkpoint(path: Path | str, dtype=np.float32) -> Encoder:
-    """Rebuild the serialized model; bit-exact inverse of save_checkpoint."""
-    buf = io.BytesIO(Path(path).read_bytes())
+def load_checkpoint(source: Path | str | bytes, dtype=np.float32) -> Encoder:
+    """Rebuild the serialized model from a checkpoint path or its bytes;
+    bit-exact inverse of save_checkpoint."""
+    buf = io.BytesIO(source if isinstance(source, bytes) else Path(source).read_bytes())
     if _read_exact(buf, 4, "magic") != CHECKPOINT_MAGIC:
         raise FormatVersionMismatch("not a sumforge checkpoint (bad magic)")
     (version,) = struct.unpack("<I", _read_exact(buf, 4, "version"))

@@ -51,7 +51,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
-        if not np.issubdtype(arr.dtype, np.floating):
+        if arr.dtype.kind != "f":  # np.floating's dtypes, without issubdtype's cost
             arr = arr.astype(np.float32)
         self.data = arr
         self.requires_grad = requires_grad
@@ -416,8 +416,9 @@ def attention(
     and dropout run in place on one score buffer; only the probabilities
     and the boolean keep mask are kept for backward, which recomputes the
     dropped probabilities. Forward and backward make the same numpy calls,
-    in the same order, as matmul/mul/masked_fill/softmax/dropout/matmul, so
-    values and gradients are bitwise those of that composed chain.
+    in the same order, as matmul/mul/masked_fill/softmax/dropout/matmul,
+    less the mask passes that cannot change a bit, so values and gradients
+    are bitwise those of that composed chain.
     """
     _check_dropout_p(p)
     kt = np.swapaxes(k.data, -1, -2)
@@ -430,9 +431,16 @@ def attention(
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
         try:
-            np.copyto(probs, np.asarray(NEG_INF, dtype=probs.dtype), where=mask)
+            np.broadcast_to(mask, probs.shape)
         except ValueError as exc:
             raise ShapeMismatch(f"attention: scores {probs.shape} vs mask {mask.shape}") from exc
+        if mask.any():
+            np.copyto(probs, np.asarray(NEG_INF, dtype=probs.dtype), where=mask)
+        # Unless a query row is masked whole, its masked probabilities come
+        # out of the softmax as exactly 0, so their score gradients are
+        # already ±0 and the backward mask pass would change no bits.
+        if not np.atleast_1d(mask).all(axis=-1).any():
+            mask = None
     _softmax_forward(probs, -1, out=probs)
     keep = None
     if train and p > 0.0:

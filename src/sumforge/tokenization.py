@@ -15,9 +15,11 @@ import re
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .atomic import atomic_write
 from .errors import (
     CorruptShard,
     DuplicateToken,
@@ -109,13 +111,14 @@ class Vocab:
         return ids
 
 
-def load_vocab(path: Path | str) -> Vocab:
-    """Read a one-token-per-line UTF-8 vocabulary file."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+def load_vocab(source: Path | str | bytes) -> Vocab:
+    """Read a one-token-per-line UTF-8 vocabulary from a path or its bytes."""
+    data = source if isinstance(source, bytes) else Path(source).read_bytes()
+    lines = data.decode("utf-8").splitlines()
     # A trailing blank line is file formatting, not an empty token.
     if lines and lines[-1] == "":
         lines = lines[:-1]
-    return Vocab([line.rstrip("\n") for line in lines])
+    return Vocab(lines)
 
 
 def basic_tokenize(text: str) -> list[str]:
@@ -386,31 +389,22 @@ def write_shards(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    examples = iter(examples)
     shard_count = 0
-    fh = None
-    lines_in_shard = 0
-    try:
-        for ex in examples:
-            if fh is None or lines_in_shard == shard_size:
-                if fh is not None:
-                    fh.close()
-                fh = open(out_dir / f"shard_{shard_count}.jsonl", "w", encoding="utf-8")
-                shard_count += 1
-                lines_in_shard = 0
-            record = {
-                "src": ex.src_ids,
-                "segs": ex.segment_ids,
-                "clss": ex.cls_positions,
-                "labels": ex.ext_labels,
-                "tgt": ex.tgt_ids,
-                "src_txt": ex.src_txt,
-                "tgt_txt": ex.tgt_txt,
-            }
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
-            lines_in_shard += 1
-    finally:
-        if fh is not None:
-            fh.close()
+    while shard := list(islice(examples, shard_size)):
+        with atomic_write(out_dir / f"shard_{shard_count}.jsonl", encoding="utf-8") as fh:
+            for ex in shard:
+                record = {
+                    "src": ex.src_ids,
+                    "segs": ex.segment_ids,
+                    "clss": ex.cls_positions,
+                    "labels": ex.ext_labels,
+                    "tgt": ex.tgt_ids,
+                    "src_txt": ex.src_txt,
+                    "tgt_txt": ex.tgt_txt,
+                }
+                fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+        shard_count += 1
     return shard_count
 
 

@@ -23,6 +23,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from . import tensor as T
+from .atomic import atomic_write
 from .errors import (
     ConfigError,
     EmptyCorpus,
@@ -92,7 +93,7 @@ class TraceRow:
 
 
 def write_trace(rows: Sequence[TraceRow], path: Path | str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(path, newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "loss", "lr_encoder", "lr_decoder"])
         for row in rows:

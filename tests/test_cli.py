@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from conftest import SPECIALS
+from sumforge import cli
 from sumforge import tensor as T
 from sumforge.cli import CONFIG_KEYS, _typed_config, main, parse_config_file
 from sumforge.errors import ConfigError
@@ -29,6 +30,7 @@ from sumforge.model import (
     ModelConfig,
     abs_loss,
     build_model,
+    load_checkpoint,
     save_checkpoint,
 )
 from sumforge.train import TrainConfig
@@ -390,6 +392,12 @@ class TestTrain:
         assert manifest["config"]["d_model"] == 8
         assert manifest["config"]["max_steps"] == 6
         assert manifest["config"]["vocab_size"] == _VOCAB_SIZE
+        env = manifest["environment"]
+        assert env["nproc"] >= 1
+        assert env["numpy"] == np.__version__
+        assert env["OPENBLAS_NUM_THREADS"] == os.environ.get("OPENBLAS_NUM_THREADS")
+        assert env["OMP_NUM_THREADS"] == os.environ.get("OMP_NUM_THREADS")
+        assert {"blas", "blas_version"} <= env.keys()
 
     def test_abs_writes_checkpoint(self, tmp_path, capsys):
         shards, vocab = _make_shards(tmp_path)
@@ -721,6 +729,108 @@ class TestSummarize:
         assert "model expects" in capsys.readouterr().err
 
 
+class TestSummarizeLoadsOnce:
+    """Repeated in-process summarize calls share one checkpoint and one
+    vocabulary while the files hold the same bytes."""
+
+    @pytest.fixture
+    def loads(self, monkeypatch):
+        monkeypatch.setattr(cli, "_checkpoints", cli._LastLoad())
+        monkeypatch.setattr(cli, "_vocabs", cli._LastLoad())
+        counts = {"checkpoint": 0, "vocab": 0}
+
+        def counting(name, loader):
+            def load(*args, **kwargs):
+                counts[name] += 1
+                return loader(*args, **kwargs)
+            return load
+
+        monkeypatch.setattr(cli, "load_checkpoint", counting("checkpoint", cli.load_checkpoint))
+        monkeypatch.setattr(cli, "load_vocab", counting("vocab", cli.load_vocab))
+        return counts
+
+    @staticmethod
+    def _files(tmp_path, task="abs"):
+        vocab = _write_vocab(tmp_path / "vocab.txt")
+        ckpt = _save_model(tmp_path / f"{task}.ckpt", task)
+        story = _write_story_file(tmp_path / "doc.story")
+        return vocab, ckpt, story
+
+    @staticmethod
+    def _summarize(capsys, vocab, ckpt, story, task="abs"):
+        code = main(["summarize", "--task", task, "--checkpoint", str(ckpt),
+                     "--vocab", str(vocab), "--input", str(story),
+                     "--beam", "2", "--max-len", "6"])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @staticmethod
+    def _fresh(monkeypatch, capsys, *files, task="abs"):
+        monkeypatch.setattr(cli, "_checkpoints", cli._LastLoad())
+        monkeypatch.setattr(cli, "_vocabs", cli._LastLoad())
+        return TestSummarizeLoadsOnce._summarize(capsys, *files, task=task)
+
+    @pytest.mark.parametrize("task", ["ext", "abs"])
+    def test_repeated_calls_load_each_file_once(self, tmp_path, capsys, loads, task):
+        files = self._files(tmp_path, task)
+        outs = {self._summarize(capsys, *files, task=task) for _ in range(4)}
+        assert len(outs) == 1 and next(iter(outs))[0] == 0
+        assert loads == {"checkpoint": 1, "vocab": 1}
+
+    def test_rewritten_checkpoint_is_loaded_again(self, tmp_path, capsys, monkeypatch, loads):
+        vocab, ckpt, story = self._files(tmp_path)
+        first = self._summarize(capsys, vocab, ckpt, story)
+        other = _save_model(tmp_path / "other.ckpt", "abs", seed=3)
+        ckpt.write_bytes(other.read_bytes())  # in place: same inode
+        second = self._summarize(capsys, vocab, ckpt, story)
+        assert loads == {"checkpoint": 2, "vocab": 1}
+        assert second != first
+        assert second == self._fresh(monkeypatch, capsys, vocab, ckpt, story)
+
+    def test_checkpoint_corrupted_after_a_good_load_exits_2(self, tmp_path, capsys, loads):
+        vocab, ckpt, story = self._files(tmp_path)
+        good = ckpt.read_bytes()
+        assert self._summarize(capsys, vocab, ckpt, story)[0] == 0
+        ckpt.write_bytes(good[: len(good) // 2])
+        code, out, err = self._summarize(capsys, vocab, ckpt, story)
+        assert (code, out) == (2, "") and err.startswith("error:")
+        assert cli._checkpoints.data is None and cli._checkpoints.value is None
+        ckpt.write_bytes(good)
+        assert self._summarize(capsys, vocab, ckpt, story)[0] == 0
+        assert loads["checkpoint"] == 3
+
+    def test_vocab_of_another_size_exits_2(self, tmp_path, capsys, loads):
+        vocab, ckpt, story = self._files(tmp_path)
+        assert self._summarize(capsys, vocab, ckpt, story)[0] == 0
+        _write_vocab(vocab, _WORDS + ["extra"])
+        code, _, err = self._summarize(capsys, vocab, ckpt, story)
+        assert code == 2 and "model expects" in err
+        assert loads == {"checkpoint": 1, "vocab": 2}
+
+    def test_interleaved_documents_match_fresh_loads(self, tmp_path, capsys, monkeypatch, loads):
+        vocab, ckpt, story = self._files(tmp_path, "ext")
+        plain = tmp_path / "doc.txt"
+        plain.write_text("birds sang songs now . the sun rose slowly .", "utf-8")
+        docs = [story, plain, story, plain]
+        shared = [self._summarize(capsys, vocab, ckpt, doc, "ext") for doc in docs]
+        fresh = [self._fresh(monkeypatch, capsys, vocab, ckpt, doc, task="ext") for doc in docs]
+        assert shared == fresh
+        assert shared[0] != shared[1]
+
+    def test_shared_weights_stay_bitwise_equal_and_read_only(self, tmp_path, capsys, loads):
+        vocab, ckpt, story = self._files(tmp_path)
+        for _ in range(3):
+            assert self._summarize(capsys, vocab, ckpt, story)[0] == 0
+        shared = cli._checkpoints.value.params
+        fresh = load_checkpoint(ckpt).params
+        assert shared.keys() == fresh.keys()
+        for name, param in shared.items():
+            assert np.array_equal(param.data, fresh[name].data), name
+            assert not param.data.flags.writeable, name
+        with pytest.raises(ValueError):
+            shared["encoder.tok_emb"].data[0, 0] = 1.0
+
+
 class TestEvaluate:
     def test_identical_files_score_100(self, tmp_path, capsys):
         records = [
@@ -791,6 +901,19 @@ class TestEvaluate:
         ref = _write_jsonl(tmp_path / "r.jsonl", [{"id": "a", "text": "x"}])
         assert main(["evaluate", "--predictions", str(pred),
                      "--references", str(ref)]) == 2
+
+    @pytest.mark.parametrize("record", [
+        {"id": "a", "text": None},
+        {"id": 1, "text": "x"},
+        {"id": "a", "text": ["x"]},
+    ], ids=["null_text", "numeric_id", "list_text"])
+    def test_non_string_id_or_text_exits_2(self, tmp_path, capsys, record):
+        pred = _write_jsonl(tmp_path / "p.jsonl", [record])
+        ref = _write_jsonl(tmp_path / "r.jsonl", [{"id": "a", "text": "None"}])
+        code = main(["evaluate", "--predictions", str(pred),
+                     "--references", str(ref)])
+        assert code == 2
+        assert "must be strings" in capsys.readouterr().err
 
     def test_duplicate_id_exits_2(self, tmp_path, capsys):
         pred = _write_jsonl(tmp_path / "p.jsonl", [

@@ -490,6 +490,14 @@ class TestCheckpoint:
             self._fixed_forward(loaded, tiny_config),
         )
 
+    def test_bytes_load_like_the_path(self, tiny_config, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(build_model(tiny_config, "abs", seed=11), path)
+        from_path, from_bytes = load_checkpoint(path), load_checkpoint(path.read_bytes())
+        assert (from_bytes.kind, from_bytes.config) == (from_path.kind, from_path.config)
+        for name, param in from_path.params.items():
+            assert param.data.tobytes() == from_bytes.params[name].data.tobytes()
+
     @pytest.mark.parametrize("task", ["ext", "abs"])
     def test_loaded_parameters_writeable_and_unshared(self, tiny_config, task, tmp_path):
         path = tmp_path / "m.ckpt"

@@ -584,8 +584,10 @@ def _composed_attention(q, k, v, mask, p, train, rng):
 
 def _attention_case(kind, dtype=np.float32, seed=0):
     """q [B,h,Lq,dk], k/v [B or 1,h,Lk,dk], an upstream gradient and a mask.
-    The padding mask hides every key of the first example, so its rows are
-    uniform and only the mask keeps their score gradients at zero."""
+    The padding mask hides every key of the first example, and masked_row
+    hides every key from one query, so those rows are uniform and only the
+    mask keeps their score gradients at zero. padding_partial keeps a key
+    in every row and all_false masks nothing."""
     r = np.random.default_rng(seed)
     b, kv_b, h, lq, lk, dk = 3, 3, 2, 6, 6, 4
     if kind == "cross1":  # decode_step: n hypotheses over one document's k/v
@@ -599,6 +601,9 @@ def _attention_case(kind, dtype=np.float32, seed=0):
         "padding": (r.random((b, 1, 1, lk)) < 0.3) | (np.arange(b) == 0)[:, None, None, None],
         "causal": np.triu(np.ones((lq, lk), dtype=bool), k=1)[None, None],
         "cross1": r.random((1, 1, 1, lk)) < 0.3,
+        "padding_partial": np.arange(lk) >= np.array([lk, 4, 2])[:, None, None, None],
+        "masked_row": np.triu(np.ones((lq, lk), dtype=bool), k=1) | (np.arange(lq) == 2)[:, None],
+        "all_false": np.zeros((b, 1, 1, lk), dtype=bool),
     }[kind]
     return q, k, v, g, mask
 
@@ -652,7 +657,9 @@ def _graph_nodes(loss):
 
 
 class TestAttention:
-    @pytest.mark.parametrize("kind", ["none", "padding", "causal", "cross1"])
+    @pytest.mark.parametrize("kind", [
+        "none", "padding", "causal", "cross1", "padding_partial", "masked_row", "all_false",
+    ])
     @pytest.mark.parametrize("train", [False, True])
     def test_bitwise_equal_to_composed_chain(self, kind, train):
         case = _attention_case(kind)
@@ -663,6 +670,17 @@ class TestAttention:
             assert a.shape == b.shape, name
             assert np.array_equal(a, b), name
             assert np.array_equal(np.signbit(a), np.signbit(b)), name
+
+    @pytest.mark.parametrize("kind, fully_masked", [
+        ("padding", True), ("masked_row", True), ("causal", False),
+        ("padding_partial", False), ("all_false", False),
+    ])
+    def test_backward_masks_only_when_a_row_is_fully_masked(self, kind, fully_masked):
+        q, k, v, _, mask = _attention_case(kind)
+        ts = [Tensor(x, requires_grad=True) for x in (q, k, v)]
+        out = T.attention(*ts, mask, 0.0, False)
+        cells = dict(zip(out._backward.__code__.co_freevars, out._backward.__closure__))
+        assert (cells["mask"].cell_contents is not None) == fully_masked
 
     def test_dropout_draws_the_same_stream_as_dropout(self):
         q, k, v, g, mask = _attention_case("padding")

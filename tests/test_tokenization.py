@@ -62,6 +62,13 @@ class TestVocab:
         path.write_text("[PAD]\n[UNK]\n[CLS]\n[SEP]\n[MASK]\n\n", encoding="utf-8")
         assert len(load_vocab(path)) == 5
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_path_and_bytes_read_alike(self, tmp_path, newline):
+        tokens = ["[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]", "a"]
+        path = tmp_path / "vocab.txt"
+        path.write_bytes(newline.join(tokens + [""]).encode("utf-8"))
+        assert load_vocab(path).tokens == load_vocab(path.read_bytes()).tokens == tokens
+
     def test_bos_eos_from_unused_slots(self):
         vocab = make_vocab(["a"])
         assert vocab.bos_id == vocab.id("[unused0]")
