@@ -88,15 +88,7 @@ def _typed_config(values: dict[str, str]) -> dict[str, object]:
 def _resolve_seed(flag_seed: int | None, config: dict[str, object]) -> int:
     if flag_seed is not None:
         return flag_seed
-    if "seed" in config:
-        return int(config["seed"])
-    env = os.environ.get("SUMFORGE_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ConfigError(f"SUMFORGE_SEED must be an integer, got {env!r}") from exc
-    return 0
+    return int(config.get("seed", 0))
 
 
 def _write_manifest(

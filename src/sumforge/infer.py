@@ -100,20 +100,6 @@ def _length_penalty(length: int) -> float:
     return ((5.0 + length) / 6.0) ** LENGTH_PENALTY_ALPHA
 
 
-@dataclass
-class _Hypothesis:
-    ids: tuple[int, ...]  # starts at BOS; may end with EOS
-    logprob: float
-
-    def generated(self) -> int:
-        return len(self.ids) - 1
-
-
-def _token_trigrams(ids: tuple[int, ...]) -> set[tuple[int, int, int]]:
-    gen = ids[1:]
-    return {tuple(gen[i : i + 3]) for i in range(len(gen) - 2)}
-
-
 def _top_k(flat: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k largest entries of a NaN-free array, largest first,
     ties to the lower index: exactly argsort(-flat, kind="stable")[:k], but
@@ -151,60 +137,53 @@ def beam_search(
     src_pad = np.zeros(src.shape, dtype=bool)
     cache = model.start_decoding(model.encode(src, segs, src_pad), src_pad)
 
-    beams = [_Hypothesis((bos_id,), 0.0)]
-    parents = [0]  # index of each live hypothesis's parent in the cache
-    last_live = beams
-    done: list[tuple[float, int, _Hypothesis]] = []  # (norm score, arrival, hyp)
+    # The live beam: row j generated gen[j] (BOS excluded) with total log-prob
+    # logprob[j]; it extends cache row parents[j] by its last token tokens[j].
+    gen = np.zeros((1, 0), dtype=np.int64)
+    logprob = np.zeros(1)
+    parents, tokens = np.array([0]), np.array([bos_id])
+    done: list[tuple[float, list[int]]] = []  # (norm score, ids), in arrival order
 
-    for _ in range(config.max_len):
-        if not beams:
-            break
-        logits = model.decode_step(cache, parents, [h.ids[-1] for h in beams]).data
+    for step in range(config.max_len):
+        logits = model.decode_step(cache, parents, tokens).data
         shifted = logits - logits.max(axis=-1, keepdims=True)
         logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
-        cand = logp.astype(np.float64)
-        for i, hyp in enumerate(beams):
-            cand[i] += hyp.logprob
-            if hyp.generated() + 1 < config.min_len:
-                cand[i, eos_id] = -np.inf
-            if hyp.generated() >= 2:
-                seen = _token_trigrams(hyp.ids)
-                a, b = hyp.ids[-2], hyp.ids[-1]
-                for (x, y, z) in seen:
-                    if (x, y) == (a, b):
-                        cand[i, z] = -np.inf
+        cand = logp.astype(np.float64) + logprob[:, None]
+        if step + 1 < config.min_len:  # every live row has generated `step` tokens
+            cand[:, eos_id] = -np.inf
+        # Row j bans z wherever its last two tokens already occurred as
+        # (gen[j, i], gen[j, i + 1]) and were followed by z = gen[j, i + 2].
+        rows, cols = np.nonzero(
+            (gen[:, :-2] == gen[:, -2:-1]) & (gen[:, 1:-1] == gen[:, -1:])
+        )
+        cand[rows, gen[rows, cols + 2]] = -np.inf
 
         flat = cand.reshape(-1)
         # Ties resolve to the earlier hypothesis, then the lower token id.
         top = _top_k(flat, config.beam_size)
-        next_beams: list[_Hypothesis] = []
-        parents = []
-        for pos in top:
-            if not np.isfinite(flat[pos]):
-                continue
-            i, tok = divmod(int(pos), cand.shape[1])
-            hyp = _Hypothesis(beams[i].ids + (int(tok),), float(flat[pos]))
-            if tok == eos_id:
-                score = hyp.logprob / _length_penalty(hyp.generated())
-                done.append((score, len(done), hyp))
-            else:
-                next_beams.append(hyp)
-                parents.append(i)
-        beams = next_beams
-        if beams:
-            last_live = beams
+        top = top[np.isfinite(flat[top])]
+        rows, toks = np.divmod(top, cand.shape[1])
+        eos = toks == eos_id
+        penalty = _length_penalty(step + 1)
+        done += [
+            (score / penalty, [bos_id, *gen[row].tolist(), eos_id])
+            for score, row in zip(flat[top[eos]], rows[eos])
+        ]
+        if eos.all():  # no row is live
+            break
+        parents, tokens = rows[~eos], toks[~eos]
+        gen = np.concatenate([gen[parents], tokens[:, None]], axis=1)
+        logprob = flat[top[~eos]]
         if len(done) >= config.beam_size:
             break
 
     if not done:
         # Nothing emitted EOS within max_len; fall back to the best prefix.
-        done = [
-            (h.logprob / _length_penalty(h.generated()), i, h)
-            for i, h in enumerate(last_live)
-        ]
-    best = max(done, key=lambda entry: (entry[0], -entry[1]))
-    return list(best[2].ids)
+        penalty = _length_penalty(gen.shape[1])
+        done = [(score / penalty, [bos_id, *ids]) for score, ids in zip(logprob, gen.tolist())]
+    # max keeps the first of equal scores, so ties go to the earliest arrival.
+    return max(done, key=lambda entry: entry[0])[1]
 
 
 def summarize_abs(

@@ -13,6 +13,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
+from .atomic import atomic_write
 from .errors import EmptyArticle, MissingSummary, UnpairedFile, UnsupportedEncoding, InvalidUtf8
 
 # Canonical name -> python codec. Only these are supported; windows-1256 is
@@ -169,19 +170,15 @@ def ingest_corpus(input_dir: Path | str, encoding_name: str, out_dir: Path | str
         summary_text = transcode(summary_path.read_bytes(), encoding_name)
         article_sentences = split_sentences(_WS_RE.sub(" ", body).strip())
         summary_sentences = split_sentences(_WS_RE.sub(" ", summary_text).strip())
-        if not article_sentences:
-            raise EmptyArticle(f"empty article body: {doc_id}")
-        if not summary_sentences:
-            raise MissingSummary(f"empty summary file: {doc_id}")
         doc = StoryDoc(doc_id, article_sentences, summary_sentences)
-        story_path = out_dir / f"{doc_id}.story"
-        story_path.write_text(write_story(doc), encoding="utf-8")
+        with atomic_write(out_dir / f"{doc_id}.story", encoding="utf-8") as fh:
+            fh.write(write_story(doc))
         rows.append(
             (doc_id, category, str(article_path.relative_to(input_dir)),
              str(summary_path.relative_to(input_dir)))
         )
 
-    with open(out_dir / "manifest.csv", "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(out_dir / "manifest.csv", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "category", "article_path", "summary_path"])
         writer.writerows(rows)

@@ -1,7 +1,8 @@
 """The names the benchmark harness reaches into sumforge by.
 
 `perfbench/tracer.py` wraps public sumforge functions by attribute name, and
-`perfbench/run.py` and `perfbench/stage.py` import a few more. The test
+`perfbench/run.py` and `perfbench/stage.py` import a few more, and
+`stage.py` writes what `infer.beam_search` returns as JSON. The test
 suite collects only `tests/`, so these checks are what stops a rename from
 passing here and then breaking every traced benchmark run.
 """
@@ -10,12 +11,17 @@ from __future__ import annotations
 
 import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import SPECIALS
+from sumforge import cli, infer
+from sumforge.model import ModelConfig, build_model, save_checkpoint
 
 ROOT = Path(__file__).resolve().parents[1]
 HARNESS = ROOT / "perfbench"
@@ -67,3 +73,46 @@ def test_harness_imports_resolve(script):
         if not hasattr(importlib.import_module(module), attr)
     ]
     assert not missing
+
+
+def test_summarize_hands_stage_json_ready_beam_ids(tmp_path, monkeypatch):
+    """`stage.py` swaps `infer.beam_search` for a recorder and `json.dumps`
+    the ids it returns, so `summarize --task abs` must call it through that
+    name and get back a list of Python ints, whether the forced-length beam
+    ends in EOS or falls back to a prefix without one."""
+    words = ["the", "cat", "sat", "on", "mat", "."]
+    vocab = tmp_path / "vocab.txt"
+    vocab.write_text("\n".join(SPECIALS + words) + "\n", encoding="utf-8")
+    (tmp_path / "doc.txt").write_text("the cat sat on the mat .", encoding="utf-8")
+    model = build_model(ModelConfig(
+        vocab_size=len(SPECIALS) + len(words), d_model=8, n_heads=2, d_ff=16,
+        n_enc_layers=1, n_dec_layers=1, max_positions=32, dropout=0.0,
+    ), "abs", 0)
+    # A constant final hidden state of ones makes each token's logit the sum
+    # of its embedding row, so the EOS row alone decides where EOS ranks.
+    model.params["decoder.final_ln.gamma"].data[:] = 0.0
+    model.params["decoder.final_ln.beta"].data[:] = 1.0
+    eos = SPECIALS.index("[unused1]")
+
+    returned = []
+    beam_search = infer.beam_search
+
+    def recording(*args, **kwargs):
+        returned.append(beam_search(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(infer, "beam_search", recording)
+    for sign in (1.0, -1.0):  # EOS the likeliest token, then the least likely
+        model.params["encoder.tok_emb"].data[eos] = sign * 5.0
+        save_checkpoint(model, tmp_path / "abs.ckpt")
+        assert cli.main([
+            "summarize", "--task", "abs", "--checkpoint", str(tmp_path / "abs.ckpt"),
+            "--vocab", str(vocab), "--input", str(tmp_path / "doc.txt"),
+            "--beam", "3", "--min-len", "4", "--max-len", "4",
+        ]) == 0
+    [ended, cut] = returned
+    assert ended[-1] == eos and eos not in cut
+    for ids in returned:
+        assert type(ids) is list and all(type(i) is int for i in ids)
+        assert len(ids) - 1 == 4
+        json.dumps(ids)

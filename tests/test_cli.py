@@ -24,8 +24,8 @@ from conftest import SPECIALS
 from sumforge import cli
 from sumforge import tensor as T
 from sumforge.cli import CONFIG_KEYS, _typed_config, main, parse_config_file
-from sumforge.errors import ConfigError
-from sumforge.ingest import StoryDoc, write_story
+from sumforge.errors import ConfigError, EmptyArticle, MissingSummary
+from sumforge.ingest import StoryDoc, ingest_corpus, write_story
 from sumforge.model import (
     ModelConfig,
     abs_loss,
@@ -251,6 +251,35 @@ class TestConvert:
                      "--encoding", "utf-8", "--out", str(tmp_path / "o")])
         assert code == 2
         assert "article without summary" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("empty, error", [
+        ("news/d.txt", EmptyArticle), ("news/d.sum.txt", MissingSummary),
+    ], ids=["article", "summary"])
+    def test_whitespace_only_raw_file_names_the_id(self, tmp_path, capsys, empty, error):
+        raw = tmp_path / "raw"
+        (raw / "news").mkdir(parents=True)
+        (raw / "news/d.txt").write_bytes(b"the cat sat .")
+        (raw / "news/d.sum.txt").write_bytes(b"the cat .")
+        (raw / empty).write_bytes(b" \n\t \r\n")
+        with pytest.raises(error, match="news__d"):
+            ingest_corpus(raw, "utf-8", tmp_path / "direct")
+        code = main(["convert", "--input", str(raw),
+                     "--encoding", "utf-8", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "news__d" in capsys.readouterr().err
+
+    def test_failed_convert_leaves_no_temp_file(self, tmp_path, capsys):
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        for name in ("a", "b"):
+            (raw / f"{name}.txt").write_bytes(b"the cat sat .")
+            (raw / f"{name}.sum.txt").write_bytes(b"the cat .")
+        out = tmp_path / "stories"
+        (out / "b.story").mkdir(parents=True)  # the second rename fails
+        code = main(["convert", "--input", str(raw),
+                     "--encoding", "utf-8", "--out", str(out)])
+        assert code == 2
+        assert sorted(p.name for p in out.iterdir()) == ["a.story", "b.story"]
 
 
 class TestPreprocess:
@@ -555,8 +584,10 @@ class TestTrain:
         manifest = json.loads((out / "manifest.json").read_text("utf-8"))
         assert manifest["seed"] == 3
 
-    def test_seed_falls_back_to_environment(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("SUMFORGE_SEED", "11")
+    @pytest.mark.parametrize("value", ["11", "lots"])
+    def test_environment_does_not_set_seed(self, tmp_path, capsys, monkeypatch, value):
+        # The seed comes from --seed, else the config's `seed`, else 0.
+        monkeypatch.setenv("SUMFORGE_SEED", value)
         shards, vocab = _make_shards(tmp_path)
         config = _write_config(tmp_path / "run.cfg")
         out = tmp_path / "run"
@@ -564,17 +595,7 @@ class TestTrain:
                      "--out", str(out), "--config", str(config),
                      "--vocab", str(vocab)]) == 0
         manifest = json.loads((out / "manifest.json").read_text("utf-8"))
-        assert manifest["seed"] == 11
-
-    def test_bad_environment_seed_exits_2(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("SUMFORGE_SEED", "lots")
-        shards, vocab = _make_shards(tmp_path)
-        config = _write_config(tmp_path / "run.cfg")
-        code = main(["train", "--task", "ext", "--shards", str(shards),
-                     "--out", str(tmp_path / "run"), "--config", str(config),
-                     "--vocab", str(vocab)])
-        assert code == 2
-        assert "SUMFORGE_SEED" in capsys.readouterr().err
+        assert manifest["seed"] == 0
 
     def test_same_seed_reruns_byte_identical(self, tmp_path, capsys):
         shards, vocab = _make_shards(tmp_path)

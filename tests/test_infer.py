@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -15,9 +16,7 @@ from sumforge.infer import (
     LENGTH_PENALTY_ALPHA,
     BeamConfig,
     ExtConfig,
-    _Hypothesis,
     _length_penalty,
-    _token_trigrams,
     _top_k,
     _word_trigrams,
     beam_search,
@@ -67,9 +66,25 @@ def _greedy_reference(model, example, config, *, bos_id, eos_id):
     return ids
 
 
+@dataclass
+class _Hypothesis:
+    ids: tuple[int, ...]  # starts at BOS; may end with EOS
+    logprob: float
+
+    def generated(self) -> int:
+        return len(self.ids) - 1
+
+
+def _token_trigrams(ids: tuple[int, ...]) -> set[tuple[int, int, int]]:
+    gen = ids[1:]
+    return {tuple(gen[i : i + 3]) for i in range(len(gen) - 2)}
+
+
 def _reference_beam_search(model, example, config, *, bos_id, eos_id, blocking=True):
     """Full-recompute beam search: every step re-decodes each whole prefix
     with decode_teacher_forced and ranks all candidates with a stable sort.
+    It keeps one object per hypothesis and bans repeats from each one's
+    trigram set, sharing no bookkeeping with beam_search's arrays.
     `blocking=False` drops the repeated-trigram rule, to show that it bites."""
     src = np.array([example.src_ids], dtype=np.int64)
     segs = np.array([example.segment_ids], dtype=np.int64)
@@ -398,8 +413,9 @@ class TestIncrementalBeamSearch:
             ranked = [int(t) for t in np.argsort(-first, kind="stable") if t != BOS]
             for eos in (ranked[0], ranked[-1]):
                 for beam_size in range(1, 6):
-                    for min_len in (1, 4):
-                        cfg = BeamConfig(max_len=9, min_len=min_len, beam_size=beam_size)
+                    # (9, 9) is the benchmark's forced length: EOS only at the end.
+                    for min_len, max_len in ((1, 9), (4, 9), (9, 9)):
+                        cfg = BeamConfig(max_len=max_len, min_len=min_len, beam_size=beam_size)
                         got = beam_search(model, ex, cfg, bos_id=BOS, eos_id=eos)
                         want = _reference_beam_search(model, ex, cfg, bos_id=BOS, eos_id=eos)
                         assert got == want, (seed, eos, cfg)
