@@ -36,6 +36,10 @@ class EmptyArticle(SumforgeError):
     pass
 
 
+class OutputNotEmpty(SumforgeError):
+    """An output directory already holds files a run would mix with its own."""
+
+
 class UnpairedFile(SumforgeError):
     def __init__(self, doc_id: str):
         super().__init__(f"article without summary: {doc_id}")

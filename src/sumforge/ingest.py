@@ -14,7 +14,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .atomic import atomic_write
-from .errors import EmptyArticle, MissingSummary, UnpairedFile, UnsupportedEncoding, InvalidUtf8
+from .errors import (
+    EmptyArticle, InvalidUtf8, MissingSummary, OutputNotEmpty, UnpairedFile, UnsupportedEncoding,
+)
 
 # Canonical name -> python codec. Only these are supported; windows-1256 is
 # the de facto Arabic legacy code page, latin-1 kept for mixed archives.
@@ -156,32 +158,49 @@ def ingest_corpus(input_dir: Path | str, encoding_name: str, out_dir: Path | str
     Emits one UTF-8 <id>.story per article into out_dir and a manifest.csv
     audit file (id, category, article_path, summary_path), both in
     lexicographic id order. Returns the number of stories written.
+
+    All or nothing: an out_dir that already holds stories or a manifest is
+    refused, every pair is decoded and checked before the first file is
+    written, and a failed write removes the stories written before it.
     """
     input_dir = Path(input_dir)
     out_dir = Path(out_dir)
     if not input_dir.is_dir():
         raise FileNotFoundError(f"input directory not found: {input_dir}")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    stale = sorted(p.name for p in out_dir.glob("*.story"))
+    if (out_dir / "manifest.csv").exists():
+        stale.append("manifest.csv")
+    if stale:
+        raise OutputNotEmpty(f"{out_dir} already holds {len(stale)} converted files, first {stale[0]}")
 
-    pairs = _pair_raw_files(input_dir)
-    rows = []
-    for doc_id, category, article_path, summary_path in pairs:
+    docs, rows = [], []
+    for doc_id, category, article_path, summary_path in _pair_raw_files(input_dir):
         body = transcode(article_path.read_bytes(), encoding_name)
         summary_text = transcode(summary_path.read_bytes(), encoding_name)
         article_sentences = split_sentences(_WS_RE.sub(" ", body).strip())
         summary_sentences = split_sentences(_WS_RE.sub(" ", summary_text).strip())
-        doc = StoryDoc(doc_id, article_sentences, summary_sentences)
-        with atomic_write(out_dir / f"{doc_id}.story", encoding="utf-8") as fh:
-            fh.write(write_story(doc))
+        docs.append(StoryDoc(doc_id, article_sentences, summary_sentences))
         rows.append(
             (doc_id, category, str(article_path.relative_to(input_dir)),
              str(summary_path.relative_to(input_dir)))
         )
 
-    with atomic_write(out_dir / "manifest.csv", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "category", "article_path", "summary_path"])
-        writer.writerows(rows)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    written: list[Path] = []
+    try:
+        for doc in docs:
+            path = out_dir / f"{doc.id}.story"
+            with atomic_write(path, encoding="utf-8") as fh:
+                fh.write(write_story(doc))
+            written.append(path)
+        with atomic_write(out_dir / "manifest.csv", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["id", "category", "article_path", "summary_path"])
+            writer.writerows(rows)
+    except BaseException:
+        for path in written:
+            path.unlink()
+        raise
     return len(rows)
 
 

@@ -260,8 +260,14 @@ class Encoder:
         pad_mask: np.ndarray,
         train: bool = False,
         rng: np.random.Generator | None = None,
+        rows: np.ndarray | None = None,
     ) -> Tensor:
-        """Hidden states [B, L, d_model]; pad_mask is True at padded positions."""
+        """Hidden states [B, L, d_model]; pad_mask is True at padded positions.
+
+        With `rows` ([B, S] positions), the last layer still takes keys and
+        values from every position, but its queries, feed-forward and the
+        final norm run only at those rows, and the result is [B, S, d_model].
+        """
         src_ids = np.asarray(src_ids)
         segment_ids = np.asarray(segment_ids)
         pad_mask = np.asarray(pad_mask, dtype=bool)
@@ -282,6 +288,9 @@ class Encoder:
             layer = f"encoder.layer{i}"
             normed = _ln(p, f"{layer}.ln1", x)
             k, v = _keys_values(p, f"{layer}.attn", normed, cfg.n_heads)
+            if rows is not None and i == cfg.n_enc_layers - 1:
+                x = T.gather_positions(x, rows)
+                normed = T.gather_positions(normed, rows)
             attn = _attend(
                 p, f"{layer}.attn", normed, k, v,
                 pad_mask[:, None, None, :], cfg.dropout, train, rng,
@@ -298,19 +307,6 @@ class ExtractiveModel(Encoder):
     kind = "ext"
     parts = {"encoder": encoder_param_specs, "ext_head": ext_head_param_specs}
 
-    def ext_scores(self, hidden: Tensor, cls_positions: np.ndarray) -> Tensor:
-        """Sentence logits [B, S]: w . h[cls] + b; the sentence's probability
-        is their sigmoid, which ranks sentences the same way."""
-        cls_positions = np.asarray(cls_positions)
-        length = hidden.shape[1]
-        if cls_positions.size and (cls_positions.min() < 0 or cls_positions.max() >= length):
-            raise IndexOutOfRange(
-                f"cls position outside sequence of length {length}"
-            )
-        picked = T.gather_positions(hidden, cls_positions)  # [B,S,d]
-        logits = T.matmul(picked, self.params["ext_head.w"]) + self.params["ext_head.b"]
-        return T.reshape(logits, cls_positions.shape)
-
     def forward_scores(
         self,
         src_ids: np.ndarray,
@@ -320,8 +316,26 @@ class ExtractiveModel(Encoder):
         train: bool = False,
         rng: np.random.Generator | None = None,
     ) -> Tensor:
-        hidden = self.encode(src_ids, segment_ids, pad_mask, train, rng)
-        return self.ext_scores(hidden, cls_positions)
+        """Sentence logits [B, S]: w . h[cls] + b; the sentence's probability
+        is their sigmoid, which ranks sentences the same way.
+
+        Inference runs the last encoder layer at the [CLS] rows only.
+        Training runs it at every row, so its dropout draws stay those of the
+        whole layer.
+        """
+        cls_positions = np.asarray(cls_positions)
+        length = np.shape(src_ids)[1]
+        if cls_positions.size and (cls_positions.min() < 0 or cls_positions.max() >= length):
+            raise IndexOutOfRange(
+                f"cls position outside sequence of length {length}"
+            )
+        if train:
+            hidden = self.encode(src_ids, segment_ids, pad_mask, train, rng)
+            picked = T.gather_positions(hidden, cls_positions)  # [B,S,d]
+        else:
+            picked = self.encode(src_ids, segment_ids, pad_mask, rows=cls_positions)
+        logits = T.matmul(picked, self.params["ext_head.w"]) + self.params["ext_head.b"]
+        return T.reshape(logits, cls_positions.shape)
 
 
 @dataclass

@@ -201,7 +201,7 @@ def permute(a: Tensor, axes: Sequence[int]) -> Tensor:
     axes = tuple(axes)
     if sorted(axes) != list(range(a.data.ndim)):
         raise InvalidAxis(f"permute axes {axes} invalid for rank {a.data.ndim}")
-    inverse = tuple(np.argsort(axes))
+    inverse = tuple(sorted(range(len(axes)), key=axes.__getitem__))
     return _make(a.data.transpose(axes), (a,), lambda g: (g.transpose(inverse),))
 
 

@@ -23,14 +23,14 @@ _BENCHMARK = {
 
 
 def _report(directory: Path, seed: int, rss: float, tps: float | None, *, trace: int = 0,
-            faults=(), matmul: float = 0.03) -> None:
+            faults=(), matmul: float = 0.03, attempted: int = 10) -> None:
     directory.mkdir(exist_ok=True)
     metrics = {"peak_rss_mb": rss, "train_tokens_per_s": tps, "rouge1_f1": 0.3}
     report = {
         "workload": "ext_en", "seed": seed, "seconds": 30.0, "trace": trace,
         "host_before": {"matmul512_x20_s": matmul, "pyloop_1e6_s": 0.04},
         "host_after": {"matmul512_x20_s": matmul + 0.01, "pyloop_1e6_s": 0.06},
-        "attempted": 10, "faults": list(faults),
+        "attempted": attempted, "faults": list(faults),
         "metrics": {k: v for k, v in metrics.items() if v is not None},
     }
     (directory / f"ext_en-seed{seed}-trace{trace}.json").write_text(json.dumps(report))
@@ -91,6 +91,21 @@ def test_more_failed_operations_void_every_gain(dirs, tmp_path):
     _report(change, 4, 530.0, 140.0, faults=["x: stage failed"])
     result = _run(parent, change, tmp_path)
     assert result["operations"]["change"] == {"runs": 4, "attempted": 40, "failed": 1, "runs_with_faults": 1}
+    rss = result["metrics"]["peak_rss_mb"]
+    assert rss["wins"] == 4
+    assert not rss["gain_rule_met"]
+
+
+def test_larger_failed_share_voids_every_gain(dirs, tmp_path):
+    # One failed operation on each side, but over fewer attempted on the change's.
+    parent, change = dirs
+    _report(parent, 4, 1300.0, 130.0, faults=["x: stage failed"])
+    for seed, rss, tps in ((1, 500.0, 100.0), (2, 510.0, 105.0), (3, 520.0, 121.0)):
+        _report(change, seed, rss, tps, attempted=5)
+    _report(change, 4, 530.0, 140.0, faults=["x: stage failed"], attempted=5)
+    result = _run(parent, change, tmp_path)
+    assert result["operations"]["parent"]["failed"] == result["operations"]["change"]["failed"] == 1
+    assert (result["operations"]["parent"]["attempted"], result["operations"]["change"]["attempted"]) == (40, 20)
     rss = result["metrics"]["peak_rss_mb"]
     assert rss["wins"] == 4
     assert not rss["gain_rule_met"]

@@ -24,7 +24,7 @@ from conftest import SPECIALS
 from sumforge import cli
 from sumforge import tensor as T
 from sumforge.cli import CONFIG_KEYS, _typed_config, main, parse_config_file
-from sumforge.errors import ConfigError, EmptyArticle, MissingSummary
+from sumforge.errors import ConfigError, EmptyArticle, MissingSummary, OutputNotEmpty
 from sumforge.ingest import StoryDoc, ingest_corpus, write_story
 from sumforge.model import (
     ModelConfig,
@@ -194,6 +194,15 @@ class TestConfigSchema:
         assert not list(out.glob("*.ckpt"))
 
 
+def _raw_pairs(tmp_path: Path, *names: str) -> Path:
+    raw = tmp_path / "raw"
+    raw.mkdir()
+    for name in names:
+        (raw / f"{name}.txt").write_bytes(b"the cat sat .")
+        (raw / f"{name}.sum.txt").write_bytes(b"the cat .")
+    return raw
+
+
 class TestConvert:
     def test_writes_stories_and_counts(self, tmp_path, capsys):
         raw = tmp_path / "raw"
@@ -269,17 +278,62 @@ class TestConvert:
         assert "news__d" in capsys.readouterr().err
 
     def test_failed_convert_leaves_no_temp_file(self, tmp_path, capsys):
-        raw = tmp_path / "raw"
-        raw.mkdir()
-        for name in ("a", "b"):
-            (raw / f"{name}.txt").write_bytes(b"the cat sat .")
-            (raw / f"{name}.sum.txt").write_bytes(b"the cat .")
+        raw = _raw_pairs(tmp_path, "a", "b")
         out = tmp_path / "stories"
-        (out / "b.story").mkdir(parents=True)  # the second rename fails
+        (out / "b.story").mkdir(parents=True)  # refused before any write
         code = main(["convert", "--input", str(raw),
                      "--encoding", "utf-8", "--out", str(out)])
         assert code == 2
-        assert sorted(p.name for p in out.iterdir()) == ["a.story", "b.story"]
+        assert sorted(p.name for p in out.iterdir()) == ["b.story"]
+
+    def test_mid_corpus_decode_failure_writes_nothing(self, tmp_path, capsys):
+        raw = _raw_pairs(tmp_path, "a", "b", "c")
+        (raw / "b.txt").write_bytes(b"the \xff cat .")  # not UTF-8
+        out = tmp_path / "stories"
+        code = main(["convert", "--input", str(raw),
+                     "--encoding", "utf-8", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+    def test_failed_write_removes_the_stories_before_it(self, tmp_path, capsys, monkeypatch):
+        raw = _raw_pairs(tmp_path, "a", "b", "c")
+        rendered = []
+
+        def failing_write_story(doc):
+            rendered.append(doc.id)
+            if doc.id == "b":
+                raise OSError("disk full")
+            return write_story(doc)
+
+        monkeypatch.setattr("sumforge.ingest.write_story", failing_write_story)
+        out = tmp_path / "stories"
+        code = main(["convert", "--input", str(raw),
+                     "--encoding", "utf-8", "--out", str(out)])
+        assert code == 2
+        assert rendered == ["a", "b"]
+        assert list(out.iterdir()) == []
+
+    def test_stale_story_is_refused_and_left_untouched(self, tmp_path, capsys):
+        raw = _raw_pairs(tmp_path, "a")
+        out = tmp_path / "stories"
+        out.mkdir()
+        (out / "zz.story").write_bytes(b"old text .\n\n@highlight\n\nold .")
+        code = main(["convert", "--input", str(raw),
+                     "--encoding", "utf-8", "--out", str(out)])
+        assert code == 2
+        assert "zz.story" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["zz.story"]
+        assert (out / "zz.story").read_bytes() == b"old text .\n\n@highlight\n\nold ."
+
+    def test_stale_manifest_is_refused(self, tmp_path, capsys):
+        raw = _raw_pairs(tmp_path, "a")
+        out = tmp_path / "stories"
+        out.mkdir()
+        (out / "manifest.csv").write_text("id\n", encoding="utf-8")
+        with pytest.raises(OutputNotEmpty, match="manifest.csv"):
+            ingest_corpus(raw, "utf-8", out)
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.csv"]
 
 
 class TestPreprocess:

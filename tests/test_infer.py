@@ -274,6 +274,28 @@ class TestSummarizeExt:
         ex = self._example(seed=3)
         assert summarize_ext(model, ex, ExtConfig()) == summarize_ext(model, ex, ExtConfig())
 
+    @pytest.mark.parametrize("scale", [1.0, 10.0])
+    def test_selections_match_the_full_row_encoder(self, scale):
+        # The encoder's last layer runs at the [CLS] rows only; float32 logits
+        # may move in the last bit, and the chosen sentences may not.
+        cfg = ModelConfig(vocab_size=40, d_model=32, n_heads=4, d_ff=64,
+                          n_enc_layers=2, n_dec_layers=1, max_positions=512)
+        rng = np.random.default_rng(int(scale))
+        for seed in range(2):
+            model = build_model(cfg, "ext", seed=seed)
+            for p in model.params.values():
+                p.data *= np.float32(scale)
+            head_w, head_b = model.params["ext_head.w"].data, model.params["ext_head.b"].data
+            for _ in range(60):
+                ex = synthetic_example(rng, 40, int(rng.integers(2, 20)), int(rng.integers(4, 25)))
+                src, segs = np.array([ex.src_ids]), np.array([ex.segment_ids])
+                pad, clss = np.zeros(src.shape, dtype=bool), np.array([ex.cls_positions])
+                got = model.forward_scores(src, segs, pad, clss).data[0]
+                hidden = model.encode(src, segs, pad).data[0]
+                want = (hidden[clss[0]] @ head_w + head_b)[:, 0]
+                assert np.allclose(got, want, rtol=1e-5, atol=1e-5 * scale)
+                assert select_sentences(got, ex.src_txt, 3) == select_sentences(want, ex.src_txt, 3)
+
 
 class TestBeamSearch:
     def test_beam_one_equals_greedy(self):

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import math
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import tiny_config as _tiny_config_fixture  # noqa: F401 (fixture reexport)
+from conftest import synthetic_example, tiny_config as _tiny_config_fixture  # noqa: F401 (fixture reexport)
 from sumforge import tensor as T
 from sumforge.errors import (
     AllMasked,
@@ -31,6 +32,7 @@ from sumforge.model import (
     save_checkpoint,
 )
 from sumforge.tensor import Tensor
+from sumforge.train import make_ext_batch
 
 
 def _inputs(cfg, batch=2, length=6, seed=0):
@@ -138,6 +140,17 @@ class TestEncode:
         b = enc.encode(src, 1 - segs, pad).data
         assert not np.allclose(a, b)
 
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_rows_restrict_the_last_layer(self, tiny_config, layers):
+        enc = build_model(replace(tiny_config, n_enc_layers=layers), "encoder", seed=5, dtype=np.float64)
+        src, segs, pad = _inputs(tiny_config, batch=2, length=8)
+        pad[1, 5:] = True
+        rows = np.array([[0, 3, 7], [0, 4, 0]])
+        full = enc.encode(src, segs, pad).data
+        picked = enc.encode(src, segs, pad, rows=rows).data
+        assert picked.shape == (2, 3, 8)
+        assert np.allclose(picked, full[np.arange(2)[:, None], rows], rtol=1e-12, atol=1e-12)
+
 
 class TestExtScores:
     def test_score_count_matches_positions(self, tiny_config):
@@ -155,11 +168,65 @@ class TestExtScores:
         scores = model.forward_scores(src, segs, pad, np.array([[0, 3]] * 2))
         assert np.array_equal(scores.data, np.zeros((2, 2)))  # logit 0: probability 1/2
 
-    def test_position_out_of_range(self, tiny_config):
+    def test_position_out_of_range(self, tiny_config, monkeypatch):
         model = build_model(tiny_config, "ext", seed=2)
         src, segs, pad = _inputs(tiny_config)
-        with pytest.raises(IndexOutOfRange):
-            model.forward_scores(src, segs, pad, np.array([[0, 6]] * 2))
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("encoded or gathered before the range check")
+
+        monkeypatch.setattr(model, "encode", unreachable)
+        monkeypatch.setattr(T, "gather_positions", unreachable)
+        for bad in (6, -1):
+            for train in (False, True):
+                with pytest.raises(IndexOutOfRange):
+                    model.forward_scores(src, segs, pad, np.array([[0, bad]] * 2), train=train,
+                                         rng=np.random.default_rng(0))
+
+    @staticmethod
+    def _full_row_logits(model, src, segs, pad, clss):
+        """Every row through the whole encoder, then the head at the [CLS] rows."""
+        hidden = model.encode(src, segs, pad).data
+        picked = hidden[np.arange(len(src))[:, None], clss]
+        return (picked @ model.params["ext_head.w"].data + model.params["ext_head.b"].data)[..., 0]
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_cls_rows_match_full_rows(self, tiny_config, layers):
+        # Padded batches of documents of different sizes: shorter documents
+        # repeat [CLS] position 0 in their empty sentence slots.
+        cfg = replace(tiny_config, n_enc_layers=layers, dropout=0.1)
+        model = build_model(cfg, "ext", seed=layers, dtype=np.float64)
+        rng = np.random.default_rng(layers)
+        for _ in range(10):
+            examples = [
+                synthetic_example(rng, cfg.vocab_size, int(rng.integers(1, 5)), int(rng.integers(3, 7)))
+                for _ in range(int(rng.integers(2, 5)))
+            ]
+            batch = make_ext_batch(examples, pad_id=0)
+            assert (batch.clss[batch.sent_mask == 0] == 0).all()
+            got = model.forward_scores(batch.src, batch.segs, batch.pad_mask, batch.clss)
+            want = self._full_row_logits(model, batch.src, batch.segs, batch.pad_mask, batch.clss)
+            assert got.shape == batch.clss.shape
+            assert np.allclose(got.data, want, rtol=1e-12, atol=1e-12)
+
+    def test_training_encodes_every_row(self, tiny_config, monkeypatch):
+        model = build_model(tiny_config, "ext", seed=2, dtype=np.float64)
+        src, segs, pad = _inputs(tiny_config)
+        clss = np.array([[0, 3], [1, 0]])
+        calls = []
+        encode = model.encode
+
+        def recording(*args, **kwargs):
+            calls.append(kwargs.get("rows"))
+            return encode(*args, **kwargs)
+
+        monkeypatch.setattr(model, "encode", recording)
+        trained = model.forward_scores(src, segs, pad, clss, train=True, rng=np.random.default_rng(0))
+        inferred = model.forward_scores(src, segs, pad, clss)
+        assert calls[0] is None and calls[1] is clss
+        # dropout 0: the training path's logits are the full-row reference's bits.
+        assert np.array_equal(trained.data, self._full_row_logits(model, src, segs, pad, clss))
+        assert np.allclose(inferred.data, trained.data, rtol=1e-12, atol=1e-12)
 
     def test_scores_are_the_head_logits(self, tiny_config):
         rng = np.random.default_rng(9)

@@ -11,17 +11,18 @@ workload and seed. For every workload and end-to-end metric of
 paired seeds, the change's wins, losses and ties by seed (by the metric's
 `better` direction), and whether the gain rule holds: wins in at least nine
 tenths of the pairs, a median difference larger than the parent's
-interquartile range, and no more failed operations on the change's side
-than on the parent's. Each metric also gets a no-regression verdict,
-`regression`: "regressed" when the change's median is worse than the
-parent's by more than the metric's `bound` (relative to the parent's
-median); otherwise "unresolved" when the parent's interquartile range
-exceeds `bound` times its median, unless every change run beats every
-parent run; otherwise "none". A metric that some run lacks (a failed stage
-reports none) is listed with the seeds that lack it on each side, never
-counts as a gain and is "unresolved" at best. It also gives each side's
-host-drift kernel medians (timed before and after every run) and its
-attempted operations and faults. Standard library only.
+interquartile range, and no larger share of failed operations (failed ÷
+attempted) on the change's side than on the parent's. Each metric also
+gets a no-regression verdict, `regression`: "regressed" when the change's
+median is worse than the parent's by more than the metric's `bound`
+(relative to the parent's median); otherwise "unresolved" when the
+parent's interquartile range exceeds `bound` times its median, unless
+every change run beats every parent run; otherwise "none". A metric that
+some run lacks (a failed stage reports none) is listed with the seeds that
+lack it on each side, never counts as a gain and is "unresolved" at best.
+It also gives each side's host-drift kernel medians (timed before and
+after every run) and its attempted operations and faults. Standard library
+only.
 """
 
 from __future__ import annotations
@@ -110,7 +111,9 @@ def compare(parent: dict, change: dict, end_to_end: list[dict]) -> dict:
         p_runs = [parent[(workload, s)] for s in seeds]
         c_runs = [change[(workload, s)] for s in seeds]
         operations = {"parent": fault_counts(p_runs), "change": fault_counts(c_runs)}
-        more_faults = operations["change"]["failed"] > operations["parent"]["failed"]
+        p_ops, c_ops = operations["parent"], operations["change"]
+        # failed/attempted shares compared by cross-multiplying: exact, and no zero division
+        more_faults = c_ops["failed"] * p_ops["attempted"] > p_ops["failed"] * c_ops["attempted"]
         metrics = {}
         for spec in end_to_end:
             name = spec["name"]
