@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import os
+import resource
 import sys
 from dataclasses import asdict, fields
 from datetime import datetime, timezone
@@ -132,6 +133,13 @@ def _environment() -> dict[str, object]:
         "blas": blas.get("name"),
         "blas_version": blas.get("version"),
     }
+
+
+def _peak_rss_mb() -> float:
+    """This process's peak resident set size so far, in MiB (2**20 bytes):
+    ru_maxrss counts KiB on Linux, bytes on macOS."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (1024.0 * 1024.0 if sys.platform == "darwin" else 1024.0)
 
 
 # --- subcommands ---
@@ -264,6 +272,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         started,
         [str(out_dir / "trace.csv"), str(out_dir)],
         environment=_environment(),
+        peak_rss_mb=_peak_rss_mb(),
     )
     final = trace[-1].loss if trace else float("nan")
     print(f"{args.task}: {len(trace)} steps, final loss {final:.6f}")

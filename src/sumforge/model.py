@@ -508,7 +508,7 @@ def abs_loss(
     with smoothing of the uniform distribution over the full vocabulary.
     """
     if not 0.0 <= smoothing < 1.0:
-        raise ValueError(f"smoothing must be in [0, 1), got {smoothing}")
+        raise ConfigError(f"smoothing must be in [0, 1), got {smoothing}")
     tgt_ids = np.asarray(tgt_ids)
     pad_mask = np.asarray(pad_mask, dtype=bool)
     if logits.shape[:2] != tgt_ids.shape or tgt_ids.shape != pad_mask.shape:

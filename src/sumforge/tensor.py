@@ -17,7 +17,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import GraphCycle, InvalidAxis, NotScalar, ShapeMismatch
+from .errors import ConfigError, GraphCycle, InvalidAxis, NotScalar, ShapeMismatch
 
 
 class SplitRng:
@@ -45,9 +45,16 @@ class SplitRng:
 
 
 class Tensor:
-    """N-dimensional float array, optionally tracked by the autodiff graph."""
+    """N-dimensional float array, optionally tracked by the autodiff graph.
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
+    A leaf (a parameter or a constant) is its own graph vertex: it has no
+    parents or backward closure, and `backward` writes its `.grad`. A
+    recorded op output's vertex is its `_node` instead (see `_Node`).
+    """
+
+    __slots__ = ("data", "requires_grad", "grad", "_node")
+    _parents: tuple = ()
+    _backward = None
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -56,8 +63,7 @@ class Tensor:
         self.data = arr
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward: Callable[[np.ndarray], tuple] | None = None
+        self._node: _Node | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -123,12 +129,36 @@ def no_grad() -> Iterator[None]:
         _grad_enabled.reset(token)
 
 
+class _Node:
+    """Graph vertex of a recorded op output. It holds no data: only the
+    parents' vertices (None for a parent that needs no gradient), the
+    backward closure, the incoming gradient and the dtype that gradient is
+    cast to. The output's array is therefore freed as soon as model code
+    drops the Tensor, unless a backward closure saved it because it reads it.
+    """
+
+    __slots__ = ("_parents", "_backward", "grad", "dtype")
+
+    def __init__(self, parents: tuple, backward_fn: Callable[[np.ndarray], tuple], dtype):
+        self._parents = parents
+        self._backward = backward_fn
+        self.grad: np.ndarray | None = None
+        self.dtype = dtype
+
+
+def _vertex(t: Tensor) -> Tensor | _Node:
+    return t if t._node is None else t._node
+
+
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
+    """Wrap an op's output; record a vertex when grad mode is on and some
+    parent needs a gradient. Backward closures capture the arrays and shapes
+    they read, never a parent Tensor."""
     out = Tensor(data)
     out.requires_grad = _grad_enabled.get() and any(p.requires_grad for p in parents)
     if out.requires_grad:
-        out._parents = parents
-        out._backward = backward_fn
+        vertices = tuple(_vertex(p) if p.requires_grad else None for p in parents)
+        out._node = _Node(vertices, backward_fn, out.data.dtype)
     return out
 
 
@@ -151,7 +181,8 @@ def add(a: Tensor, b) -> Tensor:
         data = a.data + b.data
     except ValueError as exc:
         raise ShapeMismatch(f"add: {a.shape} vs {b.shape}") from exc
-    return _make(data, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
+    sa, sb = a.shape, b.shape
+    return _make(data, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
 
 
 def mul(a: Tensor, b) -> Tensor:
@@ -160,11 +191,8 @@ def mul(a: Tensor, b) -> Tensor:
         data = a.data * b.data
     except ValueError as exc:
         raise ShapeMismatch(f"mul: {a.shape} vs {b.shape}") from exc
-    return _make(
-        data,
-        (a, b),
-        lambda g: (_unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)),
-    )
+    x, y = a.data, b.data
+    return _make(data, (a, b), lambda g: (_unbroadcast(g * y, x.shape), _unbroadcast(g * x, y.shape)))
 
 
 def neg(a: Tensor) -> Tensor:
@@ -182,9 +210,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     except ValueError as exc:
         raise ShapeMismatch(f"matmul batch dims: {a.shape} @ {b.shape}") from exc
 
+    x, y = a.data, b.data
+
     def backward(g):
-        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
-        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
+        ga = _unbroadcast(g @ np.swapaxes(y, -1, -2), x.shape)
+        gb = _unbroadcast(np.swapaxes(x, -1, -2) @ g, y.shape)
         return ga, gb
 
     return _make(data, (a, b), backward)
@@ -228,9 +258,10 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     index = [slice(None)] * a.data.ndim
     index[axis] = slice(start, start + length)
     index = tuple(index)
+    shape, dtype = a.shape, a.dtype
 
     def backward(g):
-        out = np.zeros_like(a.data)
+        out = np.zeros(shape, dtype)
         out[index] = g
         return (out,)
 
@@ -239,13 +270,14 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
 
 def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     data = a.data.sum(axis=axis, keepdims=keepdims)
+    shape = a.shape
 
     def backward(g):
         if axis is None:
-            return (np.broadcast_to(g, a.shape).copy(),)
+            return (np.broadcast_to(g, shape).copy(),)
         if not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape).copy(),)
+        return (np.broadcast_to(g, shape).copy(),)
 
     return _make(data, (a,), backward)
 
@@ -345,12 +377,13 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
     var = (centered**2).mean(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv_std
-    data = gamma.data * xhat + beta.data
+    scale = gamma.data
+    data = scale * xhat + beta.data
 
     def backward(g):
         dgamma = (g * xhat).reshape(-1, h).sum(axis=0)
         dbeta = g.reshape(-1, h).sum(axis=0)
-        gx = g * gamma.data
+        gx = g * scale
         dx = inv_std * (
             gx
             - gx.mean(axis=-1, keepdims=True)
@@ -366,14 +399,14 @@ def _keep_mask(rng: np.random.Generator | None, shape, p: float, dtype) -> tuple
     whatever `dtype` is) and the factor 1/(1-p) in `dtype` that kept entries
     are scaled by."""
     if rng is None:
-        raise ValueError("dropout in train mode needs an rng")
+        raise ConfigError("dropout in train mode needs an rng")
     keep = rng.random(shape, dtype=np.float32) >= np.float32(p)
     return keep, np.dtype(dtype).type(1.0 / (1.0 - p))
 
 
 def _check_dropout_p(p: float) -> None:
     if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout p must be in [0, 1), got {p}")
+        raise ConfigError(f"dropout p must be in [0, 1), got {p}")
 
 
 def dropout(a: Tensor, p: float, train: bool, rng: np.random.Generator | None = None) -> Tensor:
@@ -396,7 +429,8 @@ def masked_fill(a: Tensor, mask: np.ndarray, value: float) -> Tensor:
         data = np.where(mask, np.asarray(value, dtype=a.dtype), a.data)
     except ValueError as exc:
         raise ShapeMismatch(f"masked_fill: {a.shape} vs mask {mask.shape}") from exc
-    return _make(data, (a,), lambda g: (_unbroadcast(g * ~np.broadcast_to(mask, g.shape), a.shape),))
+    shape = a.shape
+    return _make(data, (a,), lambda g: (_unbroadcast(g * ~np.broadcast_to(mask, g.shape), shape),))
 
 
 def attention(
@@ -421,9 +455,10 @@ def attention(
     are bitwise those of that composed chain.
     """
     _check_dropout_p(p)
-    kt = np.swapaxes(k.data, -1, -2)
+    qa, ka, va = q.data, k.data, v.data
+    kt = np.swapaxes(ka, -1, -2)
     try:
-        probs = q.data @ kt
+        probs = qa @ kt
     except ValueError as exc:
         raise ShapeMismatch(f"attention: q {q.shape} vs k {k.shape}") from exc
     scale = np.asarray(1.0 / np.sqrt(k.shape[-1]), dtype=probs.dtype)
@@ -454,13 +489,13 @@ def attention(
         return out
 
     try:
-        data = dropped() @ v.data
+        data = dropped() @ va
     except ValueError as exc:
         raise ShapeMismatch(f"attention: scores {probs.shape} vs v {v.shape}") from exc
 
     def backward(g):
-        gv = _unbroadcast(np.swapaxes(dropped(), -1, -2) @ g, v.shape)
-        gs = _unbroadcast(g @ np.swapaxes(v.data, -1, -2), probs.shape)
+        gv = _unbroadcast(np.swapaxes(dropped(), -1, -2) @ g, va.shape)
+        gs = _unbroadcast(g @ np.swapaxes(va, -1, -2), probs.shape)
         if keep is not None:
             gs *= keep
             gs *= factor
@@ -468,8 +503,8 @@ def attention(
         if mask is not None:
             gs *= ~mask
         gs *= scale
-        gq = _unbroadcast(gs @ k.data, q.shape)
-        gk = np.swapaxes(_unbroadcast(np.swapaxes(q.data, -1, -2) @ gs, kt.shape), -1, -2)
+        gq = _unbroadcast(gs @ ka, qa.shape)
+        gk = np.swapaxes(_unbroadcast(np.swapaxes(qa, -1, -2) @ gs, kt.shape), -1, -2)
         return gq, gk, gv
 
     return _make(data, (q, k, v), backward)
@@ -485,9 +520,11 @@ def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
             f"embedding ids out of range for table of {table.shape[0]} rows"
         )
 
+    shape, dtype = table.shape, table.dtype
+
     def backward(g):
-        dtable = np.zeros_like(table.data)
-        np.add.at(dtable, ids.reshape(-1), g.reshape(-1, table.shape[-1]))
+        dtable = np.zeros(shape, dtype)
+        np.add.at(dtable, ids.reshape(-1), g.reshape(-1, shape[-1]))
         return (dtable,)
 
     return _make(table.data[ids], (table,), backward)
@@ -497,9 +534,10 @@ def gather_positions(a: Tensor, positions: np.ndarray) -> Tensor:
     """Pick rows along axis 1: out[b, s, :] = a[b, positions[b, s], :]."""
     positions = np.asarray(positions)
     batch = np.arange(a.shape[0])[:, None]
+    shape, dtype = a.shape, a.dtype
 
     def backward(g):
-        out = np.zeros_like(a.data)
+        out = np.zeros(shape, dtype)
         np.add.at(out, (batch, positions), g)
         return (out,)
 
@@ -510,9 +548,10 @@ def take_along_last(a: Tensor, indices: np.ndarray) -> Tensor:
     """out[...] = a[..., indices[...]]; inverse scatter on the way back."""
     indices = np.asarray(indices)
     data = np.take_along_axis(a.data, indices[..., None], axis=-1)[..., 0]
+    shape, dtype = a.shape, a.dtype
 
     def backward(g):
-        out = np.zeros_like(a.data)
+        out = np.zeros(shape, dtype)
         np.put_along_axis(out, indices[..., None], g[..., None], axis=-1)
         return (out,)
 
@@ -522,29 +561,31 @@ def take_along_last(a: Tensor, indices: np.ndarray) -> Tensor:
 # --- reverse sweep ---
 
 def _consumed(g):
-    """Closure of a node whose graph a backward has consumed; the sweep
-    refuses such a node before it could run this."""
+    """Closure of a vertex whose graph a backward has consumed; the sweep
+    refuses such a vertex before it could run this."""
     raise ValueError("graph already consumed by an earlier backward")
 
 
 def backward(loss: Tensor) -> None:
     """Populate .grad for every requires_grad leaf reachable from loss.
 
-    The graph is consumed: afterwards its inner nodes hold no gradient or
+    The sweep walks graph vertices: leaves and op outputs' `_Node`s. The
+    graph is consumed: afterwards its inner vertices hold no gradient or
     parents, so a graph can be differentiated once. A later backward that
-    reaches a consumed node, from the same loss or from another loss built
+    reaches a consumed vertex, from the same loss or from another loss built
     on part of the graph, raises ValueError before any gradient is written.
     """
     if loss.data.size != 1:
         raise NotScalar(f"backward needs a scalar loss, got shape {loss.shape}")
     if not loss.requires_grad:
         raise ValueError("loss does not require grad; nothing to differentiate")
+    root = _vertex(loss)
 
     # Iterative DFS; GRAY marks the current path so a cycle is detectable.
     WHITE, GRAY, BLACK = 0, 1, 2
     state: dict[int, int] = {}
-    topo: list[Tensor] = []
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    topo: list[Tensor | _Node] = []
+    stack: list[tuple[Tensor | _Node, bool]] = [(root, False)]
     while stack:
         node, processed = stack.pop()
         if processed:
@@ -561,18 +602,21 @@ def backward(loss: Tensor) -> None:
         state[id(node)] = GRAY
         stack.append((node, True))
         for parent in node._parents:
-            if parent.requires_grad and state.get(id(parent), WHITE) == WHITE:
+            if parent is None:
+                continue
+            mark = state.get(id(parent), WHITE)
+            if mark == WHITE:
                 stack.append((parent, False))
-            elif state.get(id(parent)) == GRAY:
+            elif mark == GRAY:
                 raise GraphCycle("differentiation graph contains a cycle")
 
-    # Consume the graph as it is differentiated: once a node's closure has
+    # Consume the graph as it is differentiated: once a vertex's closure has
     # run, drop its gradient and parents and swap its closure for
     # _consumed, so whatever only the tape held is freed before the sweep
-    # reaches older nodes. Leaves keep their .grad. Gradients may alias
+    # reaches older vertices. Leaves keep their .grad. Gradients may alias
     # each other, so closures never write into their incoming g or into an
     # array they have returned.
-    loss.grad = np.ones_like(loss.data)
+    root.grad = np.ones_like(loss.data)
     while topo:
         node = topo.pop()
         if node._backward is None:
@@ -580,7 +624,7 @@ def backward(loss: Tensor) -> None:
         if node.grad is not None:
             grads = node._backward(node.grad)
             for parent, g in zip(node._parents, grads):
-                if g is None or not parent.requires_grad:
+                if g is None or parent is None:
                     continue
                 if parent.grad is None:
                     parent.grad = g.astype(parent.dtype, copy=False)

@@ -21,6 +21,7 @@ from typing import Iterable, Sequence
 
 from .atomic import atomic_write
 from .errors import (
+    ConfigError,
     CorruptShard,
     DuplicateToken,
     IdOutOfRange,
@@ -385,7 +386,7 @@ def write_shards(
     Order-preserving; the last shard may be short. Returns the shard count.
     """
     if shard_size < 1:
-        raise ValueError(f"shard_size must be >= 1, got {shard_size}")
+        raise ConfigError(f"shard_size must be >= 1, got {shard_size}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -147,7 +147,7 @@ def adam_step(
 def lr_schedule(step: int, base_lr: float, warmup: int) -> float:
     """base_lr * min(step^-0.5, step * warmup^-1.5); peaks at step == warmup."""
     if step < 1:
-        raise ValueError(f"lr_schedule needs step >= 1, got {step}")
+        raise ConfigError(f"lr_schedule needs step >= 1, got {step}")
     return base_lr * min(step**-0.5, step * warmup**-1.5)
 
 
@@ -158,7 +158,7 @@ def clip_gradients(
 
     Raises NonFiniteLoss if that norm is NaN or infinite."""
     if max_norm <= 0:
-        raise ValueError(f"max_norm must be > 0, got {max_norm}")
+        raise ConfigError(f"max_norm must be > 0, got {max_norm}")
     total = 0.0
     for g in grads.values():
         total += float((g.astype(np.float64) ** 2).sum())

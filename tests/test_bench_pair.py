@@ -23,7 +23,7 @@ _BENCHMARK = {
 
 
 def _report(directory: Path, seed: int, rss: float, tps: float | None, *, trace: int = 0,
-            faults=(), matmul: float = 0.03, attempted: int = 10) -> None:
+            faults=(), matmul: float = 0.03, attempted: int = 10, stages=None) -> None:
     directory.mkdir(exist_ok=True)
     metrics = {"peak_rss_mb": rss, "train_tokens_per_s": tps, "rouge1_f1": 0.3}
     report = {
@@ -33,6 +33,9 @@ def _report(directory: Path, seed: int, rss: float, tps: float | None, *, trace:
         "attempted": attempted, "faults": list(faults),
         "metrics": {k: v for k, v in metrics.items() if v is not None},
     }
+    if stages is not None:
+        report["stages"] = {name: {"wall_s": 1.0, "start_s": 0.0, "peak_rss_mb": rss}
+                            for name, rss in stages.items()}
     (directory / f"ext_en-seed{seed}-trace{trace}.json").write_text(json.dumps(report))
 
 
@@ -84,6 +87,22 @@ def test_pairs_by_seed_and_summarizes(dirs, tmp_path, capsys):
     assert {m["regression"] for m in result["metrics"].values()} == {"none"}
     out = capsys.readouterr().out
     assert "ext_en: 4 pairs" in out and "regression none" in out
+
+
+def test_stage_peak_rss_medians(dirs, tmp_path, capsys):
+    parent, change = dirs
+    assert _run(parent, change, tmp_path)["stage_peak_rss_mb"] == {"parent": {}, "change": {}}
+    for seed in (1, 2, 3, 4):
+        _report(parent, seed, 1000.0, 100.0, stages={"train": 200.0 + seed, "summarize": 150.0})
+        _report(change, seed, 500.0, 100.0, stages={"train": 160.0 + seed, "summarize": 150.0 + seed})
+    # A stage that reports no peak (its record lacks one) is left out of the median.
+    _report(change, 4, 500.0, 100.0, stages={"train": 164.0, "summarize": None})
+    result = _run(parent, change, tmp_path)
+    assert result["stage_peak_rss_mb"] == {
+        "parent": {"train": 202.5, "summarize": 150.0},
+        "change": {"train": 162.5, "summarize": 152.0},
+    }
+    assert "train 202.5 -> 162.5, summarize 150.0 -> 152.0" in capsys.readouterr().out
 
 
 def test_more_failed_operations_void_every_gain(dirs, tmp_path):

@@ -481,6 +481,20 @@ class TestTrain:
         assert env["OPENBLAS_NUM_THREADS"] == os.environ.get("OPENBLAS_NUM_THREADS")
         assert env["OMP_NUM_THREADS"] == os.environ.get("OMP_NUM_THREADS")
         assert {"blas", "blas_version"} <= env.keys()
+        # The process had at least numpy loaded; far below this host's memory.
+        assert 10.0 < manifest["peak_rss_mb"] < 1e6
+
+    @pytest.mark.parametrize("task", ["ext", "prefit"])
+    def test_manifest_records_peak_rss_in_mib(self, tmp_path, capsys, monkeypatch, task):
+        shards, vocab = _make_shards(tmp_path)
+        config = _write_config(tmp_path / "run.cfg", max_steps=1, mask_prob=0.3)
+        usage = type("Usage", (), {"ru_maxrss": 215_040})  # KiB on Linux
+        monkeypatch.setattr(cli.resource, "getrusage", lambda who: usage)
+        out = tmp_path / "run"
+        assert main(["train", "--task", task, "--shards", str(shards), "--out", str(out),
+                     "--config", str(config), "--vocab", str(vocab)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text("utf-8"))
+        assert manifest["peak_rss_mb"] == (215_040 / 2**20 if sys.platform == "darwin" else 210.0)
 
     def test_abs_writes_checkpoint(self, tmp_path, capsys):
         shards, vocab = _make_shards(tmp_path)

@@ -464,7 +464,7 @@ class TestAbsLoss:
 
     def test_smoothing_one_rejected(self):
         logits = Tensor(np.zeros((1, 3, 10)), requires_grad=True)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             abs_loss(logits, np.zeros((1, 3), dtype=int), np.zeros((1, 3), dtype=bool), smoothing=1.0)
 
     def test_padded_positions_excluded(self):

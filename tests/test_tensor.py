@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -10,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sumforge import tensor as T
-from sumforge.errors import GraphCycle, InvalidAxis, NotScalar, ShapeMismatch
-from sumforge.model import ModelConfig, abs_loss, build_model
+from sumforge.errors import ConfigError, GraphCycle, InvalidAxis, NotScalar, ShapeMismatch
+from sumforge.model import ModelConfig, abs_loss, build_model, ext_loss
 from sumforge.tensor import SplitRng, Tensor, backward, finite_diff_check
+from sumforge.train import masked_token_loss
 
 
 def t64(data, requires_grad=True) -> Tensor:
@@ -202,11 +204,11 @@ class TestBackward:
     def test_graph_cycle_detected(self):
         a = t64(1.0)
         b = a + 1.0
+        c = b * 2.0
         # Corrupt the graph on purpose; backward must refuse, not hang.
-        a._parents = (b,)
-        a._backward = lambda g: (g,)
+        b._node._parents = (c._node,)
         with pytest.raises(GraphCycle):
-            backward(T.tensor_sum(b))
+            backward(T.tensor_sum(c))
 
     def test_no_grad_leaves_untouched(self):
         x = t64([1.0, 2.0])
@@ -234,6 +236,7 @@ class TestNoGrad:
             z = T.layer_norm(y, t64([1.0, 1.0]), t64([0.0, 0.0]))
         for out in (y, z):
             assert not out.requires_grad
+            assert out._node is None
             assert out._parents == () and out._backward is None
         assert x.requires_grad
 
@@ -458,13 +461,13 @@ class TestDropout:
         assert (out == 0).sum() > 0
 
     def test_invalid_p(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             T.dropout(t64([1.0]), 1.0, train=True)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             T.dropout(t64([1.0]), -0.1, train=False)
 
     def test_train_mode_without_rng_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             T.dropout(t64([1.0]), 0.5, train=True)
 
     def test_same_seed_same_mask(self):
@@ -619,8 +622,9 @@ def _reference_backward(loss):
     """The sweep before graph consumption, in the same visiting order: keeps
     every node and copies each first gradient."""
     seen: set[int] = set()
-    topo: list[Tensor] = []
-    stack = [(loss, False)]
+    topo = []
+    root = T._vertex(loss)
+    stack = [(root, False)]
     while stack:
         node, processed = stack.pop()
         if processed:
@@ -630,13 +634,13 @@ def _reference_backward(loss):
             continue
         seen.add(id(node))
         stack.append((node, True))
-        stack.extend((p, False) for p in node._parents if p.requires_grad and id(p) not in seen)
-    loss.grad = np.ones_like(loss.data)
+        stack.extend((p, False) for p in node._parents if p is not None and id(p) not in seen)
+    root.grad = np.ones_like(loss.data)
     for node in reversed(topo):
         if node._backward is None or node.grad is None:
             continue
         for parent, g in zip(node._parents, node._backward(node.grad)):
-            if g is None or not parent.requires_grad:
+            if g is None or parent is None:
                 continue
             if parent.grad is None:
                 parent.grad = g.astype(parent.dtype, copy=True)
@@ -645,14 +649,15 @@ def _reference_backward(loss):
 
 
 def _graph_nodes(loss):
-    nodes, stack, seen = [], [loss], set()
+    """Every vertex reachable from loss: leaves and op outputs' _Nodes."""
+    nodes, stack, seen = [], [T._vertex(loss)], set()
     while stack:
         node = stack.pop()
         if id(node) in seen:
             continue
         seen.add(id(node))
         nodes.append(node)
-        stack.extend(p for p in node._parents if p.requires_grad)
+        stack.extend(p for p in node._parents if p is not None)
     return nodes
 
 
@@ -679,7 +684,8 @@ class TestAttention:
         q, k, v, _, mask = _attention_case(kind)
         ts = [Tensor(x, requires_grad=True) for x in (q, k, v)]
         out = T.attention(*ts, mask, 0.0, False)
-        cells = dict(zip(out._backward.__code__.co_freevars, out._backward.__closure__))
+        fn = out._node._backward
+        cells = dict(zip(fn.__code__.co_freevars, fn.__closure__))
         assert (cells["mask"].cell_contents is not None) == fully_masked
 
     def test_dropout_draws_the_same_stream_as_dropout(self):
@@ -708,11 +714,15 @@ class TestAttention:
         q, k, v, _, mask = _attention_case("padding")
         ts = [Tensor(x, requires_grad=True) for x in (q, k, v)]
         out = T.attention(*ts, mask, 0.25, True, np.random.default_rng(0))
-        assert out._parents == tuple(ts)
-        held = [c.cell_contents for c in out._backward.__closure__]
+        assert out._node._parents == tuple(ts)
+        held = [c.cell_contents for c in out._node._backward.__closure__]
         score_shape = (q.shape[0], q.shape[1], q.shape[2], k.shape[2])
         big = [x for x in held if isinstance(x, np.ndarray) and x.shape == score_shape]
         assert sorted(x.dtype.name for x in big) == ["bool", "float32"]
+        # The operands are held as arrays, never as their Tensors.
+        assert not any(isinstance(x, Tensor) for x in held)
+        arrays = {id(x) for x in held if isinstance(x, np.ndarray)}
+        assert {id(t.data) for t in ts} <= arrays
 
     def test_shape_errors(self):
         q, k, v, _, mask = _attention_case("padding")
@@ -725,16 +735,18 @@ class TestAttention:
 
     def test_bad_dropout_arguments(self):
         q, k, v, _, _ = _attention_case("none")
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             T.attention(Tensor(q), Tensor(k), Tensor(v), None, 1.0, False)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             T.attention(Tensor(q), Tensor(k), Tensor(v), None, 0.1, True, None)
 
 
+_SMALL = ModelConfig(vocab_size=30, d_model=8, n_heads=2, d_ff=16,
+                     n_enc_layers=1, n_dec_layers=1, max_positions=16, dropout=0.2)
+
+
 def _small_model_loss(seed=0):
-    cfg = ModelConfig(vocab_size=30, d_model=8, n_heads=2, d_ff=16,
-                      n_enc_layers=1, n_dec_layers=1, max_positions=16, dropout=0.2)
-    model = build_model(cfg, "abs", seed=seed)
+    model = build_model(_SMALL, "abs", seed=seed)
     r = np.random.default_rng(seed)
     src = r.integers(7, 30, (2, 9))
     pad = np.zeros((2, 9), dtype=bool)
@@ -743,6 +755,18 @@ def _small_model_loss(seed=0):
     logits = model.forward_logits(src, np.zeros_like(src), pad, tgt,
                                   train=True, rng=np.random.default_rng(seed))
     return model.params, abs_loss(logits, tgt, np.zeros(tgt.shape, dtype=bool))
+
+
+def _small_ext_loss(seed=0):
+    model = build_model(_SMALL, "ext", seed=seed)
+    r = np.random.default_rng(seed)
+    src = r.integers(7, 30, (2, 9))
+    pad = np.zeros((2, 9), dtype=bool)
+    pad[1, 6:] = True
+    clss = np.array([[0, 4], [0, 3]])
+    logits = model.forward_scores(src, np.zeros_like(src), pad, clss,
+                                  train=True, rng=np.random.default_rng(seed))
+    return model.params, ext_loss(logits, np.array([[1, 0], [0, 1]]), np.ones((2, 2)))
 
 
 class TestGraphConsumption:
@@ -754,6 +778,7 @@ class TestGraphConsumption:
         params, loss = _small_model_loss()
         inner = [n for n in _graph_nodes(loss) if n._backward is not None]
         assert len(inner) > 50
+        assert all(type(n) is T._Node for n in inner)
         backward(loss)
         for node in inner:
             assert node.grad is None
@@ -800,3 +825,74 @@ class TestGraphConsumption:
         expected = ((r >= np.float32(p)) / (1 - p)).astype(dtype)
         assert out.dtype == dtype
         assert np.array_equal(out.data, expected)
+
+
+class TestTapeHoldsOnlyWhatBackwardReads:
+    def test_matmul_output_feeding_only_bias_is_freed_before_backward(self):
+        r = np.random.default_rng(0)
+        x = t64(r.standard_normal((4, 3)))
+        w, bias = t64(r.standard_normal((3, 5))), t64(r.standard_normal(5))
+        h = T.gelu(x)
+        y = T.matmul(h, w)
+        y_data, h_data, h_copy = weakref.ref(y.data), weakref.ref(h.data), h.data.copy()
+        z = y + bias
+        del y, h
+        assert y_data() is None  # add keeps shapes only
+        assert h_data() is not None  # matmul's backward reads its input
+        backward(T.tensor_sum(z))
+        assert h_data() is None  # the sweep dropped the closure that held it
+        assert np.array_equal(w.grad, h_copy.T @ np.ones((4, 5)))
+        assert np.array_equal(bias.grad, np.full(5, 4.0))
+
+    def test_masked_token_loss_frees_the_hidden_state(self):
+        r = np.random.default_rng(1)
+        x = t64(r.standard_normal((2, 3, 4)))
+        hidden = T.layer_norm(x, t64(np.ones(4)), t64(np.zeros(4)))
+        held = weakref.ref(hidden.data)
+        chosen = np.array([[True, False, False], [False, False, True]])
+        loss = masked_token_loss(hidden, t64(r.standard_normal((6, 4))), t64(np.zeros(6)),
+                                 r.integers(0, 6, (2, 3)), chosen)
+        del hidden
+        assert held() is None
+        backward(loss)
+        assert x.grad.shape == (2, 3, 4)
+
+    @pytest.mark.parametrize("make_loss", [_small_ext_loss, _small_model_loss], ids=["ext", "abs"])
+    def test_training_step_vertices_hold_no_data(self, make_loss):
+        params, loss = make_loss()
+        vertices = _graph_nodes(loss)
+        leaves = [v for v in vertices if isinstance(v, Tensor)]
+        inner = [v for v in vertices if not isinstance(v, Tensor)]
+        assert len(inner) > 20
+        assert {id(v) for v in leaves} <= {id(p) for p in params.values()}
+        for v in inner:
+            assert type(v) is T._Node
+            assert not hasattr(v, "data")
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_grads_bitwise_equal_with_every_output_kept(self, seed, monkeypatch):
+        """Closures read the arrays they captured in forward, where the old
+        tape read parent Tensors' .data in backward: the two agree because no
+        forward array is rebound or written in place before backward."""
+        params, loss = _small_model_loss(seed)
+        backward(loss)
+        expected = {name: p.grad for name, p in params.items()}
+
+        kept = []
+        make = T._make
+
+        def keeping(data, parents, backward_fn):
+            out = make(data, parents, backward_fn)
+            kept.append((out, out.data, out.data.copy()))
+            return out
+
+        monkeypatch.setattr(T, "_make", keeping)
+        params, loss = _small_model_loss(seed)
+        before = {name: (p.data, p.data.copy()) for name, p in params.items()}
+        backward(loss)
+        assert len(kept) > 50
+        for out, array, copy in kept:
+            assert out.data is array and np.array_equal(array, copy)
+        for name, p in params.items():
+            assert p.data is before[name][0] and np.array_equal(p.data, before[name][1]), name
+            assert np.array_equal(p.grad, expected[name]), name

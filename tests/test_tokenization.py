@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import SPECIALS, make_vocab, small_vocab_factory, synthetic_example
 from sumforge.errors import (
+    ConfigError,
     CorruptShard,
     DuplicateToken,
     IdOutOfRange,
@@ -541,7 +542,7 @@ class TestShards:
             read_shards(tmp_path)
 
     def test_bad_shard_size(self, tmp_path):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             write_shards([], tmp_path, shard_size=0)
 
     def test_unicode_text_survives(self, tmp_path, small_vocab):

@@ -180,7 +180,7 @@ class TestLrSchedule:
         assert abs(lr_schedule(w + 1, 1.0, w) - peak) <= peak / w * 1.01
 
     def test_step_zero_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             lr_schedule(0, 1.0, 10)
 
     def test_shorter_warmup_dominates_during_rampup(self):
@@ -214,7 +214,7 @@ class TestClipGradients:
         assert clip_gradients(grads, 1.0) is grads
 
     def test_invalid_max_norm(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             clip_gradients({"a": np.ones(1)}, 0.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

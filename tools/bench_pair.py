@@ -21,8 +21,9 @@ every change run beats every parent run; otherwise "none". A metric that
 some run lacks (a failed stage reports none) is listed with the seeds that
 lack it on each side, never counts as a gain and is "unresolved" at best.
 It also gives each side's host-drift kernel medians (timed before and
-after every run) and its attempted operations and faults. Standard library
-only.
+after every run), each pipeline stage's median peak RSS (from the reports'
+`stages`, so the stage that sets `peak_rss_mb` shows) and its attempted
+operations and faults. Standard library only.
 """
 
 from __future__ import annotations
@@ -92,6 +93,16 @@ def host_medians(runs: list[dict]) -> dict[str, float]:
     }
 
 
+def stage_peaks(runs: list[dict]) -> dict[str, float]:
+    """Median peak RSS (MB) of each stage over the runs that report it."""
+    values: dict[str, list[float]] = {}
+    for r in runs:
+        for stage, rec in r.get("stages", {}).items():
+            if rec.get("peak_rss_mb") is not None:
+                values.setdefault(stage, []).append(float(rec["peak_rss_mb"]))
+    return {stage: statistics.median(v) for stage, v in values.items()}
+
+
 def fault_counts(runs: list[dict]) -> dict[str, int]:
     return {
         "runs": len(runs),
@@ -140,6 +151,7 @@ def compare(parent: dict, change: dict, end_to_end: list[dict]) -> dict:
             "seconds": sorted({r["seconds"] for r in p_runs + c_runs}),
             "metrics": metrics,
             "host_kernels_s": {"parent": host_medians(p_runs), "change": host_medians(c_runs)},
+            "stage_peak_rss_mb": {"parent": stage_peaks(p_runs), "change": stage_peaks(c_runs)},
             "operations": operations,
         }
     return workloads
@@ -168,6 +180,10 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  {name:<22} {m['parent']['median']:>12.6g} -> {m['change']['median']:>12.6g} "
                   f"(parent IQR {m['parent']['iqr']:.3g}; wins {m['wins']}/{len(result['seeds'])}"
                   f"{'; gain' if m['gain_rule_met'] else ''}; regression {m['regression']})")
+        peaks = result["stage_peak_rss_mb"]
+        print("  stage peak RSS (MB): " + ", ".join(
+            f"{stage} {peaks['parent'][stage]:.1f} -> {peaks['change'][stage]:.1f}"
+            for stage in peaks["parent"] if stage in peaks["change"]))
     return 0
 
 
