@@ -214,10 +214,24 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         ga = _unbroadcast(g @ np.swapaxes(y, -1, -2), x.shape)
-        gb = _unbroadcast(np.swapaxes(x, -1, -2) @ g, y.shape)
+        if y.ndim == 2 and x.ndim > 2:
+            gb = _shared_weight_grad(x, g)
+        else:
+            gb = _unbroadcast(np.swapaxes(x, -1, -2) @ g, y.shape)
         return ga, gb
 
     return _make(data, (a, b), backward)
+
+
+def _shared_weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient of a 2-D weight shared across x's leading axes: the sum of
+    the per-item products x[i]ᵀ @ g[i], added in order onto zeros, which is
+    what summing their [..., d, n] stack over the leading axes does, bit for
+    bit, without the stack."""
+    out = np.zeros((x.shape[-1], g.shape[-1]), np.result_type(x, g))
+    for i in np.ndindex(x.shape[:-2]):
+        out += np.swapaxes(x[i], -1, -2) @ g[i]
+    return out
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -302,8 +316,22 @@ def gelu(a: Tensor) -> Tensor:
     data = 0.5 * x * (1.0 + t)
 
     def backward(g):
-        d_inner = _GELU_C * (1.0 + 3.0 * _GELU_A * (x * x))
-        return (g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * d_inner),)
+        # g * (0.5 (1 + t) + 0.5 x (1 - t²) d_inner), where d_inner is
+        # C (1 + 3A x²), evaluated term by term in two buffers.
+        out = np.square(t)
+        np.subtract(1.0, out, out=out)
+        d = np.multiply(0.5, x)
+        out *= d
+        np.multiply(x, x, out=d)
+        d *= 3.0 * _GELU_A
+        d += 1.0
+        d *= _GELU_C
+        out *= d
+        np.add(t, 1.0, out=d)
+        d *= 0.5
+        d += out
+        d *= g
+        return (d,)
 
     return _make(data, (a,), backward)
 
@@ -346,6 +374,18 @@ def _softmax_backward(g: np.ndarray, out: np.ndarray, axis: int) -> np.ndarray:
     return out * (g - dot)
 
 
+def _softmax_backward_into(g: np.ndarray, out: np.ndarray) -> None:
+    """_softmax_backward over the last axis, written into g, which the caller
+    allocated. The row dots are taken one leading index at a time: each row
+    is reduced alone either way, so the bits are the same, and the product
+    they read is never larger than one leading slice."""
+    dot = np.empty(g.shape[:-1] + (1,), g.dtype)
+    for i in range(g.shape[0]):
+        np.sum(g[i] * out[i], axis=-1, keepdims=True, out=dot[i])
+    g -= dot
+    g *= out
+
+
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """exp(x - max) normalized along axis; max subtraction guards overflow."""
     axis = _check_axis(a, axis)
@@ -360,7 +400,11 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     out = shifted - lse
 
     def backward(g):
-        return (g - np.exp(out) * g.sum(axis=axis, keepdims=True),)
+        # g - exp(out) * g.sum(axis), in one buffer
+        e = np.exp(out)
+        e *= g.sum(axis=axis, keepdims=True)
+        np.subtract(g, e, out=e)
+        return (e,)
 
     return _make(out, (a,), backward)
 
@@ -415,8 +459,15 @@ def dropout(a: Tensor, p: float, train: bool, rng: np.random.Generator | None = 
     if not train or p == 0.0:
         return _make(a.data, (a,), lambda g: (g,))
     keep, factor = _keep_mask(rng, a.shape, p, a.dtype)
-    keep = keep * factor
-    return _make(a.data * keep, (a,), lambda g: (g * keep,))
+
+    def dropped(x: np.ndarray) -> np.ndarray:
+        # (x * keep) * factor: the bits of x * (keep * factor), since a kept
+        # entry is multiplied by 1 first; the mask stays bool.
+        out = x * keep
+        out *= factor
+        return out
+
+    return _make(dropped(a.data), (a,), lambda g: (dropped(g),))
 
 
 NEG_INF = -1e9  # attention mask value; exp() underflows to exactly 0
@@ -494,12 +545,14 @@ def attention(
         raise ShapeMismatch(f"attention: scores {probs.shape} vs v {v.shape}") from exc
 
     def backward(g):
+        # dropped() is freed once gv is made, so gs is the one score-sized
+        # array this closure allocates; the softmax backward runs in it.
         gv = _unbroadcast(np.swapaxes(dropped(), -1, -2) @ g, va.shape)
         gs = _unbroadcast(g @ np.swapaxes(va, -1, -2), probs.shape)
         if keep is not None:
             gs *= keep
             gs *= factor
-        gs = _softmax_backward(gs, probs, -1)
+        _softmax_backward_into(gs, probs)
         if mask is not None:
             gs *= ~mask
         gs *= scale
@@ -574,6 +627,11 @@ def backward(loss: Tensor) -> None:
     parents, so a graph can be differentiated once. A later backward that
     reaches a consumed vertex, from the same loss or from another loss built
     on part of the graph, raises ValueError before any gradient is written.
+
+    Closures may work in place under one rule: a closure writes only into
+    arrays it allocated and has not returned, never into its incoming
+    gradient or an array it saved in forward, since gradients may alias
+    each other and the saved arrays.
     """
     if loss.data.size != 1:
         raise NotScalar(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -613,9 +671,7 @@ def backward(loss: Tensor) -> None:
     # Consume the graph as it is differentiated: once a vertex's closure has
     # run, drop its gradient and parents and swap its closure for
     # _consumed, so whatever only the tape held is freed before the sweep
-    # reaches older vertices. Leaves keep their .grad. Gradients may alias
-    # each other, so closures never write into their incoming g or into an
-    # array they have returned.
+    # reaches older vertices. Leaves keep their .grad.
     root.grad = np.ones_like(loss.data)
     while topo:
         node = topo.pop()

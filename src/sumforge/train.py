@@ -121,8 +121,12 @@ def adam_step(
     grads: dict[str, np.ndarray],
     state: AdamState,
     lr: float,
-) -> tuple[dict[str, Tensor], AdamState]:
-    """One bias-corrected adaptive-moment update, in place."""
+) -> None:
+    """One bias-corrected adaptive-moment update, in place.
+
+    Each parameter's update runs in two scratch arrays, with the ufuncs of
+    p -= lr * m̂ / (sqrt(v̂) + eps) in the same order and each in the dtype
+    that expression computes in, so the bits are those of the expression."""
     state.step += 1
     t = state.step
     b1, b2 = ADAM_BETA1, ADAM_BETA2
@@ -134,14 +138,22 @@ def adam_step(
             raise ShapeMismatch(f"gradient {name}: {g.shape} vs param {p.shape}")
         m = state.m[name]
         v = state.v[name]
+        s = (1.0 - b1) * g
         m *= b1
-        m += (1.0 - b1) * g
+        m += s
+        np.multiply(1.0 - b2, g, out=s)
+        s *= g
         v *= b2
-        v += (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1**t)
-        v_hat = v / (1.0 - b2**t)
-        p.data -= (lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)).astype(p.dtype)
-    return params, state
+        v += s
+        d = v / (1.0 - b2**t)
+        np.sqrt(d, out=d)
+        d += ADAM_EPS
+        if s.dtype != m.dtype:
+            s = np.empty_like(m)
+        np.divide(m, 1.0 - b1**t, out=s)
+        s *= lr
+        s /= d
+        p.data -= s.astype(p.dtype, copy=False)
 
 
 def lr_schedule(step: int, base_lr: float, warmup: int) -> float:

@@ -180,3 +180,51 @@ def test_no_common_runs_exits_2(dirs, tmp_path, capsys):
     assert code == 2
     assert not (tmp_path / "o.json").exists()
     assert "no workload" in capsys.readouterr().err
+
+
+def test_same_bytes_verdict_from_each_sides_digest_store(tmp_path, monkeypatch, capsys):
+    bench = tmp_path / "BENCHMARK.json"
+    bench.write_text(json.dumps(_BENCHMARK))
+    monkeypatch.setattr(bench_pair, "BENCHMARK", bench)
+    sides = {}
+    for side in ("parent", "change"):
+        reports = tmp_path / side / ".perfbench" / "reports"
+        reports.parent.mkdir(parents=True)
+        for seed in (1, 2, 3):
+            _report(reports, seed, 100.0, 10.0)
+        sides[side] = reports
+
+    def store(side, records):
+        (sides[side].parent / "digests.json").write_text(json.dumps(records))
+
+    def record(train="t"):
+        return {"preprocess": "p", "prefit": "f", "train": train, "summarize": "s"}
+
+    def verdict():
+        result = _run(sides["parent"], sides["change"], tmp_path)
+        return result["same_bytes"], result["digests_differ_seeds"], result["digests_missing_seeds"]
+
+    # No store on either side: nothing is known.
+    assert verdict() == ("unknown", [], [1, 2, 3])
+    # Every seed's record equal on both sides; records at other sizes or of
+    # another workload are ignored unless both sides hold them.
+    store("parent", {f"ext_en/seed{s}/aa": record() for s in (1, 2, 3)} | {"ext_en/seed1/bb": record("x")})
+    store("change", {f"ext_en/seed{s}/aa": record() for s in (1, 2, 3)} | {"abs_ar/seed1/aa": record("y")})
+    assert verdict() == (True, [], [])
+    assert "same bytes: true" in capsys.readouterr().out
+    # A seed with no common record leaves the verdict unknown ...
+    store("change", {f"ext_en/seed{s}/aa": record() for s in (1, 2)})
+    assert verdict() == ("unknown", [], [3])
+    # ... and one whose train digest differs makes it false, naming the seed.
+    store("change", {f"ext_en/seed{s}/aa": record("t" if s != 2 else "u") for s in (1, 2)})
+    assert verdict() == (False, [2], [3])
+    assert "same bytes: false (digests differ on seeds [2]" in capsys.readouterr().out
+
+
+def test_same_bytes_unknown_when_both_sides_share_one_store(dirs, tmp_path):
+    parent, change = dirs  # siblings: both point at tmp_path/digests.json
+    (tmp_path / "digests.json").write_text(json.dumps(
+        {f"ext_en/seed{s}/aa": {"train": "t"} for s in (1, 2, 3, 4)}))
+    result = _run(parent, change, tmp_path)
+    assert result["same_bytes"] == "unknown"
+    assert result["digests_missing_seeds"] == [1, 2, 3, 4]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -661,7 +662,62 @@ def _graph_nodes(loss):
     return nodes
 
 
+def _cells(fn) -> dict:
+    """A closure's captured variables by name; unassigned ones are left out."""
+    out = {}
+    for name, cell in zip(fn.__code__.co_freevars, fn.__closure__):
+        try:
+            out[name] = cell.cell_contents
+        except ValueError:  # e.g. attention's factor when nothing is dropped
+            pass
+    return out
+
+
+def _assert_same_bits(a, b, name=""):
+    assert a is not None and b is not None, name
+    assert a.dtype == b.dtype and a.shape == b.shape, name
+    unsigned = f"u{a.dtype.itemsize}"
+    assert np.array_equal(a.view(unsigned), b.view(unsigned)), name
+
+
+def _old_attention_backward(c, g):
+    """attention's backward before it ran in place: the reference."""
+    probs, keep, va = c["probs"], c["keep"], c["va"]
+    dropped = probs if keep is None else probs * keep * c["factor"]
+    gv = T._unbroadcast(np.swapaxes(dropped, -1, -2) @ g, va.shape)
+    gs = T._unbroadcast(g @ np.swapaxes(va, -1, -2), probs.shape)
+    if keep is not None:
+        gs *= keep
+        gs *= c["factor"]
+    dot = (gs * probs).sum(axis=-1, keepdims=True)
+    gs = probs * (gs - dot)
+    if c["mask"] is not None:
+        gs *= ~c["mask"]
+    gs *= c["scale"]
+    gq = T._unbroadcast(gs @ c["ka"], c["qa"].shape)
+    gk = np.swapaxes(T._unbroadcast(np.swapaxes(c["qa"], -1, -2) @ gs, c["kt"].shape), -1, -2)
+    return gq, gk, gv
+
+
 class TestAttention:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", ["none", "padding", "masked_row", "cross1"])
+    @pytest.mark.parametrize("p", [0.0, 0.25])
+    def test_in_place_backward_bitwise_old_closure(self, dtype, kind, p):
+        q, k, v, g, mask = _attention_case(kind, dtype, seed=2)
+        out = T.attention(*(Tensor(x, requires_grad=True) for x in (q, k, v)), mask, p, p > 0,
+                          np.random.default_rng(6))
+        fn = out._node._backward
+        cells = _cells(fn)
+        assert (cells["keep"] is None) == (p == 0.0)
+        if kind == "masked_row":  # a fully masked query row keeps its mask pass
+            assert cells["mask"] is not None
+        probs = cells["probs"].copy()
+        expected = _old_attention_backward(cells, g)
+        for name, a, b in zip(("dq", "dk", "dv"), fn(g), expected):
+            _assert_same_bits(a, b, name)
+        assert np.array_equal(cells["probs"], probs)
+
     @pytest.mark.parametrize("kind", [
         "none", "padding", "causal", "cross1", "padding_partial", "masked_row", "all_false",
     ])
@@ -896,3 +952,126 @@ class TestTapeHoldsOnlyWhatBackwardReads:
         for name, p in params.items():
             assert p.data is before[name][0] and np.array_equal(p.data, before[name][1]), name
             assert np.array_equal(p.grad, expected[name]), name
+
+
+class TestInPlaceClosuresSameBits:
+    """Closures that work in buffers they allocated, against the expressions
+    they replaced, bit for bit."""
+
+    @staticmethod
+    def _specials(shape, dtype, seed):
+        x = np.random.default_rng(seed).standard_normal(shape).astype(dtype) * 3
+        x.flat[:6] = [np.nan, np.inf, -np.inf, -0.0, 0.0, -1e-30]
+        return x
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("p", [0.1, 0.5])
+    def test_dropout(self, dtype, p):
+        x, g = self._specials((4, 5, 6), dtype, 0), self._specials((4, 5, 6), dtype, 1)[::-1].copy()
+        with np.errstate(invalid="ignore"):
+            out = T.dropout(Tensor(x, requires_grad=True), p, True, np.random.default_rng(8))
+            (gx,) = out._node._backward(g)
+            keep, factor = T._keep_mask(np.random.default_rng(8), x.shape, p, dtype)
+            old_keep = keep * factor
+            expected_out, expected_gx = x * old_keep, g * old_keep
+        assert _cells(_cells(out._node._backward)["dropped"])["keep"].dtype == bool
+        _assert_same_bits(out.data, expected_out, "out")
+        _assert_same_bits(gx, expected_gx, "grad")
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gelu_backward(self, dtype):
+        x, g = self._specials((3, 7, 11), dtype, 2), self._specials((3, 7, 11), dtype, 3)
+        with np.errstate(invalid="ignore"):
+            out = T.gelu(Tensor(x, requires_grad=True))
+            (gx,) = out._node._backward(g)
+            t = _cells(out._node._backward)["t"]
+            d_inner = T._GELU_C * (1.0 + 3.0 * T._GELU_A * (x * x))
+            expected = g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * d_inner)
+        _assert_same_bits(gx, expected)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("axis", [-1, 1])
+    def test_log_softmax_backward(self, dtype, axis):
+        r = np.random.default_rng(4)
+        x = (r.standard_normal((3, 7, 11)) * 5).astype(dtype)
+        g = r.standard_normal((3, 7, 11)).astype(dtype)
+        out = T.log_softmax(Tensor(x, requires_grad=True), axis=axis)
+        (gx,) = out._node._backward(g)
+        _assert_same_bits(gx, g - np.exp(out.data) * g.sum(axis=axis, keepdims=True))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("lead", [(5,), (3, 4), (1,), (1, 1), (0,), (2, 0)])
+    def test_shared_weight_matmul_grad(self, dtype, lead):
+        r = np.random.default_rng(5)
+        x = (r.standard_normal(lead + (7, 9)) * 10.0 ** r.integers(-3, 3, lead + (7, 9))).astype(dtype)
+        w = r.standard_normal((9, 13)).astype(dtype)
+        g = r.standard_normal(lead + (7, 13)).astype(dtype)
+        out = T.matmul(Tensor(x, requires_grad=True), Tensor(w, requires_grad=True))
+        gx, gw = out._node._backward(g)
+        _assert_same_bits(gx, T._unbroadcast(g @ w.T, x.shape), "x")
+        _assert_same_bits(gw, T._unbroadcast(np.swapaxes(x, -1, -2) @ g, w.shape), "w")
+        if 0 in lead:
+            assert not gw.any()
+
+    def test_empty_batch_gives_a_zero_weight_gradient(self):
+        x = Tensor(np.zeros((0, 4, 3), np.float32), requires_grad=True)
+        w = Tensor(np.ones((3, 2), np.float32), requires_grad=True)
+        backward(T.tensor_sum(T.matmul(x, w)))
+        assert w.grad is not None and w.grad.dtype == np.float32
+        assert np.array_equal(w.grad, np.zeros((3, 2)))
+        assert x.grad.shape == (0, 4, 3)
+
+
+def _traced_peak(fn, *args):
+    """Bytes allocated at the peak of fn(*args), above what was live before,
+    counting what fn returns."""
+    if tracemalloc.is_tracing():
+        pytest.skip("tracemalloc already running")
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    del result
+    return peak
+
+
+_NUMPY_BUFFERS = 64 * 1024  # room for a ufunc's iteration buffers and small arrays
+
+
+class TestClosureTemporaries:
+    """Traced peaks of single backward closures at small shapes, so an edit
+    that brings back a whole-array temporary fails here."""
+
+    def test_attention_makes_one_score_array_besides_probs(self):
+        r = np.random.default_rng(0)
+        q, k, v = (Tensor(r.standard_normal((8, 2, 128, 4)).astype(np.float32), requires_grad=True)
+                   for _ in range(3))
+        mask = np.zeros((8, 1, 128, 128), dtype=bool)
+        mask[0, :, 3] = True  # a fully masked row: the mask pass runs too
+        out = T.attention(q, k, v, mask, 0.25, True, np.random.default_rng(1))
+        score = _cells(out._node._backward)["probs"].nbytes
+        g = r.standard_normal(out.shape).astype(np.float32)
+        # One score array, then one leading slice (1/8) of another for the
+        # row dots, plus the three small q/k/v gradients.
+        assert _traced_peak(out._node._backward, g) < 1.5 * score
+
+    def test_shared_weight_matmul_builds_no_stack(self):
+        r = np.random.default_rng(0)
+        x = Tensor(r.standard_normal((32, 4, 32)).astype(np.float32), requires_grad=True)
+        w = Tensor(r.standard_normal((32, 64)).astype(np.float32), requires_grad=True)
+        out = T.matmul(x, w)
+        stack = 32 * w.data.nbytes  # the [B, d, V] products
+        g = r.standard_normal(out.shape).astype(np.float32)
+        assert _traced_peak(out._node._backward, g) < stack / 4
+
+    @pytest.mark.parametrize("op, arrays", [(T.gelu, 2), (lambda a: T.log_softmax(a, -1), 1)],
+                             ids=["gelu", "log_softmax"])
+    def test_elementwise_backward_stays_within_its_buffers(self, op, arrays):
+        r = np.random.default_rng(0)
+        x = Tensor(r.standard_normal((256, 512)).astype(np.float32), requires_grad=True)
+        out = op(x)
+        g = r.standard_normal(out.shape).astype(np.float32)
+        assert _traced_peak(out._node._backward, g) <= arrays * x.data.nbytes + _NUMPY_BUFFERS

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -31,6 +32,9 @@ from sumforge.model import (
 )
 from sumforge.tensor import SplitRng, Tensor
 from sumforge.train import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     AbsBatch,
     AdamState,
     ExtBatch,
@@ -149,6 +153,48 @@ class TestAdamStep:
         adam_step(params, {"p": np.array([2.0])}, state, lr=0.0)
         assert state.m["p"][0] == pytest.approx(0.1 * 2.0)
         assert state.v["p"][0] == pytest.approx(0.001 * 4.0)
+
+
+def _textbook_adam_step(params, grads, state, lr):
+    """adam_step before it ran in place: the reference for its bits."""
+    state.step += 1
+    t = state.step
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
+    for name, p in params.items():
+        g = grads[name]
+        m, v = state.m[name], state.v[name]
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        m_hat = m / (1.0 - b1**t)
+        v_hat = v / (1.0 - b2**t)
+        p.data -= (lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)).astype(p.dtype)
+
+
+class TestAdamInPlace:
+    @staticmethod
+    def _digest(step_fn, param_dtype, grad_dtype) -> str:
+        r = np.random.default_rng(11)
+        params = {name: Tensor(r.standard_normal(shape).astype(param_dtype), requires_grad=True)
+                  for name, shape in (("a", (7, 5)), ("b", (13,)), ("c", (3, 4, 2)))}
+        state = AdamState(params)
+        for step, scale in enumerate((1e-8, 1e-6, 1e-4, 1e-2, 1.0), start=1):
+            grads = {k: (r.standard_normal(p.shape) * scale).astype(grad_dtype) for k, p in params.items()}
+            assert step_fn(params, grads, state, 1e-3 * step) is None
+        h = hashlib.sha256()
+        for name in params:
+            for array in (params[name].data, state.m[name], state.v[name]):
+                h.update(array.dtype.str.encode() + array.tobytes())
+        return h.hexdigest()
+
+    @pytest.mark.parametrize("param_dtype, grad_dtype", [
+        (np.float32, np.float32), (np.float64, np.float64),
+        (np.float32, np.float64), (np.float64, np.float32),
+    ])
+    def test_weights_and_moments_bitwise_textbook_formula(self, param_dtype, grad_dtype):
+        assert (self._digest(adam_step, param_dtype, grad_dtype)
+                == self._digest(_textbook_adam_step, param_dtype, grad_dtype))
 
 
 class TestLrSchedule:

@@ -23,7 +23,13 @@ lack it on each side, never counts as a gain and is "unresolved" at best.
 It also gives each side's host-drift kernel medians (timed before and
 after every run), each pipeline stage's median peak RSS (from the reports'
 `stages`, so the stage that sets `peak_rss_mb` shows) and its attempted
-operations and faults. Standard library only.
+operations and faults, and a same-bytes verdict, `same_bytes`: each
+side's digest store (`digests.json`, which `perfbench/run.py` keeps next to
+`reports/` in `.perfbench/`) gives every run's preprocess, prefit, train and
+summarize digests by workload, seed and sizes; the verdict is false when
+some paired seed's digests differ (listed in `digests_differ_seeds`),
+otherwise "unknown" when a side has no store or a seed has no digests on
+both sides (`digests_missing_seeds`), otherwise true. Standard library only.
 """
 
 from __future__ import annotations
@@ -45,6 +51,30 @@ def load_reports(directory: Path) -> dict[tuple[str, int], dict]:
         report = json.loads(path.read_text(encoding="utf-8"))
         reports[(report["workload"], int(report["seed"]))] = report
     return reports
+
+
+def load_digests(reports: Path, other: Path) -> dict[str, dict] | None:
+    """The digest store next to a reports directory; None if there is none,
+    or if it is also the other side's store, which would prove nothing."""
+    path, other_path = (d.resolve().parent / "digests.json" for d in (reports, other))
+    if path == other_path or not path.is_file():
+        return None
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+def same_bytes(parent: dict | None, change: dict | None, workload: str, seeds: list[int]) -> dict:
+    """Compare every digest record that both stores hold for each seed."""
+    parent, change = parent or {}, change or {}
+    differ, missing = [], []
+    for seed in seeds:
+        prefix = f"{workload}/seed{seed}/"
+        keys = [k for k in parent if k.startswith(prefix) and k in change]
+        if not keys:
+            missing.append(seed)
+        elif any(parent[k] != change[k] for k in keys):
+            differ.append(seed)
+    verdict = False if differ else "unknown" if missing else True
+    return {"same_bytes": verdict, "digests_differ_seeds": differ, "digests_missing_seeds": missing}
 
 
 def summary(values: list[float]) -> dict[str, float]:
@@ -112,7 +142,8 @@ def fault_counts(runs: list[dict]) -> dict[str, int]:
     }
 
 
-def compare(parent: dict, change: dict, end_to_end: list[dict]) -> dict:
+def compare(parent: dict, change: dict, end_to_end: list[dict],
+            parent_digests: dict | None = None, change_digests: dict | None = None) -> dict:
     """Per workload: every end-to-end metric over the seeds both sides ran."""
     workloads = {}
     for workload in sorted({w for w, _ in parent} | {w for w, _ in change}):
@@ -153,6 +184,7 @@ def compare(parent: dict, change: dict, end_to_end: list[dict]) -> dict:
             "host_kernels_s": {"parent": host_medians(p_runs), "change": host_medians(c_runs)},
             "stage_peak_rss_mb": {"parent": stage_peaks(p_runs), "change": stage_peaks(c_runs)},
             "operations": operations,
+            **same_bytes(parent_digests, change_digests, workload, seeds),
         }
     return workloads
 
@@ -165,7 +197,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     end_to_end = json.loads(BENCHMARK.read_text(encoding="utf-8"))["end_to_end"]
-    workloads = compare(load_reports(args.parent_reports), load_reports(args.change_reports), end_to_end)
+    workloads = compare(load_reports(args.parent_reports), load_reports(args.change_reports), end_to_end,
+                        load_digests(args.parent_reports, args.change_reports),
+                        load_digests(args.change_reports, args.parent_reports))
     if not workloads:
         print("error: no workload and seed has a report on both sides", file=sys.stderr)
         return 2
@@ -184,6 +218,8 @@ def main(argv: list[str] | None = None) -> int:
         print("  stage peak RSS (MB): " + ", ".join(
             f"{stage} {peaks['parent'][stage]:.1f} -> {peaks['change'][stage]:.1f}"
             for stage in peaks["parent"] if stage in peaks["change"]))
+        print(f"  same bytes: {json.dumps(result['same_bytes'])} (digests differ on seeds "
+              f"{result['digests_differ_seeds']}, missing on {result['digests_missing_seeds']})")
     return 0
 
 
