@@ -395,9 +395,20 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     axis = _check_axis(a, axis)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out = shifted - lse
+    x = a.data
+    out = np.subtract(x, x.max(axis=axis, keepdims=True))
+    # The exp sums are taken over blocks of at most an eighth of the leading
+    # axis (all at once when axis is the leading one), so exp() never makes
+    # a second output-sized array; each sum along axis is reduced alone
+    # either way, so the bits are the same.
+    lse = np.empty(out.shape[:axis] + (1,) + out.shape[axis + 1 :], out.dtype)
+    n = out.shape[0]
+    step = max(math.ceil(n / 8) if axis else n, 1)
+    for start in range(0, n, step):
+        block = slice(start, start + step)
+        np.sum(np.exp(out[block]), axis=axis, keepdims=True, out=lse[block])
+    np.log(lse, out=lse)
+    out -= lse
 
     def backward(g):
         # g - exp(out) * g.sum(axis), in one buffer
@@ -438,14 +449,49 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
     return _make(data, (a, gamma, beta), backward)
 
 
+def _items(shape: tuple[int, ...]) -> tuple[Sequence, tuple[int, ...]]:
+    """The items an op over `shape` runs one at a time, and their shape:
+    each index of the leading axis, or below rank 3 the whole array
+    (Ellipsis), where an item of a matrix would be a row and its products
+    matrix-vector ones."""
+    if len(shape) > 2:
+        return range(shape[0]), shape[1:]
+    return (Ellipsis,), shape
+
+
+def _at(x: np.ndarray, i, ndim: int) -> np.ndarray:
+    """x's part in item i of an op over rank-`ndim` arrays: x[i], or x[0]
+    or all of x where x broadcasts along the leading axis."""
+    if i is Ellipsis or x.ndim < ndim:
+        return x
+    return x[0] if x.shape[0] == 1 else x[i]
+
+
 def _keep_mask(rng: np.random.Generator | None, shape, p: float, dtype) -> tuple[np.ndarray, np.floating]:
     """Inverted-dropout draw: where to keep (uniform >= p, both in float32,
-    whatever `dtype` is) and the factor 1/(1-p) in `dtype` that kept entries
-    are scaled by."""
+    whatever `dtype` is), drawn one item of `_items(shape)` at a time and
+    held as packed bits, one row of ceil(n/8) bytes per item of n entries;
+    and the factor 1/(1-p) in `dtype` that kept entries are scaled by.
+    Item by item, the draws take the generator's stream exactly as one
+    whole draw would."""
     if rng is None:
         raise ConfigError("dropout in train mode needs an rng")
-    keep = rng.random(shape, dtype=np.float32) >= np.float32(p)
+    items, item_shape = _items(tuple(shape))
+    keep = np.empty((len(items), (math.prod(item_shape) + 7) // 8), np.uint8)
+    for row in range(len(items)):
+        keep[row] = np.packbits(rng.random(item_shape, dtype=np.float32) >= np.float32(p))
     return keep, np.dtype(dtype).type(1.0 / (1.0 - p))
+
+
+def _dropped(x: np.ndarray, bits: np.ndarray, count: int, factor, out: np.ndarray | None = None) -> np.ndarray:
+    """(x * keep) * factor, where keep is `bits` unpacked: x's packed keep
+    mask, either all of it or the one row of an item x, in rows of `count`
+    entries. These are the bits of x * (keep * factor), since a kept entry
+    is multiplied by 1 first. `out` may be x itself."""
+    keep = np.unpackbits(bits, axis=-1, count=count).view(bool).reshape(x.shape)
+    out = np.multiply(x, keep, out=out)
+    out *= factor
+    return out
 
 
 def _check_dropout_p(p: float) -> None:
@@ -459,13 +505,13 @@ def dropout(a: Tensor, p: float, train: bool, rng: np.random.Generator | None = 
     if not train or p == 0.0:
         return _make(a.data, (a,), lambda g: (g,))
     keep, factor = _keep_mask(rng, a.shape, p, a.dtype)
+    count = math.prod(_items(a.shape)[1])
 
+    # Each call unpacks the whole mask, a bool per entry, and drops it on
+    # return: dropout's inputs are never score-sized, and one call per item
+    # costs more than the mask it saves.
     def dropped(x: np.ndarray) -> np.ndarray:
-        # (x * keep) * factor: the bits of x * (keep * factor), since a kept
-        # entry is multiplied by 1 first; the mask stays bool.
-        out = x * keep
-        out *= factor
-        return out
+        return _dropped(x, keep, count, factor)
 
     return _make(dropped(a.data), (a,), lambda g: (dropped(g),))
 
@@ -497,13 +543,16 @@ def attention(
     one op, over [..., Lq, dk] queries and [..., Lk, dk] keys and values.
 
     mask broadcasts against the [..., Lq, Lk] scores and is True where a
-    query may not look at a key (filled with NEG_INF). Scale, mask, softmax
-    and dropout run in place on one score buffer; only the probabilities
-    and the boolean keep mask are kept for backward, which recomputes the
-    dropped probabilities. Forward and backward make the same numpy calls,
-    in the same order, as matmul/mul/masked_fill/softmax/dropout/matmul,
-    less the mask passes that cannot change a bit, so values and gradients
-    are bitwise those of that composed chain.
+    query may not look at a key (filled with NEG_INF). Scale, mask and
+    softmax run in place on one score buffer; only the probabilities and
+    the packed dropout keep mask are kept for backward. Dropout, the
+    product with v and all of backward run one leading index at a time
+    (see `_items`), so no other score-sized array is made; an operand that
+    broadcasts along that axis gets its gradient summed item by item, in
+    order, onto zeros. numpy's stacked matmul makes one product per matrix
+    either way, and each call is the one matmul/mul/masked_fill/softmax/
+    dropout/matmul would make, less the mask passes that cannot change a
+    bit, so values and gradients are bitwise those of that composed chain.
     """
     _check_dropout_p(p)
     qa, ka, va = q.data, k.data, v.data
@@ -512,6 +561,12 @@ def attention(
         probs = qa @ kt
     except ValueError as exc:
         raise ShapeMismatch(f"attention: q {q.shape} vs k {k.shape}") from exc
+    try:
+        batch = np.broadcast_shapes(probs.shape[:-2], va.shape[:-2])
+    except ValueError:
+        batch = None
+    if va.ndim < 2 or va.shape[-2] != probs.shape[-1] or batch != probs.shape[:-2]:
+        raise ShapeMismatch(f"attention: scores {probs.shape} vs v {v.shape}")
     scale = np.asarray(1.0 / np.sqrt(k.shape[-1]), dtype=probs.dtype)
     probs *= scale
     if mask is not None:
@@ -528,39 +583,65 @@ def attention(
         if not np.atleast_1d(mask).all(axis=-1).any():
             mask = None
     _softmax_forward(probs, -1, out=probs)
+    ndim = probs.ndim
+    items, item_shape = _items(probs.shape)
+    count = math.prod(item_shape)
     keep = None
     if train and p > 0.0:
         keep, factor = _keep_mask(rng, probs.shape, p, probs.dtype)
-
-    def dropped() -> np.ndarray:
-        if keep is None:
-            return probs
-        out = probs * keep
-        out *= factor
-        return out
-
-    try:
-        data = dropped() @ va
-    except ValueError as exc:
-        raise ShapeMismatch(f"attention: scores {probs.shape} vs v {v.shape}") from exc
+        data = np.empty(probs.shape[:-1] + va.shape[-1:], np.result_type(probs, va))
+        for row, i in enumerate(items):
+            np.matmul(_dropped(probs[i], keep[row], count, factor), _at(va, i, ndim), out=data[i])
+    else:
+        data = probs @ va
 
     def backward(g):
-        # dropped() is freed once gv is made, so gs is the one score-sized
-        # array this closure allocates; the softmax backward runs in it.
-        gv = _unbroadcast(np.swapaxes(dropped(), -1, -2) @ g, va.shape)
-        gs = _unbroadcast(g @ np.swapaxes(va, -1, -2), probs.shape)
-        if keep is not None:
-            gs *= keep
-            gs *= factor
-        _softmax_backward_into(gs, probs)
-        if mask is not None:
-            gs *= ~mask
-        gs *= scale
-        gq = _unbroadcast(gs @ ka, qa.shape)
-        gk = np.swapaxes(_unbroadcast(np.swapaxes(qa, -1, -2) @ gs, kt.shape), -1, -2)
-        return gq, gk, gv
+        gs_type = np.result_type(g, va)
+        gq = _ItemGrad(qa.shape, probs.shape, np.result_type(gs_type, ka))
+        gkt = _ItemGrad(kt.shape, probs.shape, np.result_type(qa, gs_type))
+        gv = _ItemGrad(va.shape, probs.shape, np.result_type(probs, g))
+        for row, i in enumerate(items):
+            probs_i, g_i = probs[i], g[i]
+            dropped = probs_i if keep is None else _dropped(probs_i, keep[row], count, factor)
+            gv.put(i, np.swapaxes(dropped, -1, -2) @ g_i)
+            del dropped
+            gs = g_i @ np.swapaxes(_at(va, i, ndim), -1, -2)
+            if keep is not None:
+                _dropped(gs, keep[row], count, factor, out=gs)
+            _softmax_backward_into(gs, probs_i)
+            if mask is not None:
+                gs *= ~_at(mask, i, ndim)
+            gs *= scale
+            gq.put(i, gs @ _at(ka, i, ndim))
+            gkt.put(i, np.swapaxes(_at(qa, i, ndim), -1, -2) @ gs)
+            del gs  # before the next item's dropped probabilities
+        # gk keeps the layout of kt's gradient: downstream products read
+        # its strides, and a C-contiguous gk would change their bits.
+        return gq.out, np.swapaxes(gkt.out, -1, -2), gv.out
 
     return _make(data, (q, k, v), backward)
+
+
+class _ItemGrad:
+    """The gradient of an op's operand of `shape`, filled one item of
+    `_items(like)` at a time. An operand that broadcasts along the leading
+    axis has its items' gradients added in order onto zeros, which is what
+    numpy's sum over that axis does, bit for bit."""
+
+    __slots__ = ("out", "shared", "ndim")
+
+    def __init__(self, shape: tuple[int, ...], like: tuple[int, ...], dtype):
+        self.ndim = len(like)
+        self.shared = self.ndim > 2 and (len(shape) < self.ndim or shape[0] == 1 != like[0])
+        self.out = (np.zeros if self.shared else np.empty)(shape, dtype)
+
+    def put(self, i, value: np.ndarray) -> None:
+        part = _at(self.out, i, self.ndim)
+        value = _unbroadcast(value, part.shape)
+        if self.shared:
+            part += value
+        else:
+            part[...] = value
 
 
 # --- indexing ---

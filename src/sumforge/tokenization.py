@@ -427,6 +427,8 @@ def read_shards(shard_dir: Path | str) -> list[TokenizedExample]:
                     record = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise CorruptShard(str(path), line_no, str(exc)) from exc
+                if not isinstance(record, dict):
+                    raise CorruptShard(str(path), line_no, "record is not a JSON object")
                 if not all(k in record for k in _SHARD_KEYS):
                     missing = [k for k in _SHARD_KEYS if k not in record]
                     raise CorruptShard(str(path), line_no, f"missing keys {missing}")

@@ -372,8 +372,9 @@ def masked_token_loss(
     rows = np.flatnonzero(chosen)
     b, length, d = hidden.shape
     picked = T.embedding_lookup(T.reshape(hidden, (b * length, d)), rows)
-    logits = T.matmul(picked, T.transpose(tok_emb)) + bias
-    lp = T.log_softmax(logits, axis=-1)
+    # The logits go straight into log_softmax, so nothing holds them once
+    # it has made its output.
+    lp = T.log_softmax(T.matmul(picked, T.transpose(tok_emb)) + bias, axis=-1)
     nll = T.neg(T.take_along_last(lp, np.asarray(targets).reshape(-1)[rows]))
     return T.tensor_sum(nll) / float(rows.size)
 

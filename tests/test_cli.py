@@ -642,6 +642,24 @@ class TestTrain:
         assert code == 2
         assert "no shards" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("task", ["ext", "abs", "prefit"])
+    @pytest.mark.parametrize("record", [
+        "7", "null", "true", "[1, 2]", '"src segs clss labels tgt src_txt tgt_txt"',
+    ], ids=["number", "null", "true", "list", "string_naming_every_key"])
+    def test_non_object_shard_record_exits_2(self, tmp_path, capsys, task, record):
+        vocab = _write_vocab(tmp_path / "vocab.txt")
+        shards = tmp_path / "shards"
+        shards.mkdir()
+        (shards / "shard_0.jsonl").write_text(record + "\n", encoding="utf-8")
+        config = _write_config(tmp_path / "run.cfg")
+        out = tmp_path / "run"
+        code = main(["train", "--task", task, "--shards", str(shards),
+                     "--out", str(out), "--config", str(config), "--vocab", str(vocab)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "corrupt shard line 1" in err and "not a JSON object" in err
+        assert not list(out.glob("*.ckpt"))
+
     def test_seed_flag_beats_config_value(self, tmp_path, capsys):
         shards, vocab = _make_shards(tmp_path)
         config = _write_config(tmp_path / "run.cfg", seed=7)

@@ -577,6 +577,50 @@ class TestForwardSemantics:
 
 # --- fused attention and graph consumption ---
 
+class TestPackedKeepMask:
+    """The keep mask is drawn one leading index at a time and held as
+    packed bits; it must be the bool mask of one whole draw, bit for bit,
+    and leave the generator where one whole draw would."""
+
+    @pytest.mark.parametrize("shape", [
+        (3, 5, 7), (8, 4, 43, 43), (2, 1, 3), (1, 3, 3), (5, 7), (9,), (), (0, 3, 4),
+    ], ids=str)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("make_rng", [
+        lambda: SplitRng(11).child("dropout", 1).generator(),
+        lambda: np.random.default_rng(11),
+    ], ids=["philox", "pcg64"])
+    def test_item_draws_equal_one_whole_draw(self, shape, dtype, make_rng):
+        rng, ref = make_rng(), make_rng()
+        keep, factor = T._keep_mask(rng, shape, 0.1, dtype)
+        whole = ref.random(shape, dtype=np.float32) >= np.float32(0.1)
+        _, item_shape = T._items(shape)
+        rows = shape[0] if len(shape) > 2 else 1
+        assert keep.dtype == np.uint8
+        assert keep.shape == (rows, math.ceil(math.prod(item_shape) / 8))
+        assert np.array_equal(_unpacked(keep, shape), whole)
+        assert type(factor) is np.dtype(dtype).type and factor == np.dtype(dtype).type(1 / 0.9)
+        assert repr(rng.bit_generator.state) == repr(ref.bit_generator.state)
+        assert rng.random(3, dtype=np.float32).tobytes() == ref.random(3, dtype=np.float32).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", ["none", "padding", "masked_row", "cross1"])
+    def test_attention_forward_equals_whole_mask_forward(self, dtype, kind):
+        """The old forward: one whole draw, one whole dropped array, one product."""
+        q, k, v, _, mask = _attention_case(kind, dtype, seed=3)
+        out = T.attention(Tensor(q), Tensor(k), Tensor(v), mask, 0.25, True,
+                          SplitRng(4).child("dropout", 1).generator())
+        probs = q @ np.swapaxes(k, -1, -2)
+        probs *= np.asarray(1.0 / np.sqrt(k.shape[-1]), dtype=probs.dtype)
+        if mask is not None:
+            np.copyto(probs, np.asarray(T.NEG_INF, dtype=probs.dtype), where=mask)
+        T._softmax_forward(probs, -1, out=probs)
+        keep = SplitRng(4).child("dropout", 1).generator().random(probs.shape, dtype=np.float32)
+        dropped = probs * (keep >= np.float32(0.25))
+        dropped *= np.dtype(dtype).type(1.0 / 0.75)
+        _assert_same_bits(out.data, dropped @ v)
+
+
 def _composed_attention(q, k, v, mask, p, train, rng):
     """The unfused chain that `attention` must reproduce bit for bit."""
     scores = T.mul(T.matmul(q, T.transpose(k)), 1.0 / np.sqrt(k.shape[-1]))
@@ -680,9 +724,18 @@ def _assert_same_bits(a, b, name=""):
     assert np.array_equal(a.view(unsigned), b.view(unsigned)), name
 
 
+def _unpacked(keep, shape):
+    """A packed keep mask, one row of bits per item of T._items(shape), as
+    one bool array of `shape`."""
+    _, item_shape = T._items(shape)
+    return np.unpackbits(keep, axis=-1, count=math.prod(item_shape)).view(bool).reshape(shape)
+
+
 def _old_attention_backward(c, g):
-    """attention's backward before it ran in place: the reference."""
+    """attention's backward before it ran in place and item by item, on a
+    whole bool keep mask: the reference."""
     probs, keep, va = c["probs"], c["keep"], c["va"]
+    keep = None if keep is None else _unpacked(keep, probs.shape)
     dropped = probs if keep is None else probs * keep * c["factor"]
     gv = T._unbroadcast(np.swapaxes(dropped, -1, -2) @ g, va.shape)
     gs = T._unbroadcast(g @ np.swapaxes(va, -1, -2), probs.shape)
@@ -774,7 +827,11 @@ class TestAttention:
         held = [c.cell_contents for c in out._node._backward.__closure__]
         score_shape = (q.shape[0], q.shape[1], q.shape[2], k.shape[2])
         big = [x for x in held if isinstance(x, np.ndarray) and x.shape == score_shape]
-        assert sorted(x.dtype.name for x in big) == ["bool", "float32"]
+        assert [x.dtype.name for x in big] == ["float32"]
+        # The keep mask is packed bits, one row per batch item.
+        keep = _cells(out._node._backward)["keep"]
+        assert keep.dtype == np.uint8
+        assert keep.shape == (q.shape[0], math.ceil(math.prod(score_shape[1:]) / 8))
         # The operands are held as arrays, never as their Tensors.
         assert not any(isinstance(x, Tensor) for x in held)
         arrays = {id(x) for x in held if isinstance(x, np.ndarray)}
@@ -972,9 +1029,9 @@ class TestInPlaceClosuresSameBits:
             out = T.dropout(Tensor(x, requires_grad=True), p, True, np.random.default_rng(8))
             (gx,) = out._node._backward(g)
             keep, factor = T._keep_mask(np.random.default_rng(8), x.shape, p, dtype)
-            old_keep = keep * factor
+            old_keep = _unpacked(keep, x.shape) * factor
             expected_out, expected_gx = x * old_keep, g * old_keep
-        assert _cells(_cells(out._node._backward)["dropped"])["keep"].dtype == bool
+        assert _cells(_cells(out._node._backward)["dropped"])["keep"].dtype == np.uint8
         _assert_same_bits(out.data, expected_out, "out")
         _assert_same_bits(gx, expected_gx, "grad")
 
@@ -998,6 +1055,18 @@ class TestInPlaceClosuresSameBits:
         out = T.log_softmax(Tensor(x, requires_grad=True), axis=axis)
         (gx,) = out._node._backward(g)
         _assert_same_bits(gx, g - np.exp(out.data) * g.sum(axis=axis, keepdims=True))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape, axis", [
+        ((3, 7, 11), -1), ((3, 7, 11), 1), ((3, 7, 11), 0), ((40, 3001), -1), ((2, 5, 8000), 2),
+        ((13,), 0), ((4, 1, 6), 1), ((0, 5), 1), ((234, 300), -1), ((9, 3, 5), 1),
+    ], ids=str)
+    def test_log_softmax_forward(self, dtype, shape, axis):
+        x = self._specials(shape, dtype, 6) if math.prod(shape) > 6 else np.ones(shape, dtype)
+        x[np.isnan(x) | np.isinf(x)] = 1e4  # a NaN or inf row has no log-softmax to pin
+        out = T.log_softmax(Tensor(x), axis=axis).data
+        shifted = x - x.max(axis=axis, keepdims=True)
+        _assert_same_bits(out, shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True)))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("lead", [(5,), (3, 4), (1,), (1, 1), (0,), (2, 0)])
@@ -1057,6 +1126,44 @@ class TestClosureTemporaries:
         # One score array, then one leading slice (1/8) of another for the
         # row dots, plus the three small q/k/v gradients.
         assert _traced_peak(out._node._backward, g) < 1.5 * score
+
+    @staticmethod
+    def _attention_inputs(dtype=np.float32):
+        r = np.random.default_rng(0)
+        q, k, v = (Tensor(r.standard_normal((8, 2, 128, 4)).astype(dtype), requires_grad=True)
+                   for _ in range(3))
+        mask = np.zeros((8, 1, 128, 128), dtype=bool)
+        mask[0, :, 3] = True
+        return q, k, v, mask
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_attention_forward_makes_no_second_score_array(self, dtype):
+        q, k, v, mask = self._attention_inputs(dtype)
+        score = 8 * 2 * 128 * 128 * np.dtype(dtype).itemsize
+        item = score // 8
+        out_bytes = q.data.nbytes
+        # probs, the output and about two item slices (the float32 draw and
+        # its packed bits, then one dropped item); the packed mask is 1/32
+        # of a float32 score array.
+        bound = score + out_bytes + 2 * item + _NUMPY_BUFFERS
+        assert _traced_peak(T.attention, q, k, v, mask, 0.25, True, np.random.default_rng(1)) < bound
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_attention_backward_works_in_item_slices(self, dtype):
+        q, k, v, mask = self._attention_inputs(dtype)
+        out = T.attention(q, k, v, mask, 0.25, True, np.random.default_rng(1))
+        item = _cells(out._node._backward)["probs"].nbytes // 8
+        grads = q.data.nbytes + k.data.nbytes + v.data.nbytes
+        g = np.random.default_rng(2).standard_normal(out.shape).astype(dtype)
+        # The three gradients, then per item the score gradient, a quarter
+        # item of unpacked keep mask and half an item for the row dots.
+        assert _traced_peak(out._node._backward, g) < grads + 2 * item + _NUMPY_BUFFERS
+
+    def test_log_softmax_forward_builds_one_output_sized_array(self):
+        x = Tensor(np.random.default_rng(0).standard_normal((8, 64, 512)).astype(np.float32))
+        # The output, plus one leading slice of exp() and the [8, 64, 1] sums.
+        bound = x.data.nbytes + x.data.nbytes // 8 + _NUMPY_BUFFERS
+        assert _traced_peak(T.log_softmax, x, -1) < bound
 
     def test_shared_weight_matmul_builds_no_stack(self):
         r = np.random.default_rng(0)
