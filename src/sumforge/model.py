@@ -507,8 +507,6 @@ def abs_loss(
     convention. The smoothed target mixes (1 - smoothing) of the gold one-hot
     with smoothing of the uniform distribution over the full vocabulary.
     """
-    if not 0.0 <= smoothing < 1.0:
-        raise ConfigError(f"smoothing must be in [0, 1), got {smoothing}")
     tgt_ids = np.asarray(tgt_ids)
     pad_mask = np.asarray(pad_mask, dtype=bool)
     if logits.shape[:2] != tgt_ids.shape or tgt_ids.shape != pad_mask.shape:
@@ -524,14 +522,7 @@ def abs_loss(
     if total == 0:
         raise AllMasked("every predicted target position is padding")
 
-    lp = T.log_softmax(T.narrow(logits, 1, 0, t - 1), axis=-1)
-    nll = T.neg(T.take_along_last(lp, tgt_ids[:, 1:]))
-    if smoothing > 0.0:
-        uniform = T.neg(T.tensor_mean(lp, axis=-1))
-        per_pos = T.mul(nll, 1.0 - smoothing) + T.mul(uniform, smoothing)
-    else:
-        per_pos = nll
-    return T.tensor_sum(T.mul(per_pos, weights)) / total
+    return T.cross_entropy(T.narrow(logits, 1, 0, t - 1), tgt_ids[:, 1:], weights, smoothing) / total
 
 
 # --- checkpoint serialization ---

@@ -2,8 +2,8 @@
 
 Just enough ops for a transformer encoder/decoder: broadcasting arithmetic,
 batched matmul, softmax/layer-norm/gelu, embedding and gather ops, dropout,
-a logit binary cross-entropy, and a finite-difference oracle to check all
-of it. Data lives in numpy
+a logit binary cross-entropy, a label-smoothed vocabulary cross-entropy,
+and a finite-difference oracle to check all of it. Data lives in numpy
 arrays; float32 is the training dtype, float64 the verification dtype.
 """
 
@@ -17,7 +17,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, GraphCycle, InvalidAxis, NotScalar, ShapeMismatch
+from .errors import ConfigError, GraphCycle, IdOutOfRange, InvalidAxis, NotScalar, ShapeMismatch
 
 
 class SplitRng:
@@ -393,9 +393,8 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _make(out, (a,), lambda g: (_softmax_backward(g, out, axis),))
 
 
-def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
-    axis = _check_axis(a, axis)
-    x = a.data
+def _log_softmax_forward(x: np.ndarray, axis: int) -> np.ndarray:
+    """x - max - log(sum(exp(x - max))) along axis, in one fresh array."""
     out = np.subtract(x, x.max(axis=axis, keepdims=True))
     # The exp sums are taken over blocks of at most an eighth of the leading
     # axis (all at once when axis is the leading one), so exp() never makes
@@ -409,6 +408,12 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
         np.sum(np.exp(out[block]), axis=axis, keepdims=True, out=lse[block])
     np.log(lse, out=lse)
     out -= lse
+    return out
+
+
+def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
+    axis = _check_axis(a, axis)
+    out = _log_softmax_forward(a.data, axis)
 
     def backward(g):
         # g - exp(out) * g.sum(axis), in one buffer
@@ -418,6 +423,69 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
         return (e,)
 
     return _make(out, (a,), backward)
+
+
+def cross_entropy(logits: Tensor, targets: np.ndarray, weights: np.ndarray, smoothing: float = 0.0) -> Tensor:
+    """Σ weights · ((1 − s)·(−lp[target]) + s·(−mean lp)) over the leading
+    positions, where lp is the log-softmax of logits over the last axis and
+    s the label smoothing: label-smoothed NLL as one op.
+
+    Forward keeps one private log-probability array; backward rewrites it,
+    an eighth of the rows at a time, into the logits' gradient. Its values
+    and gradients are bitwise those of the composed chain log_softmax →
+    take_along_last → neg (→ tensor_mean → neg → mul → add) → mul → tensor_sum,
+    whose [..., V] scatter, broadcast, sum and exp arrays it never makes.
+    """
+    targets = np.asarray(targets)
+    weights = np.asarray(weights, dtype=logits.dtype)
+    lead, v = logits.shape[:-1], logits.shape[-1]
+    if targets.shape != lead or weights.shape != lead:
+        raise ShapeMismatch(
+            f"cross_entropy: logits {logits.shape}, targets {targets.shape}, weights {weights.shape}"
+        )
+    if targets.dtype.kind not in "iu" or (targets.size and (targets.min() < 0 or targets.max() >= v)):
+        raise IdOutOfRange(f"cross_entropy: target ids must be integers in [0, {v})")
+    if not 0.0 <= smoothing < 1.0:
+        raise ConfigError(f"smoothing must be in [0, 1), got {smoothing}")
+    lp = _log_softmax_forward(logits.data, logits.data.ndim - 1)
+    dtype = lp.dtype
+    per_pos = -np.take_along_axis(lp, targets[..., None], axis=-1)[..., 0]
+    if smoothing > 0.0:
+        gold, smooth, inv_v = (np.asarray(c, dtype) for c in (1.0 - smoothing, smoothing, 1.0 / v))
+        per_pos = per_pos * gold + -(lp.sum(axis=-1) * inv_v) * smooth
+    data = (per_pos * weights).sum()
+    held = [lp]  # never handed out, so backward may overwrite it, once
+
+    def backward(g):
+        if not held:
+            raise ValueError("cross_entropy backward already ran; its buffer holds a gradient")
+        grad = held.pop()
+        rows = grad.reshape(-1, v)
+        ids = targets.reshape(-1)
+        g_pos = (g * weights).reshape(-1)
+        if smoothing > 0.0:
+            gold_g, uniform_g = -(g_pos * gold), (-(g_pos * smooth) * inv_v)[:, None]
+        else:
+            gold_g = -g_pos
+        n = rows.shape[0]
+        step = max(math.ceil(n / 8), 1)
+        block = np.empty((min(step, n), v), dtype)
+        for start in range(0, n, step):
+            stop = min(start + step, n)
+            gb, lb = block[: stop - start], rows[start:stop]
+            # The chain's gradient of lp for these rows, then log_softmax's
+            # backward g - exp(lp) * g.sum(-1) written over lp.
+            gb.fill(0)
+            gb[np.arange(stop - start), ids[start:stop]] = gold_g[start:stop]
+            if smoothing > 0.0:
+                gb += uniform_g[start:stop]
+            row_sums = gb.sum(axis=-1, keepdims=True)
+            np.exp(lb, out=lb)
+            lb *= row_sums
+            np.subtract(gb, lb, out=lb)
+        return (grad,)
+
+    return _make(data, (logits,), backward)
 
 
 def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tensor:
@@ -712,7 +780,11 @@ def backward(loss: Tensor) -> None:
     Closures may work in place under one rule: a closure writes only into
     arrays it allocated and has not returned, never into its incoming
     gradient or an array it saved in forward, since gradients may alias
-    each other and the saved arrays.
+    each other and the saved arrays. The one exception is an array the op
+    allocated in forward and never handed out (cross_entropy's
+    log-probabilities): the sweep runs each closure once, so the closure
+    may write its gradient there, but must then drop the array, so that a
+    second call raises instead of reading a gradient as its saved input.
     """
     if loss.data.size != 1:
         raise NotScalar(f"backward needs a scalar loss, got shape {loss.shape}")

@@ -376,6 +376,20 @@ _SHARD_RE = re.compile(r"^shard_(\d+)\.jsonl$")
 _SHARD_KEYS = ("src", "segs", "clss", "labels", "tgt", "src_txt", "tgt_txt")
 
 
+def _record_fault(record: dict) -> str | None:
+    """Why a shard record with every key cannot be an example, or None."""
+    for key in _SHARD_KEYS:
+        value, item_type = record[key], str if key.endswith("_txt") else int
+        # type() is, not isinstance: a JSON true is a bool, which is an int.
+        if type(value) is not list or not all(type(x) is item_type for x in value):
+            return f"{key} is not a list of {item_type.__name__}s"
+    if not len(record["src"]) == len(record["segs"]) >= 1:
+        return "src and segs must be equally long and not empty"
+    if len(record["labels"]) != len(record["clss"]):
+        return "labels and clss must be equally long"
+    return None
+
+
 def write_shards(
     examples: Iterable[TokenizedExample],
     out_dir: Path | str,
@@ -432,6 +446,9 @@ def read_shards(shard_dir: Path | str) -> list[TokenizedExample]:
                 if not all(k in record for k in _SHARD_KEYS):
                     missing = [k for k in _SHARD_KEYS if k not in record]
                     raise CorruptShard(str(path), line_no, f"missing keys {missing}")
+                fault = _record_fault(record)
+                if fault:
+                    raise CorruptShard(str(path), line_no, fault)
                 examples.append(
                     TokenizedExample(
                         src_ids=record["src"],

@@ -372,11 +372,11 @@ def masked_token_loss(
     rows = np.flatnonzero(chosen)
     b, length, d = hidden.shape
     picked = T.embedding_lookup(T.reshape(hidden, (b * length, d)), rows)
-    # The logits go straight into log_softmax, so nothing holds them once
-    # it has made its output.
-    lp = T.log_softmax(T.matmul(picked, T.transpose(tok_emb)) + bias, axis=-1)
-    nll = T.neg(T.take_along_last(lp, np.asarray(targets).reshape(-1)[rows]))
-    return T.tensor_sum(nll) / float(rows.size)
+    targets = np.asarray(targets).reshape(-1)[rows]
+    # The logits go straight into the loss, so nothing holds them once it
+    # has made its log-probabilities.
+    loss = T.cross_entropy(T.matmul(picked, T.transpose(tok_emb)) + bias, targets, np.ones(rows.size))
+    return loss / float(rows.size)
 
 
 def prefit_encoder(

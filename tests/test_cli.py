@@ -660,6 +660,54 @@ class TestTrain:
         assert "corrupt shard line 1" in err and "not a JSON object" in err
         assert not list(out.glob("*.ckpt"))
 
+    # [CLS] the cat [SEP], summarised as [unused0] the cat [unused1].
+    _GOOD_RECORD = {"src": [2, 7, 8, 3], "segs": [0, 0, 0, 0], "clss": [0], "labels": [1],
+                    "tgt": [5, 7, 8, 6], "src_txt": ["the cat"], "tgt_txt": ["the cat"]}
+
+    @pytest.mark.parametrize("task", ["ext", "abs", "prefit"])
+    @pytest.mark.parametrize("change, reason", [
+        ({"src": None}, "src is not a list of ints"),
+        ({"src": "2 7 8 3"}, "src is not a list of ints"),
+        ({"tgt": [5, 7.0, 8, 6]}, "tgt is not a list of ints"),
+        ({"labels": [True]}, "labels is not a list of ints"),
+        ({"clss": [[0]]}, "clss is not a list of ints"),
+        ({"tgt_txt": "the cat"}, "tgt_txt is not a list of strs"),
+        ({"segs": [0, 0, 0]}, "src and segs must be equally long"),
+        ({"src": [], "segs": []}, "src and segs must be equally long and not empty"),
+        ({"labels": []}, "labels and clss must be equally long"),
+    ], ids=["null", "string", "float_id", "bool_label", "nested", "text_string",
+            "segs_short", "empty_src", "labels_short"])
+    def test_malformed_shard_record_exits_2(self, tmp_path, capsys, task, change, reason):
+        vocab = _write_vocab(tmp_path / "vocab.txt")
+        shards = tmp_path / "shards"
+        shards.mkdir()
+        _write_jsonl(shards / "shard_0.jsonl", [self._GOOD_RECORD, {**self._GOOD_RECORD, **change}])
+        config = _write_config(tmp_path / "run.cfg", max_steps=1)
+        out = tmp_path / "run"
+        code = main(["train", "--task", task, "--shards", str(shards),
+                     "--out", str(out), "--config", str(config), "--vocab", str(vocab)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "corrupt shard line 2" in err and reason in err
+        assert not list(out.glob("*.ckpt"))
+
+    @pytest.mark.parametrize("bad_id", [-1, 99999])
+    def test_prefit_target_outside_vocabulary_exits_2(self, tmp_path, capsys, bad_id):
+        # The bad id is the record's only maskable token, so pre-fit always
+        # masks it (never embeds it) and asks the loss to predict it.
+        vocab = _write_vocab(tmp_path / "vocab.txt")
+        shards = tmp_path / "shards"
+        shards.mkdir()
+        record = {**self._GOOD_RECORD, "src": [2, bad_id, 3], "segs": [0, 0, 0]}
+        _write_jsonl(shards / "shard_0.jsonl", [record])
+        config = _write_config(tmp_path / "run.cfg", max_steps=1, batch_size=1)
+        out = tmp_path / "run"
+        code = main(["train", "--task", "prefit", "--shards", str(shards),
+                     "--out", str(out), "--config", str(config), "--vocab", str(vocab)])
+        assert code == 2
+        assert f"target ids must be integers in [0, {_VOCAB_SIZE})" in capsys.readouterr().err
+        assert not list(out.glob("*.ckpt"))
+
     def test_seed_flag_beats_config_value(self, tmp_path, capsys):
         shards, vocab = _make_shards(tmp_path)
         config = _write_config(tmp_path / "run.cfg", seed=7)

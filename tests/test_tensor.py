@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sumforge import tensor as T
-from sumforge.errors import ConfigError, GraphCycle, InvalidAxis, NotScalar, ShapeMismatch
+from sumforge.errors import ConfigError, GraphCycle, IdOutOfRange, InvalidAxis, NotScalar, ShapeMismatch
 from sumforge.model import ModelConfig, abs_loss, build_model, ext_loss
 from sumforge.tensor import SplitRng, Tensor, backward, finite_diff_check
 from sumforge.train import masked_token_loss
@@ -1091,6 +1091,109 @@ class TestInPlaceClosuresSameBits:
         assert x.grad.shape == (0, 4, 3)
 
 
+def _composed_cross_entropy(logits, targets, weights, smoothing):
+    """The chain cross_entropy replaced, op for op: the reference."""
+    lp = T.log_softmax(logits, axis=-1)
+    nll = T.neg(T.take_along_last(lp, targets))
+    if smoothing > 0.0:
+        uniform = T.neg(T.tensor_mean(lp, axis=-1))
+        per_pos = T.mul(nll, 1.0 - smoothing) + T.mul(uniform, smoothing)
+    else:
+        per_pos = nll
+    return T.tensor_sum(T.mul(per_pos, weights))
+
+
+class TestCrossEntropy:
+    @staticmethod
+    def _inputs(shape, dtype, seed=0):
+        """Logits with a wide spread, targets that repeat and hit columns 0
+        and V-1, and weights with zero rows."""
+        r = np.random.default_rng(seed)
+        x = (r.standard_normal(shape) * 6).astype(dtype)
+        lead, v = shape[:-1], shape[-1]
+        targets = r.integers(0, 3, lead)  # few distinct ids: repeats
+        targets.flat[0], targets.flat[-1] = 0, v - 1
+        weights = (r.random(lead) < 0.7).astype(dtype)
+        weights.flat[1] = 0.0
+        return x, targets, weights
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("smoothing", [0.0, 0.1])
+    @pytest.mark.parametrize("shape, narrowed", [
+        ((37, 501), False), ((16, 3001), False), ((3, 10, 1001), True), ((8, 13, 257), True),
+        ((1, 2, 5), True),
+    ], ids=str)
+    def test_bits_equal_the_composed_chain(self, dtype, smoothing, shape, narrowed):
+        x, targets, weights = self._inputs(shape, dtype)
+        if narrowed:  # abs_loss's layout: the last position predicts nothing
+            targets, weights = targets[:, 1:], weights[:, 1:]
+        results = []
+        for loss_fn in (_composed_cross_entropy, T.cross_entropy):
+            logits = Tensor(x.copy(), requires_grad=True)
+            inp = T.narrow(logits, 1, 0, shape[1] - 1) if narrowed else logits
+            loss = loss_fn(inp, targets, weights, smoothing) / 7.0
+            backward(loss)
+            results.append((loss.data, logits.grad))
+        (ref_loss, ref_grad), (loss, grad) = results
+        _assert_same_bits(loss, ref_loss, "loss")
+        _assert_same_bits(grad, ref_grad, "grad")
+
+    @pytest.mark.parametrize("smoothing", [0.0, 0.2])
+    def test_gradient_matches_finite_differences(self, smoothing):
+        r = np.random.default_rng(2)
+        x = rand64(r, 2, 4, 6)
+        targets = np.array([[0, 5, 5, 2], [1, 0, 3, 5]])
+        weights = np.array([[1.0, 0.0, 2.0, 1.0], [0.5, 1.0, 1.0, 0.0]])
+        err = finite_diff_check(lambda p: T.cross_entropy(p[0], targets, weights, smoothing), [x])
+        assert err < 1e-6
+
+    @pytest.mark.parametrize("targets", [[0, -1], [0, 5], [0.0, 1.0], [True, False]],
+                             ids=["negative", "vocab_size", "float", "bool"])
+    def test_targets_outside_the_vocabulary_raise(self, targets):
+        x = Tensor(np.zeros((2, 5), np.float32), requires_grad=True)
+        with pytest.raises(IdOutOfRange, match=r"\[0, 5\)"):
+            T.cross_entropy(x, np.asarray(targets), np.ones(2), 0.1)
+
+    def test_shapes_and_smoothing_are_checked(self):
+        x = Tensor(np.zeros((2, 3, 5), np.float32), requires_grad=True)
+        with pytest.raises(ShapeMismatch):
+            T.cross_entropy(x, np.zeros((2, 2), int), np.ones((2, 3)), 0.1)
+        with pytest.raises(ShapeMismatch):
+            T.cross_entropy(x, np.zeros((2, 3), int), np.ones(2), 0.1)
+        with pytest.raises(ConfigError, match="smoothing"):
+            T.cross_entropy(x, np.zeros((2, 3), int), np.ones((2, 3)), 1.0)
+
+    def test_second_call_of_the_closure_raises(self):
+        # backward writes the gradient over the saved log-probabilities, so
+        # a second call must not read that gradient as log-probabilities.
+        x, targets, weights = self._inputs((6, 11), np.float64)
+        out = T.cross_entropy(Tensor(x, requires_grad=True), targets, weights, 0.1)
+        closure = out._node._backward
+        (grad,) = closure(np.asarray(1.0))
+        assert "held" in _cells(closure) and not _cells(closure)["held"]
+        with pytest.raises(ValueError, match="already ran"):
+            closure(np.asarray(1.0))
+        assert np.isfinite(grad).all()
+
+    def test_losses_use_the_fused_op(self, monkeypatch):
+        calls, fused = [], T.cross_entropy
+
+        def counted(logits, targets, weights, smoothing=0.0):
+            calls.append(smoothing)
+            return fused(logits, targets, weights, smoothing)
+
+        monkeypatch.setattr(T, "cross_entropy", counted)
+        for name in ("log_softmax", "take_along_last", "tensor_mean"):
+            monkeypatch.setattr(T, name, None)
+        r = np.random.default_rng(3)
+        logits = rand64(r, 2, 4, 7)
+        abs_loss(logits, r.integers(0, 7, (2, 4)), np.zeros((2, 4), bool), smoothing=0.1)
+        chosen = np.array([[True, False, True], [False, True, False]])
+        masked_token_loss(rand64(r, 2, 3, 4), rand64(r, 7, 4), rand64(r, 7),
+                          r.integers(0, 7, (2, 3)), chosen)
+        assert calls == [0.1, 0.0]
+
+
 def _traced_peak(fn, *args):
     """Bytes allocated at the peak of fn(*args), above what was live before,
     counting what fn returns."""
@@ -1164,6 +1267,31 @@ class TestClosureTemporaries:
         # The output, plus one leading slice of exp() and the [8, 64, 1] sums.
         bound = x.data.nbytes + x.data.nbytes // 8 + _NUMPY_BUFFERS
         assert _traced_peak(T.log_softmax, x, -1) < bound
+
+    @staticmethod
+    def _loss_inputs(dtype):
+        x, targets, weights = TestCrossEntropy._inputs((8, 64, 512), dtype)
+        return Tensor(x, requires_grad=True), targets, weights
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_cross_entropy_forward_builds_one_input_sized_array(self, dtype):
+        x, targets, weights = self._loss_inputs(dtype)
+        # The saved log-probabilities, plus one leading slice of exp() and
+        # the [8, 64] per-position terms.
+        bound = x.data.nbytes + x.data.nbytes // 8 + _NUMPY_BUFFERS
+        assert _traced_peak(T.cross_entropy, x, targets, weights, 0.1) < bound
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("smoothing", [0.0, 0.1])
+    def test_cross_entropy_backward_works_in_row_blocks(self, dtype, smoothing):
+        x, targets, weights = self._loss_inputs(dtype)
+        loss = T.cross_entropy(x, targets, weights, smoothing) / 3.0
+        # The gradient is the saved log-probabilities, rewritten; the sweep
+        # makes one block of an eighth of the rows and a dozen per-row
+        # vectors at most.
+        per_row = 12 * math.prod(x.shape[:-1]) * x.data.itemsize
+        assert _traced_peak(backward, loss) < x.data.nbytes // 8 + per_row + _NUMPY_BUFFERS
+        assert x.grad.shape == x.shape
 
     def test_shared_weight_matmul_builds_no_stack(self):
         r = np.random.default_rng(0)
