@@ -30,6 +30,7 @@ from .ingest import (
     ingest_corpus,
     parse_story,
     read_story_dir,
+    read_utf8,
     split_sentences,
 )
 from .model import Encoder, ModelConfig, build_model, load_checkpoint, load_encoder_into
@@ -61,9 +62,7 @@ CONFIG_KEYS = {
 def parse_config_file(path: Path | str) -> dict[str, str]:
     """Flat key=value lines; blank lines and # comments are ignored."""
     values: dict[str, str] = {}
-    for line_no, raw in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), start=1
-    ):
+    for line_no, raw in enumerate(read_utf8(path).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -343,7 +342,7 @@ def cmd_summarize(args: argparse.Namespace) -> int:
             f"vocab has {len(vocab)} tokens, model expects {model.config.vocab_size}"
         )
 
-    text = sys.stdin.read() if args.input == "-" else Path(args.input).read_text("utf-8")
+    text = sys.stdin.read() if args.input == "-" else read_utf8(args.input)
     example = _example_from_text(text, vocab, model.config.max_positions)
 
     if args.task == "ext":
@@ -360,9 +359,7 @@ def cmd_summarize(args: argparse.Namespace) -> int:
 def _read_jsonl_texts(path: Path | str) -> dict[str, str]:
     """JSON-lines of {"id": ..., "text": ...} records, keyed by id."""
     texts: dict[str, str] = {}
-    for line_no, line in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), start=1
-    ):
+    for line_no, line in enumerate(read_utf8(path).splitlines(), start=1):
         if not line.strip():
             continue
         try:

@@ -74,6 +74,23 @@ def transcode(data: bytes, encoding_name: str) -> str:
     return data.decode(codec)
 
 
+def decode_utf8(data: bytes, name: Path | str) -> str:
+    """UTF-8 bytes as text, with "\\r\\n" and "\\r" read as "\\n" as
+    `Path.read_text` reads them. Bytes that are not UTF-8 raise InvalidUtf8
+    naming `name`, the line and the offset of the first bad byte."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise InvalidUtf8(f"{name}: line {line}: invalid UTF-8 at byte {exc.start}") from exc
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def read_utf8(path: Path | str) -> str:
+    """A UTF-8 text file, read as `decode_utf8` reads bytes."""
+    return decode_utf8(Path(path).read_bytes(), path)
+
+
 def split_sentences(text: str) -> list[str]:
     """Rule-based sentence splitter.
 
@@ -209,6 +226,5 @@ def read_story_dir(stories_dir: Path | str) -> list[StoryDoc]:
     stories_dir = Path(stories_dir)
     docs = []
     for path in sorted(stories_dir.glob("*.story")):
-        text = path.read_text(encoding="utf-8")
-        docs.append(parse_story(text, doc_id=path.stem))
+        docs.append(parse_story(read_utf8(path), doc_id=path.stem))
     return docs

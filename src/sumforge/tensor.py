@@ -150,12 +150,18 @@ def _vertex(t: Tensor) -> Tensor | _Node:
     return t if t._node is None else t._node
 
 
+def _records(parents: tuple[Tensor, ...]) -> bool:
+    """Whether an op over `parents` records a graph vertex: grad mode is on
+    and some parent needs a gradient."""
+    return _grad_enabled.get() and any(p.requires_grad for p in parents)
+
+
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     """Wrap an op's output; record a vertex when grad mode is on and some
     parent needs a gradient. Backward closures capture the arrays and shapes
     they read, never a parent Tensor."""
     out = Tensor(data)
-    out.requires_grad = _grad_enabled.get() and any(p.requires_grad for p in parents)
+    out.requires_grad = _records(parents)
     if out.requires_grad:
         vertices = tuple(_vertex(p) if p.requires_grad else None for p in parents)
         out._node = _Node(vertices, backward_fn, out.data.dtype)
@@ -541,14 +547,45 @@ def _keep_mask(rng: np.random.Generator | None, shape, p: float, dtype) -> tuple
     held as packed bits, one row of ceil(n/8) bytes per item of n entries;
     and the factor 1/(1-p) in `dtype` that kept entries are scaled by.
     Item by item, the draws take the generator's stream exactly as one
-    whole draw would."""
+    whole `rng.random(shape, dtype=np.float32)` would (see `_keep_bits`)."""
     if rng is None:
         raise ConfigError("dropout in train mode needs an rng")
+    bits = rng.bit_generator
+    if "has_uint32" not in bits.state:
+        raise ConfigError(f"dropout needs a generator that splits 64-bit outputs, not {type(bits).__name__}")
+    # A float32 uniform is (u >> 8) * 2**-24 for the next uint32 u, so it is
+    # >= float32(p) exactly when u >= ceil(float32(p) * 2**24) << 8.
+    threshold = math.ceil(float(np.float32(p)) * 2**24) << 8
     items, item_shape = _items(tuple(shape))
-    keep = np.empty((len(items), (math.prod(item_shape) + 7) // 8), np.uint8)
+    count = math.prod(item_shape)
+    keep = np.empty((len(items), (count + 7) // 8), np.uint8)
     for row in range(len(items)):
-        keep[row] = np.packbits(rng.random(item_shape, dtype=np.float32) >= np.float32(p))
+        keep[row] = np.packbits(_keep_bits(bits, count, threshold))
     return keep, np.dtype(dtype).type(1.0 / (1.0 - p))
+
+
+def _keep_bits(bits: np.random.BitGenerator, n: int, threshold: int) -> np.ndarray:
+    """n bools u >= threshold, for the n uint32s u that n float32 uniforms
+    would take from `bits`, read from its raw 64-bit outputs. Like its
+    float32 path, a generator with `has_uint32` in its state (Philox, PCG64,
+    SFC64) cuts each 64-bit output into two uint32s, low half first, and
+    keeps the high half pending: a pending half is taken first, and the
+    state is left as n float32 draws leave it, `uinteger` included."""
+    state = bits.state
+    pending = int(state["has_uint32"] and n > 0)
+    rest = n - pending
+    raw = bits.random_raw((rest + 1) // 2).astype("<u8", copy=False).view("<u4")
+    keep = np.empty(n, bool)
+    if pending:
+        keep[0] = state["uinteger"] >= threshold
+    np.greater_equal(raw[:rest], threshold, out=keep[pending:])
+    if raw.size or pending:
+        state = bits.state
+        state["has_uint32"] = rest % 2
+        if raw.size:
+            state["uinteger"] = int(raw[-1])
+        bits.state = state
+    return keep
 
 
 def _dropped(x: np.ndarray, bits: np.ndarray, count: int, factor, out: np.ndarray | None = None) -> np.ndarray:
@@ -612,77 +649,96 @@ def attention(
 
     mask broadcasts against the [..., Lq, Lk] scores and is True where a
     query may not look at a key (filled with NEG_INF). Scale, mask and
-    softmax run in place on one score buffer; only the probabilities and
-    the packed dropout keep mask are kept for backward. Dropout, the
-    product with v and all of backward run one leading index at a time
-    (see `_items`), so no other score-sized array is made; an operand that
-    broadcasts along that axis gets its gradient summed item by item, in
+    softmax run in place on one score buffer. At inference (no graph
+    recorded, no dropout) that buffer covers all the scores at once;
+    otherwise forward and backward run one leading index at a time (see
+    `_items`), so no score-sized array is made. Backward holds only q, k,
+    v, the packed dropout keep mask, the scale and the mask: it recomputes
+    each item's probabilities with the forward's own calls, as
+    FlashAttention does (Dao et al. 2022). An operand that broadcasts
+    along the leading axis gets its gradient summed item by item, in
     order, onto zeros. numpy's stacked matmul makes one product per matrix
-    either way, and each call is the one matmul/mul/masked_fill/softmax/
-    dropout/matmul would make, less the mask passes that cannot change a
-    bit, so values and gradients are bitwise those of that composed chain.
+    either way, and softmax reduces each row alone, so the recomputed
+    probabilities are the forward's, and values and gradients are bitwise
+    those of the composed matmul/mul/masked_fill/softmax/dropout/matmul
+    chain, less the mask passes that cannot change a bit.
     """
     _check_dropout_p(p)
     qa, ka, va = q.data, k.data, v.data
-    kt = np.swapaxes(ka, -1, -2)
     try:
-        probs = qa @ kt
-    except ValueError as exc:
-        raise ShapeMismatch(f"attention: q {q.shape} vs k {k.shape}") from exc
+        lead = np.broadcast_shapes(qa.shape[:-2], ka.shape[:-2])
+    except ValueError:
+        lead = None
+    if lead is None or min(qa.ndim, ka.ndim) < 2 or qa.shape[-1] != ka.shape[-1]:
+        raise ShapeMismatch(f"attention: q {q.shape} vs k {k.shape}")
+    shape = lead + (qa.shape[-2], ka.shape[-2])
     try:
-        batch = np.broadcast_shapes(probs.shape[:-2], va.shape[:-2])
+        batch = np.broadcast_shapes(shape[:-2], va.shape[:-2])
     except ValueError:
         batch = None
-    if va.ndim < 2 or va.shape[-2] != probs.shape[-1] or batch != probs.shape[:-2]:
-        raise ShapeMismatch(f"attention: scores {probs.shape} vs v {v.shape}")
-    scale = np.asarray(1.0 / np.sqrt(k.shape[-1]), dtype=probs.dtype)
-    probs *= scale
+    if va.ndim < 2 or va.shape[-2] != shape[-1] or batch != shape[:-2]:
+        raise ShapeMismatch(f"attention: scores {shape} vs v {v.shape}")
+    dtype = np.result_type(qa, ka)
+    scale = np.asarray(1.0 / np.sqrt(k.shape[-1]), dtype=dtype)
+    fill = None
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
         try:
-            np.broadcast_to(mask, probs.shape)
+            np.broadcast_to(mask, shape)
         except ValueError as exc:
-            raise ShapeMismatch(f"attention: scores {probs.shape} vs mask {mask.shape}") from exc
-        if mask.any():
-            np.copyto(probs, np.asarray(NEG_INF, dtype=probs.dtype), where=mask)
+            raise ShapeMismatch(f"attention: scores {shape} vs mask {mask.shape}") from exc
+        fill = mask if mask.any() else None
         # Unless a query row is masked whole, its masked probabilities come
         # out of the softmax as exactly 0, so their score gradients are
         # already ±0 and the backward mask pass would change no bits.
         if not np.atleast_1d(mask).all(axis=-1).any():
             mask = None
-    _softmax_forward(probs, -1, out=probs)
-    ndim = probs.ndim
-    items, item_shape = _items(probs.shape)
-    count = math.prod(item_shape)
+    ndim = len(shape)
+    kt = np.swapaxes(ka, -1, -2)
+
+    def probs_at(i) -> np.ndarray:
+        """Item i's probabilities: scores, scale, fill and softmax in place."""
+        probs = _at(qa, i, ndim) @ _at(kt, i, ndim)
+        probs *= scale
+        if fill is not None:
+            np.copyto(probs, np.asarray(NEG_INF, dtype=dtype), where=_at(fill, i, ndim))
+        return _softmax_forward(probs, -1, out=probs)
+
     keep = None
     if train and p > 0.0:
-        keep, factor = _keep_mask(rng, probs.shape, p, probs.dtype)
-        data = np.empty(probs.shape[:-1] + va.shape[-1:], np.result_type(probs, va))
-        for row, i in enumerate(items):
-            np.matmul(_dropped(probs[i], keep[row], count, factor), _at(va, i, ndim), out=data[i])
-    else:
-        data = probs @ va
+        keep, factor = _keep_mask(rng, shape, p, dtype)
+    items, item_shape = _items(shape)
+    count = math.prod(item_shape)
+    passes = items if keep is not None or _records((q, k, v)) else (Ellipsis,)
+    data = np.empty(shape[:-1] + va.shape[-1:], np.result_type(dtype, va))
+    for row, i in enumerate(passes):
+        probs = probs_at(i)
+        if keep is not None:
+            _dropped(probs, keep[row], count, factor, out=probs)
+        np.matmul(probs, _at(va, i, ndim), out=data[i])
+        del probs  # before the next item's scores
 
     def backward(g):
         gs_type = np.result_type(g, va)
-        gq = _ItemGrad(qa.shape, probs.shape, np.result_type(gs_type, ka))
-        gkt = _ItemGrad(kt.shape, probs.shape, np.result_type(qa, gs_type))
-        gv = _ItemGrad(va.shape, probs.shape, np.result_type(probs, g))
+        gq = _ItemGrad(qa.shape, shape, np.result_type(gs_type, ka))
+        gkt = _ItemGrad(kt.shape, shape, np.result_type(qa, gs_type))
+        gv = _ItemGrad(va.shape, shape, np.result_type(dtype, g))
         for row, i in enumerate(items):
-            probs_i, g_i = probs[i], g[i]
-            dropped = probs_i if keep is None else _dropped(probs_i, keep[row], count, factor)
-            gv.put(i, np.swapaxes(dropped, -1, -2) @ g_i)
-            del dropped
+            probs, g_i = probs_at(i), g[i]
             gs = g_i @ np.swapaxes(_at(va, i, ndim), -1, -2)
             if keep is not None:
                 _dropped(gs, keep[row], count, factor, out=gs)
-            _softmax_backward_into(gs, probs_i)
+            _softmax_backward_into(gs, probs)
+            if keep is not None:
+                _dropped(probs, keep[row], count, factor, out=probs)
+            gv.put(i, np.swapaxes(probs, -1, -2) @ g_i)
+            del probs
             if mask is not None:
                 gs *= ~_at(mask, i, ndim)
             gs *= scale
             gq.put(i, gs @ _at(ka, i, ndim))
             gkt.put(i, np.swapaxes(_at(qa, i, ndim), -1, -2) @ gs)
-            del gs  # before the next item's dropped probabilities
+            del gs  # before the next item's probabilities
         # gk keeps the layout of kt's gradient: downstream products read
         # its strides, and a C-contiguous gk would change their bits.
         return gq.out, np.swapaxes(gkt.out, -1, -2), gv.out

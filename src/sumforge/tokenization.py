@@ -28,7 +28,7 @@ from .errors import (
     MissingSpecial,
     TooLong,
 )
-from .ingest import StoryDoc
+from .ingest import StoryDoc, decode_utf8, read_utf8
 # rouge_n stays bound here because perfbench/tracer.py wraps
 # tokenization.rouge_n; the oracle itself no longer calls it.
 from .rouge import RougeScore, rouge_n, rouge_tokenize  # noqa: F401
@@ -114,8 +114,10 @@ class Vocab:
 
 def load_vocab(source: Path | str | bytes) -> Vocab:
     """Read a one-token-per-line UTF-8 vocabulary from a path or its bytes."""
-    data = source if isinstance(source, bytes) else Path(source).read_bytes()
-    lines = data.decode("utf-8").splitlines()
+    if isinstance(source, bytes):
+        lines = decode_utf8(source, "vocabulary").splitlines()
+    else:
+        lines = read_utf8(source).splitlines()
     # A trailing blank line is file formatting, not an empty token.
     if lines and lines[-1] == "":
         lines = lines[:-1]
@@ -433,33 +435,32 @@ def read_shards(shard_dir: Path | str) -> list[TokenizedExample]:
             paths.append((int(m.group(1)), path))
     examples: list[TokenizedExample] = []
     for _, path in sorted(paths):
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise CorruptShard(str(path), line_no, str(exc)) from exc
-                if not isinstance(record, dict):
-                    raise CorruptShard(str(path), line_no, "record is not a JSON object")
-                if not all(k in record for k in _SHARD_KEYS):
-                    missing = [k for k in _SHARD_KEYS if k not in record]
-                    raise CorruptShard(str(path), line_no, f"missing keys {missing}")
-                fault = _record_fault(record)
-                if fault:
-                    raise CorruptShard(str(path), line_no, fault)
-                examples.append(
-                    TokenizedExample(
-                        src_ids=record["src"],
-                        segment_ids=record["segs"],
-                        cls_positions=record["clss"],
-                        ext_labels=record["labels"],
-                        tgt_ids=record["tgt"],
-                        src_txt=record["src_txt"],
-                        tgt_txt=record["tgt_txt"],
-                    )
+        for line_no, line in enumerate(read_utf8(path).split("\n"), start=1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise CorruptShard(str(path), line_no, str(exc)) from exc
+            if not isinstance(record, dict):
+                raise CorruptShard(str(path), line_no, "record is not a JSON object")
+            if not all(k in record for k in _SHARD_KEYS):
+                missing = [k for k in _SHARD_KEYS if k not in record]
+                raise CorruptShard(str(path), line_no, f"missing keys {missing}")
+            fault = _record_fault(record)
+            if fault:
+                raise CorruptShard(str(path), line_no, fault)
+            examples.append(
+                TokenizedExample(
+                    src_ids=record["src"],
+                    segment_ids=record["segs"],
+                    cls_positions=record["clss"],
+                    ext_labels=record["labels"],
+                    tgt_ids=record["tgt"],
+                    src_txt=record["src_txt"],
+                    tgt_txt=record["tgt_txt"],
                 )
+            )
     return examples
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import types
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,20 @@ def tiny_config() -> ModelConfig:
         max_positions=32,
         dropout=0.0,
     )
+
+
+def closure_arrays(fn):
+    """Every array a backward closure holds, in its cells or in the cells of
+    the functions it holds."""
+    for cell in fn.__closure__ or ():
+        try:
+            x = cell.cell_contents
+        except ValueError:  # a cell never assigned, e.g. attention's factor
+            continue
+        if isinstance(x, np.ndarray):
+            yield x
+        elif isinstance(x, types.FunctionType):
+            yield from closure_arrays(x)
 
 
 def make_story(n_sentences: int = 4, n_summary: int = 2, tag: str = "x") -> StoryDoc:

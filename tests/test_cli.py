@@ -1168,3 +1168,70 @@ class TestExitCodeContract:
         assert code == 2
         assert captured.out == ""
         assert captured.err != ""
+
+
+class TestInvalidUtf8:
+    """Every text reader names the file and the line of a byte that is not
+    UTF-8 and exits 2, where a raw UnicodeDecodeError named neither."""
+
+    BAD = b"\xff\xfe"
+
+    def _assert_named(self, capsys, code, path, line):
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{path}: line {line}: invalid UTF-8 at byte" in err
+
+    def _spoil(self, path: Path, line: int) -> Path:
+        """Put a bad byte at the start of line `line` (1-based)."""
+        lines = path.read_bytes().split(b"\n")
+        lines[line - 1] = self.BAD + lines[line - 1]
+        path.write_bytes(b"\n".join(lines))
+        return path
+
+    def test_config_file(self, tmp_path, capsys):
+        shards, vocab = _make_shards(tmp_path)
+        config = self._spoil(_write_config(tmp_path / "run.cfg"), 2)
+        code = main(["train", "--task", "ext", "--shards", str(shards), "--vocab", str(vocab),
+                     "--out", str(tmp_path / "run"), "--config", str(config)])
+        self._assert_named(capsys, code, config, 2)
+
+    def test_vocab(self, tmp_path, capsys):
+        stories = _make_stories(tmp_path)
+        vocab = self._spoil(_write_vocab(tmp_path / "vocab.txt"), 9)
+        code = main(["preprocess", "--stories", str(stories), "--vocab", str(vocab),
+                     "--out", str(tmp_path / "shards")])
+        self._assert_named(capsys, code, vocab, 9)
+
+    def test_shard(self, tmp_path, capsys):
+        shards, vocab = _make_shards(tmp_path)
+        shard = self._spoil(shards / "shard_0.jsonl", 3)
+        code = main(["train", "--task", "ext", "--shards", str(shards), "--vocab", str(vocab),
+                     "--out", str(tmp_path / "run"), "--config", str(_write_config(tmp_path / "run.cfg"))])
+        self._assert_named(capsys, code, shard, 3)
+        assert not list((tmp_path / "run").glob("*.ckpt"))
+
+    def test_story(self, tmp_path, capsys):
+        stories = _make_stories(tmp_path)
+        story = self._spoil(stories / "doc1.story", 4)
+        code = main(["preprocess", "--stories", str(stories),
+                     "--vocab", str(_write_vocab(tmp_path / "vocab.txt")),
+                     "--out", str(tmp_path / "shards")])
+        self._assert_named(capsys, code, story, 4)
+
+    def test_summarize_input(self, tmp_path, capsys):
+        vocab = _write_vocab(tmp_path / "vocab.txt")
+        ckpt = _save_model(tmp_path / "ext.ckpt", "ext")
+        story = self._spoil(_write_story_file(tmp_path / "doc.story"), 1)
+        code = main(["summarize", "--task", "ext", "--checkpoint", str(ckpt),
+                     "--vocab", str(vocab), "--input", str(story)])
+        self._assert_named(capsys, code, story, 1)
+
+    @pytest.mark.parametrize("side", ["predictions", "references"])
+    def test_jsonl(self, tmp_path, capsys, side):
+        records = [{"id": "a", "text": "the cat"}, {"id": "b", "text": "a dog"}]
+        paths = {s: _write_jsonl(tmp_path / f"{s}.jsonl", records)
+                 for s in ("predictions", "references")}
+        self._spoil(paths[side], 2)
+        code = main(["evaluate", "--predictions", str(paths["predictions"]),
+                     "--references", str(paths["references"])])
+        self._assert_named(capsys, code, paths[side], 2)

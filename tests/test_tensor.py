@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import closure_arrays
 from sumforge import tensor as T
 from sumforge.errors import ConfigError, GraphCycle, IdOutOfRange, InvalidAxis, NotScalar, ShapeMismatch
 from sumforge.model import ModelConfig, abs_loss, build_model, ext_loss
@@ -621,6 +622,38 @@ class TestPackedKeepMask:
         _assert_same_bits(out.data, dropped @ v)
 
 
+class TestRawKeepDraw:
+    """_keep_mask compares the generator's raw uint32 halves with a
+    threshold; it must equal the float32 comparison bit for bit and leave
+    the state exactly as float32 draws leave it."""
+
+    @pytest.mark.parametrize("make_rng", [
+        lambda: np.random.Generator(np.random.Philox(5)),
+        lambda: np.random.default_rng(5),
+        lambda: np.random.Generator(np.random.SFC64(5)),
+    ], ids=["philox", "pcg64", "sfc64"])
+    @pytest.mark.parametrize("p", [0.1, 0.5, 1e-9, 0.99999999], ids=str)
+    def test_equals_float32_draws_with_pending_halves(self, make_rng, p):
+        """Odd item sizes leave a half pending for the next draw, and an
+        even size after it leaves `uinteger` stale."""
+        rng, ref = make_rng(), make_rng()
+        for shape in [(3, 5, 7), (1,), (2, 2), (1,), (4, 1, 3), (0, 3, 4), (2, 9, 11)]:
+            keep, _ = T._keep_mask(rng, shape, p, np.float32)
+            whole = ref.random(shape, dtype=np.float32) >= np.float32(p)
+            assert np.array_equal(_unpacked(keep, shape), whole), shape
+            assert repr(rng.bit_generator.state) == repr(ref.bit_generator.state), shape
+        assert rng.random(3).tobytes() == ref.random(3).tobytes()
+
+    def test_p_rounding_to_one_in_float32_keeps_nothing(self):
+        assert np.float32(0.99999999) == 1.0
+        keep, _ = T._keep_mask(np.random.default_rng(0), (4, 5, 6), 0.99999999, np.float32)
+        assert not keep.any()
+
+    def test_generator_without_split_outputs_is_refused(self):
+        with pytest.raises(ConfigError, match="MT19937"):
+            T._keep_mask(np.random.Generator(np.random.MT19937(0)), (2, 3, 4), 0.1, np.float32)
+
+
 def _composed_attention(q, k, v, mask, p, train, rng):
     """The unfused chain that `attention` must reproduce bit for bit."""
     scores = T.mul(T.matmul(q, T.transpose(k)), 1.0 / np.sqrt(k.shape[-1]))
@@ -731,10 +764,20 @@ def _unpacked(keep, shape):
     return np.unpackbits(keep, axis=-1, count=math.prod(item_shape)).view(bool).reshape(shape)
 
 
-def _old_attention_backward(c, g):
-    """attention's backward before it ran in place and item by item, on a
-    whole bool keep mask: the reference."""
-    probs, keep, va = c["probs"], c["keep"], c["va"]
+def _reference_probs(q, k, mask):
+    """The attention probabilities of the whole batch at once, as the
+    forward made them before backward recomputed them item by item."""
+    probs = q @ np.swapaxes(k, -1, -2)
+    probs *= np.asarray(1.0 / np.sqrt(k.shape[-1]), dtype=probs.dtype)
+    if mask is not None:
+        np.copyto(probs, np.asarray(T.NEG_INF, dtype=probs.dtype), where=mask)
+    return T._softmax_forward(probs, -1, out=probs)
+
+
+def _old_attention_backward(c, probs, g):
+    """attention's backward before it ran in place and item by item, on the
+    whole saved probabilities and a whole bool keep mask: the reference."""
+    keep, va = c["keep"], c["va"]
     keep = None if keep is None else _unpacked(keep, probs.shape)
     dropped = probs if keep is None else probs * keep * c["factor"]
     gv = T._unbroadcast(np.swapaxes(dropped, -1, -2) @ g, va.shape)
@@ -748,7 +791,8 @@ def _old_attention_backward(c, g):
         gs *= ~c["mask"]
     gs *= c["scale"]
     gq = T._unbroadcast(gs @ c["ka"], c["qa"].shape)
-    gk = np.swapaxes(T._unbroadcast(np.swapaxes(c["qa"], -1, -2) @ gs, c["kt"].shape), -1, -2)
+    kt_shape = np.swapaxes(c["ka"], -1, -2).shape
+    gk = np.swapaxes(T._unbroadcast(np.swapaxes(c["qa"], -1, -2) @ gs, kt_shape), -1, -2)
     return gq, gk, gv
 
 
@@ -765,11 +809,13 @@ class TestAttention:
         assert (cells["keep"] is None) == (p == 0.0)
         if kind == "masked_row":  # a fully masked query row keeps its mask pass
             assert cells["mask"] is not None
-        probs = cells["probs"].copy()
-        expected = _old_attention_backward(cells, g)
+        expected = _old_attention_backward(cells, _reference_probs(q, k, mask), g)
+        operands = [cells[name].copy() for name in ("qa", "ka", "va")]
         for name, a, b in zip(("dq", "dk", "dv"), fn(g), expected):
             _assert_same_bits(a, b, name)
-        assert np.array_equal(cells["probs"], probs)
+        # Backward writes only buffers it made, never the operands it reads.
+        for name, x in zip(("qa", "ka", "va"), operands):
+            assert np.array_equal(cells[name], x), name
 
     @pytest.mark.parametrize("kind", [
         "none", "padding", "causal", "cross1", "padding_partial", "masked_row", "all_false",
@@ -819,23 +865,27 @@ class TestAttention:
         params = [Tensor(x, requires_grad=True) for x in (q, k, v)]
         _fd(f, params, tol=1e-6)
 
-    def test_keeps_only_probabilities_and_keep_mask(self):
+    @pytest.mark.parametrize("train", [False, True])
+    def test_keeps_operands_and_keep_mask_only(self, train):
         q, k, v, _, mask = _attention_case("padding")
         ts = [Tensor(x, requires_grad=True) for x in (q, k, v)]
-        out = T.attention(*ts, mask, 0.25, True, np.random.default_rng(0))
+        out = T.attention(*ts, mask, 0.25, train, np.random.default_rng(0))
         assert out._node._parents == tuple(ts)
-        held = [c.cell_contents for c in out._node._backward.__closure__]
-        score_shape = (q.shape[0], q.shape[1], q.shape[2], k.shape[2])
-        big = [x for x in held if isinstance(x, np.ndarray) and x.shape == score_shape]
-        assert [x.dtype.name for x in big] == ["float32"]
+        fn = out._node._backward
+        held = _cells(fn).values()
+        # Backward recomputes the probabilities: nothing score-sized is kept.
+        score = q.shape[0] * q.shape[1] * q.shape[2] * k.shape[2]
+        assert max(x.size for x in closure_arrays(fn)) < score
         # The keep mask is packed bits, one row per batch item.
-        keep = _cells(out._node._backward)["keep"]
-        assert keep.dtype == np.uint8
-        assert keep.shape == (q.shape[0], math.ceil(math.prod(score_shape[1:]) / 8))
+        keep = _cells(fn)["keep"]
+        if train:
+            assert keep.dtype == np.uint8
+            assert keep.shape == (q.shape[0], math.ceil(score / q.shape[0] / 8))
+        else:
+            assert keep is None
         # The operands are held as arrays, never as their Tensors.
         assert not any(isinstance(x, Tensor) for x in held)
-        arrays = {id(x) for x in held if isinstance(x, np.ndarray)}
-        assert {id(t.data) for t in ts} <= arrays
+        assert {id(t.data) for t in ts} <= {id(x) for x in closure_arrays(fn)}
 
     def test_shape_errors(self):
         q, k, v, _, mask = _attention_case("padding")
@@ -1217,50 +1267,50 @@ class TestClosureTemporaries:
     """Traced peaks of single backward closures at small shapes, so an edit
     that brings back a whole-array temporary fails here."""
 
-    def test_attention_makes_one_score_array_besides_probs(self):
-        r = np.random.default_rng(0)
-        q, k, v = (Tensor(r.standard_normal((8, 2, 128, 4)).astype(np.float32), requires_grad=True)
-                   for _ in range(3))
-        mask = np.zeros((8, 1, 128, 128), dtype=bool)
-        mask[0, :, 3] = True  # a fully masked row: the mask pass runs too
-        out = T.attention(q, k, v, mask, 0.25, True, np.random.default_rng(1))
-        score = _cells(out._node._backward)["probs"].nbytes
-        g = r.standard_normal(out.shape).astype(np.float32)
-        # One score array, then one leading slice (1/8) of another for the
-        # row dots, plus the three small q/k/v gradients.
-        assert _traced_peak(out._node._backward, g) < 1.5 * score
-
     @staticmethod
     def _attention_inputs(dtype=np.float32):
         r = np.random.default_rng(0)
         q, k, v = (Tensor(r.standard_normal((8, 2, 128, 4)).astype(dtype), requires_grad=True)
                    for _ in range(3))
         mask = np.zeros((8, 1, 128, 128), dtype=bool)
-        mask[0, :, 3] = True
+        mask[0, :, 3] = True  # a fully masked row: the mask pass runs too
         return q, k, v, mask
+
+    @staticmethod
+    def _attention_step(q, k, v, mask, p, train):
+        """Forward, then backward, with the output kept until the end."""
+        out = T.attention(q, k, v, mask, p, train, np.random.default_rng(1))
+        g = np.random.default_rng(2).standard_normal(out.shape).astype(out.dtype)
+        return out, out._node._backward(g)
+
+    @pytest.mark.parametrize("p, train", [(0.0, False), (0.25, True)], ids=["eval", "train"])
+    def test_attention_makes_no_score_array(self, p, train):
+        q, k, v, mask = self._attention_inputs()
+        score = 8 * 2 * 128 * 128 * 4
+        # Nothing score-sized lives from forward to backward, and neither
+        # pass makes a whole score array, with or without dropout.
+        assert _traced_peak(self._attention_step, q, k, v, mask, p, train) < score
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_attention_forward_makes_no_second_score_array(self, dtype):
         q, k, v, mask = self._attention_inputs(dtype)
-        score = 8 * 2 * 128 * 128 * np.dtype(dtype).itemsize
-        item = score // 8
-        out_bytes = q.data.nbytes
-        # probs, the output and about two item slices (the float32 draw and
-        # its packed bits, then one dropped item); the packed mask is 1/32
-        # of a float32 score array.
-        bound = score + out_bytes + 2 * item + _NUMPY_BUFFERS
+        item = 2 * 128 * 128 * np.dtype(dtype).itemsize
+        # The output and about two item slices: one item's probabilities
+        # and its unpacked keep mask, or the packed keep mask (1/32 of a
+        # float32 score array) and one item's draw.
+        bound = q.data.nbytes + 2 * item + _NUMPY_BUFFERS
         assert _traced_peak(T.attention, q, k, v, mask, 0.25, True, np.random.default_rng(1)) < bound
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_attention_backward_works_in_item_slices(self, dtype):
         q, k, v, mask = self._attention_inputs(dtype)
-        out = T.attention(q, k, v, mask, 0.25, True, np.random.default_rng(1))
-        item = _cells(out._node._backward)["probs"].nbytes // 8
-        grads = q.data.nbytes + k.data.nbytes + v.data.nbytes
-        g = np.random.default_rng(2).standard_normal(out.shape).astype(dtype)
-        # The three gradients, then per item the score gradient, a quarter
-        # item of unpacked keep mask and half an item for the row dots.
-        assert _traced_peak(out._node._backward, g) < grads + 2 * item + _NUMPY_BUFFERS
+        item = 2 * 128 * 128 * np.dtype(dtype).itemsize
+        step = q.data.nbytes * 4  # the output and the three gradients
+        # Per item, backward recomputes the probabilities and makes the
+        # score gradient, then a quarter item of unpacked keep mask or half
+        # an item for the row dots.
+        bound = step + 3 * item + _NUMPY_BUFFERS
+        assert _traced_peak(self._attention_step, q, k, v, mask, 0.25, True) < bound
 
     def test_log_softmax_forward_builds_one_output_sized_array(self):
         x = Tensor(np.random.default_rng(0).standard_normal((8, 64, 512)).astype(np.float32))

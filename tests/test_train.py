@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import synthetic_example
+from conftest import closure_arrays, synthetic_example
 from sumforge import tensor as T
+from sumforge import train as train_module
 from sumforge.errors import (
     ConfigError,
     EmptyCorpus,
@@ -927,3 +928,49 @@ class TestFit:
         model = build_model(_tiny(), "abs", seed=5)
         with pytest.raises(ConfigError, match="exactly once"):
             fit(model, model.params, _corpus(4), None, groups, TrainConfig(max_steps=2))
+
+
+class TestStepGraphHoldsNoScores:
+    """The graph of one training step, as each trainer builds it, holds no
+    array as large as one layer's attention scores: attention recomputes its
+    probabilities in backward."""
+
+    B, H, L = 2, 2, 64
+
+    def _step_loss(self, task, monkeypatch):
+        cfg = ModelConfig(vocab_size=40, d_model=8, n_heads=self.H, d_ff=16,
+                          n_enc_layers=2, n_dec_layers=2, max_positions=self.L, dropout=0.1)
+        rng = np.random.default_rng(3)
+        examples = [synthetic_example(rng, n_sentences=8, sent_len=8) for _ in range(self.B)]
+        assert {len(ex.src_ids) for ex in examples} == {self.L}
+        losses = []
+
+        def first_step(model, params, examples, loss_fn, groups, config):
+            losses.append(loss_fn(examples, 1, np.random.default_rng(0)))
+            return []
+
+        monkeypatch.setattr(train_module, "fit", first_step)
+        config = TrainConfig(max_steps=1, batch_size=self.B)
+        if task == "prefit":
+            prefit_encoder(examples, build_model(cfg, "encoder", seed=0), config,
+                           mask_id=4, pad_id=PAD, special_ids=SPECIAL_IDS)
+        else:
+            trainer = train_ext if task == "ext" else train_abs
+            trainer(examples, build_model(cfg, task, seed=0), config, PAD)
+        return losses[0]
+
+    @pytest.mark.parametrize("task", ["ext", "abs", "prefit"])
+    def test_no_closure_holds_a_score_array(self, task, monkeypatch):
+        loss = self._step_loss(task, monkeypatch)
+        score_bytes = self.B * self.H * self.L * self.L * 4
+        vertices, stack, seen = [], [T._vertex(loss)], set()
+        while stack:
+            vertex = stack.pop()
+            if id(vertex) not in seen:
+                seen.add(id(vertex))
+                vertices.append(vertex)
+                stack.extend(p for p in vertex._parents if p is not None)
+        closures = [v._backward for v in vertices if v._backward is not None]
+        assert len(closures) > 30
+        held = [x.nbytes for fn in closures for x in closure_arrays(fn)]
+        assert held and max(held) < score_bytes
