@@ -223,7 +223,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     vocab = load_vocab(args.vocab) if args.vocab else None
-    examples = read_shards(args.shards)
+    examples = read_shards(args.shards, args.task)
     if not examples:
         raise EmptyCorpus(f"no shards under {args.shards}")
 
@@ -336,7 +336,7 @@ def cmd_summarize(args: argparse.Namespace) -> int:
         raise ConfigError(
             f"model kind mismatch: checkpoint is {model.kind!r}, task is {args.task!r}"
         )
-    vocab = _vocabs.load(args.vocab, load_vocab)
+    vocab = _vocabs.load(args.vocab, lambda data: load_vocab(data, args.vocab))
     if len(vocab) != model.config.vocab_size:
         raise ConfigError(
             f"vocab has {len(vocab)} tokens, model expects {model.config.vocab_size}"

@@ -57,11 +57,12 @@ class StoryDoc:
             raise EmptyArticle(f"story {self.id!r} contains a blank sentence")
 
 
-def transcode(data: bytes, encoding_name: str) -> str:
+def transcode(data: bytes, encoding_name: str, name: Path | str = "input") -> str:
     """Decode raw bytes from a supported encoding to a UTF-8 string.
 
     Single-byte encodings map byte-by-byte through their published tables;
-    "utf-8" validates and passes through.
+    "utf-8" validates and passes through, line endings untouched. Bytes that
+    are not UTF-8 raise InvalidUtf8 naming `name`, as `decode_utf8` does.
     """
     codec = _ENCODINGS.get(encoding_name.lower())
     if codec is None:
@@ -70,8 +71,13 @@ def transcode(data: bytes, encoding_name: str) -> str:
         try:
             return data.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise InvalidUtf8(str(exc)) from exc
+            raise _invalid_utf8(data, exc, name) from exc
     return data.decode(codec)
+
+
+def _invalid_utf8(data: bytes, exc: UnicodeDecodeError, name: Path | str) -> InvalidUtf8:
+    line = data.count(b"\n", 0, exc.start) + 1
+    return InvalidUtf8(f"{name}: line {line}: invalid UTF-8 at byte {exc.start}")
 
 
 def decode_utf8(data: bytes, name: Path | str) -> str:
@@ -81,8 +87,7 @@ def decode_utf8(data: bytes, name: Path | str) -> str:
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise InvalidUtf8(f"{name}: line {line}: invalid UTF-8 at byte {exc.start}") from exc
+        raise _invalid_utf8(data, exc, name) from exc
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
@@ -192,8 +197,8 @@ def ingest_corpus(input_dir: Path | str, encoding_name: str, out_dir: Path | str
 
     docs, rows = [], []
     for doc_id, category, article_path, summary_path in _pair_raw_files(input_dir):
-        body = transcode(article_path.read_bytes(), encoding_name)
-        summary_text = transcode(summary_path.read_bytes(), encoding_name)
+        body = transcode(article_path.read_bytes(), encoding_name, article_path)
+        summary_text = transcode(summary_path.read_bytes(), encoding_name, summary_path)
         article_sentences = split_sentences(_WS_RE.sub(" ", body).strip())
         summary_sentences = split_sentences(_WS_RE.sub(" ", summary_text).strip())
         docs.append(StoryDoc(doc_id, article_sentences, summary_sentences))

@@ -375,9 +375,13 @@ class AbstractiveModel(Encoder):
         x = x + T.embedding_lookup(self.params["decoder.pos_emb"], np.arange(start, end))
         return T.dropout(x, cfg.dropout, train, rng)
 
+    def vocab_logits(self, states: Tensor) -> Tensor:
+        """Next-token logits [..., vocab] of final-normed decoder states:
+        the tied projection onto the token table."""
+        return T.matmul(states, T.transpose(self.params["encoder.tok_emb"]))
+
     def _project(self, x: Tensor) -> Tensor:
-        x = _ln(self.params, "decoder.final_ln", x)
-        return T.matmul(x, T.transpose(self.params["encoder.tok_emb"]))
+        return self.vocab_logits(_ln(self.params, "decoder.final_ln", x))
 
     def decode_teacher_forced(
         self,
@@ -387,7 +391,8 @@ class AbstractiveModel(Encoder):
         train: bool = False,
         rng: np.random.Generator | None = None,
     ) -> Tensor:
-        """Next-token logits [B, T, vocab] from gold prefixes."""
+        """Final-normed decoder states [B, T, d_model] from gold prefixes;
+        `vocab_logits` projects them to next-token logits."""
         tgt_ids = np.asarray(tgt_ids)
         cfg = self.config
         _, t = tgt_ids.shape
@@ -401,7 +406,7 @@ class AbstractiveModel(Encoder):
                 self.params, layer, x, None, cross_kv,
                 causal, cross_mask, cfg, train, rng,
             )
-        return self._project(x)
+        return _ln(self.params, "decoder.final_ln", x)
 
     def start_decoding(self, enc_hidden: Tensor, src_pad_mask: np.ndarray) -> DecoderCache:
         """Empty incremental-decoding state for one encoded document [1, L, d].
@@ -456,8 +461,9 @@ class AbstractiveModel(Encoder):
         train: bool = False,
         rng: np.random.Generator | None = None,
     ) -> Tensor:
+        """Next-token logits [B, T, vocab] from gold prefixes."""
         hidden = self.encode(src_ids, segment_ids, src_pad_mask, train, rng)
-        return self.decode_teacher_forced(hidden, tgt_ids, src_pad_mask, train, rng)
+        return self.vocab_logits(self.decode_teacher_forced(hidden, tgt_ids, src_pad_mask, train, rng))
 
 
 _MODELS = {cls.kind: cls for cls in (Encoder, ExtractiveModel, AbstractiveModel)}
@@ -496,12 +502,15 @@ def ext_loss(logits: Tensor, labels: np.ndarray, sentence_mask: np.ndarray) -> T
 
 
 def abs_loss(
-    logits: Tensor,
+    states: Tensor,
+    tok_emb: Tensor,
     tgt_ids: np.ndarray,
     pad_mask: np.ndarray,
     smoothing: float = 0.1,
 ) -> Tensor:
-    """Label-smoothed NLL over non-pad positions, predicting token t+1 at t.
+    """Label-smoothed NLL over non-pad positions, predicting token t+1 at t
+    from the final-normed decoder states [B, T, d] projected onto the tied
+    token table tok_emb [vocab, d].
 
     pad_mask is True at padded target positions, matching the encoder's
     convention. The smoothed target mixes (1 - smoothing) of the gold one-hot
@@ -509,20 +518,22 @@ def abs_loss(
     """
     tgt_ids = np.asarray(tgt_ids)
     pad_mask = np.asarray(pad_mask, dtype=bool)
-    if logits.shape[:2] != tgt_ids.shape or tgt_ids.shape != pad_mask.shape:
+    if states.shape[:2] != tgt_ids.shape or tgt_ids.shape != pad_mask.shape:
         raise ShapeMismatch(
-            f"abs_loss: logits {logits.shape}, targets {tgt_ids.shape}, mask {pad_mask.shape}"
+            f"abs_loss: states {states.shape}, targets {tgt_ids.shape}, mask {pad_mask.shape}"
         )
     t = tgt_ids.shape[1]
     if t < 2:
         raise ShapeMismatch("abs_loss needs at least two target positions")
 
-    weights = (~pad_mask[:, 1:]).astype(logits.dtype)
+    weights = (~pad_mask[:, 1:]).astype(states.dtype)
     total = float(weights.sum())
     if total == 0:
         raise AllMasked("every predicted target position is padding")
 
-    return T.cross_entropy(T.narrow(logits, 1, 0, t - 1), tgt_ids[:, 1:], weights, smoothing) / total
+    # The last position predicts nothing; the op scores the first t - 1.
+    loss = T.projected_cross_entropy(states, T.transpose(tok_emb), None, tgt_ids[:, 1:], weights, smoothing)
+    return loss / total
 
 
 # --- checkpoint serialization ---

@@ -2,8 +2,8 @@
 
 Just enough ops for a transformer encoder/decoder: broadcasting arithmetic,
 batched matmul, softmax/layer-norm/gelu, embedding and gather ops, dropout,
-a logit binary cross-entropy, a label-smoothed vocabulary cross-entropy,
-and a finite-difference oracle to check all of it. Data lives in numpy
+a logit binary cross-entropy, a projected label-smoothed vocabulary
+cross-entropy, and a finite-difference oracle to check all of it. Data lives in numpy
 arrays; float32 is the training dtype, float64 the verification dtype.
 """
 
@@ -271,23 +271,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _make(data, tuple(tensors), backward)
 
 
-def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
-    """Slice `length` entries from `start` along one axis."""
-    if not -a.data.ndim <= axis < a.data.ndim:
-        raise InvalidAxis(f"axis {axis} invalid for rank {a.data.ndim}")
-    index = [slice(None)] * a.data.ndim
-    index[axis] = slice(start, start + length)
-    index = tuple(index)
-    shape, dtype = a.shape, a.dtype
-
-    def backward(g):
-        out = np.zeros(shape, dtype)
-        out[index] = g
-        return (out,)
-
-    return _make(a.data[index], (a,), backward)
-
-
 def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     data = a.data.sum(axis=axis, keepdims=keepdims)
     shape = a.shape
@@ -431,67 +414,128 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _make(out, (a,), backward)
 
 
-def cross_entropy(logits: Tensor, targets: np.ndarray, weights: np.ndarray, smoothing: float = 0.0) -> Tensor:
-    """Σ weights · ((1 − s)·(−lp[target]) + s·(−mean lp)) over the leading
-    positions, where lp is the log-softmax of logits over the last axis and
-    s the label smoothing: label-smoothed NLL as one op.
+def projected_cross_entropy(
+    h: Tensor,
+    table_t: Tensor,
+    bias: Tensor | None,
+    targets: np.ndarray,
+    weights: np.ndarray,
+    smoothing: float = 0.0,
+) -> Tensor:
+    """Σ weights · ((1 − s)·(−lp[target]) + s·(−mean lp)) over the scored
+    rows, where lp is the log-softmax over the vocabulary of the logits
+    h @ table_t (+ bias) and s the label smoothing: the vocabulary head and
+    its label-smoothed NLL as one op.
 
-    Forward keeps one private log-probability array; backward rewrites it,
-    an eighth of the rows at a time, into the logits' gradient. Its values
-    and gradients are bitwise those of the composed chain log_softmax →
-    take_along_last → neg (→ tensor_mean → neg → mul → add) → mul → tensor_sum,
-    whose [..., V] scatter, broadcast, sum and exp arrays it never makes.
+    h is [n, d] or [B, n, d], table_t [d, V], and bias [V] (with a [n, d] h)
+    or None. targets and weights are [m] or [B, m], m ≤ n: row j < m is
+    scored against target j, and the rows from m on predict nothing.
+
+    The logits are made one item at a time (`_items`): forward keeps only
+    each scored row's max and log-sum-exp, and backward recomputes the
+    item's logits and rewrites them, an eighth of its scored rows at a
+    time, into their gradient, as Cut Cross-Entropy does (Wijmans et al.
+    2024). So no logits or log-probabilities live from forward to backward,
+    and for a [B, n, d] h no array is larger than one item's [n, V]. Each
+    product is one that matmul makes for the whole array (numpy's stacked
+    matmul makes one per item), and the table's gradient is summed over
+    items in order, as `_shared_weight_grad` sums it. So values and
+    gradients are bitwise those of matmul (+ add) → narrow → label-smoothed
+    cross-entropy, whatever bits BLAS would give a block of rows or columns.
     """
+    x, wt = h.data, table_t.data
+    b = None if bias is None else bias.data
     targets = np.asarray(targets)
-    weights = np.asarray(weights, dtype=logits.dtype)
-    lead, v = logits.shape[:-1], logits.shape[-1]
-    if targets.shape != lead or weights.shape != lead:
+    dtype = np.result_type(x, wt) if b is None else np.result_type(x, wt, b)
+    weights = np.asarray(weights, dtype=dtype)
+    if (
+        x.ndim not in (2, 3) or wt.ndim != 2 or x.shape[-1] != wt.shape[0]
+        or (b is not None and (x.ndim != 2 or b.shape != wt.shape[1:]))
+        or targets.ndim != x.ndim - 1 or targets.shape != weights.shape
+        or targets.shape[:-1] != x.shape[:-2] or targets.shape[-1] > x.shape[-2]
+    ):
         raise ShapeMismatch(
-            f"cross_entropy: logits {logits.shape}, targets {targets.shape}, weights {weights.shape}"
+            f"projected_cross_entropy: h {x.shape}, table {wt.shape}, "
+            f"bias {None if b is None else b.shape}, targets {targets.shape}, weights {weights.shape}"
         )
+    v, m = wt.shape[1], targets.shape[-1]
     if targets.dtype.kind not in "iu" or (targets.size and (targets.min() < 0 or targets.max() >= v)):
-        raise IdOutOfRange(f"cross_entropy: target ids must be integers in [0, {v})")
+        raise IdOutOfRange(f"projected_cross_entropy: target ids must be integers in [0, {v})")
     if not 0.0 <= smoothing < 1.0:
         raise ConfigError(f"smoothing must be in [0, 1), got {smoothing}")
-    lp = _log_softmax_forward(logits.data, logits.data.ndim - 1)
-    dtype = lp.dtype
-    per_pos = -np.take_along_axis(lp, targets[..., None], axis=-1)[..., 0]
+    items, _ = _items(x.shape)
+    step = max(math.ceil(m / 8), 1)
+
+    def logits(i) -> np.ndarray:
+        z = x[i] @ wt
+        if b is not None:
+            z += b
+        return z
+
+    top, lse, per_pos, lp_sums = (np.empty(targets.shape, dtype) for _ in range(4))
+    for i in items:
+        lp = logits(i)[:m]
+        # _log_softmax_forward's arithmetic, in place.
+        top[i] = lp.max(axis=-1)
+        lp -= top[i][:, None]
+        for r in range(0, m, step):
+            np.sum(np.exp(lp[r : r + step]), axis=-1, out=lse[i][r : r + step])
+        np.log(lse[i], out=lse[i])
+        lp -= lse[i][:, None]
+        per_pos[i] = -lp[np.arange(m), targets[i]]
+        if smoothing > 0.0:
+            np.sum(lp, axis=-1, out=lp_sums[i])
+        del lp
     if smoothing > 0.0:
         gold, smooth, inv_v = (np.asarray(c, dtype) for c in (1.0 - smoothing, smoothing, 1.0 / v))
-        per_pos = per_pos * gold + -(lp.sum(axis=-1) * inv_v) * smooth
+        per_pos = per_pos * gold + -(lp_sums * inv_v) * smooth
     data = (per_pos * weights).sum()
-    held = [lp]  # never handed out, so backward may overwrite it, once
 
     def backward(g):
-        if not held:
-            raise ValueError("cross_entropy backward already ran; its buffer holds a gradient")
-        grad = held.pop()
-        rows = grad.reshape(-1, v)
-        ids = targets.reshape(-1)
-        g_pos = (g * weights).reshape(-1)
+        g_pos = g * weights
         if smoothing > 0.0:
-            gold_g, uniform_g = -(g_pos * gold), (-(g_pos * smooth) * inv_v)[:, None]
+            gold_g, uniform_g = -(g_pos * gold), -(g_pos * smooth) * inv_v
         else:
             gold_g = -g_pos
-        n = rows.shape[0]
-        step = max(math.ceil(n / 8), 1)
-        block = np.empty((min(step, n), v), dtype)
-        for start in range(0, n, step):
-            stop = min(start + step, n)
-            gb, lb = block[: stop - start], rows[start:stop]
-            # The chain's gradient of lp for these rows, then log_softmax's
-            # backward g - exp(lp) * g.sum(-1) written over lp.
-            gb.fill(0)
-            gb[np.arange(stop - start), ids[start:stop]] = gold_g[start:stop]
-            if smoothing > 0.0:
-                gb += uniform_g[start:stop]
-            row_sums = gb.sum(axis=-1, keepdims=True)
-            np.exp(lb, out=lb)
-            lb *= row_sums
-            np.subtract(gb, lb, out=lb)
-        return (grad,)
+        gz = np.empty((min(step, m), v), dtype)
 
-    return _make(data, (logits,), backward)
+        def item_grad(i) -> np.ndarray:
+            """Item i's logits, recomputed and rewritten into their gradient:
+            per block of rows, the chain's gradient of lp, then log_softmax's
+            backward g − exp(lp)·g.sum(−1) written over lp."""
+            z = logits(i)
+            for r in range(0, m, step):
+                rows = slice(r, min(r + step, m))
+                lp, gb = z[rows], gz[: rows.stop - r]
+                lp -= top[i][rows, None]
+                lp -= lse[i][rows, None]
+                gb.fill(0)
+                gb[np.arange(len(gb)), targets[i][rows]] = gold_g[i][rows]
+                if smoothing > 0.0:
+                    gb += uniform_g[i][rows, None]
+                row_sums = gb.sum(axis=-1, keepdims=True)
+                np.exp(lp, out=lp)
+                lp *= row_sums
+                np.subtract(gb, lp, out=lp)
+            z[m:] = 0  # rows that predict nothing, as narrow's backward fills them
+            return z
+
+        w = np.swapaxes(wt, -1, -2)
+        dh = np.empty(x.shape, np.result_type(dtype, w))
+        if x.ndim > 2:
+            dwt = np.zeros(wt.shape, np.result_type(x, dtype))
+            for i in items:
+                z = item_grad(i)
+                np.matmul(z, w, out=dh[i])
+                dwt += np.swapaxes(x[i], -1, -2) @ z
+                del z  # before the next item's logits
+            return dh, dwt, None
+        z = item_grad(Ellipsis)
+        np.matmul(z, w, out=dh)
+        return dh, np.swapaxes(x, -1, -2) @ z, None if b is None else z.sum(axis=0)
+
+    parents = (h, table_t) if bias is None else (h, table_t, bias)
+    return _make(data, parents, backward)
 
 
 def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tensor:
@@ -836,11 +880,7 @@ def backward(loss: Tensor) -> None:
     Closures may work in place under one rule: a closure writes only into
     arrays it allocated and has not returned, never into its incoming
     gradient or an array it saved in forward, since gradients may alias
-    each other and the saved arrays. The one exception is an array the op
-    allocated in forward and never handed out (cross_entropy's
-    log-probabilities): the sweep runs each closure once, so the closure
-    may write its gradient there, but must then drop the array, so that a
-    second call raises instead of reading a gradient as its saved input.
+    each other and the saved arrays.
     """
     if loss.data.size != 1:
         raise NotScalar(f"backward needs a scalar loss, got shape {loss.shape}")

@@ -112,10 +112,11 @@ class Vocab:
         return ids
 
 
-def load_vocab(source: Path | str | bytes) -> Vocab:
-    """Read a one-token-per-line UTF-8 vocabulary from a path or its bytes."""
+def load_vocab(source: Path | str | bytes, name: Path | str = "vocabulary") -> Vocab:
+    """Read a one-token-per-line UTF-8 vocabulary from a path, or from its
+    bytes, which errors call `name`."""
     if isinstance(source, bytes):
-        lines = decode_utf8(source, "vocabulary").splitlines()
+        lines = decode_utf8(source, name).splitlines()
     else:
         lines = read_utf8(source).splitlines()
     # A trailing blank line is file formatting, not an empty token.
@@ -378,17 +379,27 @@ _SHARD_RE = re.compile(r"^shard_(\d+)\.jsonl$")
 _SHARD_KEYS = ("src", "segs", "clss", "labels", "tgt", "src_txt", "tgt_txt")
 
 
-def _record_fault(record: dict) -> str | None:
-    """Why a shard record with every key cannot be an example, or None."""
+def _record_fault(record: dict, task: str | None = None) -> str | None:
+    """Why a shard record with every key cannot be an example (for `task`,
+    if given), or None."""
     for key in _SHARD_KEYS:
         value, item_type = record[key], str if key.endswith("_txt") else int
         # type() is, not isinstance: a JSON true is a bool, which is an int.
         if type(value) is not list or not all(type(x) is item_type for x in value):
             return f"{key} is not a list of {item_type.__name__}s"
-    if not len(record["src"]) == len(record["segs"]) >= 1:
+    src, clss = record["src"], record["clss"]
+    if not len(src) == len(record["segs"]) >= 1:
         return "src and segs must be equally long and not empty"
-    if len(record["labels"]) != len(record["clss"]):
+    if len(record["labels"]) != len(clss):
         return "labels and clss must be equally long"
+    if not set(record["segs"]) <= {0, 1}:
+        return "segs must be 0 or 1"
+    if not set(record["labels"]) <= {0, 1}:
+        return "labels must be 0 or 1"
+    if clss and (clss[0] < 0 or clss[-1] >= len(src) or any(b <= a for a, b in zip(clss, clss[1:]))):
+        return "clss must be strictly increasing positions inside src"
+    if task == "abs" and len(record["tgt"]) < 2:
+        return "tgt must hold at least 2 ids to train abs"
     return None
 
 
@@ -425,8 +436,10 @@ def write_shards(
     return shard_count
 
 
-def read_shards(shard_dir: Path | str) -> list[TokenizedExample]:
-    """Read back every shard in numeric order; exact inverse of write_shards."""
+def read_shards(shard_dir: Path | str, task: str | None = None) -> list[TokenizedExample]:
+    """Read back every shard in numeric order; exact inverse of write_shards.
+    A record that cannot be an example, for `task` if given, raises
+    CorruptShard naming its file and line."""
     shard_dir = Path(shard_dir)
     paths = []
     for path in shard_dir.iterdir():
@@ -447,7 +460,7 @@ def read_shards(shard_dir: Path | str) -> list[TokenizedExample]:
             if not all(k in record for k in _SHARD_KEYS):
                 missing = [k for k in _SHARD_KEYS if k not in record]
                 raise CorruptShard(str(path), line_no, f"missing keys {missing}")
-            fault = _record_fault(record)
+            fault = _record_fault(record, task)
             if fault:
                 raise CorruptShard(str(path), line_no, fault)
             examples.append(

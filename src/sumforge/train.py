@@ -173,7 +173,11 @@ def clip_gradients(
         raise ConfigError(f"max_norm must be > 0, got {max_norm}")
     total = 0.0
     for g in grads.values():
-        total += float((g.astype(np.float64) ** 2).sum())
+        # The cast squared in place: the same array as cast ** 2, one copy.
+        square = g.astype(np.float64)
+        square *= square
+        total += float(square.sum())
+        del square
     norm = total**0.5
     if not math.isfinite(norm):
         raise NonFiniteLoss(f"gradient norm is {norm}")
@@ -343,10 +347,11 @@ def train_abs(
 
     def loss_fn(batch_examples, step, drop_rng):
         batch = make_abs_batch(batch_examples, pad_id)
-        logits = model.forward_logits(
-            batch.src, batch.segs, batch.pad_mask, batch.tgt, train=True, rng=drop_rng
+        hidden = model.encode(batch.src, batch.segs, batch.pad_mask, train=True, rng=drop_rng)
+        states = model.decode_teacher_forced(hidden, batch.tgt, batch.pad_mask, train=True, rng=drop_rng)
+        return abs_loss(
+            states, model.params["encoder.tok_emb"], batch.tgt, batch.tgt_pad_mask, config.label_smoothing
         )
-        return abs_loss(logits, batch.tgt, batch.tgt_pad_mask, config.label_smoothing)
 
     warmup_enc, warmup_dec = config.resolved_warmups()
     groups = [
@@ -367,15 +372,14 @@ def masked_token_loss(
     reconstruction head softmax(h @ tok_embᵀ + bias).
 
     Only the M chosen rows of hidden [B, L, d] are gathered and projected
-    ([M, d] @ [d, V]); the other positions never reach the vocabulary.
+    ([M, d] @ [d, V]); the other positions never reach the vocabulary. The
+    projection and the loss are one op, which keeps no logits for backward.
     """
     rows = np.flatnonzero(chosen)
     b, length, d = hidden.shape
     picked = T.embedding_lookup(T.reshape(hidden, (b * length, d)), rows)
     targets = np.asarray(targets).reshape(-1)[rows]
-    # The logits go straight into the loss, so nothing holds them once it
-    # has made its log-probabilities.
-    loss = T.cross_entropy(T.matmul(picked, T.transpose(tok_emb)) + bias, targets, np.ones(rows.size))
+    loss = T.projected_cross_entropy(picked, T.transpose(tok_emb), bias, targets, np.ones(rows.size))
     return loss / float(rows.size)
 
 

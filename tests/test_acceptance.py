@@ -153,7 +153,10 @@ def test_criterion_2_full_model_gradients(capsys):
 
     abs_model = build_model(cfg, "abs", seed=12, dtype=np.float64)
     err_abs = finite_diff_check(
-        lambda _p: abs_loss(abs_model.forward_logits(src, segs, pad, tgt), tgt, tgt_pad, 0.1),
+        lambda _p: abs_loss(
+            abs_model.decode_teacher_forced(abs_model.encode(src, segs, pad), tgt, pad),
+            abs_model.params["encoder.tok_emb"], tgt, tgt_pad, 0.1,
+        ),
         list(abs_model.params.values()),
     )
 
@@ -529,7 +532,7 @@ def _argmax_decode(model, example, config, *, bos_id, eos_id):
     enc = model.encode(src, segs, pad)
     ids = [bos_id]
     for _ in range(config.max_len):
-        logits = model.decode_teacher_forced(enc, np.array([ids]), pad).data[0, -1]
+        logits = model.vocab_logits(model.decode_teacher_forced(enc, np.array([ids]), pad)).data[0, -1]
         shifted = logits.astype(np.float64) - logits.max()
         logp = shifted - np.log(np.exp(shifted).sum())
         if len(ids) < config.min_len:

@@ -691,6 +691,37 @@ class TestTrain:
         assert "corrupt shard line 2" in err and reason in err
         assert not list(out.glob("*.ckpt"))
 
+    # Records that trained with exit 0, or failed without naming file and
+    # line, and the tasks that read the faulty field.
+    @pytest.mark.parametrize("change, reason, tasks", [
+        ({"labels": [5]}, "labels must be 0 or 1", ("ext", "abs", "prefit")),
+        ({"src": [2, 7, 2, 3], "segs": [0, 0, 1, 1], "clss": [2, 0], "labels": [1, 0]},
+         "clss must be strictly increasing", ("ext", "abs", "prefit")),
+        ({"clss": [4]}, "clss must be strictly increasing positions inside src", ("ext", "abs", "prefit")),
+        ({"clss": [-1]}, "clss must be strictly increasing positions inside src", ("ext", "abs", "prefit")),
+        ({"tgt": [5]}, "tgt must hold at least 2 ids", ("abs",)),
+        ({"tgt": []}, "tgt must hold at least 2 ids", ("abs",)),
+        ({"segs": [7, 7, 7, 7]}, "segs must be 0 or 1", ("ext", "abs", "prefit")),
+    ], ids=["labels_5", "clss_decreasing", "clss_past_src", "clss_negative", "tgt_1_id",
+            "tgt_empty", "segs_7"])
+    @pytest.mark.parametrize("task", ["ext", "abs", "prefit"])
+    def test_record_outside_the_contract_exits_2(self, tmp_path, capsys, task, change, reason, tasks):
+        vocab = _write_vocab(tmp_path / "vocab.txt")
+        shards = tmp_path / "shards"
+        shards.mkdir()
+        _write_jsonl(shards / "shard_0.jsonl", [self._GOOD_RECORD, {**self._GOOD_RECORD, **change}])
+        config = _write_config(tmp_path / "run.cfg", max_steps=1, batch_size=2)
+        out = tmp_path / "run"
+        code = main(["train", "--task", task, "--shards", str(shards),
+                     "--out", str(out), "--config", str(config), "--vocab", str(vocab)])
+        err = capsys.readouterr().err
+        if task not in tasks:  # a field this task never reads
+            assert code == 0, err
+            return
+        assert code == 2
+        assert f"corrupt shard line 2 in {shards / 'shard_0.jsonl'}" in err and reason in err
+        assert not list(out.glob("*.ckpt"))
+
     @pytest.mark.parametrize("bad_id", [-1, 99999])
     def test_prefit_target_outside_vocabulary_exits_2(self, tmp_path, capsys, bad_id):
         # The bad id is the record's only maskable token, so pre-fit always
@@ -860,9 +891,10 @@ class TestSummarize:
         src = np.array([[2, 10, 11, 3]])
         tgt = np.array([[5, 12, 13, 6]])
         pad = np.zeros(src.shape, dtype=bool)
-        logits = model.forward_logits(src, np.zeros_like(src), pad, tgt, train=True,
-                                      rng=np.random.default_rng(0))
-        T.backward(abs_loss(logits, tgt, np.zeros(tgt.shape, dtype=bool)))
+        rng = np.random.default_rng(0)
+        hidden = model.encode(src, np.zeros_like(src), pad, train=True, rng=rng)
+        states = model.decode_teacher_forced(hidden, tgt, pad, train=True, rng=rng)
+        T.backward(abs_loss(states, model.params["encoder.tok_emb"], tgt, np.zeros(tgt.shape, dtype=bool)))
         assert all(p.grad is not None for p in model.params.values())
 
     def test_task_checkpoint_kind_mismatch_exits_2(self, tmp_path, capsys):
@@ -1225,6 +1257,33 @@ class TestInvalidUtf8:
         code = main(["summarize", "--task", "ext", "--checkpoint", str(ckpt),
                      "--vocab", str(vocab), "--input", str(story)])
         self._assert_named(capsys, code, story, 1)
+
+    def test_summarize_vocab(self, tmp_path, capsys):
+        vocab = self._spoil(_write_vocab(tmp_path / "vocab.txt"), 3)
+        ckpt = _save_model(tmp_path / "ext.ckpt", "ext")
+        code = main(["summarize", "--task", "ext", "--checkpoint", str(ckpt),
+                     "--vocab", str(vocab), "--input", str(_write_story_file(tmp_path / "doc.story"))])
+        self._assert_named(capsys, code, vocab, 3)
+
+    def test_convert_utf8(self, tmp_path, capsys):
+        raw = _raw_pairs(tmp_path, "d1", "d2")
+        summary = raw / "d2.sum.txt"
+        summary.write_bytes(b"the cat .\r\n" + self.BAD + b"a dog .")
+        out = tmp_path / "stories"
+        code = main(["convert", "--input", str(raw), "--encoding", "utf-8", "--out", str(out)])
+        self._assert_named(capsys, code, summary, 2)
+        assert not list(out.glob("*.story"))
+
+    def test_convert_utf8_keeps_story_bytes(self, tmp_path, capsys):
+        raw = _raw_pairs(tmp_path, "d1")
+        (raw / "d1.txt").write_bytes("the cat sat .\r\nذهب الولد .".encode("utf-8"))
+        outs = {}
+        for encoding in ("utf-8", "latin-1"):
+            out = tmp_path / encoding
+            assert main(["convert", "--input", str(raw), "--encoding", encoding, "--out", str(out)]) == 0
+            outs[encoding] = (out / "d1.story").read_text("utf-8")
+        # utf-8 decodes what latin-1 reads as mojibake; both keep the \r\n.
+        assert outs["utf-8"] == outs["latin-1"].encode("latin-1").decode("utf-8")
 
     @pytest.mark.parametrize("side", ["predictions", "references"])
     def test_jsonl(self, tmp_path, capsys, side):

@@ -47,7 +47,7 @@ def _greedy_reference(model, example, config, *, bos_id, eos_id):
     enc = model.encode(src, segs, pad)
     ids = [bos_id]
     for _ in range(config.max_len):
-        logits = model.decode_teacher_forced(enc, np.array([ids]), pad).data[0, -1]
+        logits = model.vocab_logits(model.decode_teacher_forced(enc, np.array([ids]), pad)).data[0, -1]
         shifted = logits.astype(np.float64) - logits.max()
         logp = shifted - np.log(np.exp(shifted).sum())
         if len(ids) < config.min_len:  # next token would be generated token len(ids)
@@ -102,7 +102,7 @@ def _reference_beam_search(model, example, config, *, bos_id, eos_id, blocking=T
         tgt = np.array([h.ids for h in beams], dtype=np.int64)
         enc_n = Tensor(np.repeat(enc.data, n, axis=0))
         pad_n = np.repeat(src_pad, n, axis=0)
-        logits = model.decode_teacher_forced(enc_n, tgt, pad_n).data[:, -1, :]
+        logits = model.vocab_logits(model.decode_teacher_forced(enc_n, tgt, pad_n)).data[:, -1, :]
         shifted = logits - logits.max(axis=-1, keepdims=True)
         logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
@@ -151,7 +151,7 @@ def _rescore(model, example, ids):
     segs = np.array([example.segment_ids])
     pad = np.zeros(src.shape, dtype=bool)
     enc = model.encode(src, segs, pad)
-    logits = model.decode_teacher_forced(enc, np.array([ids]), pad).data[0]
+    logits = model.vocab_logits(model.decode_teacher_forced(enc, np.array([ids]), pad)).data[0]
     shifted = logits.astype(np.float64) - logits.max(-1, keepdims=True)
     logp = shifted - np.log(np.exp(shifted).sum(-1, keepdims=True))
     total = sum(logp[t, ids[t + 1]] for t in range(len(ids) - 1))
@@ -427,9 +427,9 @@ class TestIncrementalBeamSearch:
                 np.array([ex.src_ids]), np.array([ex.segment_ids]),
                 np.zeros((1, len(ex.src_ids)), dtype=bool),
             )
-            first = model.decode_teacher_forced(
+            first = model.vocab_logits(model.decode_teacher_forced(
                 enc, np.array([[BOS]]), np.zeros((1, len(ex.src_ids)), dtype=bool)
-            ).data[0, -1]
+            )).data[0, -1]
             # The likeliest first token as EOS ends beams early; the least
             # likely one is rarely reached, which leaves the fallback.
             ranked = [int(t) for t in np.argsort(-first, kind="stable") if t != BOS]

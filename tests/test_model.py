@@ -320,11 +320,11 @@ class TestDecodeStep:
             for _ in range(10):
                 got = model.decode_step(cache, parents, [p[-1] for p in prefixes]).data
                 n = len(prefixes)
-                want = model.decode_teacher_forced(
+                want = model.vocab_logits(model.decode_teacher_forced(
                     Tensor(np.repeat(enc.data, n, axis=0)),
                     np.array(prefixes),
                     np.repeat(pad, n, axis=0),
-                ).data[:, -1]
+                )).data[:, -1]
                 assert got.shape == (n, cfg.vocab_size)
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-5)
                 # Permute, drop and duplicate hypotheses, as beam search does.
@@ -439,13 +439,20 @@ class TestExtLossFromLogits:
             assert got == pytest.approx(ref, rel=rtol)
 
 
+def _logits_loss(logits, tgt_ids, pad_mask, smoothing=0.1):
+    """abs_loss of given logits: the states are the logits themselves and
+    the token table the identity, whose projection leaves them as they are."""
+    table = Tensor(np.eye(logits.shape[-1], dtype=logits.dtype))
+    return abs_loss(logits, table, tgt_ids, pad_mask, smoothing)
+
+
 class TestAbsLoss:
     def test_uniform_logits_log_vocab(self):
         vocab = 50
         logits = Tensor(np.zeros((1, 4, vocab)), requires_grad=True, dtype=np.float64)
         tgt = np.array([[5, 9, 11, 6]])
         pad = np.zeros((1, 4), dtype=bool)
-        loss = abs_loss(logits, tgt, pad, smoothing=0.0)
+        loss = _logits_loss(logits, tgt, pad, smoothing=0.0)
         assert loss.item() == pytest.approx(math.log(vocab), abs=1e-12)
 
     def test_confident_correct_logits_near_zero(self):
@@ -454,7 +461,7 @@ class TestAbsLoss:
         logits = np.zeros((1, 4, vocab))
         for t in range(3):
             logits[0, t, tgt[0, t + 1]] = 50.0
-        loss = abs_loss(
+        loss = _logits_loss(
             Tensor(logits, requires_grad=True, dtype=np.float64),
             tgt,
             np.zeros((1, 4), dtype=bool),
@@ -465,7 +472,7 @@ class TestAbsLoss:
     def test_smoothing_one_rejected(self):
         logits = Tensor(np.zeros((1, 3, 10)), requires_grad=True)
         with pytest.raises(ConfigError):
-            abs_loss(logits, np.zeros((1, 3), dtype=int), np.zeros((1, 3), dtype=bool), smoothing=1.0)
+            _logits_loss(logits, np.zeros((1, 3), dtype=int), np.zeros((1, 3), dtype=bool), smoothing=1.0)
 
     def test_padded_positions_excluded(self):
         vocab = 12
@@ -473,21 +480,21 @@ class TestAbsLoss:
         logits = rng.standard_normal((1, 5, vocab))
         tgt = np.array([[3, 7, 9, 0, 0]])
         pad = np.array([[False, False, False, True, True]])
-        a = abs_loss(Tensor(logits, requires_grad=True, dtype=np.float64), tgt, pad).item()
+        a = _logits_loss(Tensor(logits, requires_grad=True, dtype=np.float64), tgt, pad).item()
         tgt2 = tgt.copy()
         tgt2[0, 4] = 11  # padded slot; must not matter
-        b = abs_loss(Tensor(logits, requires_grad=True, dtype=np.float64), tgt2, pad).item()
+        b = _logits_loss(Tensor(logits, requires_grad=True, dtype=np.float64), tgt2, pad).item()
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_too_short_target(self):
         logits = Tensor(np.zeros((1, 1, 10)), requires_grad=True)
         with pytest.raises(ShapeMismatch):
-            abs_loss(logits, np.zeros((1, 1), dtype=int), np.zeros((1, 1), dtype=bool))
+            _logits_loss(logits, np.zeros((1, 1), dtype=int), np.zeros((1, 1), dtype=bool))
 
     def test_shape_mismatch(self):
         logits = Tensor(np.zeros((1, 4, 10)), requires_grad=True)
         with pytest.raises(ShapeMismatch):
-            abs_loss(logits, np.zeros((1, 3), dtype=int), np.zeros((1, 3), dtype=bool))
+            _logits_loss(logits, np.zeros((1, 3), dtype=int), np.zeros((1, 3), dtype=bool))
 
     def test_smoothing_increases_loss_on_confident_model(self):
         vocab = 20
@@ -496,8 +503,8 @@ class TestAbsLoss:
         for t in range(3):
             logits[0, t, tgt[0, t + 1]] = 50.0
         pad = np.zeros((1, 4), dtype=bool)
-        sharp = abs_loss(Tensor(logits, requires_grad=True, dtype=np.float64), tgt, pad, 0.0).item()
-        smooth = abs_loss(Tensor(logits, requires_grad=True, dtype=np.float64), tgt, pad, 0.1).item()
+        sharp = _logits_loss(Tensor(logits, requires_grad=True, dtype=np.float64), tgt, pad, 0.0).item()
+        smooth = _logits_loss(Tensor(logits, requires_grad=True, dtype=np.float64), tgt, pad, 0.1).item()
         assert smooth > sharp
 
 

@@ -27,6 +27,92 @@ def rand64(rng, *shape) -> Tensor:
     return Tensor(rng.standard_normal(shape), requires_grad=True)
 
 
+# The vocabulary loss before it took the projection in: the reference chain
+# that projected_cross_entropy is checked against, bit for bit.
+
+def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
+    """Slice `length` entries from `start` along one axis."""
+    if not -a.data.ndim <= axis < a.data.ndim:
+        raise InvalidAxis(f"axis {axis} invalid for rank {a.data.ndim}")
+    index = [slice(None)] * a.data.ndim
+    index[axis] = slice(start, start + length)
+    index = tuple(index)
+    shape, dtype = a.shape, a.dtype
+
+    def backward(g):
+        out = np.zeros(shape, dtype)
+        out[index] = g
+        return (out,)
+
+    return T._make(a.data[index], (a,), backward)
+
+
+def cross_entropy(logits: Tensor, targets: np.ndarray, weights: np.ndarray, smoothing: float = 0.0) -> Tensor:
+    """Σ weights · ((1 − s)·(−lp[target]) + s·(−mean lp)) over the leading
+    positions, where lp is the log-softmax of logits over the last axis: one
+    op that keeps one private log-probability array and rewrites it, an
+    eighth of the rows at a time, into the logits' gradient."""
+    targets = np.asarray(targets)
+    weights = np.asarray(weights, dtype=logits.dtype)
+    lead, v = logits.shape[:-1], logits.shape[-1]
+    if targets.shape != lead or weights.shape != lead:
+        raise ShapeMismatch(
+            f"cross_entropy: logits {logits.shape}, targets {targets.shape}, weights {weights.shape}"
+        )
+    if targets.dtype.kind not in "iu" or (targets.size and (targets.min() < 0 or targets.max() >= v)):
+        raise IdOutOfRange(f"cross_entropy: target ids must be integers in [0, {v})")
+    if not 0.0 <= smoothing < 1.0:
+        raise ConfigError(f"smoothing must be in [0, 1), got {smoothing}")
+    lp = T._log_softmax_forward(logits.data, logits.data.ndim - 1)
+    dtype = lp.dtype
+    per_pos = -np.take_along_axis(lp, targets[..., None], axis=-1)[..., 0]
+    if smoothing > 0.0:
+        gold, smooth, inv_v = (np.asarray(c, dtype) for c in (1.0 - smoothing, smoothing, 1.0 / v))
+        per_pos = per_pos * gold + -(lp.sum(axis=-1) * inv_v) * smooth
+    data = (per_pos * weights).sum()
+    held = [lp]  # never handed out, so backward may overwrite it, once
+
+    def backward(g):
+        if not held:
+            raise ValueError("cross_entropy backward already ran; its buffer holds a gradient")
+        grad = held.pop()
+        rows = grad.reshape(-1, v)
+        ids = targets.reshape(-1)
+        g_pos = (g * weights).reshape(-1)
+        if smoothing > 0.0:
+            gold_g, uniform_g = -(g_pos * gold), (-(g_pos * smooth) * inv_v)[:, None]
+        else:
+            gold_g = -g_pos
+        n = rows.shape[0]
+        step = max(math.ceil(n / 8), 1)
+        block = np.empty((min(step, n), v), dtype)
+        for start in range(0, n, step):
+            stop = min(start + step, n)
+            gb, lb = block[: stop - start], rows[start:stop]
+            gb.fill(0)
+            gb[np.arange(stop - start), ids[start:stop]] = gold_g[start:stop]
+            if smoothing > 0.0:
+                gb += uniform_g[start:stop]
+            row_sums = gb.sum(axis=-1, keepdims=True)
+            np.exp(lb, out=lb)
+            lb *= row_sums
+            np.subtract(gb, lb, out=lb)
+        return (grad,)
+
+    return T._make(data, (logits,), backward)
+
+
+def composed_head_loss(h: Tensor, table_t: Tensor, bias: Tensor | None, targets, weights, smoothing):
+    """matmul (+ bias) → narrow → cross_entropy: the vocabulary head as the
+    losses composed it before projected_cross_entropy."""
+    logits = T.matmul(h, table_t)
+    if bias is not None:
+        logits = logits + bias
+    if h.data.ndim > 2:
+        logits = narrow(logits, 1, 0, np.shape(targets)[-1])
+    return cross_entropy(logits, targets, weights, smoothing)
+
+
 class TestSplitRng:
     def test_same_seed_same_stream(self):
         a = SplitRng(42).child("init", "w").generator().random(8)
@@ -373,7 +459,7 @@ class TestPerOpGradients:
 
     def test_narrow(self):
         a = rand64(self.rng, 4, 5)
-        _fd(lambda p: T.tensor_sum(T.narrow(p[0], 1, 1, 3) * 2.0), [a])
+        _fd(lambda p: T.tensor_sum(narrow(p[0], 1, 1, 3) * 2.0), [a])
 
     def test_sum_with_axis_keepdims(self):
         a = rand64(self.rng, 3, 4)
@@ -573,7 +659,7 @@ class TestForwardSemantics:
         a, b = t64([[1.0, 2.0]]), t64([[3.0, 4.0]])
         c = T.concat([a, b], axis=0)
         assert c.data.tolist() == [[1.0, 2.0], [3.0, 4.0]]
-        assert T.narrow(c, 0, 1, 1).data.tolist() == [[3.0, 4.0]]
+        assert narrow(c, 0, 1, 1).data.tolist() == [[3.0, 4.0]]
 
 
 # --- fused attention and graph consumption ---
@@ -915,9 +1001,11 @@ def _small_model_loss(seed=0):
     pad = np.zeros((2, 9), dtype=bool)
     pad[1, 6:] = True
     tgt = r.integers(7, 30, (2, 5))
-    logits = model.forward_logits(src, np.zeros_like(src), pad, tgt,
-                                  train=True, rng=np.random.default_rng(seed))
-    return model.params, abs_loss(logits, tgt, np.zeros(tgt.shape, dtype=bool))
+    drop_rng = np.random.default_rng(seed)
+    hidden = model.encode(src, np.zeros_like(src), pad, train=True, rng=drop_rng)
+    states = model.decode_teacher_forced(hidden, tgt, pad, train=True, rng=drop_rng)
+    tok_emb = model.params["encoder.tok_emb"]
+    return model.params, abs_loss(states, tok_emb, tgt, np.zeros(tgt.shape, dtype=bool))
 
 
 def _small_ext_loss(seed=0):
@@ -1178,9 +1266,9 @@ class TestCrossEntropy:
         if narrowed:  # abs_loss's layout: the last position predicts nothing
             targets, weights = targets[:, 1:], weights[:, 1:]
         results = []
-        for loss_fn in (_composed_cross_entropy, T.cross_entropy):
+        for loss_fn in (_composed_cross_entropy, cross_entropy):
             logits = Tensor(x.copy(), requires_grad=True)
-            inp = T.narrow(logits, 1, 0, shape[1] - 1) if narrowed else logits
+            inp = narrow(logits, 1, 0, shape[1] - 1) if narrowed else logits
             loss = loss_fn(inp, targets, weights, smoothing) / 7.0
             backward(loss)
             results.append((loss.data, logits.grad))
@@ -1194,7 +1282,7 @@ class TestCrossEntropy:
         x = rand64(r, 2, 4, 6)
         targets = np.array([[0, 5, 5, 2], [1, 0, 3, 5]])
         weights = np.array([[1.0, 0.0, 2.0, 1.0], [0.5, 1.0, 1.0, 0.0]])
-        err = finite_diff_check(lambda p: T.cross_entropy(p[0], targets, weights, smoothing), [x])
+        err = finite_diff_check(lambda p: cross_entropy(p[0], targets, weights, smoothing), [x])
         assert err < 1e-6
 
     @pytest.mark.parametrize("targets", [[0, -1], [0, 5], [0.0, 1.0], [True, False]],
@@ -1202,22 +1290,22 @@ class TestCrossEntropy:
     def test_targets_outside_the_vocabulary_raise(self, targets):
         x = Tensor(np.zeros((2, 5), np.float32), requires_grad=True)
         with pytest.raises(IdOutOfRange, match=r"\[0, 5\)"):
-            T.cross_entropy(x, np.asarray(targets), np.ones(2), 0.1)
+            cross_entropy(x, np.asarray(targets), np.ones(2), 0.1)
 
     def test_shapes_and_smoothing_are_checked(self):
         x = Tensor(np.zeros((2, 3, 5), np.float32), requires_grad=True)
         with pytest.raises(ShapeMismatch):
-            T.cross_entropy(x, np.zeros((2, 2), int), np.ones((2, 3)), 0.1)
+            cross_entropy(x, np.zeros((2, 2), int), np.ones((2, 3)), 0.1)
         with pytest.raises(ShapeMismatch):
-            T.cross_entropy(x, np.zeros((2, 3), int), np.ones(2), 0.1)
+            cross_entropy(x, np.zeros((2, 3), int), np.ones(2), 0.1)
         with pytest.raises(ConfigError, match="smoothing"):
-            T.cross_entropy(x, np.zeros((2, 3), int), np.ones((2, 3)), 1.0)
+            cross_entropy(x, np.zeros((2, 3), int), np.ones((2, 3)), 1.0)
 
     def test_second_call_of_the_closure_raises(self):
         # backward writes the gradient over the saved log-probabilities, so
         # a second call must not read that gradient as log-probabilities.
         x, targets, weights = self._inputs((6, 11), np.float64)
-        out = T.cross_entropy(Tensor(x, requires_grad=True), targets, weights, 0.1)
+        out = cross_entropy(Tensor(x, requires_grad=True), targets, weights, 0.1)
         closure = out._node._backward
         (grad,) = closure(np.asarray(1.0))
         assert "held" in _cells(closure) and not _cells(closure)["held"]
@@ -1226,22 +1314,115 @@ class TestCrossEntropy:
         assert np.isfinite(grad).all()
 
     def test_losses_use_the_fused_op(self, monkeypatch):
-        calls, fused = [], T.cross_entropy
+        calls, fused = [], T.projected_cross_entropy
 
-        def counted(logits, targets, weights, smoothing=0.0):
-            calls.append(smoothing)
-            return fused(logits, targets, weights, smoothing)
+        def counted(h, table_t, bias, targets, weights, smoothing=0.0):
+            calls.append((h.data.ndim, bias is not None, smoothing))
+            return fused(h, table_t, bias, targets, weights, smoothing)
 
-        monkeypatch.setattr(T, "cross_entropy", counted)
-        for name in ("log_softmax", "take_along_last", "tensor_mean"):
+        monkeypatch.setattr(T, "projected_cross_entropy", counted)
+        for name in ("matmul", "log_softmax", "take_along_last", "tensor_mean"):
             monkeypatch.setattr(T, name, None)
         r = np.random.default_rng(3)
-        logits = rand64(r, 2, 4, 7)
-        abs_loss(logits, r.integers(0, 7, (2, 4)), np.zeros((2, 4), bool), smoothing=0.1)
+        abs_loss(rand64(r, 2, 4, 5), rand64(r, 7, 5), r.integers(0, 7, (2, 4)),
+                 np.zeros((2, 4), bool), smoothing=0.1)
         chosen = np.array([[True, False, True], [False, True, False]])
         masked_token_loss(rand64(r, 2, 3, 4), rand64(r, 7, 4), rand64(r, 7),
                           r.integers(0, 7, (2, 3)), chosen)
-        assert calls == [0.1, 0.0]
+        assert calls == [(3, False, 0.1), (2, True, 0.0)]
+
+
+class TestProjectedCrossEntropy:
+    """The vocabulary head and its loss as one op, against the chain it
+    replaced: matmul (+ bias) → narrow → cross_entropy."""
+
+    @staticmethod
+    def _case(dtype, shape, v, seed=0):
+        """h, a table, a bias for a [n, d] h, targets that repeat and hit
+        ids 0 and V − 1, and weights with zero (padded) rows; a [B, n, d] h
+        scores its first n − 1 rows, as abs_loss does."""
+        r = np.random.default_rng(seed)
+        h = r.standard_normal(shape).astype(dtype)
+        table = (r.standard_normal((v, shape[-1])) * 0.5).astype(dtype)
+        bias = None if len(shape) > 2 else (r.standard_normal(v) * 0.1).astype(dtype)
+        lead = shape[:-2] + (shape[-2] - 1,) if len(shape) > 2 else shape[:-1]
+        targets = r.integers(0, 3, lead)
+        targets.flat[0], targets.flat[-1] = 0, v - 1
+        weights = (r.random(lead) < 0.7).astype(dtype)
+        weights.flat[1] = 0.0
+        return h, table, bias, targets, weights
+
+    @staticmethod
+    def _run(head, case, smoothing):
+        h, table, bias, targets, weights = case
+        params = [Tensor(a.copy(), requires_grad=True) for a in (h, table) + ((bias,) if bias is not None else ())]
+        bias_t = params[2] if bias is not None else None
+        loss = head(params[0], T.transpose(params[1]), bias_t, targets, weights, smoothing) / 7.0
+        backward(loss)
+        return [loss.data] + [p.grad for p in params]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("smoothing", [0.0, 0.1])
+    @pytest.mark.parametrize("shape, v", [
+        ((3, 10, 16), 1001), ((8, 41, 128), 3001), ((37, 16), 501), ((522, 128), 3000),
+    ], ids=str)
+    def test_bits_equal_the_composed_chain(self, dtype, smoothing, shape, v):
+        case = self._case(dtype, shape, v)
+        want = self._run(composed_head_loss, case, smoothing)
+        got = self._run(T.projected_cross_entropy, case, smoothing)
+        for name, a, b in zip(("loss", "h", "table", "bias"), got, want):
+            _assert_same_bits(a, b, name)
+            assert a.strides == b.strides, name  # the layout clipping's sum reads
+
+    @pytest.mark.parametrize("smoothing", [0.0, 0.2])
+    @pytest.mark.parametrize("shape", [(2, 4, 3), (5, 3)], ids=["abs", "prefit"])
+    def test_gradient_matches_finite_differences(self, smoothing, shape):
+        _, _, bias, targets, weights = self._case(np.float64, shape, 6, seed=4)
+        r = np.random.default_rng(5)
+        params = [rand64(r, *shape), rand64(r, 6, 3)] + ([rand64(r, 6)] if bias is not None else [])
+
+        def f(p):
+            return T.projected_cross_entropy(
+                p[0], T.transpose(p[1]), p[2] if len(p) > 2 else None, targets, weights, smoothing
+            )
+
+        assert finite_diff_check(f, params) < 1e-6
+
+    @pytest.mark.parametrize("targets", [[0, -1], [0, 5], [0.0, 1.0], [True, False]],
+                             ids=["negative", "vocab_size", "float", "bool"])
+    def test_targets_outside_the_vocabulary_raise(self, targets):
+        h, table = Tensor(np.zeros((2, 3), np.float32)), Tensor(np.zeros((5, 3), np.float32))
+        with pytest.raises(IdOutOfRange, match=r"target ids must be integers in \[0, 5\)"):
+            T.projected_cross_entropy(h, T.transpose(table), None, np.asarray(targets), np.ones(2), 0.1)
+
+    def test_shapes_and_smoothing_are_checked(self):
+        h3, h2 = Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 4)))
+        table_t, bias = T.transpose(Tensor(np.zeros((5, 4)))), Tensor(np.zeros(5))
+        ids, ones = np.zeros((2, 2), int), np.ones((2, 2))
+        for args in [
+            (h3, table_t, None, np.zeros((2, 4), int), np.ones((2, 4))),  # m > n
+            (h3, table_t, None, ids, np.ones((2, 3))),  # weights' shape
+            (h3, table_t, None, np.zeros(2, int), np.ones(2)),  # targets' rank
+            (h3, T.transpose(Tensor(np.zeros((5, 3)))), None, ids, ones),  # d
+            (h3, table_t, bias, ids, ones),  # a bias takes a [n, d] h
+            (h2, table_t, Tensor(np.zeros(4)), np.zeros(3, int), np.ones(3)),  # bias' length
+        ]:
+            with pytest.raises(ShapeMismatch):
+                T.projected_cross_entropy(*args, 0.1)
+        with pytest.raises(ConfigError, match="smoothing"):
+            T.projected_cross_entropy(h3, table_t, None, ids, ones, 1.0)
+
+    def test_backward_leaves_its_inputs_as_they_were(self):
+        h, table, bias, targets, weights = self._case(np.float32, (37, 16), 501)
+        copies = [a.copy() for a in (h, table, bias, targets, weights)]
+        out = T.projected_cross_entropy(Tensor(h, requires_grad=True), T.transpose(Tensor(table)),
+                                        Tensor(bias), targets, weights, 0.1)
+        first = out._node._backward(np.asarray(1.0, np.float32))
+        second = out._node._backward(np.asarray(1.0, np.float32))
+        for a, b in zip(first, second):
+            _assert_same_bits(a, b)
+        for a, b in zip((h, table, bias, targets, weights), copies):
+            assert np.array_equal(a, b)
 
 
 def _traced_peak(fn, *args):
@@ -1329,19 +1510,46 @@ class TestClosureTemporaries:
         # The saved log-probabilities, plus one leading slice of exp() and
         # the [8, 64] per-position terms.
         bound = x.data.nbytes + x.data.nbytes // 8 + _NUMPY_BUFFERS
-        assert _traced_peak(T.cross_entropy, x, targets, weights, 0.1) < bound
+        assert _traced_peak(cross_entropy, x, targets, weights, 0.1) < bound
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("smoothing", [0.0, 0.1])
     def test_cross_entropy_backward_works_in_row_blocks(self, dtype, smoothing):
         x, targets, weights = self._loss_inputs(dtype)
-        loss = T.cross_entropy(x, targets, weights, smoothing) / 3.0
+        loss = cross_entropy(x, targets, weights, smoothing) / 3.0
         # The gradient is the saved log-probabilities, rewritten; the sweep
         # makes one block of an eighth of the rows and a dozen per-row
         # vectors at most.
         per_row = 12 * math.prod(x.shape[:-1]) * x.data.itemsize
         assert _traced_peak(backward, loss) < x.data.nbytes // 8 + per_row + _NUMPY_BUFFERS
         assert x.grad.shape == x.shape
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(8, 64, 32), (512, 32)], ids=["abs", "prefit"])
+    def test_projected_cross_entropy_holds_no_logits(self, dtype, shape):
+        r = np.random.default_rng(0)
+        v, size = 2048, np.dtype(dtype).itemsize
+        h = Tensor(r.standard_normal(shape).astype(dtype), requires_grad=True)
+        table = Tensor((r.standard_normal((v, shape[-1])) * 0.1).astype(dtype), requires_grad=True)
+        bias = Tensor(np.zeros(v, dtype), requires_grad=True) if len(shape) == 2 else None
+        lead = shape[:-2] + (shape[-2] - 1,) if len(shape) > 2 else shape[:-1]
+        targets, weights = r.integers(0, v, lead), np.ones(lead, dtype)
+
+        def step(head):
+            h.grad = table.grad = None
+            backward(head(h, T.transpose(table), bias, targets, weights, 0.1))
+
+        item = shape[-2] * v * size  # one item's logits: for a [n, d] h, all of them
+        # One item's logits and an eighth of its rows, the table's gradient
+        # and one item's product for it, and h's gradient.
+        bound = item + item // 8 + 2 * table.data.nbytes + h.data.nbytes + _NUMPY_BUFFERS
+        rows_by_vocab = math.prod(lead) * v * size
+        assert _traced_peak(step, T.projected_cross_entropy) < bound
+        # The chain held the logits, their log-probabilities and, for a
+        # [B, n, d] h, narrow's gradient: more than the bound.
+        assert _traced_peak(step, composed_head_loss) > bound + rows_by_vocab // 2
+        if len(shape) > 2:
+            assert bound < rows_by_vocab  # no [rows, V] array at all
 
     def test_shared_weight_matmul_builds_no_stack(self):
         r = np.random.default_rng(0)

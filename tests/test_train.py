@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import closure_arrays, synthetic_example
+from test_tensor import composed_head_loss
 from sumforge import tensor as T
 from sumforge import train as train_module
 from sumforge.errors import (
@@ -24,7 +25,6 @@ from sumforge.errors import (
 )
 from sumforge.model import (
     ModelConfig,
-    abs_loss,
     build_model,
     ext_loss,
     load_checkpoint,
@@ -263,6 +263,21 @@ class TestClipGradients:
     def test_invalid_max_norm(self):
         with pytest.raises(ConfigError):
             clip_gradients({"a": np.ones(1)}, 0.0)
+
+    def test_norm_bits_equal_the_two_copy_expression(self):
+        # Squaring the float64 cast in place makes the array that cast ** 2
+        # made, so the norm, and with it every clipped gradient, keeps its bits.
+        r = np.random.default_rng(0)
+        big = (r.standard_normal((64, 48)) * 3e37).astype(np.float32)
+        tiny = np.array([1e-45, -1e-45, 1e-40, 0.0, -0.0, 3e38, -3e38], np.float32)
+        grads = {
+            "big": big, "tiny": tiny, "zeros": np.zeros((5, 7), np.float32),
+            "transposed": big.T, "small": (r.standard_normal(301) * 1e-30).astype(np.float32),
+        }
+        norm = sum(float((g.astype(np.float64) ** 2).sum()) for g in grads.values()) ** 0.5
+        out = clip_gradients(grads, 1.0)
+        for name, g in grads.items():
+            assert out[name].tobytes() == (g * (1.0 / norm)).tobytes(), name
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_norm_raises(self, bad):
@@ -682,6 +697,25 @@ def _reference_make_abs_batch(examples, pad_id):
     return AbsBatch(src, segs, pad_mask, tgt, tgt_pad_mask)
 
 
+def _reference_abs_loss(states, tok_emb, tgt_ids, pad_mask, smoothing):
+    """abs_loss before the fused vocabulary head: the projected logits go
+    through narrow and cross_entropy."""
+    weights = (~pad_mask[:, 1:]).astype(states.dtype)
+    loss = composed_head_loss(states, T.transpose(tok_emb), None, tgt_ids[:, 1:], weights, smoothing)
+    return loss / float(weights.sum())
+
+
+def _reference_masked_token_loss(hidden, tok_emb, bias, targets, chosen):
+    """masked_token_loss before the fused vocabulary head: matmul + bias,
+    then cross_entropy."""
+    rows = np.flatnonzero(chosen)
+    b, length, d = hidden.shape
+    picked = T.embedding_lookup(T.reshape(hidden, (b * length, d)), rows)
+    targets = np.asarray(targets).reshape(-1)[rows]
+    loss = composed_head_loss(picked, T.transpose(tok_emb), bias, targets, np.ones(rows.size), 0.0)
+    return loss / float(rows.size)
+
+
 def _reference_clipped_gradients(loss, params, max_norm, step):
     value = loss.item()
     if not math.isfinite(value):
@@ -757,10 +791,11 @@ def _reference_train_abs(examples, model, config, pad_id):
     for step in range(1, config.max_steps + 1):
         batch = _reference_make_abs_batch([examples[i] for i in next(order)], pad_id)
         drop_rng = rng.child("dropout", step).generator()
-        logits = model.forward_logits(
-            batch.src, batch.segs, batch.pad_mask, batch.tgt, train=True, rng=drop_rng
+        hidden = model.encode(batch.src, batch.segs, batch.pad_mask, train=True, rng=drop_rng)
+        states = model.decode_teacher_forced(hidden, batch.tgt, batch.pad_mask, train=True, rng=drop_rng)
+        loss = _reference_abs_loss(
+            states, params["encoder.tok_emb"], batch.tgt, batch.tgt_pad_mask, config.label_smoothing
         )
-        loss = abs_loss(logits, batch.tgt, batch.tgt_pad_mask, config.label_smoothing)
         grads = _reference_clipped_gradients(loss, params, config.grad_clip_norm, step)
         lr_enc = lr_schedule(step, config.base_lr_encoder, warmup_enc)
         lr_dec = lr_schedule(step, config.base_lr_decoder, warmup_dec)
@@ -813,7 +848,7 @@ def _reference_prefit_encoder(
         hidden = encoder.encode(
             masked_src, batch.segs, batch.pad_mask, train=True, rng=drop_rng
         )
-        loss = masked_token_loss(
+        loss = _reference_masked_token_loss(
             hidden, encoder.params["encoder.tok_emb"], recon_bias, batch.src, chosen
         )
 
@@ -915,6 +950,45 @@ class TestFitMatchesReference:
             for key in got:
                 assert got[key].dtype == want[key].dtype, key
                 assert np.array_equal(got[key], want[key]), key
+
+
+class TestFusedHeadMatchesComposedChain:
+    """One training step's loss and parameter gradients through the fused
+    vocabulary head equal, bit for bit and in layout, those through the
+    chain it replaced. On abs the token table gets three gradients (source
+    and target embeddings and the tied projection), whose sum depends on the
+    order they arrive in."""
+
+    @pytest.mark.parametrize("task, head, reference", [
+        ("abs", "abs_loss", _reference_abs_loss),
+        ("prefit", "masked_token_loss", _reference_masked_token_loss),
+    ])
+    def test_one_step(self, task, head, reference, monkeypatch):
+        examples = _varied_corpus(4, seed=1)
+        steps = []
+        monkeypatch.setattr(
+            train_module, "fit",
+            lambda model, params, examples, loss_fn, groups, config: steps.append((params, loss_fn)) or [],
+        )
+        if task == "abs":
+            train_abs(examples, build_model(_dropout_config(), "abs", seed=2), TrainConfig(), PAD)
+        else:
+            prefit_encoder(examples, build_model(_dropout_config(), "encoder", seed=2), TrainConfig(),
+                           mask_prob=0.3, mask_id=4, pad_id=PAD, special_ids=SPECIAL_IDS)
+        (params, loss_fn), = steps
+        results = []
+        for head_fn in (getattr(train_module, head), reference):
+            monkeypatch.setattr(train_module, head, head_fn)
+            for p in params.values():
+                p.grad = None
+            loss = loss_fn(examples, 1, SplitRng(5).child("dropout", 1).generator())
+            T.backward(loss)
+            results.append((loss.data, {name: p.grad for name, p in params.items()}))
+        (loss, grads), (want_loss, want) = results
+        assert loss.tobytes() == want_loss.tobytes()
+        for name, g in want.items():
+            assert grads[name].tobytes() == g.tobytes(), name
+            assert grads[name].strides == g.strides, name
 
 
 class TestFit:
