@@ -27,6 +27,7 @@ from .errors import ConfigError, EmptyCorpus, LengthMismatch, SumforgeError, Too
 from .infer import BeamConfig, ExtConfig, summarize_abs, summarize_ext
 from .ingest import (
     HIGHLIGHT_MARKER,
+    decode_utf8,
     ingest_corpus,
     parse_story,
     read_story_dir,
@@ -223,7 +224,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     vocab = load_vocab(args.vocab) if args.vocab else None
-    examples = read_shards(args.shards, args.task)
+    examples = read_shards(args.shards, args.task, vocab)
     if not examples:
         raise EmptyCorpus(f"no shards under {args.shards}")
 
@@ -342,7 +343,7 @@ def cmd_summarize(args: argparse.Namespace) -> int:
             f"vocab has {len(vocab)} tokens, model expects {model.config.vocab_size}"
         )
 
-    text = sys.stdin.read() if args.input == "-" else read_utf8(args.input)
+    text = decode_utf8(sys.stdin.buffer.read(), "<stdin>") if args.input == "-" else read_utf8(args.input)
     example = _example_from_text(text, vocab, model.config.max_positions)
 
     if args.task == "ext":
@@ -455,7 +456,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SumforgeError, OSError, ValueError) as exc:
+    except (SumforgeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # anything else is a bug, not a usage problem

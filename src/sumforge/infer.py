@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tensor as T
 from .errors import ConfigError, EmptyDocument, ModelKindMismatch
 from .model import AbstractiveModel, ExtractiveModel
 from .rouge import rouge_tokenize
-from .tensor import no_grad
 from .tokenization import TokenizedExample, Vocab, decode_ids
 
 
@@ -72,7 +72,7 @@ def select_sentences(scores, sentences, k: int) -> list[int]:
     return sorted(chosen)
 
 
-@no_grad()
+@T.no_grad()
 def summarize_ext(
     model: ExtractiveModel, example: TokenizedExample, config: ExtConfig
 ) -> list[str]:
@@ -111,7 +111,7 @@ def _top_k(flat: np.ndarray, k: int) -> np.ndarray:
     return cand[np.argsort(-flat[cand], kind="stable")[:k]]
 
 
-@no_grad()
+@T.no_grad()
 def beam_search(
     model: AbstractiveModel,
     example: TokenizedExample,
@@ -145,10 +145,7 @@ def beam_search(
     done: list[tuple[float, list[int]]] = []  # (norm score, ids), in arrival order
 
     for step in range(config.max_len):
-        logits = model.decode_step(cache, parents, tokens).data
-        shifted = logits - logits.max(axis=-1, keepdims=True)
-        logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-
+        logp = T.log_softmax(model.decode_step(cache, parents, tokens)).data
         cand = logp.astype(np.float64) + logprob[:, None]
         if step + 1 < config.min_len:  # every live row has generated `step` tokens
             cand[:, eos_id] = -np.inf

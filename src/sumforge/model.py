@@ -452,19 +452,6 @@ class AbstractiveModel(Encoder):
         cache.self_kv = self_kv
         return T.reshape(self._project(x), (len(tokens), self.config.vocab_size))
 
-    def forward_logits(
-        self,
-        src_ids: np.ndarray,
-        segment_ids: np.ndarray,
-        src_pad_mask: np.ndarray,
-        tgt_ids: np.ndarray,
-        train: bool = False,
-        rng: np.random.Generator | None = None,
-    ) -> Tensor:
-        """Next-token logits [B, T, vocab] from gold prefixes."""
-        hidden = self.encode(src_ids, segment_ids, src_pad_mask, train, rng)
-        return self.vocab_logits(self.decode_teacher_forced(hidden, tgt_ids, src_pad_mask, train, rng))
-
 
 _MODELS = {cls.kind: cls for cls in (Encoder, ExtractiveModel, AbstractiveModel)}
 
@@ -497,8 +484,7 @@ def ext_loss(logits: Tensor, labels: np.ndarray, sentence_mask: np.ndarray) -> T
     total = float(mask.sum())
     if total == 0:
         raise AllMasked("every sentence slot is masked; mean BCE undefined")
-    bce = T.bce_with_logits(logits, labels)
-    return T.tensor_sum(T.mul(bce, mask)) / total
+    return T.bce_with_logits(logits, labels, mask) / total
 
 
 def abs_loss(

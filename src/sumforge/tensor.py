@@ -220,24 +220,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         ga = _unbroadcast(g @ np.swapaxes(y, -1, -2), x.shape)
-        if y.ndim == 2 and x.ndim > 2:
-            gb = _shared_weight_grad(x, g)
-        else:
-            gb = _unbroadcast(np.swapaxes(x, -1, -2) @ g, y.shape)
-        return ga, gb
+        if y.ndim > 2 or x.ndim == 2:
+            return ga, _unbroadcast(np.swapaxes(x, -1, -2) @ g, y.shape)
+        # A 2-D weight shared across x's leading axes: the per-matrix
+        # products, summed in order without their [..., d, n] stack.
+        gb = _ItemGrad(y.shape, x.shape, np.result_type(x, g))
+        for i in np.ndindex(x.shape[:-2]):
+            gb.put(i, np.swapaxes(x[i], -1, -2) @ g[i])
+        return ga, gb.out
 
     return _make(data, (a, b), backward)
-
-
-def _shared_weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Gradient of a 2-D weight shared across x's leading axes: the sum of
-    the per-item products x[i]ᵀ @ g[i], added in order onto zeros, which is
-    what summing their [..., d, n] stack over the leading axes does, bit for
-    bit, without the stack."""
-    out = np.zeros((x.shape[-1], g.shape[-1]), np.result_type(x, g))
-    for i in np.ndindex(x.shape[:-2]):
-        out += np.swapaxes(x[i], -1, -2) @ g[i]
-    return out
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -269,25 +261,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         return tuple(np.split(g, np.cumsum(sizes)[:-1], axis=axis))
 
     return _make(data, tuple(tensors), backward)
-
-
-def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    data = a.data.sum(axis=axis, keepdims=keepdims)
-    shape = a.shape
-
-    def backward(g):
-        if axis is None:
-            return (np.broadcast_to(g, shape).copy(),)
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, shape).copy(),)
-
-    return _make(data, (a,), backward)
-
-
-def tensor_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    count = a.data.size if axis is None else a.shape[axis]
-    return mul(tensor_sum(a, axis=axis, keepdims=keepdims), 1.0 / count)
 
 
 # --- nonlinearities ---
@@ -325,21 +298,23 @@ def gelu(a: Tensor) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def bce_with_logits(z: Tensor, labels: np.ndarray) -> Tensor:
-    """Elementwise binary cross-entropy of logits z against labels y,
-    max(z, 0) - z*y + log1p(exp(-|z|)): finite for every finite z, and the
-    gradient sigmoid(z) - y never vanishes on a saturated wrong logit."""
+def bce_with_logits(z: Tensor, labels: np.ndarray, weights: np.ndarray) -> Tensor:
+    """Σ weights · bce of logits z against labels y, where the elementwise
+    bce is max(z, 0) - z*y + log1p(exp(-|z|)): finite for every finite z,
+    and the gradient sigmoid(z) - y never vanishes on a saturated wrong
+    logit. The weights take no gradient."""
     x = z.data
     y = np.asarray(labels, dtype=x.dtype)
-    if y.shape != x.shape:
-        raise ShapeMismatch(f"bce_with_logits: logits {z.shape} vs labels {y.shape}")
+    weights = np.asarray(weights, dtype=x.dtype)
+    if y.shape != x.shape or weights.shape != x.shape:
+        raise ShapeMismatch(f"bce_with_logits: logits {z.shape}, labels {y.shape}, weights {weights.shape}")
     e = np.exp(-np.abs(x))
-    data = np.maximum(x, 0) - x * y + np.log1p(e)
+    data = ((np.maximum(x, 0) - x * y + np.log1p(e)) * weights).sum()
 
     def backward(g):
         # sigmoid(x) from e = exp(-|x|), which never overflows.
         s = np.where(x >= 0, 1.0, e) / (1.0 + e)
-        return (g * (s - y),)
+        return ((g * weights) * (s - y),)
 
     return _make(data, (z,), backward)
 
@@ -382,14 +357,18 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _make(out, (a,), lambda g: (_softmax_backward(g, out, axis),))
 
 
-def _log_softmax_forward(x: np.ndarray, axis: int) -> np.ndarray:
-    """x - max - log(sum(exp(x - max))) along axis, in one fresh array."""
-    out = np.subtract(x, x.max(axis=axis, keepdims=True))
+def _log_softmax_forward(
+    x: np.ndarray, axis: int, out: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """x - max - log(sum(exp(x - max))) along axis, and that max and
+    log-sum-exp, keepdims; `out` may be x itself."""
+    top = x.max(axis=axis, keepdims=True)
+    out = np.subtract(x, top, out=out)
     # The exp sums are taken over blocks of at most an eighth of the leading
     # axis (all at once when axis is the leading one), so exp() never makes
     # a second output-sized array; each sum along axis is reduced alone
     # either way, so the bits are the same.
-    lse = np.empty(out.shape[:axis] + (1,) + out.shape[axis + 1 :], out.dtype)
+    lse = np.empty(top.shape, out.dtype)
     n = out.shape[0]
     step = max(math.ceil(n / 8) if axis else n, 1)
     for start in range(0, n, step):
@@ -397,12 +376,12 @@ def _log_softmax_forward(x: np.ndarray, axis: int) -> np.ndarray:
         np.sum(np.exp(out[block]), axis=axis, keepdims=True, out=lse[block])
     np.log(lse, out=lse)
     out -= lse
-    return out
+    return out, top, lse
 
 
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     axis = _check_axis(a, axis)
-    out = _log_softmax_forward(a.data, axis)
+    out, _, _ = _log_softmax_forward(a.data, axis)
 
     def backward(g):
         # g - exp(out) * g.sum(axis), in one buffer
@@ -439,7 +418,7 @@ def projected_cross_entropy(
     and for a [B, n, d] h no array is larger than one item's [n, V]. Each
     product is one that matmul makes for the whole array (numpy's stacked
     matmul makes one per item), and the table's gradient is summed over
-    items in order, as `_shared_weight_grad` sums it. So values and
+    items in order, as matmul sums a shared weight's. So values and
     gradients are bitwise those of matmul (+ add) → narrow → label-smoothed
     cross-entropy, whatever bits BLAS would give a block of rows or columns.
     """
@@ -472,16 +451,11 @@ def projected_cross_entropy(
             z += b
         return z
 
-    top, lse, per_pos, lp_sums = (np.empty(targets.shape, dtype) for _ in range(4))
+    top, lse = (np.empty(targets.shape + (1,), dtype) for _ in range(2))
+    per_pos, lp_sums = (np.empty(targets.shape, dtype) for _ in range(2))
     for i in items:
         lp = logits(i)[:m]
-        # _log_softmax_forward's arithmetic, in place.
-        top[i] = lp.max(axis=-1)
-        lp -= top[i][:, None]
-        for r in range(0, m, step):
-            np.sum(np.exp(lp[r : r + step]), axis=-1, out=lse[i][r : r + step])
-        np.log(lse[i], out=lse[i])
-        lp -= lse[i][:, None]
+        lp, top[i], lse[i] = _log_softmax_forward(lp, 1, out=lp)
         per_pos[i] = -lp[np.arange(m), targets[i]]
         if smoothing > 0.0:
             np.sum(lp, axis=-1, out=lp_sums[i])
@@ -507,8 +481,8 @@ def projected_cross_entropy(
             for r in range(0, m, step):
                 rows = slice(r, min(r + step, m))
                 lp, gb = z[rows], gz[: rows.stop - r]
-                lp -= top[i][rows, None]
-                lp -= lse[i][rows, None]
+                lp -= top[i][rows]
+                lp -= lse[i][rows]
                 gb.fill(0)
                 gb[np.arange(len(gb)), targets[i][rows]] = gold_g[i][rows]
                 if smoothing > 0.0:
@@ -523,13 +497,13 @@ def projected_cross_entropy(
         w = np.swapaxes(wt, -1, -2)
         dh = np.empty(x.shape, np.result_type(dtype, w))
         if x.ndim > 2:
-            dwt = np.zeros(wt.shape, np.result_type(x, dtype))
+            dwt = _ItemGrad(wt.shape, x.shape, np.result_type(x, dtype))
             for i in items:
                 z = item_grad(i)
                 np.matmul(z, w, out=dh[i])
-                dwt += np.swapaxes(x[i], -1, -2) @ z
+                dwt.put(i, np.swapaxes(x[i], -1, -2) @ z)
                 del z  # before the next item's logits
-            return dh, dwt, None
+            return dh, dwt.out, None
         z = item_grad(Ellipsis)
         np.matmul(z, w, out=dh)
         return dh, np.swapaxes(x, -1, -2) @ z, None if b is None else z.sum(axis=0)
@@ -792,9 +766,10 @@ def attention(
 
 class _ItemGrad:
     """The gradient of an op's operand of `shape`, filled one item of
-    `_items(like)` at a time. An operand that broadcasts along the leading
-    axis has its items' gradients added in order onto zeros, which is what
-    numpy's sum over that axis does, bit for bit."""
+    `_items(like)` (or one matrix of a `like` array) at a time. An operand
+    that broadcasts along the leading axes has its items' gradients added
+    in order onto zeros, which is what numpy's sum over those axes does,
+    bit for bit."""
 
     __slots__ = ("out", "shared", "ndim")
 

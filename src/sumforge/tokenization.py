@@ -379,9 +379,9 @@ _SHARD_RE = re.compile(r"^shard_(\d+)\.jsonl$")
 _SHARD_KEYS = ("src", "segs", "clss", "labels", "tgt", "src_txt", "tgt_txt")
 
 
-def _record_fault(record: dict, task: str | None = None) -> str | None:
-    """Why a shard record with every key cannot be an example (for `task`,
-    if given), or None."""
+def _record_fault(record: dict, task: str | None = None, vocab: Vocab | None = None) -> str | None:
+    """Why a shard record with every key cannot be an example (for `task`
+    and over `vocab`, if given), or None."""
     for key in _SHARD_KEYS:
         value, item_type = record[key], str if key.endswith("_txt") else int
         # type() is, not isinstance: a JSON true is a bool, which is an int.
@@ -396,8 +396,16 @@ def _record_fault(record: dict, task: str | None = None) -> str | None:
         return "segs must be 0 or 1"
     if not set(record["labels"]) <= {0, 1}:
         return "labels must be 0 or 1"
-    if clss and (clss[0] < 0 or clss[-1] >= len(src) or any(b <= a for a, b in zip(clss, clss[1:]))):
+    if not clss:
+        return "clss must not be empty"
+    if clss[0] < 0 or clss[-1] >= len(src) or any(b <= a for a, b in zip(clss, clss[1:])):
         return "clss must be strictly increasing positions inside src"
+    if vocab is not None:
+        for key in ("src", "tgt"):
+            if record[key] and not 0 <= min(record[key]) <= max(record[key]) < len(vocab):
+                return f"{key} ids must be in [0, {len(vocab)}), the vocabulary's ids"
+        if any(src[c] != vocab.cls_id for c in clss):
+            return "clss must point at [CLS] tokens in src"
     if task == "abs" and len(record["tgt"]) < 2:
         return "tgt must hold at least 2 ids to train abs"
     return None
@@ -436,10 +444,12 @@ def write_shards(
     return shard_count
 
 
-def read_shards(shard_dir: Path | str, task: str | None = None) -> list[TokenizedExample]:
+def read_shards(
+    shard_dir: Path | str, task: str | None = None, vocab: Vocab | None = None
+) -> list[TokenizedExample]:
     """Read back every shard in numeric order; exact inverse of write_shards.
-    A record that cannot be an example, for `task` if given, raises
-    CorruptShard naming its file and line."""
+    A record that cannot be an example, for `task` and over `vocab` if
+    given, raises CorruptShard naming its file and line."""
     shard_dir = Path(shard_dir)
     paths = []
     for path in shard_dir.iterdir():
@@ -460,7 +470,7 @@ def read_shards(shard_dir: Path | str, task: str | None = None) -> list[Tokenize
             if not all(k in record for k in _SHARD_KEYS):
                 missing = [k for k in _SHARD_KEYS if k not in record]
                 raise CorruptShard(str(path), line_no, f"missing keys {missing}")
-            fault = _record_fault(record, task)
+            fault = _record_fault(record, task, vocab)
             if fault:
                 raise CorruptShard(str(path), line_no, fault)
             examples.append(

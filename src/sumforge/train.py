@@ -432,26 +432,3 @@ def prefit_encoder(
     warmup, _ = config.resolved_warmups()
     params = {**encoder.params, "recon.b": recon_bias}
     return fit(encoder, params, examples, loss_fn, [("", config.base_lr_encoder, warmup)], config)
-
-
-@T.no_grad()
-def teacher_forced_accuracy(
-    model: AbstractiveModel,
-    examples: Sequence[TokenizedExample],
-    pad_id: int,
-    batch_size: int = 8,
-) -> float:
-    """Fraction of non-pad target tokens predicted by argmax of the logits."""
-    hits = 0
-    total = 0
-    for lo in range(0, len(examples), batch_size):
-        batch = make_abs_batch(examples[lo : lo + batch_size], pad_id)
-        logits = model.forward_logits(
-            batch.src, batch.segs, batch.pad_mask, batch.tgt, train=False
-        )
-        pred = logits.data[:, :-1, :].argmax(axis=-1)
-        gold = batch.tgt[:, 1:]
-        real = ~batch.tgt_pad_mask[:, 1:]
-        hits += int((pred[real] == gold[real]).sum())
-        total += int(real.sum())
-    return hits / total if total else 0.0

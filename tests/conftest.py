@@ -1,4 +1,6 @@
-"""Shared fixtures: tiny vocabularies, synthetic documents, and small models."""
+"""Shared fixtures: tiny vocabularies, synthetic documents, and small models;
+and the references that only tests read: summing ops and teacher-forced
+logits and accuracy."""
 
 from __future__ import annotations
 
@@ -7,9 +9,12 @@ import types
 import numpy as np
 import pytest
 
+from sumforge import tensor as T
 from sumforge.ingest import StoryDoc
-from sumforge.model import ModelConfig
+from sumforge.model import AbstractiveModel, ModelConfig
+from sumforge.tensor import Tensor
 from sumforge.tokenization import TokenizedExample, Vocab
+from sumforge.train import make_abs_batch
 
 SPECIALS = ["[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]", "[unused0]", "[unused1]"]
 
@@ -96,3 +101,57 @@ def synthetic_example(
         src_txt=sentences,
         tgt_txt=["ref summary"],
     )
+
+
+# --- references: reductions, and teacher-forced logits and accuracy ---
+
+def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+    data = a.data.sum(axis=axis, keepdims=keepdims)
+    shape = a.shape
+
+    def backward(g):
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        return (np.broadcast_to(g, shape).copy(),)
+
+    return T._make(data, (a,), backward)
+
+
+def tensor_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+    count = a.data.size if axis is None else a.shape[axis]
+    return T.mul(tensor_sum(a, axis=axis, keepdims=keepdims), 1.0 / count)
+
+
+def forward_logits(
+    model: AbstractiveModel,
+    src_ids: np.ndarray,
+    segment_ids: np.ndarray,
+    src_pad_mask: np.ndarray,
+    tgt_ids: np.ndarray,
+    train: bool = False,
+    rng: np.random.Generator | None = None,
+) -> Tensor:
+    """Next-token logits [B, T, vocab] from gold prefixes."""
+    hidden = model.encode(src_ids, segment_ids, src_pad_mask, train, rng)
+    return model.vocab_logits(model.decode_teacher_forced(hidden, tgt_ids, src_pad_mask, train, rng))
+
+
+@T.no_grad()
+def teacher_forced_accuracy(
+    model: AbstractiveModel,
+    examples: list[TokenizedExample],
+    pad_id: int,
+    batch_size: int = 8,
+) -> float:
+    """Fraction of non-pad target tokens predicted by argmax of the logits."""
+    hits = 0
+    total = 0
+    for lo in range(0, len(examples), batch_size):
+        batch = make_abs_batch(examples[lo : lo + batch_size], pad_id)
+        logits = forward_logits(model, batch.src, batch.segs, batch.pad_mask, batch.tgt)
+        pred = logits.data[:, :-1, :].argmax(axis=-1)
+        gold = batch.tgt[:, 1:]
+        real = ~batch.tgt_pad_mask[:, 1:]
+        hits += int((pred[real] == gold[real]).sum())
+        total += int(real.sum())
+    return hits / total if total else 0.0

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import SPECIALS, make_vocab, synthetic_example
+from conftest import SPECIALS, make_vocab, synthetic_example, teacher_forced_accuracy
 from sumforge.cli import main
 from sumforge.infer import BeamConfig, ExtConfig, beam_search, select_sentences, summarize_abs, summarize_ext
 from sumforge.ingest import StoryDoc, parse_story, transcode, write_story
@@ -48,7 +48,6 @@ from sumforge.train import (
     TrainConfig,
     make_ext_batch,
     prefit_encoder,
-    teacher_forced_accuracy,
     train_abs,
     train_ext,
 )

@@ -702,8 +702,13 @@ class TestTrain:
         ({"tgt": [5]}, "tgt must hold at least 2 ids", ("abs",)),
         ({"tgt": []}, "tgt must hold at least 2 ids", ("abs",)),
         ({"segs": [7, 7, 7, 7]}, "segs must be 0 or 1", ("ext", "abs", "prefit")),
+        ({"clss": [1]}, "clss must point at [CLS] tokens in src", ("ext", "abs", "prefit")),
+        ({"clss": [], "labels": []}, "clss must not be empty", ("ext", "abs", "prefit")),
+        ({"src": [2, 7, _VOCAB_SIZE, 3]}, f"src ids must be in [0, {_VOCAB_SIZE})", ("ext", "abs", "prefit")),
+        ({"tgt": [5, _VOCAB_SIZE, 8, 6]}, f"tgt ids must be in [0, {_VOCAB_SIZE})", ("ext", "abs", "prefit")),
     ], ids=["labels_5", "clss_decreasing", "clss_past_src", "clss_negative", "tgt_1_id",
-            "tgt_empty", "segs_7"])
+            "tgt_empty", "segs_7", "clss_not_cls", "clss_empty", "src_id_past_vocab",
+            "tgt_id_past_vocab"])
     @pytest.mark.parametrize("task", ["ext", "abs", "prefit"])
     def test_record_outside_the_contract_exits_2(self, tmp_path, capsys, task, change, reason, tasks):
         vocab = _write_vocab(tmp_path / "vocab.txt")
@@ -736,7 +741,9 @@ class TestTrain:
         code = main(["train", "--task", "prefit", "--shards", str(shards),
                      "--out", str(out), "--config", str(config), "--vocab", str(vocab)])
         assert code == 2
-        assert f"target ids must be integers in [0, {_VOCAB_SIZE})" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"corrupt shard line 1 in {shards / 'shard_0.jsonl'}" in err
+        assert f"src ids must be in [0, {_VOCAB_SIZE})" in err
         assert not list(out.glob("*.ckpt"))
 
     def test_seed_flag_beats_config_value(self, tmp_path, capsys):
@@ -829,7 +836,7 @@ class TestSummarize:
     def test_stdin_input(self, tmp_path, capsys, monkeypatch):
         vocab = _write_vocab(tmp_path / "vocab.txt")
         ckpt = _save_model(tmp_path / "ext.ckpt", "ext")
-        monkeypatch.setattr(sys, "stdin", io.StringIO("the cat sat . a dog ran ."))
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"the cat sat . a dog ran .")))
         assert main(["summarize", "--task", "ext", "--checkpoint", str(ckpt),
                      "--vocab", str(vocab), "--input", "-", "--k", "1"]) == 0
         assert capsys.readouterr().out.strip() in ("the cat sat .", "a dog ran .")
@@ -1193,6 +1200,19 @@ class TestExitCodeContract:
         assert code == 1
         assert "internal error: RuntimeError" in capsys.readouterr().err
 
+    def test_bare_value_error_is_a_bug_and_returns_1(self, tmp_path, capsys, monkeypatch):
+        # Every input fault is a named SumforgeError; a numpy ValueError
+        # that escapes a subcommand is a bug, not a usage problem.
+        def boom(*args, **kwargs):
+            raise ValueError("operands could not be broadcast together")
+
+        monkeypatch.setattr(cli, "evaluate_corpus", boom)
+        pred = _write_jsonl(tmp_path / "p.jsonl", [{"id": "a", "text": "x"}])
+        code = main(["evaluate", "--predictions", str(pred),
+                     "--references", str(pred)])
+        assert code == 1
+        assert "internal error: ValueError" in capsys.readouterr().err
+
     def test_diagnostics_go_to_stderr_not_stdout(self, tmp_path, capsys):
         code = main(["convert", "--input", str(tmp_path / "missing"),
                      "--encoding", "utf-8", "--out", str(tmp_path / "o")])
@@ -1257,6 +1277,14 @@ class TestInvalidUtf8:
         code = main(["summarize", "--task", "ext", "--checkpoint", str(ckpt),
                      "--vocab", str(vocab), "--input", str(story)])
         self._assert_named(capsys, code, story, 1)
+
+    def test_summarize_stdin(self, tmp_path, capsys, monkeypatch):
+        vocab = _write_vocab(tmp_path / "vocab.txt")
+        ckpt = _save_model(tmp_path / "ext.ckpt", "ext")
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"the cat .\n" + self.BAD)))
+        code = main(["summarize", "--task", "ext", "--checkpoint", str(ckpt),
+                     "--vocab", str(vocab), "--input", "-"])
+        self._assert_named(capsys, code, "<stdin>", 2)
 
     def test_summarize_vocab(self, tmp_path, capsys):
         vocab = self._spoil(_write_vocab(tmp_path / "vocab.txt"), 3)

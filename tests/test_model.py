@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import synthetic_example, tiny_config as _tiny_config_fixture  # noqa: F401 (fixture reexport)
+from conftest import forward_logits, synthetic_example, tensor_sum, tiny_config as _tiny_config_fixture  # noqa: F401 (fixture reexport)
 from sumforge import tensor as T
 from sumforge.errors import (
     AllMasked,
@@ -250,17 +250,17 @@ class TestDecodeTeacherForced:
         model = build_model(tiny_config, "abs", seed=3)
         src, segs, pad = _inputs(tiny_config)
         tgt = np.array([[5, 7, 9, 6], [5, 8, 10, 6]])
-        logits = model.forward_logits(src, segs, pad, tgt)
+        logits = forward_logits(model, src, segs, pad, tgt)
         assert logits.shape == (2, 4, 50)
 
     def test_causal_mask(self, tiny_config):
         model = build_model(tiny_config, "abs", seed=3, dtype=np.float64)
         src, segs, pad = _inputs(tiny_config, batch=1)
         tgt = np.array([[5, 7, 9, 11, 6]])
-        base = model.forward_logits(src, segs, pad, tgt).data.copy()
+        base = forward_logits(model, src, segs, pad, tgt).data.copy()
         tgt2 = tgt.copy()
         tgt2[0, 3] = 20  # perturb position 3; logits at 0..2 must not move
-        perturbed = model.forward_logits(src, segs, pad, tgt2).data
+        perturbed = forward_logits(model, src, segs, pad, tgt2).data
         assert np.max(np.abs(perturbed[0, :3] - base[0, :3])) < 1e-6
         assert not np.allclose(perturbed[0, 3], base[0, 3])
 
@@ -269,18 +269,18 @@ class TestDecodeTeacherForced:
         src, segs, pad = _inputs(tiny_config)
         tgt = np.zeros((2, tiny_config.max_positions + 1), dtype=int)
         with pytest.raises(PositionOverflow):
-            model.forward_logits(src, segs, pad, tgt)
+            forward_logits(model, src, segs, pad, tgt)
 
     def test_output_projection_tied_to_embeddings(self, tiny_config):
         model = build_model(tiny_config, "abs", seed=3, dtype=np.float64)
         assert not any("proj" in k or "output" in k for k in model.params)
         src, segs, pad = _inputs(tiny_config, batch=1)
         tgt = np.array([[5, 7, 6]])
-        base = model.forward_logits(src, segs, pad, tgt).data.copy()
+        base = forward_logits(model, src, segs, pad, tgt).data.copy()
         # A whole-row constant shift would be annihilated by the zero-mean
         # layer-norm output, so poke a single embedding component.
         model.params["encoder.tok_emb"].data[30, 2] += 0.5
-        moved = model.forward_logits(src, segs, pad, tgt).data
+        moved = forward_logits(model, src, segs, pad, tgt).data
         # Token 30 never appears in the inputs, so only the tied projection
         # column can carry the perturbation into the logits.
         assert not np.allclose(moved[..., 30], base[..., 30])
@@ -290,10 +290,10 @@ class TestDecodeTeacherForced:
         src, segs, pad = _inputs(tiny_config, batch=1, length=8)
         pad[0, 6:] = True
         tgt = np.array([[5, 7, 9, 6]])
-        base = model.forward_logits(src, segs, pad, tgt).data.copy()
+        base = forward_logits(model, src, segs, pad, tgt).data.copy()
         src2 = src.copy()
         src2[0, 7] = (src2[0, 7] + 3) % tiny_config.vocab_size
-        moved = model.forward_logits(src2, segs, pad, tgt).data
+        moved = forward_logits(model, src2, segs, pad, tgt).data
         assert np.max(np.abs(moved - base)) < 1e-6
 
 
@@ -405,7 +405,49 @@ def _clipped_sigmoid_bce(z: np.ndarray, y: np.ndarray, mask: np.ndarray) -> floa
     return float((bce * mask).sum() / mask.sum())
 
 
+def _elementwise_bce(z: Tensor, labels: np.ndarray) -> Tensor:
+    """bce_with_logits before it took the weights: one loss per logit."""
+    x = z.data
+    y = np.asarray(labels, dtype=x.dtype)
+    e = np.exp(-np.abs(x))
+    data = np.maximum(x, 0) - x * y + np.log1p(e)
+
+    def backward(g):
+        s = np.where(x >= 0, 1.0, e) / (1.0 + e)
+        return (g * (s - y),)
+
+    return T._make(data, (z,), backward)
+
+
+def _composed_ext_loss(logits: Tensor, labels: np.ndarray, sentence_mask: np.ndarray) -> Tensor:
+    """ext_loss as it was composed before bce_with_logits took the mask."""
+    mask = np.asarray(sentence_mask, dtype=logits.dtype)
+    return tensor_sum(T.mul(_elementwise_bce(logits, labels), mask)) / float(mask.sum())
+
+
 class TestExtLossFromLogits:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bits_equal_the_composed_chain(self, dtype):
+        rng = np.random.default_rng(23)
+        z = (rng.standard_normal((4, 7)) * 6).astype(dtype)
+        labels = (rng.random((4, 7)) < 0.4).astype(float)
+        mask = (rng.random((4, 7)) < 0.7).astype(float)
+        # Saturated logits, wrong then right, in live slots; junk logits
+        # and labels in masked ones.
+        z[0, :4], labels[0, :4], mask[0, :4] = [1e4, -1e4, 1e4, -1e4], [0, 1, 1, 0], 1.0
+        z[3, 5:], labels[3, 5:], mask[3, 5:] = [1e4, -3.0], [0.0, 1.0], 0.0
+        results = []
+        for loss_fn in (_composed_ext_loss, ext_loss):
+            logits = Tensor(z.copy(), requires_grad=True)
+            loss = loss_fn(logits, labels, mask)
+            T.backward(loss)
+            results.append((loss.data, logits.grad))
+        (ref_loss, ref_grad), (loss, grad) = results
+        for name, a, b in (("loss", loss, ref_loss), ("grad", grad, ref_grad)):
+            assert a.dtype == b.dtype == dtype and a.shape == b.shape, name
+            unsigned = f"u{a.dtype.itemsize}"
+            assert np.array_equal(a.view(unsigned), b.view(unsigned)), name
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("z, y", [(-30.0, 1.0), (30.0, 0.0), (-1e4, 1.0), (1e4, 0.0)])
     def test_saturated_wrong_logit_gets_gradient(self, dtype, z, y):
@@ -543,7 +585,7 @@ class TestCheckpoint:
         if model.kind == "ext":
             return model.forward_scores(src, segs, pad, np.array([[0, 3]] * 2)).data
         tgt = np.array([[5, 7, 9, 6]] * 2)
-        return model.forward_logits(src, segs, pad, tgt).data
+        return forward_logits(model, src, segs, pad, tgt).data
 
     @pytest.mark.parametrize("task", ["ext", "abs"])
     def test_round_trip_bit_exact(self, tiny_config, task, tmp_path):

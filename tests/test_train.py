@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import closure_arrays, synthetic_example
+from conftest import closure_arrays, forward_logits, synthetic_example, teacher_forced_accuracy, tensor_sum
 from test_tensor import composed_head_loss
 from sumforge import tensor as T
 from sumforge import train as train_module
@@ -50,7 +50,6 @@ from sumforge.train import (
     make_ext_batch,
     masked_token_loss,
     prefit_encoder,
-    teacher_forced_accuracy,
     train_abs,
     train_ext,
     write_trace,
@@ -505,7 +504,7 @@ def _dense_masked_token_loss(hidden, tok_emb, bias, targets, chosen):
     lp = T.log_softmax(logits, axis=-1)
     nll = T.neg(T.take_along_last(lp, targets))
     weights = chosen.astype(nll.dtype)
-    return T.tensor_sum(T.mul(nll, weights)) / float(weights.sum())
+    return tensor_sum(T.mul(nll, weights)) / float(weights.sum())
 
 
 class TestMaskedTokenLoss:
@@ -555,8 +554,8 @@ class TestTeacherForcedAccuracy:
         hits = total = 0
         for ex in examples:
             batch = make_abs_batch([ex], PAD)
-            logits = model.forward_logits(
-                batch.src, batch.segs, batch.pad_mask, batch.tgt
+            logits = forward_logits(
+                model, batch.src, batch.segs, batch.pad_mask, batch.tgt
             ).data
             pred = logits[0, :-1].argmax(axis=-1)
             gold = np.asarray(ex.tgt_ids[1:])
@@ -572,9 +571,9 @@ class TestTeacherForcedAccuracy:
     def test_records_no_graph(self, monkeypatch):
         model = build_model(_tiny(), "abs", seed=5)
         outputs = []
-        forward = model.forward_logits
+        project = model.vocab_logits
         monkeypatch.setattr(
-            model, "forward_logits", lambda *a, **k: outputs.append(forward(*a, **k)) or outputs[-1]
+            model, "vocab_logits", lambda *a, **k: outputs.append(project(*a, **k)) or outputs[-1]
         )
         teacher_forced_accuracy(model, _corpus(4), PAD, batch_size=2)
         assert len(outputs) == 2 and not any(o.requires_grad for o in outputs)
