@@ -5,12 +5,16 @@ batched matmul, softmax/layer-norm/gelu, embedding and gather ops, dropout,
 a logit binary cross-entropy, a projected label-smoothed vocabulary
 cross-entropy, and a finite-difference oracle to check all of it. Data lives in numpy
 arrays; float32 is the training dtype, float64 the verification dtype.
+Each public differentiable op is registered in `OPS` by the `op`
+decorator, and `op_hook` routes op calls and backward closures through a
+caller's function, for profiles and memory probes.
 """
 
 from __future__ import annotations
 
 import contextlib
 import contextvars
+import functools
 import hashlib
 import math
 from typing import Callable, Iterator, Sequence
@@ -129,6 +133,40 @@ def no_grad() -> Iterator[None]:
         _grad_enabled.reset(token)
 
 
+OPS: dict[str, Callable] = {}  # every public differentiable op, by name
+_op_hook: contextvars.ContextVar[Callable | None] = contextvars.ContextVar("op_hook", default=None)
+
+
+def op(fn: Callable) -> Callable:
+    """Register `fn` in OPS as a public differentiable op, and route its
+    calls through the op hook while one is set (see `op_hook`)."""
+    name = fn.__name__
+
+    @functools.wraps(fn)
+    def call(*args, **kwargs):
+        hook = _op_hook.get()
+        if hook is None:
+            return fn(*args, **kwargs)
+        return hook(name, "forward", fn, *args, **kwargs)
+
+    OPS[name] = call
+    return call
+
+
+@contextlib.contextmanager
+def op_hook(hook: Callable) -> Iterator[None]:
+    """Run every op call inside as `hook(name, "forward", fn, *args,
+    **kwargs)` and every backward closure as `hook(name, "backward",
+    closure, g)`; the hook returns what the call returns. Nests, and
+    restores the outer hook on exit, exceptions included. Unset, an op
+    call costs one context-variable read."""
+    token = _op_hook.set(hook)
+    try:
+        yield
+    finally:
+        _op_hook.reset(token)
+
+
 class _Node:
     """Graph vertex of a recorded op output. It holds no data: only the
     parents' vertices (None for a parent that needs no gradient), the
@@ -181,6 +219,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 # --- arithmetic ---
 
+@op
 def add(a: Tensor, b) -> Tensor:
     b = _as_tensor(b, a.dtype)
     try:
@@ -191,6 +230,7 @@ def add(a: Tensor, b) -> Tensor:
     return _make(data, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
 
 
+@op
 def mul(a: Tensor, b) -> Tensor:
     b = _as_tensor(b, a.dtype)
     try:
@@ -201,10 +241,12 @@ def mul(a: Tensor, b) -> Tensor:
     return _make(data, (a, b), lambda g: (_unbroadcast(g * y, x.shape), _unbroadcast(g * x, y.shape)))
 
 
+@op
 def neg(a: Tensor) -> Tensor:
     return _make(-a.data, (a,), lambda g: (-g,))
 
 
+@op
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product, batched over broadcast leading axes."""
     if a.data.ndim < 2 or b.data.ndim < 2:
@@ -232,6 +274,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, (a, b), backward)
 
 
+@op
 def transpose(a: Tensor) -> Tensor:
     """Swap the last two axes."""
     if a.data.ndim < 2:
@@ -239,6 +282,7 @@ def transpose(a: Tensor) -> Tensor:
     return _make(np.swapaxes(a.data, -1, -2), (a,), lambda g: (np.swapaxes(g, -1, -2),))
 
 
+@op
 def permute(a: Tensor, axes: Sequence[int]) -> Tensor:
     axes = tuple(axes)
     if sorted(axes) != list(range(a.data.ndim)):
@@ -247,12 +291,14 @@ def permute(a: Tensor, axes: Sequence[int]) -> Tensor:
     return _make(a.data.transpose(axes), (a,), lambda g: (g.transpose(inverse),))
 
 
+@op
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(shape)
     old = a.shape
     return _make(a.data.reshape(shape), (a,), lambda g: (g.reshape(old),))
 
 
+@op
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     sizes = [t.shape[axis] for t in tensors]
     data = np.concatenate([t.data for t in tensors], axis=axis)
@@ -269,6 +315,7 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 
 
+@op
 def gelu(a: Tensor) -> Tensor:
     """Tanh-approximation gelu, the variant most transformer stacks use."""
     x = a.data
@@ -298,6 +345,7 @@ def gelu(a: Tensor) -> Tensor:
     return _make(data, (a,), backward)
 
 
+@op
 def bce_with_logits(z: Tensor, labels: np.ndarray, weights: np.ndarray) -> Tensor:
     """Σ weights · bce of logits z against labels y, where the elementwise
     bce is max(z, 0) - z*y + log1p(exp(-|z|)): finite for every finite z,
@@ -350,11 +398,21 @@ def _softmax_backward_into(g: np.ndarray, out: np.ndarray) -> None:
     g *= out
 
 
+@op
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """exp(x - max) normalized along axis; max subtraction guards overflow."""
     axis = _check_axis(a, axis)
     out = _softmax_forward(a.data, axis)
     return _make(out, (a,), lambda g: (_softmax_backward(g, out, axis),))
+
+
+def _row_block(n: int, rows: int = 1) -> int:
+    """How many of n leading indices, of `rows` rows each, a kernel takes
+    per block when it walks them in blocks to bound its temporaries: an
+    eighth of them, but at least 8 rows, so that a few rows (the beam's live
+    hypotheses) are one call. Each row is reduced alone either way, so the
+    block size changes no bits."""
+    return max(math.ceil(n / 8), math.ceil(8 / max(rows, 1)))
 
 
 def _log_softmax_forward(
@@ -364,13 +422,13 @@ def _log_softmax_forward(
     log-sum-exp, keepdims; `out` may be x itself."""
     top = x.max(axis=axis, keepdims=True)
     out = np.subtract(x, top, out=out)
-    # The exp sums are taken over blocks of at most an eighth of the leading
-    # axis (all at once when axis is the leading one), so exp() never makes
-    # a second output-sized array; each sum along axis is reduced alone
-    # either way, so the bits are the same.
+    # The exp sums are taken over `_row_block`s of the leading axis (all at
+    # once when axis is the leading one), so exp() never makes a second
+    # output-sized array; each sum along axis is reduced alone either way,
+    # so the bits are the same.
     lse = np.empty(top.shape, out.dtype)
     n = out.shape[0]
-    step = max(math.ceil(n / 8) if axis else n, 1)
+    step = _row_block(n, math.prod(top.shape[1:])) if axis else max(n, 1)
     for start in range(0, n, step):
         block = slice(start, start + step)
         np.sum(np.exp(out[block]), axis=axis, keepdims=True, out=lse[block])
@@ -379,6 +437,7 @@ def _log_softmax_forward(
     return out, top, lse
 
 
+@op
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     axis = _check_axis(a, axis)
     out, _, _ = _log_softmax_forward(a.data, axis)
@@ -393,6 +452,7 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _make(out, (a,), backward)
 
 
+@op
 def projected_cross_entropy(
     h: Tensor,
     table_t: Tensor,
@@ -412,8 +472,8 @@ def projected_cross_entropy(
 
     The logits are made one item at a time (`_items`): forward keeps only
     each scored row's max and log-sum-exp, and backward recomputes the
-    item's logits and rewrites them, an eighth of its scored rows at a
-    time, into their gradient, as Cut Cross-Entropy does (Wijmans et al.
+    item's logits and rewrites them, a `_row_block` of its scored rows at
+    a time, into their gradient, as Cut Cross-Entropy does (Wijmans et al.
     2024). So no logits or log-probabilities live from forward to backward,
     and for a [B, n, d] h no array is larger than one item's [n, V]. Each
     product is one that matmul makes for the whole array (numpy's stacked
@@ -443,7 +503,7 @@ def projected_cross_entropy(
     if not 0.0 <= smoothing < 1.0:
         raise ConfigError(f"smoothing must be in [0, 1), got {smoothing}")
     items, _ = _items(x.shape)
-    step = max(math.ceil(m / 8), 1)
+    step = _row_block(m)
 
     def logits(i) -> np.ndarray:
         z = x[i] @ wt
@@ -512,6 +572,7 @@ def projected_cross_entropy(
     return _make(data, parents, backward)
 
 
+@op
 def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tensor:
     """Normalize the last axis to mean 0 / variance 1, then affine."""
     h = a.shape[-1]
@@ -622,6 +683,7 @@ def _check_dropout_p(p: float) -> None:
         raise ConfigError(f"dropout p must be in [0, 1), got {p}")
 
 
+@op
 def dropout(a: Tensor, p: float, train: bool, rng: np.random.Generator | None = None) -> Tensor:
     """Inverted dropout: zero with probability p and scale by 1/(1-p)."""
     _check_dropout_p(p)
@@ -642,6 +704,7 @@ def dropout(a: Tensor, p: float, train: bool, rng: np.random.Generator | None = 
 NEG_INF = -1e9  # attention mask value; exp() underflows to exactly 0
 
 
+@op
 def masked_fill(a: Tensor, mask: np.ndarray, value: float) -> Tensor:
     """Replace entries where mask is True by a constant."""
     mask = np.asarray(mask, dtype=bool)
@@ -653,6 +716,7 @@ def masked_fill(a: Tensor, mask: np.ndarray, value: float) -> Tensor:
     return _make(data, (a,), lambda g: (_unbroadcast(g * ~np.broadcast_to(mask, g.shape), shape),))
 
 
+@op
 def attention(
     q: Tensor,
     k: Tensor,
@@ -789,6 +853,7 @@ class _ItemGrad:
 
 # --- indexing ---
 
+@op
 def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
     """Row lookup with scatter-add gradient back into the table."""
     ids = np.asarray(ids)
@@ -807,6 +872,7 @@ def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
     return _make(table.data[ids], (table,), backward)
 
 
+@op
 def gather_positions(a: Tensor, positions: np.ndarray) -> Tensor:
     """Pick rows along axis 1: out[b, s, :] = a[b, positions[b, s], :]."""
     positions = np.asarray(positions)
@@ -821,6 +887,7 @@ def gather_positions(a: Tensor, positions: np.ndarray) -> Tensor:
     return _make(a.data[batch, positions], (a,), backward)
 
 
+@op
 def take_along_last(a: Tensor, indices: np.ndarray) -> Tensor:
     """out[...] = a[..., indices[...]]; inverse scatter on the way back."""
     indices = np.asarray(indices)
@@ -895,14 +962,20 @@ def backward(loss: Tensor) -> None:
     # Consume the graph as it is differentiated: once a vertex's closure has
     # run, drop its gradient and parents and swap its closure for
     # _consumed, so whatever only the tape held is freed before the sweep
-    # reaches older vertices. Leaves keep their .grad.
+    # reaches older vertices. Leaves keep their .grad. Under `op_hook` each
+    # closure runs through the hook, named by the op whose body defines it.
+    hook = _op_hook.get()
     root.grad = np.ones_like(loss.data)
     while topo:
         node = topo.pop()
         if node._backward is None:
             continue
         if node.grad is not None:
-            grads = node._backward(node.grad)
+            if hook is None:
+                grads = node._backward(node.grad)
+            else:
+                name = node._backward.__qualname__.split(".", 1)[0]
+                grads = hook(name, "backward", node._backward, node.grad)
             for parent, g in zip(node._parents, grads):
                 if g is None or parent is None:
                     continue

@@ -274,6 +274,9 @@ def fit(
     groups must cover every parameter exactly once. The trace reports the
     first group's rate as lr_encoder and the last one's as lr_decoder.
     `model` is checkpointed every `checkpoint_every` steps and at the end.
+    No gradient outlives its step: the step takes each `.grad` off `params`
+    before clipping and drops them, clipped copies included, once the
+    updates are done.
     """
     if not examples:
         raise EmptyCorpus("no training examples")
@@ -286,6 +289,8 @@ def fit(
     rng = SplitRng(config.seed)
     order = batch_order(len(examples), config.batch_size, config.seed)
     trace: list[TraceRow] = []
+    for p in params.values():
+        p.grad = None
 
     for step in range(1, config.max_steps + 1):
         batch = [examples[i] for i in next(order)]
@@ -293,16 +298,17 @@ def fit(
         value = loss.item()
         if not math.isfinite(value):
             raise NonFiniteLoss(f"step {step}: loss is {value}")
-        for p in params.values():
-            p.grad = None
         T.backward(loss)
         grads = {
             k: p.grad if p.grad is not None else np.zeros_like(p.data) for k, p in params.items()
         }
+        for p in params.values():
+            p.grad = None  # `grads` holds them now
         grads = clip_gradients(grads, config.grad_clip_norm)
         lrs = [lr_schedule(step, base_lr, warmup) for _, base_lr, warmup in groups]
         for group, state, lr in zip(members, states, lrs):
             adam_step(group, {k: grads[k] for k in group}, state, lr)
+        del grads  # before the next step's forward
         model.step = step
         trace.append(TraceRow(step, value, lrs[0], lrs[-1]))
         if config.checkpoint_every and step % config.checkpoint_every == 0:

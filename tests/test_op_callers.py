@@ -1,4 +1,5 @@
-"""Every public op of `sumforge.tensor` has a caller in the library.
+"""The op registry `sumforge.tensor.OPS` is complete, and every op in it
+has a caller in the library.
 
 An op that only the tests call belongs in the tests, as a reference. The
 check reads the sources with `ast`: a call counts when it names the op
@@ -12,12 +13,10 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
+from sumforge import tensor as T
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "sumforge"
-
-# The tests' gradient oracle, kept in the library so callers can check
-# their own ops.
-EXEMPT = {"finite_diff_check"}
 
 
 def _tracer_ops() -> set[str]:
@@ -30,14 +29,6 @@ def _tracer_ops() -> set[str]:
         ):
             return set(ast.literal_eval(node.value))
     raise AssertionError("perfbench/tracer.py defines no TENSOR_OPS")
-
-
-def _public_functions(tree: ast.Module) -> set[str]:
-    return {
-        node.name
-        for node in tree.body
-        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
-    }
 
 
 def _tensor_names(tree: ast.Module) -> tuple[set[str], dict[str, str]]:
@@ -81,11 +72,32 @@ def _called_ops(path: Path, ops: set[str]) -> set[str]:
 
 
 def test_every_public_tensor_op_is_called_in_src():
-    ops = _public_functions(ast.parse((PACKAGE / "tensor.py").read_text(encoding="utf-8")))
-    assert {"matmul", "attention", "projected_cross_entropy"} <= ops  # the parse found the ops
+    ops = set(T.OPS)
     called = set().union(*(_called_ops(path, ops) for path in sorted(PACKAGE.glob("*.py"))))
-    unused = sorted(ops - called - _tracer_ops() - EXEMPT)
+    unused = sorted(ops - called - _tracer_ops())
     assert not unused, f"tensor ops that nothing in src/ calls (move them into tests/): {unused}"
+
+
+def test_every_function_that_records_a_vertex_is_a_registered_op():
+    """A module-level function of tensor.py that calls `_make` is an op: it
+    carries `@op`, so `OPS` lists it and `op_hook` sees it; and every `@op`
+    name is public."""
+    tree = ast.parse((PACKAGE / "tensor.py").read_text(encoding="utf-8"))
+    functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    decorated = {
+        f.name for f in functions
+        if any(isinstance(d, ast.Name) and d.id == "op" for d in f.decorator_list)
+    }
+    records = {
+        f.name for f in functions
+        if any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "_make"
+               for n in ast.walk(f))
+    }
+    assert {"matmul", "attention", "projected_cross_entropy"} <= records  # the parse found the ops
+    missing = sorted(records - decorated)
+    assert not missing, f"tensor functions that record a vertex without @op: {missing}"
+    assert not {name for name in decorated if name.startswith("_")}, "a private function carries @op"
+    assert decorated == set(T.OPS)
 
 
 def test_a_call_from_the_op_itself_does_not_count(tmp_path):

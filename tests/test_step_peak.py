@@ -10,6 +10,7 @@ import pytest
 from test_cli import _make_shards, _write_config
 
 from sumforge import tensor as T
+from sumforge import train
 from sumforge.cli import main
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "step_peak.py"
@@ -23,12 +24,12 @@ def test_reports_each_phase_and_the_loss_of_step_1(tmp_path, capsys, task):
     shards, vocab = _make_shards(tmp_path)
     config = _write_config(tmp_path / "run.cfg", max_steps=1, mask_prob=0.3, dropout=0.1)
     common = ["--task", task, "--shards", str(shards), "--vocab", str(vocab), "--config", str(config)]
-    attention = T.attention
+    attention, backward, fit = T.attention, T.backward, train.fit
     capsys.readouterr()
 
     assert step_peak.main(common) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert T.attention is attention  # every op is restored
+    assert T.attention is attention and T.backward is backward and train.fit is fit  # restored
     assert len(lines) == 5
     rows = [re.fullmatch(r"(\S+)\s+(\d+\.\d)\s+(\d+\.\d)  (.+)", line) for line in lines[1:4]]
     assert [r.group(1) for r in rows] == ["forward", "backward", "clip+adam"]

@@ -1151,6 +1151,73 @@ class TestTapeHoldsOnlyWhatBackwardReads:
             assert np.array_equal(p.grad, expected[name]), name
 
 
+class TestOpHook:
+    """`op_hook` routes every op call and backward closure through the hook,
+    by op name, and changes no bits."""
+
+    @staticmethod
+    def _step(make_loss):
+        params, loss = make_loss()
+        backward(loss)
+        return loss.data, {name: p.grad for name, p in params.items()}
+
+    @pytest.mark.parametrize("make_loss", [_small_ext_loss, _small_model_loss], ids=["ext", "abs"])
+    def test_training_step_same_bytes_with_a_counting_hook(self, make_loss):
+        seen = {}
+
+        def counting(name, pass_, fn, *args, **kwargs):
+            seen[name, pass_] = seen.get((name, pass_), 0) + 1
+            return fn(*args, **kwargs)
+
+        want_loss, want = self._step(make_loss)
+        with T.op_hook(counting):
+            loss, grads = self._step(make_loss)
+        assert loss.tobytes() == want_loss.tobytes()
+        assert grads.keys() == want.keys()
+        for name, g in want.items():
+            assert grads[name].dtype == g.dtype and grads[name].tobytes() == g.tobytes(), name
+        names = {name for name, _ in seen}
+        assert names <= set(T.OPS)
+        assert {"attention", "layer_norm", "matmul"} <= names
+        head = "projected_cross_entropy" if make_loss is _small_model_loss else "bce_with_logits"
+        assert seen[head, "forward"] == seen[head, "backward"] == 1
+        assert {pass_ for _, pass_ in seen} == {"forward", "backward"}
+
+    def test_nests_and_restores_the_outer_hook_after_an_exception(self):
+        calls = []
+
+        def tagged(tag):
+            def hook(name, pass_, fn, *args, **kwargs):
+                calls.append((tag, name, pass_))
+                return fn(*args, **kwargs)
+            return hook
+
+        x = t64(np.ones((2, 2)))
+        with T.op_hook(tagged("outer")):
+            T.neg(x)
+            with pytest.raises(ShapeMismatch), T.op_hook(tagged("inner")):
+                T.neg(x)
+                T.add(x, np.ones(3))
+            loss = T.bce_with_logits(T.neg(x), np.ones((2, 2)), np.ones((2, 2)))
+        backward(loss)  # outside every hook
+        T.neg(x)
+        assert calls == [
+            ("outer", "neg", "forward"), ("inner", "neg", "forward"), ("inner", "add", "forward"),
+            ("outer", "neg", "forward"), ("outer", "bce_with_logits", "forward"),
+        ]
+        calls.clear()
+        loss = T.bce_with_logits(T.neg(x), np.ones((2, 2)), np.ones((2, 2)))
+        with T.op_hook(tagged("sweep")):
+            backward(loss)
+        assert calls == [("sweep", "bce_with_logits", "backward"), ("sweep", "neg", "backward")]
+
+    def test_registry_holds_the_module_ops(self):
+        assert len(T.OPS) == 20
+        for name, fn in T.OPS.items():
+            assert fn is getattr(T, name), name
+            assert fn.__name__ == fn.__wrapped__.__name__ == name
+
+
 class TestInPlaceClosuresSameBits:
     """Closures that work in buffers they allocated, against the expressions
     they replaced, bit for bit."""
@@ -1495,6 +1562,12 @@ class TestClosureTemporaries:
         # an item for the row dots.
         bound = step + 3 * item + _NUMPY_BUFFERS
         assert _traced_peak(self._attention_step, q, k, v, mask, 0.25, True) < bound
+
+    def test_row_blocks_are_an_eighth_but_at_least_8_rows(self):
+        # The beam's [n <= 5, V] log-softmax is one block; a [B, n, V]
+        # input, whose leading index holds n rows, keeps one index a block.
+        assert [T._row_block(n) for n in (0, 1, 5, 8, 64, 65, 522)] == [8, 8, 8, 8, 8, 9, 66]
+        assert [T._row_block(8, rows) for rows in (0, 1, 5, 64)] == [8, 8, 2, 1]
 
     def test_log_softmax_forward_builds_one_output_sized_array(self):
         x = Tensor(np.random.default_rng(0).standard_normal((8, 64, 512)).astype(np.float32))

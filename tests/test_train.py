@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -1001,6 +1002,38 @@ class TestFit:
         model = build_model(_tiny(), "abs", seed=5)
         with pytest.raises(ConfigError, match="exactly once"):
             fit(model, model.params, _corpus(4), None, groups, TrainConfig(max_steps=2))
+
+    @pytest.mark.parametrize("clip", [1e-3, 1e3], ids=["clipped", "unclipped"])
+    def test_no_gradient_outlives_its_step(self, monkeypatch, clip):
+        """When a step's loss closure runs, every gradient array of the
+        steps before it, each `.grad` and each clipped copy, is freed."""
+        model = build_model(_tiny(), "abs", seed=5)
+        held = []  # weak references to each step's gradient arrays
+        backward, clip_gradients = T.backward, train_module.clip_gradients
+
+        def keeping_backward(loss):
+            backward(loss)
+            held.append([weakref.ref(p.grad) for p in model.params.values() if p.grad is not None])
+
+        def keeping_clip(grads, max_norm):
+            clipped = clip_gradients(grads, max_norm)
+            held[-1] += [weakref.ref(g) for g in clipped.values()]
+            return clipped
+
+        def checking_fit(trained, params, examples, loss_fn, groups, config):
+            def checked(batch, step, drop_rng):
+                alive = sum(ref() is not None for refs in held for ref in refs)
+                assert alive == 0, f"step {step}: {alive} gradient arrays of earlier steps alive"
+                return loss_fn(batch, step, drop_rng)
+
+            return fit(trained, params, examples, checked, groups, config)
+
+        monkeypatch.setattr(T, "backward", keeping_backward)
+        monkeypatch.setattr(train_module, "clip_gradients", keeping_clip)
+        monkeypatch.setattr(train_module, "fit", checking_fit)
+        train_abs(_corpus(8), model, TrainConfig(max_steps=3, batch_size=4, grad_clip_norm=clip), PAD)
+        assert len(held) == 3 and all(len(refs) > len(model.params) for refs in held)
+        assert all(p.grad is None for p in model.params.values())
 
 
 class TestStepGraphHoldsNoScores:
