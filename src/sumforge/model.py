@@ -13,8 +13,8 @@ small scale.
 
 from __future__ import annotations
 
-import io
 import json
+import math
 import struct
 from dataclasses import dataclass, asdict
 from pathlib import Path
@@ -176,8 +176,7 @@ def _attend(
 
 
 def _feed_forward(params: dict[str, Tensor], prefix: str, x: Tensor) -> Tensor:
-    h = T.gelu(T.matmul(x, params[f"{prefix}.w1"]) + params[f"{prefix}.b1"])
-    return T.matmul(h, params[f"{prefix}.w2"]) + params[f"{prefix}.b2"]
+    return T.feed_forward(x, *(params[f"{prefix}.{name}"] for name in ("w1", "b1", "w2", "b2")))
 
 
 def _ln(params: dict[str, Tensor], prefix: str, x: Tensor) -> Tensor:
@@ -555,27 +554,30 @@ def save_checkpoint(model: Encoder, path: Path | str) -> None:
             fh.write(data.tobytes())
 
 
-def _read_exact(buf: io.BytesIO, n: int, what: str) -> bytes:
-    chunk = buf.read(n)
-    if len(chunk) != n:
-        raise FormatVersionMismatch(f"checkpoint truncated while reading {what}")
-    return chunk
-
-
 def load_checkpoint(source: Path | str | bytes, dtype=np.float32) -> Encoder:
     """Rebuild the serialized model from a checkpoint path or its bytes;
-    bit-exact inverse of save_checkpoint."""
-    buf = io.BytesIO(source if isinstance(source, bytes) else Path(source).read_bytes())
-    if _read_exact(buf, 4, "magic") != CHECKPOINT_MAGIC:
+    bit-exact inverse of save_checkpoint. Each payload is read in place from
+    the source's bytes and copied once, into its array."""
+    data = memoryview(source if isinstance(source, bytes) else Path(source).read_bytes())
+    pos = 0
+
+    def take(n: int, what: str) -> memoryview:
+        nonlocal pos
+        if n > len(data) - pos:
+            raise FormatVersionMismatch(f"checkpoint truncated while reading {what}")
+        pos += n
+        return data[pos - n : pos]
+
+    if take(4, "magic") != CHECKPOINT_MAGIC:
         raise FormatVersionMismatch("not a sumforge checkpoint (bad magic)")
-    (version,) = struct.unpack("<I", _read_exact(buf, 4, "version"))
+    (version,) = struct.unpack("<I", take(4, "version"))
     if version != CHECKPOINT_VERSION:
         raise FormatVersionMismatch(
             f"checkpoint version {version}, expected {CHECKPOINT_VERSION}"
         )
-    (header_len,) = struct.unpack("<I", _read_exact(buf, 4, "header length"))
+    (header_len,) = struct.unpack("<I", take(4, "header length"))
     try:
-        header = json.loads(_read_exact(buf, header_len, "header"))
+        header = json.loads(bytes(take(header_len, "header")))
     except ValueError as exc:  # not UTF-8, or not JSON
         raise FormatVersionMismatch(f"checkpoint header is not JSON: {exc}") from exc
     if not isinstance(header, dict):
@@ -595,21 +597,16 @@ def load_checkpoint(source: Path | str | bytes, dtype=np.float32) -> Encoder:
     specs = cls.param_specs(config)
 
     arrays: dict[str, np.ndarray] = {}
-    while True:
-        raw = buf.read(4)
-        if not raw:
-            break
-        if len(raw) != 4:
-            raise FormatVersionMismatch("checkpoint truncated while reading record")
-        (name_len,) = struct.unpack("<I", raw)
-        name_bytes = _read_exact(buf, name_len, "record name")
+    while pos < len(data):
+        (name_len,) = struct.unpack("<I", take(4, "record"))
+        name_bytes = bytes(take(name_len, "record name"))
         try:
             name = name_bytes.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise FormatVersionMismatch(f"checkpoint record name is not UTF-8: {exc}") from exc
-        (rank,) = struct.unpack("<I", _read_exact(buf, 4, "record rank"))
-        shape = struct.unpack(f"<{rank}I", _read_exact(buf, 4 * rank, "record dims"))
-        payload = _read_exact(buf, 4 * int(np.prod(shape, dtype=np.int64)), f"payload of {name}")
+        (rank,) = struct.unpack("<I", take(4, "record rank"))
+        shape = struct.unpack(f"<{rank}I", take(4 * rank, "record dims"))
+        payload = take(4 * math.prod(shape), f"payload of {name}")
         if name not in specs:
             raise ShapeMismatch(f"unexpected parameter {name!r} for kind {cls.kind!r}")
         if shape != specs[name]:

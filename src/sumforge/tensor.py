@@ -315,34 +315,101 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 
 
+def _gelu_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tanh-approximation gelu of x, and the tanh its backward reads."""
+    # x * x * x, not x**3: numpy's float32 power has no fast path for 3.
+    inner = _GELU_C * (x + _GELU_A * (x * x * x))
+    t = np.tanh(inner)
+    return 0.5 * x * (1.0 + t), t
+
+
+def _gelu_backward(g: np.ndarray, x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """g * (0.5 (1 + t) + 0.5 x (1 - t²) d_inner), where d_inner is
+    C (1 + 3A x²), evaluated term by term in two buffers."""
+    out = np.square(t)
+    np.subtract(1.0, out, out=out)
+    d = np.multiply(0.5, x)
+    out *= d
+    np.multiply(x, x, out=d)
+    d *= 3.0 * _GELU_A
+    d += 1.0
+    d *= _GELU_C
+    out *= d
+    np.add(t, 1.0, out=d)
+    d *= 0.5
+    d += out
+    d *= g
+    return d
+
+
 @op
 def gelu(a: Tensor) -> Tensor:
     """Tanh-approximation gelu, the variant most transformer stacks use."""
     x = a.data
-    # x * x * x, not x**3: numpy's float32 power has no fast path for 3.
-    inner = _GELU_C * (x + _GELU_A * (x * x * x))
-    t = np.tanh(inner)
-    data = 0.5 * x * (1.0 + t)
+    data, t = _gelu_forward(x)
+    return _make(data, (a,), lambda g: (_gelu_backward(g, x, t),))
+
+
+@op
+def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """gelu(x @ w1 + b1) @ w2 + b2 as one op, over a [n, d] or [B, n, d] x,
+    with w1 [d, f], b1 [f], w2 [f, e] and b2 [e].
+
+    In training it runs one item at a time (`_items`), and backward holds
+    only x and the four parameters: it recomputes each item's gelu input,
+    tanh and output with the forward's own calls, which is activation
+    checkpointing (Chen et al. 2016) at the block's scale, so no [B, n, f]
+    array lives from forward to backward. At inference (no graph recorded)
+    it runs the whole array at once. numpy's stacked matmul makes one
+    product per item either way and gelu is elementwise, so the recomputed
+    arrays are the forward's. The weights' gradients are summed over items
+    in order, as matmul sums a shared weight's, and b1's is reduced from the
+    whole gelu-input gradient, as add reduces it. So values and gradients
+    are bitwise those of the composed matmul → add → gelu → matmul → add
+    chain.
+    """
+    xa, w1a, b1a, w2a, b2a = x.data, w1.data, b1.data, w2.data, b2.data
+    if (
+        xa.ndim not in (2, 3) or w1a.ndim != 2 or w2a.ndim != 2 or xa.shape[-1] != w1a.shape[0]
+        or b1a.shape != w1a.shape[1:] or w2a.shape[0] != w1a.shape[1] or b2a.shape != w2a.shape[1:]
+    ):
+        raise ShapeMismatch(
+            f"feed_forward: x {xa.shape}, w1 {w1a.shape}, b1 {b1a.shape}, w2 {w2a.shape}, b2 {b2a.shape}"
+        )
+    parents = (x, w1, b1, w2, b2)
+    items, _ = _items(xa.shape)
+    hidden_type = np.result_type(xa, w1a)  # the dtype of u, t and gelu(u)
+
+    def hidden(i) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Item i's gelu input u, its tanh t and gelu(u)."""
+        u = xa[i] @ w1a
+        u += b1a
+        y, t = _gelu_forward(u)
+        return u, t, y
+
+    data = np.empty(xa.shape[:-1] + w2a.shape[1:], np.result_type(hidden_type, w2a))
+    for i in items if _records(parents) else (Ellipsis,):
+        u, t, y = hidden(i)
+        np.matmul(y, w2a, out=data[i])
+        del u, t, y  # before the next item's
+    data += b2a
 
     def backward(g):
-        # g * (0.5 (1 + t) + 0.5 x (1 - t²) d_inner), where d_inner is
-        # C (1 + 3A x²), evaluated term by term in two buffers.
-        out = np.square(t)
-        np.subtract(1.0, out, out=out)
-        d = np.multiply(0.5, x)
-        out *= d
-        np.multiply(x, x, out=d)
-        d *= 3.0 * _GELU_A
-        d += 1.0
-        d *= _GELU_C
-        out *= d
-        np.add(t, 1.0, out=d)
-        d *= 0.5
-        d += out
-        d *= g
-        return (d,)
+        gu = np.empty(xa.shape[:-1] + w1a.shape[1:], hidden_type)
+        gx = np.empty(xa.shape, hidden_type)
+        gw1 = _ItemGrad(w1a.shape, xa.shape, hidden_type)
+        gw2 = _ItemGrad(w2a.shape, xa.shape, np.result_type(hidden_type, g))
+        w1t, w2t = np.swapaxes(w1a, -1, -2), np.swapaxes(w2a, -1, -2)
+        for i in items:
+            u, t, y = hidden(i)
+            gw2.put(i, np.swapaxes(y, -1, -2) @ g[i])
+            gu[i] = _gelu_backward(g[i] @ w2t, u, t)
+            del u, t, y  # before the next item's
+            np.matmul(gu[i], w1t, out=gx[i])
+            gw1.put(i, np.swapaxes(xa[i], -1, -2) @ gu[i])
+        return gx, gw1.out, _unbroadcast(gu, b1a.shape), gw2.out, _unbroadcast(g, b2a.shape)
 
-    return _make(data, (a,), backward)
+    return _make(data, parents, backward)
 
 
 @op

@@ -166,7 +166,10 @@ def lr_schedule(step: int, base_lr: float, warmup: int) -> float:
 def clip_gradients(
     grads: dict[str, np.ndarray], max_norm: float
 ) -> dict[str, np.ndarray]:
-    """Scale all gradients so their joint L2 norm is at most max_norm.
+    """Scale all gradients so their joint L2 norm is at most max_norm, in
+    place, and return `grads`. A gradient that shares memory with a later
+    one (backward may hand two leaves one array) is replaced by a scaled
+    copy instead, so no buffer is scaled twice.
 
     Raises NonFiniteLoss if that norm is NaN or infinite."""
     if max_norm <= 0:
@@ -184,7 +187,13 @@ def clip_gradients(
     if norm <= max_norm:
         return grads
     scale = max_norm / norm
-    return {name: g * scale for name, g in grads.items()}
+    arrays = list(grads.values())
+    for k, (name, g) in enumerate(list(grads.items())):
+        if any(np.shares_memory(g, later) for later in arrays[k + 1:]):
+            grads[name] = g * scale
+        else:
+            g *= scale
+    return grads
 
 
 # --- batching ---

@@ -14,17 +14,21 @@ import re
 import struct
 import subprocess
 import sys
+import tempfile
 from dataclasses import MISSING, fields, replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import SPECIALS
 from sumforge import cli
 from sumforge import tensor as T
 from sumforge.cli import CONFIG_KEYS, _typed_config, main, parse_config_file
-from sumforge.errors import ConfigError, EmptyArticle, MissingSummary, OutputNotEmpty
+from sumforge.errors import ConfigError, EmptyArticle, MissingSummary, OutputNotEmpty, SumforgeError
 from sumforge.ingest import StoryDoc, ingest_corpus, write_story
 from sumforge.model import (
     ModelConfig,
@@ -192,6 +196,72 @@ class TestConfigSchema:
         assert code == 2
         assert key in capsys.readouterr().err
         assert not list(out.glob("*.ckpt"))
+
+
+# Hostile config values: int/float swaps, NaN, ±inf, negatives, zeros, an
+# overflowing float, empty and non-numeric text. Ints stay small, so a value
+# the reader accepts still trains a tiny model.
+_FUZZ_VALUES = [
+    "-3", "-1", "0", "1", "2", "3", "0.0", "-0.0", "0.5", "-0.5", "1.5", "3.0", "1e-3",
+    "nan", "-nan", "inf", "-inf", "1e309", "", "abc", "0x10", "1_0",
+]
+_FUZZ_KEYS = sorted(CONFIG_KEYS) + ["max_tgt_len", "checkpoint_dir", "pretrained_encoder", "bogus", ""]
+_fuzz_line = st.one_of(
+    st.builds("{}={}".format, st.sampled_from(_FUZZ_KEYS), st.sampled_from(_FUZZ_VALUES)),
+    st.sampled_from(_FUZZ_KEYS + ["d_model 8", "= 3", "=="]),  # no `=`, or no key
+    st.builds(lambda line, cut: line[:cut],  # a truncated line
+              st.sampled_from([f"{k}={v}" for k, v in _TINY_MODEL.items()]), st.integers(0, 12)),
+)
+
+
+@st.composite
+def _fuzzed_config(draw) -> bytes:
+    """The tiny training config with hostile lines added, and maybe bytes
+    that are not UTF-8 put in somewhere."""
+    base = [f"{key}={value}" for key, value in {**_TINY_MODEL, "max_steps": 1, "batch_size": 2}.items()]
+    lines = base + draw(st.lists(_fuzz_line, min_size=1, max_size=4))
+    order = draw(st.permutations(range(len(lines))))
+    data = "\n".join(lines[i] for i in order).encode("utf-8")
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\x80abc", b"\xe2\x82"])) + data[at:]
+    return data
+
+
+class TestConfigFuzz:
+    """`train` on generated config files exits 0, or 2 with a SumforgeError;
+    never 1."""
+
+    @pytest.fixture(scope="class")
+    def shards(self, tmp_path_factory):
+        return _make_shards(tmp_path_factory.mktemp("fuzz"))
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(config=_fuzzed_config(), task=st.sampled_from(["ext", "abs", "prefit"]))
+    def test_train_exits_0_or_2_with_a_named_error(self, shards, config, task):
+        raised = []
+
+        def recording(args):
+            try:
+                return train(args)
+            except Exception as exc:
+                raised.append(exc)
+                raise
+
+        train = cli.cmd_train
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "cmd_train", recording):
+            path = Path(tmp) / "run.cfg"
+            path.write_bytes(config)
+            cli.build_parser.cache_clear()  # so that the parser dispatches to `recording`
+            try:
+                code = main(["train", "--task", task, "--shards", str(shards[0]), "--vocab", str(shards[1]),
+                             "--config", str(path), "--out", str(Path(tmp) / "run")])
+            finally:
+                cli.build_parser.cache_clear()
+        assert code in (0, 2), (code, config, raised)
+        if code == 2:
+            assert len(raised) == 1 and isinstance(raised[0], SumforgeError), (config, raised)
 
 
 def _raw_pairs(tmp_path: Path, *names: str) -> Path:

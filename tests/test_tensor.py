@@ -1211,8 +1211,25 @@ class TestOpHook:
             backward(loss)
         assert calls == [("sweep", "bce_with_logits", "backward"), ("sweep", "neg", "backward")]
 
+    def test_feed_forward_backward_runs_under_its_own_name(self):
+        seen = []
+
+        def recording(name, pass_, fn, *args, **kwargs):
+            seen.append((name, pass_))
+            return fn(*args, **kwargs)
+
+        x, w1, b1, w2, b2, _ = TestFeedForward._case(np.float64, (2, 3, 4))
+        params = [Tensor(a, requires_grad=True) for a in (x, w1, b1, w2, b2)]
+        with T.op_hook(recording):
+            loss = T.bce_with_logits(T.feed_forward(*params), np.ones((2, 3, 6)), np.ones((2, 3, 6)))
+            backward(loss)
+        assert seen == [
+            ("feed_forward", "forward"), ("bce_with_logits", "forward"),
+            ("bce_with_logits", "backward"), ("feed_forward", "backward"),
+        ]
+
     def test_registry_holds_the_module_ops(self):
-        assert len(T.OPS) == 20
+        assert len(T.OPS) == 21
         for name, fn in T.OPS.items():
             assert fn is getattr(T, name), name
             assert fn.__name__ == fn.__wrapped__.__name__ == name
@@ -1495,6 +1512,103 @@ class TestProjectedCrossEntropy:
             assert np.array_equal(a, b)
 
 
+def composed_feed_forward(x, w1, b1, w2, b2):
+    """matmul → add → gelu → matmul → add: the feed-forward block as the
+    model composed it before feed_forward, the reference it is checked
+    against bit for bit."""
+    return T.matmul(T.gelu(T.matmul(x, w1) + b1), w2) + b2
+
+
+class TestFeedForward:
+    """The feed-forward block as one op, against the chain it replaced."""
+
+    @staticmethod
+    def _case(dtype, shape, f=16, e=6, seed=0):
+        """x, w1 [d, f], b1, w2 [f, e], b2 and an output gradient, with
+        gelu inputs spread over both tails."""
+        r = np.random.default_rng(seed)
+        d = shape[-1]
+        x = (r.standard_normal(shape) * 2).astype(dtype)
+        w1 = r.standard_normal((d, f)).astype(dtype)
+        b1, b2 = (r.standard_normal(n).astype(dtype) for n in (f, e))
+        w2 = (r.standard_normal((f, e)) * 0.3).astype(dtype)
+        g = r.standard_normal(shape[:-1] + (e,)).astype(dtype)
+        return x, w1, b1, w2, b2, g
+
+    @staticmethod
+    def _run(block, case, grad):
+        *arrays, g = case
+        params = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        if not grad:
+            with T.no_grad():
+                out = block(*params)
+            assert not out.requires_grad and out._node is None
+            return [out.data]
+        out = block(*params)
+        backward(tensor_sum(T.mul(out, Tensor(g))))
+        return [out.data] + [p.grad for p in params]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("grad", [True, False], ids=["grad", "no_grad"])
+    @pytest.mark.parametrize("shape", [(1, 7, 8), (3, 9, 8), (5, 8), (4, 1, 8)],
+                             ids=["B1", "B3", "2d", "decode_step"])
+    def test_bits_equal_the_composed_chain(self, dtype, grad, shape):
+        case = self._case(dtype, shape)
+        want = self._run(composed_feed_forward, case, grad)
+        got = self._run(T.feed_forward, case, grad)
+        assert len(got) == len(want) == (6 if grad else 1)
+        for name, a, b in zip(("out", "x", "w1", "b1", "w2", "b2"), got, want):
+            _assert_same_bits(a, b, name)
+            assert a.strides == b.strides, name
+
+    @pytest.mark.parametrize("make_loss", [_small_ext_loss, _small_model_loss], ids=["ext", "abs"])
+    def test_training_step_bits_equal_the_chain(self, make_loss, monkeypatch):
+        # Every encoder and decoder layer: the sweep's order of gradient
+        # sums elsewhere in the graph must not move either.
+        results = []
+        for block in (None, composed_feed_forward):
+            if block is not None:
+                monkeypatch.setattr(T, "feed_forward", block)
+            params, loss = make_loss()
+            backward(loss)
+            results.append((loss.data, {name: p.grad for name, p in params.items()}))
+        (loss, grads), (want_loss, want) = results
+        _assert_same_bits(loss, want_loss, "loss")
+        for name, g in want.items():
+            _assert_same_bits(grads[name], g, name)
+            assert grads[name].strides == g.strides, name
+
+    def test_finite_differences_float64(self):
+        *arrays, g = self._case(np.float64, (2, 3, 4), f=5, e=3, seed=1)
+        w = Tensor(g)
+
+        def f(params):
+            return tensor_sum(T.mul(T.feed_forward(*params), w))
+
+        _fd(f, [Tensor(a, requires_grad=True) for a in arrays], tol=1e-6)
+
+    def test_backward_holds_only_the_input_and_parameters(self):
+        *arrays, _ = self._case(np.float32, (3, 9, 8))
+        params = [Tensor(a, requires_grad=True) for a in arrays]
+        out = T.feed_forward(*params)
+        assert out._node._parents == tuple(params)
+        held = list(closure_arrays(out._node._backward))
+        assert {id(a) for a in held} == {id(p.data) for p in params}
+
+    def test_shapes_are_checked(self):
+        x, w1, b1, w2, b2, _ = (Tensor(a) for a in self._case(np.float32, (2, 3, 8)))
+        for args in [
+            (Tensor(np.zeros(8, np.float32)), w1, b1, w2, b2),  # x's rank
+            (Tensor(np.zeros((1, 2, 3, 8), np.float32)), w1, b1, w2, b2),
+            (x, T.transpose(w1), b1, w2, b2),  # d
+            (x, w1, b2, w2, b2),  # b1's length
+            (x, w1, b1, T.transpose(w2), b2),  # f
+            (x, w1, b1, w2, b1),  # b2's length
+        ]:
+            with pytest.raises(ShapeMismatch):
+                T.feed_forward(*args)
+
+
 def _traced_peak(fn, *args):
     """Bytes allocated at the peak of fn(*args), above what was live before,
     counting what fn returns."""
@@ -1626,6 +1740,21 @@ class TestClosureTemporaries:
         assert _traced_peak(step, composed_head_loss) > bound + rows_by_vocab // 2
         if len(shape) > 2:
             assert bound < rows_by_vocab  # no [rows, V] array at all
+
+    def test_feed_forward_keeps_no_hidden_array(self):
+        *arrays, g = TestFeedForward._case(np.float32, (8, 64, 32), f=128, e=32)
+        params = [Tensor(a, requires_grad=True) for a in arrays]
+        g = Tensor(g)
+
+        def step(block):
+            for p in params:
+                p.grad = None
+            backward(tensor_sum(T.mul(block(*params), g)))
+
+        hidden = 8 * 64 * 128 * 4  # one [B, L, d_ff] float32 array
+        # The chain keeps the gelu input, its tanh and the gelu output from
+        # forward to backward; the op recomputes them item by item.
+        assert _traced_peak(step, T.feed_forward) + 2 * hidden < _traced_peak(step, composed_feed_forward)
 
     def test_shared_weight_matmul_builds_no_stack(self):
         r = np.random.default_rng(0)

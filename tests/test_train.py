@@ -275,9 +275,31 @@ class TestClipGradients:
             "transposed": big.T, "small": (r.standard_normal(301) * 1e-30).astype(np.float32),
         }
         norm = sum(float((g.astype(np.float64) ** 2).sum()) for g in grads.values()) ** 0.5
+        # Taken before the call, which scales the arrays it is handed.
+        want = {name: (g * (1.0 / norm)).tobytes() for name, g in grads.items()}
         out = clip_gradients(grads, 1.0)
-        for name, g in grads.items():
-            assert out[name].tobytes() == (g * (1.0 / norm)).tobytes(), name
+        for name in want:
+            assert out[name].tobytes() == want[name], name
+
+    def test_scales_in_place_and_aliased_buffers_once(self):
+        # backward hands both leaves of an add the same array; "big" and
+        # "transposed" share one buffer, and "tail" is a view into it.
+        r = np.random.default_rng(1)
+        shared = (r.standard_normal((6, 5)) * 10).astype(np.float32)
+        big = (r.standard_normal((64, 48)) * 3e37).astype(np.float32)
+        own = r.standard_normal(7) * 4
+        grads = {"a": shared, "b": shared, "big": big, "own": own, "transposed": big.T, "tail": big[60:]}
+        norm = sum(float((g.astype(np.float64) ** 2).sum()) for g in grads.values()) ** 0.5
+        want = {name: (g * (1.0 / norm)).tobytes() for name, g in grads.items()}
+        held = dict(grads)
+        out = clip_gradients(grads, 1.0)
+        assert out is grads and list(out) == list(held)
+        for name in want:
+            assert out[name].tobytes() == want[name], name
+        # An array that shares memory with no later gradient is scaled in
+        # place; the others become copies.
+        assert [name for name in out if out[name] is held[name]] == ["b", "own", "tail"]
+        assert not any(np.shares_memory(out[n], out[m]) for n, m in [("a", "b"), ("big", "tail")])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_norm_raises(self, bad):
