@@ -175,8 +175,18 @@ def _attend(
     return T.matmul(ctx, params[f"{prefix}.wo"]) + params[f"{prefix}.bo"]
 
 
-def _feed_forward(params: dict[str, Tensor], prefix: str, x: Tensor) -> Tensor:
-    return T.feed_forward(x, *(params[f"{prefix}.{name}"] for name in ("w1", "b1", "w2", "b2")))
+# attention_block's parameters, in its argument order.
+_ATTENTION_BLOCK = (
+    "ln1.gamma", "ln1.beta", "attn.wq", "attn.bq", "attn.wk", "attn.bk", "attn.wv", "attn.bv", "attn.wo", "attn.bo",
+)
+
+
+def _ff_block(
+    params: dict[str, Tensor], prefix: str, ln: str, x: Tensor, config: ModelConfig, train: bool, rng
+) -> Tensor:
+    """x + dropout(feed-forward(layer norm `ln`(x))): the sublayer as one op."""
+    names = (f"{ln}.gamma", f"{ln}.beta", "ff.w1", "ff.b1", "ff.w2", "ff.b2")
+    return T.ff_block(x, *(params[f"{prefix}.{name}"] for name in names), config.dropout, train, rng)
 
 
 def _ln(params: dict[str, Tensor], prefix: str, x: Tensor) -> Tensor:
@@ -216,9 +226,7 @@ def _decoder_layer(
         cross_mask, config.dropout, train, rng,
     )
     x = x + T.dropout(cross, config.dropout, train, rng)
-    ff = _feed_forward(params, f"{prefix}.ff", _ln(params, f"{prefix}.ln3", x))
-    x = x + T.dropout(ff, config.dropout, train, rng)
-    return x, (k, v)
+    return _ff_block(params, prefix, "ln3", x, config, train, rng), (k, v)
 
 
 class Encoder:
@@ -263,8 +271,12 @@ class Encoder:
     ) -> Tensor:
         """Hidden states [B, L, d_model]; pad_mask is True at padded positions.
 
-        With `rows` ([B, S] positions), the last layer still takes keys and
-        values from every position, but its queries, feed-forward and the
+        Each layer is two ops, `tensor.attention_block` then
+        `tensor.ff_block`, in training and at inference; in training each
+        keeps only its input, parameters, keep bits and layer norm's row
+        statistics for backward. With `rows` ([B, S] positions), the last
+        layer's `attention_block` still takes keys and values from every
+        position, but its queries and residual, the feed-forward and the
         final norm run only at those rows, and the result is [B, S, d_model].
         """
         src_ids = np.asarray(src_ids)
@@ -283,20 +295,14 @@ class Encoder:
         x = x + T.embedding_lookup(p["encoder.seg_emb"], segment_ids)
         x = T.dropout(x, cfg.dropout, train, rng)
 
+        mask = pad_mask[:, None, None, :]
         for i in range(cfg.n_enc_layers):
             layer = f"encoder.layer{i}"
-            normed = _ln(p, f"{layer}.ln1", x)
-            k, v = _keys_values(p, f"{layer}.attn", normed, cfg.n_heads)
-            if rows is not None and i == cfg.n_enc_layers - 1:
-                x = T.gather_positions(x, rows)
-                normed = T.gather_positions(normed, rows)
-            attn = _attend(
-                p, f"{layer}.attn", normed, k, v,
-                pad_mask[:, None, None, :], cfg.dropout, train, rng,
+            x = T.attention_block(
+                x, *(p[f"{layer}.{name}"] for name in _ATTENTION_BLOCK), mask, cfg.n_heads, cfg.dropout,
+                train, rng, rows=rows if i == cfg.n_enc_layers - 1 else None,
             )
-            x = x + T.dropout(attn, cfg.dropout, train, rng)
-            ff = _feed_forward(p, f"{layer}.ff", _ln(p, f"{layer}.ln2", x))
-            x = x + T.dropout(ff, cfg.dropout, train, rng)
+            x = _ff_block(p, layer, "ln2", x, cfg, train, rng)
         return _ln(p, "encoder.final_ln", x)
 
 

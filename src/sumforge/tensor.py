@@ -21,7 +21,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, GraphCycle, IdOutOfRange, InvalidAxis, NotScalar, ShapeMismatch
+from .errors import ConfigError, GraphCycle, IdOutOfRange, IndexOutOfRange, InvalidAxis, NotScalar, ShapeMismatch
 
 
 class SplitRng:
@@ -316,11 +316,19 @@ _GELU_A = 0.044715
 
 
 def _gelu_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Tanh-approximation gelu of x, and the tanh its backward reads."""
+    """Tanh-approximation gelu of x, 0.5 x (1 + tanh(C (x + A x³))), and
+    the tanh its backward reads: three buffers, each step with the operands
+    of that expression, so its bits."""
     # x * x * x, not x**3: numpy's float32 power has no fast path for 3.
-    inner = _GELU_C * (x + _GELU_A * (x * x * x))
-    t = np.tanh(inner)
-    return 0.5 * x * (1.0 + t), t
+    t = x * x
+    t *= x
+    t *= _GELU_A
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    out = np.multiply(0.5, x)
+    out *= np.add(t, 1.0)
+    return out, t
 
 
 def _gelu_backward(g: np.ndarray, x: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -348,68 +356,6 @@ def gelu(a: Tensor) -> Tensor:
     x = a.data
     data, t = _gelu_forward(x)
     return _make(data, (a,), lambda g: (_gelu_backward(g, x, t),))
-
-
-@op
-def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
-    """gelu(x @ w1 + b1) @ w2 + b2 as one op, over a [n, d] or [B, n, d] x,
-    with w1 [d, f], b1 [f], w2 [f, e] and b2 [e].
-
-    In training it runs one item at a time (`_items`), and backward holds
-    only x and the four parameters: it recomputes each item's gelu input,
-    tanh and output with the forward's own calls, which is activation
-    checkpointing (Chen et al. 2016) at the block's scale, so no [B, n, f]
-    array lives from forward to backward. At inference (no graph recorded)
-    it runs the whole array at once. numpy's stacked matmul makes one
-    product per item either way and gelu is elementwise, so the recomputed
-    arrays are the forward's. The weights' gradients are summed over items
-    in order, as matmul sums a shared weight's, and b1's is reduced from the
-    whole gelu-input gradient, as add reduces it. So values and gradients
-    are bitwise those of the composed matmul → add → gelu → matmul → add
-    chain.
-    """
-    xa, w1a, b1a, w2a, b2a = x.data, w1.data, b1.data, w2.data, b2.data
-    if (
-        xa.ndim not in (2, 3) or w1a.ndim != 2 or w2a.ndim != 2 or xa.shape[-1] != w1a.shape[0]
-        or b1a.shape != w1a.shape[1:] or w2a.shape[0] != w1a.shape[1] or b2a.shape != w2a.shape[1:]
-    ):
-        raise ShapeMismatch(
-            f"feed_forward: x {xa.shape}, w1 {w1a.shape}, b1 {b1a.shape}, w2 {w2a.shape}, b2 {b2a.shape}"
-        )
-    parents = (x, w1, b1, w2, b2)
-    items, _ = _items(xa.shape)
-    hidden_type = np.result_type(xa, w1a)  # the dtype of u, t and gelu(u)
-
-    def hidden(i) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Item i's gelu input u, its tanh t and gelu(u)."""
-        u = xa[i] @ w1a
-        u += b1a
-        y, t = _gelu_forward(u)
-        return u, t, y
-
-    data = np.empty(xa.shape[:-1] + w2a.shape[1:], np.result_type(hidden_type, w2a))
-    for i in items if _records(parents) else (Ellipsis,):
-        u, t, y = hidden(i)
-        np.matmul(y, w2a, out=data[i])
-        del u, t, y  # before the next item's
-    data += b2a
-
-    def backward(g):
-        gu = np.empty(xa.shape[:-1] + w1a.shape[1:], hidden_type)
-        gx = np.empty(xa.shape, hidden_type)
-        gw1 = _ItemGrad(w1a.shape, xa.shape, hidden_type)
-        gw2 = _ItemGrad(w2a.shape, xa.shape, np.result_type(hidden_type, g))
-        w1t, w2t = np.swapaxes(w1a, -1, -2), np.swapaxes(w2a, -1, -2)
-        for i in items:
-            u, t, y = hidden(i)
-            gw2.put(i, np.swapaxes(y, -1, -2) @ g[i])
-            gu[i] = _gelu_backward(g[i] @ w2t, u, t)
-            del u, t, y  # before the next item's
-            np.matmul(gu[i], w1t, out=gx[i])
-            gw1.put(i, np.swapaxes(xa[i], -1, -2) @ gu[i])
-        return gx, gw1.out, _unbroadcast(gu, b1a.shape), gw2.out, _unbroadcast(g, b2a.shape)
-
-    return _make(data, parents, backward)
 
 
 @op
@@ -639,34 +585,70 @@ def projected_cross_entropy(
     return _make(data, parents, backward)
 
 
+LN_EPS = 1e-6  # layer norm's variance floor
+
+
+def _ln_stats(x: np.ndarray, eps: float = LN_EPS) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Layer norm's row statistics over the last axis, keepdims: the mean
+    mu and inv_std = 1/sqrt(var + eps); and xhat = (x − mu) · inv_std."""
+    mu = x.mean(axis=-1, keepdims=True)
+    xhat = x - mu
+    var = (xhat**2).mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat *= inv_std
+    return mu, inv_std, xhat
+
+
+def _ln_xhat(x: np.ndarray, mu: np.ndarray, inv_std: np.ndarray) -> np.ndarray:
+    """xhat again from x and its row statistics, with `_ln_stats`'s two
+    elementwise steps, so its bits."""
+    xhat = x - mu
+    xhat *= inv_std
+    return xhat
+
+
+def _ln_affine(xhat: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """gamma · xhat + beta, in one buffer."""
+    out = gamma * xhat
+    out += beta
+    return out
+
+
+def _layer_norm_backward(
+    g: np.ndarray, xhat: np.ndarray, inv_std: np.ndarray, gamma: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Layer norm's gradients (x, gamma, beta) from its output's gradient g:
+    x's is inv_std · (gx − mean(gx) − xhat · mean(gx · xhat)) with
+    gx = g · gamma, worked out in two buffers, each step with the operands
+    of that expression, so its bits. gamma's and beta's are reduced over
+    every row at once."""
+    h = g.shape[-1]
+    t = np.multiply(g, xhat)
+    dgamma = t.reshape(-1, h).sum(axis=0)
+    dbeta = g.reshape(-1, h).sum(axis=0)
+    gx = np.multiply(g, gamma)
+    mean_gx = gx.mean(axis=-1, keepdims=True)
+    np.multiply(gx, xhat, out=t)
+    mean_gx_xhat = t.mean(axis=-1, keepdims=True)
+    np.multiply(xhat, mean_gx_xhat, out=t)
+    gx -= mean_gx
+    gx -= t
+    gx *= inv_std
+    return gx, dgamma, dbeta
+
+
 @op
-def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tensor:
+def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = LN_EPS) -> Tensor:
     """Normalize the last axis to mean 0 / variance 1, then affine."""
     h = a.shape[-1]
     if gamma.shape != (h,) or beta.shape != (h,):
         raise ShapeMismatch(
             f"layer_norm: last axis {h} vs gamma {gamma.shape} / beta {beta.shape}"
         )
-    mu = a.data.mean(axis=-1, keepdims=True)
-    centered = a.data - mu
-    var = (centered**2).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv_std
+    _, inv_std, xhat = _ln_stats(a.data, eps)
     scale = gamma.data
-    data = scale * xhat + beta.data
-
-    def backward(g):
-        dgamma = (g * xhat).reshape(-1, h).sum(axis=0)
-        dbeta = g.reshape(-1, h).sum(axis=0)
-        gx = g * scale
-        dx = inv_std * (
-            gx
-            - gx.mean(axis=-1, keepdims=True)
-            - xhat * (gx * xhat).mean(axis=-1, keepdims=True)
-        )
-        return dx, dgamma, dbeta
-
-    return _make(data, (a, gamma, beta), backward)
+    data = _ln_affine(xhat, scale, beta.data)
+    return _make(data, (a, gamma, beta), lambda g: _layer_norm_backward(g, xhat, inv_std, scale))
 
 
 def _items(shape: tuple[int, ...]) -> tuple[Sequence, tuple[int, ...]]:
@@ -679,10 +661,10 @@ def _items(shape: tuple[int, ...]) -> tuple[Sequence, tuple[int, ...]]:
     return (Ellipsis,), shape
 
 
-def _at(x: np.ndarray, i, ndim: int) -> np.ndarray:
+def _at(x: np.ndarray | None, i, ndim: int) -> np.ndarray | None:
     """x's part in item i of an op over rank-`ndim` arrays: x[i], or x[0]
-    or all of x where x broadcasts along the leading axis."""
-    if i is Ellipsis or x.ndim < ndim:
+    or all of x where x broadcasts along the leading axis (None for None)."""
+    if x is None or i is Ellipsis or x.ndim < ndim:
         return x
     return x[0] if x.shape[0] == 1 else x[i]
 
@@ -783,6 +765,53 @@ def masked_fill(a: Tensor, mask: np.ndarray, value: float) -> Tensor:
     return _make(data, (a,), lambda g: (_unbroadcast(g * ~np.broadcast_to(mask, g.shape), shape),))
 
 
+def _attention_masks(mask: np.ndarray | None, shape: tuple[int, ...]) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """An attention mask checked against the [..., Lq, Lk] scores' shape:
+    the mask that fills scores (None if it masks nothing) and the mask that
+    backward applies to their gradient (None unless a query row is masked
+    whole)."""
+    if mask is None:
+        return None, None
+    mask = np.asarray(mask, dtype=bool)
+    try:
+        np.broadcast_to(mask, shape)
+    except ValueError as exc:
+        raise ShapeMismatch(f"attention: scores {shape} vs mask {mask.shape}") from exc
+    # Unless a query row is masked whole, its masked probabilities come out
+    # of the softmax as exactly 0, so their score gradients are already ±0
+    # and the backward mask pass would change no bits.
+    whole_row = np.atleast_1d(mask).all(axis=-1).any()
+    return (mask if mask.any() else None), (mask if whole_row else None)
+
+
+def _probs(q: np.ndarray, kt: np.ndarray, scale: np.ndarray, fill: np.ndarray | None) -> np.ndarray:
+    """softmax(q kt · scale, NEG_INF where fill is True) over the last
+    axis: scale, fill and softmax in place on one score buffer."""
+    probs = q @ kt
+    probs *= scale
+    if fill is not None:
+        np.copyto(probs, np.asarray(NEG_INF, dtype=probs.dtype), where=fill)
+    return _softmax_forward(probs, -1, out=probs)
+
+
+def _attention_grads(g, probs, q, k, v, keep, count, factor, mask, scale):
+    """One item's attention gradients (q, kᵀ, v) from its output's
+    gradient g and its recomputed probabilities, which it leaves dropped,
+    as the forward multiplied v by them. keep is the item's packed keep
+    bits (None without dropout) and mask the backward mask's part."""
+    gs = g @ np.swapaxes(v, -1, -2)
+    if keep is not None:
+        _dropped(gs, keep, count, factor, out=gs)
+    _softmax_backward_into(gs, probs)
+    if keep is not None:
+        _dropped(probs, keep, count, factor, out=probs)
+    gv = np.swapaxes(probs, -1, -2) @ g
+    if mask is not None:
+        gs *= ~mask
+    gs *= scale
+    return gs @ k, np.swapaxes(q, -1, -2) @ gs, gv
+
+
 @op
 def attention(
     q: Tensor,
@@ -829,31 +858,14 @@ def attention(
         raise ShapeMismatch(f"attention: scores {shape} vs v {v.shape}")
     dtype = np.result_type(qa, ka)
     scale = np.asarray(1.0 / np.sqrt(k.shape[-1]), dtype=dtype)
-    fill = None
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        try:
-            np.broadcast_to(mask, shape)
-        except ValueError as exc:
-            raise ShapeMismatch(f"attention: scores {shape} vs mask {mask.shape}") from exc
-        fill = mask if mask.any() else None
-        # Unless a query row is masked whole, its masked probabilities come
-        # out of the softmax as exactly 0, so their score gradients are
-        # already ±0 and the backward mask pass would change no bits.
-        if not np.atleast_1d(mask).all(axis=-1).any():
-            mask = None
+    fill, mask = _attention_masks(mask, shape)
     ndim = len(shape)
     kt = np.swapaxes(ka, -1, -2)
 
     def probs_at(i) -> np.ndarray:
-        """Item i's probabilities: scores, scale, fill and softmax in place."""
-        probs = _at(qa, i, ndim) @ _at(kt, i, ndim)
-        probs *= scale
-        if fill is not None:
-            np.copyto(probs, np.asarray(NEG_INF, dtype=dtype), where=_at(fill, i, ndim))
-        return _softmax_forward(probs, -1, out=probs)
+        return _probs(_at(qa, i, ndim), _at(kt, i, ndim), scale, _at(fill, i, ndim))
 
-    keep = None
+    keep = factor = None
     if train and p > 0.0:
         keep, factor = _keep_mask(rng, shape, p, dtype)
     items, item_shape = _items(shape)
@@ -873,26 +885,289 @@ def attention(
         gkt = _ItemGrad(kt.shape, shape, np.result_type(qa, gs_type))
         gv = _ItemGrad(va.shape, shape, np.result_type(dtype, g))
         for row, i in enumerate(items):
-            probs, g_i = probs_at(i), g[i]
-            gs = g_i @ np.swapaxes(_at(va, i, ndim), -1, -2)
-            if keep is not None:
-                _dropped(gs, keep[row], count, factor, out=gs)
-            _softmax_backward_into(gs, probs)
-            if keep is not None:
-                _dropped(probs, keep[row], count, factor, out=probs)
-            gv.put(i, np.swapaxes(probs, -1, -2) @ g_i)
-            del probs
-            if mask is not None:
-                gs *= ~_at(mask, i, ndim)
-            gs *= scale
-            gq.put(i, gs @ _at(ka, i, ndim))
-            gkt.put(i, np.swapaxes(_at(qa, i, ndim), -1, -2) @ gs)
-            del gs  # before the next item's probabilities
+            grads = _attention_grads(
+                g[i], probs_at(i), _at(qa, i, ndim), _at(ka, i, ndim), _at(va, i, ndim),
+                None if keep is None else keep[row], count, factor, _at(mask, i, ndim), scale,
+            )
+            for out, grad in zip((gq, gkt, gv), grads):
+                out.put(i, grad)
+            del grads  # before the next item's probabilities
         # gk keeps the layout of kt's gradient: downstream products read
         # its strides, and a C-contiguous gk would change their bits.
         return gq.out, np.swapaxes(gkt.out, -1, -2), gv.out
 
     return _make(data, (q, k, v), backward)
+
+
+def _heads(y: np.ndarray, n_heads: int) -> np.ndarray:
+    """[..., n, d] as [..., h, n, d/h] heads, the view reshape → permute
+    make of it."""
+    return np.swapaxes(y.reshape(y.shape[:-1] + (n_heads, y.shape[-1] // n_heads)), -2, -3)
+
+
+def _merged(c: np.ndarray) -> np.ndarray:
+    """[..., h, n, dk] heads as [..., n, h·dk], the copy permute → reshape
+    make of them."""
+    c = np.swapaxes(c, -2, -3)
+    return c.reshape(c.shape[:-2] + (c.shape[-2] * c.shape[-1],))
+
+
+def _linear(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x @ w + b, in one buffer: the bits of matmul then add."""
+    y = x @ w
+    y += b
+    return y
+
+
+@op
+def attention_block(
+    x: Tensor,
+    gamma: Tensor,
+    beta: Tensor,
+    wq: Tensor,
+    bq: Tensor,
+    wk: Tensor,
+    bk: Tensor,
+    wv: Tensor,
+    bv: Tensor,
+    wo: Tensor,
+    bo: Tensor,
+    mask: np.ndarray | None,
+    n_heads: int,
+    p: float,
+    train: bool,
+    rng: np.random.Generator | None = None,
+    rows: np.ndarray | None = None,
+) -> Tensor:
+    """A pre-layer-norm self-attention sublayer as one op, over a [n, d] or
+    [B, L, d] x: x + dropout(attention(q, k, v, mask, p) wo + bo), where
+    n = ln(x) = layer_norm(x, gamma, beta), q, k and v are n wq + bq,
+    n wk + bk and n wv + bv split into n_heads heads, and `attention` is
+    the op of that name. All weights are [d, d], all vectors [d]. With
+    rows ([B, S] positions of a [B, L, d] x), keys and values still come
+    from every position, but the queries and the residual only from those
+    rows, as gather_positions picks them, and the result is [B, S, d].
+
+    In training it runs one item at a time (`_items`), and backward holds
+    only x, the parameters, the packed keep bits of both dropouts (drawn
+    before the items, in the chain's order) and layer norm's per-row mean
+    and 1/std: it recomputes each item's normed input, projections,
+    probabilities and attention context with the forward's own calls. That
+    is activation checkpointing (Chen et al. 2016) at the sublayer's scale,
+    so x is the one [B, L, d] array that lives from forward to backward.
+    At inference (no graph recorded) it runs the whole array at once.
+    numpy's stacked matmul makes one product per item and layer norm
+    reduces each row alone, so the recomputed arrays are the forward's. The
+    weights' gradients are summed over items in order, as matmul sums a
+    shared weight's; gamma's, beta's and the biases' are reduced from whole
+    arrays, as layer_norm and add reduce them; and ln(x)'s gradient adds
+    q's, k's and v's parts in the order the backward sweep adds them. So
+    values and gradients are bitwise those of the composed layer_norm →
+    matmul → add → reshape → permute → attention → permute → reshape →
+    matmul → add → dropout → add chain (with gather_positions for rows).
+    """
+    _check_dropout_p(p)
+    params = (gamma, beta, wq, bq, wk, bk, wv, bv, wo, bo)
+    xa = x.data
+    ga, ba, wqa, bqa, wka, bka, wva, bva, woa, boa = (t.data for t in params)
+    d = xa.shape[-1]
+    if (
+        xa.ndim not in (2, 3) or n_heads < 1 or d % n_heads
+        or any(t.shape != (d, d) for t in (wqa, wka, wva, woa))
+        or any(t.shape != (d,) for t in (ga, ba, bqa, bka, bva, boa))
+    ):
+        raise ShapeMismatch(
+            f"attention_block: x {xa.shape}, {n_heads} heads, "
+            f"parameters {[t.shape for t in params]}"
+        )
+    length, batch = xa.shape[-2], None
+    if rows is not None:
+        rows = np.asarray(rows)
+        if xa.ndim != 3 or rows.shape[:1] != xa.shape[:1] or rows.ndim != 2 or rows.dtype.kind not in "iu":
+            raise ShapeMismatch(f"attention_block: rows {rows.shape} {rows.dtype} for x {xa.shape}")
+        if rows.size and (rows.min() < 0 or rows.max() >= length):
+            raise IndexOutOfRange(f"attention_block: rows outside a sequence of length {length}")
+        batch = np.arange(xa.shape[0])[:, None]
+    lq = length if rows is None else rows.shape[1]
+    scores, out_shape = xa.shape[:-2] + (n_heads, lq, length), xa.shape[:-2] + (lq, d)
+    fill, mask = _attention_masks(mask, scores)
+    ndim = len(scores)
+    parents = (x,) + params
+    dtype = np.result_type(xa, *(t.data for t in params))
+    scale = np.asarray(1.0 / np.sqrt(d // n_heads), dtype=dtype)
+    keep = keep_out = factor = None
+    if train and p > 0.0:
+        keep, factor = _keep_mask(rng, scores, p, dtype)
+        keep_out, _ = _keep_mask(rng, out_shape, p, dtype)
+    count, count_out = (math.prod(_items(s)[1]) for s in (scores, out_shape))
+    items, _ = _items(xa.shape)
+
+    def picked(a: np.ndarray, i) -> np.ndarray:
+        """Item i's query rows of a, an item's (or with i Ellipsis, the
+        whole batch's) array of every position."""
+        if rows is None:
+            return a
+        return a[batch, rows] if i is Ellipsis else a[rows[i]]
+
+    def attend(i, normed: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Item i's q, k and v heads and its probabilities."""
+        k = _heads(_linear(normed, wka, bka), n_heads)
+        v = _heads(_linear(normed, wva, bva), n_heads)
+        q = _heads(_linear(picked(normed, i), wqa, bqa), n_heads)
+        return q, k, v, _probs(q, np.swapaxes(k, -1, -2), scale, _at(fill, i, ndim))
+
+    mu, inv_std = (np.empty(xa.shape[:-1] + (1,), xa.dtype) for _ in range(2))
+    data = np.empty(out_shape, dtype)
+    for i in items if keep is not None or _records(parents) else (Ellipsis,):
+        mu[i], inv_std[i], xhat = _ln_stats(xa[i])
+        q, k, v, probs = attend(i, _ln_affine(xhat, ga, ba))
+        if keep is not None:
+            _dropped(probs, keep[i], count, factor, out=probs)
+        y = _linear(_merged(probs @ v), woa, boa)
+        del xhat, q, k, v, probs  # before the next item's
+        if keep_out is not None:
+            _dropped(y, keep_out[i], count_out, factor, out=y)
+        np.add(picked(xa[i], i), y, out=data[i])
+
+    def backward(g):
+        # The output dropout's gradient, whole for bo's sum, then again
+        # item by item.
+        gbo = _unbroadcast(g if keep_out is None else _dropped(g, keep_out, count_out, factor), boa.shape)
+        gwq, gwk, gwv, gwo = (_ItemGrad((d, d), xa.shape, dtype) for _ in range(4))
+        # q's, kᵀ's and v's gradients in `attention`'s layout, merged from
+        # it as the chain's permute → reshape merges them: a copy or a
+        # strided view, whose layout the products and the biases' sums read.
+        lead, hd = xa.shape[:-2], d // n_heads
+        gq, gkt, gv = (np.empty(lead + s, dtype) for s in (
+            (n_heads, lq, hd), (n_heads, hd, length), (n_heads, length, hd)))
+        gn = np.empty(xa.shape, dtype)  # ln(x)'s
+        wqt, wkt, wvt, wot = (np.swapaxes(w, -1, -2) for w in (wqa, wka, wva, woa))
+        for i in items:
+            normed = _ln_affine(_ln_xhat(xa[i], mu[i], inv_std[i]), ga, ba)
+            q, k, v, probs = attend(i, normed)
+            gy = g[i] if keep_out is None else _dropped(g[i], keep_out[i], count_out, factor)
+            dq, dkt, dv = _attention_grads(
+                _heads(gy @ wot, n_heads), probs, q, k, v,
+                None if keep is None else keep[i], count, factor, _at(mask, i, ndim), scale,
+            )
+            gwo.put(i, np.swapaxes(_merged(probs @ v), -1, -2) @ gy)
+            del q, k, v, probs, gy
+            gq[i], gkt[i], gv[i] = dq, dkt, dv
+            dq, dk, dv = _merged(dq), _merged(np.swapaxes(dkt, -1, -2)), _merged(dv)
+            gwq.put(i, np.swapaxes(picked(normed, i), -1, -2) @ dq)
+            gwk.put(i, np.swapaxes(normed, -1, -2) @ dk)
+            gwv.put(i, np.swapaxes(normed, -1, -2) @ dv)
+            # ln(x)'s gradient: q's part, then k's, then v's, in the order
+            # the backward sweep adds them; q's part is scattered to its
+            # rows onto zeros, as gather_positions' backward does.
+            part = dq @ wqt
+            if rows is not None:
+                part, scattered = np.zeros(xa.shape[1:], part.dtype), part
+                np.add.at(part, rows[i], scattered)
+            part += dk @ wkt
+            part += dv @ wvt
+            gn[i] = part
+            del normed, part, dq, dkt, dk, dv
+        gbq = _unbroadcast(_merged(gq), (d,))
+        gbk = _unbroadcast(_merged(np.swapaxes(gkt, -1, -2)), (d,))
+        gbv = _unbroadcast(_merged(gv), (d,))
+        del gq, gkt, gv
+        gx, ggamma, gbeta = _layer_norm_backward(gn, _ln_xhat(xa, mu, inv_std), inv_std, ga)
+        if rows is not None:  # the residual's gradient, as gather_positions' backward makes it
+            g, residual = np.zeros(xa.shape, g.dtype), g
+            np.add.at(g, (batch, rows), residual)
+        gx += g
+        return gx, ggamma, gbeta, gwq.out, gbq, gwk.out, gbk, gwv.out, gbv, gwo.out, gbo
+
+    return _make(data, parents, backward)
+
+
+@op
+def ff_block(
+    x: Tensor,
+    gamma: Tensor,
+    beta: Tensor,
+    w1: Tensor,
+    b1: Tensor,
+    w2: Tensor,
+    b2: Tensor,
+    p: float,
+    train: bool,
+    rng: np.random.Generator | None = None,
+) -> Tensor:
+    """A pre-layer-norm feed-forward sublayer as one op, over a [n, d] or
+    [B, n, d] x: x + dropout(gelu(ln(x) w1 + b1) w2 + b2), where
+    ln(x) = layer_norm(x, gamma, beta), w1 is [d, f], b1 [f], w2 [f, d] and
+    gamma, beta and b2 [d].
+
+    As in `attention_block`, training runs one item at a time, and backward
+    holds only x, the parameters, the packed keep bits and layer norm's
+    per-row mean and 1/std: it recomputes each item's normed input, gelu
+    input, tanh and gelu output with the forward's own calls, so no
+    [B, n, f] array and no [B, n, d] array but x lives from forward to
+    backward. The weights' gradients are summed over items in order, b1's
+    is reduced from the whole gelu-input gradient, as add reduces it, and
+    gamma's, beta's and b2's from whole arrays too. So values and gradients
+    are bitwise those of the composed layer_norm → matmul → add → gelu →
+    matmul → add → dropout → add chain.
+    """
+    _check_dropout_p(p)
+    params = (gamma, beta, w1, b1, w2, b2)
+    xa = x.data
+    ga, ba, w1a, b1a, w2a, b2a = (t.data for t in params)
+    d = xa.shape[-1]
+    if (
+        xa.ndim not in (2, 3) or ga.shape != (d,) or ba.shape != (d,) or b2a.shape != (d,)
+        or w1a.ndim != 2 or w1a.shape[0] != d or b1a.shape != w1a.shape[1:] or w2a.shape != (w1a.shape[1], d)
+    ):
+        raise ShapeMismatch(f"ff_block: x {xa.shape}, parameters {[t.shape for t in params]}")
+    parents = (x,) + params
+    dtype = np.result_type(xa, *(t.data for t in params))
+    keep = factor = None
+    if train and p > 0.0:
+        keep, factor = _keep_mask(rng, xa.shape, p, dtype)
+    items, item_shape = _items(xa.shape)
+    count = math.prod(item_shape)
+
+    def hidden(normed: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The gelu input u of a normed input, its tanh t and gelu(u)."""
+        u = _linear(normed, w1a, b1a)
+        y, t = _gelu_forward(u)
+        return u, t, y
+
+    mu, inv_std = (np.empty(xa.shape[:-1] + (1,), xa.dtype) for _ in range(2))
+    data = np.empty(xa.shape, dtype)
+    for i in items if keep is not None or _records(parents) else (Ellipsis,):
+        mu[i], inv_std[i], xhat = _ln_stats(xa[i])
+        u, t, y = hidden(_ln_affine(xhat, ga, ba))
+        y = _linear(y, w2a, b2a)
+        del xhat, u, t  # before the next item's
+        if keep is not None:
+            _dropped(y, keep[i], count, factor, out=y)
+        np.add(xa[i], y, out=data[i])
+
+    def backward(g):
+        gb2 = _unbroadcast(g if keep is None else _dropped(g, keep, count, factor), b2a.shape)
+        gu, gn = np.empty(xa.shape[:-1] + w1a.shape[1:], dtype), np.empty(xa.shape, dtype)
+        gw1, gw2 = (_ItemGrad(w.shape, xa.shape, dtype) for w in (w1a, w2a))
+        w1t, w2t = np.swapaxes(w1a, -1, -2), np.swapaxes(w2a, -1, -2)
+        for i in items:
+            normed = _ln_affine(_ln_xhat(xa[i], mu[i], inv_std[i]), ga, ba)
+            u, t, y = hidden(normed)
+            gy = g[i] if keep is None else _dropped(g[i], keep[i], count, factor)
+            gw2.put(i, np.swapaxes(y, -1, -2) @ gy)
+            gu[i] = _gelu_backward(gy @ w2t, u, t)
+            del u, t, y, gy  # before the next item's
+            np.matmul(gu[i], w1t, out=gn[i])
+            gw1.put(i, np.swapaxes(normed, -1, -2) @ gu[i])
+            del normed
+        gb1 = _unbroadcast(gu, b1a.shape)
+        del gu
+        gx, ggamma, gbeta = _layer_norm_backward(gn, _ln_xhat(xa, mu, inv_std), inv_std, ga)
+        gx += g
+        return gx, ggamma, gbeta, gw1.out, gb1, gw2.out, gb2
+
+    return _make(data, parents, backward)
 
 
 class _ItemGrad:

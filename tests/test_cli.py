@@ -264,6 +264,83 @@ class TestConfigFuzz:
             assert len(raised) == 1 and isinstance(raised[0], SumforgeError), (config, raised)
 
 
+@st.composite
+def _fuzzed_vocab(draw) -> bytes:
+    """The fixture vocabulary made hostile: lines dropped (specials too),
+    duplicated or blanked, broken by characters that `str.splitlines` cuts
+    at, padded with spaces or a byte-order mark; then maybe truncated
+    anywhere, even inside a character, and maybe given bytes that are not
+    UTF-8."""
+    lines = SPECIALS + _WORDS
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(["drop", "duplicate", "blank", "break", "pad", "bom"]))
+        if edit == "drop":
+            lines = lines[:i] + lines[i + 1:]
+        elif edit == "duplicate":
+            at = draw(st.integers(0, len(lines)))
+            lines = lines[:at] + [lines[i]] + lines[at:]
+        elif edit == "blank":
+            lines = lines[:i] + [""] + lines[i:]
+        elif edit == "break":
+            cut = draw(st.sampled_from(["\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"]))
+            lines = lines[:i] + [lines[i][:1] + cut + lines[i][1:]] + lines[i + 1:]
+        elif edit == "pad":
+            lines = lines[:i] + [draw(st.sampled_from([" ", "\t", "\u00a0"])) + lines[i]] + lines[i + 1:]
+        else:
+            lines = ["\ufeff" + lines[0]] + lines[1:]
+    data = "\n".join(lines).encode("utf-8") + draw(st.sampled_from([b"", b"\n", b"\r\n", b"\n\n"]))
+    if draw(st.booleans()):
+        data = data[: draw(st.integers(0, len(data)))]
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\x80abc", b"\xe2\x82", b"\x00"])) + data[at:]
+    return data
+
+
+class TestVocabFuzz:
+    """`preprocess` and `train` on generated vocabulary files exit 0, or 2
+    with a SumforgeError; never 1. Shards stay those the fixture vocabulary
+    made, so `train` also meets ids that a shortened vocabulary lacks."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("vocab_fuzz")
+        shards, _ = _make_shards(tmp)
+        return tmp / "stories", shards, _write_config(tmp / "run.cfg", max_steps=1)
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(vocab=_fuzzed_vocab(), command=st.sampled_from(["preprocess", "ext", "abs", "prefit"]))
+    def test_exits_0_or_2_with_a_named_error(self, inputs, vocab, command):
+        stories, shards, config = inputs
+        name = "cmd_preprocess" if command == "preprocess" else "cmd_train"
+        run, raised = getattr(cli, name), []
+
+        def recording(args):
+            try:
+                return run(args)
+            except Exception as exc:
+                raised.append(exc)
+                raise
+
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, name, recording):
+            path = Path(tmp) / "vocab.txt"
+            path.write_bytes(vocab)
+            if command == "preprocess":
+                argv = ["preprocess", "--stories", str(stories), "--max-positions", "64"]
+            else:
+                argv = ["train", "--task", command, "--shards", str(shards), "--config", str(config)]
+            cli.build_parser.cache_clear()  # so that the parser dispatches to `recording`
+            try:
+                code = main(argv + ["--vocab", str(path), "--out", str(Path(tmp) / "out")])
+            finally:
+                cli.build_parser.cache_clear()
+        assert code in (0, 2), (code, vocab, raised)
+        if code == 2:
+            assert len(raised) == 1 and isinstance(raised[0], SumforgeError), (vocab, raised)
+
+
 def _raw_pairs(tmp_path: Path, *names: str) -> Path:
     raw = tmp_path / "raw"
     raw.mkdir()

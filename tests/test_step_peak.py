@@ -6,6 +6,7 @@ import importlib.util
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from test_cli import _make_shards, _write_config
 
@@ -41,6 +42,39 @@ def test_reports_each_phase_and_the_loss_of_step_1(tmp_path, capsys, task):
 
     assert main(["train", *common, "--out", str(tmp_path / "run")]) == 0
     assert capsys.readouterr().out == f"{task}: 1 steps, final loss {loss}\n"
+
+
+@pytest.mark.parametrize("task", ["ext", "abs"])
+def test_tape_lists_what_each_op_holds_at_the_end_of_forward(tmp_path, capsys, task):
+    shards, vocab = _make_shards(tmp_path)
+    config = _write_config(tmp_path / "run.cfg", max_steps=1, mask_prob=0.3, dropout=0.1)
+    common = ["--task", task, "--shards", str(shards), "--vocab", str(vocab), "--config", str(config)]
+    capsys.readouterr()
+    assert step_peak.main(common) == 0
+    plain = capsys.readouterr().out.splitlines()
+
+    assert step_peak.main(common + ["--tape"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == plain[0] and lines[-1] == plain[-1]  # the header and the loss
+    total = re.fullmatch(r"tape at the end of forward: (\d+\.\d) MiB in (\d+) arrays", lines[4])
+    rows = [re.fullmatch(r"  (\w+)\s+(\d+\.\d) MiB\s+(\d+) arrays", line) for line in lines[5:-1]]
+    assert total and rows and all(rows)
+    names = [r.group(1) for r in rows]
+    assert set(names) <= set(T.OPS) and len(set(names)) == len(names)
+    assert {"attention_block", "ff_block", "layer_norm"} <= set(names)
+    assert sum(int(r.group(3)) for r in rows) == int(total.group(2))
+    assert abs(sum(float(r.group(2)) for r in rows) - float(total.group(1))) <= 0.05 * len(rows) + 1e-9
+    mib = [float(r.group(2)) for r in rows]
+    assert mib == sorted(mib, reverse=True)
+
+
+def test_tape_counts_each_buffer_once_and_no_parameters():
+    w = T.Tensor(np.ones((4, 4), np.float32), requires_grad=True)
+    x = T.Tensor(np.ones((2, 4), np.float32))
+    h = T.matmul(x, w)  # holds x and w
+    y = T.matmul(h, T.transpose(w))  # holds h and a view of w
+    held = step_peak.tape(T.mul(y, y))  # holds y twice
+    assert held == {"mul": (y.data.nbytes, 1), "matmul": (h.data.nbytes + x.data.nbytes, 2)}
 
 
 def test_train_errors_exit_2(tmp_path, capsys):

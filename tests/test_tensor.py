@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import tracemalloc
 import weakref
@@ -13,7 +14,9 @@ from hypothesis import strategies as st
 
 from conftest import closure_arrays, tensor_mean, tensor_sum
 from sumforge import tensor as T
-from sumforge.errors import ConfigError, GraphCycle, IdOutOfRange, InvalidAxis, NotScalar, ShapeMismatch
+from sumforge.errors import (
+    ConfigError, GraphCycle, IdOutOfRange, IndexOutOfRange, InvalidAxis, NotScalar, ShapeMismatch,
+)
 from sumforge.model import ModelConfig, abs_loss, build_model, ext_loss
 from sumforge.tensor import SplitRng, Tensor, backward, finite_diff_check
 from sumforge.train import masked_token_loss
@@ -1116,7 +1119,9 @@ class TestTapeHoldsOnlyWhatBackwardReads:
         vertices = _graph_nodes(loss)
         leaves = [v for v in vertices if isinstance(v, Tensor)]
         inner = [v for v in vertices if not isinstance(v, Tensor)]
-        assert len(inner) > 20
+        # The walk found the step's graph: its sublayer ops and more.
+        assert len(inner) > 10
+        assert {"attention_block", "ff_block"} <= {v._backward.__qualname__.split(".")[0] for v in inner}
         assert {id(v) for v in leaves} <= {id(p) for p in params.values()}
         for v in inner:
             assert type(v) is T._Node
@@ -1178,7 +1183,9 @@ class TestOpHook:
             assert grads[name].dtype == g.dtype and grads[name].tobytes() == g.tobytes(), name
         names = {name for name, _ in seen}
         assert names <= set(T.OPS)
-        assert {"attention", "layer_norm", "matmul"} <= names
+        assert {"attention_block", "ff_block", "layer_norm", "matmul"} <= names
+        if make_loss is _small_model_loss:
+            assert "attention" in names  # the decoder's
         head = "projected_cross_entropy" if make_loss is _small_model_loss else "bce_with_logits"
         assert seen[head, "forward"] == seen[head, "backward"] == 1
         assert {pass_ for _, pass_ in seen} == {"forward", "backward"}
@@ -1211,25 +1218,26 @@ class TestOpHook:
             backward(loss)
         assert calls == [("sweep", "bce_with_logits", "backward"), ("sweep", "neg", "backward")]
 
-    def test_feed_forward_backward_runs_under_its_own_name(self):
+    def test_block_backward_runs_under_its_own_name(self):
         seen = []
 
         def recording(name, pass_, fn, *args, **kwargs):
             seen.append((name, pass_))
             return fn(*args, **kwargs)
 
-        x, w1, b1, w2, b2, _ = TestFeedForward._case(np.float64, (2, 3, 4))
-        params = [Tensor(a, requires_grad=True) for a in (x, w1, b1, w2, b2)]
+        *arrays, _ = TestSublayerBlocks._ff_case(np.float64, (2, 3, 4))
+        params = [Tensor(a, requires_grad=True) for a in arrays]
         with T.op_hook(recording):
-            loss = T.bce_with_logits(T.feed_forward(*params), np.ones((2, 3, 6)), np.ones((2, 3, 6)))
+            out = T.ff_block(*params, 0.0, False)
+            loss = T.bce_with_logits(out, np.ones((2, 3, 4)), np.ones((2, 3, 4)))
             backward(loss)
         assert seen == [
-            ("feed_forward", "forward"), ("bce_with_logits", "forward"),
-            ("bce_with_logits", "backward"), ("feed_forward", "backward"),
+            ("ff_block", "forward"), ("bce_with_logits", "forward"),
+            ("bce_with_logits", "backward"), ("ff_block", "backward"),
         ]
 
     def test_registry_holds_the_module_ops(self):
-        assert len(T.OPS) == 21
+        assert len(T.OPS) == 22
         for name, fn in T.OPS.items():
             assert fn is getattr(T, name), name
             assert fn.__name__ == fn.__wrapped__.__name__ == name
@@ -1269,6 +1277,19 @@ class TestInPlaceClosuresSameBits:
             d_inner = T._GELU_C * (1.0 + 3.0 * T._GELU_A * (x * x))
             expected = g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * d_inner)
         _assert_same_bits(gx, expected)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gelu_forward(self, dtype):
+        x = self._specials((3, 7, 11), dtype, 7)
+        x.flat[6:12] = [1e30, -1e30, 1.0, -1.0, 1e-30, 40.0]
+        with np.errstate(all="ignore"):
+            out, t = T._gelu_forward(x)
+            # The expression _gelu_forward replaced, temporaries and all.
+            inner = T._GELU_C * (x + T._GELU_A * (x * x * x))
+            t_old = np.tanh(inner)
+            expected = 0.5 * x * (1.0 + t_old)
+        _assert_same_bits(t, t_old, "tanh")
+        _assert_same_bits(out, expected, "gelu")
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("axis", [-1, 1])
@@ -1512,11 +1533,127 @@ class TestProjectedCrossEntropy:
             assert np.array_equal(a, b)
 
 
+class TestSaturatedLosses:
+    """Both losses at logits of ±1e4: a finite loss, and finite gradients
+    equal in sign and magnitude to weights · (sigmoid(z) − y) and to
+    weights · (softmax − target distribution), also where a saturated logit
+    is wrong."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bce_with_logits(self, dtype):
+        z = np.array([[1e4, -1e4, 1e4, -1e4, 0.0, 3.0]], dtype)
+        y = np.array([[1.0, 0.0, 0.0, 1.0, 1.0, 0.0]], dtype)  # right, right, wrong, wrong
+        w = np.array([[1.0, 2.0, 0.5, 1.5, 1.0, 0.0]], dtype)
+        logits = Tensor(z.copy(), requires_grad=True)
+        loss = T.bce_with_logits(logits, y, w)
+        backward(loss)
+        z64 = z.astype(np.float64)
+        sigmoid = np.exp(-np.logaddexp(0.0, -z64))
+        want_loss = (w * (np.maximum(z64, 0) - z64 * y + np.log1p(np.exp(-np.abs(z64))))).sum()
+        assert np.isfinite(loss.data) and np.isclose(float(loss.data), want_loss, rtol=1e-6)
+        want = w * (sigmoid - y)
+        assert np.all(np.isfinite(logits.grad))
+        assert np.allclose(logits.grad, want, rtol=1e-6, atol=0)
+        assert np.array_equal(np.sign(logits.grad), np.sign(want))
+        # Saturated: |σ − y| is 0 where the logit is right and 1 where it is wrong.
+        assert np.array_equal(np.abs(logits.grad[0, :4]), w[0, :4] * [0, 0, 1, 1])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("smoothing", [0.0, 0.1])
+    @pytest.mark.parametrize("shape", [(4, 5), (2, 4, 5)], ids=["prefit", "abs"])
+    def test_projected_cross_entropy(self, dtype, smoothing, shape):
+        # The table is the identity, so h is the logits and h's gradient
+        # is the logits' gradient.
+        r = np.random.default_rng(0)
+        v = shape[-1]
+        z = r.choice(np.array([1e4, -1e4, 0.0, 2.5], dtype), shape)
+        z[..., 0], z[..., 1] = 1e4, -1e4
+        lead = shape[:-2] + (shape[-2] - 1,) if len(shape) > 2 else shape[:-1]
+        # Targets at the -1e4 logit (wrong) and the +1e4 one (right), in turn.
+        targets = np.where(np.arange(math.prod(lead)).reshape(lead) % 2, 0, 1)
+        weights = np.linspace(0.5, 2.0, math.prod(lead)).reshape(lead).astype(dtype)
+        h = Tensor(z.copy(), requires_grad=True)
+        bias = Tensor(np.zeros(v, dtype), requires_grad=True) if len(shape) == 2 else None
+        loss = T.projected_cross_entropy(h, T.transpose(Tensor(np.eye(v, dtype=dtype))), bias,
+                                         targets, weights, smoothing)
+        backward(loss)
+        scored = z.astype(np.float64)[..., : lead[-1], :]
+        shifted = scored - scored.max(axis=-1, keepdims=True)
+        lp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+        target = (1 - smoothing) * np.eye(v)[targets] + smoothing / v
+        want_loss = (weights * -(target * lp).sum(axis=-1)).sum()
+        assert np.isfinite(loss.data) and np.isclose(float(loss.data), want_loss, rtol=1e-6)
+        want = np.zeros(shape)
+        want[..., : lead[-1], :] = weights[..., None] * (np.exp(lp) - target)
+        assert np.all(np.isfinite(h.grad))
+        assert np.allclose(h.grad, want, rtol=1e-5, atol=1e-7)
+        big = np.abs(want) > 1e-3
+        assert np.array_equal(np.sign(h.grad[big]), np.sign(want[big]))
+        # A wrong target's logit gets −weight · its target mass, not 0.
+        wrong = (targets == 1)[..., None] & (np.arange(v) == 1)
+        mass = 1 - smoothing + smoothing / v
+        assert np.allclose(h.grad[..., : lead[-1], :][wrong], -(weights * mass)[targets == 1], rtol=1e-5)
+
+
 def composed_feed_forward(x, w1, b1, w2, b2):
     """matmul → add → gelu → matmul → add: the feed-forward block as the
     model composed it before feed_forward, the reference it is checked
     against bit for bit."""
     return T.matmul(T.gelu(T.matmul(x, w1) + b1), w2) + b2
+
+
+def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """gelu(x @ w1 + b1) @ w2 + b2 as one op, over a [n, d] or [B, n, d] x,
+    with w1 [d, f], b1 [f], w2 [f, e] and b2 [e]: the feed-forward op the
+    model ran before ff_block took in its layer norm, dropout and residual,
+    and the reference that ff_block's chain is composed with.
+
+    In training it runs one item at a time and backward holds only x and
+    the four parameters, recomputing each item's gelu input, tanh and
+    output with the forward's own calls. Values and gradients are bitwise
+    those of `composed_feed_forward` (TestFeedForward).
+    """
+    xa, w1a, b1a, w2a, b2a = x.data, w1.data, b1.data, w2.data, b2.data
+    if (
+        xa.ndim not in (2, 3) or w1a.ndim != 2 or w2a.ndim != 2 or xa.shape[-1] != w1a.shape[0]
+        or b1a.shape != w1a.shape[1:] or w2a.shape[0] != w1a.shape[1] or b2a.shape != w2a.shape[1:]
+    ):
+        raise ShapeMismatch(
+            f"feed_forward: x {xa.shape}, w1 {w1a.shape}, b1 {b1a.shape}, w2 {w2a.shape}, b2 {b2a.shape}"
+        )
+    parents = (x, w1, b1, w2, b2)
+    items, _ = T._items(xa.shape)
+    hidden_type = np.result_type(xa, w1a)
+
+    def hidden(i):
+        u = xa[i] @ w1a
+        u += b1a
+        y, t = T._gelu_forward(u)
+        return u, t, y
+
+    data = np.empty(xa.shape[:-1] + w2a.shape[1:], np.result_type(hidden_type, w2a))
+    for i in items if T._records(parents) else (Ellipsis,):
+        u, t, y = hidden(i)
+        np.matmul(y, w2a, out=data[i])
+        del u, t, y
+    data += b2a
+
+    def backward(g):
+        gu = np.empty(xa.shape[:-1] + w1a.shape[1:], hidden_type)
+        gx = np.empty(xa.shape, hidden_type)
+        gw1 = T._ItemGrad(w1a.shape, xa.shape, hidden_type)
+        gw2 = T._ItemGrad(w2a.shape, xa.shape, np.result_type(hidden_type, g))
+        w1t, w2t = np.swapaxes(w1a, -1, -2), np.swapaxes(w2a, -1, -2)
+        for i in items:
+            u, t, y = hidden(i)
+            gw2.put(i, np.swapaxes(y, -1, -2) @ g[i])
+            gu[i] = T._gelu_backward(g[i] @ w2t, u, t)
+            del u, t, y
+            np.matmul(gu[i], w1t, out=gx[i])
+            gw1.put(i, np.swapaxes(xa[i], -1, -2) @ gu[i])
+        return gx, gw1.out, T._unbroadcast(gu, b1a.shape), gw2.out, T._unbroadcast(g, b2a.shape)
+
+    return T._make(data, parents, backward)
 
 
 class TestFeedForward:
@@ -1555,7 +1692,7 @@ class TestFeedForward:
     def test_bits_equal_the_composed_chain(self, dtype, grad, shape):
         case = self._case(dtype, shape)
         want = self._run(composed_feed_forward, case, grad)
-        got = self._run(T.feed_forward, case, grad)
+        got = self._run(feed_forward, case, grad)
         assert len(got) == len(want) == (6 if grad else 1)
         for name, a, b in zip(("out", "x", "w1", "b1", "w2", "b2"), got, want):
             _assert_same_bits(a, b, name)
@@ -1566,9 +1703,9 @@ class TestFeedForward:
         # Every encoder and decoder layer: the sweep's order of gradient
         # sums elsewhere in the graph must not move either.
         results = []
-        for block in (None, composed_feed_forward):
+        for block in (None, functools.partial(composed_ff_block, ff=composed_feed_forward)):
             if block is not None:
-                monkeypatch.setattr(T, "feed_forward", block)
+                monkeypatch.setattr(T, "ff_block", block)
             params, loss = make_loss()
             backward(loss)
             results.append((loss.data, {name: p.grad for name, p in params.items()}))
@@ -1583,14 +1720,14 @@ class TestFeedForward:
         w = Tensor(g)
 
         def f(params):
-            return tensor_sum(T.mul(T.feed_forward(*params), w))
+            return tensor_sum(T.mul(feed_forward(*params), w))
 
         _fd(f, [Tensor(a, requires_grad=True) for a in arrays], tol=1e-6)
 
     def test_backward_holds_only_the_input_and_parameters(self):
         *arrays, _ = self._case(np.float32, (3, 9, 8))
         params = [Tensor(a, requires_grad=True) for a in arrays]
-        out = T.feed_forward(*params)
+        out = feed_forward(*params)
         assert out._node._parents == tuple(params)
         held = list(closure_arrays(out._node._backward))
         assert {id(a) for a in held} == {id(p.data) for p in params}
@@ -1606,7 +1743,322 @@ class TestFeedForward:
             (x, w1, b1, w2, b1),  # b2's length
         ]:
             with pytest.raises(ShapeMismatch):
-                T.feed_forward(*args)
+                feed_forward(*args)
+
+
+def composed_attention_block(x, gamma, beta, wq, bq, wk, bk, wv, bv, wo, bo, mask, n_heads, p, train,
+                             rng=None, rows=None):
+    """The self-attention sublayer as the encoder composed it before
+    attention_block, op by op: layer_norm, the q/k/v projections split into
+    heads, attention, the output projection, dropout and the residual. Keys
+    and values are projected before the rows are picked, as the encoder
+    did. The reference attention_block is checked against bit for bit."""
+    lead = (0, 2, 1, 3) if x.data.ndim == 3 else (1, 0, 2)
+
+    def heads(y):
+        return T.permute(T.reshape(y, y.shape[:-1] + (n_heads, y.shape[-1] // n_heads)), lead)
+
+    normed = T.layer_norm(x, gamma, beta)
+    k, v = heads(T.matmul(normed, wk) + bk), heads(T.matmul(normed, wv) + bv)
+    if rows is not None:
+        x, normed = T.gather_positions(x, rows), T.gather_positions(normed, rows)
+    ctx = T.attention(heads(T.matmul(normed, wq) + bq), k, v, mask, p, train, rng)
+    ctx = T.reshape(T.permute(ctx, lead), x.shape)
+    return x + T.dropout(T.matmul(ctx, wo) + bo, p, train, rng)
+
+
+def composed_ff_block(x, gamma, beta, w1, b1, w2, b2, p, train, rng=None, ff=feed_forward):
+    """The feed-forward sublayer as the model composed it before ff_block:
+    layer_norm → feed_forward → dropout → add."""
+    return x + T.dropout(ff(T.layer_norm(x, gamma, beta), w1, b1, w2, b2), p, train, rng)
+
+
+_BLOCK_CONFIG = ModelConfig(vocab_size=30, d_model=8, n_heads=2, d_ff=16, n_enc_layers=2,
+                            n_dec_layers=2, max_positions=16, dropout=0.2)
+
+
+def _block_step(task, dtype=np.float32, config=_BLOCK_CONFIG):
+    """One training step's loss of a 2-layer model on three documents, the
+    last of them padding only, so its query rows are masked whole; "rows"
+    runs the last encoder layer at [CLS]-like rows that repeat."""
+    model = build_model(config, {"rows": "encoder"}.get(task, task), seed=3, dtype=dtype)
+    r = np.random.default_rng(1)
+    src = r.integers(7, 30, (3, 9))
+    pad = np.zeros((3, 9), bool)
+    pad[1, 6:] = pad[2, :] = True
+    rng = np.random.default_rng(5)
+    if task == "abs":
+        tgt = r.integers(7, 30, (3, 5))
+        hidden = model.encode(src, np.zeros_like(src), pad, train=True, rng=rng)
+        states = model.decode_teacher_forced(hidden, tgt, pad, train=True, rng=rng)
+        loss = abs_loss(states, model.params["encoder.tok_emb"], tgt, np.zeros(tgt.shape, bool))
+    elif task == "ext":
+        logits = model.forward_scores(src, np.zeros_like(src), pad, np.array([[0, 4], [0, 3], [1, 1]]),
+                                      train=True, rng=rng)
+        loss = ext_loss(logits, np.array([[1, 0], [0, 1], [1, 1]]), np.ones((3, 2)))
+    else:
+        rows = np.array([[0, 4, 4], [0, 3, 8], [1, 1, 2]])
+        hidden = model.encode(src, np.zeros_like(src), pad, train=True, rng=rng, rows=rows)
+        loss = tensor_sum(T.mul(hidden, Tensor(r.standard_normal(hidden.shape).astype(dtype))))
+    return model, loss, rng
+
+
+class TestSublayerBlocks:
+    """attention_block and ff_block against the chains they replaced: value,
+    every gradient and its layout, and the dropout stream, bit for bit."""
+
+    @staticmethod
+    def _attention_case(dtype, kind, seed=0):
+        """The arrays (x, gamma, beta, then each weight and its bias), an
+        output gradient, a mask and rows. "padding" hides every key of the
+        first document, so its query rows are masked whole; "2d" is one
+        [n, d] sequence with a causal mask and one query row masked whole."""
+        r = np.random.default_rng(seed)
+        shape = (7, 8) if kind == "2d" else (3, 6, 8)
+        d = shape[-1]
+        arrays = [
+            (r.standard_normal(shape) * 2 + 0.5).astype(dtype),
+            (1 + 0.2 * r.standard_normal(d)).astype(dtype), (0.2 * r.standard_normal(d)).astype(dtype),
+        ]
+        for _ in range(4):
+            arrays += [(r.standard_normal((d, d)) * 0.5).astype(dtype), (0.2 * r.standard_normal(d)).astype(dtype)]
+        padding = (r.random((3, 1, 1, 6)) < 0.3) | (np.arange(3) == 0)[:, None, None, None]
+        mask, rows = {
+            "none": (None, None),
+            "padding": (padding, None),
+            "causal": (np.triu(np.ones((6, 6), bool), k=1)[None, None], None),
+            "rows": (padding, np.array([[0, 3, 3, 5], [5, 0, 1, 1], [2, 2, 4, 0]])),
+            "2d": (np.triu(np.ones((7, 7), bool), k=1) | (np.arange(7) == 3)[:, None], None),
+        }[kind]
+        out = shape[:-2] + ((shape[-2] if rows is None else rows.shape[1]), d)
+        return arrays, r.standard_normal(out).astype(dtype), mask, rows
+
+    @staticmethod
+    def _ff_case(dtype, shape, f=16, seed=0):
+        """x, gamma, beta, w1 [d, f], b1, w2 [f, d], b2 and an output
+        gradient, with gelu inputs spread over both tails."""
+        r = np.random.default_rng(seed)
+        d = shape[-1]
+        return [
+            (r.standard_normal(shape) * 2 + 0.5).astype(dtype),
+            (1 + 0.2 * r.standard_normal(d)).astype(dtype), (0.2 * r.standard_normal(d)).astype(dtype),
+            (r.standard_normal((d, f)) * 2).astype(dtype), r.standard_normal(f).astype(dtype),
+            (r.standard_normal((f, d)) * 0.3).astype(dtype), r.standard_normal(d).astype(dtype),
+            r.standard_normal(shape).astype(dtype),
+        ]
+
+    @staticmethod
+    def _run(call, arrays, g, grad):
+        """call(params, rng) once: its value, the arrays' gradients and the
+        next draw of the generator its dropouts drew from."""
+        params = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        rng = np.random.default_rng(5)
+        if not grad:
+            with T.no_grad():
+                out = call(params, rng)
+            assert not out.requires_grad and out._node is None
+            return [out.data], rng.random()
+        out = call(params, rng)
+        backward(tensor_sum(T.mul(out, Tensor(g))))
+        return [out.data] + [p.grad for p in params], rng.random()
+
+    @staticmethod
+    def _assert_same(got, want, names):
+        (got, got_next), (want, want_next) = got, want
+        assert len(got) == len(want)
+        for name, a, b in zip(names, got, want):
+            _assert_same_bits(a, b, name)
+            assert a.strides == b.strides, name  # the layout clipping's sum reads
+        assert got_next == want_next  # the same draws were taken
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", ["none", "padding", "causal", "rows", "2d"])
+    @pytest.mark.parametrize("train", [False, True], ids=["eval", "train"])
+    @pytest.mark.parametrize("grad", [True, False], ids=["grad", "no_grad"])
+    @pytest.mark.parametrize("heads", [1, 2, 8])  # 8: one-wide heads, whose merges are strided views
+    def test_attention_block_bits_equal_the_composed_chain(self, dtype, kind, train, grad, heads):
+        arrays, g, mask, rows = self._attention_case(dtype, kind)
+
+        def call(block):
+            return lambda params, rng: block(*params, mask, heads, 0.25, train, rng, rows=rows)
+
+        want = self._run(call(composed_attention_block), arrays, g, grad)
+        got = self._run(call(T.attention_block), arrays, g, grad)
+        names = ["out", "x", "gamma", "beta", "wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo"]
+        self._assert_same(got, want, names)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(1, 7, 8), (3, 9, 8), (5, 8), (4, 1, 8)],
+                             ids=["B1", "B3", "2d", "decode_step"])
+    @pytest.mark.parametrize("train", [False, True], ids=["eval", "train"])
+    @pytest.mark.parametrize("grad", [True, False], ids=["grad", "no_grad"])
+    def test_ff_block_bits_equal_the_composed_chain(self, dtype, shape, train, grad):
+        *arrays, g = self._ff_case(dtype, shape)
+
+        def call(block):
+            return lambda params, rng: block(*params, 0.25, train, rng)
+
+        want = self._run(call(composed_ff_block), arrays, g, grad)
+        got = self._run(call(T.ff_block), arrays, g, grad)
+        self._assert_same(got, want, ["out", "x", "gamma", "beta", "w1", "b1", "w2", "b2"])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("task", ["ext", "abs", "rows"])
+    def test_training_step_bits_equal_the_chain(self, dtype, task, monkeypatch):
+        # Every layer of a 2-layer model, so the sweep's order of gradient
+        # sums elsewhere in the graph must not move either, nor the draws
+        # of the dropouts that come after the blocks'.
+        results = []
+        for composed in (False, True):
+            if composed:
+                monkeypatch.setattr(T, "attention_block", composed_attention_block)
+                monkeypatch.setattr(T, "ff_block", composed_ff_block)
+            model, loss, rng = _block_step(task, dtype)
+            backward(loss)
+            results.append((loss.data, {n: p.grad for n, p in model.params.items()}, rng.random()))
+        (loss, grads, draw), (want_loss, want, want_draw) = results
+        _assert_same_bits(loss, want_loss, "loss")
+        assert grads.keys() == want.keys() and draw == want_draw
+        for name, g in want.items():
+            _assert_same_bits(grads[name], g, name)
+            assert grads[name].strides == g.strides, name
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(8, 435, 128), (3, 17, 768), (2, 5, 8), (1, 9, 3)], ids=str)
+    def test_layer_norm_rows_of_one_item_equal_the_whole_arrays(self, dtype, shape):
+        """The blocks take layer norm's row statistics one item at a time in
+        training; each row is reduced alone, so they are the whole array's."""
+        x = (np.random.default_rng(2).standard_normal(shape) * 3 + 1).astype(dtype)
+        x[0, 0] = 0.0  # a constant row: var 0, so inv_std is 1/sqrt(eps)
+        whole = T._ln_stats(x)
+        for i in range(shape[0]):
+            for name, a, b in zip(("mu", "inv_std", "xhat"), T._ln_stats(x[i]), whole):
+                _assert_same_bits(a, b[i], name)
+        layer_norm = T.layer_norm(Tensor(x), Tensor(np.ones(shape[-1], dtype)), Tensor(np.zeros(shape[-1], dtype)))
+        _assert_same_bits(T._ln_affine(whole[2], np.ones(shape[-1], dtype), np.zeros(shape[-1], dtype)),
+                          layer_norm.data)
+        _assert_same_bits(T._ln_xhat(x, whole[0], whole[1]), whole[2])
+
+    @pytest.mark.parametrize("kind", ["padding", "rows", "2d"])
+    def test_attention_block_finite_differences_float64(self, kind):
+        arrays, g, mask, rows = self._attention_case(np.float64, kind, seed=1)
+        w = Tensor(g)
+
+        def f(params):
+            # A fresh generator per call: every evaluation drops the same entries.
+            out = T.attention_block(*params, mask, 2, 0.25, True, np.random.default_rng(3), rows=rows)
+            return tensor_sum(T.mul(out, w))
+
+        _fd(f, [Tensor(a, requires_grad=True) for a in arrays], tol=1e-6)
+
+    @pytest.mark.parametrize("shape", [(2, 3, 4), (3, 4)], ids=["3d", "2d"])
+    def test_ff_block_finite_differences_float64(self, shape):
+        *arrays, g = self._ff_case(np.float64, shape, f=5, seed=1)
+        w = Tensor(g)
+
+        def f(params):
+            return tensor_sum(T.mul(T.ff_block(*params, 0.25, True, np.random.default_rng(3)), w))
+
+        _fd(f, [Tensor(a, requires_grad=True) for a in arrays], tol=1e-6)
+
+    @pytest.mark.parametrize("block", ["attention", "ff"])
+    @pytest.mark.parametrize("train", [False, True], ids=["eval", "train"])
+    def test_backward_holds_only_x_parameters_bits_and_row_stats(self, block, train):
+        if block == "attention":
+            arrays, _, mask, _ = self._attention_case(np.float32, "padding")
+            params = [Tensor(a, requires_grad=True) for a in arrays]
+            out = T.attention_block(*params, mask, 2, 0.25, train, np.random.default_rng(0))
+        else:
+            *arrays, _ = self._ff_case(np.float32, (3, 9, 8))
+            params = [Tensor(a, requires_grad=True) for a in arrays]
+            out = T.ff_block(*params, 0.25, train, np.random.default_rng(0))
+        assert out._node._parents == tuple(params)
+        held = {id(a): a for a in closure_arrays(out._node._backward)}
+        x = params[0].data
+        for p in params:
+            assert held.pop(id(p.data)) is p.data
+        stats = [a for a in held.values() if a.dtype == x.dtype and a.ndim]
+        bits = [a for a in held.values() if a.dtype == np.uint8]
+        assert [a.shape for a in stats] == [x.shape[:-1] + (1,)] * 2  # mu and 1/std
+        assert len(bits) == (0 if not train else 2 if block == "attention" else 1)
+        rest = [a for a in held.values() if a.dtype != np.uint8 and not (a.dtype == x.dtype and a.ndim)]
+        assert all(a.nbytes < x.nbytes / 4 for a in rest)  # the scale, masks and rows
+        assert not any(isinstance(c.cell_contents, Tensor) for c in out._node._backward.__closure__
+                       if c.cell_contents is not None)
+
+    def test_shapes_are_checked(self):
+        arrays, _, mask, _ = self._attention_case(np.float32, "padding")
+        t = [Tensor(a) for a in arrays]
+        x, gamma, beta, *proj = t
+        for args, kwargs in [
+            ((Tensor(np.zeros(8, np.float32)), gamma, beta, *proj, None, 2), {}),  # x's rank
+            ((x, gamma, beta, *proj, None, 3), {}),  # heads must divide d
+            ((x, Tensor(np.ones(7, np.float32)), beta, *proj, None, 2), {}),  # gamma's length
+            ((x, gamma, beta, T.transpose(Tensor(np.ones((8, 7), np.float32))), *proj[1:], None, 2), {}),
+            ((x, gamma, beta, *proj, np.zeros((2, 1, 1, 6), bool), 2), {}),  # the mask's batch
+            ((x, gamma, beta, *proj, mask, 2), {"rows": np.zeros((2, 1), int)}),  # rows' batch
+            ((x, gamma, beta, *proj, mask, 2), {"rows": np.zeros((3, 1))}),  # float rows
+        ]:
+            with pytest.raises(ShapeMismatch):
+                T.attention_block(*args, 0.0, False, **kwargs)
+        with pytest.raises(IndexOutOfRange):
+            T.attention_block(x, gamma, beta, *proj, mask, 2, 0.0, False, rows=np.array([[0], [6], [1]]))
+        with pytest.raises(ConfigError):
+            T.attention_block(x, gamma, beta, *proj, mask, 2, 0.1, True, None)
+        *arrays, _ = self._ff_case(np.float32, (2, 3, 8))
+        x, gamma, beta, w1, b1, w2, b2 = (Tensor(a) for a in arrays)
+        for args in [
+            (Tensor(np.zeros((1, 2, 3, 8), np.float32)), gamma, beta, w1, b1, w2, b2),  # x's rank
+            (x, b1, beta, w1, b1, w2, b2),  # gamma's length
+            (x, gamma, beta, T.transpose(w1), b1, w2, b2),  # d
+            (x, gamma, beta, w1, b2, w2, b2),  # b1's length
+            (x, gamma, beta, w1, b1, T.transpose(w2), b2),  # f
+            (x, gamma, beta, w1, b1, w2, b1),  # b2's length
+        ]:
+            with pytest.raises(ShapeMismatch):
+                T.ff_block(*args, 0.0, False)
+        with pytest.raises(ConfigError):
+            T.ff_block(x, gamma, beta, w1, b1, w2, b2, 1.0, False)
+
+
+class TestTapeCensus:
+    """What the forward tape of a training step holds, array by array."""
+
+    @staticmethod
+    def _buffer(a: np.ndarray) -> np.ndarray:
+        while isinstance(a.base, np.ndarray):
+            a = a.base
+        return a
+
+    def test_each_encoder_layer_holds_two_activations(self):
+        """A tiny 2-layer encoder in train mode with dropout: each layer's
+        closures hold its two sublayers' inputs, packed keep bits and layer
+        norm's [B, L, 1] row statistics, and no other [B, L, d] array; the
+        final layer norm keeps one more."""
+        config = ModelConfig(vocab_size=30, d_model=8, n_heads=2, d_ff=16, n_enc_layers=2,
+                             n_dec_layers=1, max_positions=16, dropout=0.2)
+        model, loss, _ = _block_step("ext", config=config)
+        b, length, d = 3, 9, config.d_model
+        params = {id(p.data) for p in model.params.values()}
+        held, ops = {}, {}
+        for vertex in _graph_nodes(loss):
+            if vertex._backward is None:
+                continue
+            name = vertex._backward.__qualname__.split(".", 1)[0]
+            for a in closure_arrays(vertex._backward):
+                base = self._buffer(a)
+                if id(base) not in params:
+                    held[id(base)] = base
+                    ops.setdefault(name, {})[id(base)] = base
+        activations = [a for a in held.values() if a.size >= b * length * d]
+        assert all(a.shape == (b, length, d) for a in activations), [a.shape for a in activations]
+        assert len(activations) <= 2 * config.n_enc_layers + 1
+        for name in ("attention_block", "ff_block"):
+            arrays = ops.get(name, {}).values()
+            assert sorted(a.shape for a in arrays if a.dtype == np.float32 and a.ndim) == sorted(
+                [(b, length, d)] * 2 + [(b, length, 1)] * 4
+            ), name  # two layers: x, mu and 1/std each
+            assert all(a.dtype in (np.float32, np.uint8) or a.nbytes < b * length * d for a in arrays), name
 
 
 def _traced_peak(fn, *args):
@@ -1754,7 +2206,7 @@ class TestClosureTemporaries:
         hidden = 8 * 64 * 128 * 4  # one [B, L, d_ff] float32 array
         # The chain keeps the gelu input, its tanh and the gelu output from
         # forward to backward; the op recomputes them item by item.
-        assert _traced_peak(step, T.feed_forward) + 2 * hidden < _traced_peak(step, composed_feed_forward)
+        assert _traced_peak(step, feed_forward) + 2 * hidden < _traced_peak(step, composed_feed_forward)
 
     def test_shared_weight_matmul_builds_no_stack(self):
         r = np.random.default_rng(0)
@@ -1764,6 +2216,11 @@ class TestClosureTemporaries:
         stack = 32 * w.data.nbytes  # the [B, d, V] products
         g = r.standard_normal(out.shape).astype(np.float32)
         assert _traced_peak(out._node._backward, g) < stack / 4
+
+    def test_gelu_forward_makes_three_arrays(self):
+        x = np.random.default_rng(0).standard_normal((256, 512)).astype(np.float32)
+        # The output, the tanh, and 1 + tanh for the last product.
+        assert _traced_peak(T._gelu_forward, x) <= 3 * x.nbytes + _NUMPY_BUFFERS
 
     @pytest.mark.parametrize("op, arrays", [(T.gelu, 2), (lambda a: T.log_softmax(a, -1), 1)],
                              ids=["gelu", "log_softmax"])

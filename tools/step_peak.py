@@ -2,7 +2,7 @@
 """Traced memory of one training step, phase by phase.
 
     python3 tools/step_peak.py --task ext --shards shards/ --vocab vocab.txt \\
-        [--config run.cfg] [--seed 0]
+        [--config run.cfg] [--seed 0] [--tape]
 
 Runs `sumforge train` with the same arguments, config file, seed and
 vocabulary, but stops `train.fit` after its first step and writes no
@@ -15,9 +15,12 @@ the traced memory to that peak, as `tensor.op_hook` reports the calls.
 `outside ops` means the peak was set between op calls, for instance where
 the backward sweep adds a gradient into one already held. tracemalloc
 counts numpy's arrays and Python objects, not the interpreter's own memory,
-so the figures are below RSS and compare only with each other. The last
-line gives the step's loss, which equals the loss of step 1 of
-`sumforge train` with the same arguments.
+so the figures are below RSS and compare only with each other. With
+`--tape` it then prints the forward tape: the MiB that the backward
+closures of each op hold at the end of forward, parameters left out, each
+array counted once, for the first op in graph order that holds it (a view
+counts as the array it views). The last line gives the step's loss, which
+equals the loss of step 1 of `sumforge train` with the same arguments.
 """
 
 from __future__ import annotations
@@ -28,9 +31,12 @@ import io
 import sys
 import tempfile
 import tracemalloc
+import types
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -75,13 +81,62 @@ class Probe:
         self.phase = None
 
 
-def traced_fit(probe: Probe, losses: list[float]):
+def _closure_arrays(fn):
+    """Every array a backward closure holds, in its cells or in the cells of
+    the functions it holds."""
+    for cell in fn.__closure__ or ():
+        try:
+            x = cell.cell_contents
+        except ValueError:  # a cell never assigned
+            continue
+        if isinstance(x, np.ndarray):
+            yield x
+        elif isinstance(x, types.FunctionType):
+            yield from _closure_arrays(x)
+
+
+def _buffer(a: np.ndarray) -> np.ndarray:
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+def tape(loss: T.Tensor) -> dict[str, tuple[int, int]]:
+    """Bytes and arrays held by the backward closures of loss's graph, by
+    op: each buffer once, for the first op in graph order that holds it,
+    and none of the leaves' (the parameters)."""
+    vertices, stack, seen = [], [T._vertex(loss)], set()
+    while stack:
+        vertex = stack.pop()
+        if id(vertex) not in seen:
+            seen.add(id(vertex))
+            vertices.append(vertex)
+            stack.extend(p for p in vertex._parents if p is not None)
+    counted = {id(_buffer(v.data)) for v in vertices if isinstance(v, T.Tensor)}
+    held: dict[str, tuple[int, int]] = {}
+    for vertex in vertices:
+        if vertex._backward is None:
+            continue
+        name = vertex._backward.__qualname__.split(".", 1)[0]
+        for a in _closure_arrays(vertex._backward):
+            base = _buffer(a)
+            if id(base) not in counted:
+                counted.add(id(base))
+                nbytes, count = held.get(name, (0, 0))
+                held[name] = (nbytes + base.nbytes, count + 1)
+    return held
+
+
+def traced_fit(probe: Probe, losses: list[float], held: dict[str, tuple[int, int]] | None = None):
     """train.fit for one step, without checkpoints, with its forward (the
     loss closure), its backward and the rest of the step as the probe's
-    phases."""
+    phases; with `held`, fill it with the forward tape (`tape`)."""
     fit, backward = train.fit, T.backward
 
     def traced_backward(loss):
+        if held is not None:
+            probe.end()
+            held.update(tape(loss))
         probe.begin("backward")
         backward(loss)
         probe.begin("clip+adam")
@@ -112,6 +167,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--vocab", required=True)
     parser.add_argument("--config")
     parser.add_argument("--seed", type=int)
+    parser.add_argument("--tape", action="store_true", help="print what the forward tape holds, by op")
     args = parser.parse_args(argv)
 
     train_argv = ["train", "--task", args.task, "--shards", args.shards, "--vocab", args.vocab]
@@ -119,9 +175,9 @@ def main(argv: list[str] | None = None) -> int:
         train_argv += ["--config", args.config]
     if args.seed is not None:
         train_argv += ["--seed", str(args.seed)]
-    probe, losses = Probe(), []
+    probe, losses, held = Probe(), [], {} if args.tape else None
     with (
-        mock.patch.object(train, "fit", traced_fit(probe, losses)),
+        mock.patch.object(train, "fit", traced_fit(probe, losses, held)),
         tempfile.TemporaryDirectory() as out,
         contextlib.redirect_stdout(io.StringIO()),
     ):
@@ -131,6 +187,12 @@ def main(argv: list[str] | None = None) -> int:
     print(f"{'phase':<10} {'peak MiB':>9} {'live MiB':>9}  peak held by")
     for name, peak, live, holder in probe.rows:
         print(f"{name:<10} {peak:>9.1f} {live:>9.1f}  {holder}")
+    if held is not None:
+        total = sum(nbytes for nbytes, _ in held.values())
+        count = sum(n for _, n in held.values())
+        print(f"tape at the end of forward: {total / MIB:.1f} MiB in {count} arrays")
+        for name, (nbytes, n) in sorted(held.items(), key=lambda kv: (-kv[1][0], kv[0])):
+            print(f"  {name:<24} {nbytes / MIB:>7.1f} MiB {n:>5} arrays")
     print(f"{args.task} step 1 loss {losses[0]:.6f}")
     return 0
 
