@@ -4,7 +4,8 @@ logits and accuracy."""
 
 from __future__ import annotations
 
-import types
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,14 @@ from sumforge.model import AbstractiveModel, ModelConfig
 from sumforge.tensor import Tensor
 from sumforge.tokenization import TokenizedExample, Vocab
 from sumforge.train import make_abs_batch
+
+_spec = importlib.util.spec_from_file_location(
+    "step_peak", Path(__file__).resolve().parent.parent / "tools" / "step_peak.py"
+)
+step_peak = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(step_peak)
+# The tape walk of tools/step_peak.py, which the tests' closure checks share.
+buffer, closure_arrays, graph_vertices = step_peak.buffer, step_peak.closure_arrays, step_peak.graph_vertices
 
 SPECIALS = ["[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]", "[unused0]", "[unused1]"]
 
@@ -49,20 +58,6 @@ def tiny_config() -> ModelConfig:
         max_positions=32,
         dropout=0.0,
     )
-
-
-def closure_arrays(fn):
-    """Every array a backward closure holds, in its cells or in the cells of
-    the functions it holds."""
-    for cell in fn.__closure__ or ():
-        try:
-            x = cell.cell_contents
-        except ValueError:  # a cell never assigned, e.g. attention's factor
-            continue
-        if isinstance(x, np.ndarray):
-            yield x
-        elif isinstance(x, types.FunctionType):
-            yield from closure_arrays(x)
 
 
 def make_story(n_sentences: int = 4, n_summary: int = 2, tag: str = "x") -> StoryDoc:

@@ -2,22 +2,16 @@
 
 from __future__ import annotations
 
-import importlib.util
 import re
-from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import step_peak
 from test_cli import _make_shards, _write_config
 
 from sumforge import tensor as T
 from sumforge import train
 from sumforge.cli import main
-
-_PATH = Path(__file__).resolve().parent.parent / "tools" / "step_peak.py"
-_spec = importlib.util.spec_from_file_location("step_peak", _PATH)
-step_peak = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(step_peak)
 
 
 @pytest.mark.parametrize("task", ["ext", "abs", "prefit"])
@@ -31,41 +25,28 @@ def test_reports_each_phase_and_the_loss_of_step_1(tmp_path, capsys, task):
     assert step_peak.main(common) == 0
     lines = capsys.readouterr().out.splitlines()
     assert T.attention is attention and T.backward is backward and train.fit is fit  # restored
-    assert len(lines) == 5
     rows = [re.fullmatch(r"(\S+)\s+(\d+\.\d)\s+(\d+\.\d)  (.+)", line) for line in lines[1:4]]
     assert [r.group(1) for r in rows] == ["forward", "backward", "clip+adam"]
     for r in rows:
         assert float(r.group(2)) >= float(r.group(3)) >= 0.0
     assert rows[0].group(4) == "outside ops" or rows[0].group(4).endswith(" forward")
     assert rows[1].group(4) == "outside ops" or rows[1].group(4).endswith(" backward")
-    loss = re.fullmatch(rf"{task} step 1 loss (\d+\.\d{{6}})", lines[4]).group(1)
 
-    assert main(["train", *common, "--out", str(tmp_path / "run")]) == 0
-    assert capsys.readouterr().out == f"{task}: 1 steps, final loss {loss}\n"
-
-
-@pytest.mark.parametrize("task", ["ext", "abs"])
-def test_tape_lists_what_each_op_holds_at_the_end_of_forward(tmp_path, capsys, task):
-    shards, vocab = _make_shards(tmp_path)
-    config = _write_config(tmp_path / "run.cfg", max_steps=1, mask_prob=0.3, dropout=0.1)
-    common = ["--task", task, "--shards", str(shards), "--vocab", str(vocab), "--config", str(config)]
-    capsys.readouterr()
-    assert step_peak.main(common) == 0
-    plain = capsys.readouterr().out.splitlines()
-
-    assert step_peak.main(common + ["--tape"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == plain[0] and lines[-1] == plain[-1]  # the header and the loss
+    # The forward tape, by op, largest first.
     total = re.fullmatch(r"tape at the end of forward: (\d+\.\d) MiB in (\d+) arrays", lines[4])
-    rows = [re.fullmatch(r"  (\w+)\s+(\d+\.\d) MiB\s+(\d+) arrays", line) for line in lines[5:-1]]
-    assert total and rows and all(rows)
-    names = [r.group(1) for r in rows]
+    ops = [re.fullmatch(r"  (\w+)\s+(\d+\.\d) MiB\s+(\d+) arrays", line) for line in lines[5:-1]]
+    assert total and ops and all(ops)
+    names = [r.group(1) for r in ops]
     assert set(names) <= set(T.OPS) and len(set(names)) == len(names)
     assert {"attention_block", "ff_block", "layer_norm"} <= set(names)
-    assert sum(int(r.group(3)) for r in rows) == int(total.group(2))
-    assert abs(sum(float(r.group(2)) for r in rows) - float(total.group(1))) <= 0.05 * len(rows) + 1e-9
-    mib = [float(r.group(2)) for r in rows]
+    assert sum(int(r.group(3)) for r in ops) == int(total.group(2))
+    assert abs(sum(float(r.group(2)) for r in ops) - float(total.group(1))) <= 0.05 * len(ops) + 1e-9
+    mib = [float(r.group(2)) for r in ops]
     assert mib == sorted(mib, reverse=True)
+
+    loss = re.fullmatch(rf"{task} step 1 loss (\d+\.\d{{6}})", lines[-1]).group(1)
+    assert main(["train", *common, "--out", str(tmp_path / "run")]) == 0
+    assert capsys.readouterr().out == f"{task}: 1 steps, final loss {loss}\n"
 
 
 def test_tape_counts_each_buffer_once_and_no_parameters():

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import math
 import tracemalloc
 import weakref
@@ -12,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import closure_arrays, tensor_mean, tensor_sum
+from conftest import buffer, closure_arrays, graph_vertices, tensor_mean, tensor_sum
 from sumforge import tensor as T
 from sumforge.errors import (
     ConfigError, GraphCycle, IdOutOfRange, IndexOutOfRange, InvalidAxis, NotScalar, ShapeMismatch,
@@ -817,19 +816,6 @@ def _reference_backward(loss):
                 parent.grad = parent.grad + g
 
 
-def _graph_nodes(loss):
-    """Every vertex reachable from loss: leaves and op outputs' _Nodes."""
-    nodes, stack, seen = [], [T._vertex(loss)], set()
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        nodes.append(node)
-        stack.extend(p for p in node._parents if p is not None)
-    return nodes
-
-
 def _cells(fn) -> dict:
     """A closure's captured variables by name; unassigned ones are left out."""
     out = {}
@@ -1032,7 +1018,7 @@ class TestGraphConsumption:
         expected = {name: p.grad for name, p in params.items()}
 
         params, loss = _small_model_loss()
-        inner = [n for n in _graph_nodes(loss) if n._backward is not None]
+        inner = [n for n in graph_vertices(loss) if n._backward is not None]
         assert len(inner) > 50
         assert all(type(n) is T._Node for n in inner)
         backward(loss)
@@ -1116,7 +1102,7 @@ class TestTapeHoldsOnlyWhatBackwardReads:
     @pytest.mark.parametrize("make_loss", [_small_ext_loss, _small_model_loss], ids=["ext", "abs"])
     def test_training_step_vertices_hold_no_data(self, make_loss):
         params, loss = make_loss()
-        vertices = _graph_nodes(loss)
+        vertices = graph_vertices(loss)
         leaves = [v for v in vertices if isinstance(v, Tensor)]
         inner = [v for v in vertices if not isinstance(v, Tensor)]
         # The walk found the step's graph: its sublayer ops and more.
@@ -1225,7 +1211,7 @@ class TestOpHook:
             seen.append((name, pass_))
             return fn(*args, **kwargs)
 
-        *arrays, _ = TestSublayerBlocks._ff_case(np.float64, (2, 3, 4))
+        *arrays, _ = TestFeedForward._case(np.float64, (2, 3, 4))
         params = [Tensor(a, requires_grad=True) for a in arrays]
         with T.op_hook(recording):
             out = T.ff_block(*params, 0.0, False)
@@ -1597,153 +1583,8 @@ class TestSaturatedLosses:
 
 def composed_feed_forward(x, w1, b1, w2, b2):
     """matmul → add → gelu → matmul → add: the feed-forward block as the
-    model composed it before feed_forward, the reference it is checked
-    against bit for bit."""
+    model composed it before it became part of ff_block."""
     return T.matmul(T.gelu(T.matmul(x, w1) + b1), w2) + b2
-
-
-def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
-    """gelu(x @ w1 + b1) @ w2 + b2 as one op, over a [n, d] or [B, n, d] x,
-    with w1 [d, f], b1 [f], w2 [f, e] and b2 [e]: the feed-forward op the
-    model ran before ff_block took in its layer norm, dropout and residual,
-    and the reference that ff_block's chain is composed with.
-
-    In training it runs one item at a time and backward holds only x and
-    the four parameters, recomputing each item's gelu input, tanh and
-    output with the forward's own calls. Values and gradients are bitwise
-    those of `composed_feed_forward` (TestFeedForward).
-    """
-    xa, w1a, b1a, w2a, b2a = x.data, w1.data, b1.data, w2.data, b2.data
-    if (
-        xa.ndim not in (2, 3) or w1a.ndim != 2 or w2a.ndim != 2 or xa.shape[-1] != w1a.shape[0]
-        or b1a.shape != w1a.shape[1:] or w2a.shape[0] != w1a.shape[1] or b2a.shape != w2a.shape[1:]
-    ):
-        raise ShapeMismatch(
-            f"feed_forward: x {xa.shape}, w1 {w1a.shape}, b1 {b1a.shape}, w2 {w2a.shape}, b2 {b2a.shape}"
-        )
-    parents = (x, w1, b1, w2, b2)
-    items, _ = T._items(xa.shape)
-    hidden_type = np.result_type(xa, w1a)
-
-    def hidden(i):
-        u = xa[i] @ w1a
-        u += b1a
-        y, t = T._gelu_forward(u)
-        return u, t, y
-
-    data = np.empty(xa.shape[:-1] + w2a.shape[1:], np.result_type(hidden_type, w2a))
-    for i in items if T._records(parents) else (Ellipsis,):
-        u, t, y = hidden(i)
-        np.matmul(y, w2a, out=data[i])
-        del u, t, y
-    data += b2a
-
-    def backward(g):
-        gu = np.empty(xa.shape[:-1] + w1a.shape[1:], hidden_type)
-        gx = np.empty(xa.shape, hidden_type)
-        gw1 = T._ItemGrad(w1a.shape, xa.shape, hidden_type)
-        gw2 = T._ItemGrad(w2a.shape, xa.shape, np.result_type(hidden_type, g))
-        w1t, w2t = np.swapaxes(w1a, -1, -2), np.swapaxes(w2a, -1, -2)
-        for i in items:
-            u, t, y = hidden(i)
-            gw2.put(i, np.swapaxes(y, -1, -2) @ g[i])
-            gu[i] = T._gelu_backward(g[i] @ w2t, u, t)
-            del u, t, y
-            np.matmul(gu[i], w1t, out=gx[i])
-            gw1.put(i, np.swapaxes(xa[i], -1, -2) @ gu[i])
-        return gx, gw1.out, T._unbroadcast(gu, b1a.shape), gw2.out, T._unbroadcast(g, b2a.shape)
-
-    return T._make(data, parents, backward)
-
-
-class TestFeedForward:
-    """The feed-forward block as one op, against the chain it replaced."""
-
-    @staticmethod
-    def _case(dtype, shape, f=16, e=6, seed=0):
-        """x, w1 [d, f], b1, w2 [f, e], b2 and an output gradient, with
-        gelu inputs spread over both tails."""
-        r = np.random.default_rng(seed)
-        d = shape[-1]
-        x = (r.standard_normal(shape) * 2).astype(dtype)
-        w1 = r.standard_normal((d, f)).astype(dtype)
-        b1, b2 = (r.standard_normal(n).astype(dtype) for n in (f, e))
-        w2 = (r.standard_normal((f, e)) * 0.3).astype(dtype)
-        g = r.standard_normal(shape[:-1] + (e,)).astype(dtype)
-        return x, w1, b1, w2, b2, g
-
-    @staticmethod
-    def _run(block, case, grad):
-        *arrays, g = case
-        params = [Tensor(a.copy(), requires_grad=True) for a in arrays]
-        if not grad:
-            with T.no_grad():
-                out = block(*params)
-            assert not out.requires_grad and out._node is None
-            return [out.data]
-        out = block(*params)
-        backward(tensor_sum(T.mul(out, Tensor(g))))
-        return [out.data] + [p.grad for p in params]
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("grad", [True, False], ids=["grad", "no_grad"])
-    @pytest.mark.parametrize("shape", [(1, 7, 8), (3, 9, 8), (5, 8), (4, 1, 8)],
-                             ids=["B1", "B3", "2d", "decode_step"])
-    def test_bits_equal_the_composed_chain(self, dtype, grad, shape):
-        case = self._case(dtype, shape)
-        want = self._run(composed_feed_forward, case, grad)
-        got = self._run(feed_forward, case, grad)
-        assert len(got) == len(want) == (6 if grad else 1)
-        for name, a, b in zip(("out", "x", "w1", "b1", "w2", "b2"), got, want):
-            _assert_same_bits(a, b, name)
-            assert a.strides == b.strides, name
-
-    @pytest.mark.parametrize("make_loss", [_small_ext_loss, _small_model_loss], ids=["ext", "abs"])
-    def test_training_step_bits_equal_the_chain(self, make_loss, monkeypatch):
-        # Every encoder and decoder layer: the sweep's order of gradient
-        # sums elsewhere in the graph must not move either.
-        results = []
-        for block in (None, functools.partial(composed_ff_block, ff=composed_feed_forward)):
-            if block is not None:
-                monkeypatch.setattr(T, "ff_block", block)
-            params, loss = make_loss()
-            backward(loss)
-            results.append((loss.data, {name: p.grad for name, p in params.items()}))
-        (loss, grads), (want_loss, want) = results
-        _assert_same_bits(loss, want_loss, "loss")
-        for name, g in want.items():
-            _assert_same_bits(grads[name], g, name)
-            assert grads[name].strides == g.strides, name
-
-    def test_finite_differences_float64(self):
-        *arrays, g = self._case(np.float64, (2, 3, 4), f=5, e=3, seed=1)
-        w = Tensor(g)
-
-        def f(params):
-            return tensor_sum(T.mul(feed_forward(*params), w))
-
-        _fd(f, [Tensor(a, requires_grad=True) for a in arrays], tol=1e-6)
-
-    def test_backward_holds_only_the_input_and_parameters(self):
-        *arrays, _ = self._case(np.float32, (3, 9, 8))
-        params = [Tensor(a, requires_grad=True) for a in arrays]
-        out = feed_forward(*params)
-        assert out._node._parents == tuple(params)
-        held = list(closure_arrays(out._node._backward))
-        assert {id(a) for a in held} == {id(p.data) for p in params}
-
-    def test_shapes_are_checked(self):
-        x, w1, b1, w2, b2, _ = (Tensor(a) for a in self._case(np.float32, (2, 3, 8)))
-        for args in [
-            (Tensor(np.zeros(8, np.float32)), w1, b1, w2, b2),  # x's rank
-            (Tensor(np.zeros((1, 2, 3, 8), np.float32)), w1, b1, w2, b2),
-            (x, T.transpose(w1), b1, w2, b2),  # d
-            (x, w1, b2, w2, b2),  # b1's length
-            (x, w1, b1, T.transpose(w2), b2),  # f
-            (x, w1, b1, w2, b1),  # b2's length
-        ]:
-            with pytest.raises(ShapeMismatch):
-                feed_forward(*args)
 
 
 def composed_attention_block(x, gamma, beta, wq, bq, wk, bk, wv, bv, wo, bo, mask, n_heads, p, train,
@@ -1767,10 +1608,12 @@ def composed_attention_block(x, gamma, beta, wq, bq, wk, bk, wv, bv, wo, bo, mas
     return x + T.dropout(T.matmul(ctx, wo) + bo, p, train, rng)
 
 
-def composed_ff_block(x, gamma, beta, w1, b1, w2, b2, p, train, rng=None, ff=feed_forward):
+def composed_ff_block(x, gamma, beta, w1, b1, w2, b2, p, train, rng=None):
     """The feed-forward sublayer as the model composed it before ff_block:
-    layer_norm → feed_forward → dropout → add."""
-    return x + T.dropout(ff(T.layer_norm(x, gamma, beta), w1, b1, w2, b2), p, train, rng)
+    layer_norm → the feed-forward block → dropout → add. The reference
+    ff_block is checked against bit for bit."""
+    normed = T.layer_norm(x, gamma, beta)
+    return x + T.dropout(composed_feed_forward(normed, w1, b1, w2, b2), p, train, rng)
 
 
 _BLOCK_CONFIG = ModelConfig(vocab_size=30, d_model=8, n_heads=2, d_ff=16, n_enc_layers=2,
@@ -1834,20 +1677,6 @@ class TestSublayerBlocks:
         return arrays, r.standard_normal(out).astype(dtype), mask, rows
 
     @staticmethod
-    def _ff_case(dtype, shape, f=16, seed=0):
-        """x, gamma, beta, w1 [d, f], b1, w2 [f, d], b2 and an output
-        gradient, with gelu inputs spread over both tails."""
-        r = np.random.default_rng(seed)
-        d = shape[-1]
-        return [
-            (r.standard_normal(shape) * 2 + 0.5).astype(dtype),
-            (1 + 0.2 * r.standard_normal(d)).astype(dtype), (0.2 * r.standard_normal(d)).astype(dtype),
-            (r.standard_normal((d, f)) * 2).astype(dtype), r.standard_normal(f).astype(dtype),
-            (r.standard_normal((f, d)) * 0.3).astype(dtype), r.standard_normal(d).astype(dtype),
-            r.standard_normal(shape).astype(dtype),
-        ]
-
-    @staticmethod
     def _run(call, arrays, g, grad):
         """call(params, rng) once: its value, the arrays' gradients and the
         next draw of the generator its dropouts drew from."""
@@ -1886,21 +1715,6 @@ class TestSublayerBlocks:
         got = self._run(call(T.attention_block), arrays, g, grad)
         names = ["out", "x", "gamma", "beta", "wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo"]
         self._assert_same(got, want, names)
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("shape", [(1, 7, 8), (3, 9, 8), (5, 8), (4, 1, 8)],
-                             ids=["B1", "B3", "2d", "decode_step"])
-    @pytest.mark.parametrize("train", [False, True], ids=["eval", "train"])
-    @pytest.mark.parametrize("grad", [True, False], ids=["grad", "no_grad"])
-    def test_ff_block_bits_equal_the_composed_chain(self, dtype, shape, train, grad):
-        *arrays, g = self._ff_case(dtype, shape)
-
-        def call(block):
-            return lambda params, rng: block(*params, 0.25, train, rng)
-
-        want = self._run(call(composed_ff_block), arrays, g, grad)
-        got = self._run(call(T.ff_block), arrays, g, grad)
-        self._assert_same(got, want, ["out", "x", "gamma", "beta", "w1", "b1", "w2", "b2"])
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("task", ["ext", "abs", "rows"])
@@ -1951,16 +1765,6 @@ class TestSublayerBlocks:
 
         _fd(f, [Tensor(a, requires_grad=True) for a in arrays], tol=1e-6)
 
-    @pytest.mark.parametrize("shape", [(2, 3, 4), (3, 4)], ids=["3d", "2d"])
-    def test_ff_block_finite_differences_float64(self, shape):
-        *arrays, g = self._ff_case(np.float64, shape, f=5, seed=1)
-        w = Tensor(g)
-
-        def f(params):
-            return tensor_sum(T.mul(T.ff_block(*params, 0.25, True, np.random.default_rng(3)), w))
-
-        _fd(f, [Tensor(a, requires_grad=True) for a in arrays], tol=1e-6)
-
     @pytest.mark.parametrize("block", ["attention", "ff"])
     @pytest.mark.parametrize("train", [False, True], ids=["eval", "train"])
     def test_backward_holds_only_x_parameters_bits_and_row_stats(self, block, train):
@@ -1969,7 +1773,7 @@ class TestSublayerBlocks:
             params = [Tensor(a, requires_grad=True) for a in arrays]
             out = T.attention_block(*params, mask, 2, 0.25, train, np.random.default_rng(0))
         else:
-            *arrays, _ = self._ff_case(np.float32, (3, 9, 8))
+            *arrays, _ = TestFeedForward._case(np.float32, (3, 9, 8))
             params = [Tensor(a, requires_grad=True) for a in arrays]
             out = T.ff_block(*params, 0.25, train, np.random.default_rng(0))
         assert out._node._parents == tuple(params)
@@ -2005,7 +1809,52 @@ class TestSublayerBlocks:
             T.attention_block(x, gamma, beta, *proj, mask, 2, 0.0, False, rows=np.array([[0], [6], [1]]))
         with pytest.raises(ConfigError):
             T.attention_block(x, gamma, beta, *proj, mask, 2, 0.1, True, None)
-        *arrays, _ = self._ff_case(np.float32, (2, 3, 8))
+
+
+class TestFeedForward:
+    """ff_block against the chain it replaced: value, every gradient and its
+    layout, and the dropout stream, bit for bit."""
+
+    @staticmethod
+    def _case(dtype, shape, f=16, seed=0):
+        """x, gamma, beta, w1 [d, f], b1, w2 [f, d], b2 and an output
+        gradient, with gelu inputs spread over both tails."""
+        r = np.random.default_rng(seed)
+        d = shape[-1]
+        return [
+            (r.standard_normal(shape) * 2 + 0.5).astype(dtype),
+            (1 + 0.2 * r.standard_normal(d)).astype(dtype), (0.2 * r.standard_normal(d)).astype(dtype),
+            (r.standard_normal((d, f)) * 2).astype(dtype), r.standard_normal(f).astype(dtype),
+            (r.standard_normal((f, d)) * 0.3).astype(dtype), r.standard_normal(d).astype(dtype),
+            r.standard_normal(shape).astype(dtype),
+        ]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("grad", [True, False], ids=["grad", "no_grad"])
+    @pytest.mark.parametrize("shape", [(1, 7, 8), (3, 9, 8), (5, 8), (4, 1, 8)],
+                             ids=["B1", "B3", "2d", "decode_step"])
+    def test_bits_equal_the_composed_chain(self, dtype, grad, shape):
+        *arrays, g = self._case(dtype, shape)
+        for train in (False, True):
+            def call(block):
+                return lambda params, rng: block(*params, 0.25, train, rng)
+
+            want = TestSublayerBlocks._run(call(composed_ff_block), arrays, g, grad)
+            got = TestSublayerBlocks._run(call(T.ff_block), arrays, g, grad)
+            TestSublayerBlocks._assert_same(got, want, ["out", "x", "gamma", "beta", "w1", "b1", "w2", "b2"])
+
+    def test_finite_differences_float64(self):
+        for shape in [(2, 3, 4), (3, 4)]:
+            *arrays, g = self._case(np.float64, shape, f=5, seed=1)
+            w = Tensor(g)
+
+            def f(params):
+                return tensor_sum(T.mul(T.ff_block(*params, 0.25, True, np.random.default_rng(3)), w))
+
+            _fd(f, [Tensor(a, requires_grad=True) for a in arrays], tol=1e-6)
+
+    def test_shapes_are_checked(self):
+        *arrays, _ = self._case(np.float32, (2, 3, 8))
         x, gamma, beta, w1, b1, w2, b2 = (Tensor(a) for a in arrays)
         for args in [
             (Tensor(np.zeros((1, 2, 3, 8), np.float32)), gamma, beta, w1, b1, w2, b2),  # x's rank
@@ -2024,12 +1873,6 @@ class TestSublayerBlocks:
 class TestTapeCensus:
     """What the forward tape of a training step holds, array by array."""
 
-    @staticmethod
-    def _buffer(a: np.ndarray) -> np.ndarray:
-        while isinstance(a.base, np.ndarray):
-            a = a.base
-        return a
-
     def test_each_encoder_layer_holds_two_activations(self):
         """A tiny 2-layer encoder in train mode with dropout: each layer's
         closures hold its two sublayers' inputs, packed keep bits and layer
@@ -2041,12 +1884,12 @@ class TestTapeCensus:
         b, length, d = 3, 9, config.d_model
         params = {id(p.data) for p in model.params.values()}
         held, ops = {}, {}
-        for vertex in _graph_nodes(loss):
+        for vertex in graph_vertices(loss):
             if vertex._backward is None:
                 continue
             name = vertex._backward.__qualname__.split(".", 1)[0]
             for a in closure_arrays(vertex._backward):
-                base = self._buffer(a)
+                base = buffer(a)
                 if id(base) not in params:
                     held[id(base)] = base
                     ops.setdefault(name, {})[id(base)] = base
@@ -2194,19 +2037,19 @@ class TestClosureTemporaries:
             assert bound < rows_by_vocab  # no [rows, V] array at all
 
     def test_feed_forward_keeps_no_hidden_array(self):
-        *arrays, g = TestFeedForward._case(np.float32, (8, 64, 32), f=128, e=32)
+        *arrays, g = TestFeedForward._case(np.float32, (8, 64, 32), f=128)
         params = [Tensor(a, requires_grad=True) for a in arrays]
         g = Tensor(g)
 
         def step(block):
             for p in params:
                 p.grad = None
-            backward(tensor_sum(T.mul(block(*params), g)))
+            backward(tensor_sum(T.mul(block(*params, 0.1, True, np.random.default_rng(0)), g)))
 
         hidden = 8 * 64 * 128 * 4  # one [B, L, d_ff] float32 array
         # The chain keeps the gelu input, its tanh and the gelu output from
-        # forward to backward; the op recomputes them item by item.
-        assert _traced_peak(step, feed_forward) + 2 * hidden < _traced_peak(step, composed_feed_forward)
+        # forward to backward; ff_block recomputes them item by item.
+        assert _traced_peak(step, T.ff_block) + 2 * hidden < _traced_peak(step, composed_ff_block)
 
     def test_shared_weight_matmul_builds_no_stack(self):
         r = np.random.default_rng(0)

@@ -13,7 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import closure_arrays, forward_logits, synthetic_example, teacher_forced_accuracy, tensor_sum
+from conftest import (
+    closure_arrays, forward_logits, graph_vertices, synthetic_example, teacher_forced_accuracy, tensor_sum,
+)
 from test_tensor import composed_head_loss
 from sumforge import tensor as T
 from sumforge import train as train_module
@@ -1091,14 +1093,7 @@ class TestStepGraphHoldsNoScores:
     def test_no_closure_holds_a_score_array(self, task, monkeypatch):
         loss = self._step_loss(task, monkeypatch)
         score_bytes = self.B * self.H * self.L * self.L * 4
-        vertices, stack, seen = [], [T._vertex(loss)], set()
-        while stack:
-            vertex = stack.pop()
-            if id(vertex) not in seen:
-                seen.add(id(vertex))
-                vertices.append(vertex)
-                stack.extend(p for p in vertex._parents if p is not None)
-        closures = [v._backward for v in vertices if v._backward is not None]
+        closures = [v._backward for v in graph_vertices(loss) if v._backward is not None]
         # The walk found the step's graph: both layers' sublayer ops and more.
         assert len(closures) > 12
         names = [fn.__qualname__.split(".")[0] for fn in closures]

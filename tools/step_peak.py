@@ -2,7 +2,7 @@
 """Traced memory of one training step, phase by phase.
 
     python3 tools/step_peak.py --task ext --shards shards/ --vocab vocab.txt \\
-        [--config run.cfg] [--seed 0] [--tape]
+        [--config run.cfg] [--seed 0]
 
 Runs `sumforge train` with the same arguments, config file, seed and
 vocabulary, but stops `train.fit` after its first step and writes no
@@ -15,11 +15,13 @@ the traced memory to that peak, as `tensor.op_hook` reports the calls.
 `outside ops` means the peak was set between op calls, for instance where
 the backward sweep adds a gradient into one already held. tracemalloc
 counts numpy's arrays and Python objects, not the interpreter's own memory,
-so the figures are below RSS and compare only with each other. With
-`--tape` it then prints the forward tape: the MiB that the backward
-closures of each op hold at the end of forward, parameters left out, each
-array counted once, for the first op in graph order that holds it (a view
-counts as the array it views). The last line gives the step's loss, which
+so the figures are below RSS and compare only with each other. Then it
+prints the forward tape: the MiB that the backward closures of each op hold
+at the end of forward, parameters left out, each array counted once, for
+the first op in graph order that holds it (a view counts as the array it
+views). The walk runs after the forward phase ends and before backward
+starts, and keeps only its small result, so it leaves the phase figures as
+they are. The last line gives the step's loss, which
 equals the loss of step 1 of `sumforge train` with the same arguments.
 """
 
@@ -81,21 +83,35 @@ class Probe:
         self.phase = None
 
 
-def _closure_arrays(fn):
+def closure_arrays(fn):
     """Every array a backward closure holds, in its cells or in the cells of
     the functions it holds."""
     for cell in fn.__closure__ or ():
         try:
             x = cell.cell_contents
-        except ValueError:  # a cell never assigned
+        except ValueError:  # a cell never assigned, e.g. attention's factor
             continue
         if isinstance(x, np.ndarray):
             yield x
         elif isinstance(x, types.FunctionType):
-            yield from _closure_arrays(x)
+            yield from closure_arrays(x)
 
 
-def _buffer(a: np.ndarray) -> np.ndarray:
+def graph_vertices(loss: T.Tensor) -> list:
+    """Every vertex reachable from loss, loss's first: the leaves and the
+    op outputs' _Nodes."""
+    vertices, stack, seen = [], [T._vertex(loss)], set()
+    while stack:
+        vertex = stack.pop()
+        if id(vertex) not in seen:
+            seen.add(id(vertex))
+            vertices.append(vertex)
+            stack.extend(p for p in vertex._parents if p is not None)
+    return vertices
+
+
+def buffer(a: np.ndarray) -> np.ndarray:
+    """The array that owns a's memory: a itself, or the base a views."""
     while isinstance(a.base, np.ndarray):
         a = a.base
     return a
@@ -105,21 +121,15 @@ def tape(loss: T.Tensor) -> dict[str, tuple[int, int]]:
     """Bytes and arrays held by the backward closures of loss's graph, by
     op: each buffer once, for the first op in graph order that holds it,
     and none of the leaves' (the parameters)."""
-    vertices, stack, seen = [], [T._vertex(loss)], set()
-    while stack:
-        vertex = stack.pop()
-        if id(vertex) not in seen:
-            seen.add(id(vertex))
-            vertices.append(vertex)
-            stack.extend(p for p in vertex._parents if p is not None)
-    counted = {id(_buffer(v.data)) for v in vertices if isinstance(v, T.Tensor)}
+    vertices = graph_vertices(loss)
+    counted = {id(buffer(v.data)) for v in vertices if isinstance(v, T.Tensor)}
     held: dict[str, tuple[int, int]] = {}
     for vertex in vertices:
         if vertex._backward is None:
             continue
         name = vertex._backward.__qualname__.split(".", 1)[0]
-        for a in _closure_arrays(vertex._backward):
-            base = _buffer(a)
+        for a in closure_arrays(vertex._backward):
+            base = buffer(a)
             if id(base) not in counted:
                 counted.add(id(base))
                 nbytes, count = held.get(name, (0, 0))
@@ -127,16 +137,15 @@ def tape(loss: T.Tensor) -> dict[str, tuple[int, int]]:
     return held
 
 
-def traced_fit(probe: Probe, losses: list[float], held: dict[str, tuple[int, int]] | None = None):
+def traced_fit(probe: Probe, losses: list[float], held: dict[str, tuple[int, int]]):
     """train.fit for one step, without checkpoints, with its forward (the
     loss closure), its backward and the rest of the step as the probe's
-    phases; with `held`, fill it with the forward tape (`tape`)."""
+    phases; fills `held` with the forward tape (`tape`)."""
     fit, backward = train.fit, T.backward
 
     def traced_backward(loss):
-        if held is not None:
-            probe.end()
-            held.update(tape(loss))
+        probe.end()
+        held.update(tape(loss))
         probe.begin("backward")
         backward(loss)
         probe.begin("clip+adam")
@@ -167,7 +176,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--vocab", required=True)
     parser.add_argument("--config")
     parser.add_argument("--seed", type=int)
-    parser.add_argument("--tape", action="store_true", help="print what the forward tape holds, by op")
     args = parser.parse_args(argv)
 
     train_argv = ["train", "--task", args.task, "--shards", args.shards, "--vocab", args.vocab]
@@ -175,7 +183,7 @@ def main(argv: list[str] | None = None) -> int:
         train_argv += ["--config", args.config]
     if args.seed is not None:
         train_argv += ["--seed", str(args.seed)]
-    probe, losses, held = Probe(), [], {} if args.tape else None
+    probe, losses, held = Probe(), [], {}
     with (
         mock.patch.object(train, "fit", traced_fit(probe, losses, held)),
         tempfile.TemporaryDirectory() as out,
@@ -187,12 +195,11 @@ def main(argv: list[str] | None = None) -> int:
     print(f"{'phase':<10} {'peak MiB':>9} {'live MiB':>9}  peak held by")
     for name, peak, live, holder in probe.rows:
         print(f"{name:<10} {peak:>9.1f} {live:>9.1f}  {holder}")
-    if held is not None:
-        total = sum(nbytes for nbytes, _ in held.values())
-        count = sum(n for _, n in held.values())
-        print(f"tape at the end of forward: {total / MIB:.1f} MiB in {count} arrays")
-        for name, (nbytes, n) in sorted(held.items(), key=lambda kv: (-kv[1][0], kv[0])):
-            print(f"  {name:<24} {nbytes / MIB:>7.1f} MiB {n:>5} arrays")
+    total = sum(nbytes for nbytes, _ in held.values())
+    count = sum(n for _, n in held.values())
+    print(f"tape at the end of forward: {total / MIB:.1f} MiB in {count} arrays")
+    for name, (nbytes, n) in sorted(held.items(), key=lambda kv: (-kv[1][0], kv[0])):
+        print(f"  {name:<24} {nbytes / MIB:>7.1f} MiB {n:>5} arrays")
     print(f"{args.task} step 1 loss {losses[0]:.6f}")
     return 0
 
