@@ -151,34 +151,33 @@ def _keys_values(params: dict[str, Tensor], prefix: str, x_kv: Tensor, n_heads: 
     )
 
 
-def _attend(
+def _attention_block(
     params: dict[str, Tensor],
     prefix: str,
-    x_q: Tensor,
-    k: Tensor,
-    v: Tensor,
+    ln: str,
+    sub: str,
+    x: Tensor,
     mask: np.ndarray | None,
-    dropout_p: float,
+    config: ModelConfig,
     train: bool,
     rng,
+    kv: tuple[Tensor, Tensor] | None = None,
+    rows: np.ndarray | None = None,
 ) -> Tensor:
-    """Multi-head scaled dot-product attention of x_q over projected keys and
-    values [B or 1, h, Lk, dk].
+    """x + dropout(attention sublayer `sub` over layer norm `ln`(x)) as one
+    op. Keys and values are projected from ln(x), or are kv, in heads
+    layout [B or 1, h, Lk, d / h]; mask broadcasts against the
+    [B, h, Lq, Lk] scores and is True where a query may not look at a key."""
+    def param(name: str) -> Tensor:
+        return params[f"{prefix}.{name}"]
 
-    mask broadcasts against the [B, h, Lq, Lk] scores and is True where a
-    query may not look at a key.
-    """
-    b, lq, d = x_q.shape
-    q = _heads(params, prefix, x_q, "wq", "bq", k.shape[1])
-    ctx = T.attention(q, k, v, mask, dropout_p, train, rng)  # [B,h,Lq,dk]
-    ctx = T.reshape(T.permute(ctx, (0, 2, 1, 3)), (b, lq, d))
-    return T.matmul(ctx, params[f"{prefix}.wo"]) + params[f"{prefix}.bo"]
-
-
-# attention_block's parameters, in its argument order.
-_ATTENTION_BLOCK = (
-    "ln1.gamma", "ln1.beta", "attn.wq", "attn.bq", "attn.wk", "attn.bk", "attn.wv", "attn.bv", "attn.wo", "attn.bo",
-)
+    proj = (None,) * 4 if kv else tuple(param(f"{sub}.{name}") for name in ("wk", "bk", "wv", "bv"))
+    k, v = kv or (None, None)
+    return T.attention_block(
+        x, param(f"{ln}.gamma"), param(f"{ln}.beta"), param(f"{sub}.wq"), param(f"{sub}.bq"), *proj,
+        param(f"{sub}.wo"), param(f"{sub}.bo"), mask, config.n_heads, config.dropout, train, rng,
+        rows=rows, k=k, v=v,
+    )
 
 
 def _ff_block(
@@ -197,36 +196,20 @@ def _decoder_layer(
     params: dict[str, Tensor],
     prefix: str,
     x: Tensor,
-    past: tuple[Tensor, Tensor] | None,
+    self_kv: tuple[Tensor, Tensor] | None,
     cross_kv: tuple[Tensor, Tensor],
     self_mask: np.ndarray | None,
     cross_mask: np.ndarray,
     config: ModelConfig,
     train: bool,
     rng,
-) -> tuple[Tensor, tuple[Tensor, Tensor]]:
-    """One decoder block: self-attention, cross-attention over the projected
-    encoder keys/values, feed-forward, each pre-layer-norm and residual.
-
-    The new positions' self-attention keys/values are appended to `past`
-    (those of earlier positions, or None) and returned alongside x.
-    """
-    normed = _ln(params, f"{prefix}.ln1", x)
-    k, v = _keys_values(params, f"{prefix}.self_attn", normed, config.n_heads)
-    if past is not None:
-        k = T.concat([past[0], k], axis=2)
-        v = T.concat([past[1], v], axis=2)
-    attn = _attend(
-        params, f"{prefix}.self_attn", normed, k, v,
-        self_mask, config.dropout, train, rng,
-    )
-    x = x + T.dropout(attn, config.dropout, train, rng)
-    cross = _attend(
-        params, f"{prefix}.cross_attn", _ln(params, f"{prefix}.ln2", x), *cross_kv,
-        cross_mask, config.dropout, train, rng,
-    )
-    x = x + T.dropout(cross, config.dropout, train, rng)
-    return _ff_block(params, prefix, "ln3", x, config, train, rng), (k, v)
+) -> Tensor:
+    """One decoder block as three sublayer ops: self-attention (keys and
+    values projected from its normed input, or self_kv), cross-attention
+    over the projected encoder keys/values, feed-forward."""
+    x = _attention_block(params, prefix, "ln1", "self_attn", x, self_mask, config, train, rng, self_kv)
+    x = _attention_block(params, prefix, "ln2", "cross_attn", x, cross_mask, config, train, rng, cross_kv)
+    return _ff_block(params, prefix, "ln3", x, config, train, rng)
 
 
 class Encoder:
@@ -298,10 +281,8 @@ class Encoder:
         mask = pad_mask[:, None, None, :]
         for i in range(cfg.n_enc_layers):
             layer = f"encoder.layer{i}"
-            x = T.attention_block(
-                x, *(p[f"{layer}.{name}"] for name in _ATTENTION_BLOCK), mask, cfg.n_heads, cfg.dropout,
-                train, rng, rows=rows if i == cfg.n_enc_layers - 1 else None,
-            )
+            last = i == cfg.n_enc_layers - 1
+            x = _attention_block(p, layer, "ln1", "attn", x, mask, cfg, train, rng, rows=rows if last else None)
             x = _ff_block(p, layer, "ln2", x, cfg, train, rng)
         return _ln(p, "encoder.final_ln", x)
 
@@ -407,10 +388,7 @@ class AbstractiveModel(Encoder):
         for i in range(cfg.n_dec_layers):
             layer = f"decoder.layer{i}"
             cross_kv = _keys_values(self.params, f"{layer}.cross_attn", enc_hidden, cfg.n_heads)
-            x, _ = _decoder_layer(
-                self.params, layer, x, None, cross_kv,
-                causal, cross_mask, cfg, train, rng,
-            )
+            x = _decoder_layer(self.params, layer, x, None, cross_kv, causal, cross_mask, cfg, train, rng)
         return _ln(self.params, "decoder.final_ln", x)
 
     def start_decoding(self, enc_hidden: Tensor, src_pad_mask: np.ndarray) -> DecoderCache:
@@ -445,14 +423,15 @@ class AbstractiveModel(Encoder):
         tokens = np.asarray(tokens)
         if parents.shape != tokens.shape or parents.ndim != 1:
             raise ShapeMismatch(f"parents {parents.shape} vs tokens {tokens.shape}")
+        p, cfg = self.params, self.config
         x = self._embed_targets(tokens[:, None], cache.length, False, None)
         self_kv = []
-        for i, (k, v) in enumerate(cache.self_kv):
-            past = (Tensor(k.data[parents]), Tensor(v.data[parents]))
-            x, kv = _decoder_layer(
-                self.params, f"decoder.layer{i}", x, past, cache.cross_kv[i],
-                None, cache.cross_mask, self.config, False, None,
-            )
+        for i, past in enumerate(cache.self_kv):
+            layer = f"decoder.layer{i}"
+            # The hypotheses' keys/values so far, then the new position's.
+            new = _keys_values(p, f"{layer}.self_attn", _ln(p, f"{layer}.ln1", x), cfg.n_heads)
+            kv = tuple(T.concat([Tensor(old.data[parents]), k], axis=2) for old, k in zip(past, new))
+            x = _decoder_layer(p, layer, x, kv, cache.cross_kv[i], None, cache.cross_mask, cfg, False, None)
             self_kv.append(kv)
         cache.self_kv = self_kv
         return T.reshape(self._project(x), (len(tokens), self.config.vocab_size))

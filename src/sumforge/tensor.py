@@ -776,7 +776,7 @@ def _attention_masks(mask: np.ndarray | None, shape: tuple[int, ...]) -> tuple[n
     try:
         np.broadcast_to(mask, shape)
     except ValueError as exc:
-        raise ShapeMismatch(f"attention: scores {shape} vs mask {mask.shape}") from exc
+        raise ShapeMismatch(f"attention_block: scores {shape} vs mask {mask.shape}") from exc
     # Unless a query row is masked whole, its masked probabilities come out
     # of the softmax as exactly 0, so their score gradients are already ±0
     # and the backward mask pass would change no bits.
@@ -812,93 +812,6 @@ def _attention_grads(g, probs, q, k, v, keep, count, factor, mask, scale):
     return gs @ k, np.swapaxes(q, -1, -2) @ gs, gv
 
 
-@op
-def attention(
-    q: Tensor,
-    k: Tensor,
-    v: Tensor,
-    mask: np.ndarray | None,
-    p: float,
-    train: bool,
-    rng: np.random.Generator | None = None,
-) -> Tensor:
-    """Scaled dot-product attention softmax(q kᵀ / sqrt(dk), masked) @ v as
-    one op, over [..., Lq, dk] queries and [..., Lk, dk] keys and values.
-
-    mask broadcasts against the [..., Lq, Lk] scores and is True where a
-    query may not look at a key (filled with NEG_INF). Scale, mask and
-    softmax run in place on one score buffer. At inference (no graph
-    recorded, no dropout) that buffer covers all the scores at once;
-    otherwise forward and backward run one leading index at a time (see
-    `_items`), so no score-sized array is made. Backward holds only q, k,
-    v, the packed dropout keep mask, the scale and the mask: it recomputes
-    each item's probabilities with the forward's own calls, as
-    FlashAttention does (Dao et al. 2022). An operand that broadcasts
-    along the leading axis gets its gradient summed item by item, in
-    order, onto zeros. numpy's stacked matmul makes one product per matrix
-    either way, and softmax reduces each row alone, so the recomputed
-    probabilities are the forward's, and values and gradients are bitwise
-    those of the composed matmul/mul/masked_fill/softmax/dropout/matmul
-    chain, less the mask passes that cannot change a bit.
-    """
-    _check_dropout_p(p)
-    qa, ka, va = q.data, k.data, v.data
-    try:
-        lead = np.broadcast_shapes(qa.shape[:-2], ka.shape[:-2])
-    except ValueError:
-        lead = None
-    if lead is None or min(qa.ndim, ka.ndim) < 2 or qa.shape[-1] != ka.shape[-1]:
-        raise ShapeMismatch(f"attention: q {q.shape} vs k {k.shape}")
-    shape = lead + (qa.shape[-2], ka.shape[-2])
-    try:
-        batch = np.broadcast_shapes(shape[:-2], va.shape[:-2])
-    except ValueError:
-        batch = None
-    if va.ndim < 2 or va.shape[-2] != shape[-1] or batch != shape[:-2]:
-        raise ShapeMismatch(f"attention: scores {shape} vs v {v.shape}")
-    dtype = np.result_type(qa, ka)
-    scale = np.asarray(1.0 / np.sqrt(k.shape[-1]), dtype=dtype)
-    fill, mask = _attention_masks(mask, shape)
-    ndim = len(shape)
-    kt = np.swapaxes(ka, -1, -2)
-
-    def probs_at(i) -> np.ndarray:
-        return _probs(_at(qa, i, ndim), _at(kt, i, ndim), scale, _at(fill, i, ndim))
-
-    keep = factor = None
-    if train and p > 0.0:
-        keep, factor = _keep_mask(rng, shape, p, dtype)
-    items, item_shape = _items(shape)
-    count = math.prod(item_shape)
-    passes = items if keep is not None or _records((q, k, v)) else (Ellipsis,)
-    data = np.empty(shape[:-1] + va.shape[-1:], np.result_type(dtype, va))
-    for row, i in enumerate(passes):
-        probs = probs_at(i)
-        if keep is not None:
-            _dropped(probs, keep[row], count, factor, out=probs)
-        np.matmul(probs, _at(va, i, ndim), out=data[i])
-        del probs  # before the next item's scores
-
-    def backward(g):
-        gs_type = np.result_type(g, va)
-        gq = _ItemGrad(qa.shape, shape, np.result_type(gs_type, ka))
-        gkt = _ItemGrad(kt.shape, shape, np.result_type(qa, gs_type))
-        gv = _ItemGrad(va.shape, shape, np.result_type(dtype, g))
-        for row, i in enumerate(items):
-            grads = _attention_grads(
-                g[i], probs_at(i), _at(qa, i, ndim), _at(ka, i, ndim), _at(va, i, ndim),
-                None if keep is None else keep[row], count, factor, _at(mask, i, ndim), scale,
-            )
-            for out, grad in zip((gq, gkt, gv), grads):
-                out.put(i, grad)
-            del grads  # before the next item's probabilities
-        # gk keeps the layout of kt's gradient: downstream products read
-        # its strides, and a C-contiguous gk would change their bits.
-        return gq.out, np.swapaxes(gkt.out, -1, -2), gv.out
-
-    return _make(data, (q, k, v), backward)
-
-
 def _heads(y: np.ndarray, n_heads: int) -> np.ndarray:
     """[..., n, d] as [..., h, n, d/h] heads, the view reshape → permute
     make of it."""
@@ -926,10 +839,10 @@ def attention_block(
     beta: Tensor,
     wq: Tensor,
     bq: Tensor,
-    wk: Tensor,
-    bk: Tensor,
-    wv: Tensor,
-    bv: Tensor,
+    wk: Tensor | None,
+    bk: Tensor | None,
+    wv: Tensor | None,
+    bv: Tensor | None,
     wo: Tensor,
     bo: Tensor,
     mask: np.ndarray | None,
@@ -938,43 +851,64 @@ def attention_block(
     train: bool,
     rng: np.random.Generator | None = None,
     rows: np.ndarray | None = None,
+    k: Tensor | None = None,
+    v: Tensor | None = None,
 ) -> Tensor:
-    """A pre-layer-norm self-attention sublayer as one op, over a [n, d] or
-    [B, L, d] x: x + dropout(attention(q, k, v, mask, p) wo + bo), where
-    n = ln(x) = layer_norm(x, gamma, beta), q, k and v are n wq + bq,
-    n wk + bk and n wv + bv split into n_heads heads, and `attention` is
-    the op of that name. All weights are [d, d], all vectors [d]. With
-    rows ([B, S] positions of a [B, L, d] x), keys and values still come
-    from every position, but the queries and the residual only from those
-    rows, as gather_positions picks them, and the result is [B, S, d].
+    """A pre-layer-norm attention sublayer as one op, over a [n, d] or
+    [B, L, d] x: x + dropout(attention(q, k, v) wo + bo), where
+    n = ln(x) = layer_norm(x, gamma, beta), q is n wq + bq split into n_heads
+    heads, and attention(q, k, v) = dropout(softmax(q kᵀ / sqrt(d/h),
+    NEG_INF where mask is True)) v, the mask broadcasting against the
+    [..., h, Lq, Lk] scores. Keys and values are n wk + bk and n wv + bv
+    split into heads, or, with wk, bk, wv and bv None, the operands k and v
+    in heads layout: [h, Lk, d/h] for a [n, d] x, [B or 1, h, Lk, d/h] for
+    a [B, L, d] x (cross-attention, and cached keys and values when
+    decoding). All weights are [d, d], all vectors [d]. With rows ([B, S]
+    positions of a [B, L, d] x), the queries and the residual come only
+    from those rows, as gather_positions picks them, and the result is
+    [B, S, d].
 
     In training it runs one item at a time (`_items`), and backward holds
-    only x, the parameters, the packed keep bits of both dropouts (drawn
-    before the items, in the chain's order) and layer norm's per-row mean
-    and 1/std: it recomputes each item's normed input, projections,
-    probabilities and attention context with the forward's own calls. That
-    is activation checkpointing (Chen et al. 2016) at the sublayer's scale,
-    so x is the one [B, L, d] array that lives from forward to backward.
-    At inference (no graph recorded) it runs the whole array at once.
-    numpy's stacked matmul makes one product per item and layer norm
-    reduces each row alone, so the recomputed arrays are the forward's. The
-    weights' gradients are summed over items in order, as matmul sums a
-    shared weight's; gamma's, beta's and the biases' are reduced from whole
-    arrays, as layer_norm and add reduce them; and ln(x)'s gradient adds
-    q's, k's and v's parts in the order the backward sweep adds them. So
-    values and gradients are bitwise those of the composed layer_norm →
-    matmul → add → reshape → permute → attention → permute → reshape →
-    matmul → add → dropout → add chain (with gather_positions for rows).
+    only x, the parameters, k and v, the packed keep bits of both dropouts
+    (drawn before the items, in the chain's order) and layer norm's per-row
+    mean and 1/std: it recomputes each item's normed input, projections,
+    probabilities and context with the forward's own calls. That is
+    activation checkpointing (Chen et al. 2016) at the sublayer's scale, as
+    FlashAttention recomputes the probabilities (Dao et al. 2022), so no
+    score-sized array and no [B, L, d] array but x lives from forward to
+    backward. At inference (no graph recorded) it runs the whole array at
+    once. numpy's stacked matmul makes one product per item, and softmax
+    and layer norm reduce each row alone, so the recomputed arrays are the
+    forward's. The weights' gradients, and k's and v's where they broadcast
+    over the items, are summed over items in order, as matmul sums a shared
+    weight's; gamma's, beta's and the biases' are reduced from whole
+    arrays, as layer_norm and add reduce them; ln(x)'s gradient adds q's,
+    k's and v's parts in the order the backward sweep adds them; and k's
+    gradient keeps the layout of kᵀ's, whose strides downstream products
+    read. So values and gradients are bitwise those of the composed
+    layer_norm → matmul → add → reshape → permute → matmul → mul →
+    masked_fill → softmax → dropout → matmul → permute → reshape → matmul →
+    add → dropout → add chain (with gather_positions for rows), less the
+    backward mask passes that cannot change a bit (`_attention_masks`).
     """
     _check_dropout_p(p)
-    params = (gamma, beta, wq, bq, wk, bk, wv, bv, wo, bo)
+    given = k is not None
+    if (v is not None) != given or any((t is None) != given for t in (wk, bk, wv, bv)):
+        raise ShapeMismatch("attention_block: keys and values come from wk, bk, wv and bv or from k and v")
+    params = (gamma, beta, wq, bq) + ((k, v) if given else (wk, bk, wv, bv)) + (wo, bo)
     xa = x.data
-    ga, ba, wqa, bqa, wka, bka, wva, bva, woa, boa = (t.data for t in params)
+    ga, ba, wqa, bqa, woa, boa = (t.data for t in (gamma, beta, wq, bq, wo, bo))
+    ka, va = (k.data, v.data) if given else (None, None)
+    wka, bka, wva, bva = (None,) * 4 if given else (t.data for t in (wk, bk, wv, bv))
     d = xa.shape[-1]
     if (
         xa.ndim not in (2, 3) or n_heads < 1 or d % n_heads
-        or any(t.shape != (d, d) for t in (wqa, wka, wva, woa))
-        or any(t.shape != (d,) for t in (ga, ba, bqa, bka, bva, boa))
+        or any(t.shape != (d, d) for t in (wq, wo) + (() if given else (wk, wv)))
+        or any(t.shape != (d,) for t in (gamma, beta, bq, bo) + (() if given else (bk, bv)))
+        or given and (
+            ka.shape != va.shape or ka.ndim != xa.ndim + 1 or (ka.shape[-3], ka.shape[-1]) != (n_heads, d // n_heads)
+            or ka.shape[:-3] not in (xa.shape[:-2], (1,) * (xa.ndim - 2))
+        )
     ):
         raise ShapeMismatch(
             f"attention_block: x {xa.shape}, {n_heads} heads, "
@@ -989,7 +923,8 @@ def attention_block(
             raise IndexOutOfRange(f"attention_block: rows outside a sequence of length {length}")
         batch = np.arange(xa.shape[0])[:, None]
     lq = length if rows is None else rows.shape[1]
-    scores, out_shape = xa.shape[:-2] + (n_heads, lq, length), xa.shape[:-2] + (lq, d)
+    lk = ka.shape[-2] if given else length
+    scores, out_shape = xa.shape[:-2] + (n_heads, lq, lk), xa.shape[:-2] + (lq, d)
     fill, mask = _attention_masks(mask, scores)
     ndim = len(scores)
     parents = (x,) + params
@@ -1011,20 +946,23 @@ def attention_block(
 
     def attend(i, normed: np.ndarray) -> tuple[np.ndarray, ...]:
         """Item i's q, k and v heads and its probabilities."""
-        k = _heads(_linear(normed, wka, bka), n_heads)
-        v = _heads(_linear(normed, wva, bva), n_heads)
-        q = _heads(_linear(picked(normed, i), wqa, bqa), n_heads)
-        return q, k, v, _probs(q, np.swapaxes(k, -1, -2), scale, _at(fill, i, ndim))
+        if given:
+            kh, vh = _at(ka, i, ndim), _at(va, i, ndim)
+        else:
+            kh = _heads(_linear(normed, wka, bka), n_heads)
+            vh = _heads(_linear(normed, wva, bva), n_heads)
+        qh = _heads(_linear(picked(normed, i), wqa, bqa), n_heads)
+        return qh, kh, vh, _probs(qh, np.swapaxes(kh, -1, -2), scale, _at(fill, i, ndim))
 
     mu, inv_std = (np.empty(xa.shape[:-1] + (1,), xa.dtype) for _ in range(2))
     data = np.empty(out_shape, dtype)
     for i in items if keep is not None or _records(parents) else (Ellipsis,):
         mu[i], inv_std[i], xhat = _ln_stats(xa[i])
-        q, k, v, probs = attend(i, _ln_affine(xhat, ga, ba))
+        qh, kh, vh, probs = attend(i, _ln_affine(xhat, ga, ba))
         if keep is not None:
             _dropped(probs, keep[i], count, factor, out=probs)
-        y = _linear(_merged(probs @ v), woa, boa)
-        del xhat, q, k, v, probs  # before the next item's
+        y = _linear(_merged(probs @ vh), woa, boa)
+        del xhat, qh, kh, vh, probs  # before the next item's
         if keep_out is not None:
             _dropped(y, keep_out[i], count_out, factor, out=y)
         np.add(picked(xa[i], i), y, out=data[i])
@@ -1034,29 +972,33 @@ def attention_block(
         # item by item.
         gbo = _unbroadcast(g if keep_out is None else _dropped(g, keep_out, count_out, factor), boa.shape)
         gwq, gwk, gwv, gwo = (_ItemGrad((d, d), xa.shape, dtype) for _ in range(4))
-        # q's, kᵀ's and v's gradients in `attention`'s layout, merged from
-        # it as the chain's permute → reshape merges them: a copy or a
-        # strided view, whose layout the products and the biases' sums read.
-        lead, hd = xa.shape[:-2], d // n_heads
-        gq, gkt, gv = (np.empty(lead + s, dtype) for s in (
-            (n_heads, lq, hd), (n_heads, hd, length), (n_heads, length, hd)))
+        # q's, kᵀ's and v's gradients in heads layout: q's whole for bq's
+        # sum; k's and v's are the operands' own, or whole for bk's and
+        # bv's sums. They are merged as the chain's permute → reshape
+        # merged them, into a copy or a strided view, whose layout the
+        # products and the biases' sums read.
+        hd = d // n_heads
+        kv_shape = ka.shape if given else xa.shape[:-2] + (n_heads, length, hd)
+        gq = np.empty(xa.shape[:-2] + (n_heads, lq, hd), dtype)
+        gkt = _ItemGrad(kv_shape[:-2] + (hd, lk), scores, dtype)
+        gv = _ItemGrad(kv_shape, scores, dtype)
         gn = np.empty(xa.shape, dtype)  # ln(x)'s
-        wqt, wkt, wvt, wot = (np.swapaxes(w, -1, -2) for w in (wqa, wka, wva, woa))
+        wqt, wot = np.swapaxes(wqa, -1, -2), np.swapaxes(woa, -1, -2)
         for i in items:
             normed = _ln_affine(_ln_xhat(xa[i], mu[i], inv_std[i]), ga, ba)
-            q, k, v, probs = attend(i, normed)
+            qh, kh, vh, probs = attend(i, normed)
             gy = g[i] if keep_out is None else _dropped(g[i], keep_out[i], count_out, factor)
             dq, dkt, dv = _attention_grads(
-                _heads(gy @ wot, n_heads), probs, q, k, v,
+                _heads(gy @ wot, n_heads), probs, qh, kh, vh,
                 None if keep is None else keep[i], count, factor, _at(mask, i, ndim), scale,
             )
-            gwo.put(i, np.swapaxes(_merged(probs @ v), -1, -2) @ gy)
-            del q, k, v, probs, gy
-            gq[i], gkt[i], gv[i] = dq, dkt, dv
-            dq, dk, dv = _merged(dq), _merged(np.swapaxes(dkt, -1, -2)), _merged(dv)
+            gwo.put(i, np.swapaxes(_merged(probs @ vh), -1, -2) @ gy)
+            del qh, kh, vh, probs, gy
+            gq[i] = dq
+            gkt.put(i, dkt)
+            gv.put(i, dv)
+            dq = _merged(dq)
             gwq.put(i, np.swapaxes(picked(normed, i), -1, -2) @ dq)
-            gwk.put(i, np.swapaxes(normed, -1, -2) @ dk)
-            gwv.put(i, np.swapaxes(normed, -1, -2) @ dv)
             # ln(x)'s gradient: q's part, then k's, then v's, in the order
             # the backward sweep adds them; q's part is scattered to its
             # rows onto zeros, as gather_positions' backward does.
@@ -1064,20 +1006,28 @@ def attention_block(
             if rows is not None:
                 part, scattered = np.zeros(xa.shape[1:], part.dtype), part
                 np.add.at(part, rows[i], scattered)
-            part += dk @ wkt
-            part += dv @ wvt
+            if not given:
+                dk, dv = _merged(np.swapaxes(dkt, -1, -2)), _merged(dv)
+                gwk.put(i, np.swapaxes(normed, -1, -2) @ dk)
+                gwv.put(i, np.swapaxes(normed, -1, -2) @ dv)
+                part += dk @ np.swapaxes(wka, -1, -2)
+                part += dv @ np.swapaxes(wva, -1, -2)
+                del dk
             gn[i] = part
-            del normed, part, dq, dkt, dk, dv
+            del normed, part, dq, dkt, dv
         gbq = _unbroadcast(_merged(gq), (d,))
-        gbk = _unbroadcast(_merged(np.swapaxes(gkt, -1, -2)), (d,))
-        gbv = _unbroadcast(_merged(gv), (d,))
-        del gq, gkt, gv
+        gk = np.swapaxes(gkt.out, -1, -2)
+        if given:
+            kv_grads = (gk, gv.out)
+        else:
+            kv_grads = (gwk.out, _unbroadcast(_merged(gk), (d,)), gwv.out, _unbroadcast(_merged(gv.out), (d,)))
+        del gq, gkt, gk, gv
         gx, ggamma, gbeta = _layer_norm_backward(gn, _ln_xhat(xa, mu, inv_std), inv_std, ga)
         if rows is not None:  # the residual's gradient, as gather_positions' backward makes it
             g, residual = np.zeros(xa.shape, g.dtype), g
             np.add.at(g, (batch, rows), residual)
         gx += g
-        return gx, ggamma, gbeta, gwq.out, gbq, gwk.out, gbk, gwv.out, gbv, gwo.out, gbo
+        return (gx, ggamma, gbeta, gwq.out, gbq) + kv_grads + (gwo.out, gbo)
 
     return _make(data, parents, backward)
 

@@ -106,6 +106,21 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
+# Elements per part of the clip norm's and Adam's passes over a parameter,
+# so their scratch arrays stay a part's size (at least numpy's pairwise
+# summation block of 128, see `_square_sum`).
+CHUNK = 1 << 16
+
+
+def _row_chunks(shape: tuple[int, ...]) -> list:
+    """Slices of axis 0 that cut an array of `shape` into parts of whole
+    rows, at most CHUNK elements each unless one row is larger (Ellipsis,
+    the whole array, for a scalar)."""
+    if not shape:
+        return [Ellipsis]
+    rows = max(1, CHUNK // max(1, math.prod(shape[1:])))
+    return [slice(lo, lo + rows) for lo in range(0, shape[0], rows)]
+
 
 class AdamState:
     """First/second moment accumulators for one parameter set."""
@@ -124,36 +139,38 @@ def adam_step(
 ) -> None:
     """One bias-corrected adaptive-moment update, in place.
 
-    Each parameter's update runs in two scratch arrays, with the ufuncs of
+    Each parameter is updated in row chunks (`_row_chunks`), each in two
+    scratch arrays the chunk's size, with the ufuncs of
     p -= lr * m̂ / (sqrt(v̂) + eps) in the same order and each in the dtype
-    that expression computes in, so the bits are those of the expression."""
+    that expression computes in. Every step is elementwise, so the bits are
+    those of the expression over the whole parameter."""
     state.step += 1
     t = state.step
     b1, b2 = ADAM_BETA1, ADAM_BETA2
-    for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
+    for name, param in params.items():
+        grad = grads.get(name)
+        if grad is None:
             continue
-        if g.shape != p.shape:
-            raise ShapeMismatch(f"gradient {name}: {g.shape} vs param {p.shape}")
-        m = state.m[name]
-        v = state.v[name]
-        s = (1.0 - b1) * g
-        m *= b1
-        m += s
-        np.multiply(1.0 - b2, g, out=s)
-        s *= g
-        v *= b2
-        v += s
-        d = v / (1.0 - b2**t)
-        np.sqrt(d, out=d)
-        d += ADAM_EPS
-        if s.dtype != m.dtype:
-            s = np.empty_like(m)
-        np.divide(m, 1.0 - b1**t, out=s)
-        s *= lr
-        s /= d
-        p.data -= s.astype(p.dtype, copy=False)
+        if grad.shape != param.shape:
+            raise ShapeMismatch(f"gradient {name}: {grad.shape} vs param {param.shape}")
+        for part in _row_chunks(param.shape):
+            p, g, m, v = param.data[part], grad[part], state.m[name][part], state.v[name][part]
+            s = (1.0 - b1) * g
+            m *= b1
+            m += s
+            np.multiply(1.0 - b2, g, out=s)
+            s *= g
+            v *= b2
+            v += s
+            d = v / (1.0 - b2**t)
+            np.sqrt(d, out=d)
+            d += ADAM_EPS
+            if s.dtype != m.dtype:
+                s = np.empty_like(m)
+            np.divide(m, 1.0 - b1**t, out=s)
+            s *= lr
+            s /= d
+            p -= s.astype(p.dtype, copy=False)
 
 
 def lr_schedule(step: int, base_lr: float, warmup: int) -> float:
@@ -163,24 +180,43 @@ def lr_schedule(step: int, base_lr: float, warmup: int) -> float:
     return base_lr * min(step**-0.5, step * warmup**-1.5)
 
 
+def _square_sum(a: np.ndarray, chunk: int = CHUNK) -> np.float64:
+    """The sum of squares of a's float64 cast, bit for bit the whole cast's
+    `.sum()`, without the whole cast. The cast walks a in memory order
+    (order="K", the layout `astype` gives it) and numpy sums it along a
+    pairwise tree: a part of n > 128 elements is split at n/2 rounded down
+    to a multiple of 8, and the halves' sums are added. This follows that
+    tree down to parts of at most `chunk` (>= 128) elements, each cast,
+    squared in place and summed alone."""
+    def part_sum(part: np.ndarray) -> np.float64:
+        n = part.size
+        if n <= chunk:
+            square = part.astype(np.float64)
+            square *= square
+            return square.sum()
+        half = n // 2
+        half -= half % 8
+        return part_sum(part[:half]) + part_sum(part[half:])
+
+    return part_sum(np.ravel(a, order="K"))
+
+
 def clip_gradients(
     grads: dict[str, np.ndarray], max_norm: float
 ) -> dict[str, np.ndarray]:
     """Scale all gradients so their joint L2 norm is at most max_norm, in
-    place, and return `grads`. A gradient that shares memory with a later
-    one (backward may hand two leaves one array) is replaced by a scaled
-    copy instead, so no buffer is scaled twice.
+    place, and return `grads`. Each gradient's float64 square sum is taken
+    in chunks (`_square_sum`), with the bits of the whole cast's. A gradient
+    that shares memory with a later one (backward may hand two leaves one
+    array) is replaced by a scaled copy instead, so no buffer is scaled
+    twice.
 
     Raises NonFiniteLoss if that norm is NaN or infinite."""
     if max_norm <= 0:
         raise ConfigError(f"max_norm must be > 0, got {max_norm}")
     total = 0.0
     for g in grads.values():
-        # The cast squared in place: the same array as cast ** 2, one copy.
-        square = g.astype(np.float64)
-        square *= square
-        total += float(square.sum())
-        del square
+        total += float(_square_sum(g))
     norm = total**0.5
     if not math.isfinite(norm):
         raise NonFiniteLoss(f"gradient norm is {norm}")

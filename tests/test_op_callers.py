@@ -93,7 +93,7 @@ def test_every_function_that_records_a_vertex_is_a_registered_op():
         if any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "_make"
                for n in ast.walk(f))
     }
-    assert {"matmul", "attention", "projected_cross_entropy"} <= records  # the parse found the ops
+    assert {"matmul", "attention_block", "projected_cross_entropy"} <= records  # the parse found the ops
     missing = sorted(records - decorated)
     assert not missing, f"tensor functions that record a vertex without @op: {missing}"
     assert not {name for name in decorated if name.startswith("_")}, "a private function carries @op"

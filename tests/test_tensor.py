@@ -11,11 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import buffer, closure_arrays, graph_vertices, tensor_mean, tensor_sum
+from conftest import buffer, closure_arrays, graph_vertices, synthetic_example, tensor_mean, tensor_sum
 from sumforge import tensor as T
 from sumforge.errors import (
     ConfigError, GraphCycle, IdOutOfRange, IndexOutOfRange, InvalidAxis, NotScalar, ShapeMismatch,
 )
+from sumforge.infer import BeamConfig, beam_search
 from sumforge.model import ModelConfig, abs_loss, build_model, ext_loss
 from sumforge.tensor import SplitRng, Tensor, backward, finite_diff_check
 from sumforge.train import masked_token_loss
@@ -666,7 +667,7 @@ class TestForwardSemantics:
         assert narrow(c, 0, 1, 1).data.tolist() == [[3.0, 4.0]]
 
 
-# --- fused attention and graph consumption ---
+# --- dropout keep masks and graph consumption ---
 
 class TestPackedKeepMask:
     """The keep mask is drawn one leading index at a time and held as
@@ -693,23 +694,6 @@ class TestPackedKeepMask:
         assert type(factor) is np.dtype(dtype).type and factor == np.dtype(dtype).type(1 / 0.9)
         assert repr(rng.bit_generator.state) == repr(ref.bit_generator.state)
         assert rng.random(3, dtype=np.float32).tobytes() == ref.random(3, dtype=np.float32).tobytes()
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("kind", ["none", "padding", "masked_row", "cross1"])
-    def test_attention_forward_equals_whole_mask_forward(self, dtype, kind):
-        """The old forward: one whole draw, one whole dropped array, one product."""
-        q, k, v, _, mask = _attention_case(kind, dtype, seed=3)
-        out = T.attention(Tensor(q), Tensor(k), Tensor(v), mask, 0.25, True,
-                          SplitRng(4).child("dropout", 1).generator())
-        probs = q @ np.swapaxes(k, -1, -2)
-        probs *= np.asarray(1.0 / np.sqrt(k.shape[-1]), dtype=probs.dtype)
-        if mask is not None:
-            np.copyto(probs, np.asarray(T.NEG_INF, dtype=probs.dtype), where=mask)
-        T._softmax_forward(probs, -1, out=probs)
-        keep = SplitRng(4).child("dropout", 1).generator().random(probs.shape, dtype=np.float32)
-        dropped = probs * (keep >= np.float32(0.25))
-        dropped *= np.dtype(dtype).type(1.0 / 0.75)
-        _assert_same_bits(out.data, dropped @ v)
 
 
 class TestRawKeepDraw:
@@ -742,48 +726,6 @@ class TestRawKeepDraw:
     def test_generator_without_split_outputs_is_refused(self):
         with pytest.raises(ConfigError, match="MT19937"):
             T._keep_mask(np.random.Generator(np.random.MT19937(0)), (2, 3, 4), 0.1, np.float32)
-
-
-def _composed_attention(q, k, v, mask, p, train, rng):
-    """The unfused chain that `attention` must reproduce bit for bit."""
-    scores = T.mul(T.matmul(q, T.transpose(k)), 1.0 / np.sqrt(k.shape[-1]))
-    if mask is not None:
-        scores = T.masked_fill(scores, mask, T.NEG_INF)
-    probs = T.dropout(T.softmax(scores, axis=-1), p, train, rng)
-    return T.matmul(probs, v)
-
-
-def _attention_case(kind, dtype=np.float32, seed=0):
-    """q [B,h,Lq,dk], k/v [B or 1,h,Lk,dk], an upstream gradient and a mask.
-    The padding mask hides every key of the first example, and masked_row
-    hides every key from one query, so those rows are uniform and only the
-    mask keeps their score gradients at zero. padding_partial keeps a key
-    in every row and all_false masks nothing."""
-    r = np.random.default_rng(seed)
-    b, kv_b, h, lq, lk, dk = 3, 3, 2, 6, 6, 4
-    if kind == "cross1":  # decode_step: n hypotheses over one document's k/v
-        b, kv_b, lq, lk = 4, 1, 1, 7
-    q = r.standard_normal((b, h, lq, dk)).astype(dtype)
-    k = r.standard_normal((kv_b, h, lk, dk)).astype(dtype)
-    v = r.standard_normal((kv_b, h, lk, dk)).astype(dtype)
-    g = r.standard_normal((b, h, lq, dk)).astype(dtype)
-    mask = {
-        "none": None,
-        "padding": (r.random((b, 1, 1, lk)) < 0.3) | (np.arange(b) == 0)[:, None, None, None],
-        "causal": np.triu(np.ones((lq, lk), dtype=bool), k=1)[None, None],
-        "cross1": r.random((1, 1, 1, lk)) < 0.3,
-        "padding_partial": np.arange(lk) >= np.array([lk, 4, 2])[:, None, None, None],
-        "masked_row": np.triu(np.ones((lq, lk), dtype=bool), k=1) | (np.arange(lq) == 2)[:, None],
-        "all_false": np.zeros((b, 1, 1, lk), dtype=bool),
-    }[kind]
-    return q, k, v, g, mask
-
-
-def _run_attention(fn, q, k, v, g, mask, train):
-    ts = [Tensor(x.copy(), requires_grad=True) for x in (q, k, v)]
-    out = fn(*ts, mask, 0.25, train, np.random.default_rng(5))
-    backward(tensor_sum(T.mul(out, Tensor(g))))
-    return [out.data] + [t.grad for t in ts]
 
 
 def _reference_backward(loss):
@@ -822,7 +764,7 @@ def _cells(fn) -> dict:
     for name, cell in zip(fn.__code__.co_freevars, fn.__closure__):
         try:
             out[name] = cell.cell_contents
-        except ValueError:  # e.g. attention's factor when nothing is dropped
+        except ValueError:  # e.g. a block's factor when nothing is dropped
             pass
     return out
 
@@ -839,146 +781,6 @@ def _unpacked(keep, shape):
     one bool array of `shape`."""
     _, item_shape = T._items(shape)
     return np.unpackbits(keep, axis=-1, count=math.prod(item_shape)).view(bool).reshape(shape)
-
-
-def _reference_probs(q, k, mask):
-    """The attention probabilities of the whole batch at once, as the
-    forward made them before backward recomputed them item by item."""
-    probs = q @ np.swapaxes(k, -1, -2)
-    probs *= np.asarray(1.0 / np.sqrt(k.shape[-1]), dtype=probs.dtype)
-    if mask is not None:
-        np.copyto(probs, np.asarray(T.NEG_INF, dtype=probs.dtype), where=mask)
-    return T._softmax_forward(probs, -1, out=probs)
-
-
-def _old_attention_backward(c, probs, g):
-    """attention's backward before it ran in place and item by item, on the
-    whole saved probabilities and a whole bool keep mask: the reference."""
-    keep, va = c["keep"], c["va"]
-    keep = None if keep is None else _unpacked(keep, probs.shape)
-    dropped = probs if keep is None else probs * keep * c["factor"]
-    gv = T._unbroadcast(np.swapaxes(dropped, -1, -2) @ g, va.shape)
-    gs = T._unbroadcast(g @ np.swapaxes(va, -1, -2), probs.shape)
-    if keep is not None:
-        gs *= keep
-        gs *= c["factor"]
-    dot = (gs * probs).sum(axis=-1, keepdims=True)
-    gs = probs * (gs - dot)
-    if c["mask"] is not None:
-        gs *= ~c["mask"]
-    gs *= c["scale"]
-    gq = T._unbroadcast(gs @ c["ka"], c["qa"].shape)
-    kt_shape = np.swapaxes(c["ka"], -1, -2).shape
-    gk = np.swapaxes(T._unbroadcast(np.swapaxes(c["qa"], -1, -2) @ gs, kt_shape), -1, -2)
-    return gq, gk, gv
-
-
-class TestAttention:
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("kind", ["none", "padding", "masked_row", "cross1"])
-    @pytest.mark.parametrize("p", [0.0, 0.25])
-    def test_in_place_backward_bitwise_old_closure(self, dtype, kind, p):
-        q, k, v, g, mask = _attention_case(kind, dtype, seed=2)
-        out = T.attention(*(Tensor(x, requires_grad=True) for x in (q, k, v)), mask, p, p > 0,
-                          np.random.default_rng(6))
-        fn = out._node._backward
-        cells = _cells(fn)
-        assert (cells["keep"] is None) == (p == 0.0)
-        if kind == "masked_row":  # a fully masked query row keeps its mask pass
-            assert cells["mask"] is not None
-        expected = _old_attention_backward(cells, _reference_probs(q, k, mask), g)
-        operands = [cells[name].copy() for name in ("qa", "ka", "va")]
-        for name, a, b in zip(("dq", "dk", "dv"), fn(g), expected):
-            _assert_same_bits(a, b, name)
-        # Backward writes only buffers it made, never the operands it reads.
-        for name, x in zip(("qa", "ka", "va"), operands):
-            assert np.array_equal(cells[name], x), name
-
-    @pytest.mark.parametrize("kind", [
-        "none", "padding", "causal", "cross1", "padding_partial", "masked_row", "all_false",
-    ])
-    @pytest.mark.parametrize("train", [False, True])
-    def test_bitwise_equal_to_composed_chain(self, kind, train):
-        case = _attention_case(kind)
-        fused = _run_attention(T.attention, *case, train)
-        composed = _run_attention(_composed_attention, *case, train)
-        for name, a, b in zip(("out", "dq", "dk", "dv"), fused, composed):
-            assert a.dtype == b.dtype == np.float32, name
-            assert a.shape == b.shape, name
-            assert np.array_equal(a, b), name
-            assert np.array_equal(np.signbit(a), np.signbit(b)), name
-
-    @pytest.mark.parametrize("kind, fully_masked", [
-        ("padding", True), ("masked_row", True), ("causal", False),
-        ("padding_partial", False), ("all_false", False),
-    ])
-    def test_backward_masks_only_when_a_row_is_fully_masked(self, kind, fully_masked):
-        q, k, v, _, mask = _attention_case(kind)
-        ts = [Tensor(x, requires_grad=True) for x in (q, k, v)]
-        out = T.attention(*ts, mask, 0.0, False)
-        fn = out._node._backward
-        cells = dict(zip(fn.__code__.co_freevars, fn.__closure__))
-        assert (cells["mask"].cell_contents is not None) == fully_masked
-
-    def test_dropout_draws_the_same_stream_as_dropout(self):
-        q, k, v, g, mask = _attention_case("padding")
-        rng = np.random.default_rng(9)
-        T.attention(Tensor(q), Tensor(k), Tensor(v), mask, 0.5, True, rng)
-        ref = np.random.default_rng(9)
-        ref.random((q.shape[0], q.shape[1], q.shape[2], k.shape[2]), dtype=np.float32)
-        assert rng.random() == ref.random()
-
-    @pytest.mark.parametrize("kind", ["padding", "causal", "cross1"])
-    @pytest.mark.parametrize("train", [False, True])
-    def test_finite_differences_float64(self, kind, train):
-        q, k, v, g, mask = _attention_case(kind, np.float64, seed=1)
-        w = Tensor(g)
-
-        def f(params):
-            # A fresh generator per call: every evaluation drops the same entries.
-            out = T.attention(*params, mask, 0.25, train, np.random.default_rng(3))
-            return tensor_sum(T.mul(out, w))
-
-        params = [Tensor(x, requires_grad=True) for x in (q, k, v)]
-        _fd(f, params, tol=1e-6)
-
-    @pytest.mark.parametrize("train", [False, True])
-    def test_keeps_operands_and_keep_mask_only(self, train):
-        q, k, v, _, mask = _attention_case("padding")
-        ts = [Tensor(x, requires_grad=True) for x in (q, k, v)]
-        out = T.attention(*ts, mask, 0.25, train, np.random.default_rng(0))
-        assert out._node._parents == tuple(ts)
-        fn = out._node._backward
-        held = _cells(fn).values()
-        # Backward recomputes the probabilities: nothing score-sized is kept.
-        score = q.shape[0] * q.shape[1] * q.shape[2] * k.shape[2]
-        assert max(x.size for x in closure_arrays(fn)) < score
-        # The keep mask is packed bits, one row per batch item.
-        keep = _cells(fn)["keep"]
-        if train:
-            assert keep.dtype == np.uint8
-            assert keep.shape == (q.shape[0], math.ceil(score / q.shape[0] / 8))
-        else:
-            assert keep is None
-        # The operands are held as arrays, never as their Tensors.
-        assert not any(isinstance(x, Tensor) for x in held)
-        assert {id(t.data) for t in ts} <= {id(x) for x in closure_arrays(fn)}
-
-    def test_shape_errors(self):
-        q, k, v, _, mask = _attention_case("padding")
-        with pytest.raises(ShapeMismatch):
-            T.attention(Tensor(q), Tensor(k[..., :3]), Tensor(v), mask, 0.0, False)
-        with pytest.raises(ShapeMismatch):
-            T.attention(Tensor(q), Tensor(k), Tensor(v[:, :, :2]), mask, 0.0, False)
-        with pytest.raises(ShapeMismatch):
-            T.attention(Tensor(q), Tensor(k), Tensor(v), np.zeros((2, 1, 1, 6), bool), 0.0, False)
-
-    def test_bad_dropout_arguments(self):
-        q, k, v, _, _ = _attention_case("none")
-        with pytest.raises(ConfigError):
-            T.attention(Tensor(q), Tensor(k), Tensor(v), None, 1.0, False)
-        with pytest.raises(ConfigError):
-            T.attention(Tensor(q), Tensor(k), Tensor(v), None, 0.1, True, None)
 
 
 _SMALL = ModelConfig(vocab_size=30, d_model=8, n_heads=2, d_ff=16,
@@ -1019,7 +821,7 @@ class TestGraphConsumption:
 
         params, loss = _small_model_loss()
         inner = [n for n in graph_vertices(loss) if n._backward is not None]
-        assert len(inner) > 50
+        assert len(inner) > 20  # 28: each sublayer is one vertex
         assert all(type(n) is T._Node for n in inner)
         backward(loss)
         for node in inner:
@@ -1134,7 +936,7 @@ class TestTapeHoldsOnlyWhatBackwardReads:
         params, loss = _small_model_loss(seed)
         before = {name: (p.data, p.data.copy()) for name, p in params.items()}
         backward(loss)
-        assert len(kept) > 50
+        assert len(kept) > 20
         for out, array, copy in kept:
             assert out.data is array and np.array_equal(array, copy)
         for name, p in params.items():
@@ -1170,8 +972,7 @@ class TestOpHook:
         names = {name for name, _ in seen}
         assert names <= set(T.OPS)
         assert {"attention_block", "ff_block", "layer_norm", "matmul"} <= names
-        if make_loss is _small_model_loss:
-            assert "attention" in names  # the decoder's
+        assert "attention" not in names  # every attention sublayer is one block
         head = "projected_cross_entropy" if make_loss is _small_model_loss else "bce_with_logits"
         assert seen[head, "forward"] == seen[head, "backward"] == 1
         assert {pass_ for _, pass_ in seen} == {"forward", "backward"}
@@ -1223,7 +1024,7 @@ class TestOpHook:
         ]
 
     def test_registry_holds_the_module_ops(self):
-        assert len(T.OPS) == 22
+        assert len(T.OPS) == 21
         for name, fn in T.OPS.items():
             assert fn is getattr(T, name), name
             assert fn.__name__ == fn.__wrapped__.__name__ == name
@@ -1587,23 +1388,36 @@ def composed_feed_forward(x, w1, b1, w2, b2):
     return T.matmul(T.gelu(T.matmul(x, w1) + b1), w2) + b2
 
 
+def composed_attention(q, k, v, mask, p, train, rng):
+    """Scaled dot-product attention as the model composed it before
+    attention_block, op by op: the reference for the block's attention."""
+    scores = T.mul(T.matmul(q, T.transpose(k)), 1.0 / np.sqrt(k.shape[-1]))
+    if mask is not None:
+        scores = T.masked_fill(scores, mask, T.NEG_INF)
+    probs = T.dropout(T.softmax(scores, axis=-1), p, train, rng)
+    return T.matmul(probs, v)
+
+
 def composed_attention_block(x, gamma, beta, wq, bq, wk, bk, wv, bv, wo, bo, mask, n_heads, p, train,
-                             rng=None, rows=None):
-    """The self-attention sublayer as the encoder composed it before
-    attention_block, op by op: layer_norm, the q/k/v projections split into
-    heads, attention, the output projection, dropout and the residual. Keys
-    and values are projected before the rows are picked, as the encoder
-    did. The reference attention_block is checked against bit for bit."""
+                             rng=None, rows=None, k=None, v=None):
+    """The attention sublayer as the model composed it before
+    attention_block, op by op: layer_norm, the q (and k/v) projections split
+    into heads, composed_attention, the output projection, dropout and the
+    residual. Keys and values are projected before the rows are picked, as
+    the encoder did, or are k and v, as the decoder passed its
+    cross-attention and cached ones. The reference attention_block is
+    checked against bit for bit."""
     lead = (0, 2, 1, 3) if x.data.ndim == 3 else (1, 0, 2)
 
     def heads(y):
         return T.permute(T.reshape(y, y.shape[:-1] + (n_heads, y.shape[-1] // n_heads)), lead)
 
     normed = T.layer_norm(x, gamma, beta)
-    k, v = heads(T.matmul(normed, wk) + bk), heads(T.matmul(normed, wv) + bv)
+    if k is None:
+        k, v = heads(T.matmul(normed, wk) + bk), heads(T.matmul(normed, wv) + bv)
     if rows is not None:
         x, normed = T.gather_positions(x, rows), T.gather_positions(normed, rows)
-    ctx = T.attention(heads(T.matmul(normed, wq) + bq), k, v, mask, p, train, rng)
+    ctx = composed_attention(heads(T.matmul(normed, wq) + bq), k, v, mask, p, train, rng)
     ctx = T.reshape(T.permute(ctx, lead), x.shape)
     return x + T.dropout(T.matmul(ctx, wo) + bo, p, train, rng)
 
@@ -1677,6 +1491,51 @@ class TestSublayerBlocks:
         return arrays, r.standard_normal(out).astype(dtype), mask, rows
 
     @staticmethod
+    def _kv_case(dtype, kind, heads, seed=0):
+        """The arrays (x, gamma, beta, wq, bq, wo, bo, then the k and v
+        operands in heads layout), an output gradient, a mask and rows.
+        "cross" masks every key of the first document, so its query rows
+        are masked whole; "cross1" is decode_step's cross-attention, four
+        one-position hypotheses over one document's keys and values, and
+        "past" its self-attention, each over its own three positions; "2d"
+        is one [n, d] sequence."""
+        r = np.random.default_rng(seed)
+        shape, kv_lead, lk = {
+            "cross": ((3, 6, 8), (3,), 5), "rows": ((3, 6, 8), (3,), 5), "cross1": ((4, 1, 8), (1,), 7),
+            "past": ((4, 1, 8), (4,), 3), "2d": ((7, 8), (), 5),
+        }[kind]
+        d = shape[-1]
+        arrays = [
+            (r.standard_normal(shape) * 2 + 0.5).astype(dtype),
+            (1 + 0.2 * r.standard_normal(d)).astype(dtype), (0.2 * r.standard_normal(d)).astype(dtype),
+        ]
+        for _ in range(2):
+            arrays += [(r.standard_normal((d, d)) * 0.5).astype(dtype), (0.2 * r.standard_normal(d)).astype(dtype)]
+        for _ in range(2):  # k and v: a projection's [..., Lk, d] split into heads
+            y = r.standard_normal(kv_lead + (lk, d)).astype(dtype)
+            arrays.append(np.swapaxes(y.reshape(kv_lead + (lk, heads, d // heads)), -2, -3))
+        padding = (r.random((3, 1, 1, lk)) < 0.3) | (np.arange(3) == 0)[:, None, None, None]
+        mask, rows = {
+            "cross": (padding, None),
+            "rows": (padding, np.array([[0, 3, 3, 5], [5, 0, 1, 1], [2, 2, 4, 0]])),
+            "cross1": (r.random((1, 1, 1, lk)) < 0.3, None),
+            "past": (None, None),
+            "2d": (r.random(lk) < 0.3, None),
+        }[kind]
+        out = shape[:-2] + ((shape[-2] if rows is None else rows.shape[1]), d)
+        return arrays, r.standard_normal(out).astype(dtype), mask, rows
+
+    @staticmethod
+    def _kv_call(block, mask, heads, p, train, rows=None):
+        """call(params, rng) of an attention block whose keys and values
+        are the operands k and v, the last two params."""
+        def call(params, rng):
+            x, gamma, beta, wq, bq, wo, bo, k, v = params
+            return block(x, gamma, beta, wq, bq, None, None, None, None, wo, bo, mask, heads, p, train, rng,
+                         rows=rows, k=k, v=v)
+        return call
+
+    @staticmethod
     def _run(call, arrays, g, grad):
         """call(params, rng) once: its value, the arrays' gradients and the
         next draw of the generator its dropouts drew from."""
@@ -1715,6 +1574,45 @@ class TestSublayerBlocks:
         got = self._run(call(T.attention_block), arrays, g, grad)
         names = ["out", "x", "gamma", "beta", "wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo"]
         self._assert_same(got, want, names)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", ["cross", "cross1", "past", "rows", "2d"])
+    @pytest.mark.parametrize("train", [False, True], ids=["eval", "train"])
+    @pytest.mark.parametrize("grad", [True, False], ids=["grad", "no_grad"])
+    @pytest.mark.parametrize("heads", [1, 2, 8])
+    def test_kv_operands_bits_equal_the_composed_chain(self, dtype, kind, train, grad, heads):
+        arrays, g, mask, rows = self._kv_case(dtype, kind, heads)
+        want = self._run(self._kv_call(composed_attention_block, mask, heads, 0.25, train, rows), arrays, g, grad)
+        got = self._run(self._kv_call(T.attention_block, mask, heads, 0.25, train, rows), arrays, g, grad)
+        self._assert_same(got, want, ["out", "x", "gamma", "beta", "wq", "bq", "wo", "bo", "k", "v"])
+
+    def test_decode_steps_and_beam_search_equal_the_chain(self, monkeypatch):
+        """decode_step's logits, over steps that reorder and drop
+        hypotheses, and beam search's tokens, against the decoder composed
+        op by op, whose attention sublayers took their cached keys and
+        values the same way."""
+        def decode():
+            model = build_model(_BLOCK_CONFIG, "abs", seed=3)
+            r = np.random.default_rng(4)
+            src = r.integers(7, 30, (1, 9))
+            pad = np.arange(9)[None] >= 7
+            with T.no_grad():
+                cache = model.start_decoding(model.encode(src, np.zeros_like(src), pad), pad)
+                logits = [model.decode_step(cache, np.array(parents), np.array(tokens)).data
+                          for parents, tokens in [([0], [5]), ([0, 0, 0], [9, 11, 12]), ([2, 0, 1], [7, 7, 8]),
+                                                  ([1, 1], [12, 3])]]
+            example = synthetic_example(np.random.default_rng(6), vocab_size=30)
+            beam = beam_search(model, example, BeamConfig(max_len=8, min_len=4, beam_size=3), bos_id=5, eos_id=6)
+            return logits, beam
+
+        logits, beam = decode()
+        monkeypatch.setattr(T, "attention_block", composed_attention_block)
+        monkeypatch.setattr(T, "ff_block", composed_ff_block)
+        want_logits, want_beam = decode()
+        assert len(logits) == len(want_logits) == 4
+        for step, (a, b) in enumerate(zip(logits, want_logits)):
+            _assert_same_bits(a, b, f"step {step}")
+        assert beam == want_beam and len(beam) >= 5
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("task", ["ext", "abs", "rows"])
@@ -1765,13 +1663,44 @@ class TestSublayerBlocks:
 
         _fd(f, [Tensor(a, requires_grad=True) for a in arrays], tol=1e-6)
 
-    @pytest.mark.parametrize("block", ["attention", "ff"])
+    @pytest.mark.parametrize("kind", ["cross", "cross1", "rows", "2d"])
+    def test_kv_operands_finite_differences_float64(self, kind):
+        arrays, g, mask, rows = self._kv_case(np.float64, kind, 2, seed=1)
+        block, w = self._kv_call(T.attention_block, mask, 2, 0.25, True, rows), Tensor(g)
+
+        def f(params):
+            # A fresh generator per call: every evaluation drops the same entries.
+            return tensor_sum(T.mul(block(params, np.random.default_rng(3)), w))
+
+        _fd(f, [Tensor(a.copy(), requires_grad=True) for a in arrays], tol=1e-6)
+
+    @pytest.mark.parametrize("kind, fully_masked", [
+        ("padding", True), ("2d", True), ("causal", False), ("none", False), ("cross", True), ("cross1", False),
+    ])
+    def test_backward_masks_only_when_a_row_is_fully_masked(self, kind, fully_masked):
+        """Unless a query row is masked whole, the masked probabilities are
+        exactly 0 and the backward mask pass could change no bit, so the
+        closure keeps no mask for it."""
+        if kind.startswith("cross"):
+            arrays, _, mask, _ = self._kv_case(np.float32, kind, 2)
+            out = self._kv_call(T.attention_block, mask, 2, 0.0, False)([Tensor(a, requires_grad=True) for a in arrays], None)
+        else:
+            arrays, _, mask, _ = self._attention_case(np.float32, kind)
+            out = T.attention_block(*(Tensor(a, requires_grad=True) for a in arrays), mask, 2, 0.0, False)
+        assert (_cells(out._node._backward)["mask"] is not None) == fully_masked
+
+    @pytest.mark.parametrize("block", ["attention", "kv", "ff"])
     @pytest.mark.parametrize("train", [False, True], ids=["eval", "train"])
     def test_backward_holds_only_x_parameters_bits_and_row_stats(self, block, train):
         if block == "attention":
             arrays, _, mask, _ = self._attention_case(np.float32, "padding")
             params = [Tensor(a, requires_grad=True) for a in arrays]
             out = T.attention_block(*params, mask, 2, 0.25, train, np.random.default_rng(0))
+        elif block == "kv":  # k and v are parameters here, held whole
+            arrays, _, mask, _ = self._kv_case(np.float32, "cross", 2)
+            params = [Tensor(a, requires_grad=True) for a in arrays]
+            out = self._kv_call(T.attention_block, mask, 2, 0.25, train)(params, np.random.default_rng(0))
+            params = params[:5] + params[7:] + params[5:7]  # the op's parents' order: ..., k, v, wo, bo
         else:
             *arrays, _ = TestFeedForward._case(np.float32, (3, 9, 8))
             params = [Tensor(a, requires_grad=True) for a in arrays]
@@ -1784,7 +1713,7 @@ class TestSublayerBlocks:
         stats = [a for a in held.values() if a.dtype == x.dtype and a.ndim]
         bits = [a for a in held.values() if a.dtype == np.uint8]
         assert [a.shape for a in stats] == [x.shape[:-1] + (1,)] * 2  # mu and 1/std
-        assert len(bits) == (0 if not train else 2 if block == "attention" else 1)
+        assert len(bits) == (0 if not train else 1 if block == "ff" else 2)
         rest = [a for a in held.values() if a.dtype != np.uint8 and not (a.dtype == x.dtype and a.ndim)]
         assert all(a.nbytes < x.nbytes / 4 for a in rest)  # the scale, masks and rows
         assert not any(isinstance(c.cell_contents, Tensor) for c in out._node._backward.__closure__
@@ -1809,6 +1738,32 @@ class TestSublayerBlocks:
             T.attention_block(x, gamma, beta, *proj, mask, 2, 0.0, False, rows=np.array([[0], [6], [1]]))
         with pytest.raises(ConfigError):
             T.attention_block(x, gamma, beta, *proj, mask, 2, 0.1, True, None)
+
+    def test_kv_operand_shapes_are_checked(self):
+        arrays, _, mask, _ = self._kv_case(np.float32, "cross", 2)
+        x, gamma, beta, wq, bq, wo, bo, k, v = (Tensor(a) for a in arrays)
+        wk, bk, wv, bv = (Tensor(a) for a in self._attention_case(np.float32, "padding")[0][5:9])
+
+        def block(k, v, proj=(None,) * 4, heads=2, x=x):
+            return T.attention_block(x, gamma, beta, wq, bq, *proj, wo, bo, mask, heads, 0.0, False, k=k, v=v)
+
+        kd = k.data
+        for args, kwargs in [
+            ((k, None), {}),  # k without v
+            ((None, v), {}),  # v without k
+            ((k, v), {"proj": (wk, bk, wv, bv)}),  # both projections and operands
+            ((None, None), {"proj": (wk, None, wv, bv)}),  # a missing projection
+            ((k, Tensor(kd[:, :, :4])), {}),  # k and v differ
+            ((Tensor(kd[0]), Tensor(kd[0])), {}),  # no batch axis
+            ((k, v), {"heads": 4}),  # the heads' count
+            ((Tensor(kd[..., :3]), Tensor(kd[..., :3])), {}),  # the heads' width
+            ((Tensor(kd[:2]), Tensor(kd[:2])), {}),  # the batch
+            ((k, v), {"x": Tensor(arrays[0][0])}),  # a [n, d] x over batched keys
+            ((Tensor(kd[:, :, :4]), Tensor(kd[:, :, :4])), {}),  # the mask's keys
+        ]:
+            with pytest.raises(ShapeMismatch):
+                block(*args, **kwargs)
+        assert block(Tensor(kd[:1]), Tensor(kd[:1])).shape == x.shape  # keys shared by the batch
 
 
 class TestFeedForward:
@@ -1873,6 +1828,26 @@ class TestFeedForward:
 class TestTapeCensus:
     """What the forward tape of a training step holds, array by array."""
 
+    @staticmethod
+    def _held(model, loss) -> dict[str, dict[int, np.ndarray]]:
+        """The buffers each op's closures hold, by op; parameters left out."""
+        params = {id(p.data) for p in model.params.values()}
+        ops = {}
+        for vertex in graph_vertices(loss):
+            if vertex._backward is None:
+                continue
+            name = vertex._backward.__qualname__.split(".", 1)[0]
+            for a in closure_arrays(vertex._backward):
+                base = buffer(a)
+                if id(base) not in params:
+                    ops.setdefault(name, {})[id(base)] = base
+        return ops
+
+    @staticmethod
+    def _floats(arrays) -> list[tuple[int, ...]]:
+        """The shapes of the float32 arrays that are not scalars, sorted."""
+        return sorted(a.shape for a in arrays if a.dtype == np.float32 and a.ndim)
+
     def test_each_encoder_layer_holds_two_activations(self):
         """A tiny 2-layer encoder in train mode with dropout: each layer's
         closures hold its two sublayers' inputs, packed keep bits and layer
@@ -1882,26 +1857,42 @@ class TestTapeCensus:
                              n_dec_layers=1, max_positions=16, dropout=0.2)
         model, loss, _ = _block_step("ext", config=config)
         b, length, d = 3, 9, config.d_model
-        params = {id(p.data) for p in model.params.values()}
-        held, ops = {}, {}
-        for vertex in graph_vertices(loss):
-            if vertex._backward is None:
-                continue
-            name = vertex._backward.__qualname__.split(".", 1)[0]
-            for a in closure_arrays(vertex._backward):
-                base = buffer(a)
-                if id(base) not in params:
-                    held[id(base)] = base
-                    ops.setdefault(name, {})[id(base)] = base
+        ops = self._held(model, loss)
+        held = {i: a for arrays in ops.values() for i, a in arrays.items()}
         activations = [a for a in held.values() if a.size >= b * length * d]
         assert all(a.shape == (b, length, d) for a in activations), [a.shape for a in activations]
         assert len(activations) <= 2 * config.n_enc_layers + 1
         for name in ("attention_block", "ff_block"):
             arrays = ops.get(name, {}).values()
-            assert sorted(a.shape for a in arrays if a.dtype == np.float32 and a.ndim) == sorted(
+            assert self._floats(arrays) == sorted(
                 [(b, length, d)] * 2 + [(b, length, 1)] * 4
             ), name  # two layers: x, mu and 1/std each
             assert all(a.dtype in (np.float32, np.uint8) or a.nbytes < b * length * d for a in arrays), name
+
+    def test_each_decoder_layer_holds_its_sublayer_inputs_and_cross_keys_values(self):
+        """A tiny 2+2-layer abs step in train mode with dropout: each decoder
+        layer's closures hold its three sublayers' inputs, cross-attention's
+        k and v operands, packed keep bits and layer norm's [B, T, 1] row
+        statistics. No op holds attention's operands apart from the blocks,
+        and layer_norm holds only the two final norms' xhat and 1/std."""
+        model, loss, _ = _block_step("abs")
+        enc, dec = _BLOCK_CONFIG.n_enc_layers, _BLOCK_CONFIG.n_dec_layers
+        b, length, t, d = 3, 9, 5, _BLOCK_CONFIG.d_model
+        ops = self._held(model, loss)
+        assert "attention" not in ops
+        floats = {name: self._floats(arrays.values()) for name, arrays in ops.items()}
+        stats = [(b, length, 1)] * 2 * enc + [(b, t, 1)] * 2 * dec  # mu and 1/std, one pair per layer
+        assert floats["layer_norm"] == sorted([(b, length, d), (b, length, 1), (b, t, d), (b, t, 1)])
+        assert floats["ff_block"] == sorted([(b, length, d)] * enc + [(b, t, d)] * dec + stats)
+        # Each encoder layer's input, each decoder layer's self- and
+        # cross-attention inputs, and the cross k and v: heads views of
+        # their projections of the encoder output, which matmul holds.
+        assert floats["attention_block"] == sorted(
+            [(b, length, d)] * enc + [(b, t, d)] * 2 * dec + [(b, length, d)] * 2 * dec + stats + stats[2 * enc:]
+        )
+        assert floats["matmul"] == [(b, length, d)]
+        bits = {name for name, arrays in ops.items() if any(a.dtype == np.uint8 for a in arrays.values())}
+        assert bits == {"attention_block", "ff_block", "dropout"}
 
 
 def _traced_peak(fn, *args):
@@ -1927,50 +1918,35 @@ class TestClosureTemporaries:
     """Traced peaks of single backward closures at small shapes, so an edit
     that brings back a whole-array temporary fails here."""
 
-    @staticmethod
-    def _attention_inputs(dtype=np.float32):
+    @pytest.mark.parametrize("kv", [False, True], ids=["self", "cross"])
+    def test_attention_block_makes_no_score_array(self, kv):
+        """A training step of the block, with dropout and a fully masked
+        query row: forward and backward work one item's scores at a time,
+        where the composed chain held the whole probabilities."""
         r = np.random.default_rng(0)
-        q, k, v = (Tensor(r.standard_normal((8, 2, 128, 4)).astype(dtype), requires_grad=True)
-                   for _ in range(3))
-        mask = np.zeros((8, 1, 128, 128), dtype=bool)
-        mask[0, :, 3] = True  # a fully masked row: the mask pass runs too
-        return q, k, v, mask
+        b, length, d, heads = 16, 128, 8, 2
+        x = r.standard_normal((b, length, d)).astype(np.float32)
+        vectors = [(1 + 0.1 * r.standard_normal(d)).astype(np.float32)] + [
+            (0.1 * r.standard_normal(d)).astype(np.float32) for _ in range(5)]
+        weights = [(0.3 * r.standard_normal((d, d))).astype(np.float32) for _ in range(4)]
+        gamma, beta, bq, bk, bv, bo = (Tensor(a, requires_grad=True) for a in vectors)
+        wq, wk, wv, wo = (Tensor(a, requires_grad=True) for a in weights)
+        k, v = (Tensor(r.standard_normal((b, heads, length, d // heads)).astype(np.float32), requires_grad=True)
+                for _ in range(2))
+        mask = np.zeros((b, 1, length, length), dtype=bool)
+        mask[0, :, 3] = True
+        g = Tensor(r.standard_normal(x.shape).astype(np.float32))
+        kv_args = ((None,) * 4, {"k": k, "v": v}) if kv else ((wk, bk, wv, bv), {})
 
-    @staticmethod
-    def _attention_step(q, k, v, mask, p, train):
-        """Forward, then backward, with the output kept until the end."""
-        out = T.attention(q, k, v, mask, p, train, np.random.default_rng(1))
-        g = np.random.default_rng(2).standard_normal(out.shape).astype(out.dtype)
-        return out, out._node._backward(g)
+        def step(block):
+            xt = Tensor(x, requires_grad=True)
+            out = block(xt, gamma, beta, wq, bq, *kv_args[0], wo, bo, mask, heads, 0.25, True,
+                        np.random.default_rng(1), **kv_args[1])
+            backward(tensor_sum(T.mul(out, g)))
 
-    @pytest.mark.parametrize("p, train", [(0.0, False), (0.25, True)], ids=["eval", "train"])
-    def test_attention_makes_no_score_array(self, p, train):
-        q, k, v, mask = self._attention_inputs()
-        score = 8 * 2 * 128 * 128 * 4
-        # Nothing score-sized lives from forward to backward, and neither
-        # pass makes a whole score array, with or without dropout.
-        assert _traced_peak(self._attention_step, q, k, v, mask, p, train) < score
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_attention_forward_makes_no_second_score_array(self, dtype):
-        q, k, v, mask = self._attention_inputs(dtype)
-        item = 2 * 128 * 128 * np.dtype(dtype).itemsize
-        # The output and about two item slices: one item's probabilities
-        # and its unpacked keep mask, or the packed keep mask (1/32 of a
-        # float32 score array) and one item's draw.
-        bound = q.data.nbytes + 2 * item + _NUMPY_BUFFERS
-        assert _traced_peak(T.attention, q, k, v, mask, 0.25, True, np.random.default_rng(1)) < bound
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_attention_backward_works_in_item_slices(self, dtype):
-        q, k, v, mask = self._attention_inputs(dtype)
-        item = 2 * 128 * 128 * np.dtype(dtype).itemsize
-        step = q.data.nbytes * 4  # the output and the three gradients
-        # Per item, backward recomputes the probabilities and makes the
-        # score gradient, then a quarter item of unpacked keep mask or half
-        # an item for the row dots.
-        bound = step + 3 * item + _NUMPY_BUFFERS
-        assert _traced_peak(self._attention_step, q, k, v, mask, 0.25, True) < bound
+        score = b * heads * length * length * 4  # [B, h, L, L] float32
+        assert _traced_peak(step, T.attention_block) < score
+        assert _traced_peak(step, composed_attention_block) > 2 * score
 
     def test_row_blocks_are_an_eighth_but_at_least_8_rows(self):
         # The beam's [n <= 5, V] log-softmax is one block; a [B, n, V]

@@ -175,15 +175,24 @@ def _textbook_adam_step(params, grads, state, lr):
         p.data -= (lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)).astype(p.dtype)
 
 
+# Parameter shapes for the Adam reference: small ones, and ones several
+# chunks long (rows of 96, a flat vector) with a last chunk cut short.
+_ADAM_SHAPES = (
+    ("a", (7, 5)), ("b", (13,)), ("c", (3, 4, 2)),
+    ("rows", (3 * (train_module.CHUNK // 96) + 5, 96)), ("flat", (2 * train_module.CHUNK + 3,)),
+)
+
+
 class TestAdamInPlace:
     @staticmethod
     def _digest(step_fn, param_dtype, grad_dtype) -> str:
         r = np.random.default_rng(11)
         params = {name: Tensor(r.standard_normal(shape).astype(param_dtype), requires_grad=True)
-                  for name, shape in (("a", (7, 5)), ("b", (13,)), ("c", (3, 4, 2)))}
+                  for name, shape in _ADAM_SHAPES}
         state = AdamState(params)
         for step, scale in enumerate((1e-8, 1e-6, 1e-4, 1e-2, 1.0), start=1):
             grads = {k: (r.standard_normal(p.shape) * scale).astype(grad_dtype) for k, p in params.items()}
+            grads["rows"] = np.asfortranarray(grads["rows"])  # a layout unlike the parameter's
             assert step_fn(params, grads, state, 1e-3 * step) is None
         h = hashlib.sha256()
         for name in params:
@@ -198,6 +207,87 @@ class TestAdamInPlace:
     def test_weights_and_moments_bitwise_textbook_formula(self, param_dtype, grad_dtype):
         assert (self._digest(adam_step, param_dtype, grad_dtype)
                 == self._digest(_textbook_adam_step, param_dtype, grad_dtype))
+
+    def test_the_large_parameters_run_in_several_chunks(self):
+        for name, shape in _ADAM_SHAPES:
+            parts = train_module._row_chunks(shape)
+            assert len(parts) >= (3 if name in ("rows", "flat") else 1), name
+
+    @pytest.mark.parametrize("shape", [(), (0, 4), (5,), (3, 2 * train_module.CHUNK), (200_001,), (1031, 129),
+                                       (70, 40, 30)], ids=str)
+    def test_row_chunks_cover_each_row_once(self, shape):
+        a = np.arange(math.prod(shape)).reshape(shape)
+        parts = train_module._row_chunks(shape)
+        seen = np.concatenate([a[part].reshape(-1) for part in parts]) if parts else np.zeros(0, int)
+        assert np.array_equal(seen, a.reshape(-1))
+        row = math.prod(shape[1:])
+        assert all(a[part].size <= max(train_module.CHUNK, row) for part in parts)
+
+
+def _whole_square_sum(g: np.ndarray) -> np.float64:
+    """What clip_gradients summed before it worked in chunks: the whole
+    float64 cast, squared in place."""
+    square = g.astype(np.float64)
+    square *= square
+    return square.sum()
+
+
+def _spread(r, shape, dtype):
+    """Values over three decades, so the order of the additions shows in
+    the bits (over many more, the largest squares swamp the rest)."""
+    return (r.standard_normal(shape) * 10.0 ** r.integers(-1, 2, shape)).astype(dtype)
+
+
+class TestChunkedSquareSum:
+    """clip_gradients sums each gradient's squares in float64 chunks that
+    follow numpy's pairwise summation tree: the bits of the whole cast's sum."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("chunk", [128, 1000, train_module.CHUNK])
+    def test_sizes_around_8_128_and_the_chunk_equal_the_whole_sum(self, dtype, chunk):
+        r = np.random.default_rng(chunk)
+        sizes = {n for c in (8, 128, chunk, 2 * chunk, 3 * chunk) for n in range(max(1, c - 9), c + 10)}
+        sequential_differs = False
+        for n in sorted(sizes | {16 * chunk + 5}):
+            g = _spread(r, n, dtype)
+            want = _whole_square_sum(g)
+            assert train_module._square_sum(g, chunk).tobytes() == want.tobytes(), n
+            if n > chunk:  # chunks added left to right instead: the check can tell
+                parts = [_whole_square_sum(g[lo:lo + chunk]) for lo in range(0, n, chunk)]
+                sequential_differs |= math.fsum(parts) != want and sum(parts) != want
+        assert sequential_differs
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("chunk", [128, train_module.CHUNK])
+    def test_layouts_are_walked_in_memory_order(self, dtype, chunk):
+        r = np.random.default_rng(1)
+        a = _spread(r, (1031, 387), dtype)
+        layouts = {
+            "C": a, "F": np.asfortranarray(a), "transposed": a.T, "strided": a[:, ::2],
+            "heads": np.swapaxes(_spread(r, (8, 4, 129, 32), dtype), -1, -2),  # attention's k layout
+            "scalar": np.asarray(a[3, 5]),
+        }
+        for name, g in layouts.items():
+            want = _whole_square_sum(g)
+            assert train_module._square_sum(g, chunk).tobytes() == want.tobytes(), name
+        # Walked in C order, an F-ordered array's squares often add up to
+        # other bits.
+        assert any(
+            _whole_square_sum(np.ascontiguousarray(f)) != _whole_square_sum(f)
+            for f in (np.asfortranarray(_spread(r, (1031, 387), dtype)) for _ in range(8))
+        )
+
+    @pytest.mark.parametrize("dtype, bad", [
+        *((np.float32, bad) for bad in (np.nan, np.inf, -np.inf)),
+        *((np.float64, bad) for bad in (np.nan, np.inf, -np.inf, 1e200)),  # 1e200 squared overflows
+    ], ids=str)
+    def test_non_finite_input_still_raises(self, dtype, bad):
+        g = np.ones(3 * train_module.CHUNK + 7, dtype)
+        g[2 * train_module.CHUNK + 5] = bad  # deep inside a later chunk
+        with np.errstate(over="ignore"):
+            assert not math.isfinite(float(train_module._square_sum(g)))
+            with pytest.raises(NonFiniteLoss):
+                clip_gradients({"a": np.ones(3, dtype), "b": g}, 1.0)
 
 
 class TestLrSchedule:
@@ -1094,9 +1184,10 @@ class TestStepGraphHoldsNoScores:
         loss = self._step_loss(task, monkeypatch)
         score_bytes = self.B * self.H * self.L * self.L * 4
         closures = [v._backward for v in graph_vertices(loss) if v._backward is not None]
-        # The walk found the step's graph: both layers' sublayer ops and more.
+        # The walk found the step's graph: every layer's sublayer ops and more.
         assert len(closures) > 12
         names = [fn.__qualname__.split(".")[0] for fn in closures]
-        assert names.count("attention_block") == 2 and names.count("ff_block") >= 2
+        decoder = 2 if task == "abs" else 0  # layers, each with two attention sublayers
+        assert names.count("attention_block") == 2 + 2 * decoder and names.count("ff_block") == 2 + decoder
         held = [x.nbytes for fn in closures for x in closure_arrays(fn)]
         assert held and max(held) < score_bytes

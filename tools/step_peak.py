@@ -1,28 +1,29 @@
 #!/usr/bin/env python3
-"""Traced memory of one training step, phase by phase.
+"""Traced memory of the first training steps, phase by phase.
 
     python3 tools/step_peak.py --task ext --shards shards/ --vocab vocab.txt \\
-        [--config run.cfg] [--seed 0]
+        [--config run.cfg] [--seed 0] [--steps 1]
 
 Runs `sumforge train` with the same arguments, config file, seed and
-vocabulary, but stops `train.fit` after its first step and writes no
-checkpoint. The step runs under tracemalloc in three phases: forward (the
+vocabulary, but stops `train.fit` after `--steps` steps and writes no
+checkpoint. Each step runs under tracemalloc in three phases: forward (the
 loss closure: the batch, the model and the loss), backward, and the rest of
 the step (clipping plus the Adam updates). For each phase it prints the
-traced peak and the traced memory live at the phase's end, both in MiB
-above the step's start, and the op whose forward or backward call raised
-the traced memory to that peak, as `tensor.op_hook` reports the calls.
-`outside ops` means the peak was set between op calls, for instance where
-the backward sweep adds a gradient into one already held. tracemalloc
+largest traced peak over the steps and the traced memory live at the end of
+that phase, both in MiB above the start of its step, the step that set the
+peak (the first, on a tie), and the op whose forward or backward call
+raised the traced memory to that peak, as `tensor.op_hook` reports the
+calls. `outside ops` means the peak was set between op calls, for instance
+where the backward sweep adds a gradient into one already held. tracemalloc
 counts numpy's arrays and Python objects, not the interpreter's own memory,
 so the figures are below RSS and compare only with each other. Then it
-prints the forward tape: the MiB that the backward closures of each op hold
-at the end of forward, parameters left out, each array counted once, for
-the first op in graph order that holds it (a view counts as the array it
-views). The walk runs after the forward phase ends and before backward
+prints step 1's forward tape: the MiB that the backward closures of each op
+hold at the end of forward, parameters left out, each array counted once,
+for the first op in graph order that holds it (a view counts as the array
+it views). The walk runs after the forward phase ends and before backward
 starts, and keeps only its small result, so it leaves the phase figures as
-they are. The last line gives the step's loss, which
-equals the loss of step 1 of `sumforge train` with the same arguments.
+they are. The last line gives the last step's loss, which equals the final
+loss of `sumforge train` with the same arguments and `--steps` steps.
 """
 
 from __future__ import annotations
@@ -53,8 +54,9 @@ class Probe:
 
     def __init__(self) -> None:
         self.phase: str | None = None
+        self.step, self.base = 0, 0
         self.holder, self.holder_peak = "outside ops", 0
-        self.rows: list[tuple[str, float, float, str]] = []
+        self.rows: list[tuple[int, str, float, float, str]] = []  # step, phase, peak, live, holder
 
     def call(self, op: str, pass_: str, fn, *args, **kwargs):
         """The op hook."""
@@ -66,6 +68,13 @@ class Probe:
             # The innermost call that raised the peak keeps the credit.
             if peak > before and peak > self.holder_peak:
                 self.holder, self.holder_peak = f"{op} {pass_}", peak
+
+    def next_step(self) -> None:
+        """End the open phase, if any, and start the next step's forward."""
+        self.end()
+        self.step += 1
+        self.base = tracemalloc.get_traced_memory()[0]
+        self.begin("forward")
 
     def begin(self, name: str) -> None:
         """End the open phase, if any, and start `name`."""
@@ -79,8 +88,17 @@ class Probe:
             return
         live, peak = tracemalloc.get_traced_memory()
         holder = self.holder if peak <= self.holder_peak else "outside ops"
-        self.rows.append((self.phase, peak / MIB, live / MIB, holder))
+        self.rows.append((self.step, self.phase, (peak - self.base) / MIB, (live - self.base) / MIB, holder))
         self.phase = None
+
+    def highest(self) -> list[tuple[int, str, float, float, str]]:
+        """Each phase's row with the highest peak, the first step's on a
+        tie, in phase order."""
+        phases = list(dict.fromkeys(row[1] for row in self.rows))
+        return [
+            max((row for row in self.rows if row[1] == phase), key=lambda row: (row[2], -row[0]))
+            for phase in phases
+        ]
 
 
 def closure_arrays(fn):
@@ -137,36 +155,38 @@ def tape(loss: T.Tensor) -> dict[str, tuple[int, int]]:
     return held
 
 
-def traced_fit(probe: Probe, losses: list[float], held: dict[str, tuple[int, int]]):
-    """train.fit for one step, without checkpoints, with its forward (the
-    loss closure), its backward and the rest of the step as the probe's
-    phases; fills `held` with the forward tape (`tape`)."""
+def traced_fit(probe: Probe, steps: int, losses: list[float], held: dict[str, tuple[int, int]]):
+    """train.fit for `steps` steps, without checkpoints, with each step's
+    forward (the loss closure), backward and the rest of the step as the
+    probe's phases; fills `held` with step 1's forward tape (`tape`)."""
     fit, backward = train.fit, T.backward
 
     def traced_backward(loss):
         probe.end()
-        held.update(tape(loss))
+        if probe.step == 1:
+            held.update(tape(loss))
         probe.begin("backward")
         backward(loss)
         probe.begin("clip+adam")
 
-    def one_step(model, params, examples, loss_fn, groups, config):
+    def run(model, params, examples, loss_fn, groups, config):
         def traced_loss(*args):
-            tracemalloc.start()
-            probe.begin("forward")
+            if not tracemalloc.is_tracing():
+                tracemalloc.start()
+            probe.next_step()
             return loss_fn(*args)
 
         try:
             with T.op_hook(probe.call), mock.patch.object(T, "backward", traced_backward):
                 rows = fit(model, params, examples, traced_loss, groups,
-                           replace(config, max_steps=1, checkpoint_dir=None))
+                           replace(config, max_steps=steps, checkpoint_dir=None))
             probe.end()
         finally:
             tracemalloc.stop()
         losses.extend(row.loss for row in rows)
         return rows
 
-    return one_step
+    return run
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -176,7 +196,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--vocab", required=True)
     parser.add_argument("--config")
     parser.add_argument("--seed", type=int)
+    parser.add_argument("--steps", type=int, default=1, help="training steps to trace (default 1)")
     args = parser.parse_args(argv)
+    if args.steps < 1:
+        parser.error(f"--steps must be >= 1, got {args.steps}")
 
     train_argv = ["train", "--task", args.task, "--shards", args.shards, "--vocab", args.vocab]
     if args.config:
@@ -185,22 +208,22 @@ def main(argv: list[str] | None = None) -> int:
         train_argv += ["--seed", str(args.seed)]
     probe, losses, held = Probe(), [], {}
     with (
-        mock.patch.object(train, "fit", traced_fit(probe, losses, held)),
+        mock.patch.object(train, "fit", traced_fit(probe, args.steps, losses, held)),
         tempfile.TemporaryDirectory() as out,
         contextlib.redirect_stdout(io.StringIO()),
     ):
         code = cli.main(train_argv + ["--out", out])
     if code != 0:
         return code
-    print(f"{'phase':<10} {'peak MiB':>9} {'live MiB':>9}  peak held by")
-    for name, peak, live, holder in probe.rows:
-        print(f"{name:<10} {peak:>9.1f} {live:>9.1f}  {holder}")
+    print(f"{'phase':<10} {'peak MiB':>9} {'live MiB':>9} {'step':>5}  peak held by")
+    for step, name, peak, live, holder in probe.highest():
+        print(f"{name:<10} {peak:>9.1f} {live:>9.1f} {step:>5}  {holder}")
     total = sum(nbytes for nbytes, _ in held.values())
     count = sum(n for _, n in held.values())
     print(f"tape at the end of forward: {total / MIB:.1f} MiB in {count} arrays")
     for name, (nbytes, n) in sorted(held.items(), key=lambda kv: (-kv[1][0], kv[0])):
         print(f"  {name:<24} {nbytes / MIB:>7.1f} MiB {n:>5} arrays")
-    print(f"{args.task} step 1 loss {losses[0]:.6f}")
+    print(f"{args.task} step {len(losses)} loss {losses[-1]:.6f}")
     return 0
 
 
