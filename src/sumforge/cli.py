@@ -365,7 +365,7 @@ def _read_jsonl_texts(path: Path | str) -> dict[str, str]:
             continue
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ConfigError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
         if not isinstance(record, dict) or "id" not in record or "text" not in record:
             raise ConfigError(f'{path}:{line_no}: expected {{"id", "text"}} object')

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -48,17 +48,9 @@ class ModelConfig:
     pretrained_encoder: bool = False
 
     def __post_init__(self) -> None:
-        dims = (
-            self.vocab_size,
-            self.d_model,
-            self.n_heads,
-            self.d_ff,
-            self.n_enc_layers,
-            self.n_dec_layers,
-            self.max_positions,
-        )
-        if any(d < 1 for d in dims):
-            raise ConfigError(f"all dimensions must be >= 1: {self}")
+        dims = [getattr(self, f.name) for f in fields(self) if f.type == "int"]
+        if any(isinstance(d, bool) or not isinstance(d, int) or d < 1 for d in dims):
+            raise ConfigError(f"all dimensions must be integers >= 1: {self}")
         if self.d_model % self.n_heads != 0:
             raise ConfigError(
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}"
@@ -257,10 +249,11 @@ class Encoder:
         Each layer is two ops, `tensor.attention_block` then
         `tensor.ff_block`, in training and at inference; in training each
         keeps only its input, parameters, keep bits and layer norm's row
-        statistics for backward. With `rows` ([B, S] positions), the last
-        layer's `attention_block` still takes keys and values from every
-        position, but its queries and residual, the feed-forward and the
-        final norm run only at those rows, and the result is [B, S, d_model].
+        statistics for backward. With `rows` ([B, S] positions), which only
+        inference may pass (no graph recorded), the last layer's
+        `attention_block` still takes keys and values from every position,
+        but its queries and residual, the feed-forward and the final norm run
+        only at those rows, and the result is [B, S, d_model].
         """
         src_ids = np.asarray(src_ids)
         segment_ids = np.asarray(segment_ids)
@@ -305,9 +298,10 @@ class ExtractiveModel(Encoder):
         """Sentence logits [B, S]: w . h[cls] + b; the sentence's probability
         is their sigmoid, which ranks sentences the same way.
 
-        Inference runs the last encoder layer at the [CLS] rows only.
-        Training runs it at every row, so its dropout draws stay those of the
-        whole layer.
+        With no graph recorded (`tensor.no_grad`) and train False, the last
+        encoder layer runs at the [CLS] rows only. Otherwise it runs at every
+        row, so that training's dropout draws stay those of the whole layer
+        and gradients flow through the gather.
         """
         cls_positions = np.asarray(cls_positions)
         length = np.shape(src_ids)[1]
@@ -315,7 +309,7 @@ class ExtractiveModel(Encoder):
             raise IndexOutOfRange(
                 f"cls position outside sequence of length {length}"
             )
-        if train:
+        if train or T.grad_enabled():
             hidden = self.encode(src_ids, segment_ids, pad_mask, train, rng)
             picked = T.gather_positions(hidden, cls_positions)  # [B,S,d]
         else:
@@ -430,7 +424,7 @@ class AbstractiveModel(Encoder):
             layer = f"decoder.layer{i}"
             # The hypotheses' keys/values so far, then the new position's.
             new = _keys_values(p, f"{layer}.self_attn", _ln(p, f"{layer}.ln1", x), cfg.n_heads)
-            kv = tuple(T.concat([Tensor(old.data[parents]), k], axis=2) for old, k in zip(past, new))
+            kv = tuple(Tensor(np.concatenate([old.data[parents], k.data], axis=2)) for old, k in zip(past, new))
             x = _decoder_layer(p, layer, x, kv, cache.cross_kv[i], None, cache.cross_mask, cfg, False, None)
             self_kv.append(kv)
         cache.self_kv = self_kv
@@ -563,7 +557,7 @@ def load_checkpoint(source: Path | str | bytes, dtype=np.float32) -> Encoder:
     (header_len,) = struct.unpack("<I", take(4, "header length"))
     try:
         header = json.loads(bytes(take(header_len, "header")))
-    except ValueError as exc:  # not UTF-8, or not JSON
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deeply
         raise FormatVersionMismatch(f"checkpoint header is not JSON: {exc}") from exc
     if not isinstance(header, dict):
         raise FormatVersionMismatch("checkpoint header is not a JSON object")
@@ -576,7 +570,7 @@ def load_checkpoint(source: Path | str | bytes, dtype=np.float32) -> Encoder:
         config = ModelConfig(**header["config"])
     except KeyError as exc:
         raise FormatVersionMismatch(f"checkpoint header lacks {exc}") from exc
-    except TypeError as exc:
+    except (TypeError, ConfigError) as exc:
         raise FormatVersionMismatch(f"checkpoint header has a bad config: {exc}") from exc
     cls = _MODELS[kind]
     specs = cls.param_specs(config)

@@ -2,9 +2,10 @@
 
 Just enough ops for a transformer encoder/decoder: broadcasting arithmetic,
 batched matmul, softmax/layer-norm/gelu, embedding and gather ops, dropout,
-a logit binary cross-entropy, a projected label-smoothed vocabulary
-cross-entropy, and a finite-difference oracle to check all of it. Data lives in numpy
-arrays; float32 is the training dtype, float64 the verification dtype.
+the attention and feed-forward sublayers as single ops, a logit binary
+cross-entropy and a projected label-smoothed vocabulary cross-entropy. Data
+lives in numpy arrays; float32 is the training dtype, float64 the
+verification dtype.
 Each public differentiable op is registered in `OPS` by the `op`
 decorator, and `op_hook` routes op calls and backward closures through a
 caller's function, for profiles and memory probes.
@@ -83,28 +84,9 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
-    # Operator sugar; the real implementations are module-level functions.
+    # The two operators the model code uses; the ops are module-level functions.
     def __add__(self, other):
         return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
-
-    def __sub__(self, other):
-        return add(self, neg(_as_tensor(other, self.dtype)))
-
-    def __rsub__(self, other):
-        return add(_as_tensor(other, self.dtype), neg(self))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __truediv__(self, other):
         if isinstance(other, Tensor):
@@ -131,6 +113,11 @@ def no_grad() -> Iterator[None]:
         yield
     finally:
         _grad_enabled.reset(token)
+
+
+def grad_enabled() -> bool:
+    """Whether ops record a graph here, that is, outside every `no_grad`."""
+    return _grad_enabled.get()
 
 
 OPS: dict[str, Callable] = {}  # every public differentiable op, by name
@@ -242,11 +229,6 @@ def mul(a: Tensor, b) -> Tensor:
 
 
 @op
-def neg(a: Tensor) -> Tensor:
-    return _make(-a.data, (a,), lambda g: (-g,))
-
-
-@op
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product, batched over broadcast leading axes."""
     if a.data.ndim < 2 or b.data.ndim < 2:
@@ -296,17 +278,6 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(shape)
     old = a.shape
     return _make(a.data.reshape(shape), (a,), lambda g: (g.reshape(old),))
-
-
-@op
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    sizes = [t.shape[axis] for t in tensors]
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-
-    def backward(g):
-        return tuple(np.split(g, np.cumsum(sizes)[:-1], axis=axis))
-
-    return _make(data, tuple(tensors), backward)
 
 
 # --- nonlinearities ---
@@ -588,13 +559,13 @@ def projected_cross_entropy(
 LN_EPS = 1e-6  # layer norm's variance floor
 
 
-def _ln_stats(x: np.ndarray, eps: float = LN_EPS) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _ln_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Layer norm's row statistics over the last axis, keepdims: the mean
-    mu and inv_std = 1/sqrt(var + eps); and xhat = (x − mu) · inv_std."""
+    mu and inv_std = 1/sqrt(var + LN_EPS); and xhat = (x − mu) · inv_std."""
     mu = x.mean(axis=-1, keepdims=True)
     xhat = x - mu
     var = (xhat**2).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + LN_EPS)
     xhat *= inv_std
     return mu, inv_std, xhat
 
@@ -638,14 +609,14 @@ def _layer_norm_backward(
 
 
 @op
-def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = LN_EPS) -> Tensor:
+def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize the last axis to mean 0 / variance 1, then affine."""
     h = a.shape[-1]
     if gamma.shape != (h,) or beta.shape != (h,):
         raise ShapeMismatch(
             f"layer_norm: last axis {h} vs gamma {gamma.shape} / beta {beta.shape}"
         )
-    _, inv_std, xhat = _ln_stats(a.data, eps)
+    _, inv_std, xhat = _ln_stats(a.data)
     scale = gamma.data
     data = _ln_affine(xhat, scale, beta.data)
     return _make(data, (a, gamma, beta), lambda g: _layer_norm_backward(g, xhat, inv_std, scale))
@@ -854,19 +825,19 @@ def attention_block(
     k: Tensor | None = None,
     v: Tensor | None = None,
 ) -> Tensor:
-    """A pre-layer-norm attention sublayer as one op, over a [n, d] or
-    [B, L, d] x: x + dropout(attention(q, k, v) wo + bo), where
+    """A pre-layer-norm attention sublayer as one op, over a [B, L, d] x:
+    x + dropout(attention(q, k, v) wo + bo), where
     n = ln(x) = layer_norm(x, gamma, beta), q is n wq + bq split into n_heads
     heads, and attention(q, k, v) = dropout(softmax(q kᵀ / sqrt(d/h),
     NEG_INF where mask is True)) v, the mask broadcasting against the
-    [..., h, Lq, Lk] scores. Keys and values are n wk + bk and n wv + bv
+    [B, h, Lq, Lk] scores. Keys and values are n wk + bk and n wv + bv
     split into heads, or, with wk, bk, wv and bv None, the operands k and v
-    in heads layout: [h, Lk, d/h] for a [n, d] x, [B or 1, h, Lk, d/h] for
-    a [B, L, d] x (cross-attention, and cached keys and values when
-    decoding). All weights are [d, d], all vectors [d]. With rows ([B, S]
-    positions of a [B, L, d] x), the queries and the residual come only
+    in heads layout [B or 1, h, Lk, d/h] (cross-attention, and cached keys
+    and values when decoding). All weights are [d, d], all vectors [d].
+    With rows ([B, S] positions), the queries and the residual come only
     from those rows, as gather_positions picks them, and the result is
-    [B, S, d].
+    [B, S, d]; rows are for inference only, and passing them while a graph
+    is recorded raises ShapeMismatch.
 
     In training it runs one item at a time (`_items`), and backward holds
     only x, the parameters, k and v, the packed keep bits of both dropouts
@@ -888,8 +859,8 @@ def attention_block(
     read. So values and gradients are bitwise those of the composed
     layer_norm → matmul → add → reshape → permute → matmul → mul →
     masked_fill → softmax → dropout → matmul → permute → reshape → matmul →
-    add → dropout → add chain (with gather_positions for rows), less the
-    backward mask passes that cannot change a bit (`_attention_masks`).
+    add → dropout → add chain, less the backward mask passes that cannot
+    change a bit (`_attention_masks`).
     """
     _check_dropout_p(p)
     given = k is not None
@@ -902,32 +873,34 @@ def attention_block(
     wka, bka, wva, bva = (None,) * 4 if given else (t.data for t in (wk, bk, wv, bv))
     d = xa.shape[-1]
     if (
-        xa.ndim not in (2, 3) or n_heads < 1 or d % n_heads
+        xa.ndim != 3 or n_heads < 1 or d % n_heads
         or any(t.shape != (d, d) for t in (wq, wo) + (() if given else (wk, wv)))
         or any(t.shape != (d,) for t in (gamma, beta, bq, bo) + (() if given else (bk, bv)))
         or given and (
-            ka.shape != va.shape or ka.ndim != xa.ndim + 1 or (ka.shape[-3], ka.shape[-1]) != (n_heads, d // n_heads)
-            or ka.shape[:-3] not in (xa.shape[:-2], (1,) * (xa.ndim - 2))
+            ka.shape != va.shape or ka.ndim != 4 or (ka.shape[1], ka.shape[3]) != (n_heads, d // n_heads)
+            or ka.shape[0] not in (xa.shape[0], 1)
         )
     ):
         raise ShapeMismatch(
             f"attention_block: x {xa.shape}, {n_heads} heads, "
             f"parameters {[t.shape for t in params]}"
         )
-    length, batch = xa.shape[-2], None
+    parents = (x,) + params
+    length, batch = xa.shape[1], None
     if rows is not None:
         rows = np.asarray(rows)
-        if xa.ndim != 3 or rows.shape[:1] != xa.shape[:1] or rows.ndim != 2 or rows.dtype.kind not in "iu":
+        if _records(parents):
+            raise ShapeMismatch("attention_block: rows are for inference only, not while a graph is recorded")
+        if rows.shape[:1] != xa.shape[:1] or rows.ndim != 2 or rows.dtype.kind not in "iu":
             raise ShapeMismatch(f"attention_block: rows {rows.shape} {rows.dtype} for x {xa.shape}")
         if rows.size and (rows.min() < 0 or rows.max() >= length):
             raise IndexOutOfRange(f"attention_block: rows outside a sequence of length {length}")
         batch = np.arange(xa.shape[0])[:, None]
     lq = length if rows is None else rows.shape[1]
-    lk = ka.shape[-2] if given else length
-    scores, out_shape = xa.shape[:-2] + (n_heads, lq, lk), xa.shape[:-2] + (lq, d)
+    lk = ka.shape[2] if given else length
+    scores, out_shape = (xa.shape[0], n_heads, lq, lk), (xa.shape[0], lq, d)
     fill, mask = _attention_masks(mask, scores)
     ndim = len(scores)
-    parents = (x,) + params
     dtype = np.result_type(xa, *(t.data for t in params))
     scale = np.asarray(1.0 / np.sqrt(d // n_heads), dtype=dtype)
     keep = keep_out = factor = None
@@ -978,8 +951,8 @@ def attention_block(
         # merged them, into a copy or a strided view, whose layout the
         # products and the biases' sums read.
         hd = d // n_heads
-        kv_shape = ka.shape if given else xa.shape[:-2] + (n_heads, length, hd)
-        gq = np.empty(xa.shape[:-2] + (n_heads, lq, hd), dtype)
+        kv_shape = ka.shape if given else (xa.shape[0], n_heads, length, hd)
+        gq = np.empty((xa.shape[0], n_heads, length, hd), dtype)
         gkt = _ItemGrad(kv_shape[:-2] + (hd, lk), scores, dtype)
         gv = _ItemGrad(kv_shape, scores, dtype)
         gn = np.empty(xa.shape, dtype)  # ln(x)'s
@@ -998,14 +971,10 @@ def attention_block(
             gkt.put(i, dkt)
             gv.put(i, dv)
             dq = _merged(dq)
-            gwq.put(i, np.swapaxes(picked(normed, i), -1, -2) @ dq)
+            gwq.put(i, np.swapaxes(normed, -1, -2) @ dq)
             # ln(x)'s gradient: q's part, then k's, then v's, in the order
-            # the backward sweep adds them; q's part is scattered to its
-            # rows onto zeros, as gather_positions' backward does.
+            # the backward sweep adds them.
             part = dq @ wqt
-            if rows is not None:
-                part, scattered = np.zeros(xa.shape[1:], part.dtype), part
-                np.add.at(part, rows[i], scattered)
             if not given:
                 dk, dv = _merged(np.swapaxes(dkt, -1, -2)), _merged(dv)
                 gwk.put(i, np.swapaxes(normed, -1, -2) @ dk)
@@ -1023,9 +992,6 @@ def attention_block(
             kv_grads = (gwk.out, _unbroadcast(_merged(gk), (d,)), gwv.out, _unbroadcast(_merged(gv.out), (d,)))
         del gq, gkt, gk, gv
         gx, ggamma, gbeta = _layer_norm_backward(gn, _ln_xhat(xa, mu, inv_std), inv_std, ga)
-        if rows is not None:  # the residual's gradient, as gather_positions' backward makes it
-            g, residual = np.zeros(xa.shape, g.dtype), g
-            np.add.at(g, (batch, rows), residual)
         gx += g
         return (gx, ggamma, gbeta, gwq.out, gbq) + kv_grads + (gwo.out, gbo)
 
@@ -1045,8 +1011,8 @@ def ff_block(
     train: bool,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """A pre-layer-norm feed-forward sublayer as one op, over a [n, d] or
-    [B, n, d] x: x + dropout(gelu(ln(x) w1 + b1) w2 + b2), where
+    """A pre-layer-norm feed-forward sublayer as one op, over a [B, n, d]
+    x: x + dropout(gelu(ln(x) w1 + b1) w2 + b2), where
     ln(x) = layer_norm(x, gamma, beta), w1 is [d, f], b1 [f], w2 [f, d] and
     gamma, beta and b2 [d].
 
@@ -1067,7 +1033,7 @@ def ff_block(
     ga, ba, w1a, b1a, w2a, b2a = (t.data for t in params)
     d = xa.shape[-1]
     if (
-        xa.ndim not in (2, 3) or ga.shape != (d,) or ba.shape != (d,) or b2a.shape != (d,)
+        xa.ndim != 3 or ga.shape != (d,) or ba.shape != (d,) or b2a.shape != (d,)
         or w1a.ndim != 2 or w1a.shape[0] != d or b1a.shape != w1a.shape[1:] or w2a.shape != (w1a.shape[1], d)
     ):
         raise ShapeMismatch(f"ff_block: x {xa.shape}, parameters {[t.shape for t in params]}")
@@ -1278,39 +1244,3 @@ def backward(loss: Tensor) -> None:
         node.grad = None
         node._backward = _consumed
         node._parents = ()
-
-
-def finite_diff_check(
-    f: Callable[[list[Tensor]], Tensor],
-    params: list[Tensor],
-    eps: float = 1e-5,
-) -> float:
-    """Central-difference check of analytic gradients, in 64-bit floats.
-
-    Returns the max relative error over every coordinate of every parameter,
-    with max(1, |analytic|) in the denominator.
-    """
-    for p in params:
-        if p.dtype != np.float64:
-            raise ValueError("finite_diff_check requires float64 parameters")
-        p.grad = None
-    backward(f(params))
-    analytic = [
-        p.grad.copy() if p.grad is not None else np.zeros_like(p.data) for p in params
-    ]
-
-    worst = 0.0
-    for p, an in zip(params, analytic):
-        flat = p.data.reshape(-1)
-        an_flat = an.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            f_plus = float(f(params).data)
-            flat[i] = orig - eps
-            f_minus = float(f(params).data)
-            flat[i] = orig
-            fd = (f_plus - f_minus) / (2.0 * eps)
-            rel = abs(fd - an_flat[i]) / max(1.0, abs(an_flat[i]))
-            worst = max(worst, rel)
-    return worst

@@ -463,7 +463,7 @@ def read_shards(
                 continue
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise CorruptShard(str(path), line_no, str(exc)) from exc
             if not isinstance(record, dict):
                 raise CorruptShard(str(path), line_no, "record is not a JSON object")

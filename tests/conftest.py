@@ -1,11 +1,12 @@
 """Shared fixtures: tiny vocabularies, synthetic documents, and small models;
-and the references that only tests read: summing ops and teacher-forced
-logits and accuracy."""
+and the references that only tests read: summing and negating ops, the
+finite-difference gradient check, and teacher-forced logits and accuracy."""
 
 from __future__ import annotations
 
 import importlib.util
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -98,7 +99,8 @@ def synthetic_example(
     )
 
 
-# --- references: reductions, and teacher-forced logits and accuracy ---
+# --- references: reductions, negation, the finite-difference check, and
+# teacher-forced logits and accuracy ---
 
 def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     data = a.data.sum(axis=axis, keepdims=keepdims)
@@ -115,6 +117,46 @@ def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 def tensor_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     count = a.data.size if axis is None else a.shape[axis]
     return T.mul(tensor_sum(a, axis=axis, keepdims=keepdims), 1.0 / count)
+
+
+def neg(a: Tensor) -> Tensor:
+    return T._make(-a.data, (a,), lambda g: (-g,))
+
+
+def finite_diff_check(
+    f: Callable[[list[Tensor]], Tensor],
+    params: list[Tensor],
+    eps: float = 1e-5,
+) -> float:
+    """Central-difference check of analytic gradients, in 64-bit floats.
+
+    Returns the max relative error over every coordinate of every parameter,
+    with max(1, |analytic|) in the denominator.
+    """
+    for p in params:
+        if p.dtype != np.float64:
+            raise ValueError("finite_diff_check requires float64 parameters")
+        p.grad = None
+    T.backward(f(params))
+    analytic = [
+        p.grad.copy() if p.grad is not None else np.zeros_like(p.data) for p in params
+    ]
+
+    worst = 0.0
+    for p, an in zip(params, analytic):
+        flat = p.data.reshape(-1)
+        an_flat = an.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + eps
+            f_plus = float(f(params).data)
+            flat[i] = orig - eps
+            f_minus = float(f(params).data)
+            flat[i] = orig
+            fd = (f_plus - f_minus) / (2.0 * eps)
+            rel = abs(fd - an_flat[i]) / max(1.0, abs(an_flat[i]))
+            worst = max(worst, rel)
+    return worst
 
 
 def forward_logits(

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import SPECIALS, make_vocab, synthetic_example, teacher_forced_accuracy
+from conftest import SPECIALS, finite_diff_check, make_vocab, synthetic_example, teacher_forced_accuracy
 from sumforge.cli import main
 from sumforge.infer import BeamConfig, ExtConfig, beam_search, select_sentences, summarize_abs, summarize_ext
 from sumforge.ingest import StoryDoc, parse_story, transcode, write_story
@@ -36,7 +36,7 @@ from sumforge.model import (
     save_checkpoint,
 )
 from sumforge.rouge import evaluate_corpus, lcs_length, rouge_l, rouge_n
-from sumforge.tensor import Tensor, finite_diff_check, softmax
+from sumforge.tensor import Tensor, softmax
 from sumforge.tokenization import (
     TokenizedExample,
     encode_example,

@@ -811,6 +811,21 @@ class TestTrain:
     _GOOD_RECORD = {"src": [2, 7, 8, 3], "segs": [0, 0, 0, 0], "clss": [0], "labels": [1],
                     "tgt": [5, 7, 8, 6], "src_txt": ["the cat"], "tgt_txt": ["the cat"]}
 
+    def test_deeply_nested_shard_line_exits_2(self, tmp_path, capsys):
+        vocab = _write_vocab(tmp_path / "vocab.txt")
+        shards = tmp_path / "shards"
+        shards.mkdir()
+        _write_jsonl(shards / "shard_0.jsonl", [self._GOOD_RECORD])
+        with open(shards / "shard_0.jsonl", "a", encoding="utf-8") as fh:
+            fh.write("[" * 200_000 + "\n")
+        config = _write_config(tmp_path / "run.cfg", max_steps=1)
+        out = tmp_path / "run"
+        code = main(["train", "--task", "ext", "--shards", str(shards),
+                     "--out", str(out), "--config", str(config), "--vocab", str(vocab)])
+        assert code == 2
+        assert f"corrupt shard line 2 in {shards / 'shard_0.jsonl'}" in capsys.readouterr().err
+        assert not list(out.glob("*.ckpt"))
+
     @pytest.mark.parametrize("task", ["ext", "abs", "prefit"])
     @pytest.mark.parametrize("change, reason", [
         ({"src": None}, "src is not a list of ints"),
@@ -941,6 +956,12 @@ _HEADER_EDITS = {
     "step_null": lambda h: {**h, "step": None},
     "seed_list": lambda h: {**h, "seed": [h["seed"]]},
 }
+# Each integer dimension of the model config as a float, a bool and a string.
+_HEADER_EDITS |= {
+    f"{name}_{kind}": (lambda name, value: lambda h: {**h, "config": {**h["config"], name: value}})(name, value)
+    for name in (f.name for f in fields(ModelConfig) if f.type == "int")
+    for kind, value in (("float", 1.0), ("true", True), ("string", "2"))
+}
 
 
 class TestSummarize:
@@ -1015,14 +1036,15 @@ class TestSummarize:
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
 
-    @pytest.mark.parametrize("edit", sorted(_HEADER_EDITS))
-    def test_corrupt_checkpoint_header_exits_2(self, tmp_path, capsys, edit):
+    @staticmethod
+    def _summarize_with_header(tmp_path, capsys, edit) -> str:
+        """Summarize with an ext checkpoint whose JSON header is
+        edit(header bytes); expects exit 2 and returns stderr."""
         vocab = _write_vocab(tmp_path / "vocab.txt")
         ckpt = _save_model(tmp_path / "ext.ckpt", "ext")
         blob = ckpt.read_bytes()
         (header_len,) = struct.unpack("<I", blob[8:12])
-        header = json.loads(blob[12 : 12 + header_len])
-        header = json.dumps(_HEADER_EDITS[edit](header)).encode()
+        header = edit(blob[12 : 12 + header_len])
         ckpt.write_bytes(
             blob[:8] + struct.pack("<I", len(header)) + header + blob[12 + header_len :]
         )
@@ -1032,6 +1054,19 @@ class TestSummarize:
         err = capsys.readouterr().err
         assert code == 2
         assert "internal error" not in err and err.startswith("error:")
+        return err
+
+    @pytest.mark.parametrize("edit", sorted(_HEADER_EDITS))
+    def test_corrupt_checkpoint_header_exits_2(self, tmp_path, capsys, edit):
+        err = self._summarize_with_header(
+            tmp_path, capsys, lambda header: json.dumps(_HEADER_EDITS[edit](json.loads(header))).encode()
+        )
+        if edit.endswith(("_float", "_true")):
+            assert "must be integers >= 1" in err
+
+    def test_deeply_nested_checkpoint_header_exits_2(self, tmp_path, capsys):
+        err = self._summarize_with_header(tmp_path, capsys, lambda header: b"[" * 200_000)
+        assert "checkpoint header is not JSON" in err
 
     def test_training_after_summarize_still_records_gradients(self, tmp_path, capsys):
         vocab = _write_vocab(tmp_path / "vocab.txt")
@@ -1236,6 +1271,15 @@ class TestEvaluate:
                      "--references", str(ref)])
         assert code == 2
         assert "invalid JSON" in capsys.readouterr().err
+
+    def test_deeply_nested_json_line_exits_2(self, tmp_path, capsys):
+        pred = tmp_path / "p.jsonl"
+        pred.write_text('{"id": "a", "text": "x"}\n' + "[" * 200_000 + "\n", encoding="utf-8")
+        ref = _write_jsonl(tmp_path / "r.jsonl", [{"id": "a", "text": "x"}])
+        code = main(["evaluate", "--predictions", str(pred),
+                     "--references", str(ref)])
+        assert code == 2
+        assert f"{pred}:2: invalid JSON" in capsys.readouterr().err
 
     def test_record_missing_text_key_exits_2(self, tmp_path, capsys):
         pred = _write_jsonl(tmp_path / "p.jsonl", [{"id": "a"}])

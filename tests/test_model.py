@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import forward_logits, synthetic_example, tensor_sum, tiny_config as _tiny_config_fixture  # noqa: F401 (fixture reexport)
+from conftest import finite_diff_check, forward_logits, synthetic_example, tensor_sum, tiny_config as _tiny_config_fixture  # noqa: F401 (fixture reexport)
 from sumforge import tensor as T
 from sumforge.errors import (
     AllMasked,
@@ -147,7 +147,8 @@ class TestEncode:
         pad[1, 5:] = True
         rows = np.array([[0, 3, 7], [0, 4, 0]])
         full = enc.encode(src, segs, pad).data
-        picked = enc.encode(src, segs, pad, rows=rows).data
+        with T.no_grad():
+            picked = enc.encode(src, segs, pad, rows=rows).data
         assert picked.shape == (2, 3, 8)
         assert np.allclose(picked, full[np.arange(2)[:, None], rows], rtol=1e-12, atol=1e-12)
 
@@ -204,7 +205,8 @@ class TestExtScores:
             ]
             batch = make_ext_batch(examples, pad_id=0)
             assert (batch.clss[batch.sent_mask == 0] == 0).all()
-            got = model.forward_scores(batch.src, batch.segs, batch.pad_mask, batch.clss)
+            with T.no_grad():
+                got = model.forward_scores(batch.src, batch.segs, batch.pad_mask, batch.clss)
             want = self._full_row_logits(model, batch.src, batch.segs, batch.pad_mask, batch.clss)
             assert got.shape == batch.clss.shape
             assert np.allclose(got.data, want, rtol=1e-12, atol=1e-12)
@@ -222,8 +224,11 @@ class TestExtScores:
 
         monkeypatch.setattr(model, "encode", recording)
         trained = model.forward_scores(src, segs, pad, clss, train=True, rng=np.random.default_rng(0))
-        inferred = model.forward_scores(src, segs, pad, clss)
-        assert calls[0] is None and calls[1] is clss
+        recorded = model.forward_scores(src, segs, pad, clss)  # differentiable: every row
+        with T.no_grad():
+            inferred = model.forward_scores(src, segs, pad, clss)
+        assert calls[0] is None and calls[1] is None and calls[2] is clss
+        assert recorded.requires_grad and not inferred.requires_grad
         # dropout 0: the training path's logits are the full-row reference's bits.
         assert np.array_equal(trained.data, self._full_row_logits(model, src, segs, pad, clss))
         assert np.allclose(inferred.data, trained.data, rtol=1e-12, atol=1e-12)
@@ -466,7 +471,7 @@ class TestExtLossFromLogits:
         labels = (rng.random((3, 5)) < 0.4).astype(float)
         mask = np.ones((3, 5))
         mask[2, 3:] = 0.0
-        err = T.finite_diff_check(lambda p: ext_loss(p[0], labels, mask), [z])
+        err = finite_diff_check(lambda p: ext_loss(p[0], labels, mask), [z])
         assert err < 1e-6
 
     def test_matches_clipped_sigmoid_bce_away_from_saturation(self):

@@ -1,11 +1,13 @@
 """The op registry `sumforge.tensor.OPS` is complete, and every op in it
 has a caller in the library.
 
-An op that only the tests call belongs in the tests, as a reference. The
-check reads the sources with `ast`: a call counts when it names the op
-through the `tensor` module (`T.op(...)`), through a name imported from it,
-or, inside `tensor.py`, directly (the operator methods of `Tensor` call
-`add`, `mul` and the rest that way). An op's calls to itself do not count.
+An op that only the tests call belongs in the tests, as a reference. Two
+checks say so. The static one reads the sources with `ast`: a call counts
+when it names the op through the `tensor` module (`T.op(...)`), through a
+name imported from it, or, inside `tensor.py`, directly (the `+` and `/` of
+`Tensor` call `add` and `mul` that way). An op's calls to itself do not
+count. The census runs the pipeline's stages under `op_hook` and counts only
+the ops that run.
 """
 
 from __future__ import annotations
@@ -13,7 +15,13 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
+import numpy as np
+
+from conftest import synthetic_example
 from sumforge import tensor as T
+from sumforge.infer import BeamConfig, ExtConfig, beam_search, summarize_ext
+from sumforge.model import ModelConfig, build_model
+from sumforge.train import TrainConfig, prefit_encoder, train_abs, train_ext
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "sumforge"
@@ -108,3 +116,39 @@ def test_a_call_from_the_op_itself_does_not_count(tmp_path):
         encoding="utf-8",
     )
     assert _called_ops(source, {"add", "mul"}) == {"mul"}
+
+
+def _census() -> set[tuple[str, str, bool]]:
+    """(op, "forward" or "backward", grad mode) of every op call and
+    backward closure in one tiny step of each training loop (prefit, ext,
+    abs), an ext summary and an abs beam decode."""
+    config = ModelConfig(vocab_size=50, d_model=8, n_heads=2, d_ff=16, n_enc_layers=2,
+                         n_dec_layers=2, max_positions=32, dropout=0.1)
+    rng = np.random.default_rng(0)
+    examples = [synthetic_example(rng) for _ in range(2)]
+    train = TrainConfig(max_steps=1, batch_size=2)
+    calls = set()
+
+    def hook(name, pass_, fn, *args, **kwargs):
+        calls.add((name, pass_, T.grad_enabled()))
+        return fn(*args, **kwargs)
+
+    with T.op_hook(hook):
+        prefit_encoder(examples, build_model(config, "encoder", seed=1), train,
+                       mask_id=4, pad_id=0, special_ids={0, 1, 2, 3, 4})
+        ext, abs_ = build_model(config, "ext", seed=2), build_model(config, "abs", seed=3)
+        train_ext(examples, ext, train, pad_id=0)
+        train_abs(examples, abs_, train, pad_id=0)
+        summarize_ext(ext, examples[0], ExtConfig(k=2))
+        beam_search(abs_, examples[0], BeamConfig(max_len=6, min_len=2, beam_size=3), bos_id=5, eos_id=6)
+    return calls
+
+
+def test_every_tensor_op_runs_in_the_pipeline():
+    calls = _census()
+    assert {"attention_block", "ff_block", "projected_cross_entropy", "bce_with_logits"} <= {
+        name for name, pass_, grad in calls if pass_ == "backward"
+    }
+    assert ("attention_block", "forward", False) in calls  # the summaries ran
+    unused = sorted(set(T.OPS) - {name for name, _, _ in calls} - _tracer_ops())
+    assert not unused, f"tensor ops that no pipeline stage runs (move them into tests/): {unused}"

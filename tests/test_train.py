@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    closure_arrays, forward_logits, graph_vertices, synthetic_example, teacher_forced_accuracy, tensor_sum,
+    closure_arrays, forward_logits, graph_vertices, neg, synthetic_example, teacher_forced_accuracy, tensor_sum,
 )
 from test_tensor import composed_head_loss
 from sumforge import tensor as T
@@ -617,7 +617,7 @@ def _dense_masked_token_loss(hidden, tok_emb, bias, targets, chosen):
     the vocabulary and the unchosen ones are weighted zero."""
     logits = T.matmul(hidden, T.transpose(tok_emb)) + bias
     lp = T.log_softmax(logits, axis=-1)
-    nll = T.neg(T.take_along_last(lp, targets))
+    nll = neg(T.take_along_last(lp, targets))
     weights = chosen.astype(nll.dtype)
     return tensor_sum(T.mul(nll, weights)) / float(weights.sum())
 
