@@ -1447,9 +1447,10 @@ class TestSublayerBlocks:
         """The arrays (x, gamma, beta, then each weight and its bias), an
         output gradient, a mask and rows. "padding" hides every key of the
         first document, so its query rows are masked whole; "rows" picks
-        [CLS]-like rows that repeat."""
+        [CLS]-like rows that repeat; "single" is one document, [1, 7, d],
+        under a 2-D causal mask that also masks one query row whole."""
         r = np.random.default_rng(seed)
-        shape = (3, 6, 8)
+        shape = (1, 7, 8) if kind == "single" else (3, 6, 8)
         d = shape[-1]
         arrays = [
             (r.standard_normal(shape) * 2 + 0.5).astype(dtype),
@@ -1463,6 +1464,7 @@ class TestSublayerBlocks:
             "padding": (padding, None),
             "causal": (np.triu(np.ones((6, 6), bool), k=1)[None, None], None),
             "rows": (padding, np.array([[0, 3, 3, 5], [5, 0, 1, 1], [2, 2, 4, 0]])),
+            "single": (np.triu(np.ones((7, 7), bool), k=1) | (np.arange(7) == 3)[:, None], None),
         }[kind]
         out = shape[:-2] + ((shape[-2] if rows is None else rows.shape[1]), d)
         return arrays, r.standard_normal(out).astype(dtype), mask, rows
@@ -1474,11 +1476,13 @@ class TestSublayerBlocks:
         "cross" masks every key of the first document, so its query rows
         are masked whole; "cross1" is decode_step's cross-attention, four
         one-position hypotheses over one document's keys and values, and
-        "past" its self-attention, each over its own three positions."""
+        "past" its self-attention, each over its own three positions;
+        "single" is one document's queries over its keys and values, under a
+        1-D key mask."""
         r = np.random.default_rng(seed)
         shape, kv_lead, lk = {
             "cross": ((3, 6, 8), (3,), 5), "rows": ((3, 6, 8), (3,), 5), "cross1": ((4, 1, 8), (1,), 7),
-            "past": ((4, 1, 8), (4,), 3),
+            "past": ((4, 1, 8), (4,), 3), "single": ((1, 7, 8), (1,), 5),
         }[kind]
         d = shape[-1]
         arrays = [
@@ -1496,6 +1500,7 @@ class TestSublayerBlocks:
             "rows": (padding, np.array([[0, 3, 3, 5], [5, 0, 1, 1], [2, 2, 4, 0]])),
             "cross1": (r.random((1, 1, 1, lk)) < 0.3, None),
             "past": (None, None),
+            "single": (r.random(lk) < 0.3, None),
         }[kind]
         out = shape[:-2] + ((shape[-2] if rows is None else rows.shape[1]), d)
         return arrays, r.standard_normal(out).astype(dtype), mask, rows
@@ -1535,7 +1540,7 @@ class TestSublayerBlocks:
         assert got_next == want_next  # the same draws were taken
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("kind", ["none", "padding", "causal"])
+    @pytest.mark.parametrize("kind", ["none", "padding", "causal", "rows", "single"])
     @pytest.mark.parametrize("train", [False, True], ids=["eval", "train"])
     @pytest.mark.parametrize("grad", [True, False], ids=["grad", "no_grad"])
     @pytest.mark.parametrize("heads", [1, 2, 8])  # 8: one-wide heads, whose merges are strided views
@@ -1545,40 +1550,36 @@ class TestSublayerBlocks:
         def call(block):
             return lambda params, rng: block(*params, mask, heads, 0.25, train, rng, rows=rows)
 
+        if rows is not None and grad:
+            self._assert_rows_raise(call(T.attention_block), arrays)
+            return
         want = self._run(call(composed_attention_block), arrays, g, grad)
         got = self._run(call(T.attention_block), arrays, g, grad)
         names = ["out", "x", "gamma", "beta", "wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo"]
         self._assert_same(got, want, names)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("kind", ["cross", "cross1", "past"])
+    @pytest.mark.parametrize("kind", ["cross", "cross1", "past", "rows", "single"])
     @pytest.mark.parametrize("train", [False, True], ids=["eval", "train"])
     @pytest.mark.parametrize("grad", [True, False], ids=["grad", "no_grad"])
     @pytest.mark.parametrize("heads", [1, 2, 8])
     def test_kv_operands_bits_equal_the_composed_chain(self, dtype, kind, train, grad, heads):
-        arrays, g, mask, _ = self._kv_case(dtype, kind, heads)
-        want = self._run(self._kv_call(composed_attention_block, mask, heads, 0.25, train), arrays, g, grad)
-        got = self._run(self._kv_call(T.attention_block, mask, heads, 0.25, train), arrays, g, grad)
+        arrays, g, mask, rows = self._kv_case(dtype, kind, heads)
+        if rows is not None and grad:
+            self._assert_rows_raise(self._kv_call(T.attention_block, mask, heads, 0.25, train, rows), arrays)
+            return
+        want = self._run(self._kv_call(composed_attention_block, mask, heads, 0.25, train, rows), arrays, g, grad)
+        got = self._run(self._kv_call(T.attention_block, mask, heads, 0.25, train, rows), arrays, g, grad)
         self._assert_same(got, want, ["out", "x", "gamma", "beta", "wq", "bq", "wo", "bo", "k", "v"])
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("kv", [False, True], ids=["self", "kv"])
-    @pytest.mark.parametrize("train", [False, True], ids=["eval", "train"])
-    @pytest.mark.parametrize("heads", [1, 2, 8])
-    def test_rows_bits_equal_the_composed_chain(self, dtype, kv, train, heads):
-        """rows, with no graph recorded, against the chain that gathered
-        the rows after projecting keys and values from every position."""
-        if kv:
-            arrays, g, mask, rows = self._kv_case(dtype, "rows", heads)
-            def call(block):
-                return self._kv_call(block, mask, heads, 0.25, train, rows)
-        else:
-            arrays, g, mask, rows = self._attention_case(dtype, "rows")
-            def call(block):
-                return lambda params, rng: block(*params, mask, heads, 0.25, train, rng, rows=rows)
-        want = self._run(call(composed_attention_block), arrays, g, grad=False)
-        got = self._run(call(T.attention_block), arrays, g, grad=False)
-        self._assert_same(got, want, ["out"])
+    @staticmethod
+    def _assert_rows_raise(call, arrays):
+        """rows are for inference only: with a graph recorded the block
+        raises before it draws from the generator."""
+        rng = np.random.default_rng(5)
+        with pytest.raises(ShapeMismatch, match="inference"):
+            call([Tensor(a.copy(), requires_grad=True) for a in arrays], rng)
+        assert rng.random() == np.random.default_rng(5).random()
 
     def test_rows_while_a_graph_is_recorded_raise(self):
         arrays, _, mask, rows = self._attention_case(np.float32, "rows")
@@ -1657,7 +1658,7 @@ class TestSublayerBlocks:
                           layer_norm.data)
         _assert_same_bits(T._ln_xhat(x, whole[0], whole[1]), whole[2])
 
-    @pytest.mark.parametrize("kind", ["padding", "causal"])
+    @pytest.mark.parametrize("kind", ["padding", "causal", "single"])
     def test_attention_block_finite_differences_float64(self, kind):
         arrays, g, mask, _ = self._attention_case(np.float64, kind, seed=1)
         w = Tensor(g)
@@ -1669,7 +1670,7 @@ class TestSublayerBlocks:
 
         _fd(f, [Tensor(a, requires_grad=True) for a in arrays], tol=1e-6)
 
-    @pytest.mark.parametrize("kind", ["cross", "cross1"])
+    @pytest.mark.parametrize("kind", ["cross", "cross1", "single"])
     def test_kv_operands_finite_differences_float64(self, kind):
         arrays, g, mask, _ = self._kv_case(np.float64, kind, 2, seed=1)
         block, w = self._kv_call(T.attention_block, mask, 2, 0.25, True), Tensor(g)
@@ -1681,7 +1682,8 @@ class TestSublayerBlocks:
         _fd(f, [Tensor(a.copy(), requires_grad=True) for a in arrays], tol=1e-6)
 
     @pytest.mark.parametrize("kind, fully_masked", [
-        ("padding", True), ("causal", False), ("none", False), ("cross", True), ("cross1", False),
+        ("padding", True), ("single", True), ("causal", False), ("none", False), ("cross", True),
+        ("cross1", False),
     ])
     def test_backward_masks_only_when_a_row_is_fully_masked(self, kind, fully_masked):
         """Unless a query row is masked whole, the masked probabilities are
