@@ -61,9 +61,10 @@ CONFIG_KEYS = {
 
 
 def parse_config_file(path: Path | str) -> dict[str, str]:
-    """Flat key=value lines; blank lines and # comments are ignored."""
+    """Flat key=value lines, cut at "\\n" only; blank lines and # comments
+    are ignored."""
     values: dict[str, str] = {}
-    for line_no, raw in enumerate(read_utf8(path).splitlines(), start=1):
+    for line_no, raw in enumerate(read_utf8(path).split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -358,9 +359,11 @@ def cmd_summarize(args: argparse.Namespace) -> int:
 
 
 def _read_jsonl_texts(path: Path | str) -> dict[str, str]:
-    """JSON-lines of {"id": ..., "text": ...} records, keyed by id."""
+    """JSON-lines of {"id": ..., "text": ...} records, keyed by id. Lines
+    end at "\\n" only: a JSON string may hold a raw U+2028, U+2029 or U+0085,
+    where `str.splitlines` would cut it."""
     texts: dict[str, str] = {}
-    for line_no, line in enumerate(read_utf8(path).splitlines(), start=1):
+    for line_no, line in enumerate(read_utf8(path).split("\n"), start=1):
         if not line.strip():
             continue
         try:

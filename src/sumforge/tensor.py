@@ -722,6 +722,7 @@ def dropout(a: Tensor, p: float, train: bool, rng: np.random.Generator | None = 
 
 
 NEG_INF = -1e9  # attention mask value; exp() underflows to exactly 0
+SCORE_BLOCK = 1 << 18  # score entries per pass of heads in training: 1 MiB of float32
 
 
 @op
@@ -847,16 +848,20 @@ def attention_block(
     activation checkpointing (Chen et al. 2016) at the sublayer's scale, as
     FlashAttention recomputes the probabilities (Dao et al. 2022), so no
     score-sized array and no [B, L, d] array but x lives from forward to
-    backward. At inference (no graph recorded) it runs the whole array at
-    once. numpy's stacked matmul makes one product per item, and softmax
-    and layer norm reduce each row alone, so the recomputed arrays are the
-    forward's. The weights' gradients, and k's and v's where they broadcast
-    over the items, are summed over items in order, as matmul sums a shared
-    weight's; gamma's, beta's and the biases' are reduced from whole
-    arrays, as layer_norm and add reduce them; ln(x)'s gradient adds q's,
-    k's and v's parts in the order the backward sweep adds them; and k's
-    gradient keeps the layout of kᵀ's, whose strides downstream products
-    read. So values and gradients are bitwise those of the composed
+    backward. Within an item, the scores are taken in passes of
+    max(1, SCORE_BLOCK // (Lq·Lk)) heads, each written into the item's
+    context (and in backward its q, kᵀ and v gradients), so no [h, Lq, Lk]
+    array is made when one head's scores fill the block. At inference (no
+    graph recorded) it runs the whole array at once. numpy's stacked matmul
+    makes one product per matrix, and softmax and layer norm reduce each
+    row alone, so the recomputed arrays are the forward's and a pass's are
+    the whole item's. The weights' gradients, and k's and v's where they
+    broadcast over the items, are summed over items in order, as matmul
+    sums a shared weight's; gamma's, beta's and the biases' are reduced
+    from whole arrays, as layer_norm and add reduce them; ln(x)'s gradient
+    adds q's, k's and v's parts in the order the backward sweep adds them;
+    and k's gradient keeps the layout of kᵀ's, whose strides downstream
+    products read. So values and gradients are bitwise those of the composed
     layer_norm → matmul → add → reshape → permute → matmul → mul →
     masked_fill → softmax → dropout → matmul → permute → reshape → matmul →
     add → dropout → add chain, less the backward mask passes that cannot
@@ -905,9 +910,13 @@ def attention_block(
     scale = np.asarray(1.0 / np.sqrt(d // n_heads), dtype=dtype)
     keep = keep_out = factor = None
     if train and p > 0.0:
-        keep, factor = _keep_mask(rng, scores, p, dtype)
+        # The scores' bits are drawn as [B·h, Lq, Lk], one packed row per
+        # (item, head), so that a pass takes its heads' rows.
+        keep, factor = _keep_mask(rng, (scores[0] * n_heads,) + scores[2:], p, dtype)
+        keep = keep.reshape(scores[:2] + keep.shape[-1:])
         keep_out, _ = _keep_mask(rng, out_shape, p, dtype)
-    count, count_out = (math.prod(_items(s)[1]) for s in (scores, out_shape))
+    count, count_out = lq * lk, lq * d
+    per_pass = max(1, SCORE_BLOCK // max(count, 1))
     items, _ = _items(xa.shape)
 
     def picked(a: np.ndarray, i) -> np.ndarray:
@@ -917,25 +926,41 @@ def attention_block(
             return a
         return a[batch, rows] if i is Ellipsis else a[rows[i]]
 
-    def attend(i, normed: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Item i's q, k and v heads and its probabilities."""
+    def project(i, normed: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Item i's q, k and v heads, and a buffer for its context."""
         if given:
             kh, vh = _at(ka, i, ndim), _at(va, i, ndim)
         else:
             kh = _heads(_linear(normed, wka, bka), n_heads)
             vh = _heads(_linear(normed, wva, bva), n_heads)
         qh = _heads(_linear(picked(normed, i), wqa, bqa), n_heads)
-        return qh, kh, vh, _probs(qh, np.swapaxes(kh, -1, -2), scale, _at(fill, i, ndim))
+        return qh, kh, vh, np.empty(qh.shape, np.result_type(qh, kh, vh))
+
+    def passes(i, qh: np.ndarray, kh: np.ndarray) -> Iterator[tuple]:
+        """Item i's passes of at most per_pass heads (with i Ellipsis, one
+        pass over the whole batch): the pass's index into the heads axis,
+        its keep bits and its probabilities, not yet dropped. A pass keeps
+        the heads axis even for one head: its products stay stacked ones,
+        and `_softmax_backward_into` walks its heads, not its rows."""
+        fill_i = _at(fill, i, ndim)
+        heads = (Ellipsis,) if i is Ellipsis else (
+            slice(j, min(j + per_pass, n_heads)) for j in range(0, n_heads, per_pass))
+        for s in heads:
+            bits = None if keep is None else keep[i, s]
+            yield s, bits, _probs(qh[s], np.swapaxes(kh[s], -1, -2), scale, _at(fill_i, s, ndim - 1))
 
     mu, inv_std = (np.empty(xa.shape[:-1] + (1,), xa.dtype) for _ in range(2))
     data = np.empty(out_shape, dtype)
     for i in items if keep is not None or _records(parents) else (Ellipsis,):
         mu[i], inv_std[i], xhat = _ln_stats(xa[i])
-        qh, kh, vh, probs = attend(i, _ln_affine(xhat, ga, ba))
-        if keep is not None:
-            _dropped(probs, keep[i], count, factor, out=probs)
-        y = _linear(_merged(probs @ vh), woa, boa)
-        del xhat, qh, kh, vh, probs  # before the next item's
+        qh, kh, vh, ctx = project(i, _ln_affine(xhat, ga, ba))
+        for s, bits, probs in passes(i, qh, kh):
+            if bits is not None:
+                _dropped(probs, bits, count, factor, out=probs)
+            np.matmul(probs, vh[s], out=ctx[s])
+            del probs  # before the next pass's
+        y = _linear(_merged(ctx), woa, boa)
+        del xhat, qh, kh, vh, ctx  # before the next item's
         if keep_out is not None:
             _dropped(y, keep_out[i], count_out, factor, out=y)
         np.add(picked(xa[i], i), y, out=data[i])
@@ -959,15 +984,18 @@ def attention_block(
         wqt, wot = np.swapaxes(wqa, -1, -2), np.swapaxes(woa, -1, -2)
         for i in items:
             normed = _ln_affine(_ln_xhat(xa[i], mu[i], inv_std[i]), ga, ba)
-            qh, kh, vh, probs = attend(i, normed)
+            qh, kh, vh, ctx = project(i, normed)
             gy = g[i] if keep_out is None else _dropped(g[i], keep_out[i], count_out, factor)
-            dq, dkt, dv = _attention_grads(
-                _heads(gy @ wot, n_heads), probs, qh, kh, vh,
-                None if keep is None else keep[i], count, factor, _at(mask, i, ndim), scale,
-            )
-            gwo.put(i, np.swapaxes(_merged(probs @ vh), -1, -2) @ gy)
-            del qh, kh, vh, probs, gy
-            gq[i] = dq
+            gh, mask_i = _heads(gy @ wot, n_heads), _at(mask, i, ndim)
+            dq, dkt, dv = gq[i], np.empty((n_heads, hd, lk), dtype), np.empty((n_heads, lk, hd), dtype)
+            for s, bits, probs in passes(i, qh, kh):
+                dq[s], dkt[s], dv[s] = _attention_grads(
+                    gh[s], probs, qh[s], kh[s], vh[s], bits, count, factor, _at(mask_i, s, ndim - 1), scale,
+                )
+                np.matmul(probs, vh[s], out=ctx[s])  # probs were left dropped
+                del probs  # before the next pass's
+            gwo.put(i, np.swapaxes(_merged(ctx), -1, -2) @ gy)
+            del qh, kh, vh, ctx, gy, gh
             gkt.put(i, dkt)
             gv.put(i, dv)
             dq = _merged(dq)

@@ -114,14 +114,15 @@ class Vocab:
 
 def load_vocab(source: Path | str | bytes, name: Path | str = "vocabulary") -> Vocab:
     """Read a one-token-per-line UTF-8 vocabulary from a path, or from its
-    bytes, which errors call `name`."""
-    if isinstance(source, bytes):
-        lines = decode_utf8(source, name).splitlines()
-    else:
-        lines = read_utf8(source).splitlines()
+    bytes, which errors call `name`. Lines end at "\\n" only (`decode_utf8`
+    reads "\\r\\n" and "\\r" as "\\n"), so a token may hold any other
+    character that `str.splitlines` cuts at, such as "\\x0c" or U+2028."""
+    lines = (decode_utf8(source, name) if isinstance(source, bytes) else read_utf8(source)).split("\n")
+    if lines[-1] == "":  # what follows the last line's "\n"
+        lines.pop()
     # A trailing blank line is file formatting, not an empty token.
     if lines and lines[-1] == "":
-        lines = lines[:-1]
+        lines.pop()
     return Vocab(lines)
 
 

@@ -90,6 +90,10 @@ def _write_config(path: Path, **overrides) -> Path:
     return path
 
 
+# The characters besides "\n", "\r\n" and "\r" that `str.splitlines` cuts at.
+_SPLITLINES_ONLY = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
 def _write_jsonl(path: Path, records) -> Path:
     path.write_text(
         "".join(json.dumps(r) + "\n" for r in records), encoding="utf-8"
@@ -140,6 +144,14 @@ class TestParseConfigFile:
         path.write_text("d_model\n", encoding="utf-8")
         with pytest.raises(ConfigError, match="1"):
             parse_config_file(path)
+
+    @pytest.mark.parametrize("char", _SPLITLINES_ONLY, ids=repr)
+    def test_only_newline_ends_a_line(self, tmp_path, char):
+        """A comment that holds a character `str.splitlines` cuts at stays
+        one comment: no setting comes out of its second half."""
+        path = tmp_path / "run.cfg"
+        path.write_text(f"# no{char}max_steps=6\nd_model=8\n", encoding="utf-8")
+        assert parse_config_file(path) == {"d_model": "8"}
 
 
 _FIELDS = {f.name: f for cls in (ModelConfig, TrainConfig) for f in fields(cls)}
@@ -267,10 +279,10 @@ class TestConfigFuzz:
 @st.composite
 def _fuzzed_vocab(draw) -> bytes:
     """The fixture vocabulary made hostile: lines dropped (specials too),
-    duplicated or blanked, broken by characters that `str.splitlines` cuts
-    at, padded with spaces or a byte-order mark; then maybe truncated
-    anywhere, even inside a character, and maybe given bytes that are not
-    UTF-8."""
+    duplicated or blanked, broken by "\\r" or by a character that only
+    `str.splitlines` cuts at, padded with spaces or a byte-order mark; then
+    maybe truncated anywhere, even inside a character, and maybe given bytes
+    that are not UTF-8."""
     lines = SPECIALS + _WORDS
     for _ in range(draw(st.integers(1, 3))):
         i = draw(st.integers(0, len(lines) - 1))
@@ -1271,6 +1283,24 @@ class TestEvaluate:
                      "--references", str(ref)])
         assert code == 2
         assert "invalid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("char", _SPLITLINES_ONLY, ids=repr)
+    def test_only_newline_ends_a_record(self, tmp_path, capsys, char):
+        """A raw U+0085, U+2028 or U+2029 inside a JSON string is valid and
+        stays in its record; the raw control characters are not valid JSON,
+        and the error names the record's own line."""
+        paths = [tmp_path / "p.jsonl", tmp_path / "r.jsonl"]
+        for path in paths:
+            path.write_text('{"id": "b", "text": "rain fell"}\n{"id": "a", "text": "the' + char + 'cat sat"}\n',
+                            encoding="utf-8")
+        code = main(["evaluate", "--predictions", str(paths[0]), "--references", str(paths[1])])
+        if char < " ":
+            assert code == 2
+            assert f"{paths[0]}:2: invalid JSON: Invalid control character" in capsys.readouterr().err
+        else:
+            assert code == 0
+            assert capsys.readouterr().out.count("100.00") == 9
+            assert cli._read_jsonl_texts(paths[0]) == {"b": "rain fell", "a": f"the{char}cat sat"}
 
     def test_deeply_nested_json_line_exits_2(self, tmp_path, capsys):
         pred = tmp_path / "p.jsonl"

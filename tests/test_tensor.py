@@ -678,6 +678,25 @@ class TestPackedKeepMask:
         assert repr(rng.bit_generator.state) == repr(ref.bit_generator.state)
         assert rng.random(3, dtype=np.float32).tobytes() == ref.random(3, dtype=np.float32).tobytes()
 
+    @pytest.mark.parametrize("make_rng", [
+        lambda: SplitRng(11).child("dropout", 1).generator(),
+        lambda: np.random.default_rng(11),
+    ], ids=["philox", "pcg64"])
+    def test_a_row_per_head_unpacks_to_the_items_draw(self, make_rng):
+        """attention_block draws its scores' bits as [B·h, L, L], a row per
+        head. With an odd L², every other row starts on a pending half of a
+        64-bit output; the rows are still the [B, h, L, L] draw's bools, and
+        the generator ends in the same state."""
+        b, h, n = 3, 4, 7
+        rng, ref = make_rng(), make_rng()
+        per_head, _ = T._keep_mask(rng, (b * h, n, n), 0.1, np.float32)
+        per_item, _ = T._keep_mask(ref, (b, h, n, n), 0.1, np.float32)
+        assert per_head.shape == (b * h, math.ceil(n * n / 8))
+        assert np.array_equal(_unpacked(per_head, (b * h, n, n)).reshape(b, h, n, n),
+                              _unpacked(per_item, (b, h, n, n)))
+        assert repr(rng.bit_generator.state) == repr(ref.bit_generator.state)
+        assert rng.random(3, dtype=np.float32).tobytes() == ref.random(3, dtype=np.float32).tobytes()
+
 
 class TestRawKeepDraw:
     """_keep_mask compares the generator's raw uint32 halves with a
@@ -1443,15 +1462,14 @@ class TestSublayerBlocks:
     every gradient and its layout, and the dropout stream, bit for bit."""
 
     @staticmethod
-    def _attention_case(dtype, kind, seed=0):
+    def _attention_case(dtype, kind, seed=0, d=8):
         """The arrays (x, gamma, beta, then each weight and its bias), an
         output gradient, a mask and rows. "padding" hides every key of the
         first document, so its query rows are masked whole; "rows" picks
         [CLS]-like rows that repeat; "single" is one document, [1, 7, d],
         under a 2-D causal mask that also masks one query row whole."""
         r = np.random.default_rng(seed)
-        shape = (1, 7, 8) if kind == "single" else (3, 6, 8)
-        d = shape[-1]
+        shape = (1, 7, d) if kind == "single" else (3, 6, d)
         arrays = [
             (r.standard_normal(shape) * 2 + 0.5).astype(dtype),
             (1 + 0.2 * r.standard_normal(d)).astype(dtype), (0.2 * r.standard_normal(d)).astype(dtype),
@@ -1470,7 +1488,7 @@ class TestSublayerBlocks:
         return arrays, r.standard_normal(out).astype(dtype), mask, rows
 
     @staticmethod
-    def _kv_case(dtype, kind, heads, seed=0):
+    def _kv_case(dtype, kind, heads, seed=0, d=8):
         """The arrays (x, gamma, beta, wq, bq, wo, bo, then the k and v
         operands in heads layout), an output gradient, a mask and rows.
         "cross" masks every key of the first document, so its query rows
@@ -1481,10 +1499,9 @@ class TestSublayerBlocks:
         1-D key mask."""
         r = np.random.default_rng(seed)
         shape, kv_lead, lk = {
-            "cross": ((3, 6, 8), (3,), 5), "rows": ((3, 6, 8), (3,), 5), "cross1": ((4, 1, 8), (1,), 7),
-            "past": ((4, 1, 8), (4,), 3), "single": ((1, 7, 8), (1,), 5),
+            "cross": ((3, 6, d), (3,), 5), "rows": ((3, 6, d), (3,), 5), "cross1": ((4, 1, d), (1,), 7),
+            "past": ((4, 1, d), (4,), 3), "single": ((1, 7, d), (1,), 5),
         }[kind]
-        d = shape[-1]
         arrays = [
             (r.standard_normal(shape) * 2 + 0.5).astype(dtype),
             (1 + 0.2 * r.standard_normal(d)).astype(dtype), (0.2 * r.standard_normal(d)).astype(dtype),
@@ -1545,7 +1562,10 @@ class TestSublayerBlocks:
     @pytest.mark.parametrize("grad", [True, False], ids=["grad", "no_grad"])
     @pytest.mark.parametrize("heads", [1, 2, 8])  # 8: one-wide heads, whose merges are strided views
     def test_attention_block_bits_equal_the_composed_chain(self, dtype, kind, train, grad, heads):
-        arrays, g, mask, rows = self._attention_case(dtype, kind)
+        self._check_attention(dtype, kind, train, grad, heads)
+
+    def _check_attention(self, dtype, kind, train, grad, heads, d=8):
+        arrays, g, mask, rows = self._attention_case(dtype, kind, d=d)
 
         def call(block):
             return lambda params, rng: block(*params, mask, heads, 0.25, train, rng, rows=rows)
@@ -1564,13 +1584,45 @@ class TestSublayerBlocks:
     @pytest.mark.parametrize("grad", [True, False], ids=["grad", "no_grad"])
     @pytest.mark.parametrize("heads", [1, 2, 8])
     def test_kv_operands_bits_equal_the_composed_chain(self, dtype, kind, train, grad, heads):
-        arrays, g, mask, rows = self._kv_case(dtype, kind, heads)
+        self._check_kv(dtype, kind, train, grad, heads)
+
+    def _check_kv(self, dtype, kind, train, grad, heads, d=8):
+        arrays, g, mask, rows = self._kv_case(dtype, kind, heads, d=d)
         if rows is not None and grad:
             self._assert_rows_raise(self._kv_call(T.attention_block, mask, heads, 0.25, train, rows), arrays)
             return
         want = self._run(self._kv_call(composed_attention_block, mask, heads, 0.25, train, rows), arrays, g, grad)
         got = self._run(self._kv_call(T.attention_block, mask, heads, 0.25, train, rows), arrays, g, grad)
         self._assert_same(got, want, ["out", "x", "gamma", "beta", "wq", "bq", "wo", "bo", "k", "v"])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", [
+        "none", "padding", "causal", "rows", "single", "kv-cross", "kv-cross1", "kv-past", "kv-rows", "kv-single",
+    ])
+    @pytest.mark.parametrize("grad", [True, False], ids=["grad", "no_grad"])
+    @pytest.mark.parametrize("per_pass", [1, 2])  # three heads as 1+1+1 and as 2+1
+    def test_passes_of_heads_bits_equal_the_composed_chain(self, dtype, kind, grad, per_pass, monkeypatch):
+        """With SCORE_BLOCK holding per_pass heads' scores, training scores
+        each item's heads per_pass at a time, with dropout on, and its
+        values, gradients and draws stay the chain's."""
+        kv, kind = kind.startswith("kv-"), kind.removeprefix("kv-")
+        arrays, _, _, rows = self._kv_case(dtype, kind, 3, d=6) if kv else self._attention_case(dtype, kind, d=6)
+        lq = arrays[0].shape[1] if rows is None else rows.shape[1]
+        lk = arrays[-1].shape[2] if kv else arrays[0].shape[1]
+        monkeypatch.setattr(T, "SCORE_BLOCK", per_pass * lq * lk)
+        passes, probs = [], T._probs
+
+        def counted(q, *args):
+            passes.append(q.shape[0])
+            return probs(q, *args)
+
+        monkeypatch.setattr(T, "_probs", counted)
+        (self._check_kv if kv else self._check_attention)(dtype, kind, True, grad, 3, d=6)
+        if rows is not None and grad:
+            assert passes == []  # raised before the items
+        else:
+            runs = arrays[0].shape[0] * (2 if grad else 1)  # each item forward, then backward
+            assert passes == ([1, 1, 1] if per_pass == 1 else [2, 1]) * runs
 
     @staticmethod
     def _assert_rows_raise(call, arrays):
@@ -1956,6 +2008,29 @@ class TestClosureTemporaries:
         score = b * heads * length * length * 4  # [B, h, L, L] float32
         assert _traced_peak(step, T.attention_block) < score
         assert _traced_peak(step, composed_attention_block) > 2 * score
+
+    def test_attention_block_scores_one_head_a_pass(self, monkeypatch):
+        """When one head's scores fill SCORE_BLOCK, a training step holds one
+        head's probabilities and score gradient at a time, not the item's
+        four heads' of a pass that takes them all."""
+        r = np.random.default_rng(0)
+        b, length, d, heads = 4, 128, 16, 4
+        x = r.standard_normal((b, length, d)).astype(np.float32)
+        params = [Tensor((1 + 0.1 * r.standard_normal(d)).astype(np.float32), requires_grad=True),
+                  Tensor((0.1 * r.standard_normal(d)).astype(np.float32), requires_grad=True)]
+        for _ in range(4):
+            params += [Tensor((0.3 * r.standard_normal((d, d))).astype(np.float32), requires_grad=True),
+                       Tensor((0.1 * r.standard_normal(d)).astype(np.float32), requires_grad=True)]
+        g = Tensor(r.standard_normal(x.shape).astype(np.float32))
+
+        def step(score_block):
+            monkeypatch.setattr(T, "SCORE_BLOCK", score_block)
+            out = T.attention_block(Tensor(x, requires_grad=True), *params, None, heads, 0.25, True,
+                                    np.random.default_rng(1))
+            backward(tensor_sum(T.mul(out, g)))
+
+        head = length * length * 4  # one head's [L, L] float32 scores
+        assert _traced_peak(step, length * length) + 2 * (heads - 1) * head < _traced_peak(step, heads * length * length)
 
     def test_row_blocks_are_an_eighth_but_at_least_8_rows(self):
         # The beam's [n <= 5, V] log-softmax is one block; a [B, n, V]

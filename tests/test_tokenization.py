@@ -70,6 +70,27 @@ class TestVocab:
         path.write_bytes(newline.join(tokens + [""]).encode("utf-8"))
         assert load_vocab(path).tokens == load_vocab(path.read_bytes()).tokens == tokens
 
+    @pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"],
+                             ids=repr)
+    def test_only_newline_ends_a_token(self, tmp_path, char):
+        """`str.splitlines` also cuts at these: a token that holds one is
+        still one line, so no later id shifts."""
+        tokens = ["[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]", "x", "y", f"a{char}b", "z"]
+        path = tmp_path / "vocab.txt"
+        path.write_bytes("\n".join(tokens + [""]).encode("utf-8"))
+        for source in (path, path.read_bytes()):
+            vocab = load_vocab(source)
+            assert vocab.tokens == tokens and vocab.id("z") == 8
+
+    @pytest.mark.parametrize("ending, blank", [
+        ("", False), ("\n", False), ("\r\n", False), ("\n\n", False), ("\r\r", False), ("\n\n\n", True),
+    ], ids=repr)
+    def test_one_trailing_blank_line_is_formatting(self, tmp_path, ending, blank):
+        tokens = ["[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]", "a"]
+        path = tmp_path / "vocab.txt"
+        path.write_bytes(("\n".join(tokens) + ending).encode("utf-8"))
+        assert load_vocab(path).tokens == tokens + [""] * blank
+
     def test_bos_eos_from_unused_slots(self):
         vocab = make_vocab(["a"])
         assert vocab.bos_id == vocab.id("[unused0]")
