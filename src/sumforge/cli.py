@@ -10,9 +10,11 @@ to stdout, diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import json
 import os
+import platform
 import resource
 import sys
 from dataclasses import asdict, fields
@@ -20,7 +22,46 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Sequence
 
-import numpy as np
+FTZ_DAZ = 0x8040  # MXCSR flush-to-zero (bit 15) and denormals-are-zero (bit 6)
+
+
+def _mxcsr(or_bits: int = 0) -> int | None:
+    """This thread's MXCSR after ORing `or_bits` into it, read back through
+    libm's fegetenv; None, and libm left unloaded, on another CPU or libc:
+    the register is the uint32 at byte 28 of glibc's x86-64 fenv_t only."""
+    if platform.machine() != "x86_64" or platform.libc_ver()[0] != "glibc":
+        return None
+    libm = ctypes.CDLL("libm.so.6")
+    for name in ("fegetenv", "fesetenv"):
+        getattr(libm, name).argtypes = [ctypes.c_void_p]
+        getattr(libm, name).restype = ctypes.c_int
+    env = (ctypes.c_uint32 * 8)()
+    libm.fegetenv(env)
+    if or_bits:
+        env[7] |= or_bits
+        libm.fesetenv(env)
+        libm.fegetenv(env)
+    return env[7]
+
+
+def _flush_subnormals() -> bool:
+    """Set FTZ|DAZ when numpy has not loaded yet, so that OpenBLAS's worker
+    threads, made when it loads, inherit the bits with every later thread.
+    Set after it loads, they would reach only the calling thread's share of
+    each product; so with numpy loaded (tests, library callers) the mode is
+    left alone. False when the bits were not set, on another CPU or libc too.
+    They are never restored: the workers keep them whatever this thread does."""
+    if "numpy" in sys.modules:
+        return False
+    value = _mxcsr(FTZ_DAZ)
+    return value is not None and value & FTZ_DAZ == FTZ_DAZ
+
+
+# The decoder's gradients fill with subnormals from the fourth `abs` step on,
+# each costing a microcode assist, which roughly doubles the step time.
+FLUSH_SUBNORMALS = _flush_subnormals()
+
+import numpy as np  # after the mode bits: BLAS's threads start as it loads
 
 from .atomic import atomic_write
 from .errors import ConfigError, EmptyCorpus, LengthMismatch, SumforgeError, TooLong
@@ -121,7 +162,9 @@ def _now() -> str:
 
 def _environment() -> dict[str, object]:
     """What same-seed checkpoint and trace bytes depend on beyond the inputs:
-    they repeat only at a fixed BLAS thread count."""
+    they repeat only at a fixed BLAS thread count, and could move with the
+    MXCSR mode: whether the CLI flushed subnormals on every thread, and the
+    register as this thread reads it (None on another CPU or libc)."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):  # numpy before 1.25 has no dict mode
@@ -133,6 +176,8 @@ def _environment() -> dict[str, object]:
         "numpy": np.__version__,
         "blas": blas.get("name"),
         "blas_version": blas.get("version"),
+        "flush_subnormals": FLUSH_SUBNORMALS,
+        "mxcsr": None if (mxcsr := _mxcsr()) is None else hex(mxcsr),
     }
 
 

@@ -11,6 +11,7 @@ from typing import Callable
 import numpy as np
 import pytest
 
+from sumforge import cli
 from sumforge import tensor as T
 from sumforge.ingest import StoryDoc
 from sumforge.model import AbstractiveModel, ModelConfig
@@ -25,6 +26,17 @@ step_peak = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(step_peak)
 # The tape walk of tools/step_peak.py, which the tests' closure checks share.
 buffer, closure_arrays, graph_vertices = step_peak.buffer, step_peak.closure_arrays, step_peak.graph_vertices
+
+@pytest.fixture(scope="session", autouse=True)
+def subnormals_kept():
+    """The tests run with subnormals kept, at the session's start and end.
+    numpy loads above before `sumforge.cli`, so the CLI leaves the MXCSR
+    mode alone; with FTZ|DAZ set, Hypothesis refuses float strategies and
+    the float32 subnormals some bit tests build would read as zero."""
+    assert (cli._mxcsr() or 0) & cli.FTZ_DAZ == 0
+    yield
+    assert (cli._mxcsr() or 0) & cli.FTZ_DAZ == 0
+
 
 SPECIALS = ["[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]", "[unused0]", "[unused1]"]
 

@@ -1396,6 +1396,90 @@ class TestPerfbenchTracer:
         assert expected <= spans, sorted(expected - spans)
 
 
+_X86_GLIBC = cli._mxcsr() is not None
+_MXCSR_FLAGS = 0x3F  # the exception flags, which arithmetic sets as it runs
+
+
+def _child_env(**extra: str) -> dict[str, str]:
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+            **extra}
+
+
+# An all-subnormal float32 operand made from its bits: a float literal
+# converted after FTZ is set would already be zero. Prints the CLI's flag,
+# MXCSR and how many of the product's 128 x 128 outputs are zero.
+_PRODUCT_SCRIPT = """
+import sys
+if sys.argv[1] == "cli":
+    from sumforge import cli
+    import numpy as np
+else:
+    import numpy as np
+    from sumforge import cli
+a = np.full((1560, 128), 0x000AE397, np.uint32).view(np.float32)
+product = a.T @ np.ones((1560, 128), np.float32)
+print(cli.FLUSH_SUBNORMALS, cli._mxcsr(), int((product == 0).sum()))
+"""
+
+
+class TestFlushSubnormals:
+    """The CLI sets FTZ|DAZ when it loads before numpy, so every BLAS thread
+    flushes; after numpy it sets nothing, so no thread does."""
+
+    @pytest.mark.skipif(not _X86_GLIBC, reason="MXCSR is read through glibc's x86-64 fenv_t")
+    @pytest.mark.parametrize("first", ["cli", "numpy"])
+    def test_every_blas_thread_or_none_flushes(self, first):
+        done = subprocess.run(
+            [sys.executable, "-c", _PRODUCT_SCRIPT, first], capture_output=True, text=True,
+            env=_child_env(OPENBLAS_NUM_THREADS="2"), timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        flushed, mxcsr, zeros = done.stdout.split()
+        mxcsr = int(mxcsr)
+        if first == "cli":
+            assert (flushed, mxcsr & cli.FTZ_DAZ, zeros) == ("True", cli.FTZ_DAZ, "16384")
+        else:
+            assert (flushed, zeros) == ("False", "0")
+            assert mxcsr & ~_MXCSR_FLAGS == cli._mxcsr() & ~_MXCSR_FLAGS
+
+    @pytest.mark.parametrize("task", ["ext", "abs", "prefit"])
+    def test_child_cli_flushes_and_keeps_the_bytes(self, tmp_path, capsys, task):
+        shards, vocab = _make_shards(tmp_path)
+        config = _write_config(tmp_path / "run.cfg", mask_prob=0.3)
+        argv = ["train", "--task", task, "--shards", str(shards), "--config", str(config),
+                "--vocab", str(vocab), "--seed", "3", "--out"]
+        assert main([*argv, str(tmp_path / "in_process")]) == 0
+        done = subprocess.run(
+            [sys.executable, "-m", "sumforge.cli", *argv, str(tmp_path / "child")],
+            capture_output=True, text=True, env=_child_env(), timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        ckpt = "encoder_final.ckpt" if task == "prefit" else f"{task}_final.ckpt"
+        runs = {}
+        for side in ("in_process", "child"):
+            out = tmp_path / side
+            env = json.loads((out / "manifest.json").read_text("utf-8"))["environment"]
+            runs[side] = ((out / ckpt).read_bytes(), (out / "trace.csv").read_bytes(),
+                          env["flush_subnormals"], env["mxcsr"])
+        assert runs["child"][:2] == runs["in_process"][:2]
+        assert runs["in_process"][2] is False
+        assert runs["child"][2] is _X86_GLIBC
+        if _X86_GLIBC:
+            assert int(runs["in_process"][3], 16) & cli.FTZ_DAZ == 0
+            assert int(runs["child"][3], 16) & cli.FTZ_DAZ == cli.FTZ_DAZ
+
+    @pytest.mark.parametrize("patch", [
+        ("machine", lambda: "aarch64"), ("libc_ver", lambda: ("musl", "1.2.4")),
+    ])
+    def test_another_cpu_or_libc_sets_nothing(self, monkeypatch, patch):
+        monkeypatch.setattr(cli.platform, *patch)
+        monkeypatch.setattr(cli.ctypes, "CDLL", mock.Mock(side_effect=AssertionError("libm loaded")))
+        monkeypatch.delitem(sys.modules, "numpy")
+        assert cli._flush_subnormals() is False
+        assert cli._mxcsr() is None
+
+
 class TestExitCodeContract:
     def test_missing_file_is_usage_error(self, tmp_path, capsys):
         code = main(["evaluate", "--predictions", str(tmp_path / "nope.jsonl"),
