@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import functools
+import hashlib
 import json
 import os
 import platform
@@ -90,15 +91,15 @@ from .tokenization import (
 from .train import TrainConfig, prefit_encoder, train_abs, train_ext, write_trace
 
 # Config-file keys and how each parses: every ModelConfig and TrainConfig
-# field but the two set from flags, plus the two only training reads.
-_FLAG_FIELDS = ("pretrained_encoder", "checkpoint_dir")
+# field but the three set from flags, plus the one only training reads.
+_FLAG_FIELDS = ("vocab_size", "pretrained_encoder", "checkpoint_dir")
 _PARSERS = {"int": int, "int | None": int, "float": float}
 CONFIG_KEYS = {
     f.name: _PARSERS[f.type]
     for cls in (ModelConfig, TrainConfig)
     for f in fields(cls)
     if f.name not in _FLAG_FIELDS
-} | {"pad_id": int, "mask_prob": float}
+} | {"mask_prob": float}
 
 
 def parse_config_file(path: Path | str) -> dict[str, str]:
@@ -128,12 +129,6 @@ def _typed_config(values: dict[str, str]) -> dict[str, object]:
     return typed
 
 
-def _resolve_seed(flag_seed: int | None, config: dict[str, object]) -> int:
-    if flag_seed is not None:
-        return flag_seed
-    return int(config.get("seed", 0))
-
-
 def _write_manifest(
     out_dir: Path,
     command: str,
@@ -154,6 +149,11 @@ def _write_manifest(
     }
     with atomic_write(out_dir / "manifest.json", encoding="utf-8") as fh:
         fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
+def _file_record(path: str, data: bytes) -> dict[str, str]:
+    """An input file as a manifest names it: its path and its bytes' sha256."""
+    return {"path": path, "sha256": hashlib.sha256(data).hexdigest()}
 
 
 def _now() -> str:
@@ -265,35 +265,34 @@ def cmd_train(args: argparse.Namespace) -> int:
     if args.task == "prefit" and args.init_encoder:
         raise ConfigError("prefit trains a fresh encoder; --init-encoder does not apply")
     typed = _typed_config(parse_config_file(args.config)) if args.config else {}
-    seed = _resolve_seed(args.seed, typed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    vocab = load_vocab(args.vocab) if args.vocab else None
+    vocab_data = Path(args.vocab).read_bytes()
+    vocab = load_vocab(vocab_data, args.vocab)
     examples = read_shards(args.shards, args.task, vocab)
     if not examples:
         raise EmptyCorpus(f"no shards under {args.shards}")
 
     model_keys = {f.name for f in fields(ModelConfig)}
-    train_keys = {f.name for f in fields(TrainConfig)} - {"seed"}
+    train_keys = {f.name for f in fields(TrainConfig)}
     train_config = TrainConfig(
-        seed=seed,
         checkpoint_dir=out_dir,
         **{k: v for k, v in typed.items() if k in train_keys},
     )
-    model_kwargs = {k: v for k, v in typed.items() if k in model_keys}
-    if vocab is not None:
-        model_kwargs.setdefault("vocab_size", len(vocab))
-    if "vocab_size" not in model_kwargs:
-        raise ConfigError("vocab_size must come from the config file or --vocab")
-    if args.task == "prefit" and vocab is None:
-        raise ConfigError("prefit needs --vocab for [MASK] and special ids")
-    config = ModelConfig(**model_kwargs, pretrained_encoder=bool(args.init_encoder))
-    pad_id = typed.get("pad_id", vocab.pad_id if vocab else 0)
+    config = ModelConfig(
+        vocab_size=len(vocab),
+        pretrained_encoder=bool(args.init_encoder),
+        **{k: v for k, v in typed.items() if k in model_keys},
+    )
 
-    model = build_model(config, "encoder" if args.task == "prefit" else args.task, seed)
+    model = build_model(config, "encoder" if args.task == "prefit" else args.task, train_config.seed)
+    init_encoder = None
     if args.init_encoder:
-        load_encoder_into(model, args.init_encoder)
+        encoder_data = Path(args.init_encoder).read_bytes()
+        load_encoder_into(model, encoder_data)
+        init_encoder = _file_record(args.init_encoder, encoder_data)
+        del encoder_data  # else the checkpoint's bytes stay resident through training
     if args.task == "prefit":
         trace = prefit_encoder(
             examples,
@@ -301,22 +300,23 @@ def cmd_train(args: argparse.Namespace) -> int:
             train_config,
             typed.get("mask_prob", 0.15),
             mask_id=vocab.mask_id,
-            pad_id=pad_id,
+            pad_id=vocab.pad_id,
             special_ids=vocab.special_ids(),
         )
     else:
         trainer = train_ext if args.task == "ext" else train_abs
-        trace = trainer(examples, model, train_config, pad_id)
+        trace = trainer(examples, model, train_config, vocab.pad_id)
 
     write_trace(trace, out_dir / "trace.csv")
-    model_values = {k: v for k, v in asdict(config).items() if k != "pretrained_encoder"}
     _write_manifest(
         out_dir,
         f"train --task {args.task}",
-        {**typed, **model_values, "shards": str(args.shards), "out": str(out_dir)},
-        seed,
+        {**typed, **asdict(config), "shards": str(args.shards), "out": str(out_dir)},
+        train_config.seed,
         started,
         [str(out_dir / "trace.csv"), str(out_dir)],
+        vocab=_file_record(args.vocab, vocab_data),
+        init_encoder=init_encoder,
         environment=_environment(),
         peak_rss_mb=_peak_rss_mb(),
     )
@@ -475,8 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shards", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--config")
-    p.add_argument("--vocab")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--vocab", required=True)
     p.add_argument("--init-encoder")
     p.set_defaults(func=cmd_train)
 

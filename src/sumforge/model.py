@@ -605,11 +605,11 @@ def load_checkpoint(source: Path | str | bytes, dtype=np.float32) -> Encoder:
 _ENCODER_FIELDS = ("vocab_size", "d_model", "n_heads", "d_ff", "n_enc_layers", "max_positions")
 
 
-def load_encoder_into(model: Encoder, encoder_checkpoint_path: Path | str) -> None:
-    """Overwrite a model's encoder weights from an encoder checkpoint whose
-    encoder has the same shape: the same vocabulary, widths, heads, layers
-    and positions."""
-    loaded = load_checkpoint(encoder_checkpoint_path)
+def load_encoder_into(model: Encoder, encoder_checkpoint: Path | str | bytes) -> None:
+    """Overwrite a model's encoder weights from an encoder checkpoint (a path
+    or its bytes) whose encoder has the same shape: the same vocabulary,
+    widths, heads, layers and positions."""
+    loaded = load_checkpoint(encoder_checkpoint)
     if loaded.kind != "encoder":
         raise ModelKindMismatch(
             f"model kind mismatch: need an encoder checkpoint, found {loaded.kind!r}"

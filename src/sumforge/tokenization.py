@@ -257,6 +257,8 @@ def encode_example(
     max_select: int = 3,
 ) -> TokenizedExample:
     """Turn a StoryDoc into a TokenizedExample with oracle extractive labels."""
+    if max_tgt_len < 2:
+        raise ConfigError(f"max_tgt_len must be >= 2, for [BOS] and [EOS]; got {max_tgt_len}")
     article = [unicodedata.normalize("NFC", s) for s in doc.article_sentences]
     src_ids, segment_ids, cls_positions, kept = encode_source(
         article, vocab, max_positions

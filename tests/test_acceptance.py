@@ -467,12 +467,12 @@ def _run_pipeline(root: Path, seed: int, capsys) -> dict[str, bytes | str]:
     config = root / "train.cfg"
     config.write_text(
         "d_model=8\nn_heads=2\nd_ff=16\nn_enc_layers=1\nn_dec_layers=1\n"
-        "max_positions=64\ndropout=0.1\nmax_steps=200\nbatch_size=4\n",
+        f"max_positions=64\ndropout=0.1\nmax_steps=200\nbatch_size=4\nseed={seed}\n",
         "utf-8",
     )
     assert main(["train", "--task", "ext", "--shards", str(shards),
                  "--out", str(run), "--config", str(config),
-                 "--vocab", str(vocab_path), "--seed", str(seed)]) == 0
+                 "--vocab", str(vocab_path)]) == 0
     capsys.readouterr()
 
     summaries = {}

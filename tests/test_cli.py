@@ -7,6 +7,8 @@ slowest cases (the train subcommand) stay well under a second.
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import io
 import json
 import os
@@ -37,6 +39,7 @@ from sumforge.model import (
     load_checkpoint,
     save_checkpoint,
 )
+from sumforge.tokenization import _SHARD_KEYS
 from sumforge.train import TrainConfig
 
 _WORDS = [
@@ -155,7 +158,7 @@ class TestParseConfigFile:
 
 
 _FIELDS = {f.name: f for cls in (ModelConfig, TrainConfig) for f in fields(cls)}
-_FLAG_SET = {"pretrained_encoder", "checkpoint_dir"}  # from --init-encoder and --out
+_FLAG_SET = {"vocab_size", "pretrained_encoder", "checkpoint_dir"}  # from --vocab, --init-encoder and --out
 _FLOAT_KEYS = sorted(k for k, parse in CONFIG_KEYS.items() if parse is float)
 
 
@@ -163,11 +166,11 @@ class TestConfigSchema:
     """The config keys are the dataclass fields, typed as the fields are."""
 
     def test_keys_are_the_fields_not_set_by_flags(self):
-        assert set(CONFIG_KEYS) == (set(_FIELDS) - _FLAG_SET) | {"pad_id", "mask_prob"}
+        assert set(CONFIG_KEYS) == (set(_FIELDS) - _FLAG_SET) | {"mask_prob"}
 
     def test_each_key_parses_to_its_field_type(self):
         expected = {name: f.type.split(" | ")[0] for name, f in _FIELDS.items()}
-        expected.update(pad_id="int", mask_prob="float")
+        expected.update(mask_prob="float")
         for key in CONFIG_KEYS:
             assert type(_typed_config({key: "3"})[key]).__name__ == expected[key], key
             if expected[key] == "int":
@@ -185,7 +188,9 @@ class TestConfigSchema:
             if field is not None and field.default not in (MISSING, None):
                 assert float(default) == field.default, key
 
-    @pytest.mark.parametrize("key", ["max_tgt_len", "pretrained_encoder", "checkpoint_dir"])
+    @pytest.mark.parametrize(
+        "key", ["max_tgt_len", "vocab_size", "pad_id", "pretrained_encoder", "checkpoint_dir"]
+    )
     def test_keys_outside_the_schema_exit_2(self, tmp_path, capsys, key):
         shards, vocab = _make_shards(tmp_path)
         config = _write_config(tmp_path / "run.cfg", **{key: 1})
@@ -217,7 +222,9 @@ _FUZZ_VALUES = [
     "-3", "-1", "0", "1", "2", "3", "0.0", "-0.0", "0.5", "-0.5", "1.5", "3.0", "1e-3",
     "nan", "-nan", "inf", "-inf", "1e309", "", "abc", "0x10", "1_0",
 ]
-_FUZZ_KEYS = sorted(CONFIG_KEYS) + ["max_tgt_len", "checkpoint_dir", "pretrained_encoder", "bogus", ""]
+_FUZZ_KEYS = sorted(CONFIG_KEYS) + [
+    "max_tgt_len", "vocab_size", "pad_id", "checkpoint_dir", "pretrained_encoder", "bogus", "",
+]
 _fuzz_line = st.one_of(
     st.builds("{}={}".format, st.sampled_from(_FUZZ_KEYS), st.sampled_from(_FUZZ_VALUES)),
     st.sampled_from(_FUZZ_KEYS + ["d_model 8", "= 3", "=="]),  # no `=`, or no key
@@ -351,6 +358,80 @@ class TestVocabFuzz:
         assert code in (0, 2), (code, vocab, raised)
         if code == 2:
             assert len(raised) == 1 and isinstance(raised[0], SumforgeError), (vocab, raised)
+
+
+# The wrong type for every shard key: none is a list of ints or of strings.
+# (An empty list is both, so it is left out.)
+_WRONG_TYPES = [None, 3, 1.5, True, "7", {}, {"0": 0}, [None], [1.5], [True], [[0]]]
+# Ids outside a 30-token vocabulary, outside int64 too.
+_BAD_IDS = [_VOCAB_SIZE, -1, 2**63, -(2**63) - 1, 10**30, -(10**30)]
+
+
+@st.composite
+def _spoiled_shard(draw, lines: list[str]) -> tuple[str, int]:
+    """A shard's lines with one record spoiled: cut short, a key's value of
+    the wrong type, src, segs, clss or labels one id longer or shorter than
+    its partner, an id outside the vocabulary, or clss not increasing.
+    Returns the shard's text and the spoiled line's number."""
+    i = draw(st.integers(0, len(lines) - 1))
+    record = json.loads(lines[i])
+    fault = draw(st.sampled_from(["truncate", "type", "length", "id", "clss"]))
+    if fault == "truncate":  # a prefix of an object, never JSON
+        line = lines[i][: draw(st.integers(1, len(lines[i]) - 1))]
+    else:
+        if fault == "type":
+            key = draw(st.sampled_from(_SHARD_KEYS))
+            record[key] = draw(st.sampled_from(_WRONG_TYPES + [[7] if key.endswith("_txt") else ["7"]]))
+        elif fault == "length":
+            key = draw(st.sampled_from(["src", "segs", "clss", "labels"]))
+            record[key] = draw(st.sampled_from([record[key][:-1], record[key] + [0]]))
+        elif fault == "id":
+            key = draw(st.sampled_from(["src", "tgt"]))
+            record[key][draw(st.integers(0, len(record[key]) - 1))] = draw(st.sampled_from(_BAD_IDS))
+        else:
+            clss, j = record["clss"], draw(st.integers(0, len(record["clss"]) - 2))
+            if draw(st.booleans()):
+                clss[j + 1] = clss[j]
+            else:
+                clss[j], clss[j + 1] = clss[j + 1], clss[j]
+        line = json.dumps(record, ensure_ascii=False)
+    return "".join(f"{x}\n" for x in lines[:i] + [line] + lines[i + 1:]), i + 1
+
+
+class TestShardFuzz:
+    """`train` on a `preprocess`-written shard with one record spoiled exits
+    2, its error naming the shard file and the spoiled line, for every task;
+    the shard as written trains. The reader fails before a model is built."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("shard_fuzz")
+        shards, vocab = _make_shards(tmp)
+        config = _write_config(tmp / "run.cfg", max_steps=1)
+        for task in ("ext", "abs", "prefit"):
+            assert main(["train", "--task", task, "--shards", str(shards), "--vocab", str(vocab),
+                         "--config", str(config), "--out", str(tmp / task)]) == 0
+        lines = (shards / "shard_0.jsonl").read_text("utf-8").splitlines()
+        assert len(lines) == 4 and all(len(json.loads(x)["clss"]) == 5 for x in lines)
+        return lines, vocab, config
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), task=st.sampled_from(["ext", "abs", "prefit"]))
+    def test_spoiled_record_exits_2_naming_file_and_line(self, inputs, data, task):
+        lines, vocab, config = inputs
+        text, line_no = data.draw(_spoiled_shard(lines))
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+            shard = Path(tmp) / "shards" / "shard_0.jsonl"
+            shard.parent.mkdir()
+            shard.write_text(text, encoding="utf-8")
+            out = Path(tmp) / "run"
+            code = main(["train", "--task", task, "--shards", str(shard.parent), "--vocab", str(vocab),
+                         "--config", str(config), "--out", str(out)])
+            assert not list(out.glob("*.ckpt"))
+        assert code == 2, (text, err.getvalue())
+        assert err.getvalue().startswith(f"error: corrupt shard line {line_no} in {shard}"), err.getvalue()
 
 
 def _raw_pairs(tmp_path: Path, *names: str) -> Path:
@@ -556,6 +637,26 @@ class TestPreprocess:
         shard = (tmp_path / "o" / "shard_0.jsonl").read_text("utf-8").splitlines()
         assert sorted(len(json.loads(line)["tgt"]) for line in shard) == [7, 14, 14]
 
+    @pytest.mark.parametrize("max_tgt_len", ["0", "1", "-3"])
+    def test_target_limit_below_2_exits_2(self, tmp_path, capsys, max_tgt_len):
+        # A target holds at least [BOS] and [EOS]. Below 2 the cut was an
+        # empty or negative slice, which wrote targets of 1, 7 or 4 ids.
+        vocab = _write_vocab(tmp_path / "vocab.txt")
+        out = tmp_path / "o"
+        code = main(["preprocess", "--stories", str(_make_stories(tmp_path, 1)),
+                     "--vocab", str(vocab), "--out", str(out), "--max-tgt-len", max_tgt_len])
+        assert code == 2
+        assert f"max_tgt_len must be >= 2, for [BOS] and [EOS]; got {max_tgt_len}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_target_limit_2_keeps_bos_and_eos(self, tmp_path):
+        vocab = _write_vocab(tmp_path / "vocab.txt")
+        out = tmp_path / "o"
+        assert main(["preprocess", "--stories", str(_make_stories(tmp_path, 1)),
+                     "--vocab", str(vocab), "--out", str(out), "--max-tgt-len", "2"]) == 0
+        (line,) = (out / "shard_0.jsonl").read_text("utf-8").splitlines()
+        assert json.loads(line)["tgt"] == [SPECIALS.index("[unused0]"), SPECIALS.index("[unused1]")]
+
     def test_too_long_story_skipped_with_warning(self, tmp_path, capsys):
         vocab = _write_vocab(tmp_path / "vocab.txt")
         stories = tmp_path / "stories"
@@ -619,7 +720,7 @@ class TestTrain:
 
         code = main(["train", "--task", "ext", "--shards", str(shards),
                      "--out", str(out), "--config", str(config),
-                     "--vocab", str(vocab), "--seed", "0"])
+                     "--vocab", str(vocab)])
 
         assert code == 0
         assert re.fullmatch(
@@ -661,7 +762,7 @@ class TestTrain:
         out = tmp_path / "run"
         code = main(["train", "--task", "abs", "--shards", str(shards),
                      "--out", str(out), "--config", str(config),
-                     "--vocab", str(vocab), "--seed", "0"])
+                     "--vocab", str(vocab)])
         assert code == 0
         assert (out / "abs_final.ckpt").exists()
         assert "abs: 4 steps" in capsys.readouterr().out
@@ -673,17 +774,28 @@ class TestTrain:
 
         code = main(["train", "--task", "prefit", "--shards", str(shards),
                      "--out", str(prefit_out), "--config", str(config),
-                     "--vocab", str(vocab), "--seed", "0"])
+                     "--vocab", str(vocab)])
         assert code == 0
         encoder_ckpt = prefit_out / "encoder_final.ckpt"
         assert encoder_ckpt.exists()
 
         code = main(["train", "--task", "ext", "--shards", str(shards),
                      "--out", str(tmp_path / "ft"), "--config", str(config),
-                     "--vocab", str(vocab), "--seed", "0",
+                     "--vocab", str(vocab),
                      "--init-encoder", str(encoder_ckpt)])
         assert code == 0
         assert (tmp_path / "ft" / "ext_final.ckpt").exists()
+
+        # Each manifest names the vocabulary and the encoder it started from
+        # by path and by the sha256 of their bytes.
+        def named(path):
+            return {"path": str(path), "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
+
+        prefit, ft = (json.loads((tmp_path / d / "manifest.json").read_text("utf-8"))
+                      for d in ("prefit", "ft"))
+        assert prefit["vocab"] == ft["vocab"] == named(vocab)
+        assert prefit["init_encoder"] is None and prefit["config"]["pretrained_encoder"] is False
+        assert ft["init_encoder"] == named(encoder_ckpt) and ft["config"]["pretrained_encoder"] is True
 
     def test_non_finite_loss_exits_2_without_final_checkpoint(self, tmp_path, capsys):
         shards, vocab = _make_shards(tmp_path)
@@ -697,7 +809,7 @@ class TestTrain:
 
         code = main(["train", "--task", "ext", "--shards", str(shards),
                      "--out", str(out), "--config", str(config),
-                     "--vocab", str(vocab), "--seed", "0",
+                     "--vocab", str(vocab),
                      "--init-encoder", str(encoder_ckpt)])
 
         assert code == 2
@@ -753,7 +865,7 @@ class TestTrain:
         ext_ckpt = _save_model(tmp_path / "ext.ckpt", "ext")
         code = main(["train", "--task", "abs", "--shards", str(shards),
                      "--out", str(tmp_path / "run"), "--config", str(config),
-                     "--vocab", str(vocab), "--seed", "0",
+                     "--vocab", str(vocab),
                      "--init-encoder", str(ext_ckpt)])
         assert code == 2
         assert "model kind mismatch" in capsys.readouterr().err
@@ -782,13 +894,19 @@ class TestTrain:
         assert code == 2
         assert "plenty" in capsys.readouterr().err
 
-    def test_vocab_size_must_be_known_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("task", ["ext", "abs", "prefit"])
+    def test_train_without_vocab_is_usage_error(self, tmp_path, capsys, task):
+        # Shard ids index the vocabulary they were encoded with, so it is
+        # the only source of the vocabulary size and the padding id.
         shards, _ = _make_shards(tmp_path)
         config = _write_config(tmp_path / "run.cfg")
-        code = main(["train", "--task", "ext", "--shards", str(shards),
-                     "--out", str(tmp_path / "run"), "--config", str(config)])
-        assert code == 2
-        assert "vocab_size" in capsys.readouterr().err
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--task", task, "--shards", str(shards),
+                  "--out", str(out), "--config", str(config)])
+        assert exc.value.code == 2
+        assert "--vocab" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_empty_shard_dir_exits_2(self, tmp_path, capsys):
         vocab = _write_vocab(tmp_path / "vocab.txt")
@@ -880,9 +998,10 @@ class TestTrain:
         ({"clss": [], "labels": []}, "clss must not be empty", ("ext", "abs", "prefit")),
         ({"src": [2, 7, _VOCAB_SIZE, 3]}, f"src ids must be in [0, {_VOCAB_SIZE})", ("ext", "abs", "prefit")),
         ({"tgt": [5, _VOCAB_SIZE, 8, 6]}, f"tgt ids must be in [0, {_VOCAB_SIZE})", ("ext", "abs", "prefit")),
+        ({"src": [2, 7, 10**30, 3]}, f"src ids must be in [0, {_VOCAB_SIZE})", ("ext", "abs", "prefit")),
     ], ids=["labels_5", "clss_decreasing", "clss_past_src", "clss_negative", "tgt_1_id",
             "tgt_empty", "segs_7", "clss_not_cls", "clss_empty", "src_id_past_vocab",
-            "tgt_id_past_vocab"])
+            "tgt_id_past_vocab", "src_id_past_int64"])
     @pytest.mark.parametrize("task", ["ext", "abs", "prefit"])
     def test_record_outside_the_contract_exits_2(self, tmp_path, capsys, task, change, reason, tasks):
         vocab = _write_vocab(tmp_path / "vocab.txt")
@@ -920,19 +1039,23 @@ class TestTrain:
         assert f"src ids must be in [0, {_VOCAB_SIZE})" in err
         assert not list(out.glob("*.ckpt"))
 
-    def test_seed_flag_beats_config_value(self, tmp_path, capsys):
+    def test_seed_comes_from_the_config_only(self, tmp_path, capsys):
         shards, vocab = _make_shards(tmp_path)
         config = _write_config(tmp_path / "run.cfg", seed=7)
         out = tmp_path / "run"
-        assert main(["train", "--task", "ext", "--shards", str(shards),
-                     "--out", str(out), "--config", str(config),
-                     "--vocab", str(vocab), "--seed", "3"]) == 0
+        argv = ["train", "--task", "ext", "--shards", str(shards),
+                "--out", str(out), "--config", str(config), "--vocab", str(vocab)]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--seed", "3"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert main(argv) == 0
         manifest = json.loads((out / "manifest.json").read_text("utf-8"))
-        assert manifest["seed"] == 3
+        assert manifest["seed"] == 7
 
     @pytest.mark.parametrize("value", ["11", "lots"])
     def test_environment_does_not_set_seed(self, tmp_path, capsys, monkeypatch, value):
-        # The seed comes from --seed, else the config's `seed`, else 0.
+        # The seed comes from the config's `seed`, else 0.
         monkeypatch.setenv("SUMFORGE_SEED", value)
         shards, vocab = _make_shards(tmp_path)
         config = _write_config(tmp_path / "run.cfg")
@@ -945,13 +1068,13 @@ class TestTrain:
 
     def test_same_seed_reruns_byte_identical(self, tmp_path, capsys):
         shards, vocab = _make_shards(tmp_path)
-        config = _write_config(tmp_path / "run.cfg")
+        config = _write_config(tmp_path / "run.cfg", seed=5)
         blobs = []
         for name in ("a", "b"):
             out = tmp_path / name
             assert main(["train", "--task", "ext", "--shards", str(shards),
                          "--out", str(out), "--config", str(config),
-                         "--vocab", str(vocab), "--seed", "5"]) == 0
+                         "--vocab", str(vocab)]) == 0
             blobs.append((
                 (out / "ext_final.ckpt").read_bytes(),
                 (out / "trace.csv").read_bytes(),
@@ -1446,9 +1569,9 @@ class TestFlushSubnormals:
     @pytest.mark.parametrize("task", ["ext", "abs", "prefit"])
     def test_child_cli_flushes_and_keeps_the_bytes(self, tmp_path, capsys, task):
         shards, vocab = _make_shards(tmp_path)
-        config = _write_config(tmp_path / "run.cfg", mask_prob=0.3)
+        config = _write_config(tmp_path / "run.cfg", mask_prob=0.3, seed=3)
         argv = ["train", "--task", task, "--shards", str(shards), "--config", str(config),
-                "--vocab", str(vocab), "--seed", "3", "--out"]
+                "--vocab", str(vocab), "--out"]
         assert main([*argv, str(tmp_path / "in_process")]) == 0
         done = subprocess.run(
             [sys.executable, "-m", "sumforge.cli", *argv, str(tmp_path / "child")],

@@ -2,10 +2,10 @@
 """Traced memory of the first training steps, phase by phase.
 
     python3 tools/step_peak.py --task ext --shards shards/ --vocab vocab.txt \\
-        [--config run.cfg] [--seed 0] [--steps 1]
+        [--config run.cfg] [--steps 1]
 
-Runs `sumforge train` with the same arguments, config file, seed and
-vocabulary, but stops `train.fit` after `--steps` steps and writes no
+Runs `sumforge train` with the same arguments, config file and vocabulary,
+but stops `train.fit` after `--steps` steps and writes no
 checkpoint. Each step runs under tracemalloc in three phases: forward (the
 loss closure: the batch, the model and the loss), backward, and the rest of
 the step (clipping plus the Adam updates). For each phase it prints the
@@ -195,7 +195,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--shards", required=True)
     parser.add_argument("--vocab", required=True)
     parser.add_argument("--config")
-    parser.add_argument("--seed", type=int)
     parser.add_argument("--steps", type=int, default=1, help="training steps to trace (default 1)")
     args = parser.parse_args(argv)
     if args.steps < 1:
@@ -204,8 +203,6 @@ def main(argv: list[str] | None = None) -> int:
     train_argv = ["train", "--task", args.task, "--shards", args.shards, "--vocab", args.vocab]
     if args.config:
         train_argv += ["--config", args.config]
-    if args.seed is not None:
-        train_argv += ["--seed", str(args.seed)]
     probe, losses, held = Probe(), [], {}
     with (
         mock.patch.object(train, "fit", traced_fit(probe, args.steps, losses, held)),
