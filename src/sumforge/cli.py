@@ -72,6 +72,7 @@ from .ingest import (
     decode_utf8,
     ingest_corpus,
     parse_story,
+    read_jsonl,
     read_story_dir,
     read_utf8,
     split_sentences,
@@ -91,7 +92,7 @@ from .tokenization import (
 from .train import TrainConfig, prefit_encoder, train_abs, train_ext, write_trace
 
 # Config-file keys and how each parses: every ModelConfig and TrainConfig
-# field but the three set from flags, plus the one only training reads.
+# field but the three set from flags.
 _FLAG_FIELDS = ("vocab_size", "pretrained_encoder", "checkpoint_dir")
 _PARSERS = {"int": int, "int | None": int, "float": float}
 CONFIG_KEYS = {
@@ -99,7 +100,7 @@ CONFIG_KEYS = {
     for cls in (ModelConfig, TrainConfig)
     for f in fields(cls)
     if f.name not in _FLAG_FIELDS
-} | {"mask_prob": float}
+}
 
 
 def parse_config_file(path: Path | str) -> dict[str, str]:
@@ -266,14 +267,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise ConfigError("prefit trains a fresh encoder; --init-encoder does not apply")
     typed = _typed_config(parse_config_file(args.config)) if args.config else {}
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     vocab_data = Path(args.vocab).read_bytes()
     vocab = load_vocab(vocab_data, args.vocab)
-    examples = read_shards(args.shards, args.task, vocab)
-    if not examples:
-        raise EmptyCorpus(f"no shards under {args.shards}")
-
     model_keys = {f.name for f in fields(ModelConfig)}
     train_keys = {f.name for f in fields(TrainConfig)}
     train_config = TrainConfig(
@@ -285,7 +280,11 @@ def cmd_train(args: argparse.Namespace) -> int:
         pretrained_encoder=bool(args.init_encoder),
         **{k: v for k, v in typed.items() if k in model_keys},
     )
+    examples = read_shards(args.shards, args.task, vocab, config.max_positions)
+    if not examples:
+        raise EmptyCorpus(f"no shards under {args.shards}")
 
+    out_dir.mkdir(parents=True, exist_ok=True)
     model = build_model(config, "encoder" if args.task == "prefit" else args.task, train_config.seed)
     init_encoder = None
     if args.init_encoder:
@@ -298,7 +297,6 @@ def cmd_train(args: argparse.Namespace) -> int:
             examples,
             model,
             train_config,
-            typed.get("mask_prob", 0.15),
             mask_id=vocab.mask_id,
             pad_id=vocab.pad_id,
             special_ids=vocab.special_ids(),
@@ -404,18 +402,10 @@ def cmd_summarize(args: argparse.Namespace) -> int:
 
 
 def _read_jsonl_texts(path: Path | str) -> dict[str, str]:
-    """JSON-lines of {"id": ..., "text": ...} records, keyed by id. Lines
-    end at "\\n" only: a JSON string may hold a raw U+2028, U+2029 or U+0085,
-    where `str.splitlines` would cut it."""
+    """JSON-lines of {"id": ..., "text": ...} records, keyed by id."""
     texts: dict[str, str] = {}
-    for line_no, line in enumerate(read_utf8(path).split("\n"), start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise ConfigError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
-        if not isinstance(record, dict) or "id" not in record or "text" not in record:
+    for line_no, record in read_jsonl(path, lambda name, n, why: ConfigError(f"{name}:{n}: {why}")):
+        if "id" not in record or "text" not in record:
             raise ConfigError(f'{path}:{line_no}: expected {{"id", "text"}} object')
         doc_id, text = record["id"], record["text"]
         if not isinstance(doc_id, str) or not isinstance(text, str):

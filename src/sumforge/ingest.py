@@ -9,9 +9,11 @@ deep by category) in a legacy single-byte encoding.
 from __future__ import annotations
 
 import csv
+import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, Iterator
 
 from .atomic import atomic_write
 from .errors import (
@@ -94,6 +96,24 @@ def decode_utf8(data: bytes, name: Path | str) -> str:
 def read_utf8(path: Path | str) -> str:
     """A UTF-8 text file, read as `decode_utf8` reads bytes."""
     return decode_utf8(Path(path).read_bytes(), path)
+
+
+def read_jsonl(path: Path | str, error: Callable[[str, int, str], Exception]) -> Iterator[tuple[int, dict]]:
+    """The (line number, object) records of a JSON-lines file; blank lines
+    are skipped. Lines end at "\\n" only: a JSON string may hold a raw
+    U+2028, U+2029 or U+0085, where `str.splitlines` would cut it. A line
+    that is not a JSON object raises error(path, line number, reason)."""
+    for line_no, line in enumerate(read_utf8(path).split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        # ValueError: JSONDecodeError, or an integer past int's 4,300-digit limit.
+        except (ValueError, RecursionError) as exc:
+            raise error(str(path), line_no, f"invalid JSON: {exc}") from exc
+        if not isinstance(record, dict):
+            raise error(str(path), line_no, "record is not a JSON object")
+        yield line_no, record
 
 
 def split_sentences(text: str) -> list[str]:

@@ -184,6 +184,14 @@ def _ln(params: dict[str, Tensor], prefix: str, x: Tensor) -> Tensor:
     return T.layer_norm(x, params[f"{prefix}.gamma"], params[f"{prefix}.beta"])
 
 
+def gather_rows(hidden: Tensor, rows: np.ndarray) -> Tensor:
+    """Rows of hidden [B, L, d] at flat positions b·L + l, shaped as rows
+    with d appended: one embedding lookup over hidden's [B·L, d] reshape,
+    whose gradient scatters back into those rows."""
+    b, length, d = hidden.shape
+    return T.embedding_lookup(T.reshape(hidden, (b * length, d)), rows)
+
+
 def _decoder_layer(
     params: dict[str, Tensor],
     prefix: str,
@@ -311,7 +319,8 @@ class ExtractiveModel(Encoder):
             )
         if train or T.grad_enabled():
             hidden = self.encode(src_ids, segment_ids, pad_mask, train, rng)
-            picked = T.gather_positions(hidden, cls_positions)  # [B,S,d]
+            flat = np.arange(len(cls_positions))[:, None] * length + cls_positions
+            picked = gather_rows(hidden, flat)  # [B,S,d]
         else:
             picked = self.encode(src_ids, segment_ids, pad_mask, rows=cls_positions)
         logits = T.matmul(picked, self.params["ext_head.w"]) + self.params["ext_head.b"]
@@ -358,7 +367,7 @@ class AbstractiveModel(Encoder):
     def vocab_logits(self, states: Tensor) -> Tensor:
         """Next-token logits [..., vocab] of final-normed decoder states:
         the tied projection onto the token table."""
-        return T.matmul(states, T.transpose(self.params["encoder.tok_emb"]))
+        return T.matmul(states, T.permute(self.params["encoder.tok_emb"], (1, 0)))
 
     def _project(self, x: Tensor) -> Tensor:
         return self.vocab_logits(_ln(self.params, "decoder.final_ln", x))
@@ -496,7 +505,7 @@ def abs_loss(
         raise AllMasked("every predicted target position is padding")
 
     # The last position predicts nothing; the op scores the first t - 1.
-    loss = T.projected_cross_entropy(states, T.transpose(tok_emb), None, tgt_ids[:, 1:], weights, smoothing)
+    loss = T.projected_cross_entropy(states, T.permute(tok_emb, (1, 0)), None, tgt_ids[:, 1:], weights, smoothing)
     return loss / total
 
 

@@ -257,14 +257,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 @op
-def transpose(a: Tensor) -> Tensor:
-    """Swap the last two axes."""
-    if a.data.ndim < 2:
-        raise ShapeMismatch(f"transpose needs rank >= 2, got {a.shape}")
-    return _make(np.swapaxes(a.data, -1, -2), (a,), lambda g: (np.swapaxes(g, -1, -2),))
-
-
-@op
 def permute(a: Tensor, axes: Sequence[int]) -> Tensor:
     axes = tuple(axes)
     if sorted(axes) != list(range(a.data.ndim)):
@@ -836,9 +828,9 @@ def attention_block(
     in heads layout [B or 1, h, Lk, d/h] (cross-attention, and cached keys
     and values when decoding). All weights are [d, d], all vectors [d].
     With rows ([B, S] positions), the queries and the residual come only
-    from those rows, as gather_positions picks them, and the result is
-    [B, S, d]; rows are for inference only, and passing them while a graph
-    is recorded raises ShapeMismatch.
+    from those rows (x[b, rows[b, s]]), and the result is [B, S, d]; rows
+    are for inference only, and passing them while a graph is recorded
+    raises ShapeMismatch.
 
     In training it runs one item at a time (`_items`), and backward holds
     only x, the parameters, k and v, the packed keep bits of both dropouts
@@ -1156,21 +1148,6 @@ def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
         return (dtable,)
 
     return _make(table.data[ids], (table,), backward)
-
-
-@op
-def gather_positions(a: Tensor, positions: np.ndarray) -> Tensor:
-    """Pick rows along axis 1: out[b, s, :] = a[b, positions[b, s], :]."""
-    positions = np.asarray(positions)
-    batch = np.arange(a.shape[0])[:, None]
-    shape, dtype = a.shape, a.dtype
-
-    def backward(g):
-        out = np.zeros(shape, dtype)
-        np.add.at(out, (batch, positions), g)
-        return (out,)
-
-    return _make(a.data[batch, positions], (a,), backward)
 
 
 @op

@@ -28,7 +28,7 @@ from .errors import (
     MissingSpecial,
     TooLong,
 )
-from .ingest import StoryDoc, decode_utf8, read_utf8
+from .ingest import StoryDoc, decode_utf8, read_jsonl, read_utf8
 # rouge_n stays bound here because perfbench/tracer.py wraps
 # tokenization.rouge_n; the oracle itself no longer calls it.
 from .rouge import RougeScore, rouge_n, rouge_tokenize  # noqa: F401
@@ -382,9 +382,11 @@ _SHARD_RE = re.compile(r"^shard_(\d+)\.jsonl$")
 _SHARD_KEYS = ("src", "segs", "clss", "labels", "tgt", "src_txt", "tgt_txt")
 
 
-def _record_fault(record: dict, task: str | None = None, vocab: Vocab | None = None) -> str | None:
-    """Why a shard record with every key cannot be an example (for `task`
-    and over `vocab`, if given), or None."""
+def _record_fault(
+    record: dict, task: str | None = None, vocab: Vocab | None = None, max_positions: int | None = None
+) -> str | None:
+    """Why a shard record with every key cannot be an example (for `task`,
+    over `vocab` and within `max_positions`, if given), or None."""
     for key in _SHARD_KEYS:
         value, item_type = record[key], str if key.endswith("_txt") else int
         # type() is, not isinstance: a JSON true is a bool, which is an int.
@@ -411,6 +413,10 @@ def _record_fault(record: dict, task: str | None = None, vocab: Vocab | None = N
             return "clss must point at [CLS] tokens in src"
     if task == "abs" and len(record["tgt"]) < 2:
         return "tgt must hold at least 2 ids to train abs"
+    if max_positions is not None:
+        for key in ("src", "tgt") if task == "abs" else ("src",):
+            if len(record[key]) > max_positions:
+                return f"{key} holds {len(record[key])} ids, more than max_positions {max_positions}"
     return None
 
 
@@ -448,11 +454,11 @@ def write_shards(
 
 
 def read_shards(
-    shard_dir: Path | str, task: str | None = None, vocab: Vocab | None = None
+    shard_dir: Path | str, task: str | None = None, vocab: Vocab | None = None, max_positions: int | None = None
 ) -> list[TokenizedExample]:
     """Read back every shard in numeric order; exact inverse of write_shards.
-    A record that cannot be an example, for `task` and over `vocab` if
-    given, raises CorruptShard naming its file and line."""
+    A record that cannot be an example, for `task`, over `vocab` and within
+    `max_positions` if given, raises CorruptShard naming its file and line."""
     shard_dir = Path(shard_dir)
     paths = []
     for path in shard_dir.iterdir():
@@ -461,19 +467,11 @@ def read_shards(
             paths.append((int(m.group(1)), path))
     examples: list[TokenizedExample] = []
     for _, path in sorted(paths):
-        for line_no, line in enumerate(read_utf8(path).split("\n"), start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except (json.JSONDecodeError, RecursionError) as exc:
-                raise CorruptShard(str(path), line_no, str(exc)) from exc
-            if not isinstance(record, dict):
-                raise CorruptShard(str(path), line_no, "record is not a JSON object")
+        for line_no, record in read_jsonl(path, CorruptShard):
             if not all(k in record for k in _SHARD_KEYS):
                 missing = [k for k in _SHARD_KEYS if k not in record]
                 raise CorruptShard(str(path), line_no, f"missing keys {missing}")
-            fault = _record_fault(record, task, vocab)
+            fault = _record_fault(record, task, vocab, max_positions)
             if fault:
                 raise CorruptShard(str(path), line_no, fault)
             examples.append(

@@ -37,6 +37,7 @@ from .model import (
     ExtractiveModel,
     abs_loss,
     ext_loss,
+    gather_rows,
     save_checkpoint,
 )
 from .tensor import SplitRng, Tensor
@@ -53,6 +54,7 @@ class TrainConfig:
     warmup_decoder: int | None = None
     grad_clip_norm: float = 1.0
     label_smoothing: float = 0.1
+    mask_prob: float = 0.15
     seed: int = 0
     checkpoint_every: int = 0
     checkpoint_dir: Path | None = None
@@ -73,6 +75,10 @@ class TrainConfig:
             raise ConfigError(
                 f"label_smoothing must be in [0, 1), got {self.label_smoothing}"
             )
+        if self.mask_prob <= 0.0:
+            raise NoMaskedPositions(f"mask_prob {self.mask_prob} would mask nothing")
+        if not self.mask_prob < 1.0:  # NaN fails this too
+            raise ConfigError(f"mask_prob must be in (0, 1), got {self.mask_prob}")
         for w in (self.warmup_encoder, self.warmup_decoder):
             if w is not None and w < 1:
                 raise ConfigError(f"warmups must be >= 1, got {w}")
@@ -427,10 +433,9 @@ def masked_token_loss(
     projection and the loss are one op, which keeps no logits for backward.
     """
     rows = np.flatnonzero(chosen)
-    b, length, d = hidden.shape
-    picked = T.embedding_lookup(T.reshape(hidden, (b * length, d)), rows)
+    picked = gather_rows(hidden, rows)
     targets = np.asarray(targets).reshape(-1)[rows]
-    loss = T.projected_cross_entropy(picked, T.transpose(tok_emb), bias, targets, np.ones(rows.size))
+    loss = T.projected_cross_entropy(picked, T.permute(tok_emb, (1, 0)), bias, targets, np.ones(rows.size))
     return loss / float(rows.size)
 
 
@@ -438,7 +443,6 @@ def prefit_encoder(
     examples: Sequence[TokenizedExample],
     encoder: Encoder,
     config: TrainConfig,
-    mask_prob: float = 0.15,
     *,
     mask_id: int,
     pad_id: int,
@@ -451,11 +455,6 @@ def prefit_encoder(
     learn to restore them. The head is dropped from the saved checkpoint, so
     the result loads anywhere a built encoder does.
     """
-    if mask_prob <= 0.0:
-        raise NoMaskedPositions(f"mask_prob {mask_prob} would mask nothing")
-    if not mask_prob < 1.0:  # NaN fails this too
-        raise ConfigError(f"mask_prob must be in (0, 1), got {mask_prob}")
-
     tok_emb = encoder.params["encoder.tok_emb"]
     recon_bias = Tensor(
         np.zeros(encoder.config.vocab_size, dtype=tok_emb.dtype), requires_grad=True
@@ -467,7 +466,7 @@ def prefit_encoder(
         batch = make_ext_batch(batch_examples, pad_id)
         gen = mask_rng.child("mask", step).generator()
         eligible = ~batch.pad_mask & ~np.isin(batch.src, special)
-        chosen = (gen.random(batch.src.shape) < mask_prob) & eligible
+        chosen = (gen.random(batch.src.shape) < config.mask_prob) & eligible
         if not chosen.any():
             if not eligible.any():
                 raise NoMaskedPositions("batch contains no maskable tokens")

@@ -111,7 +111,7 @@ def synthetic_example(
     )
 
 
-# --- references: reductions, negation, the finite-difference check, and
+# --- references: reductions, negation, transposition, the finite-difference check, and
 # teacher-forced logits and accuracy ---
 
 def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -133,6 +133,13 @@ def tensor_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 def neg(a: Tensor) -> Tensor:
     return T._make(-a.data, (a,), lambda g: (-g,))
+
+
+def transpose(a: Tensor) -> Tensor:
+    """Swap the last two axes: a permute, the op the tied head's table
+    takes."""
+    lead = tuple(range(a.data.ndim - 2))
+    return T.permute(a, (*lead, a.data.ndim - 1, a.data.ndim - 2))
 
 
 def finite_diff_check(

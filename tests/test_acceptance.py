@@ -292,9 +292,9 @@ def test_criterion_5_prefit_advantage(capsys, tmp_path, cue_corpus):
         prefit_encoder(
             examples, encoder,
             TrainConfig(max_steps=600, batch_size=16, seed=seed,
-                        base_lr_encoder=0.01, warmup_encoder=50,
+                        base_lr_encoder=0.01, warmup_encoder=50, mask_prob=0.3,
                         checkpoint_dir=tmp_path / f"pre{seed}"),
-            0.3, mask_id=vocab.mask_id, pad_id=vocab.pad_id,
+            mask_id=vocab.mask_id, pad_id=vocab.pad_id,
             special_ids=vocab.special_ids(),
         )
         encoder_path = tmp_path / f"pre{seed}" / "encoder_final.ckpt"

@@ -23,11 +23,11 @@ _BENCHMARK = {
 
 
 def _report(directory: Path, seed: int, rss: float, tps: float | None, *, trace: int = 0,
-            faults=(), matmul: float = 0.03, attempted: int = 10, stages=None) -> None:
+            faults=(), matmul: float = 0.03, attempted: int = 10, stages=None, seconds: float = 30.0) -> None:
     directory.mkdir(exist_ok=True)
     metrics = {"peak_rss_mb": rss, "train_tokens_per_s": tps, "rouge1_f1": 0.3}
     report = {
-        "workload": "ext_en", "seed": seed, "seconds": 30.0, "trace": trace,
+        "workload": "ext_en", "seed": seed, "seconds": seconds, "trace": trace,
         "host_before": {"matmul512_x20_s": matmul, "pyloop_1e6_s": 0.04},
         "host_after": {"matmul512_x20_s": matmul + 0.01, "pyloop_1e6_s": 0.06},
         "attempted": attempted, "faults": list(faults),
@@ -180,6 +180,25 @@ def test_no_common_runs_exits_2(dirs, tmp_path, capsys):
     assert code == 2
     assert not (tmp_path / "o.json").exists()
     assert "no workload" in capsys.readouterr().err
+
+
+def test_runs_of_unequal_seconds_are_refused(dirs, tmp_path, capsys):
+    parent, change = dirs
+    _report(change, 2, 510.0, 105.0, seconds=1.0)  # a short run left behind by a smoke test
+    result = _run(parent, change, tmp_path)
+    assert result["seeds"] == [1, 3, 4] and result["seconds"] == [30.0]
+    assert "refused ext_en seed 2: parent ran 30.0 s, change 1.0 s" in capsys.readouterr().err
+
+
+def test_no_pair_of_equal_seconds_exits_2(dirs, tmp_path, capsys):
+    parent, change = dirs
+    for seed in (1, 2, 3, 4):
+        _report(change, seed, 500.0, 100.0, seconds=1.0)
+    code = bench_pair.main([str(parent), str(change), "--out", str(tmp_path / "o.json")])
+    assert code == 2
+    assert not (tmp_path / "o.json").exists()
+    err = capsys.readouterr().err
+    assert err.count("refused ext_en seed") == 4 and "no workload" in err
 
 
 def test_same_bytes_verdict_from_each_sides_digest_store(tmp_path, monkeypatch, capsys):

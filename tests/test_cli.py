@@ -166,11 +166,10 @@ class TestConfigSchema:
     """The config keys are the dataclass fields, typed as the fields are."""
 
     def test_keys_are_the_fields_not_set_by_flags(self):
-        assert set(CONFIG_KEYS) == (set(_FIELDS) - _FLAG_SET) | {"mask_prob"}
+        assert set(CONFIG_KEYS) == set(_FIELDS) - _FLAG_SET
 
     def test_each_key_parses_to_its_field_type(self):
         expected = {name: f.type.split(" | ")[0] for name, f in _FIELDS.items()}
-        expected.update(mask_prob="float")
         for key in CONFIG_KEYS:
             assert type(_typed_config({key: "3"})[key]).__name__ == expected[key], key
             if expected[key] == "int":
@@ -199,6 +198,22 @@ class TestConfigSchema:
                      "--vocab", str(vocab)])
         assert code == 2
         assert f"unknown config key {key!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value, error", [("0", "would mask nothing"), ("1", "must be in (0, 1)"),
+                                              ("nan", "must be in (0, 1)")])
+    @pytest.mark.parametrize("task", ["ext", "abs", "prefit"])
+    def test_mask_prob_outside_0_1_exits_2_before_shards_are_read(self, tmp_path, capsys, task, value, error):
+        vocab = _write_vocab(tmp_path / "vocab.txt")
+        shards = tmp_path / "shards"
+        shards.mkdir()
+        (shards / "shard_0.jsonl").write_text("not json\n", encoding="utf-8")
+        config = _write_config(tmp_path / "run.cfg", max_steps=1, mask_prob=value)
+        code = main(["train", "--task", task, "--shards", str(shards),
+                     "--out", str(tmp_path / "run"), "--config", str(config), "--vocab", str(vocab)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "mask_prob" in err and error in err and "corrupt shard" not in err
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("key", _FLOAT_KEYS)
@@ -360,6 +375,18 @@ class TestVocabFuzz:
             assert len(raised) == 1 and isinstance(raised[0], SumforgeError), (vocab, raised)
 
 
+# More digits than int's string-conversion limit (4,300 by default), past
+# which json.loads raises a plain ValueError.
+_HUGE_INT = "9" * 5001
+
+
+def _with_huge_int(line: str, key: str) -> str:
+    """A JSON object's line with _HUGE_INT first in the list under key;
+    json.dumps cannot write such an integer, so it goes in as text."""
+    assert f'"{key}": [' in line
+    return line.replace(f'"{key}": [', f'"{key}": [{_HUGE_INT}, ', 1)
+
+
 # The wrong type for every shard key: none is a list of ints or of strings.
 # (An empty list is both, so it is left out.)
 _WRONG_TYPES = [None, 3, 1.5, True, "7", {}, {"0": 0}, [None], [1.5], [True], [[0]]]
@@ -369,15 +396,18 @@ _BAD_IDS = [_VOCAB_SIZE, -1, 2**63, -(2**63) - 1, 10**30, -(10**30)]
 
 @st.composite
 def _spoiled_shard(draw, lines: list[str]) -> tuple[str, int]:
-    """A shard's lines with one record spoiled: cut short, a key's value of
-    the wrong type, src, segs, clss or labels one id longer or shorter than
-    its partner, an id outside the vocabulary, or clss not increasing.
-    Returns the shard's text and the spoiled line's number."""
+    """A shard's lines with one record spoiled: cut short, an id too long to
+    read, a key's value of the wrong type, src, segs, clss or labels one id
+    longer or shorter than its partner, an id outside the vocabulary, or
+    clss not increasing. Returns the shard's text and the spoiled line's
+    number."""
     i = draw(st.integers(0, len(lines) - 1))
     record = json.loads(lines[i])
-    fault = draw(st.sampled_from(["truncate", "type", "length", "id", "clss"]))
+    fault = draw(st.sampled_from(["truncate", "huge", "type", "length", "id", "clss"]))
     if fault == "truncate":  # a prefix of an object, never JSON
         line = lines[i][: draw(st.integers(1, len(lines[i]) - 1))]
+    elif fault == "huge":
+        line = _with_huge_int(lines[i], draw(st.sampled_from(["src", "segs", "clss", "labels", "tgt"])))
     else:
         if fault == "type":
             key = draw(st.sampled_from(_SHARD_KEYS))
@@ -999,9 +1029,15 @@ class TestTrain:
         ({"src": [2, 7, _VOCAB_SIZE, 3]}, f"src ids must be in [0, {_VOCAB_SIZE})", ("ext", "abs", "prefit")),
         ({"tgt": [5, _VOCAB_SIZE, 8, 6]}, f"tgt ids must be in [0, {_VOCAB_SIZE})", ("ext", "abs", "prefit")),
         ({"src": [2, 7, 10**30, 3]}, f"src ids must be in [0, {_VOCAB_SIZE})", ("ext", "abs", "prefit")),
+        # Longer than the config's max_positions (64): the model has no
+        # position for the 65th id. Only abs reads tgt.
+        ({"src": [2] + [7] * 63 + [3], "segs": [0] * 65}, "src holds 65 ids, more than max_positions 64",
+         ("ext", "abs", "prefit")),
+        ({"tgt": [5] + [7] * 63 + [6]}, "tgt holds 65 ids, more than max_positions 64", ("abs",)),
     ], ids=["labels_5", "clss_decreasing", "clss_past_src", "clss_negative", "tgt_1_id",
             "tgt_empty", "segs_7", "clss_not_cls", "clss_empty", "src_id_past_vocab",
-            "tgt_id_past_vocab", "src_id_past_int64"])
+            "tgt_id_past_vocab", "src_id_past_int64", "src_past_max_positions",
+            "tgt_past_max_positions"])
     @pytest.mark.parametrize("task", ["ext", "abs", "prefit"])
     def test_record_outside_the_contract_exits_2(self, tmp_path, capsys, task, change, reason, tasks):
         vocab = _write_vocab(tmp_path / "vocab.txt")
@@ -1342,7 +1378,62 @@ class TestSummarizeLoadsOnce:
             shared["encoder.tok_emb"].data[0, 0] = 1.0
 
 
+_EVAL_RECORDS = [{"id": f"d{i}", "text": f"the cat sat {i} ."} for i in range(4)]
+
+
+@st.composite
+def _spoiled_jsonl(draw) -> tuple[str, int]:
+    """_EVAL_RECORDS as JSON lines with one record spoiled: cut short, "id"
+    or "text" of another type or missing, not an object, an earlier
+    record's id, nested past the parser's recursion limit, or holding an
+    integer too long to read. Returns the text and the spoiled line's
+    number."""
+    lines = [json.dumps(r) for r in _EVAL_RECORDS]
+    fault = draw(st.sampled_from(["truncate", "type", "missing", "non_object", "duplicate", "deep", "huge"]))
+    i = draw(st.integers(1 if fault == "duplicate" else 0, len(lines) - 1))
+    record = dict(_EVAL_RECORDS[i])
+    if fault == "truncate":
+        line = lines[i][: draw(st.integers(1, len(lines[i]) - 1))]
+    elif fault == "type":
+        record[draw(st.sampled_from(["id", "text"]))] = draw(
+            st.sampled_from([None, 3, 1.5, True, [], {}, ["x"], {"id": "x"}]))
+        line = json.dumps(record)
+    elif fault == "missing":
+        del record[draw(st.sampled_from(["id", "text"]))]
+        line = json.dumps(record)
+    elif fault == "non_object":
+        line = draw(st.sampled_from(["7", "null", "true", '["id", "text"]', '"id text"']))
+    elif fault == "duplicate":
+        record["id"] = _EVAL_RECORDS[draw(st.integers(0, i - 1))]["id"]
+        line = json.dumps(record)
+    elif fault == "deep":
+        line = "[" * 200_000
+    else:  # as text: json.dumps cannot write such an integer
+        key = draw(st.sampled_from(["id", "text"]))
+        line = lines[i].replace(json.dumps({key: record[key]})[1:-1], f'"{key}": {_HUGE_INT}')
+    return "".join(f"{x}\n" for x in lines[:i] + [line] + lines[i + 1:]), i + 1
+
+
 class TestEvaluate:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(spoiled=_spoiled_jsonl(), side=st.sampled_from(["predictions", "references"]))
+    def test_spoiled_record_exits_2_naming_file_and_line(self, spoiled, side):
+        """One JSON-lines reader serves both files: a spoiled record exits 2,
+        its error naming the file and the spoiled line."""
+        text, line_no = spoiled
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+            paths = {name: Path(tmp) / f"{name}.jsonl" for name in ("predictions", "references")}
+            for name, path in paths.items():
+                if name == side:
+                    path.write_text(text, encoding="utf-8")
+                else:
+                    _write_jsonl(path, _EVAL_RECORDS)
+            code = main(["evaluate", "--predictions", str(paths["predictions"]),
+                         "--references", str(paths["references"])])
+        assert code == 2, (text[:200], err.getvalue())
+        assert err.getvalue().startswith(f"error: {paths[side]}:{line_no}: "), err.getvalue()[:300]
+
     def test_identical_files_score_100(self, tmp_path, capsys):
         records = [
             {"id": "a", "text": "the cat sat on the mat ."},

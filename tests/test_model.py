@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import finite_diff_check, forward_logits, synthetic_example, tensor_sum, tiny_config as _tiny_config_fixture  # noqa: F401 (fixture reexport)
+from sumforge import model as M
 from sumforge import tensor as T
 from sumforge.errors import (
     AllMasked,
@@ -177,7 +178,7 @@ class TestExtScores:
             raise AssertionError("encoded or gathered before the range check")
 
         monkeypatch.setattr(model, "encode", unreachable)
-        monkeypatch.setattr(T, "gather_positions", unreachable)
+        monkeypatch.setattr(M, "gather_rows", unreachable)
         for bad in (6, -1):
             for train in (False, True):
                 with pytest.raises(IndexOutOfRange):

@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from conftest import step_peak
+from conftest import step_peak, transpose
 from test_cli import _make_shards, _write_config
 
 from sumforge import tensor as T
@@ -108,7 +108,7 @@ def test_tape_counts_each_buffer_once_and_no_parameters():
     w = T.Tensor(np.ones((4, 4), np.float32), requires_grad=True)
     x = T.Tensor(np.ones((2, 4), np.float32))
     h = T.matmul(x, w)  # holds x and w
-    y = T.matmul(h, T.transpose(w))  # holds h and a view of w
+    y = T.matmul(h, transpose(w))  # holds h and a view of w
     held = step_peak.tape(T.mul(y, y))  # holds y twice
     assert held == {"mul": (y.data.nbytes, 1), "matmul": (h.data.nbytes + x.data.nbytes, 2)}
 

@@ -13,13 +13,14 @@ from hypothesis import strategies as st
 
 from conftest import (
     buffer, closure_arrays, finite_diff_check, graph_vertices, neg, synthetic_example, tensor_mean, tensor_sum,
+    transpose,
 )
 from sumforge import tensor as T
 from sumforge.errors import (
     ConfigError, GraphCycle, IdOutOfRange, IndexOutOfRange, InvalidAxis, NotScalar, ShapeMismatch,
 )
 from sumforge.infer import BeamConfig, beam_search
-from sumforge.model import ModelConfig, abs_loss, build_model, ext_loss
+from sumforge.model import ModelConfig, abs_loss, build_model, ext_loss, gather_rows
 from sumforge.tensor import SplitRng, Tensor, backward
 from sumforge.train import masked_token_loss
 
@@ -368,7 +369,7 @@ class TestFiniteDiffCheck:
         def f(params):
             (x,) = params
             col = T.reshape(x, (4, 1))
-            return tensor_sum(T.matmul(T.transpose(col), T.matmul(t64(A, False), col)))
+            return tensor_sum(T.matmul(transpose(col), T.matmul(t64(A, False), col)))
 
         err = finite_diff_check(f, [rand64(rng, 4)])
         assert err < 1e-8
@@ -433,10 +434,6 @@ class TestPerOpGradients:
         a, b = rand64(self.rng, 2, 3, 4), rand64(self.rng, 2, 4, 2)
         _fd(lambda p: tensor_sum(T.matmul(p[0], p[1])), [a, b])
 
-    def test_transpose(self):
-        a, b = rand64(self.rng, 3, 4), rand64(self.rng, 3, 4)
-        _fd(lambda p: tensor_sum(T.matmul(p[0], T.transpose(p[1]))), [a, b])
-
     def test_permute(self):
         a = rand64(self.rng, 2, 3, 4)
         _fd(lambda p: tensor_sum(T.mul(T.permute(p[0], (2, 0, 1)), 1.5)), [a])
@@ -498,11 +495,6 @@ class TestPerOpGradients:
         table = rand64(self.rng, 6, 3)
         ids = np.array([[0, 2, 2], [5, 0, 1]])
         _fd(lambda p: tensor_sum(T.mul(T.embedding_lookup(p[0], ids), 1.7)), [table])
-
-    def test_gather_positions_grad(self):
-        a = rand64(self.rng, 2, 5, 3)
-        pos = np.array([[0, 3], [4, 4]])
-        _fd(lambda p: tensor_sum(T.mul(T.gather_positions(p[0], pos), 1.3)), [a])
 
     def test_take_along_last_grad(self):
         a = rand64(self.rng, 3, 4)
@@ -638,12 +630,6 @@ class TestForwardSemantics:
         out = T.embedding_lookup(table, np.array([[0, 0, 2]]))
         backward(tensor_sum(out))
         assert table.grad.tolist() == [[2.0, 2.0], [0.0, 0.0], [1.0, 1.0]]
-
-    def test_gather_positions_forward(self):
-        x = t64(np.arange(24.0).reshape(2, 4, 3))
-        out = T.gather_positions(x, np.array([[0, 2], [3, 3]]))
-        assert out.data[0, 1].tolist() == [6.0, 7.0, 8.0]
-        assert out.data[1, 0].tolist() == [21.0, 22.0, 23.0]
 
     def test_narrow_forward(self):
         c = t64([[1.0, 2.0], [3.0, 4.0]])
@@ -990,22 +976,22 @@ class TestOpHook:
 
         x = t64(np.ones((2, 2)))
         with T.op_hook(tagged("outer")):
-            T.transpose(x)
+            transpose(x)
             with pytest.raises(ShapeMismatch), T.op_hook(tagged("inner")):
-                T.transpose(x)
+                transpose(x)
                 T.add(x, np.ones(3))
-            loss = T.bce_with_logits(T.transpose(x), np.ones((2, 2)), np.ones((2, 2)))
+            loss = T.bce_with_logits(transpose(x), np.ones((2, 2)), np.ones((2, 2)))
         backward(loss)  # outside every hook
-        T.transpose(x)
+        transpose(x)
         assert calls == [
-            ("outer", "transpose", "forward"), ("inner", "transpose", "forward"), ("inner", "add", "forward"),
-            ("outer", "transpose", "forward"), ("outer", "bce_with_logits", "forward"),
+            ("outer", "permute", "forward"), ("inner", "permute", "forward"), ("inner", "add", "forward"),
+            ("outer", "permute", "forward"), ("outer", "bce_with_logits", "forward"),
         ]
         calls.clear()
-        loss = T.bce_with_logits(T.transpose(x), np.ones((2, 2)), np.ones((2, 2)))
+        loss = T.bce_with_logits(transpose(x), np.ones((2, 2)), np.ones((2, 2)))
         with T.op_hook(tagged("sweep")):
             backward(loss)
-        assert calls == [("sweep", "bce_with_logits", "backward"), ("sweep", "transpose", "backward")]
+        assert calls == [("sweep", "bce_with_logits", "backward"), ("sweep", "permute", "backward")]
 
     def test_block_backward_runs_under_its_own_name(self):
         seen = []
@@ -1026,7 +1012,7 @@ class TestOpHook:
         ]
 
     def test_registry_holds_the_module_ops(self):
-        assert len(T.OPS) == 19
+        assert len(T.OPS) == 17
         for name, fn in T.OPS.items():
             assert fn is getattr(T, name), name
             assert fn.__name__ == fn.__wrapped__.__name__ == name
@@ -1254,7 +1240,7 @@ class TestProjectedCrossEntropy:
         h, table, bias, targets, weights = case
         params = [Tensor(a.copy(), requires_grad=True) for a in (h, table) + ((bias,) if bias is not None else ())]
         bias_t = params[2] if bias is not None else None
-        loss = head(params[0], T.transpose(params[1]), bias_t, targets, weights, smoothing) / 7.0
+        loss = head(params[0], transpose(params[1]), bias_t, targets, weights, smoothing) / 7.0
         backward(loss)
         return [loss.data] + [p.grad for p in params]
 
@@ -1280,7 +1266,7 @@ class TestProjectedCrossEntropy:
 
         def f(p):
             return T.projected_cross_entropy(
-                p[0], T.transpose(p[1]), p[2] if len(p) > 2 else None, targets, weights, smoothing
+                p[0], transpose(p[1]), p[2] if len(p) > 2 else None, targets, weights, smoothing
             )
 
         assert finite_diff_check(f, params) < 1e-6
@@ -1290,17 +1276,17 @@ class TestProjectedCrossEntropy:
     def test_targets_outside_the_vocabulary_raise(self, targets):
         h, table = Tensor(np.zeros((2, 3), np.float32)), Tensor(np.zeros((5, 3), np.float32))
         with pytest.raises(IdOutOfRange, match=r"target ids must be integers in \[0, 5\)"):
-            T.projected_cross_entropy(h, T.transpose(table), None, np.asarray(targets), np.ones(2), 0.1)
+            T.projected_cross_entropy(h, transpose(table), None, np.asarray(targets), np.ones(2), 0.1)
 
     def test_shapes_and_smoothing_are_checked(self):
         h3, h2 = Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 4)))
-        table_t, bias = T.transpose(Tensor(np.zeros((5, 4)))), Tensor(np.zeros(5))
+        table_t, bias = transpose(Tensor(np.zeros((5, 4)))), Tensor(np.zeros(5))
         ids, ones = np.zeros((2, 2), int), np.ones((2, 2))
         for args in [
             (h3, table_t, None, np.zeros((2, 4), int), np.ones((2, 4))),  # m > n
             (h3, table_t, None, ids, np.ones((2, 3))),  # weights' shape
             (h3, table_t, None, np.zeros(2, int), np.ones(2)),  # targets' rank
-            (h3, T.transpose(Tensor(np.zeros((5, 3)))), None, ids, ones),  # d
+            (h3, transpose(Tensor(np.zeros((5, 3)))), None, ids, ones),  # d
             (h3, table_t, bias, ids, ones),  # a bias takes a [n, d] h
             (h2, table_t, Tensor(np.zeros(4)), np.zeros(3, int), np.ones(3)),  # bias' length
         ]:
@@ -1312,7 +1298,7 @@ class TestProjectedCrossEntropy:
     def test_backward_leaves_its_inputs_as_they_were(self):
         h, table, bias, targets, weights = self._case(np.float32, (37, 16), 501)
         copies = [a.copy() for a in (h, table, bias, targets, weights)]
-        out = T.projected_cross_entropy(Tensor(h, requires_grad=True), T.transpose(Tensor(table)),
+        out = T.projected_cross_entropy(Tensor(h, requires_grad=True), transpose(Tensor(table)),
                                         Tensor(bias), targets, weights, 0.1)
         first = out._node._backward(np.asarray(1.0, np.float32))
         second = out._node._backward(np.asarray(1.0, np.float32))
@@ -1363,7 +1349,7 @@ class TestSaturatedLosses:
         weights = np.linspace(0.5, 2.0, math.prod(lead)).reshape(lead).astype(dtype)
         h = Tensor(z.copy(), requires_grad=True)
         bias = Tensor(np.zeros(v, dtype), requires_grad=True) if len(shape) == 2 else None
-        loss = T.projected_cross_entropy(h, T.transpose(Tensor(np.eye(v, dtype=dtype))), bias,
+        loss = T.projected_cross_entropy(h, transpose(Tensor(np.eye(v, dtype=dtype))), bias,
                                          targets, weights, smoothing)
         backward(loss)
         scored = z.astype(np.float64)[..., : lead[-1], :]
@@ -1393,7 +1379,7 @@ def composed_feed_forward(x, w1, b1, w2, b2):
 def composed_attention(q, k, v, mask, p, train, rng):
     """Scaled dot-product attention as the model composed it before
     attention_block, op by op: the reference for the block's attention."""
-    scores = T.mul(T.matmul(q, T.transpose(k)), 1.0 / np.sqrt(k.shape[-1]))
+    scores = T.mul(T.matmul(q, transpose(k)), 1.0 / np.sqrt(k.shape[-1]))
     if mask is not None:
         scores = T.masked_fill(scores, mask, T.NEG_INF)
     probs = T.dropout(T.softmax(scores, axis=-1), p, train, rng)
@@ -1418,7 +1404,8 @@ def composed_attention_block(x, gamma, beta, wq, bq, wk, bk, wv, bv, wo, bo, mas
     if k is None:
         k, v = heads(T.matmul(normed, wk) + bk), heads(T.matmul(normed, wv) + bv)
     if rows is not None:
-        x, normed = T.gather_positions(x, rows), T.gather_positions(normed, rows)
+        flat = np.arange(len(rows))[:, None] * x.shape[1] + rows
+        x, normed = gather_rows(x, flat), gather_rows(normed, flat)
     ctx = composed_attention(heads(T.matmul(normed, wq) + bq), k, v, mask, p, train, rng)
     ctx = T.reshape(T.permute(ctx, lead), x.shape)
     return x + T.dropout(T.matmul(ctx, wo) + bo, p, train, rng)
@@ -1788,7 +1775,7 @@ class TestSublayerBlocks:
             ((Tensor(arrays[0][0]), gamma, beta, *proj, None, 2), {}),  # a [n, d] x
             ((x, gamma, beta, *proj, None, 3), {}),  # heads must divide d
             ((x, Tensor(np.ones(7, np.float32)), beta, *proj, None, 2), {}),  # gamma's length
-            ((x, gamma, beta, T.transpose(Tensor(np.ones((8, 7), np.float32))), *proj[1:], None, 2), {}),
+            ((x, gamma, beta, transpose(Tensor(np.ones((8, 7), np.float32))), *proj[1:], None, 2), {}),
             ((x, gamma, beta, *proj, np.zeros((2, 1, 1, 6), bool), 2), {}),  # the mask's batch
             ((x, gamma, beta, *proj, mask, 2), {"rows": np.zeros((2, 1), int)}),  # rows' batch
             ((x, gamma, beta, *proj, mask, 2), {"rows": np.zeros((3, 1))}),  # float rows
@@ -1875,9 +1862,9 @@ class TestFeedForward:
             (Tensor(np.zeros((1, 2, 3, 8), np.float32)), gamma, beta, w1, b1, w2, b2),  # x's rank
             (Tensor(arrays[0][0]), gamma, beta, w1, b1, w2, b2),  # a [n, d] x
             (x, b1, beta, w1, b1, w2, b2),  # gamma's length
-            (x, gamma, beta, T.transpose(w1), b1, w2, b2),  # d
+            (x, gamma, beta, transpose(w1), b1, w2, b2),  # d
             (x, gamma, beta, w1, b2, w2, b2),  # b1's length
-            (x, gamma, beta, w1, b1, T.transpose(w2), b2),  # f
+            (x, gamma, beta, w1, b1, transpose(w2), b2),  # f
             (x, gamma, beta, w1, b1, w2, b1),  # b2's length
         ]:
             with pytest.raises(ShapeMismatch):
@@ -2082,7 +2069,7 @@ class TestClosureTemporaries:
 
         def step(head):
             h.grad = table.grad = None
-            backward(head(h, T.transpose(table), bias, targets, weights, 0.1))
+            backward(head(h, transpose(table), bias, targets, weights, 0.1))
 
         item = shape[-2] * v * size  # one item's logits: for a [n, d] h, all of them
         # One item's logits and an eighth of its rows, the table's gradient

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     closure_arrays, forward_logits, graph_vertices, neg, synthetic_example, teacher_forced_accuracy, tensor_sum,
+    transpose,
 )
 from test_tensor import composed_head_loss
 from sumforge import tensor as T
@@ -476,7 +477,7 @@ class TestTrainExt:
         cfg = replace(cfg, checkpoint_dir=tmp_path / "prefit")
         prefit_encoder(
             _corpus(4), encoder, cfg,
-            mask_prob=0.15, mask_id=4, pad_id=PAD, special_ids=SPECIAL_IDS,
+            mask_id=4, pad_id=PAD, special_ids=SPECIAL_IDS,
         )
         names = sorted(p.name for p in (tmp_path / "prefit").iterdir())
         assert names == [
@@ -550,42 +551,30 @@ class TestPrefit:
         cfg = TrainConfig(max_steps=steps, batch_size=8, seed=seed, checkpoint_dir=tmp_path)
         trace = prefit_encoder(
             _corpus(n_docs, seed=11), encoder, cfg,
-            mask_prob=0.15, mask_id=4, pad_id=PAD, special_ids=SPECIAL_IDS,
+            mask_id=4, pad_id=PAD, special_ids=SPECIAL_IDS,
         )
         return encoder, trace
 
     def test_zero_mask_prob_rejected(self):
-        encoder = build_model(_tiny(), "encoder", seed=1)
         with pytest.raises(NoMaskedPositions):
-            prefit_encoder(
-                _corpus(2), encoder, TrainConfig(max_steps=1),
-                mask_prob=0.0, mask_id=4, pad_id=PAD, special_ids=SPECIAL_IDS,
-            )
+            TrainConfig(max_steps=1, mask_prob=0.0)
 
     def test_mask_prob_one_rejected(self):
-        encoder = build_model(_tiny(), "encoder", seed=1)
         with pytest.raises(ConfigError):
-            prefit_encoder(
-                _corpus(2), encoder, TrainConfig(max_steps=1),
-                mask_prob=1.0, mask_id=4, pad_id=PAD, special_ids=SPECIAL_IDS,
-            )
+            TrainConfig(max_steps=1, mask_prob=1.0)
 
     def test_nan_mask_prob_rejected(self):
         # NaN compares false both ways; it must not fall through to masking
         # one token per batch.
-        encoder = build_model(_tiny(), "encoder", seed=1)
         with pytest.raises(ConfigError):
-            prefit_encoder(
-                _corpus(2), encoder, TrainConfig(max_steps=1),
-                mask_prob=math.nan, mask_id=4, pad_id=PAD, special_ids=SPECIAL_IDS,
-            )
+            TrainConfig(max_steps=1, mask_prob=math.nan)
 
     def test_empty_corpus(self):
         encoder = build_model(_tiny(), "encoder", seed=1)
         with pytest.raises(EmptyCorpus):
             prefit_encoder(
                 [], encoder, TrainConfig(max_steps=1),
-                mask_prob=0.15, mask_id=4, pad_id=PAD, special_ids=SPECIAL_IDS,
+                mask_id=4, pad_id=PAD, special_ids=SPECIAL_IDS,
             )
 
     def test_loss_decreases_endpoint(self):
@@ -615,7 +604,7 @@ class TestPrefit:
 def _dense_masked_token_loss(hidden, tok_emb, bias, targets, chosen):
     """The head before it gathered: every [B, L] position is projected onto
     the vocabulary and the unchosen ones are weighted zero."""
-    logits = T.matmul(hidden, T.transpose(tok_emb)) + bias
+    logits = T.matmul(hidden, transpose(tok_emb)) + bias
     lp = T.log_softmax(logits, axis=-1)
     nll = neg(T.take_along_last(lp, targets))
     weights = chosen.astype(nll.dtype)
@@ -744,7 +733,7 @@ class TestNonFiniteLoss:
             prefit_encoder(
                 _corpus(8, seed=11), encoder,
                 TrainConfig(max_steps=2, batch_size=8, seed=7, checkpoint_dir=tmp_path),
-                mask_prob=0.15, mask_id=4, pad_id=PAD, special_ids=SPECIAL_IDS,
+                mask_id=4, pad_id=PAD, special_ids=SPECIAL_IDS,
             )
         for k, v in encoder.params.items():
             assert np.array_equal(v.data, before[k], equal_nan=True), k
@@ -815,7 +804,7 @@ def _reference_abs_loss(states, tok_emb, tgt_ids, pad_mask, smoothing):
     """abs_loss before the fused vocabulary head: the projected logits go
     through narrow and cross_entropy."""
     weights = (~pad_mask[:, 1:]).astype(states.dtype)
-    loss = composed_head_loss(states, T.transpose(tok_emb), None, tgt_ids[:, 1:], weights, smoothing)
+    loss = composed_head_loss(states, transpose(tok_emb), None, tgt_ids[:, 1:], weights, smoothing)
     return loss / float(weights.sum())
 
 
@@ -826,7 +815,7 @@ def _reference_masked_token_loss(hidden, tok_emb, bias, targets, chosen):
     b, length, d = hidden.shape
     picked = T.embedding_lookup(T.reshape(hidden, (b * length, d)), rows)
     targets = np.asarray(targets).reshape(-1)[rows]
-    loss = composed_head_loss(picked, T.transpose(tok_emb), bias, targets, np.ones(rows.size), 0.0)
+    loss = composed_head_loss(picked, transpose(tok_emb), bias, targets, np.ones(rows.size), 0.0)
     return loss / float(rows.size)
 
 
@@ -1037,10 +1026,10 @@ class TestFitMatchesReference:
 
     def test_prefit_matches_reference(self, tmp_path):
         examples = _varied_corpus(13, seed=3)
-        kw = dict(mask_prob=0.3, mask_id=4, pad_id=PAD, special_ids=SPECIAL_IDS)
+        kw = dict(mask_id=4, pad_id=PAD, special_ids=SPECIAL_IDS)
         new, ref = (build_model(_dropout_config(), "encoder", seed=4) for _ in range(2))
-        got = prefit_encoder(examples, new, self._config(tmp_path / "new"), **kw)
-        want = _reference_prefit_encoder(examples, ref, self._config(tmp_path / "ref"), **kw)
+        got = prefit_encoder(examples, new, replace(self._config(tmp_path / "new"), mask_prob=0.3), **kw)
+        want = _reference_prefit_encoder(examples, ref, self._config(tmp_path / "ref"), mask_prob=0.3, **kw)
         assert got == want and len(got) == 9
         self._assert_same_params(new, ref)
         files = _files(tmp_path / "new")
@@ -1050,7 +1039,7 @@ class TestFitMatchesReference:
         for step in (4, 8):
             short = build_model(_dropout_config(), "encoder", seed=4)
             out = tmp_path / f"ref{step}"
-            _reference_prefit_encoder(examples, short, self._config(out, step), **kw)
+            _reference_prefit_encoder(examples, short, self._config(out, step), mask_prob=0.3, **kw)
             assert files[f"encoder_step{step:06d}.ckpt"] == (out / "encoder_final.ckpt").read_bytes()
 
     def test_batches_match_reference(self):
@@ -1087,8 +1076,8 @@ class TestFusedHeadMatchesComposedChain:
         if task == "abs":
             train_abs(examples, build_model(_dropout_config(), "abs", seed=2), TrainConfig(), PAD)
         else:
-            prefit_encoder(examples, build_model(_dropout_config(), "encoder", seed=2), TrainConfig(),
-                           mask_prob=0.3, mask_id=4, pad_id=PAD, special_ids=SPECIAL_IDS)
+            prefit_encoder(examples, build_model(_dropout_config(), "encoder", seed=2), TrainConfig(mask_prob=0.3),
+                           mask_id=4, pad_id=PAD, special_ids=SPECIAL_IDS)
         (params, loss_fn), = steps
         results = []
         for head_fn in (getattr(train_module, head), reference):

@@ -3,33 +3,35 @@
 
     python3 tools/bench_pair.py PARENT_REPORTS CHANGE_REPORTS --out BENCH_7.json
 
-Each directory holds the untraced reports that `perfbench/run.py` leaves in
-`.perfbench/reports/` (`<workload>-seed<seed>-trace0.json`), one per seed,
-from a checkout of the parent commit and one of the change. Runs pair by
-workload and seed. For every workload and end-to-end metric of
-`BENCHMARK.json` the output gives each side's median and quartiles over the
-paired seeds, the change's wins, losses and ties by seed (by the metric's
-`better` direction), and whether the gain rule holds: wins in at least nine
-tenths of the pairs, a median difference larger than the parent's
-interquartile range, and no larger share of failed operations (failed ÷
-attempted) on the change's side than on the parent's. Each metric also
-gets a no-regression verdict, `regression`: "regressed" when the change's
-median is worse than the parent's by more than the metric's `bound`
-(relative to the parent's median); otherwise "unresolved" when the
-parent's interquartile range exceeds `bound` times its median, unless
-every change run beats every parent run; otherwise "none". A metric that
-some run lacks (a failed stage reports none) is listed with the seeds that
-lack it on each side, never counts as a gain and is "unresolved" at best.
-It also gives each side's host-drift kernel medians (timed before and
-after every run), each pipeline stage's median peak RSS (from the reports'
-`stages`, so the stage that sets `peak_rss_mb` shows) and its attempted
-operations and faults, and a same-bytes verdict, `same_bytes`: each
-side's digest store (`digests.json`, which `perfbench/run.py` keeps next to
-`reports/` in `.perfbench/`) gives every run's preprocess, prefit, train and
-summarize digests by workload, seed and sizes; the verdict is false when
-some paired seed's digests differ (listed in `digests_differ_seeds`),
-otherwise "unknown" when a side has no store or a seed has no digests on
-both sides (`digests_missing_seeds`), otherwise true. Standard library only.
+Each directory holds the untraced reports that `perfbench/run.py` leaves
+in `.perfbench/reports/` (`<workload>-seed<seed>-trace0.json`), one per
+seed, from a checkout of the parent commit and one of the change. Runs
+pair by workload and seed, and only when both ran for the same `seconds`:
+a pair of unequal run lengths is refused and listed on stderr. For every
+workload and end-to-end metric of `BENCHMARK.json` the output gives each
+side's median and quartiles over the paired seeds, the change's wins,
+losses and ties by seed (by the metric's `better` direction), and whether
+the gain rule holds: wins in at least nine tenths of the pairs, a median
+difference larger than the parent's interquartile range, and no larger
+share of failed operations (failed ÷ attempted) on the change's side than
+on the parent's. Each metric also gets a no-regression verdict,
+`regression`: "regressed" when the change's median is worse than the
+parent's by more than the metric's `bound` (relative to the parent's
+median); otherwise "unresolved" when the parent's interquartile range
+exceeds `bound` times its median, unless every change run beats every
+parent run; otherwise "none". A metric that some run lacks (a failed stage
+reports none) is listed with the seeds that lack it on each side, never
+counts as a gain and is "unresolved" at best. It also gives each side's
+host-drift kernel medians (timed before and after every run), each
+pipeline stage's median peak RSS (from the reports' `stages`, so the stage
+that sets `peak_rss_mb` shows) and its attempted operations and faults,
+and a same-bytes verdict, `same_bytes`: each side's digest store
+(`digests.json`, which `perfbench/run.py` keeps next to `reports/` in
+`.perfbench/`) gives every run's preprocess, prefit, train and summarize
+digests by workload, seed and sizes; the verdict is false when some paired
+seed's digests differ (listed in `digests_differ_seeds`), otherwise
+"unknown" when a side has no store or a seed has no digests on both sides
+(`digests_missing_seeds`), otherwise true. Standard library only.
 """
 
 from __future__ import annotations
@@ -197,11 +199,17 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     end_to_end = json.loads(BENCHMARK.read_text(encoding="utf-8"))["end_to_end"]
-    workloads = compare(load_reports(args.parent_reports), load_reports(args.change_reports), end_to_end,
+    parent, change = load_reports(args.parent_reports), load_reports(args.change_reports)
+    for (workload, seed), p, c in [(k, parent[k], change[k]) for k in sorted(parent.keys() & change.keys())]:
+        if p["seconds"] != c["seconds"]:  # unequal work: the metrics do not compare
+            print(f"refused {workload} seed {seed}: parent ran {p['seconds']} s, change {c['seconds']} s",
+                  file=sys.stderr)
+            del parent[(workload, seed)], change[(workload, seed)]
+    workloads = compare(parent, change, end_to_end,
                         load_digests(args.parent_reports, args.change_reports),
                         load_digests(args.change_reports, args.parent_reports))
     if not workloads:
-        print("error: no workload and seed has a report on both sides", file=sys.stderr)
+        print("error: no workload and seed has a report on both sides with equal seconds", file=sys.stderr)
         return 2
     args.out.write_text(json.dumps({"workloads": workloads}, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     for workload, result in workloads.items():
