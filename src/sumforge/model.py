@@ -117,14 +117,32 @@ def _init_array(name: str, shape: tuple[int, ...], rng: SplitRng, dtype) -> np.n
     return _trunc_normal(shape, rng.child("init", name).generator(), 0.02, dtype)
 
 
+INIT_CHUNK = 1 << 16  # most values `_trunc_normal` draws at once
+
+
 def _trunc_normal(shape, gen: np.random.Generator, std: float, dtype) -> np.ndarray:
-    out = gen.normal(0.0, std, size=shape)
-    while True:
-        bad = np.abs(out) > 2.0 * std
-        if not bad.any():
-            break
-        out[bad] = gen.normal(0.0, std, size=int(bad.sum()))
-    return out.astype(dtype)
+    """Normal(0, std) values in `dtype`, each beyond 2 std drawn again until
+    none is. Every round draws for its indices in ascending order, in parts
+    of at most `INIT_CHUNK` float64 values, so the stream and the values are
+    those of one whole-array draw and its masked redraws, without a float64
+    copy of the array."""
+    out = np.empty(shape, dtype)
+    flat = out.reshape(-1)
+    redraw = [np.empty(0, np.intp)]
+    for start in range(0, flat.size, INIT_CHUNK):
+        draw = gen.normal(0.0, std, size=min(INIT_CHUNK, flat.size - start))
+        flat[start:start + draw.size] = draw
+        redraw.append(np.flatnonzero((draw > 2.0 * std) | (draw < -2.0 * std)) + start)
+    todo = np.concatenate(redraw)
+    while todo.size:
+        redraw = [np.empty(0, np.intp)]
+        for start in range(0, todo.size, INIT_CHUNK):
+            at = todo[start:start + INIT_CHUNK]
+            draw = gen.normal(0.0, std, size=at.size)
+            flat[at] = draw
+            redraw.append(at[(draw > 2.0 * std) | (draw < -2.0 * std)])
+        todo = np.concatenate(redraw)
+    return out
 
 
 # --- forward pieces ---

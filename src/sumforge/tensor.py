@@ -1131,21 +1131,35 @@ class _ItemGrad:
 
 # --- indexing ---
 
+class _Rows:
+    """`embedding_lookup`'s gradient of its table of `shape`: zero but at
+    the unique row ids `ids`, which hold `rows`, each the sum of its
+    lookups' gradient rows in occurrence order onto zeros, as `np.add.at`
+    into a zero table sums them. `backward` holds a vertex's row parts and
+    adds them into one table (`_settle`)."""
+
+    __slots__ = ("ids", "rows", "shape")
+
+    def __init__(self, ids: np.ndarray, rows: np.ndarray, shape: tuple[int, ...]):
+        self.ids, self.rows, self.shape = ids, rows, shape
+
+
 @op
 def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
-    """Row lookup with scatter-add gradient back into the table."""
+    """Row lookup by integer ids in `[0, rows)`; its gradient is the rows
+    it touched (`_Rows`), which `backward` adds into the table."""
     ids = np.asarray(ids)
-    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
-        raise ShapeMismatch(
-            f"embedding ids out of range for table of {table.shape[0]} rows"
-        )
+    n = table.shape[0]
+    if ids.dtype.kind not in "iu" or (ids.size and (ids.min() < 0 or ids.max() >= n)):
+        raise IdOutOfRange(f"embedding ids must be integers in [0, {n}), the table's rows")
 
     shape, dtype = table.shape, table.dtype
 
     def backward(g):
-        dtable = np.zeros(shape, dtype)
-        np.add.at(dtable, ids.reshape(-1), g.reshape(-1, shape[-1]))
-        return (dtable,)
+        unique, inverse = np.unique(ids, return_inverse=True)
+        rows = np.zeros((unique.size, shape[-1]), dtype)
+        np.add.at(rows, inverse.reshape(-1), g.reshape(-1, shape[-1]))
+        return (_Rows(unique, rows, shape),)
 
     return _make(table.data[ids], (table,), backward)
 
@@ -1173,6 +1187,27 @@ def _consumed(g):
     raise ValueError("graph already consumed by an earlier backward")
 
 
+def _settle(vertex, parts: list[_Rows], made: set[int]) -> None:
+    """Add held row parts, in arrival order, into the vertex's gradient: a
+    zero table if it has none, else the gradient plus 0, in place if the
+    sweep made it. Each row adds the values that a zero table scattered
+    with its part would hold there. The `+ 0` gives what adding such a
+    table's untouched rows gives (-0.0 becomes +0.0), and sums onto +0 never
+    make a -0.0, so the rows that no part touches need no add."""
+    shape, dtype = parts[0].shape, parts[0].rows.dtype
+    grad = vertex.grad
+    if grad is None:
+        grad = np.zeros(shape, dtype)
+    elif id(vertex) in made and np.result_type(grad, dtype) == grad.dtype:
+        grad += 0
+    else:
+        grad = grad + dtype.type(0)
+    for part in parts:
+        grad[part.ids] += part.rows
+    vertex.grad = grad
+    made.add(id(vertex))
+
+
 def backward(loss: Tensor) -> None:
     """Populate .grad for every requires_grad leaf reachable from loss.
 
@@ -1185,7 +1220,9 @@ def backward(loss: Tensor) -> None:
     Closures may work in place under one rule: a closure writes only into
     arrays it allocated and has not returned, never into its incoming
     gradient or an array it saved in forward, since gradients may alias
-    each other and the saved arrays.
+    each other and the saved arrays. The sweep keeps the rule too: it adds
+    a dense part in place only into a gradient it made (a sum or a table of
+    settled row parts, see `_settle`), which no closure has seen.
     """
     if loss.data.size != 1:
         raise NotScalar(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -1228,9 +1265,15 @@ def backward(loss: Tensor) -> None:
     # reaches older vertices. Leaves keep their .grad. Under `op_hook` each
     # closure runs through the hook, named by the op whose body defines it.
     hook = _op_hook.get()
+    # Row parts by vertex id, in arrival order, settled when a dense part
+    # arrives or the sweep reaches the vertex.
+    held: dict[int, list[_Rows]] = {}
+    made: set[int] = set()  # ids of vertices whose gradient the sweep made
     root.grad = np.ones_like(loss.data)
     while topo:
         node = topo.pop()
+        if id(node) in held:
+            _settle(node, held.pop(id(node)), made)
         if node._backward is None:
             continue
         if node.grad is not None:
@@ -1242,10 +1285,21 @@ def backward(loss: Tensor) -> None:
             for parent, g in zip(node._parents, grads):
                 if g is None or parent is None:
                     continue
+                if type(g) is _Rows:
+                    held.setdefault(id(parent), []).append(g)
+                    continue
+                if id(parent) in held:
+                    _settle(parent, held.pop(id(parent)), made)
                 if parent.grad is None:
                     parent.grad = g.astype(parent.dtype, copy=False)
+                elif (
+                    id(parent) in made and g.shape == parent.grad.shape
+                    and np.result_type(parent.grad, g) == parent.grad.dtype
+                ):
+                    parent.grad += g
                 else:
                     parent.grad = parent.grad + g
+                    made.add(id(parent))
         node.grad = None
         node._backward = _consumed
         node._parents = ()

@@ -464,6 +464,90 @@ class TestShardFuzz:
         assert err.getvalue().startswith(f"error: corrupt shard line {line_no} in {shard}"), err.getvalue()
 
 
+@st.composite
+def _spoiled_story(draw, text: str) -> bytes:
+    """A `convert`-written story's bytes spoiled once: cut anywhere (even
+    inside a character), a NUL, a U+2028 or a byte-order mark put in, its
+    line ends made CR or CRLF, bytes that are not UTF-8 put in, a marker
+    line respaced or recased, or a highlight block made blank or only
+    zero-width characters."""
+    data = text.encode("utf-8")
+    spoil = draw(st.sampled_from(["truncate", "invalid", "nul", "u2028", "bom", "cr", "crlf", "marker", "block"]))
+    if spoil == "truncate":
+        return data[: draw(st.integers(0, len(data) - 1))]
+    if spoil == "invalid":
+        at = draw(st.integers(0, len(data)))
+        return data[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\x80", b"\xe2\x82", b"\xed\xa0\x80"])) + data[at:]
+    if spoil in ("nul", "u2028"):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + ("\x00" if spoil == "nul" else "\u2028") + text[at:]
+    elif spoil == "bom":
+        text = "\ufeff" + text
+    elif spoil in ("cr", "crlf"):
+        text = text.replace("\n", "\r" if spoil == "cr" else "\r\n")
+    else:
+        lines = text.split("\n")
+        i = draw(st.sampled_from([i for i, line in enumerate(lines) if line == "@highlight"]))
+        if spoil == "marker":
+            lines[i] = draw(st.sampled_from([" @highlight", "@highlight\t", "@ highlight", "@Highlight", "@highlight:"]))
+        else:  # the block's sentence sits two lines below its marker
+            lines[i + 2] = draw(st.sampled_from(["", "   ", "\t", "\u200b", "\u200c \u200d", "\u2060", "\ufeff"]))
+        text = "\n".join(lines)
+    return text.encode("utf-8")
+
+
+class TestStoryFuzz:
+    """`preprocess` over `convert`-written stories, one of them spoiled or
+    a directory named like a story, exits 0, or 2 with an error naming that
+    story; never 1."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("story_fuzz")
+        raw = tmp / "raw"
+        raw.mkdir()
+        for i in range(3):  # Arabic words too, so a cut can fall inside a character
+            (raw / f"doc{i}.txt").write_bytes(" ".join(_ARTICLE + ["ذهب الولد إلى المدرسة ."]).encode("windows-1256"))
+            (raw / f"doc{i}.sum.txt").write_bytes(" ".join(_SUMMARY).encode("windows-1256"))
+        stories = tmp / "stories"
+        assert main(["convert", "--input", str(raw), "--encoding", "windows-1256", "--out", str(stories)]) == 0
+        texts = {p.name: p.read_text("utf-8") for p in sorted(stories.glob("*.story"))}
+        assert len(texts) == 3 and all(text.count("\n@highlight\n\n") >= 2 for text in texts.values())
+        return texts, _write_vocab(tmp / "vocab.txt")
+
+    @staticmethod
+    def _preprocess(texts: dict[str, str], vocab: Path, name: str, data: bytes | None) -> tuple[int, str]:
+        """`preprocess` over texts with `name` holding data, or made a
+        directory for None: the exit code and standard error."""
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+            stories = Path(tmp) / "stories"
+            stories.mkdir()
+            for other, text in texts.items():
+                (stories / other).write_text(text, encoding="utf-8")
+            if data is None:
+                (stories / name).mkdir()
+            else:
+                (stories / name).write_bytes(data)
+            code = main(["preprocess", "--stories", str(stories), "--vocab", str(vocab),
+                         "--out", str(Path(tmp) / "shards"), "--max-positions", "64"])
+        return code, err.getvalue()
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_spoiled_story_exits_0_or_2_naming_it(self, inputs, data):
+        texts, vocab = inputs
+        name = data.draw(st.sampled_from(sorted(texts)))
+        code, err = self._preprocess(texts, vocab, name, data.draw(_spoiled_story(texts[name])))
+        assert code == 0 or (code == 2 and err.startswith("error: ") and Path(name).stem in err), (code, err)
+
+    def test_directory_named_like_a_story_exits_2_naming_it(self, inputs):
+        texts, vocab = inputs
+        code, err = self._preprocess(texts, vocab, "x.story", None)
+        assert code == 2 and err.startswith("error: ") and "x.story" in err, (code, err)
+
+
 def _raw_pairs(tmp_path: Path, *names: str) -> Path:
     raw = tmp_path / "raw"
     raw.mkdir()

@@ -97,6 +97,27 @@ class TestBuildEncoder:
         assert np.all(np.abs(w) <= 2.0 * 0.02 + 1e-8)
         assert w.std() > 0.005  # not collapsed to zero
 
+    @pytest.mark.parametrize("chunk", [5, 64, None], ids=["chunk5", "chunk64", "default"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_chunked_draws_equal_one_whole_draw(self, monkeypatch, chunk, dtype):
+        """Drawn in parts, the values, their dtype and the generator's next
+        state are those of one float64 draw and its masked redraws, across
+        part boundaries and over three or more redraw rounds."""
+        if chunk is not None:
+            monkeypatch.setattr(M, "INIT_CHUNK", chunk)
+        shape = (70_001,) if chunk is None else (300, 7)
+        got_gen, want_gen = (np.random.Generator(np.random.Philox(key=11)) for _ in range(2))
+        got = M._trunc_normal(shape, got_gen, 0.02, dtype)
+        want = want_gen.normal(0.0, 0.02, size=shape)
+        rounds = 1
+        while (bad := np.abs(want) > 0.04).any():
+            want[bad] = want_gen.normal(0.0, 0.02, size=int(bad.sum()))
+            rounds += 1
+        assert rounds >= 3
+        assert got.dtype == dtype and got.shape == shape and got.flags.owndata
+        assert got.tobytes() == want.astype(dtype).tobytes()
+        assert got_gen.random() == want_gen.random()
+
 
 class TestEncode:
     def test_output_shape(self, tiny_config):

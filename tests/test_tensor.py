@@ -717,8 +717,10 @@ class TestRawKeepDraw:
 
 
 def _reference_backward(loss):
-    """The sweep before graph consumption, in the same visiting order: keeps
-    every node and copies each first gradient."""
+    """The sweep before graph consumption and row parts, in the same
+    visiting order: keeps every node, takes an `embedding_lookup`'s part as
+    the zero table its closure once scattered the gradient into, copies
+    each first gradient and adds each later one into a new array."""
     seen: set[int] = set()
     topo = []
     root = T._vertex(loss)
@@ -737,7 +739,13 @@ def _reference_backward(loss):
     for node in reversed(topo):
         if node._backward is None or node.grad is None:
             continue
-        for parent, g in zip(node._parents, node._backward(node.grad)):
+        grads = node._backward(node.grad)
+        if node._backward.__qualname__.startswith("embedding_lookup."):
+            cells = _cells(node._backward)
+            table = np.zeros(cells["shape"], cells["dtype"])
+            np.add.at(table, cells["ids"].reshape(-1), node.grad.reshape(-1, cells["shape"][-1]))
+            grads = (table,)
+        for parent, g in zip(node._parents, grads):
             if g is None or parent is None:
                 continue
             if parent.grad is None:
@@ -857,6 +865,80 @@ class TestGraphConsumption:
         expected = ((r >= np.float32(p)) / (1 - p)).astype(dtype)
         assert out.dtype == dtype
         assert np.array_equal(out.data, expected)
+
+
+@st.composite
+def _row_plans(draw):
+    """A graph over one `[v, d]` table: 1–3 lookups into the leaf or into an
+    inner vertex of its shape (a reshape, as `gather_rows` makes), 0–2
+    dense parts, in the drawn order, which is the order their parts reach
+    the table, and maybe a gradient the table holds already."""
+    v, d = draw(st.integers(1, 40)), draw(st.integers(1, 3))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    ids = st.lists(st.sampled_from([0, v - 1]) | st.integers(0, v - 1), max_size=6)
+    lookups = draw(st.lists(st.tuples(st.sampled_from(["rows", "inner"]), ids), min_size=1, max_size=3))
+    wide = ["add_float64"] if dtype == np.float32 else []
+    dense = draw(st.lists(st.sampled_from(["tied", "add", "inner_add", *wide]).map(lambda k: (k, [])), max_size=2))
+    terms = draw(st.permutations(lookups + dense))
+    return v, d, dtype, terms, draw(st.booleans()), draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
+
+
+def _row_graph(plan):
+    """The table and `h` leaves and the loss of a `_row_plans` plan. With
+    `zeros`, every other weight is -0.0, so dense parts hold -0.0 entries."""
+    v, d, dtype, terms, prior, zeros, seed = plan
+    r = np.random.default_rng(seed)
+    table = Tensor(r.standard_normal((v, d)).astype(dtype), requires_grad=True)
+    h = Tensor(r.standard_normal((2, d)).astype(dtype), requires_grad=True)
+    if prior:
+        table.grad = np.where(r.random((v, d)) < 0.5, -0.0, r.standard_normal((v, d))).astype(dtype)
+    flat = T.reshape(T.mul(table, 1.5), (v, d))
+    loss = None
+    for kind, ids in terms:
+        ids = np.asarray(ids, dtype=np.int64)
+        if kind == "rows":
+            out = T.embedding_lookup(table, ids)
+        elif kind == "inner":
+            out = T.embedding_lookup(flat, ids.reshape(1, -1))
+        elif kind == "tied":
+            out = T.matmul(h, T.permute(table, (1, 0)))
+        else:
+            target = flat if kind == "inner_add" else table
+            other = np.float64 if kind == "add_float64" else dtype
+            out = T.add(target, Tensor(r.standard_normal((v, d)).astype(other)))
+        w = r.standard_normal(out.shape).astype(out.dtype)
+        if zeros:
+            w.reshape(-1)[::2] = -0.0
+        part = tensor_sum(T.mul(out, Tensor(w)))
+        loss = part if loss is None else loss + part
+    return (table, h), loss
+
+
+class TestRowGradients:
+    """`embedding_lookup`'s gradient is the rows it touched; `backward`
+    holds them and adds them into one table, and adds later dense parts in
+    place into a gradient it made. Every leaf's gradient keeps the bits and
+    dtype of adding each part as a dense array in turn."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(plan=_row_plans())
+    def test_same_bits_as_dense_parts(self, plan):
+        expected, loss = _row_graph(plan)
+        _reference_backward(loss)
+        leaves, loss = _row_graph(plan)
+        backward(loss)
+        for name, want, got in zip(("table", "h"), expected, leaves):
+            if want.grad is None:
+                assert got.grad is None, name
+            else:
+                _assert_same_bits(want.grad, got.grad, name)
+
+    @pytest.mark.parametrize("ids", [[0.0, 1.0], [True, False, True, False], [0, -1], [0, 4]],
+                             ids=["float", "bool", "negative", "rows"])
+    def test_ids_outside_the_table_raise(self, ids):
+        table = t64(np.zeros((4, 2)))
+        with pytest.raises(IdOutOfRange, match=r"\[0, 4\)"):
+            T.embedding_lookup(table, np.asarray(ids))
 
 
 class TestTapeHoldsOnlyWhatBackwardReads:
@@ -1957,6 +2039,34 @@ def _traced_peak(fn, *args):
         tracemalloc.stop()
     del result
     return peak
+
+
+class TestVocabularySizedArrays:
+    """Traced peaks of a 1+1-layer `abs` model at a 60,000-piece vocabulary
+    and d 16, counted in `[V, d]` float32 tables: `build_model` draws the
+    token table in parts, and one `abs` backward makes `tok_emb`'s gradient
+    as one table that the tied head's part is added into in place (with
+    whole-table float64 draws and a zero-filled table per lookup, the peaks
+    were 4.7 and 4.0 tables)."""
+
+    V, D = 60_000, 16
+    TABLE = V * D * 4
+    CONFIG = ModelConfig(vocab_size=V, d_model=D, n_heads=2, d_ff=32, n_enc_layers=1, n_dec_layers=1,
+                         max_positions=32, dropout=0.1)
+
+    def test_build_model_makes_at_most_two_tables(self):
+        assert _traced_peak(build_model, self.CONFIG, "abs", 3) <= 2 * self.TABLE
+
+    def test_abs_backward_makes_at_most_three_tables(self):
+        model = build_model(self.CONFIG, "abs", seed=3)
+        r, drop = np.random.default_rng(0), np.random.default_rng(1)
+        src, tgt = r.integers(0, self.V, (2, 12)), r.integers(0, self.V, (2, 6))
+        pad = np.zeros(src.shape, dtype=bool)
+        hidden = model.encode(src, np.zeros_like(src), pad, train=True, rng=drop)
+        states = model.decode_teacher_forced(hidden, tgt, pad, train=True, rng=drop)
+        loss = abs_loss(states, model.params["encoder.tok_emb"], tgt, np.zeros(tgt.shape, dtype=bool))
+        assert _traced_peak(backward, loss) <= 3 * self.TABLE
+        assert model.params["encoder.tok_emb"].grad.shape == (self.V, self.D)
 
 
 _NUMPY_BUFFERS = 64 * 1024  # room for a ufunc's iteration buffers and small arrays
