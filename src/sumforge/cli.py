@@ -105,8 +105,9 @@ CONFIG_KEYS = {
 
 def parse_config_file(path: Path | str) -> dict[str, str]:
     """Flat key=value lines, cut at "\\n" only; blank lines and # comments
-    are ignored."""
+    are ignored, and a key given twice raises ConfigError."""
     values: dict[str, str] = {}
+    lines: dict[str, int] = {}  # the line each key was given on
     for line_no, raw in enumerate(read_utf8(path).split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -114,7 +115,10 @@ def parse_config_file(path: Path | str) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"{path}:{line_no}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key in lines:
+            raise ConfigError(f"{path}:{line_no}: config key {key!r} given again, first on line {lines[key]}")
+        values[key], lines[key] = value.strip(), line_no
     return values
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import re
+import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator
@@ -42,6 +43,13 @@ _SENTENCE_END_RE = re.compile(r"[.!?؟؛۔](?=\s|\Z)")
 _WS_RE = re.compile(r"\s+")
 
 
+def _blank(text: str) -> bool:
+    """Whether text holds only whitespace and format characters (category
+    Cf: zero-width spaces and joiners, the word joiner, the BOM). It stops
+    at the first other character, so a letter first costs one lookup."""
+    return all(c.isspace() or unicodedata.category(c) == "Cf" for c in text)
+
+
 @dataclass(frozen=True)
 class StoryDoc:
     """One article as ordered sentences plus its reference summary sentences."""
@@ -55,7 +63,7 @@ class StoryDoc:
             raise EmptyArticle(f"story {self.id!r} has no article sentences")
         if not self.summary_sentences:
             raise MissingSummary(f"story {self.id!r} has no summary sentences")
-        if any(not s.strip() for s in self.article_sentences + self.summary_sentences):
+        if any(_blank(s) for s in self.article_sentences + self.summary_sentences):
             raise EmptyArticle(f"story {self.id!r} contains a blank sentence")
 
 
@@ -121,19 +129,11 @@ def split_sentences(text: str) -> list[str]:
 
     Splits after a terminator character followed by whitespace or end of
     text; the terminator stays attached to its sentence. A text without any
-    terminator is a single sentence. Empty segments are dropped.
+    terminator is a single sentence. Blank segments (`_blank`) are dropped.
     """
-    sentences: list[str] = []
-    start = 0
-    for m in _SENTENCE_END_RE.finditer(text):
-        seg = text[start : m.end()].strip()
-        if seg:
-            sentences.append(seg)
-        start = m.end()
-    tail = text[start:].strip()
-    if tail:
-        sentences.append(tail)
-    return sentences
+    ends = [m.end() for m in _SENTENCE_END_RE.finditer(text)] + [len(text)]
+    segments = (text[start:end].strip() for start, end in zip([0] + ends, ends))
+    return [seg for seg in segments if not _blank(seg)]
 
 
 def parse_story(text: str, doc_id: str = "") -> StoryDoc:
@@ -145,14 +145,14 @@ def parse_story(text: str, doc_id: str = "") -> StoryDoc:
 
     body = "\n".join(lines[: marker_idx[0]])
     body = _WS_RE.sub(" ", body).strip()
-    if not body:
+    if _blank(body):
         raise EmptyArticle(f"no article text before first marker in story {doc_id!r}")
 
     summary: list[str] = []
     bounds = marker_idx + [len(lines)]
     for lo, hi in zip(bounds, bounds[1:]):
         block = _WS_RE.sub(" ", " ".join(lines[lo + 1 : hi])).strip()
-        if block:
+        if not _blank(block):
             summary.append(block)
     if not summary:
         raise MissingSummary(f"only empty highlight blocks in story {doc_id!r}")

@@ -27,7 +27,6 @@ from .errors import (
     AllMasked,
     ConfigError,
     FormatVersionMismatch,
-    IdOutOfRange,
     IndexOutOfRange,
     ModelKindMismatch,
     PositionOverflow,
@@ -172,7 +171,6 @@ def _attention_block(
     train: bool,
     rng,
     kv: tuple[Tensor, Tensor] | None = None,
-    rows: np.ndarray | None = None,
 ) -> Tensor:
     """x + dropout(attention sublayer `sub` over layer norm `ln`(x)) as one
     op. Keys and values are projected from ln(x), or are kv, in heads
@@ -186,7 +184,7 @@ def _attention_block(
     return T.attention_block(
         x, param(f"{ln}.gamma"), param(f"{ln}.beta"), param(f"{sub}.wq"), param(f"{sub}.bq"), *proj,
         param(f"{sub}.wo"), param(f"{sub}.bo"), mask, config.n_heads, config.dropout, train, rng,
-        rows=rows, k=k, v=v,
+        k=k, v=v,
     )
 
 
@@ -208,6 +206,18 @@ def gather_rows(hidden: Tensor, rows: np.ndarray) -> Tensor:
     whose gradient scatters back into those rows."""
     b, length, d = hidden.shape
     return T.embedding_lookup(T.reshape(hidden, (b * length, d)), rows)
+
+
+def flat_rows(rows: np.ndarray, batch: int, length: int) -> np.ndarray:
+    """The flat positions b·L + rows[b, s] that `gather_rows` takes, of [B, S]
+    integer positions into B sequences of length L. A position outside
+    [0, L) raises IndexOutOfRange: it would read another sequence's row."""
+    rows = np.asarray(rows)
+    if rows.ndim != 2 or rows.shape[0] != batch or rows.dtype.kind not in "iu":
+        raise ShapeMismatch(f"rows {rows.shape} {rows.dtype} for {batch} sequences")
+    if rows.size and (rows.min() < 0 or rows.max() >= length):
+        raise IndexOutOfRange(f"row position outside sequence of length {length}")
+    return np.arange(batch)[:, None] * length + rows
 
 
 def _decoder_layer(
@@ -275,11 +285,11 @@ class Encoder:
         Each layer is two ops, `tensor.attention_block` then
         `tensor.ff_block`, in training and at inference; in training each
         keeps only its input, parameters, keep bits and layer norm's row
-        statistics for backward. With `rows` ([B, S] positions), which only
-        inference may pass (no graph recorded), the last layer's
-        `attention_block` still takes keys and values from every position,
-        but its queries and residual, the feed-forward and the final norm run
-        only at those rows, and the result is [B, S, d_model].
+        statistics for backward. With `rows` ([B, S] positions, see
+        `flat_rows`), which only inference may pass (no graph recorded), the
+        last layer projects keys and values from every position's ln1(x),
+        then its `attention_block` (given them as k and v), the feed-forward
+        and the final norm run at the gathered rows only: [B, S, d_model].
         """
         src_ids = np.asarray(src_ids)
         segment_ids = np.asarray(segment_ids)
@@ -288,20 +298,24 @@ class Encoder:
         b, length = src_ids.shape
         if length > cfg.max_positions:
             raise PositionOverflow(f"sequence length {length} > {cfg.max_positions}")
-        if src_ids.size and (src_ids.min() < 0 or src_ids.max() >= cfg.vocab_size):
-            raise IdOutOfRange(f"token id outside vocabulary of {cfg.vocab_size}")
+        flat = None if rows is None else flat_rows(rows, b, length)
 
         p = self.params
         x = T.embedding_lookup(p["encoder.tok_emb"], src_ids)
         x = x + T.embedding_lookup(p["encoder.pos_emb"], np.arange(length))
         x = x + T.embedding_lookup(p["encoder.seg_emb"], segment_ids)
         x = T.dropout(x, cfg.dropout, train, rng)
+        if flat is not None and x.requires_grad:
+            raise ShapeMismatch("encode: rows are for inference only, not while a graph is recorded")
 
         mask = pad_mask[:, None, None, :]
         for i in range(cfg.n_enc_layers):
             layer = f"encoder.layer{i}"
-            last = i == cfg.n_enc_layers - 1
-            x = _attention_block(p, layer, "ln1", "attn", x, mask, cfg, train, rng, rows=rows if last else None)
+            kv = None
+            if flat is not None and i == cfg.n_enc_layers - 1:
+                kv = _keys_values(p, f"{layer}.attn", _ln(p, f"{layer}.ln1", x), cfg.n_heads)
+                x = gather_rows(x, flat)
+            x = _attention_block(p, layer, "ln1", "attn", x, mask, cfg, train, rng, kv)
             x = _ff_block(p, layer, "ln2", x, cfg, train, rng)
         return _ln(p, "encoder.final_ln", x)
 
@@ -329,20 +343,14 @@ class ExtractiveModel(Encoder):
         row, so that training's dropout draws stay those of the whole layer
         and gradients flow through the gather.
         """
-        cls_positions = np.asarray(cls_positions)
-        length = np.shape(src_ids)[1]
-        if cls_positions.size and (cls_positions.min() < 0 or cls_positions.max() >= length):
-            raise IndexOutOfRange(
-                f"cls position outside sequence of length {length}"
-            )
+        flat = flat_rows(cls_positions, *np.shape(src_ids))
         if train or T.grad_enabled():
             hidden = self.encode(src_ids, segment_ids, pad_mask, train, rng)
-            flat = np.arange(len(cls_positions))[:, None] * length + cls_positions
             picked = gather_rows(hidden, flat)  # [B,S,d]
         else:
             picked = self.encode(src_ids, segment_ids, pad_mask, rows=cls_positions)
         logits = T.matmul(picked, self.params["ext_head.w"]) + self.params["ext_head.b"]
-        return T.reshape(logits, cls_positions.shape)
+        return T.reshape(logits, flat.shape)
 
 
 @dataclass
@@ -376,8 +384,6 @@ class AbstractiveModel(Encoder):
         end = start + tgt_ids.shape[1]
         if end > cfg.max_positions:
             raise PositionOverflow(f"target length {end} > {cfg.max_positions}")
-        if tgt_ids.size and (tgt_ids.min() < 0 or tgt_ids.max() >= cfg.vocab_size):
-            raise IdOutOfRange(f"target id outside vocabulary of {cfg.vocab_size}")
         x = T.embedding_lookup(self.params["encoder.tok_emb"], tgt_ids)
         x = x + T.embedding_lookup(self.params["decoder.pos_emb"], np.arange(start, end))
         return T.dropout(x, cfg.dropout, train, rng)
@@ -619,7 +625,13 @@ def load_checkpoint(source: Path | str | bytes, dtype=np.float32) -> Encoder:
             raise ShapeMismatch(
                 f"parameter {name!r} has shape {shape}, config implies {specs[name]}"
             )
-        arrays[name] = np.frombuffer(payload, dtype="<f4").reshape(shape).astype(dtype)
+        if name in arrays:
+            raise FormatVersionMismatch(f"checkpoint record {name!r} appears twice")
+        values = np.frombuffer(payload, dtype="<f4").reshape(shape)
+        # NaN passes through min and max: no payload-sized temporary.
+        if not (np.isfinite(values.min()) and np.isfinite(values.max())):
+            raise FormatVersionMismatch(f"checkpoint parameter {name!r} holds a NaN or infinite value")
+        arrays[name] = values.astype(dtype)
 
     missing = sorted(set(specs) - set(arrays))
     if missing:

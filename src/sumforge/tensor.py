@@ -22,7 +22,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, GraphCycle, IdOutOfRange, IndexOutOfRange, InvalidAxis, NotScalar, ShapeMismatch
+from .errors import ConfigError, GraphCycle, IdOutOfRange, InvalidAxis, NotScalar, ShapeMismatch
 
 
 class SplitRng:
@@ -814,7 +814,6 @@ def attention_block(
     p: float,
     train: bool,
     rng: np.random.Generator | None = None,
-    rows: np.ndarray | None = None,
     k: Tensor | None = None,
     v: Tensor | None = None,
 ) -> Tensor:
@@ -827,10 +826,6 @@ def attention_block(
     split into heads, or, with wk, bk, wv and bv None, the operands k and v
     in heads layout [B or 1, h, Lk, d/h] (cross-attention, and cached keys
     and values when decoding). All weights are [d, d], all vectors [d].
-    With rows ([B, S] positions), the queries and the residual come only
-    from those rows (x[b, rows[b, s]]), and the result is [B, S, d]; rows
-    are for inference only, and passing them while a graph is recorded
-    raises ShapeMismatch.
 
     In training it runs one item at a time (`_items`), and backward holds
     only x, the parameters, k and v, the packed keep bits of both dropouts
@@ -883,19 +878,9 @@ def attention_block(
             f"parameters {[t.shape for t in params]}"
         )
     parents = (x,) + params
-    length, batch = xa.shape[1], None
-    if rows is not None:
-        rows = np.asarray(rows)
-        if _records(parents):
-            raise ShapeMismatch("attention_block: rows are for inference only, not while a graph is recorded")
-        if rows.shape[:1] != xa.shape[:1] or rows.ndim != 2 or rows.dtype.kind not in "iu":
-            raise ShapeMismatch(f"attention_block: rows {rows.shape} {rows.dtype} for x {xa.shape}")
-        if rows.size and (rows.min() < 0 or rows.max() >= length):
-            raise IndexOutOfRange(f"attention_block: rows outside a sequence of length {length}")
-        batch = np.arange(xa.shape[0])[:, None]
-    lq = length if rows is None else rows.shape[1]
+    length = xa.shape[1]
     lk = ka.shape[2] if given else length
-    scores, out_shape = (xa.shape[0], n_heads, lq, lk), (xa.shape[0], lq, d)
+    scores = (xa.shape[0], n_heads, length, lk)
     fill, mask = _attention_masks(mask, scores)
     ndim = len(scores)
     dtype = np.result_type(xa, *(t.data for t in params))
@@ -906,17 +891,10 @@ def attention_block(
         # (item, head), so that a pass takes its heads' rows.
         keep, factor = _keep_mask(rng, (scores[0] * n_heads,) + scores[2:], p, dtype)
         keep = keep.reshape(scores[:2] + keep.shape[-1:])
-        keep_out, _ = _keep_mask(rng, out_shape, p, dtype)
-    count, count_out = lq * lk, lq * d
+        keep_out, _ = _keep_mask(rng, xa.shape, p, dtype)
+    count, count_out = length * lk, length * d
     per_pass = max(1, SCORE_BLOCK // max(count, 1))
     items, _ = _items(xa.shape)
-
-    def picked(a: np.ndarray, i) -> np.ndarray:
-        """Item i's query rows of a, an item's (or with i Ellipsis, the
-        whole batch's) array of every position."""
-        if rows is None:
-            return a
-        return a[batch, rows] if i is Ellipsis else a[rows[i]]
 
     def project(i, normed: np.ndarray) -> tuple[np.ndarray, ...]:
         """Item i's q, k and v heads, and a buffer for its context."""
@@ -925,7 +903,7 @@ def attention_block(
         else:
             kh = _heads(_linear(normed, wka, bka), n_heads)
             vh = _heads(_linear(normed, wva, bva), n_heads)
-        qh = _heads(_linear(picked(normed, i), wqa, bqa), n_heads)
+        qh = _heads(_linear(normed, wqa, bqa), n_heads)
         return qh, kh, vh, np.empty(qh.shape, np.result_type(qh, kh, vh))
 
     def passes(i, qh: np.ndarray, kh: np.ndarray) -> Iterator[tuple]:
@@ -942,7 +920,7 @@ def attention_block(
             yield s, bits, _probs(qh[s], np.swapaxes(kh[s], -1, -2), scale, _at(fill_i, s, ndim - 1))
 
     mu, inv_std = (np.empty(xa.shape[:-1] + (1,), xa.dtype) for _ in range(2))
-    data = np.empty(out_shape, dtype)
+    data = np.empty(xa.shape, dtype)
     for i in items if keep is not None or _records(parents) else (Ellipsis,):
         mu[i], inv_std[i], xhat = _ln_stats(xa[i])
         qh, kh, vh, ctx = project(i, _ln_affine(xhat, ga, ba))
@@ -955,7 +933,7 @@ def attention_block(
         del xhat, qh, kh, vh, ctx  # before the next item's
         if keep_out is not None:
             _dropped(y, keep_out[i], count_out, factor, out=y)
-        np.add(picked(xa[i], i), y, out=data[i])
+        np.add(xa[i], y, out=data[i])
 
     def backward(g):
         # The output dropout's gradient, whole for bo's sum, then again

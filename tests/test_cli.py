@@ -31,12 +31,13 @@ from sumforge import cli
 from sumforge import tensor as T
 from sumforge.cli import CONFIG_KEYS, _typed_config, main, parse_config_file
 from sumforge.errors import ConfigError, EmptyArticle, MissingSummary, OutputNotEmpty, SumforgeError
-from sumforge.ingest import StoryDoc, ingest_corpus, write_story
+from sumforge.ingest import StoryDoc, ingest_corpus, parse_story, write_story
 from sumforge.model import (
     ModelConfig,
     abs_loss,
     build_model,
     load_checkpoint,
+    load_encoder_into,
     save_checkpoint,
 )
 from sumforge.tokenization import _SHARD_KEYS
@@ -155,6 +156,12 @@ class TestParseConfigFile:
         path = tmp_path / "run.cfg"
         path.write_text(f"# no{char}max_steps=6\nd_model=8\n", encoding="utf-8")
         assert parse_config_file(path) == {"d_model": "8"}
+
+    def test_key_given_twice_rejected(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("max_steps=3\n# again\n d_model=8\n max_steps = 7\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=r":4: config key 'max_steps' given again, first on line 1$"):
+            parse_config_file(path)
 
 
 _FIELDS = {f.name: f for cls in (ModelConfig, TrainConfig) for f in fields(cls)}
@@ -542,6 +549,20 @@ class TestStoryFuzz:
         code, err = self._preprocess(texts, vocab, name, data.draw(_spoiled_story(texts[name])))
         assert code == 0 or (code == 2 and err.startswith("error: ") and Path(name).stem in err), (code, err)
 
+    @pytest.mark.parametrize("char", ["\u200b", "\u200c", "\u200d", "\u2060", "\ufeff"], ids=ascii)
+    @pytest.mark.parametrize("part, error, message", [
+        ("highlight", MissingSummary, "only empty highlight blocks"), ("article", EmptyArticle, "no article text"),
+    ])
+    def test_zero_width_only_part_exits_2_naming_it(self, inputs, char, part, error, message):
+        texts, vocab = inputs
+        name = sorted(texts)[0]
+        article, marker, _ = texts[name].partition("\n\n@highlight\n\n")
+        story = f"{article}{marker}{char}" if part == "highlight" else f"{char}{marker}the cat sat ."
+        with pytest.raises(error, match=message):
+            parse_story(story, Path(name).stem)
+        code, err = self._preprocess(texts, vocab, name, story.encode("utf-8"))
+        assert code == 2 and err.startswith(f"error: {message}") and Path(name).stem in err, (code, err)
+
     def test_directory_named_like_a_story_exits_2_naming_it(self, inputs):
         texts, vocab = inputs
         code, err = self._preprocess(texts, vocab, "x.story", None)
@@ -615,21 +636,23 @@ class TestConvert:
         assert code == 2
         assert "article without summary" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("blank", [b" \n\t \r\n", "\u200b\n".encode()], ids=["whitespace", "zero-width"])
     @pytest.mark.parametrize("empty, error", [
         ("news/d.txt", EmptyArticle), ("news/d.sum.txt", MissingSummary),
     ], ids=["article", "summary"])
-    def test_whitespace_only_raw_file_names_the_id(self, tmp_path, capsys, empty, error):
+    def test_whitespace_only_raw_file_names_the_id(self, tmp_path, capsys, empty, error, blank):
         raw = tmp_path / "raw"
         (raw / "news").mkdir(parents=True)
         (raw / "news/d.txt").write_bytes(b"the cat sat .")
         (raw / "news/d.sum.txt").write_bytes(b"the cat .")
-        (raw / empty).write_bytes(b" \n\t \r\n")
+        (raw / empty).write_bytes(blank)
         with pytest.raises(error, match="news__d"):
             ingest_corpus(raw, "utf-8", tmp_path / "direct")
         code = main(["convert", "--input", str(raw),
                      "--encoding", "utf-8", "--out", str(tmp_path / "o")])
         assert code == 2
         assert "news__d" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_failed_convert_leaves_no_temp_file(self, tmp_path, capsys):
         raw = _raw_pairs(tmp_path, "a", "b")
@@ -911,16 +934,21 @@ class TestTrain:
         assert prefit["init_encoder"] is None and prefit["config"]["pretrained_encoder"] is False
         assert ft["init_encoder"] == named(encoder_ckpt) and ft["config"]["pretrained_encoder"] is True
 
-    def test_non_finite_loss_exits_2_without_final_checkpoint(self, tmp_path, capsys):
+    def test_non_finite_loss_exits_2_without_final_checkpoint(self, tmp_path, capsys, monkeypatch):
         shards, vocab = _make_shards(tmp_path)
         config = _write_config(tmp_path / "run.cfg")
-        encoder = build_model(_tiny_model_config(), "encoder", seed=0)
-        encoder.params["encoder.layer0.ff.w1"].data[0, 0] = np.nan
         encoder_ckpt = tmp_path / "encoder_final.ckpt"
-        save_checkpoint(encoder, encoder_ckpt)
+        save_checkpoint(build_model(_tiny_model_config(), "encoder", seed=0), encoder_ckpt)
         out = tmp_path / "run"
         capsys.readouterr()
 
+        def load_then_spoil(model, data):
+            # A checkpoint holding a NaN does not load, so the NaN is put in
+            # after the load.
+            load_encoder_into(model, data)
+            model.params["encoder.layer0.ff.w1"].data[0, 0] = np.nan
+
+        monkeypatch.setattr(cli, "load_encoder_into", load_then_spoil)
         code = main(["train", "--task", "ext", "--shards", str(shards),
                      "--out", str(out), "--config", str(config),
                      "--vocab", str(vocab),
@@ -931,6 +959,21 @@ class TestTrain:
         assert "loss is nan" in captured.err
         assert captured.out == ""
         assert not list(out.glob("*_final.ckpt"))
+
+    def test_non_finite_encoder_checkpoint_exits_2_before_training(self, tmp_path, capsys):
+        shards, vocab = _make_shards(tmp_path)
+        encoder = build_model(_tiny_model_config(), "encoder", seed=0)
+        encoder.params["encoder.layer0.ff.w1"].data[0, 0] = np.inf
+        encoder_ckpt = tmp_path / "encoder_final.ckpt"
+        save_checkpoint(encoder, encoder_ckpt)
+        out = tmp_path / "run"
+        capsys.readouterr()
+        code = main(["train", "--task", "ext", "--shards", str(shards), "--out", str(out),
+                     "--config", str(_write_config(tmp_path / "run.cfg")), "--vocab", str(vocab),
+                     "--init-encoder", str(encoder_ckpt)])
+        assert code == 2
+        assert "'encoder.layer0.ff.w1' holds a NaN or infinite value" in capsys.readouterr().err
+        assert not list(out.glob("*.ckpt"))
 
     def test_checkpoint_every_saves_periodic_checkpoints(self, tmp_path, capsys):
         shards, vocab = _make_shards(tmp_path)
@@ -1290,6 +1333,20 @@ class TestSummarize:
                      "--vocab", str(vocab), "--input", str(story)])
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("task", ["ext", "abs"])
+    def test_all_nan_checkpoint_exits_2(self, tmp_path, capsys, task):
+        model = build_model(_tiny_model_config(), task, seed=0)
+        for param in model.params.values():
+            param.data[...] = np.nan
+        ckpt = tmp_path / f"{task}.ckpt"
+        save_checkpoint(model, ckpt)
+        code = main(["summarize", "--task", task, "--checkpoint", str(ckpt), "--vocab",
+                     str(_write_vocab(tmp_path / "vocab.txt")), "--input",
+                     str(_write_story_file(tmp_path / "doc.story")), "--max-len", "4"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error:") and "holds a NaN or infinite value" in captured.err
 
     @staticmethod
     def _summarize_with_header(tmp_path, capsys, edit) -> str:

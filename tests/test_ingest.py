@@ -25,6 +25,10 @@ from sumforge.ingest import (
     write_story,
 )
 
+# Format characters (category Cf) that show nothing: zero-width space,
+# non-joiner and joiner, word joiner, byte-order mark.
+ZERO_WIDTH = ["\u200b", "\u200c", "\u200d", "\u2060", "\ufeff"]
+
 
 class TestTranscode:
     def test_windows_1256_golden_vector(self):
@@ -118,6 +122,12 @@ class TestSplitSentences:
         assert split_sentences("A.  .  B.") == ["A.", ".", "B."]
         assert split_sentences("") == []
 
+    @pytest.mark.parametrize("char", ZERO_WIDTH, ids=ascii)
+    def test_zero_width_segments_dropped(self, char):
+        assert split_sentences(f"A. {char} {char}") == ["A."]
+        assert split_sentences(f"{char}. {char}") == [f"{char}."]
+        assert split_sentences(char) == []
+
     @settings(max_examples=300, deadline=None)
     @given(
         st.text(
@@ -148,6 +158,22 @@ class TestParseStory:
     def test_no_marker_is_missing_summary(self):
         with pytest.raises(MissingSummary):
             parse_story("Just a body.")
+
+    @pytest.mark.parametrize("char", ZERO_WIDTH, ids=ascii)
+    def test_zero_width_only_highlight_is_missing_summary(self, char):
+        with pytest.raises(MissingSummary, match="only empty highlight blocks"):
+            parse_story(f"A.\n\n@highlight\n\n{char}\n\n@highlight\n\n {char}{char} ", "d")
+
+    @pytest.mark.parametrize("char", ZERO_WIDTH, ids=ascii)
+    def test_zero_width_only_article_is_empty_article(self, char):
+        with pytest.raises(EmptyArticle, match="no article text"):
+            parse_story(f"{char}\n {char}\n\n@highlight\n\nS", "d")
+
+    def test_inner_zero_width_non_joiner_is_kept(self):
+        sentence = "ذهب الولد إلى المدرسة\u200cمساءً."
+        doc = parse_story(f"{sentence}\n\n@highlight\n\n{sentence}")
+        assert doc.article_sentences == doc.summary_sentences == [sentence]
+        assert parse_story(write_story(doc)) == doc
 
     def test_marker_must_be_its_own_line(self):
         with pytest.raises(MissingSummary):
@@ -200,6 +226,12 @@ class TestStoryDocInvariants:
     def test_blank_sentence_rejected(self):
         with pytest.raises(EmptyArticle):
             StoryDoc("d", ["  "], ["S"])
+
+    @pytest.mark.parametrize("char", ZERO_WIDTH, ids=ascii)
+    def test_zero_width_sentence_rejected(self, char):
+        for article, summary in (([f" {char}"], ["S"]), (["A."], [char + char])):
+            with pytest.raises(EmptyArticle, match="blank sentence"):
+                StoryDoc("d", article, summary)
 
 
 class TestIngestCorpus:

@@ -730,6 +730,47 @@ class TestCheckpoint:
             except SumforgeError:
                 pass
 
+    @staticmethod
+    def _records(blob: bytes) -> list[tuple[int, int, int]]:
+        """Each record of a checkpoint's bytes as (start, payload start, end)."""
+        (header_len,) = struct.unpack("<I", blob[8:12])
+        pos, records = 12 + header_len, []
+        while pos < len(blob):
+            start = pos
+            (name_len,) = struct.unpack_from("<I", blob, pos)
+            (rank,) = struct.unpack_from("<I", blob, pos + 4 + name_len)
+            pos += 8 + name_len
+            dims = struct.unpack_from(f"<{rank}I", blob, pos)
+            pos += 4 * rank
+            records.append((start, pos, pos + 4 * math.prod(dims)))
+            pos = records[-1][2]
+        return records
+
+    @pytest.mark.parametrize("spoil", [
+        "repeat last", "repeat first", "nan first value", "nan last value", "inf", "-inf", "all nan",
+    ])
+    def test_repeated_records_and_non_finite_values_raise(self, tiny_config, tmp_path, spoil):
+        """A record named twice (the last copy used to win) and a NaN or
+        infinite weight (which used to load) are not checkpoints
+        save_checkpoint writes."""
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(build_model(tiny_config, "ext", seed=11), path)
+        blob = bytearray(path.read_bytes())
+        records = self._records(bytes(blob))
+        assert records[-1][2] == len(blob) and len(records) == len(M.ExtractiveModel.param_specs(tiny_config))
+        if spoil.startswith("repeat"):
+            start, _, end = records[-1 if spoil == "repeat last" else 0]
+            blob += blob[start:end]
+        else:
+            value = {"inf": np.inf, "-inf": -np.inf}.get(spoil, np.nan)
+            for _, lo, hi in records if spoil == "all nan" else records[3:4]:
+                at = range(lo, hi, 4) if spoil == "all nan" else [hi - 4 if spoil.endswith("last value") else lo]
+                for pos in at:
+                    blob[pos : pos + 4] = struct.pack("<f", value)
+        match = "appears twice" if spoil.startswith("repeat") else "holds a NaN or infinite value"
+        with pytest.raises(FormatVersionMismatch, match=match):
+            load_checkpoint(bytes(blob))
+
     def test_load_encoder_into(self, tiny_config, tmp_path):
         donor = build_model(tiny_config, "encoder", seed=21)
         path = tmp_path / "enc.ckpt"

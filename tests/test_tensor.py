@@ -15,12 +15,13 @@ from conftest import (
     buffer, closure_arrays, finite_diff_check, graph_vertices, neg, synthetic_example, tensor_mean, tensor_sum,
     transpose,
 )
+from sumforge import model as M
 from sumforge import tensor as T
 from sumforge.errors import (
     ConfigError, GraphCycle, IdOutOfRange, IndexOutOfRange, InvalidAxis, NotScalar, ShapeMismatch,
 )
 from sumforge.infer import BeamConfig, beam_search
-from sumforge.model import ModelConfig, abs_loss, build_model, ext_loss, gather_rows
+from sumforge.model import ModelConfig, abs_loss, build_model, ext_loss, flat_rows, gather_rows
 from sumforge.tensor import SplitRng, Tensor, backward
 from sumforge.train import masked_token_loss
 
@@ -1493,6 +1494,18 @@ def composed_attention_block(x, gamma, beta, wq, bq, wk, bk, wv, bv, wo, bo, mas
     return x + T.dropout(T.matmul(ctx, wo) + bo, p, train, rng)
 
 
+def gathered_attention_block(x, gamma, beta, wq, bq, wk, bk, wv, bv, wo, bo, mask, n_heads, p, train, rng,
+                             rows):
+    """The attention sublayer at rows only, as `Encoder.encode(rows=...)`
+    builds it: keys and values projected from every row's layer norm, then
+    attention_block over the gathered rows, given them as k and v."""
+    params = dict(zip(["ln.gamma", "ln.beta", "attn.wk", "attn.bk", "attn.wv", "attn.bv"],
+                      [gamma, beta, wk, bk, wv, bv]))
+    k, v = M._keys_values(params, "attn", M._ln(params, "ln", x), n_heads)
+    return T.attention_block(gather_rows(x, flat_rows(rows, *x.shape[:2])), gamma, beta, wq, bq,
+                             None, None, None, None, wo, bo, mask, n_heads, p, train, rng, k=k, v=v)
+
+
 def composed_ff_block(x, gamma, beta, w1, b1, w2, b2, p, train, rng=None):
     """The feed-forward sublayer as the model composed it before ff_block:
     layer_norm → the feed-forward block → dropout → add. The reference
@@ -1559,7 +1572,7 @@ class TestSublayerBlocks:
     @staticmethod
     def _kv_case(dtype, kind, heads, seed=0, d=8):
         """The arrays (x, gamma, beta, wq, bq, wo, bo, then the k and v
-        operands in heads layout), an output gradient, a mask and rows.
+        operands in heads layout), an output gradient and a mask.
         "cross" masks every key of the first document, so its query rows
         are masked whole; "cross1" is decode_step's cross-attention, four
         one-position hypotheses over one document's keys and values, and
@@ -1568,7 +1581,7 @@ class TestSublayerBlocks:
         1-D key mask."""
         r = np.random.default_rng(seed)
         shape, kv_lead, lk = {
-            "cross": ((3, 6, d), (3,), 5), "rows": ((3, 6, d), (3,), 5), "cross1": ((4, 1, d), (1,), 7),
+            "cross": ((3, 6, d), (3,), 5), "cross1": ((4, 1, d), (1,), 7),
             "past": ((4, 1, d), (4,), 3), "single": ((1, 7, d), (1,), 5),
         }[kind]
         arrays = [
@@ -1581,24 +1594,22 @@ class TestSublayerBlocks:
             y = r.standard_normal(kv_lead + (lk, d)).astype(dtype)
             arrays.append(np.swapaxes(y.reshape(kv_lead + (lk, heads, d // heads)), -2, -3))
         padding = (r.random((3, 1, 1, lk)) < 0.3) | (np.arange(3) == 0)[:, None, None, None]
-        mask, rows = {
-            "cross": (padding, None),
-            "rows": (padding, np.array([[0, 3, 3, 5], [5, 0, 1, 1], [2, 2, 4, 0]])),
-            "cross1": (r.random((1, 1, 1, lk)) < 0.3, None),
-            "past": (None, None),
-            "single": (r.random(lk) < 0.3, None),
+        mask = {
+            "cross": padding,
+            "cross1": r.random((1, 1, 1, lk)) < 0.3,
+            "past": None,
+            "single": r.random(lk) < 0.3,
         }[kind]
-        out = shape[:-2] + ((shape[-2] if rows is None else rows.shape[1]), d)
-        return arrays, r.standard_normal(out).astype(dtype), mask, rows
+        return arrays, r.standard_normal(shape).astype(dtype), mask
 
     @staticmethod
-    def _kv_call(block, mask, heads, p, train, rows=None):
+    def _kv_call(block, mask, heads, p, train):
         """call(params, rng) of an attention block whose keys and values
         are the operands k and v, the last two params."""
         def call(params, rng):
             x, gamma, beta, wq, bq, wo, bo, k, v = params
             return block(x, gamma, beta, wq, bq, None, None, None, None, wo, bo, mask, heads, p, train, rng,
-                         rows=rows, k=k, v=v)
+                         k=k, v=v)
         return call
 
     @staticmethod
@@ -1617,11 +1628,18 @@ class TestSublayerBlocks:
         return [out.data] + [p.grad for p in params], rng.random()
 
     @staticmethod
-    def _assert_same(got, want, names):
+    def _assert_same(got, want, names, close=()):
+        """The same bits, layout and draws; the arrays named in close need
+        only be close."""
         (got, got_next), (want, want_next) = got, want
         assert len(got) == len(want)
         for name, a, b in zip(names, got, want):
-            _assert_same_bits(a, b, name)
+            if name in close:
+                tol = 1e-4 if a.dtype == np.float32 else 1e-12
+                np.testing.assert_allclose(a, b, rtol=tol, atol=tol, err_msg=name)
+                assert a.dtype == b.dtype, name
+            else:
+                _assert_same_bits(a, b, name)
             assert a.strides == b.strides, name  # the layout clipping's sum reads
         assert got_next == want_next  # the same draws were taken
 
@@ -1634,21 +1652,23 @@ class TestSublayerBlocks:
         self._check_attention(dtype, kind, train, grad, heads)
 
     def _check_attention(self, dtype, kind, train, grad, heads, d=8):
+        """The block against the chain; with rows, the chain that picks
+        them against `gathered_attention_block`."""
         arrays, g, mask, rows = self._attention_case(dtype, kind, d=d)
+        at = {} if rows is None else {"rows": rows}
 
         def call(block):
-            return lambda params, rng: block(*params, mask, heads, 0.25, train, rng, rows=rows)
+            return lambda params, rng: block(*params, mask, heads, 0.25, train, rng, **at)
 
-        if rows is not None and grad:
-            self._assert_rows_raise(call(T.attention_block), arrays)
-            return
         want = self._run(call(composed_attention_block), arrays, g, grad)
-        got = self._run(call(T.attention_block), arrays, g, grad)
+        got = self._run(call(T.attention_block if rows is None else gathered_attention_block), arrays, g, grad)
         names = ["out", "x", "gamma", "beta", "wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo"]
-        self._assert_same(got, want, names)
+        # With rows, ln(x) runs twice, for the keys and for the rows, so x's,
+        # gamma's and beta's gradients add their parts in another order.
+        self._assert_same(got, want, names, ["x", "gamma", "beta"] if rows is not None and grad else ())
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("kind", ["cross", "cross1", "past", "rows", "single"])
+    @pytest.mark.parametrize("kind", ["cross", "cross1", "past", "single"])
     @pytest.mark.parametrize("train", [False, True], ids=["eval", "train"])
     @pytest.mark.parametrize("grad", [True, False], ids=["grad", "no_grad"])
     @pytest.mark.parametrize("heads", [1, 2, 8])
@@ -1656,17 +1676,14 @@ class TestSublayerBlocks:
         self._check_kv(dtype, kind, train, grad, heads)
 
     def _check_kv(self, dtype, kind, train, grad, heads, d=8):
-        arrays, g, mask, rows = self._kv_case(dtype, kind, heads, d=d)
-        if rows is not None and grad:
-            self._assert_rows_raise(self._kv_call(T.attention_block, mask, heads, 0.25, train, rows), arrays)
-            return
-        want = self._run(self._kv_call(composed_attention_block, mask, heads, 0.25, train, rows), arrays, g, grad)
-        got = self._run(self._kv_call(T.attention_block, mask, heads, 0.25, train, rows), arrays, g, grad)
+        arrays, g, mask = self._kv_case(dtype, kind, heads, d=d)
+        want = self._run(self._kv_call(composed_attention_block, mask, heads, 0.25, train), arrays, g, grad)
+        got = self._run(self._kv_call(T.attention_block, mask, heads, 0.25, train), arrays, g, grad)
         self._assert_same(got, want, ["out", "x", "gamma", "beta", "wq", "bq", "wo", "bo", "k", "v"])
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("kind", [
-        "none", "padding", "causal", "rows", "single", "kv-cross", "kv-cross1", "kv-past", "kv-rows", "kv-single",
+        "none", "padding", "causal", "rows", "single", "kv-cross", "kv-cross1", "kv-past", "kv-single",
     ])
     @pytest.mark.parametrize("grad", [True, False], ids=["grad", "no_grad"])
     @pytest.mark.parametrize("per_pass", [1, 2])  # three heads as 1+1+1 and as 2+1
@@ -1675,7 +1692,10 @@ class TestSublayerBlocks:
         each item's heads per_pass at a time, with dropout on, and its
         values, gradients and draws stay the chain's."""
         kv, kind = kind.startswith("kv-"), kind.removeprefix("kv-")
-        arrays, _, _, rows = self._kv_case(dtype, kind, 3, d=6) if kv else self._attention_case(dtype, kind, d=6)
+        if kv:
+            arrays, rows = self._kv_case(dtype, kind, 3, d=6)[0], None
+        else:
+            arrays, _, _, rows = self._attention_case(dtype, kind, d=6)
         lq = arrays[0].shape[1] if rows is None else rows.shape[1]
         lk = arrays[-1].shape[2] if kv else arrays[0].shape[1]
         monkeypatch.setattr(T, "SCORE_BLOCK", per_pass * lq * lk)
@@ -1687,28 +1707,10 @@ class TestSublayerBlocks:
 
         monkeypatch.setattr(T, "_probs", counted)
         (self._check_kv if kv else self._check_attention)(dtype, kind, True, grad, 3, d=6)
-        if rows is not None and grad:
-            assert passes == []  # raised before the items
-        else:
-            runs = arrays[0].shape[0] * (2 if grad else 1)  # each item forward, then backward
-            assert passes == ([1, 1, 1] if per_pass == 1 else [2, 1]) * runs
-
-    @staticmethod
-    def _assert_rows_raise(call, arrays):
-        """rows are for inference only: with a graph recorded the block
-        raises before it draws from the generator."""
-        rng = np.random.default_rng(5)
-        with pytest.raises(ShapeMismatch, match="inference"):
-            call([Tensor(a.copy(), requires_grad=True) for a in arrays], rng)
-        assert rng.random() == np.random.default_rng(5).random()
+        runs = arrays[0].shape[0] * (2 if grad else 1)  # each item forward, then backward
+        assert passes == ([1, 1, 1] if per_pass == 1 else [2, 1]) * runs
 
     def test_rows_while_a_graph_is_recorded_raise(self):
-        arrays, _, mask, rows = self._attention_case(np.float32, "rows")
-        params = [Tensor(a, requires_grad=True) for a in arrays]
-        with pytest.raises(ShapeMismatch, match="inference"):
-            T.attention_block(*params, mask, 2, 0.0, False, rows=rows)
-        with T.no_grad():
-            assert T.attention_block(*params, mask, 2, 0.0, False, rows=rows).shape == (3, 4, 8)
         model = build_model(_BLOCK_CONFIG, "encoder", seed=3)
         src = np.random.default_rng(1).integers(7, 30, (3, 9))
         with pytest.raises(ShapeMismatch, match="inference"):
@@ -1793,7 +1795,7 @@ class TestSublayerBlocks:
 
     @pytest.mark.parametrize("kind", ["cross", "cross1", "single"])
     def test_kv_operands_finite_differences_float64(self, kind):
-        arrays, g, mask, _ = self._kv_case(np.float64, kind, 2, seed=1)
+        arrays, g, mask = self._kv_case(np.float64, kind, 2, seed=1)
         block, w = self._kv_call(T.attention_block, mask, 2, 0.25, True), Tensor(g)
 
         def f(params):
@@ -1811,7 +1813,7 @@ class TestSublayerBlocks:
         exactly 0 and the backward mask pass could change no bit, so the
         closure keeps no mask for it."""
         if kind.startswith("cross"):
-            arrays, _, mask, _ = self._kv_case(np.float32, kind, 2)
+            arrays, _, mask = self._kv_case(np.float32, kind, 2)
             out = self._kv_call(T.attention_block, mask, 2, 0.0, False)([Tensor(a, requires_grad=True) for a in arrays], None)
         else:
             arrays, _, mask, _ = self._attention_case(np.float32, kind)
@@ -1826,7 +1828,7 @@ class TestSublayerBlocks:
             params = [Tensor(a, requires_grad=True) for a in arrays]
             out = T.attention_block(*params, mask, 2, 0.25, train, np.random.default_rng(0))
         elif block == "kv":  # k and v are parameters here, held whole
-            arrays, _, mask, _ = self._kv_case(np.float32, "cross", 2)
+            arrays, _, mask = self._kv_case(np.float32, "cross", 2)
             params = [Tensor(a, requires_grad=True) for a in arrays]
             out = self._kv_call(T.attention_block, mask, 2, 0.25, train)(params, np.random.default_rng(0))
             params = params[:5] + params[7:] + params[5:7]  # the op's parents' order: ..., k, v, wo, bo
@@ -1844,7 +1846,7 @@ class TestSublayerBlocks:
         assert [a.shape for a in stats] == [x.shape[:-1] + (1,)] * 2  # mu and 1/std
         assert len(bits) == (0 if not train else 1 if block == "ff" else 2)
         rest = [a for a in held.values() if a.dtype != np.uint8 and not (a.dtype == x.dtype and a.ndim)]
-        assert all(a.nbytes < x.nbytes / 4 for a in rest)  # the scale, masks and rows
+        assert all(a.nbytes < x.nbytes / 4 for a in rest)  # the scale and masks
         assert not any(isinstance(c.cell_contents, Tensor) for c in out._node._backward.__closure__
                        if c.cell_contents is not None)
 
@@ -1859,18 +1861,33 @@ class TestSublayerBlocks:
             ((x, Tensor(np.ones(7, np.float32)), beta, *proj, None, 2), {}),  # gamma's length
             ((x, gamma, beta, transpose(Tensor(np.ones((8, 7), np.float32))), *proj[1:], None, 2), {}),
             ((x, gamma, beta, *proj, np.zeros((2, 1, 1, 6), bool), 2), {}),  # the mask's batch
-            ((x, gamma, beta, *proj, mask, 2), {"rows": np.zeros((2, 1), int)}),  # rows' batch
-            ((x, gamma, beta, *proj, mask, 2), {"rows": np.zeros((3, 1))}),  # float rows
         ]:
             with pytest.raises(ShapeMismatch):
                 T.attention_block(*args, 0.0, False, **kwargs)
-        with pytest.raises(IndexOutOfRange):
-            T.attention_block(x, gamma, beta, *proj, mask, 2, 0.0, False, rows=np.array([[0], [6], [1]]))
         with pytest.raises(ConfigError):
             T.attention_block(x, gamma, beta, *proj, mask, 2, 0.1, True, None)
 
+    def test_encode_rows_are_checked(self):
+        """`encode` checks rows before its [CLS]-only layer gathers them:
+        a position of 9 in sequences of length 9 (or -1) would read the next
+        (or the previous) document's first (or last) row."""
+        model = build_model(_BLOCK_CONFIG, "encoder", seed=3)
+        src = np.random.default_rng(1).integers(7, 30, (3, 9))
+
+        def encode(rows):
+            with T.no_grad():
+                return model.encode(src, np.zeros_like(src), np.zeros((3, 9), bool), rows=rows)
+
+        for rows in (np.zeros((2, 1), int), np.zeros((3, 1)), np.zeros(3, int), np.zeros((3, 1), bool)):
+            with pytest.raises(ShapeMismatch):  # rows' batch, float rows, [B] rows, bool rows
+                encode(rows)
+        for rows in ([[0], [6], [10]], [[9], [0], [1]], [[0], [-1], [1]]):
+            with pytest.raises(IndexOutOfRange):
+                encode(np.array(rows))
+        assert encode(np.array([[8], [0], [4]])).shape == (3, 1, 8)
+
     def test_kv_operand_shapes_are_checked(self):
-        arrays, _, mask, _ = self._kv_case(np.float32, "cross", 2)
+        arrays, _, mask = self._kv_case(np.float32, "cross", 2)
         x, gamma, beta, wq, bq, wo, bo, k, v = (Tensor(a) for a in arrays)
         wk, bk, wv, bv = (Tensor(a) for a in self._attention_case(np.float32, "padding")[0][5:9])
 
